@@ -399,6 +399,62 @@ func BenchmarkSimRun(b *testing.B) {
 	}
 }
 
+// frontEndSpec returns ResNet-50 and the partition spec of a fixed-seed
+// SA search: the input of the two stages in front of the simulator.
+func frontEndSpec(b *testing.B, cfg sim.Config) (*Graph, atom.Spec) {
+	b.Helper()
+	g, err := LoadModel("resnet50")
+	if err != nil {
+		b.Fatal(err)
+	}
+	return g, anneal.SA(g, cfg.Engine, cfg.Dataflow, anneal.Options{MaxIters: 300, Seed: 1}).Spec
+}
+
+// frontEndBatch is the batch the front-end benchmarks build at: eight
+// replicated samples, the batch-8 compile's atom and frontier sizes.
+const frontEndBatch = 8
+
+// BenchmarkAtomBuild measures atom.Build of ResNet-50 at batch 8: tiling
+// and wiring one sample, then replicating it.
+func BenchmarkAtomBuild(b *testing.B) {
+	g, spec := frontEndSpec(b, sim.DefaultConfig())
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := atom.Build(g, frontEndBatch, spec); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// BenchmarkScheduleBuild measures Algorithm 2 in DP mode on the
+// ResNet-50 batch-8 atomic DAG. The shared oracle is warmed outside the
+// timed region, so the frontier and the lookahead dominate.
+func BenchmarkScheduleBuild(b *testing.B) {
+	cfg := sim.DefaultConfig()
+	g, spec := frontEndSpec(b, cfg)
+	d, err := atom.Build(g, frontEndBatch, spec)
+	if err != nil {
+		b.Fatal(err)
+	}
+	opt := schedule.Options{
+		Engines: cfg.Mesh.Engines(), Mode: schedule.DP,
+		EngineCfg: cfg.Engine, Dataflow: cfg.Dataflow, Oracle: cost.Default(),
+	}
+	s, err := schedule.Build(d, opt)
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := schedule.Build(d, opt); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.ReportMetric(float64(s.NumRounds()), "rounds")
+}
+
 // benchPlaceSink keeps the compiler from eliding placements.
 var benchPlaceSink mapping.Result
 

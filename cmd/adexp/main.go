@@ -18,11 +18,13 @@ import (
 	"runtime"
 	"runtime/pprof"
 	rtrace "runtime/trace"
+	"slices"
 	"strings"
 	"time"
 
 	"github.com/atomic-dataflow/atomicflow/internal/cost"
 	"github.com/atomic-dataflow/atomicflow/internal/experiments"
+	"github.com/atomic-dataflow/atomicflow/internal/models"
 	"github.com/atomic-dataflow/atomicflow/internal/obs"
 	"github.com/atomic-dataflow/atomicflow/internal/schedule"
 	"github.com/atomic-dataflow/atomicflow/internal/trace"
@@ -147,7 +149,12 @@ func main() {
 		cfg.Mode = schedule.DP
 	}
 	if *workloads != "" {
-		cfg.Workloads = strings.Split(*workloads, ",")
+		ws, err := parseWorkloads(*workloads)
+		if err != nil {
+			fmt.Fprintf(os.Stderr, "adexp: -workloads: %v\n", err)
+			os.Exit(2)
+		}
+		cfg.Workloads = ws
 	} else if *fast {
 		cfg.Workloads = fastWorkloads
 	}
@@ -196,6 +203,19 @@ func main() {
 		trace.WriteOracleStats(os.Stdout, id, orc.Stats().Sub(before))
 		fmt.Printf("  [%s done in %v]\n\n", id, time.Since(start).Round(time.Millisecond))
 	}
+}
+
+// parseWorkloads splits a comma-separated -workloads list and rejects any
+// name the model zoo does not have.
+func parseWorkloads(list string) ([]string, error) {
+	names := strings.Split(list, ",")
+	known := models.Names()
+	for _, w := range names {
+		if !slices.Contains(known, w) {
+			return nil, fmt.Errorf("unknown workload %q (have %s)", w, strings.Join(known, ", "))
+		}
+	}
+	return names, nil
 }
 
 // wrap adapts a typed experiment runner to the common signature.

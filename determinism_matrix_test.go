@@ -29,6 +29,7 @@ type matrixProfile struct {
 	saIters  int
 	maxTiles int
 	meshSide int // 0 = default 8x8
+	batch    int // 0 = default 1
 }
 
 func (p matrixProfile) run(t *testing.T, model string) *Solution {
@@ -38,7 +39,7 @@ func (p matrixProfile) run(t *testing.T, model string) *Solution {
 		t.Fatal(err)
 	}
 	opt := Options{Seed: 1, SAIters: p.saIters, MaxTilesPerLayer: p.maxTiles,
-		VerifyDelta: *verifyDelta}
+		Batch: p.batch, VerifyDelta: *verifyDelta}
 	if *dashProgress {
 		// The hook the serving layer's dashboard installs, reduced to its
 		// essence: it observes every sample batch (exactly what serve's
@@ -80,29 +81,47 @@ func TestZooDeterminismMatrix(t *testing.T) {
 		profile = matrixProfile{name: "short", saIters: 60, maxTiles: 64, meshSide: 4}
 	}
 
-	golden := loadDigests(t)
-	if golden[profile.name] == nil {
-		golden[profile.name] = map[string]string{}
-	}
-	table := golden[profile.name]
-
 	names := ModelNames()
 	sort.Strings(names)
-	got := make(map[string]string, len(names))
-	for _, model := range names {
+	profile.check(t, names)
+}
+
+// batchDigestModels are the models pinned at batch 3 (short profile):
+// the two paper-scale graphs, a depthwise-separable one and a branchy
+// toy, so the replicated-sample atom DAG and the scheduler's multi-sample
+// frontier (rule 4) are covered by golden bytes, not just batch 1.
+var batchDigestModels = []string{"inceptionv3", "mobilenetv2", "resnet50", "tinybranch"}
+
+// TestZooBatchDigests pins the batch-3 digests beside the batch-1
+// matrix under the "short-b3" key. Regenerate with:
+//
+//	go test -run TestZooBatchDigests -update-digests
+func TestZooBatchDigests(t *testing.T) {
+	profile := matrixProfile{name: "short-b3", saIters: 60, maxTiles: 64, meshSide: 4, batch: 3}
+	profile.check(t, batchDigestModels)
+}
+
+// check runs each model at the profile and compares its digest with the
+// one pinned under the profile's name, or re-pins them all with
+// -update-digests.
+func (p matrixProfile) check(t *testing.T, models []string) {
+	golden := loadDigests(t)
+	table := golden[p.name]
+	got := make(map[string]string, len(models))
+	for _, model := range models {
 		t.Run(model, func(t *testing.T) {
-			digest := profile.run(t, model).Digest()
+			digest := p.run(t, model).Digest()
 			got[model] = digest
 			if *updateDigests {
 				return
 			}
 			want, ok := table[model]
 			if !ok {
-				t.Fatalf("no pinned digest for %s/%s — run with -update-digests", profile.name, model)
+				t.Fatalf("no pinned digest for %s/%s — run with -update-digests", p.name, model)
 			}
 			if runtime.GOARCH != "amd64" {
 				// Pinned on amd64; elsewhere assert the weaker property.
-				if again := profile.run(t, model).Digest(); again != digest {
+				if again := p.run(t, model).Digest(); again != digest {
 					t.Errorf("nondeterministic on %s: %s vs %s", runtime.GOARCH, digest, again)
 				}
 				t.Skipf("golden digests are pinned on amd64 (have %s)", runtime.GOARCH)
@@ -116,9 +135,9 @@ func TestZooDeterminismMatrix(t *testing.T) {
 	}
 
 	if *updateDigests {
-		golden[profile.name] = got
+		golden[p.name] = got
 		saveDigests(t, golden)
-		t.Logf("rewrote testdata/zoo_digests.json (%s profile, %d models)", profile.name, len(got))
+		t.Logf("rewrote testdata/zoo_digests.json (%s profile, %d models)", p.name, len(got))
 	}
 }
 

@@ -13,6 +13,7 @@ package atom
 
 import (
 	"fmt"
+	"slices"
 
 	"github.com/atomic-dataflow/atomicflow/internal/engine"
 	"github.com/atomic-dataflow/atomicflow/internal/graph"
@@ -75,6 +76,9 @@ type Atom struct {
 	// overlap between Deps[i]'s output region and this atom's receptive
 	// field — the actual tensor traffic of the edge. Atoms of input layers
 	// have no deps (their data is in DRAM).
+	//
+	// Both are read-only once Build returns: an atom of sample s > 0
+	// shares its DepBytes slice with the same atom of sample 0.
 	Deps     []int
 	DepBytes []int64
 }
@@ -89,12 +93,12 @@ func (a *Atom) String() string {
 		a.Region.H0, a.Region.H1, a.Region.W0, a.Region.W1, a.Region.C0, a.Region.C1)
 }
 
-// grid records the regular tiling of one (layer, sample) so that
+// grid records the regular tiling of one layer in sample 0 so that
 // region→atom lookups are O(overlap) instead of O(atoms).
 type grid struct {
 	part       Partition
 	nH, nW, nC int
-	base       int // first atom ID of this grid
+	base       int // first atom ID of this grid in sample 0
 }
 
 // DAG is the atomic computation graph.
@@ -104,7 +108,8 @@ type DAG struct {
 	Atoms []*Atom
 
 	consumers [][]int
-	grids     []map[int]grid // per sample: layerID -> grid (concat/elided layers absent)
+	grids     map[int]grid // layerID -> sample-0 grid (concat/elided layers absent)
+	perSample int          // atoms per sample: sample s holds IDs [s·perSample, (s+1)·perSample)
 }
 
 // NumAtoms returns the vertex count.
@@ -115,16 +120,16 @@ func (d *DAG) NumAtoms() int { return len(d.Atoms) }
 func (d *DAG) Consumers(id int) []int { return d.consumers[id] }
 
 // AtomsOf returns the atom IDs of one (layer, sample), or nil if the layer
-// is elided (concat).
+// is elided (concat) or the sample is out of range.
 func (d *DAG) AtomsOf(sample, layerID int) []int {
-	g, ok := d.grids[sample][layerID]
-	if !ok {
+	g, ok := d.grids[layerID]
+	if !ok || sample < 0 || sample >= d.Batch {
 		return nil
 	}
-	n := g.nH * g.nW * g.nC
-	ids := make([]int, n)
+	base := g.base + sample*d.perSample
+	ids := make([]int, g.nH*g.nW*g.nC)
 	for i := range ids {
-		ids[i] = g.base + i
+		ids[i] = base + i
 	}
 	return ids
 }
@@ -149,12 +154,12 @@ func (d *DAG) Validate() error {
 		}
 	}
 	for s := 0; s < d.Batch; s++ {
-		for lid, gr := range d.grids[s] {
+		for lid, gr := range d.grids {
 			l := d.Graph.Layer(lid)
 			var covered int64
-			n := gr.nH * gr.nW * gr.nC
-			for i := 0; i < n; i++ {
-				covered += d.Atoms[gr.base+i].Region.Bytes()
+			base := gr.base + s*d.perSample
+			for i := 0; i < gr.nH*gr.nW*gr.nC; i++ {
+				covered += d.Atoms[base+i].Region.Bytes()
 			}
 			if covered != l.OutputBytes() {
 				return fmt.Errorf("layer %d sample %d: atoms cover %d of %d bytes",
@@ -167,68 +172,144 @@ func (d *DAG) Validate() error {
 
 // Build constructs the atomic DAG for the workload graph under the given
 // per-layer partition spec and batch size.
+//
+// Only sample 0 is tiled and wired. No edge crosses samples, so sample s
+// is sample 0 with every atom ID and dependency offset by s·perSample;
+// the replicas are stamped out in one block each and share sample 0's
+// DepBytes.
 func Build(g *graph.Graph, batch int, spec Spec) (*DAG, error) {
 	if batch < 1 {
 		return nil, fmt.Errorf("atom: batch %d < 1", batch)
 	}
-	d := &DAG{Graph: g, Batch: batch, grids: make([]map[int]grid, batch)}
-	for s := 0; s < batch; s++ {
-		d.grids[s] = make(map[int]grid)
-		for _, lid := range g.Topo() {
-			l := g.Layer(lid)
-			if l.Kind == graph.OpConcat {
-				continue // elided: pure channel addressing
-			}
-			part, ok := spec[lid]
-			if !ok {
-				part = WholeLayer(l)
-			}
-			if err := part.Validate(l); err != nil {
-				return nil, err
-			}
-			if err := d.addLayerAtoms(s, l, part); err != nil {
-				return nil, err
-			}
+	d := &DAG{Graph: g, Batch: batch, grids: make(map[int]grid)}
+	for _, lid := range g.Topo() {
+		l := g.Layer(lid)
+		if l.Kind == graph.OpConcat {
+			continue // elided: pure channel addressing
 		}
+		part, ok := spec[lid]
+		if !ok {
+			part = WholeLayer(l)
+		}
+		if err := part.Validate(l); err != nil {
+			return nil, err
+		}
+		s := l.Shape
+		gr := grid{part: part, nH: ceilDiv(s.Ho, part.Hp), nW: ceilDiv(s.Wo, part.Wp),
+			nC: ceilDiv(s.Co, part.Cop), base: d.perSample}
+		d.grids[lid] = gr
+		d.perSample += gr.nH * gr.nW * gr.nC
 	}
-	d.consumers = make([][]int, len(d.Atoms))
-	for _, a := range d.Atoms {
-		for _, dep := range a.Deps {
-			d.consumers[dep] = append(d.consumers[dep], a.ID)
-		}
+	d.Atoms = make([]*Atom, d.perSample*batch)
+	d.consumers = make([][]int, d.perSample*batch)
+	edges := d.buildSample0()
+	for s := 1; s < batch; s++ {
+		d.replicate(s, edges)
 	}
 	return d, nil
 }
 
-// addLayerAtoms tiles one (layer, sample) and wires dependency edges.
-func (d *DAG) addLayerAtoms(sample int, l *graph.Layer, part Partition) error {
-	s := l.Shape
-	nH, nW, nC := ceilDiv(s.Ho, part.Hp), ceilDiv(s.Wo, part.Wp), ceilDiv(s.Co, part.Cop)
-	d.grids[sample][l.ID] = grid{part: part, nH: nH, nW: nW, nC: nC, base: len(d.Atoms)}
-	idx := 0
-	for ih := 0; ih < nH; ih++ {
-		for iw := 0; iw < nW; iw++ {
-			for ic := 0; ic < nC; ic++ {
-				r := Region{
-					H0: ih * part.Hp, H1: min((ih+1)*part.Hp, s.Ho),
-					W0: iw * part.Wp, W1: min((iw+1)*part.Wp, s.Wo),
-					C0: ic * part.Cop, C1: min((ic+1)*part.Cop, s.Co),
+// buildSample0 tiles and wires every layer of sample 0, fills its
+// consumer lists and returns its edge count.
+func (d *DAG) buildSample0() int {
+	n := d.perSample
+	blk := make([]Atom, n)
+	sc := depScratch{stamp: make([]int, n), pos: make([]int, n)}
+	// One layer's edges at a time, atom by atom, in reused scratch
+	// (deps[ends[i-1]:ends[i]] are its i-th atom's); the layer's atoms
+	// then carve theirs out of one exact-size block.
+	var deps, ends []int
+	var bytes []int64
+	edges := 0
+	for _, lid := range d.Graph.Topo() {
+		gr, ok := d.grids[lid]
+		if !ok {
+			continue
+		}
+		l := d.Graph.Layer(lid)
+		s, part := l.Shape, gr.part
+		deps, bytes, ends = deps[:0], bytes[:0], ends[:0]
+		id := gr.base
+		for ih := 0; ih < gr.nH; ih++ {
+			for iw := 0; iw < gr.nW; iw++ {
+				for ic := 0; ic < gr.nC; ic++ {
+					r := Region{
+						H0: ih * part.Hp, H1: min((ih+1)*part.Hp, s.Ho),
+						W0: iw * part.Wp, W1: min((iw+1)*part.Wp, s.Wo),
+						C0: ic * part.Cop, C1: min((ic+1)*part.Cop, s.Co),
+					}
+					blk[id] = Atom{ID: id, Layer: lid, Index: id - gr.base, Region: r, Task: taskFor(l, r)}
+					d.Atoms[id] = &blk[id]
+					deps, bytes = d.appendDeps(&sc, id, deps, bytes, l, r)
+					ends = append(ends, len(deps))
+					id++
 				}
-				a := &Atom{
-					ID:     len(d.Atoms),
-					Layer:  l.ID,
-					Sample: sample,
-					Index:  idx,
-					Region: r,
-					Task:   taskFor(l, r),
-				}
-				a.Deps, a.DepBytes = d.depsFor(sample, l, r)
-				d.Atoms = append(d.Atoms, a)
-				idx++
 			}
 		}
+		layerDeps, layerBytes := slices.Clone(deps), slices.Clone(bytes)
+		lo := 0
+		for i, hi := range ends {
+			if lo < hi {
+				a := &blk[gr.base+i]
+				a.Deps, a.DepBytes = layerDeps[lo:hi:hi], layerBytes[lo:hi:hi]
+			}
+			lo = hi
+		}
+		edges += len(deps)
 	}
-	return nil
+	// Carve the consumer lists out of one block; a producer's consumers
+	// come out in ascending ID order.
+	fill := make([]int, n)
+	for i := range blk {
+		for _, dep := range blk[i].Deps {
+			fill[dep]++
+		}
+	}
+	cons := make([]int, edges)
+	at := 0
+	for id, c := range fill {
+		if c > 0 {
+			d.consumers[id] = cons[at : at : at+c]
+		}
+		at += c
+	}
+	for id := range blk {
+		for _, dep := range blk[id].Deps {
+			d.consumers[dep] = append(d.consumers[dep], id)
+		}
+	}
+	return edges
+}
+
+// replicate stamps out sample s from sample 0, whose edges number edges:
+// one Atom block, one block each for the offset deps and consumers.
+// DepBytes are shared with sample 0.
+func (d *DAG) replicate(s, edges int) {
+	n, off := d.perSample, s*d.perSample
+	blk := make([]Atom, n)
+	deps := make([]int, 0, edges)
+	cons := make([]int, 0, edges)
+	for i, src := range d.Atoms[:n] {
+		a := &blk[i]
+		*a = *src
+		a.ID += off
+		a.Sample = s
+		if len(src.Deps) > 0 {
+			lo := len(deps)
+			for _, dep := range src.Deps {
+				deps = append(deps, dep+off)
+			}
+			a.Deps = deps[lo:len(deps):len(deps)]
+		}
+		d.Atoms[off+i] = a
+		if c := d.consumers[i]; len(c) > 0 {
+			lo := len(cons)
+			for _, id := range c {
+				cons = append(cons, id+off)
+			}
+			d.consumers[off+i] = cons[lo:len(cons):len(cons)]
+		}
+	}
 }
 
 // taskFor builds the engine.Task pricing an atom covering region r of l.
@@ -246,28 +327,35 @@ func taskFor(l *graph.Layer, r Region) engine.Task {
 	return t
 }
 
-// depsFor resolves the producer atoms whose outputs overlap the input
-// receptive field of region r of layer l in the given sample, together
-// with the per-edge overlap volume in bytes.
-func (d *DAG) depsFor(sample int, l *graph.Layer, r Region) ([]int, []int64) {
-	var deps []int
-	var bytes []int64
-	pos := make(map[int]int)
+// depScratch maps producer atom IDs to their index in the edge list being
+// assembled. An entry is live only while stamp[id] equals the current
+// consumer's ID+1, so no per-atom reset is needed.
+type depScratch struct {
+	stamp []int
+	pos   []int
+}
+
+// appendDeps appends to deps/bytes the sample-0 producer atoms whose
+// outputs overlap the input receptive field of region r of layer l,
+// together with the per-edge overlap volume in bytes. id is the
+// consuming atom.
+func (d *DAG) appendDeps(sc *depScratch, id int, deps []int, bytes []int64, l *graph.Layer, r Region) ([]int, []int64) {
+	lo, epoch := len(deps), id+1
 	for _, ref := range inputRegions(d.Graph, l, r) {
-		d.collectOverlaps(sample, ref, func(id int, overlap int64) {
-			if i, ok := pos[id]; ok {
-				bytes[i] += overlap
-			} else {
-				pos[id] = len(deps)
-				deps = append(deps, id)
-				bytes = append(bytes, overlap)
+		d.collectOverlaps(ref, func(p int, overlap int64) {
+			if sc.stamp[p] == epoch {
+				bytes[sc.pos[p]] += overlap
+				return
 			}
+			sc.stamp[p], sc.pos[p] = epoch, len(deps)
+			deps = append(deps, p)
+			bytes = append(bytes, overlap)
 		})
 	}
 	// Multiple refs can overlap the same producer region (e.g. eltwise
 	// inputs resolving to one atom); cap at the producer's output size.
-	for i, id := range deps {
-		if lim := d.Atoms[id].OutputBytes(); bytes[i] > lim {
+	for i := lo; i < len(deps); i++ {
+		if lim := d.Atoms[deps[i]].OutputBytes(); bytes[i] > lim {
 			bytes[i] = lim
 		}
 	}
@@ -354,16 +442,16 @@ func resolve(g *graph.Graph, lid int, r Region) []regionRef {
 	return refs
 }
 
-// collectOverlaps visits the IDs of producer atoms whose regions overlap
-// ref within the sample, passing the overlap volume in bytes.
-func (d *DAG) collectOverlaps(sample int, ref regionRef, visit func(id int, overlap int64)) {
-	gr, ok := d.grids[sample][ref.layer]
+// collectOverlaps visits the IDs of sample-0 producer atoms whose regions
+// overlap ref, passing the overlap volume in bytes.
+func (d *DAG) collectOverlaps(ref regionRef, visit func(id int, overlap int64)) {
+	gr, ok := d.grids[ref.layer]
 	if !ok {
 		// Producer was itself elided (concat feeding concat): resolve
 		// another level down. This cannot recurse unboundedly because
 		// resolve() already flattened concat chains; reaching here means
 		// a bug in construction order.
-		panic(fmt.Sprintf("atom: no grid for layer %d sample %d", ref.layer, sample))
+		panic(fmt.Sprintf("atom: no grid for layer %d", ref.layer))
 	}
 	r := ref.region
 	p := gr.part

@@ -1,6 +1,8 @@
 package atom
 
 import (
+	"fmt"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -280,5 +282,173 @@ func TestPartitionCoverageProperty(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 60}); err != nil {
 		t.Error(err)
+	}
+}
+
+// refDAG is the construction Build replaced, kept as the executable
+// reference for replication: every sample is tiled and wired from
+// scratch, with a fresh producer-position map per atom.
+type refDAG struct {
+	atoms     []*Atom
+	consumers [][]int
+	grids     []map[int]grid // per sample: layerID -> grid
+}
+
+func buildReference(g *graph.Graph, batch int, spec Spec) (*refDAG, error) {
+	d := &refDAG{grids: make([]map[int]grid, batch)}
+	for s := 0; s < batch; s++ {
+		d.grids[s] = make(map[int]grid)
+		for _, lid := range g.Topo() {
+			l := g.Layer(lid)
+			if l.Kind == graph.OpConcat {
+				continue
+			}
+			part, ok := spec[lid]
+			if !ok {
+				part = WholeLayer(l)
+			}
+			if err := part.Validate(l); err != nil {
+				return nil, err
+			}
+			d.addLayerAtoms(g, s, l, part)
+		}
+	}
+	d.consumers = make([][]int, len(d.atoms))
+	for _, a := range d.atoms {
+		for _, dep := range a.Deps {
+			d.consumers[dep] = append(d.consumers[dep], a.ID)
+		}
+	}
+	return d, nil
+}
+
+func (d *refDAG) addLayerAtoms(g *graph.Graph, sample int, l *graph.Layer, part Partition) {
+	s := l.Shape
+	nH, nW, nC := ceilDiv(s.Ho, part.Hp), ceilDiv(s.Wo, part.Wp), ceilDiv(s.Co, part.Cop)
+	d.grids[sample][l.ID] = grid{part: part, nH: nH, nW: nW, nC: nC, base: len(d.atoms)}
+	idx := 0
+	for ih := 0; ih < nH; ih++ {
+		for iw := 0; iw < nW; iw++ {
+			for ic := 0; ic < nC; ic++ {
+				r := Region{
+					H0: ih * part.Hp, H1: min((ih+1)*part.Hp, s.Ho),
+					W0: iw * part.Wp, W1: min((iw+1)*part.Wp, s.Wo),
+					C0: ic * part.Cop, C1: min((ic+1)*part.Cop, s.Co),
+				}
+				a := &Atom{ID: len(d.atoms), Layer: l.ID, Sample: sample, Index: idx,
+					Region: r, Task: taskFor(l, r)}
+				a.Deps, a.DepBytes = d.depsFor(g, sample, l, r)
+				d.atoms = append(d.atoms, a)
+				idx++
+			}
+		}
+	}
+}
+
+func (d *refDAG) depsFor(g *graph.Graph, sample int, l *graph.Layer, r Region) ([]int, []int64) {
+	var deps []int
+	var bytes []int64
+	pos := make(map[int]int)
+	for _, ref := range inputRegions(g, l, r) {
+		gr := d.grids[sample][ref.layer]
+		rr, p := ref.region, gr.part
+		for ih := rr.H0 / p.Hp; ih <= (rr.H1-1)/p.Hp && ih < gr.nH; ih++ {
+			for iw := rr.W0 / p.Wp; iw <= (rr.W1-1)/p.Wp && iw < gr.nW; iw++ {
+				for ic := rr.C0 / p.Cop; ic <= (rr.C1-1)/p.Cop && ic < gr.nC; ic++ {
+					id := gr.base + (ih*gr.nW+iw)*gr.nC + ic
+					overlap := overlapBytes(d.atoms[id].Region, rr)
+					if i, ok := pos[id]; ok {
+						bytes[i] += overlap
+					} else {
+						pos[id] = len(deps)
+						deps = append(deps, id)
+						bytes = append(bytes, overlap)
+					}
+				}
+			}
+		}
+	}
+	for i, id := range deps {
+		if lim := d.atoms[id].OutputBytes(); bytes[i] > lim {
+			bytes[i] = lim
+		}
+	}
+	return deps, bytes
+}
+
+func (d *refDAG) atomsOf(sample, layerID int) []int {
+	g, ok := d.grids[sample][layerID]
+	if !ok {
+		return nil
+	}
+	ids := make([]int, g.nH*g.nW*g.nC)
+	for i := range ids {
+		ids[i] = g.base + i
+	}
+	return ids
+}
+
+// equalDAG reports the first field where the replicated DAG departs from
+// the per-sample reference.
+func equalDAG(g *graph.Graph, batch int, got *DAG, want *refDAG) error {
+	if len(got.Atoms) != len(want.atoms) {
+		return fmt.Errorf("%d atoms, reference has %d", len(got.Atoms), len(want.atoms))
+	}
+	for i, w := range want.atoms {
+		a := got.Atoms[i]
+		switch {
+		case a.ID != w.ID || a.Layer != w.Layer || a.Sample != w.Sample || a.Index != w.Index:
+			return fmt.Errorf("atom %d: identity %v, reference %v", i, a, w)
+		case a.Region != w.Region:
+			return fmt.Errorf("atom %d: region %+v, reference %+v", i, a.Region, w.Region)
+		case a.Task != w.Task:
+			return fmt.Errorf("atom %d: task %+v, reference %+v", i, a.Task, w.Task)
+		case !slices.Equal(a.Deps, w.Deps):
+			return fmt.Errorf("atom %d: deps %v, reference %v", i, a.Deps, w.Deps)
+		case !slices.Equal(a.DepBytes, w.DepBytes):
+			return fmt.Errorf("atom %d: dep bytes %v, reference %v", i, a.DepBytes, w.DepBytes)
+		case !slices.Equal(got.Consumers(i), want.consumers[i]):
+			return fmt.Errorf("atom %d: consumers %v, reference %v", i, got.Consumers(i), want.consumers[i])
+		}
+	}
+	for s := 0; s < batch; s++ {
+		for _, l := range g.Layers {
+			if a, w := got.AtomsOf(s, l.ID), want.atomsOf(s, l.ID); !slices.Equal(a, w) {
+				return fmt.Errorf("AtomsOf(%d, %d) = %v, reference %v", s, l.ID, a, w)
+			}
+		}
+	}
+	return nil
+}
+
+// TestReplicationMatchesReference checks Build's replicate-once
+// construction against the per-sample reference on every zoo model,
+// field for field, at batch 1, 2 and 3 under a non-trivial spec.
+func TestReplicationMatchesReference(t *testing.T) {
+	for _, name := range models.Names() {
+		g := models.MustBuild(name)
+		spec := make(Spec)
+		for _, lid := range g.ComputeLayers() {
+			l := g.Layer(lid)
+			spec[lid] = Partition{Hp: max(1, l.Shape.Ho/3), Wp: max(1, l.Shape.Wo/2), Cop: max(1, l.Shape.Co/2)}
+		}
+		for batch := 1; batch <= 3; batch++ {
+			d := buildDAG(t, g, batch, spec)
+			ref, err := buildReference(g, batch, spec)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := equalDAG(g, batch, d, ref); err != nil {
+				t.Fatalf("%s batch %d: %v", name, batch, err)
+			}
+			// Replicas share sample 0's edge weights.
+			n := d.NumAtoms() / batch
+			for id := n; id < d.NumAtoms(); id++ {
+				a, a0 := d.Atoms[id], d.Atoms[id%n]
+				if len(a.DepBytes) > 0 && &a.DepBytes[0] != &a0.DepBytes[0] {
+					t.Fatalf("%s batch %d: atom %d does not share DepBytes with atom %d", name, batch, id, id%n)
+				}
+			}
+		}
 	}
 }

@@ -26,9 +26,8 @@ type policy struct {
 
 // candidateLayer is one (sample, layer) with ready atoms, bucketed by rule.
 type candidateLayer struct {
-	k      int64
+	pair   int
 	sample int
-	layer  int
 	rule   int
 	pos    int // topological position, for deterministic ordering
 }
@@ -37,24 +36,18 @@ type candidateLayer struct {
 // (depths of traversed-but-unfinished layers in the current sample) is
 // read from the incrementally-maintained state.activeDepth counters — the
 // DP lookahead calls this for every option at every recursion level, so
-// rebuilding the set here from the traversed map would put an O(traversed
-// pairs) walk inside the scheduler's innermost loop.
+// rebuilding the set here from the traversed pairs would put an
+// O(traversed pairs) walk inside the scheduler's innermost loop.
 func (st *state) pickWithPolicy(p policy) []int {
 	n := st.opt.Engines
-	pick := make([]int, 0, n)
-
-	var cands []candidateLayer
-	for k, lst := range st.ready {
-		if len(lst) == 0 {
-			continue
-		}
-		sample := int(k >> 32)
-		layer := int(k & 0xffffffff)
+	cands := st.cands[:0]
+	for _, pr := range st.readyPairs {
+		sample, layer := pr/st.layers, pr%st.layers
 		var rule int
 		switch {
-		case sample == st.curSample && st.traversed[k]:
+		case sample == st.curSample && st.traversed[pr]:
 			rule = 1
-		case sample == st.curSample && st.activeDepth[key(sample, st.g.Layer(layer).Depth)] > 0:
+		case sample == st.curSample && st.activeDepth[st.depthKey(pr)] > 0:
 			rule = 2
 		case sample == st.curSample:
 			rule = 3
@@ -66,10 +59,9 @@ func (st *state) pickWithPolicy(p policy) []int {
 		} else if p.deferRule2 && rule == 3 {
 			rule = 2
 		}
-		cands = append(cands, candidateLayer{
-			k: k, sample: sample, layer: layer, rule: rule, pos: st.layerPos[layer],
-		})
+		cands = append(cands, candidateLayer{pair: pr, sample: sample, rule: rule, pos: st.layerPos[layer]})
 	}
+	st.cands = cands
 	// (rule, sample, pos) is a total order — pos is unique per layer and
 	// (sample, layer) is unique per entry — so the unstable sort is
 	// deterministic.
@@ -83,6 +75,7 @@ func (st *state) pickWithPolicy(p policy) []int {
 		return a.pos - b.pos
 	})
 
+	pick := make([]int, 0, n)
 	for _, c := range cands {
 		if len(pick) >= n {
 			break
@@ -93,29 +86,45 @@ func (st *state) pickWithPolicy(p policy) []int {
 		if p.stayInSample && c.rule == 4 {
 			break
 		}
-		lst := append([]int(nil), st.ready[c.k]...)
+		// Ready lists are sorted by ID, the default within-layer order.
+		lst := st.ready[c.pair]
+		k := min(n-len(pick), len(lst))
 		if p.longestFirst {
-			slices.SortFunc(lst, func(i, j int) int {
-				ci, cj := st.cycles[i], st.cycles[j]
-				if ci != cj {
-					if ci > cj {
-						return -1
-					}
-					return 1
-				}
-				return i - j
-			})
+			pick = append(pick, st.longest(lst, k)...)
 		} else {
-			slices.Sort(lst)
-		}
-		for _, id := range lst {
-			if len(pick) >= n {
-				break
-			}
-			pick = append(pick, id)
+			pick = append(pick, lst[:k]...)
 		}
 	}
 	return pick
+}
+
+// longest returns the k atoms of the ID-sorted lst with the most cycles,
+// most first and ties by ID. It keeps a bounded sorted selection instead
+// of sorting the whole list; the result is scratch, valid until the next
+// call.
+func (st *state) longest(lst []int, k int) []int {
+	top := st.top[:0]
+	for _, id := range lst {
+		c := st.cycles[id]
+		// lst ascends by ID, so id loses every cycle tie with top.
+		if len(top) == k && st.cycles[top[k-1]] >= c {
+			continue
+		}
+		lo, hi := 0, len(top)
+		for lo < hi {
+			if m := (lo + hi) / 2; st.cycles[top[m]] >= c {
+				lo = m + 1
+			} else {
+				hi = m
+			}
+		}
+		if len(top) == k {
+			top = top[:k-1]
+		}
+		top = slices.Insert(top, lo, id)
+	}
+	st.top = top
+	return top
 }
 
 // dpPick evaluates up to MaxOptions priority-pruned combinations with
@@ -136,18 +145,20 @@ func (st *state) dpPick() []int {
 	return options[bestIdx]
 }
 
-// options generates the pruned combination set for the current Round.
+// policies are the option generators, in preference order.
+var policies = [...]policy{
+	{},                   // pure priority rules
+	{longestFirst: true}, // better Round packing of unequal atoms
+	{stayInSample: true}, // lower latency for the current sample
+	{onlyRule1: true},    // drain in-flight layers before widening
+	{deferRule2: true},   // dependent layers before siblings
+}
+
+// options generates the pruned combination set for the current Round,
+// dropping a combination that selects the same atom set as an earlier one.
 func (st *state) options() [][]int {
-	policies := []policy{
-		{},                   // pure priority rules
-		{longestFirst: true}, // better Round packing of unequal atoms
-		{stayInSample: true}, // lower latency for the current sample
-		{onlyRule1: true},    // drain in-flight layers before widening
-		{deferRule2: true},   // dependent layers before siblings
-	}
 	maxOpts := st.opt.maxOptions()
 	var out [][]int
-	seen := make(map[string]bool)
 	for _, p := range policies {
 		if len(out) >= maxOpts {
 			break
@@ -156,25 +167,21 @@ func (st *state) options() [][]int {
 		if len(comb) == 0 {
 			continue
 		}
-		sorted := append([]int(nil), comb...)
+		// st.sorted[:len(out)] holds the kept combinations' sorted atom
+		// sets; slot len(out) takes this one's.
+		j := len(out)
+		if j == len(st.sorted) {
+			st.sorted = append(st.sorted, nil)
+		}
+		sorted := append(st.sorted[j][:0], comb...)
 		slices.Sort(sorted)
-		s := sig(sorted)
-		if seen[s] {
+		st.sorted[j] = sorted
+		if slices.ContainsFunc(st.sorted[:j], func(prev []int) bool { return slices.Equal(prev, sorted) }) {
 			continue
 		}
-		seen[s] = true
 		out = append(out, comb)
 	}
 	return out
-}
-
-// sig encodes a sorted int slice as a compact map key.
-func sig(ids []int) string {
-	b := make([]byte, 0, len(ids)*4)
-	for _, id := range ids {
-		b = append(b, byte(id), byte(id>>8), byte(id>>16), byte(id>>24))
-	}
-	return string(b)
 }
 
 // combCost prices one Round: the engines synchronize on the slowest atom.
@@ -192,13 +199,21 @@ func (st *state) combCost(comb []int) int64 {
 // applying comb, then closes with the packing lower bound
 // remainingWork / N — the DP(G') estimate for the un-traversed sub-DAG.
 func (st *state) lookaheadCost(comb []int, depth int) int64 {
+	if depth <= 0 {
+		// At the horizon only the work comb leaves matters, and that needs
+		// no apply/rollback: these leaves are most of the lookahead tree.
+		if st.remaining == len(comb) {
+			return 0
+		}
+		left := st.totalWork
+		for _, id := range comb {
+			left -= st.cycles[id]
+		}
+		return left / int64(st.opt.Engines)
+	}
 	st.apply(comb)
 	var cost int64
-	if st.remaining == 0 {
-		cost = 0
-	} else if depth <= 0 {
-		cost = st.totalWork / int64(st.opt.Engines)
-	} else {
+	if st.remaining > 0 {
 		options := st.options()
 		best := int64(-1)
 		for _, next := range options {

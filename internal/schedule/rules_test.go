@@ -1,6 +1,8 @@
 package schedule
 
 import (
+	"fmt"
+	"slices"
 	"testing"
 
 	"github.com/atomic-dataflow/atomicflow/internal/atom"
@@ -153,43 +155,98 @@ func TestFromRoundsAcceptsValid(t *testing.T) {
 	}
 }
 
-// rebuildActiveDepth recomputes the rule-2 counters from first principles.
-func (st *state) rebuildActiveDepth() map[int64]int {
-	out := make(map[int64]int)
-	for k, done := range st.traversed {
-		if done && st.pending[k] > 0 {
-			out[key(int(k>>32), st.g.Layer(int(k&0xffffffff)).Depth)]++
+// frontier is the scheduler's frontier recomputed from first principles:
+// from the scheduled set alone, with none of the incremental bookkeeping.
+type frontier struct {
+	ready       map[int][]int // pair -> ready atom IDs, ascending
+	pending     []int
+	activeDepth []int
+}
+
+func (st *state) rebuildFrontier() frontier {
+	f := frontier{
+		ready:       map[int][]int{},
+		pending:     make([]int, len(st.pending)),
+		activeDepth: make([]int, len(st.activeDepth)),
+	}
+	traversed := make([]bool, len(st.pending))
+	for _, a := range st.d.Atoms {
+		p := a.Sample*st.layers + a.Layer
+		if a.Task.Kind == graph.OpInput {
+			continue // virtual: complete from the start, never traversed
+		}
+		if st.scheduled[a.ID] {
+			traversed[p] = true
+			continue
+		}
+		f.pending[p]++
+		ready := true
+		for _, dep := range a.Deps {
+			ready = ready && st.scheduled[dep]
+		}
+		if ready {
+			f.ready[p] = append(f.ready[p], a.ID) // atoms visit in ID order
 		}
 	}
-	return out
+	for p, done := range traversed {
+		if done && f.pending[p] > 0 {
+			f.activeDepth[p/st.layers*st.depths+st.g.Layer(p%st.layers).Depth]++
+		}
+	}
+	return f
+}
+
+// checkFrontier compares the incremental frontier with a rebuild.
+func (st *state) checkFrontier() error {
+	want := st.rebuildFrontier()
+	if len(st.readyPairs) != len(want.ready) {
+		return fmt.Errorf("%d ready pairs, rebuild has %d", len(st.readyPairs), len(want.ready))
+	}
+	for i, p := range st.readyPairs {
+		if st.readyAt[p] != i {
+			return fmt.Errorf("pair %d at %d of the pair list, readyAt says %d", p, i, st.readyAt[p])
+		}
+		if _, ok := want.ready[p]; !ok {
+			return fmt.Errorf("pair %d listed, rebuild has no ready atoms there", p)
+		}
+	}
+	for p, lst := range st.ready {
+		if !slices.Equal(lst, want.ready[p]) {
+			return fmt.Errorf("pair %d ready %v, rebuild %v", p, lst, want.ready[p])
+		}
+	}
+	if !slices.Equal(st.pending, want.pending) {
+		return fmt.Errorf("pending %v, rebuild %v", st.pending, want.pending)
+	}
+	if !slices.Equal(st.activeDepth, want.activeDepth) {
+		return fmt.Errorf("activeDepth %v, rebuild %v", st.activeDepth, want.activeDepth)
+	}
+	return nil
 }
 
 func TestActiveDepthIncremental(t *testing.T) {
 	// Property: after any interleaving of apply/rollback — here a full DP
 	// build, whose lookahead nests them several levels deep — the
-	// incrementally-maintained activeDepth counters must equal a
+	// incrementally-maintained frontier (pair list, sorted per-pair ready
+	// lists, pending counts and activeDepth counters) must equal a
 	// from-scratch rebuild at every Round boundary.
 	for _, model := range []string{"tinyresnet", "tinybranch", "pnascell"} {
 		d := dagFor(t, model, 2)
 		opt := Options{Engines: 3, Mode: DP, Lookahead: 3, MaxOptions: 5,
 			EngineCfg: engine.Default(), Dataflow: engine.KCPartition}
 		st := newState(d, opt)
-		for st.remaining > 0 {
+		if err := st.checkFrontier(); err != nil {
+			t.Fatalf("%s: initial frontier: %v", model, err)
+		}
+		for round := 0; st.remaining > 0; round++ {
 			comb := st.dpPick()
 			if len(comb) == 0 {
 				t.Fatalf("%s: deadlock with %d remaining", model, st.remaining)
 			}
 			st.apply(comb)
-			want := st.rebuildActiveDepth()
-			for k, v := range st.activeDepth {
-				if v != want[k] {
-					t.Fatalf("%s: activeDepth[%d] = %d, rebuild says %d", model, k, v, want[k])
-				}
-			}
-			for k, v := range want {
-				if st.activeDepth[k] != v {
-					t.Fatalf("%s: activeDepth missing %d (want %d)", model, k, v)
-				}
+			st.commit()
+			if err := st.checkFrontier(); err != nil {
+				t.Fatalf("%s: round %d: %v", model, round, err)
 			}
 		}
 	}

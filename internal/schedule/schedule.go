@@ -17,6 +17,7 @@ package schedule
 import (
 	"context"
 	"fmt"
+	"slices"
 
 	"github.com/atomic-dataflow/atomicflow/internal/atom"
 	"github.com/atomic-dataflow/atomicflow/internal/cost"
@@ -142,11 +143,13 @@ func Build(d *atom.DAG, opt Options) (*Schedule, error) {
 		}
 		sched.Rounds = append(sched.Rounds, Round{Atoms: comb})
 		st.apply(comb)
+		st.commit()
 	}
 	return sched, nil
 }
 
-// state is the mutable scheduling frontier.
+// state is the mutable scheduling frontier. Each (sample, layer) pair is
+// indexed densely as sample·L + layer, L being the graph's layer count.
 type state struct {
 	d   *atom.DAG
 	g   *graph.Graph
@@ -157,74 +160,99 @@ type state struct {
 	scheduled []bool
 	remaining int
 
-	// ready atoms grouped per (sample, layer); layerOrder maps layer ID to
-	// its topological position for deterministic ordering.
-	ready      map[int64][]int // key = sample<<32 | layer
-	readyCount int
-	layerPos   []int
+	// ready holds each pair's ready atoms sorted by ID; readyPairs lists
+	// the pairs whose ready list is non-empty (in no particular order) and
+	// readyAt is each listed pair's index in it.
+	ready      [][]int
+	readyPairs []int
+	readyAt    []int
 
-	// traversed marks (sample, layer) pairs with at least one scheduled
-	// atom; pending counts unscheduled atoms per (sample, layer).
-	traversed map[int64]bool
-	pending   map[int64]int
+	pairOf   []int // atom ID -> pair
+	layers   int   // L
+	layerPos []int // layer ID -> topological position, for deterministic ordering
 
-	// activeDepth counts, per key(sample, depth), the traversed-but-
-	// unfinished (sample, layer) pairs at that depth — the rule-2
-	// reference set, maintained incrementally by apply/rollback so
-	// pickWithPolicy (called ~MaxOptions·Lookahead times per Round by the
-	// DP) reads it in O(1) instead of walking every traversed pair.
-	activeDepth map[int64]int
+	// traversed marks pairs with at least one scheduled atom; pending
+	// counts unscheduled atoms per pair.
+	traversed []bool
+	pending   []int
+
+	// activeDepth counts, per sample·depths + depth, the traversed-but-
+	// unfinished pairs at that depth — the rule-2 reference set,
+	// maintained incrementally by apply/rollback so pickWithPolicy (called
+	// ~MaxOptions·Lookahead times per Round by the DP) reads it in O(1)
+	// instead of walking every traversed pair.
+	activeDepth []int
+	depths      int // max layer depth + 1
 
 	curSample   int
 	samplesLeft []int // unscheduled atom count per sample
 
 	totalWork int64 // Σ cycles of unscheduled atoms
 	undoLog   []undo
+
+	// Scratch of pickWithPolicy, options and mergeReady; none re-enters
+	// itself while its buffer is in use, so one buffer each suffices.
+	cands  []candidateLayer
+	top    []int
+	sorted [][]int
+	runBuf []int
 }
 
 type undo struct {
 	comb        []int
 	readyAdded  []int // atom IDs that became ready during this apply
-	newTravKeys []int64
+	newTravKeys []int // pairs first traversed during this apply
 	prevSample  int
 	workDelta   int64
 }
 
-func key(sample, layer int) int64 { return int64(sample)<<32 | int64(layer) }
+// depthKey returns the activeDepth index of pair p.
+func (st *state) depthKey(p int) int {
+	return p/st.layers*st.depths + st.g.Layer(p%st.layers).Depth
+}
 
-// pairActive reports whether a (sample, layer) pair belongs to the rule-2
-// reference set: traversed with unscheduled atoms left.
-func (st *state) pairActive(k int64) bool {
-	return st.traversed[k] && st.pending[k] > 0
+// pairActive reports whether a pair belongs to the rule-2 reference set:
+// traversed with unscheduled atoms left.
+func (st *state) pairActive(p int) bool {
+	return st.traversed[p] && st.pending[p] > 0
 }
 
 // adjustActive reconciles the activeDepth counter after a pair's
 // (traversed, pending) transition observed as was → is.
-func (st *state) adjustActive(k int64, was, is bool) {
+func (st *state) adjustActive(p int, was, is bool) {
 	if was == is {
 		return
 	}
-	dk := key(int(k>>32), st.g.Layer(int(k&0xffffffff)).Depth)
 	if is {
-		st.activeDepth[dk]++
+		st.activeDepth[st.depthKey(p)]++
 	} else {
-		st.activeDepth[dk]--
+		st.activeDepth[st.depthKey(p)]--
 	}
 }
 
 func newState(d *atom.DAG, opt Options) *state {
+	layers := d.Graph.NumLayers()
+	depths := 0
+	for _, l := range d.Graph.Layers {
+		depths = max(depths, l.Depth+1)
+	}
+	pairs := d.Batch * layers
 	st := &state{
 		d:           d,
 		g:           d.Graph,
 		opt:         opt,
 		cycles:      make([]int64, d.NumAtoms()),
 		indeg:       make([]int, d.NumAtoms()),
+		pairOf:      make([]int, d.NumAtoms()),
 		scheduled:   make([]bool, d.NumAtoms()),
-		ready:       make(map[int64][]int),
-		traversed:   make(map[int64]bool),
-		pending:     make(map[int64]int),
-		activeDepth: make(map[int64]int),
-		layerPos:    make([]int, d.Graph.NumLayers()),
+		ready:       make([][]int, pairs),
+		readyAt:     make([]int, pairs),
+		layers:      layers,
+		layerPos:    make([]int, layers),
+		traversed:   make([]bool, pairs),
+		pending:     make([]int, pairs),
+		activeDepth: make([]int, d.Batch*depths),
+		depths:      depths,
 	}
 	for i, lid := range d.Graph.Topo() {
 		st.layerPos[lid] = i
@@ -235,6 +263,7 @@ func newState(d *atom.DAG, opt Options) *state {
 		c := orc.Evaluate(opt.EngineCfg, opt.Dataflow, a.Task)
 		st.cycles[a.ID] = c.Cycles
 		st.indeg[a.ID] = len(a.Deps)
+		st.pairOf[a.ID] = a.Sample*layers + a.Layer
 	}
 	// Virtual atoms (graph inputs) complete immediately: they model data
 	// already resident in DRAM, not engine work.
@@ -247,7 +276,7 @@ func newState(d *atom.DAG, opt Options) *state {
 		}
 		st.remaining++
 		st.samplesLeft[a.Sample]++
-		st.pending[key(a.Sample, a.Layer)]++
+		st.pending[st.pairOf[a.ID]]++
 		st.totalWork += st.cycles[a.ID]
 	}
 	for _, a := range d.Atoms {
@@ -268,94 +297,155 @@ func newState(d *atom.DAG, opt Options) *state {
 	return st
 }
 
+// setReady installs lst as pair p's ready list, keeping readyPairs — the
+// pairs with a non-empty list — in step: a pair joins at the end and
+// leaves by swap-remove.
+func (st *state) setReady(p int, lst []int) {
+	was := len(st.ready[p]) > 0
+	st.ready[p] = lst
+	switch {
+	case !was && len(lst) > 0:
+		st.readyAt[p] = len(st.readyPairs)
+		st.readyPairs = append(st.readyPairs, p)
+	case was && len(lst) == 0:
+		at, last := st.readyAt[p], st.readyPairs[len(st.readyPairs)-1]
+		st.readyPairs[at] = last
+		st.readyAt[last] = at
+		st.readyPairs = st.readyPairs[:len(st.readyPairs)-1]
+	}
+}
+
+// pushReady inserts id into its pair's sorted ready list.
 func (st *state) pushReady(id int) {
-	a := st.d.Atoms[id]
-	k := key(a.Sample, a.Layer)
-	st.ready[k] = append(st.ready[k], id)
-	st.readyCount++
+	p := st.pairOf[id]
+	lst := st.ready[p]
+	i, _ := slices.BinarySearch(lst, id)
+	st.setReady(p, slices.Insert(lst, i, id))
+}
+
+// dropReady removes id from its pair's sorted ready list.
+func (st *state) dropReady(id int) {
+	p := st.pairOf[id]
+	lst := st.ready[p]
+	if i, ok := slices.BinarySearch(lst, id); ok {
+		st.setReady(p, slices.Delete(lst, i, i+1))
+	}
+}
+
+// mergeReady merges run, atoms of pair p, back into the pair's sorted
+// ready list in one pass.
+func (st *state) mergeReady(p int, run []int) {
+	if !slices.IsSorted(run) { // a longestFirst pick; comb itself stays as picked
+		run = append(st.runBuf[:0], run...)
+		slices.Sort(run)
+		st.runBuf = run
+	}
+	old := st.ready[p]
+	n, k := len(old), len(run)
+	lst := slices.Grow(old, k)[:n+k]
+	// Merge from the back, so no element is overwritten before it moves.
+	for i, j, w := n-1, k-1, n+k-1; j >= 0; w-- {
+		if i >= 0 && lst[i] > run[j] {
+			lst[w] = lst[i]
+			i--
+		} else {
+			lst[w] = run[j]
+			j--
+		}
+	}
+	st.setReady(p, lst)
+}
+
+// runEnd returns the end of the run of consecutive comb atoms that share
+// comb[i]'s pair. pickWithPolicy takes a pair's atoms together, so a run
+// is normally all of a combination's atoms in that pair.
+func (st *state) runEnd(comb []int, i int) int {
+	p, j := st.pairOf[comb[i]], i+1
+	for j < len(comb) && st.pairOf[comb[j]] == p {
+		j++
+	}
+	return j
 }
 
 // apply schedules a combination, updating the frontier, and records an
-// undo entry for lookahead rollback.
+// undo entry for lookahead rollback. The entry's slices are reused from
+// earlier, already rolled-back entries at the same depth.
 func (st *state) apply(comb []int) {
-	u := undo{comb: append([]int(nil), comb...), prevSample: st.curSample}
-	for _, id := range comb {
-		a := st.d.Atoms[id]
-		k := key(a.Sample, a.Layer)
-		wasActive := st.pairActive(k)
-		st.scheduled[id] = true
-		st.remaining--
-		st.samplesLeft[a.Sample]--
-		st.pending[k]--
-		st.totalWork -= st.cycles[id]
-		u.workDelta += st.cycles[id]
-		// Remove from its ready list (atoms are taken front-first, but a
-		// lookahead branch may take from the middle; scan).
-		lst := st.ready[k]
-		for i, v := range lst {
-			if v == id {
-				st.ready[k] = append(lst[:i], lst[i+1:]...)
-				st.readyCount--
-				break
-			}
-		}
-		if !st.traversed[k] {
-			st.traversed[k] = true
-			u.newTravKeys = append(u.newTravKeys, k)
-		}
-		st.adjustActive(k, wasActive, st.pairActive(k))
-		for _, c := range st.d.Consumers(id) {
-			st.indeg[c]--
-			if st.indeg[c] == 0 && !st.scheduled[c] {
-				st.pushReady(c)
-				u.readyAdded = append(u.readyAdded, c)
-			}
-		}
+	if n := len(st.undoLog); n < cap(st.undoLog) {
+		st.undoLog = st.undoLog[:n+1]
+	} else {
+		st.undoLog = append(st.undoLog, undo{})
 	}
+	u := &st.undoLog[len(st.undoLog)-1]
+	u.comb, u.prevSample, u.workDelta = comb, st.curSample, 0
+	u.readyAdded, u.newTravKeys = u.readyAdded[:0], u.newTravKeys[:0]
+	for i := 0; i < len(comb); {
+		j := st.runEnd(comb, i)
+		run, p := comb[i:j], st.pairOf[comb[i]]
+		wasActive := st.pairActive(p)
+		for _, id := range run {
+			st.scheduled[id] = true
+			u.workDelta += st.cycles[id]
+		}
+		st.remaining -= len(run)
+		st.samplesLeft[p/st.layers] -= len(run)
+		st.pending[p] -= len(run)
+		// Ready lists hold only unscheduled atoms, so this drops exactly
+		// the run, in one pass over the list.
+		st.setReady(p, slices.DeleteFunc(st.ready[p], func(id int) bool { return st.scheduled[id] }))
+		if !st.traversed[p] {
+			st.traversed[p] = true
+			u.newTravKeys = append(u.newTravKeys, p)
+		}
+		st.adjustActive(p, wasActive, st.pairActive(p))
+		for _, id := range run {
+			for _, c := range st.d.Consumers(id) {
+				st.indeg[c]--
+				if st.indeg[c] == 0 && !st.scheduled[c] {
+					st.pushReady(c)
+					u.readyAdded = append(u.readyAdded, c)
+				}
+			}
+		}
+		i = j
+	}
+	st.totalWork -= u.workDelta
 	for st.curSample < st.d.Batch && st.samplesLeft[st.curSample] == 0 {
 		st.curSample++
 	}
-	st.undoLog = append(st.undoLog, u)
 }
+
+// commit forgets the undo entries of the applied Rounds: they are final.
+func (st *state) commit() { st.undoLog = st.undoLog[:0] }
 
 // rollback undoes the most recent apply.
 func (st *state) rollback() {
-	u := st.undoLog[len(st.undoLog)-1]
+	u := &st.undoLog[len(st.undoLog)-1]
 	st.undoLog = st.undoLog[:len(st.undoLog)-1]
-	// Remove the specific atoms that became ready during the apply.
-	// Nested apply/rollback pairs may have reordered the lists, so
-	// removal is by ID, not position.
-	for i := len(u.readyAdded) - 1; i >= 0; i-- {
-		id := u.readyAdded[i]
-		a := st.d.Atoms[id]
-		k := key(a.Sample, a.Layer)
-		lst := st.ready[k]
-		for j, v := range lst {
-			if v == id {
-				st.ready[k] = append(lst[:j], lst[j+1:]...)
-				st.readyCount--
-				break
+	for _, id := range u.readyAdded {
+		st.dropReady(id)
+	}
+	for i := 0; i < len(u.comb); {
+		j := st.runEnd(u.comb, i)
+		run, p := u.comb[i:j], st.pairOf[u.comb[i]]
+		wasActive := st.pairActive(p)
+		for _, id := range run {
+			st.scheduled[id] = false
+			for _, c := range st.d.Consumers(id) {
+				st.indeg[c]++
 			}
 		}
+		st.remaining += len(run)
+		st.samplesLeft[p/st.layers] += len(run)
+		st.pending[p] += len(run)
+		st.adjustActive(p, wasActive, st.pairActive(p))
+		st.mergeReady(p, run)
+		i = j
 	}
-	for _, id := range u.comb {
-		a := st.d.Atoms[id]
-		k := key(a.Sample, a.Layer)
-		wasActive := st.pairActive(k)
-		st.scheduled[id] = false
-		st.remaining++
-		st.samplesLeft[a.Sample]++
-		st.pending[k]++
-		st.adjustActive(k, wasActive, st.pairActive(k))
-		for _, c := range st.d.Consumers(id) {
-			st.indeg[c]++
-		}
-		st.pushReady(id)
-	}
-	for _, k := range u.newTravKeys {
-		wasActive := st.pairActive(k)
-		delete(st.traversed, k)
-		st.adjustActive(k, wasActive, false)
+	for _, p := range u.newTravKeys {
+		wasActive := st.pairActive(p)
+		st.traversed[p] = false
+		st.adjustActive(p, wasActive, false)
 	}
 	st.totalWork += u.workDelta
 	st.curSample = u.prevSample
