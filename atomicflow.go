@@ -374,28 +374,10 @@ func (s *Solution) Digest() string {
 	return hex.EncodeToString(h.Sum(nil))
 }
 
-// SearchFunc runs the atom-generation search for OrchestrateWith. It
-// receives the workload, the engine model, the dataflow and the fully
-// assembled annealing options, and returns the search result. The
-// signature names internal types on purpose: this is the module's own
-// extension point (the serving layer injects a distributed fleet solve
-// here), not part of the stable external API.
-type SearchFunc func(g *Graph, cfg EngineConfig, df Dataflow, opt anneal.Options) (anneal.Result, error)
-
 // Orchestrate runs the full atomic-dataflow pipeline on the workload:
 // SA atom generation, atomic DAG construction, DAG scheduling, and
 // simulation with mapping + buffering.
 func Orchestrate(g *Graph, opt Options) (*Solution, error) {
-	return OrchestrateWith(g, opt, nil)
-}
-
-// OrchestrateWith is Orchestrate with the atom-generation search
-// supplied by the caller; a nil search runs the in-process anneal.SA.
-// The injected search must honor the annealing options it is handed —
-// in particular the determinism contract: for a fixed (graph, hardware,
-// options) tuple it must return the same result anneal.SA would, or
-// solution digests stop being a pure function of the request.
-func OrchestrateWith(g *Graph, opt Options, search SearchFunc) (*Solution, error) {
 	if g == nil {
 		return nil, fmt.Errorf("atomicflow: nil graph")
 	}
@@ -434,7 +416,7 @@ func OrchestrateWith(g *Graph, opt Options, search SearchFunc) (*Solution, error
 		}
 	}
 	start := time.Now()
-	aopt := anneal.Options{
+	res := anneal.SA(g, hw.Engine, hw.Dataflow, anneal.Options{
 		MaxIters:       opt.SAIters,
 		Seed:           opt.Seed,
 		Chains:         opt.Chains,
@@ -446,16 +428,7 @@ func OrchestrateWith(g *Graph, opt Options, search SearchFunc) (*Solution, error
 		Metrics:        hw.Metrics,
 		Progress:       opt.Progress,
 		Ctx:            ctx,
-	}
-	var res anneal.Result
-	if search != nil {
-		var err error
-		if res, err = search(g, hw.Engine, hw.Dataflow, aopt); err != nil {
-			return nil, err
-		}
-	} else {
-		res = anneal.SA(g, hw.Engine, hw.Dataflow, aopt)
-	}
+	})
 	// SA returns its best-so-far state on cancellation; surface the
 	// abandonment as an error before burning time on the later stages.
 	if err := ctx.Err(); err != nil {

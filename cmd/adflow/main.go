@@ -40,9 +40,13 @@ func main() {
 		simPipe   = flag.Bool("sim-pipeline", true, "overlap round t+1 prep with round t timing in the simulator (bit-identical reports; see DESIGN.md \u00a713)")
 	)
 	flag.Parse()
+	schedMode, df, err := checkFlags(*engines, *batch, *mode, *dataflow)
+	if err != nil {
+		fmt.Fprintln(os.Stderr, "adflow:", err)
+		os.Exit(2)
+	}
 
 	var g *af.Graph
-	var err error
 	if *modelFile != "" {
 		f, ferr := os.Open(*modelFile)
 		if ferr != nil {
@@ -63,18 +67,7 @@ func main() {
 	hw.Engine.BufferBytes = *buffer
 	hw.BufferBytes = int64(*buffer)
 	hw.Engine.FreqMHz = *freq
-	switch *dataflow {
-	case "kc":
-		hw.Dataflow = af.KCPartition
-	case "yx":
-		hw.Dataflow = af.YXPartition
-	default:
-		fatal(fmt.Errorf("unknown dataflow %q", *dataflow))
-	}
-	schedMode := af.ModeGreedy
-	if *mode == "dp" {
-		schedMode = af.ModeDP
-	}
+	hw.Dataflow = df
 
 	fmt.Printf("workload:  %s\n", g.Summary())
 	fmt.Printf("hardware:  %dx%d engines x %dx%d PEs, %d KB/engine, %s, %.0f MHz\n",
@@ -146,6 +139,34 @@ func main() {
 			fmt.Printf("  AD speedup: %.2fx\n", rep.TimeMS/sol.Report.TimeMS)
 		}
 	}
+}
+
+// checkFlags rejects flag values the pipeline would panic on (a mesh
+// without engines) or silently replace with a default (an unknown mode,
+// a batch below 1), and resolves the scheduler mode and dataflow.
+func checkFlags(engines, batch int, mode, dataflow string) (af.ScheduleMode, af.Dataflow, error) {
+	if engines < 1 {
+		return 0, 0, fmt.Errorf("-engines %d: want at least 1", engines)
+	}
+	if batch < 1 {
+		return 0, 0, fmt.Errorf("-batch %d: want at least 1", batch)
+	}
+	var m af.ScheduleMode
+	switch mode {
+	case "dp":
+		m = af.ModeDP
+	case "greedy":
+		m = af.ModeGreedy
+	default:
+		return 0, 0, fmt.Errorf("-mode %q: want dp or greedy", mode)
+	}
+	switch dataflow {
+	case "kc":
+		return m, af.KCPartition, nil
+	case "yx":
+		return m, af.YXPartition, nil
+	}
+	return 0, 0, fmt.Errorf("-dataflow %q: want kc or yx", dataflow)
 }
 
 func printReport(name string, r af.Report) {

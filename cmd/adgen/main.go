@@ -33,6 +33,10 @@ func main() {
 		metJSON  = flag.String("metrics-json", "", "write the SA search metrics as JSON to this file")
 	)
 	flag.Parse()
+	if err := checkFlags(*engines, *batch); err != nil {
+		fmt.Fprintln(os.Stderr, "adgen:", err)
+		os.Exit(2)
+	}
 
 	g, err := models.Build(*model)
 	if err != nil {
@@ -86,6 +90,19 @@ func main() {
 			fatal(err)
 		}
 	}
+}
+
+// checkFlags rejects flag values the pipeline would panic on (a mesh
+// without engines) or only fail on after the whole search (a batch
+// below 1).
+func checkFlags(engines, batch int) error {
+	if engines < 1 {
+		return fmt.Errorf("-engines %d: want at least 1", engines)
+	}
+	if batch < 1 {
+		return fmt.Errorf("-batch %d: want at least 1", batch)
+	}
+	return nil
 }
 
 func fatal(err error) {

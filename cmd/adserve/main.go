@@ -9,17 +9,13 @@
 // sparklines, session history, and an SSE event stream — is embedded at
 // /debug/dash.
 //
-// With -fleet-listen the server also acts as a solve-fleet coordinator:
-// adworker processes dial in over TCP and each runs a shard of the
-// annealing chain portfolio, with results bit-identical to the
-// in-process search. With -store DIR finished solves persist across
-// restarts (exact replay for repeated requests) and -warm-start seeds
-// new searches from prior solutions of the same graph.
+// With -store DIR finished solves persist across restarts (exact replay
+// for repeated requests) and -warm-start seeds new searches from prior
+// solutions of the same graph.
 //
 // Usage:
 //
-//	adserve -addr :8080 -fleet-listen :9090 -store /var/lib/adserve
-//	adworker -coordinator localhost:9090 &
+//	adserve -addr :8080 -store /var/lib/adserve
 //	curl -s localhost:8080/solve -d '{"model":"resnet50","sa_iters":200}'
 //	curl -s localhost:8080/healthz
 //	curl -s localhost:8080/metrics
@@ -30,7 +26,6 @@ import (
 	"context"
 	"flag"
 	"fmt"
-	"net"
 	"net/http"
 	"os"
 	"os/signal"
@@ -38,7 +33,6 @@ import (
 	"time"
 
 	af "github.com/atomic-dataflow/atomicflow"
-	"github.com/atomic-dataflow/atomicflow/internal/fleet"
 	"github.com/atomic-dataflow/atomicflow/internal/obs"
 	"github.com/atomic-dataflow/atomicflow/internal/serve"
 	"github.com/atomic-dataflow/atomicflow/internal/store"
@@ -56,10 +50,9 @@ func main() {
 		surr    = flag.Bool("surrogate", false, "default surrogate mode for requests that omit the field (participates in the cache key)")
 		drain   = flag.Duration("drain", 30*time.Second, "graceful-shutdown drain budget on SIGINT/SIGTERM")
 
-		fleetListen = flag.String("fleet-listen", "", "TCP address to accept adworker connections on (empty = no fleet; all solves run in-process)")
-		storeDir    = flag.String("store", "", "directory for the persistent solution store (empty = no persistence)")
-		warm        = flag.Bool("warm-start", false, "default warm-start mode for requests that omit the field (participates in the cache key; needs -store)")
-		simPipe     = flag.Bool("sim-pipeline", true, "overlap round t+1 prep with round t timing in the simulator (bit-identical reports, so not part of the cache key; see DESIGN.md \u00a713)")
+		storeDir = flag.String("store", "", "directory for the persistent solution store (empty = no persistence)")
+		warm     = flag.Bool("warm-start", false, "default warm-start mode for requests that omit the field (participates in the cache key; needs -store)")
+		simPipe  = flag.Bool("sim-pipeline", true, "overlap round t+1 prep with round t timing in the simulator (bit-identical reports, so not part of the cache key; see DESIGN.md \u00a713)")
 	)
 	flag.Parse()
 
@@ -86,21 +79,6 @@ func main() {
 		cfg.Store = st
 		fmt.Fprintf(os.Stderr, "adserve: store %s (%d records)\n", *storeDir, st.Len())
 	}
-	var co *fleet.Coordinator
-	if *fleetListen != "" {
-		ln, err := net.Listen("tcp", *fleetListen)
-		if err != nil {
-			fatal(err)
-		}
-		co = fleet.NewCoordinator(fleet.Options{Metrics: reg})
-		go func() {
-			if err := co.Serve(ln); err != nil {
-				fmt.Fprintf(os.Stderr, "adserve: fleet listener: %v\n", err)
-			}
-		}()
-		cfg.Fleet = co
-		fmt.Fprintf(os.Stderr, "adserve: fleet coordinator on %s\n", *fleetListen)
-	}
 	srv := serve.New(cfg)
 	httpSrv := &http.Server{Addr: *addr, Handler: srv.Handler()}
 
@@ -124,9 +102,6 @@ func main() {
 		}
 		if err := httpSrv.Shutdown(ctx); err != nil {
 			fmt.Fprintf(os.Stderr, "adserve: http shutdown: %v\n", err)
-		}
-		if co != nil {
-			co.Close()
 		}
 	}
 }

@@ -63,13 +63,6 @@ type Options struct {
 	// meaningful with Chains > 1.
 	ExchangeEvery int
 
-	// PortfolioGA, when true and Chains > 1, devotes the last portfolio
-	// slot to the genetic-algorithm comparator instead of an SA chain.
-	// The GA member runs its own generational trajectory (it has no
-	// single-point state to exchange) and competes only in the final
-	// reduction.
-	PortfolioGA bool
-
 	// Surrogate, when non-nil, enables the two-tier cost oracle: candidate
 	// generation scores every enumerated partition with the learned model
 	// and spends exact Evaluate calls only on the survivors (plus an
@@ -132,7 +125,7 @@ type Options struct {
 type Sample struct {
 	Chain     int     // portfolio slot index (0 for single-chain SA)
 	Iters     int     // chain-local Metropolis iterations executed so far
-	Temp      float64 // current temperature (0 for the GA slot)
+	Temp      float64 // current temperature
 	BestE     float64 // best energy (cycle variance) this chain has seen
 	BestS     float64 // unified cycle of that best state
 	Adopted   bool    // chain adopted the global best at this barrier

@@ -169,9 +169,9 @@ func TestPickTableExhaustive(t *testing.T) {
 	}
 }
 
-// TestSAWithVerifyDelta runs full searches — single-chain, portfolio, and
-// GA-slotted portfolio — under the cross-checking harness: every move of
-// every chain is compared against a from-scratch recomputation.
+// TestSAWithVerifyDelta runs full searches — single-chain and portfolio —
+// under the cross-checking harness: every move of every chain is
+// compared against a from-scratch recomputation.
 func TestSAWithVerifyDelta(t *testing.T) {
 	for _, model := range []string{"tinyconv", "tinyresnet", "tinybranch"} {
 		g := models.MustBuild(model)
@@ -180,7 +180,7 @@ func TestSAWithVerifyDelta(t *testing.T) {
 		SA(g, engine.Default(), engine.KCPartition,
 			Options{MaxIters: 150, Seed: 9, Chains: 3, VerifyDelta: true})
 		SA(g, engine.Default(), engine.KCPartition,
-			Options{MaxIters: 100, Seed: 9, Chains: 3, PortfolioGA: true, VerifyDelta: true})
+			Options{MaxIters: 100, Seed: 9, Chains: 3, VerifyDelta: true})
 	}
 }
 

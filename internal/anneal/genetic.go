@@ -47,10 +47,9 @@ func GA(g *graph.Graph, cfg engine.Config, df engine.Dataflow, opt GAOptions) Re
 	return sctx.finish(best, bestE, best.acc.mean(), trace, gens)
 }
 
-// runGA is the GA trajectory on an existing search context, so a
-// portfolio can run it as one member against SA chains sharing the same
-// candidate lists. It polls cancellation between generations (returning
-// the best-so-far) and is otherwise a pure function of (sctx, opt, seed).
+// runGA is the GA trajectory on an existing search context. It polls
+// cancellation between generations (returning the best-so-far) and is
+// otherwise a pure function of (sctx, opt, seed).
 func runGA(sctx *search, opt GAOptions, seed int64) (state, float64, []float64, int) {
 	rng := rand.New(rand.NewSource(seed))
 

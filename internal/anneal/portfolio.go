@@ -1,17 +1,14 @@
 package anneal
 
 import (
-	"sync"
-	"time"
-
 	"github.com/atomic-dataflow/atomicflow/internal/engine"
 	"github.com/atomic-dataflow/atomicflow/internal/graph"
 	"github.com/atomic-dataflow/atomicflow/internal/obs"
 )
 
 // This file is the parallel search portfolio: Options.Chains
-// independently-seeded SA chains (optionally with the GA comparator in
-// the last slot) run concurrently over one shared candidate space,
+// independently-seeded SA chains run concurrently over one shared
+// candidate space,
 // exchange best states at deterministic iteration barriers, and reduce to
 // a single winner.
 //
@@ -59,18 +56,6 @@ func chainSeed(seed int64, i int) int64 {
 	return s
 }
 
-// gaMember is the genetic-algorithm portfolio slot: no exchangeable
-// single-point state, so it runs start-to-finish concurrently with the
-// SA segment loop and joins at the reduction.
-type gaMember struct {
-	idx     int
-	best    state
-	bestE   float64
-	trace   []float64
-	gens    int
-	elapsed float64 // seconds
-}
-
 // portfolioSA is the Chains > 1 entry behind SA.
 func portfolioSA(g *graph.Graph, cfg engine.Config, df engine.Dataflow, opt Options) Result {
 	sctx := newSearch(g, cfg, df, opt)
@@ -83,30 +68,9 @@ func portfolioSA(g *graph.Graph, cfg engine.Config, df engine.Dataflow, opt Opti
 	// same budget over cores, with exchanges re-focusing strayed chains.
 	perChain := (opt.maxIters() + K - 1) / K
 
-	nSA := K
-	var ga *gaMember
-	if opt.PortfolioGA {
-		nSA = K - 1
-		ga = &gaMember{idx: K - 1}
-	}
-
-	chains := make([]*saChain, nSA)
+	chains := make([]*saChain, K)
 	for i := range chains {
 		chains[i] = newChain(i, chainSeed(opt.seed(), i), sctx, opt)
-	}
-
-	// Launch the GA member (if any) alongside the whole segment loop.
-	var gaWG sync.WaitGroup
-	if ga != nil {
-		gaWG.Add(1)
-		go func() {
-			defer gaWG.Done()
-			start := time.Now()
-			gopt := GAOptions{Options: opt}
-			gopt.MaxIters = perChain
-			ga.best, ga.bestE, ga.trace, ga.gens = runGA(sctx, gopt, chainSeed(opt.seed(), ga.idx))
-			ga.elapsed = time.Since(start).Seconds()
-		}()
 	}
 
 	exchanges := int64(0)
@@ -172,25 +136,18 @@ func portfolioSA(g *graph.Graph, cfg engine.Config, df engine.Dataflow, opt Opti
 			opt.Progress(samples)
 		}
 	}
-	gaWG.Wait()
 
 	// Deterministic reduction: lowest best energy wins, ties broken by
-	// chain index (the GA member holds the highest index).
+	// chain index.
 	win := chains[0]
 	for _, c := range chains[1:] {
 		if c.bestE < win.bestE {
 			win = c
 		}
 	}
-	best, bestE, bestS := win.best, win.bestE, win.bestS
-	trace, iters, temp := win.trace, win.iters, win.temp
-	if ga != nil && ga.bestE < bestE {
-		best, bestE, bestS = ga.best, ga.bestE, ga.best.acc.mean()
-		trace, iters, temp = ga.trace, ga.gens, 0
-	}
-
-	best = sctx.refine(best, bestS)
-	best, bestE, bestS = sctx.polish(opt, best, bestE, bestS)
+	best := sctx.refine(win.best, win.bestS)
+	best, bestE, bestS := sctx.polish(opt, best, win.bestE, win.bestS)
+	trace := win.trace
 	if n := len(trace); n > 0 && bestE < trace[n-1] {
 		trace = append(trace, bestE)
 	}
@@ -201,14 +158,7 @@ func portfolioSA(g *graph.Graph, cfg engine.Config, df engine.Dataflow, opt Opti
 		for _, c := range chains {
 			s := c.sample(false)
 			s.Final = true
-			if c == win && (ga == nil || ga.bestE >= c.bestE) {
-				s.BestE, s.BestS = bestE, bestS
-			}
-			fin = append(fin, s)
-		}
-		if ga != nil {
-			s := Sample{Chain: ga.idx, Iters: ga.gens, BestE: ga.bestE, BestS: ga.best.acc.mean(), Final: true}
-			if ga.bestE < win.bestE {
+			if c == win {
 				s.BestE, s.BestS = bestE, bestS
 			}
 			fin = append(fin, s)
@@ -229,13 +179,9 @@ func portfolioSA(g *graph.Graph, cfg engine.Config, df engine.Dataflow, opt Opti
 			reg.Counter(obs.Name("anneal_chain_exchanges_total", "chain", c.idx)).Add(c.adoptions)
 			reg.Gauge(obs.Name("anneal_chain_seconds", "chain", c.idx)).Set(c.elapsed.Seconds())
 		}
-		if ga != nil {
-			reg.Gauge(obs.Name("anneal_chain_seconds", "chain", ga.idx)).Set(ga.elapsed)
-			reg.Counter(obs.Name("anneal_chain_generations_total", "chain", ga.idx)).Add(int64(ga.gens))
-		}
 	}
-	m.tempFinal.Set(temp)
-	res := sctx.finish(best, bestE, bestS, trace, iters)
+	m.tempFinal.Set(win.temp)
+	res := sctx.finish(best, bestE, bestS, trace, win.iters)
 	m.finalCV.Set(res.FinalCV)
 	return res
 }

@@ -129,23 +129,9 @@ func TestPortfolioConvergesLikeSA(t *testing.T) {
 	}
 }
 
-// TestPortfolioGA runs the GA comparator as the last portfolio member
-// and requires the combined run to stay deterministic and usable.
-func TestPortfolioGA(t *testing.T) {
-	g := models.MustBuild("tinyresnet")
-	cfg := engine.Default()
-	opt := Options{MaxIters: 120, Seed: 5, Chains: 3, PortfolioGA: true}
-	a := SA(g, cfg, engine.KCPartition, opt)
-	b := SA(g, cfg, engine.KCPartition, opt)
-	sameResult(t, "portfolio+GA repeat", a, b)
-	if _, err := atom.Build(g, 1, a.Spec); err != nil {
-		t.Errorf("Build: %v", err)
-	}
-}
-
 // TestPortfolioCancellation: a cancelled context truncates the portfolio
-// — every chain stops at its next iteration check, the GA member stops at
-// its next generation, and the reduction still returns a usable
+// — every chain stops at its next iteration check, and the reduction
+// still returns a usable
 // best-so-far spec instead of hanging or panicking.
 func TestPortfolioCancellation(t *testing.T) {
 	g := models.MustBuild("tinyconv")
@@ -155,7 +141,7 @@ func TestPortfolioCancellation(t *testing.T) {
 	done := make(chan Result, 1)
 	go func() {
 		done <- SA(g, cfg, engine.KCPartition,
-			Options{MaxIters: 5000, Seed: 3, Chains: 4, PortfolioGA: true, Ctx: ctx})
+			Options{MaxIters: 5000, Seed: 3, Chains: 4, Ctx: ctx})
 	}()
 	select {
 	case res := <-done:

@@ -7,8 +7,8 @@
 //
 //   - an event ring: typed, sequence-numbered events (request admitted /
 //     dedup-joined / cached / rejected, solve started / finished /
-//     failed, chain exchanges, surrogate gate flips), fanned out to SSE
-//     subscribers as they are published;
+//     failed, chain exchanges, surrogate gate flips, store hits, warm
+//     starts), fanned out to SSE subscribers as they are published;
 //   - an active-solve store: per in-flight solve, the request identity
 //     and a per-chain series of (iteration, temperature, best energy)
 //     samples fed by the annealer's progress hook;
@@ -43,8 +43,6 @@ const (
 	EvSurrogate EventType = "surrogate_gate"       // learned-oracle readiness flipped
 	EvStoreHit  EventType = "request_store_hit"    // answered from the persistent store
 	EvWarmStart EventType = "solve_warm_started"   // search seeded from a stored donor
-	EvFleet     EventType = "fleet_worker"         // a fleet worker joined or was lost
-	EvDegraded  EventType = "fleet_degraded"       // a distributed solve dropped chains
 )
 
 // Event is one dashboard event. Seq increases by one per published

@@ -140,7 +140,8 @@ func TestSeriesDecimation(t *testing.T) {
 func TestSolveProgressGrowsLazySlots(t *testing.T) {
 	st := NewStore(Config{})
 	st.SolveStarted("s", "m", 2)
-	// The GA refiner reports as chain index 2 on a 2-chain portfolio.
+	// A chain index past the declared width grows the series instead of
+	// being dropped.
 	st.SolveProgress("s", []ChainSample{{Chain: 2, Iters: 5, BestE: 1}})
 	snap := st.StateSnapshot()
 	if got := len(snap.Active[0].Series); got != 3 {

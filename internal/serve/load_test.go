@@ -160,43 +160,6 @@ func BenchmarkSolveColdChains(b *testing.B) {
 	}
 }
 
-// BenchmarkSolveColdFleet is BenchmarkSolveColdChains with the search
-// distributed: the same uncached 4-chain requests run on a two-worker
-// TCP fleet instead of in-process. Results are bit-identical by
-// contract, so against BenchmarkSolveColdChains this isolates the wire
-// protocol's cost (frame encode/decode plus the exchange barriers) —
-// the overhead a real multi-host fleet pays to scale the portfolio.
-func BenchmarkSolveColdFleet(b *testing.B) {
-	co := startFleet(b, 2)
-	s := New(Config{Workers: 2, Fleet: co})
-	ts := httptest.NewServer(s.Handler())
-	defer func() {
-		ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
-		defer cancel()
-		_ = s.Shutdown(ctx)
-		ts.Close()
-	}()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		body := fmt.Sprintf(`{"model":"tinyconv","sa_iters":400,"chains":4,"seed":%d}`, i+1)
-		resp, err := ts.Client().Post(ts.URL+"/solve", "application/json", strings.NewReader(body))
-		if err != nil {
-			b.Fatal(err)
-		}
-		if resp.StatusCode != http.StatusOK {
-			b.Fatalf("status %d", resp.StatusCode)
-		}
-		if got := resp.Header.Get("X-Adserve-Cache"); got != "miss" {
-			b.Fatalf("request %d served %q, want a cold miss", i, got)
-		}
-		resp.Body.Close()
-	}
-	b.StopTimer()
-	if fb := s.m.fleetFallbacks.Value(); fb != 0 {
-		b.Fatalf("%d of %d solves fell back in-process; bench did not measure the fleet", fb, b.N)
-	}
-}
-
 // BenchmarkSolveColdSurrogate is BenchmarkSolveColdDeep with the
 // two-tier cost oracle switched on per request: the server-lifetime
 // surrogate model prices candidate partitions and exact engine

@@ -34,11 +34,7 @@ import (
 	"time"
 
 	atomicflow "github.com/atomic-dataflow/atomicflow"
-	"github.com/atomic-dataflow/atomicflow/internal/anneal"
 	"github.com/atomic-dataflow/atomicflow/internal/cost"
-	"github.com/atomic-dataflow/atomicflow/internal/engine"
-	"github.com/atomic-dataflow/atomicflow/internal/fleet"
-	"github.com/atomic-dataflow/atomicflow/internal/graph"
 	"github.com/atomic-dataflow/atomicflow/internal/obs"
 	"github.com/atomic-dataflow/atomicflow/internal/obs/dash"
 	"github.com/atomic-dataflow/atomicflow/internal/schedule"
@@ -76,13 +72,6 @@ type Config struct {
 	DefaultSurrogate bool
 	// MaxBodyBytes bounds the /solve request body (default 8 MiB).
 	MaxBodyBytes int64
-	// Fleet, when non-nil, distributes non-surrogate portfolio solves
-	// across the coordinator's registered workers; a fleet that is
-	// empty, busy or lost mid-solve falls back to the in-process search
-	// (which is bit-identical for an undegraded fleet, so the cache
-	// stays sound). The server takes over the coordinator's event feed
-	// for its dashboard. The caller owns the coordinator's lifecycle.
-	Fleet *fleet.Coordinator
 	// Store, when non-nil, persists every finished solve: repeat
 	// requests after a restart are served the stored bytes without
 	// re-solving, and warm-start requests seed their search from the
@@ -164,8 +153,7 @@ type Server struct {
 	base    atomicflow.HardwareConfig
 	oracle  atomicflow.CostOracle // shared across requests (sharded cache)
 	surr    *atomicflow.SurrogateModel
-	fleet   *fleet.Coordinator // nil: all solves run in-process
-	store   *store.Store       // nil: no persistence, no warm starts
+	store   *store.Store // nil: no persistence, no warm starts
 	dash    *dash.Store
 	cache   *lruCache
 	queue   chan *job
@@ -211,14 +199,11 @@ type serveMetrics struct {
 	memoDedups  *obs.Gauge
 	memoSampled *obs.Gauge
 
-	// Fleet and persistent-store visibility (zero-valued and inert when
-	// the server runs without a fleet or store).
-	fleetWorkers   *obs.Gauge
-	fleetSolves    *obs.Counter
-	fleetFallbacks *obs.Counter
-	storeHits      *obs.Counter
-	storeRecords   *obs.Gauge
-	warmStarts     *obs.Counter
+	// Persistent-store visibility (zero-valued and inert when the server
+	// runs without a store).
+	storeHits    *obs.Counter
+	storeRecords *obs.Gauge
+	warmStarts   *obs.Counter
 }
 
 // New builds the server and starts its worker pool.
@@ -237,7 +222,6 @@ func New(cfg Config) *Server {
 		reg:     reg,
 		base:    base,
 		oracle:  atomicflow.NewCostOracle(),
-		fleet:   cfg.Fleet,
 		store:   cfg.Store,
 		cache:   newLRU(cfg.cacheEntries()),
 		queue:   make(chan *job, cfg.queueDepth()),
@@ -270,12 +254,9 @@ func New(cfg Config) *Server {
 		memoDedups:  reg.Gauge("cost_memo_dedups"),
 		memoSampled: reg.Gauge("cost_memo_sampled"),
 
-		fleetWorkers:   reg.Gauge("serve_fleet_workers"),
-		fleetSolves:    reg.Counter("serve_fleet_solves_total"),
-		fleetFallbacks: reg.Counter("serve_fleet_fallbacks_total"),
-		storeHits:      reg.Counter("serve_store_hits_total"),
-		storeRecords:   reg.Gauge("serve_store_records"),
-		warmStarts:     reg.Counter("serve_warm_starts_total"),
+		storeHits:    reg.Counter("serve_store_hits_total"),
+		storeRecords: reg.Gauge("serve_store_records"),
+		warmStarts:   reg.Counter("serve_warm_starts_total"),
 	}
 	s.m.queueCap.SetInt(int64(cfg.queueDepth()))
 	s.m.workers.SetInt(int64(cfg.workers()))
@@ -287,23 +268,6 @@ func New(cfg Config) *Server {
 	// appends on already-slow paths (request admission, solve lifecycle,
 	// exchange barriers), and bounded memory. Mounted at /debug/dash.
 	s.dash = dash.NewStore(dash.Config{})
-	// The fleet coordinator's lifecycle feed drives the dashboard's
-	// fleet panel; worker join/loss also refreshes the worker gauge.
-	if s.fleet != nil {
-		s.m.fleetWorkers.SetInt(int64(s.fleet.NumWorkers()))
-		s.fleet.SetOnEvent(func(ev fleet.Event) {
-			s.m.fleetWorkers.SetInt(int64(s.fleet.NumWorkers()))
-			kind := dash.EvFleet
-			if ev.Type == "solve_degraded" {
-				kind = dash.EvDegraded
-			}
-			detail := ev.Type
-			if ev.Detail != "" {
-				detail += ": " + ev.Detail
-			}
-			s.dash.Publish(kind, "", ev.Worker, detail)
-		})
-	}
 	if s.store != nil {
 		s.m.storeRecords.SetInt(int64(s.store.Len()))
 	}
@@ -540,9 +504,9 @@ func (s *Server) runJob(jb *job) (*solveResult, error) {
 	s.dash.SolveStarted(id, model, req.Chains)
 	ready0 := s.surr.Stats().SegmentsReady
 	start := time.Now()
-	sol, err := atomicflow.OrchestrateWith(req.graph, opt, s.searchFunc(req))
+	sol, err := atomicflow.Orchestrate(req.graph, opt)
 	s.publishOracleGauges()
-	// The learned oracle's trust gate is fleet state, not request state:
+	// The learned oracle's trust gate is server state, not request state:
 	// surface every readiness flip as an event so operators can correlate
 	// solve-behavior changes with the model coming (or falling) online.
 	if ready1 := s.surr.Stats().SegmentsReady; ready1 != ready0 {
@@ -600,40 +564,6 @@ func (s *Server) runJob(jb *job) (*solveResult, error) {
 		FinalCV: sol.AtomCycleCV,
 	})
 	return res, nil
-}
-
-// searchFunc selects the atom-generation search for one request: the
-// distributed fleet when one is configured and the request is
-// distributable, otherwise nil (OrchestrateWith runs anneal.SA
-// in-process). Surrogate solves stay local — they are pinned to the
-// server's long-lived learned model, which cannot be shipped — as do
-// VerifyDelta solves, whose cross-checking harness is in-process only.
-// Any fleet failure (no workers, a concurrent distributed solve,
-// workers lost before setup) falls back to the in-process portfolio:
-// its result is bit-identical to an undegraded fleet solve, so the
-// cache stays sound either way.
-func (s *Server) searchFunc(req *Request) atomicflow.SearchFunc {
-	if s.fleet == nil || *req.Surrogate || req.VerifyDelta || s.cfg.VerifyDelta {
-		return nil
-	}
-	return func(g *graph.Graph, cfg engine.Config, df engine.Dataflow, aopt anneal.Options) (anneal.Result, error) {
-		ctx := aopt.Ctx
-		if ctx == nil {
-			ctx = context.Background()
-		}
-		res, err := s.fleet.Solve(ctx, g, cfg, df, aopt)
-		if err != nil {
-			if ctx.Err() != nil {
-				return anneal.Result{}, err
-			}
-			s.m.fleetFallbacks.Inc()
-			s.dash.Publish(dash.EvFleet, solveID(req), modelName(req),
-				fmt.Sprintf("fleet unavailable, solving in-process: %v", err))
-			return anneal.SA(g, cfg, df, aopt), nil
-		}
-		s.m.fleetSolves.Inc()
-		return res, nil
-	}
 }
 
 // dashProgress adapts the annealer's per-chain progress samples into the

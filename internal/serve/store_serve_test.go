@@ -6,149 +6,12 @@ import (
 	"encoding/json"
 	"fmt"
 	"math"
-	"net"
 	"net/http"
-	"os"
-	"strconv"
-	"strings"
-	"sync"
 	"testing"
 	"time"
 
-	"github.com/atomic-dataflow/atomicflow/internal/fleet"
 	"github.com/atomic-dataflow/atomicflow/internal/store"
 )
-
-// startFleet brings up a coordinator on a loopback TCP listener with n
-// dialed-in workers — the same wire path adserve -fleet-listen and
-// adworker use, not an in-process shortcut — and tears it all down with
-// the test.
-func startFleet(tb testing.TB, n int) *fleet.Coordinator {
-	tb.Helper()
-	co := fleet.NewCoordinator(fleet.Options{})
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		tb.Fatalf("fleet listen: %v", err)
-	}
-	go co.Serve(ln)
-	ctx, cancel := context.WithCancel(context.Background())
-	var wg sync.WaitGroup
-	for i := 0; i < n; i++ {
-		name := fmt.Sprintf("w%d", i)
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			_ = fleet.RunWorker(ctx, ln.Addr().String(), fleet.WorkerOptions{Name: name})
-		}()
-	}
-	deadline := time.Now().Add(5 * time.Second)
-	for co.NumWorkers() < n {
-		if time.Now().After(deadline) {
-			tb.Fatalf("only %d/%d workers joined within 5s", co.NumWorkers(), n)
-		}
-		time.Sleep(time.Millisecond)
-	}
-	tb.Cleanup(func() {
-		cancel()
-		co.Close()
-		ln.Close()
-		wg.Wait()
-	})
-	return co
-}
-
-// fleetWorkerCounts is the worker matrix for the determinism test. CI's
-// fleet-faults job pins one count per matrix leg via FLEET_WORKERS; a
-// plain `go test` run covers all three.
-func fleetWorkerCounts(tb testing.TB) []int {
-	env := os.Getenv("FLEET_WORKERS")
-	if env == "" {
-		return []int{1, 2, 4}
-	}
-	var out []int
-	for _, f := range strings.Split(env, ",") {
-		n, err := strconv.Atoi(strings.TrimSpace(f))
-		if err != nil || n < 1 {
-			tb.Fatalf("bad FLEET_WORKERS %q", env)
-		}
-		out = append(out, n)
-	}
-	return out
-}
-
-// TestServeFleetMatchesInProcess is the end-to-end determinism contract:
-// a server whose solves run on a TCP worker fleet answers /solve with
-// exactly the digests a fleetless server computes in-process, for every
-// worker count — sharding the chain portfolio must not change a single
-// byte of any solution.
-func TestServeFleetMatchesInProcess(t *testing.T) {
-	bodies := []string{
-		`{"model":"tinyconv","sa_iters":200,"chains":4,"seed":7}`,
-		`{"model":"tinyresnet","sa_iters":200,"chains":4,"seed":7}`,
-	}
-	want := map[string]string{}
-	_, ref := newTestServer(t, Config{Workers: 1})
-	for _, b := range bodies {
-		resp, body := postSolve(t, ref, b)
-		if resp.StatusCode != http.StatusOK {
-			t.Fatalf("reference solve %s: %d %s", b, resp.StatusCode, body)
-		}
-		want[b] = resp.Header.Get("X-Adserve-Digest")
-	}
-
-	for _, w := range fleetWorkerCounts(t) {
-		t.Run(fmt.Sprintf("workers=%d", w), func(t *testing.T) {
-			co := startFleet(t, w)
-			s, ts := newTestServer(t, Config{Workers: 1, Fleet: co})
-			for _, b := range bodies {
-				resp, body := postSolve(t, ts, b)
-				if resp.StatusCode != http.StatusOK {
-					t.Fatalf("fleet solve %s: %d %s", b, resp.StatusCode, body)
-				}
-				if src := resp.Header.Get("X-Adserve-Cache"); src != "miss" {
-					t.Fatalf("fleet solve was %q, want miss", src)
-				}
-				if got := resp.Header.Get("X-Adserve-Digest"); got != want[b] {
-					t.Fatalf("fleet digest %q != in-process digest %q for %s", got, want[b], b)
-				}
-			}
-			// Every request must actually have run on the fleet; a silent
-			// in-process fallback would make the digest check vacuous.
-			if got := s.m.fleetSolves.Value(); got != int64(len(bodies)) {
-				t.Fatalf("fleet solved %d of %d requests (fallbacks %d)",
-					got, len(bodies), s.m.fleetFallbacks.Value())
-			}
-		})
-	}
-}
-
-// TestServeFleetFallsBackWhenFleetEmpty pins the degradation contract at
-// the serve layer: a coordinator with no workers must not fail requests —
-// the server solves in-process, counts the fallback, and the bytes still
-// match the fleetless answer (the fallback runs the same search).
-func TestServeFleetFallsBackWhenFleetEmpty(t *testing.T) {
-	co := fleet.NewCoordinator(fleet.Options{})
-	t.Cleanup(func() { co.Close() })
-	s, ts := newTestServer(t, Config{Workers: 1, Fleet: co})
-	_, ref := newTestServer(t, Config{Workers: 1})
-
-	body := `{"model":"tinyconv","sa_iters":120,"chains":2,"seed":5}`
-	wantResp, wantBody := postSolve(t, ref, body)
-	if wantResp.StatusCode != http.StatusOK {
-		t.Fatalf("reference solve: %d %s", wantResp.StatusCode, wantBody)
-	}
-	resp, b := postSolve(t, ts, body)
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("solve with empty fleet: %d %s", resp.StatusCode, b)
-	}
-	if got, want := resp.Header.Get("X-Adserve-Digest"), wantResp.Header.Get("X-Adserve-Digest"); got != want {
-		t.Fatalf("fallback digest %q != in-process digest %q", got, want)
-	}
-	if s.m.fleetFallbacks.Value() != 1 || s.m.fleetSolves.Value() != 0 {
-		t.Fatalf("fallbacks=%d fleetSolves=%d, want 1/0",
-			s.m.fleetFallbacks.Value(), s.m.fleetSolves.Value())
-	}
-}
 
 // TestStoreReplayAcrossRestart is the persistence contract: after the
 // serving process restarts (new Server, new Store handle, same
