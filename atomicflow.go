@@ -35,7 +35,6 @@ import (
 	"github.com/atomic-dataflow/atomicflow/internal/atom"
 	"github.com/atomic-dataflow/atomicflow/internal/baseline"
 	"github.com/atomic-dataflow/atomicflow/internal/cost"
-	"github.com/atomic-dataflow/atomicflow/internal/cost/surrogate"
 	"github.com/atomic-dataflow/atomicflow/internal/dram"
 	"github.com/atomic-dataflow/atomicflow/internal/energy"
 	"github.com/atomic-dataflow/atomicflow/internal/engine"
@@ -86,16 +85,6 @@ type (
 	CostOracle = cost.Oracle
 	// OracleStats counts cost-oracle evaluations, cache hits and misses.
 	OracleStats = cost.Stats
-	// SurrogateModel is the online-learned first tier of the two-tier
-	// cost oracle: it trains from the exact-evaluation stream the cost
-	// oracle sees and pre-filters candidate partitions so exact
-	// evaluations are spent only on survivors. Build with
-	// NewSurrogateModel and install via Options.SurrogateModel (or let
-	// Options.Surrogate create a fresh one per run).
-	SurrogateModel = surrogate.Model
-	// SurrogateStats summarizes a surrogate model's training and
-	// filtering activity (samples, refits, skips, online R²/MAE).
-	SurrogateStats = surrogate.Stats
 	// MetricsRegistry collects counters, gauges and histograms from the
 	// search, scheduler and simulator when installed via Options.Metrics.
 	// Nil registries (and all their instruments) are safe no-ops, so the
@@ -201,13 +190,6 @@ func NewMetrics() *MetricsRegistry { return obs.New() }
 // simulations; Solution.OracleStats reports its counters.
 func NewCostOracle() CostOracle { return cost.Default() }
 
-// NewSurrogateModel returns an empty learned cost model. Install it via
-// Options.SurrogateModel (typically together with a shared
-// HardwareConfig.Oracle) to accumulate training across orchestration
-// runs; it starts filtering only once its online accuracy clears the
-// readiness bar, so a cold model simply behaves like exact mode.
-func NewSurrogateModel() *SurrogateModel { return surrogate.New() }
-
 // Options tunes Orchestrate. The zero value gives the paper's defaults on
 // the default hardware with batch 1.
 type Options struct {
@@ -232,23 +214,6 @@ type Options struct {
 	Chains int
 	// MaxTilesPerLayer caps the atom count per layer (default 1024).
 	MaxTilesPerLayer int
-	// Surrogate enables the two-tier learned cost oracle (default off):
-	// candidate generation prices enumerated partitions with an
-	// online-learned model trained from the oracle's exact-evaluation
-	// stream, spending exact Evaluate calls only on the survivors, and a
-	// post-search refinement pass re-admits deferred partitions near the
-	// final unified cycle. Final schedules and every reported cycle
-	// number remain exactly evaluated. Off (the default) leaves all
-	// search code paths untouched, so solutions are bit-identical to
-	// pre-surrogate builds; on, solutions may differ from exact mode
-	// (within a small tolerance) and — when SurrogateModel is shared —
-	// depend on what the model learned from earlier runs.
-	Surrogate bool
-	// SurrogateModel is the model used when Surrogate is true. Nil means
-	// a fresh model per Orchestrate call (deterministic for a fixed
-	// workload/options tuple); sharing one across runs lets later solves
-	// reuse earlier training at the price of history-dependence.
-	SurrogateModel *SurrogateModel
 	// WarmStart, when non-empty, seeds the search from a prior solution
 	// of the same graph (layer id -> partition): chain 0 starts at the
 	// donor state instead of the deterministic default, and candidate
@@ -332,9 +297,6 @@ type Solution struct {
 	// misses of this orchestration (zero when the configured oracle does
 	// not expose counters).
 	OracleStats OracleStats
-	// SurrogateStats summarizes the learned cost model's training and
-	// filtering activity (zero when Options.Surrogate was off).
-	SurrogateStats SurrogateStats
 	// Metrics is the final snapshot of the run's metrics registry (zero
 	// maps when no registry was installed).
 	Metrics MetricsSnapshot
@@ -397,24 +359,6 @@ func Orchestrate(g *Graph, opt Options) (*Solution, error) {
 	if hw.Ctx == nil {
 		hw.Ctx = ctx
 	}
-	// Two-tier oracle: the surrogate trains from the shared oracle's
-	// exact-evaluation (cache-miss) stream and pre-filters candidate
-	// generation. Attached only when enabled, so the default hot path has
-	// no sampling hook at all.
-	var surModel *SurrogateModel
-	if opt.Surrogate {
-		surModel = opt.SurrogateModel
-		if surModel == nil {
-			surModel = surrogate.New()
-		}
-		surModel.Instrument(hw.Metrics)
-		cost.AttachSampler(hw.Oracle, surModel)
-		if opt.SurrogateModel == nil {
-			// The model is run-local: unhook it afterwards so a shared
-			// oracle does not keep feeding a dead model on later runs.
-			defer cost.AttachSampler(hw.Oracle, nil)
-		}
-	}
 	start := time.Now()
 	res := anneal.SA(g, hw.Engine, hw.Dataflow, anneal.Options{
 		MaxIters:       opt.SAIters,
@@ -422,7 +366,6 @@ func Orchestrate(g *Graph, opt Options) (*Solution, error) {
 		Chains:         opt.Chains,
 		MaxTilesPerLay: opt.MaxTilesPerLayer,
 		VerifyDelta:    opt.VerifyDelta,
-		Surrogate:      surModel,
 		WarmStart:      opt.WarmStart,
 		Oracle:         hw.Oracle,
 		Metrics:        hw.Metrics,
@@ -482,18 +425,17 @@ func Orchestrate(g *Graph, opt Options) (*Solution, error) {
 		snap = hw.Metrics.Snapshot()
 	}
 	return &Solution{
-		Report:         rep,
-		Atoms:          atoms,
-		Rounds:         s.NumRounds(),
-		AtomCycleCV:    res.FinalCV,
-		SATrace:        res.Trace,
-		SearchTime:     searchTime,
-		OracleStats:    ostats,
-		SurrogateStats: surModel.Stats(),
-		Metrics:        snap,
-		dag:            d,
-		sched:          s,
-		spec:           res.Spec,
+		Report:      rep,
+		Atoms:       atoms,
+		Rounds:      s.NumRounds(),
+		AtomCycleCV: res.FinalCV,
+		SATrace:     res.Trace,
+		SearchTime:  searchTime,
+		OracleStats: ostats,
+		Metrics:     snap,
+		dag:         d,
+		sched:       s,
+		spec:        res.Spec,
 	}, nil
 }
 

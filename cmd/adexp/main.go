@@ -43,7 +43,6 @@ func main() {
 		seed      = flag.Int64("seed", 1, "search seed")
 		chains    = flag.Int("chains", 1, "parallel annealing chains per search (deterministic for a fixed seed)")
 		verifyDlt = flag.Bool("verify-delta", false, "cross-check every incremental SA move against a full recomputation (correctness harness; slower)")
-		surr      = flag.Bool("surrogate", false, "filter candidate generation with the online-learned cost model (exact final cycles; search may differ slightly)")
 		dp        = flag.Bool("dp", false, "use DP scheduling everywhere (slower; Fig 10 measures it explicitly)")
 		fast      = flag.Bool("fast", false, "reduced workload set for quick runs")
 		cpuProf   = flag.String("cpuprofile", "", "write a CPU profile to this file")
@@ -51,9 +50,12 @@ func main() {
 		execTrace = flag.String("exectrace", "", "write a runtime/trace execution trace to this file (view with go tool trace)")
 		metAddr   = flag.String("metrics-addr", "", "serve live /metrics, /metrics.json and /debug/pprof on this address (e.g. :8080)")
 		metJSON   = flag.String("metrics-json", "", "write the final metrics snapshot as JSON to this file")
-		simPipe   = flag.Bool("sim-pipeline", true, "overlap round t+1 prep with round t timing in the simulator (bit-identical reports; see DESIGN.md \u00a713)")
 	)
 	flag.Parse()
+	if err := checkFlags(*batch, *chains, *saIters); err != nil {
+		fmt.Fprintln(os.Stderr, "adexp:", err)
+		os.Exit(2)
+	}
 
 	if *cpuProf != "" {
 		f, err := os.Create(*cpuProf)
@@ -138,12 +140,10 @@ func main() {
 		Seed:        *seed,
 		Chains:      *chains,
 		VerifyDelta: *verifyDlt,
-		Surrogate:   *surr,
 		Mode:        schedule.Greedy,
 		Out:         os.Stdout,
 		Oracle:      orc,
 		Metrics:     reg,
-		SerialSim:   !*simPipe,
 	}
 	if *dp {
 		cfg.Mode = schedule.DP
@@ -203,6 +203,22 @@ func main() {
 		trace.WriteOracleStats(os.Stdout, id, orc.Stats().Sub(before))
 		fmt.Printf("  [%s done in %v]\n\n", id, time.Since(start).Round(time.Millisecond))
 	}
+}
+
+// checkFlags rejects numeric flags the experiments would otherwise
+// silently replace with a default: a negative batch (0 keeps each
+// experiment's own), and a chain count or iteration budget below 1.
+func checkFlags(batch, chains, saIters int) error {
+	if batch < 0 {
+		return fmt.Errorf("-batch %d: want 0 (experiment default) or more", batch)
+	}
+	if chains < 1 {
+		return fmt.Errorf("-chains %d: want at least 1", chains)
+	}
+	if saIters < 1 {
+		return fmt.Errorf("-sa-iters %d: want at least 1", saIters)
+	}
+	return nil
 }
 
 // parseWorkloads splits a comma-separated -workloads list and rejects any

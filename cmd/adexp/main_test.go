@@ -22,3 +22,22 @@ func TestParseWorkloads(t *testing.T) {
 		}
 	}
 }
+
+func TestCheckFlags(t *testing.T) {
+	for _, tc := range []struct {
+		batch, chains, iters int
+		ok                   bool
+	}{
+		{0, 1, 400, true},
+		{8, 4, 1, true},
+		{-3, 1, 400, false},
+		{0, 0, 400, false},
+		{0, -2, 400, false},
+		{0, 1, 0, false},
+		{0, 1, -5, false},
+	} {
+		if err := checkFlags(tc.batch, tc.chains, tc.iters); (err == nil) != tc.ok {
+			t.Errorf("checkFlags(%d, %d, %d) err = %v, want ok=%t", tc.batch, tc.chains, tc.iters, err, tc.ok)
+		}
+	}
+}

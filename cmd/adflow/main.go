@@ -32,15 +32,13 @@ func main() {
 		seed      = flag.Int64("seed", 1, "search seed")
 		chains    = flag.Int("chains", 1, "parallel annealing chains (deterministic for a fixed seed)")
 		verifyDlt = flag.Bool("verify-delta", false, "cross-check every incremental SA move against a full recomputation (correctness harness; slower)")
-		surr      = flag.Bool("surrogate", false, "filter candidate generation with the online-learned cost model (exact final cycles; search may differ slightly)")
 		baselines = flag.Bool("baselines", false, "also run LS, CNN-P, IL-Pipe and Rammer")
 		traceFile = flag.String("trace", "", "write a Chrome trace-event JSON of the AD execution to this file")
 		perfetto  = flag.String("perfetto", "", "write a full-span Perfetto trace (engine/NoC/DRAM lanes) to this file")
 		metJSON   = flag.String("metrics-json", "", "write the run's metrics snapshot as JSON to this file")
-		simPipe   = flag.Bool("sim-pipeline", true, "overlap round t+1 prep with round t timing in the simulator (bit-identical reports; see DESIGN.md \u00a713)")
 	)
 	flag.Parse()
-	schedMode, df, err := checkFlags(*engines, *batch, *mode, *dataflow)
+	schedMode, df, err := checkFlags(*engines, *batch, *chains, *saIters, *mode, *dataflow)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "adflow:", err)
 		os.Exit(2)
@@ -61,7 +59,6 @@ func main() {
 		fatal(err)
 	}
 	hw := af.DefaultHardware()
-	hw.Pipeline = *simPipe
 	hw.Mesh = af.NewMesh(*engines, *engines, hw.Mesh.LinkBytes)
 	hw.Engine.PEx, hw.Engine.PEy = *pes, *pes
 	hw.Engine.BufferBytes = *buffer
@@ -76,7 +73,6 @@ func main() {
 	opts := af.Options{
 		Batch: *batch, Hardware: &hw, Mode: schedMode,
 		SAIters: *saIters, Seed: *seed, Chains: *chains, VerifyDelta: *verifyDlt,
-		Surrogate: *surr,
 	}
 	if *traceFile != "" {
 		f, err := os.Create(*traceFile)
@@ -106,11 +102,6 @@ func main() {
 	printReport("atomic dataflow", sol.Report)
 	fmt.Printf("  atoms %d, rounds %d, atom-cycle CV %.3f, search %v\n",
 		sol.Atoms, sol.Rounds, sol.AtomCycleCV, sol.SearchTime.Round(1e6))
-	if *surr {
-		ss := sol.SurrogateStats
-		fmt.Printf("  surrogate: %d samples, %d refits, %d predictions, %d exact evals skipped, R2 %.4f, MAE %.1f\n",
-			ss.Samples, ss.Refits, ss.Predictions, ss.ExactEvalsSkipped, ss.R2, ss.MAE)
-	}
 	if *metJSON != "" {
 		f, err := os.Create(*metJSON)
 		if err != nil {
@@ -143,13 +134,16 @@ func main() {
 
 // checkFlags rejects flag values the pipeline would panic on (a mesh
 // without engines) or silently replace with a default (an unknown mode,
-// a batch below 1), and resolves the scheduler mode and dataflow.
-func checkFlags(engines, batch int, mode, dataflow string) (af.ScheduleMode, af.Dataflow, error) {
-	if engines < 1 {
-		return 0, 0, fmt.Errorf("-engines %d: want at least 1", engines)
-	}
-	if batch < 1 {
-		return 0, 0, fmt.Errorf("-batch %d: want at least 1", batch)
+// a batch, chain count or iteration budget below 1), and resolves the
+// scheduler mode and dataflow.
+func checkFlags(engines, batch, chains, saIters int, mode, dataflow string) (af.ScheduleMode, af.Dataflow, error) {
+	for _, f := range []struct {
+		name string
+		v    int
+	}{{"engines", engines}, {"batch", batch}, {"chains", chains}, {"sa-iters", saIters}} {
+		if f.v < 1 {
+			return 0, 0, fmt.Errorf("-%s %d: want at least 1", f.name, f.v)
+		}
 	}
 	var m af.ScheduleMode
 	switch mode {

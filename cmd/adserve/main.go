@@ -32,7 +32,6 @@ import (
 	"syscall"
 	"time"
 
-	af "github.com/atomic-dataflow/atomicflow"
 	"github.com/atomic-dataflow/atomicflow/internal/obs"
 	"github.com/atomic-dataflow/atomicflow/internal/serve"
 	"github.com/atomic-dataflow/atomicflow/internal/store"
@@ -47,26 +46,20 @@ func main() {
 		timeout = flag.Duration("timeout", 2*time.Minute, "per-request solve deadline")
 		chains  = flag.Int("chains", 0, "default annealing chains for requests that omit the field (0 = 1)")
 		verify  = flag.Bool("verify-delta", false, "cross-check every incremental SA move against a full recomputation on all requests (correctness harness; slower)")
-		surr    = flag.Bool("surrogate", false, "default surrogate mode for requests that omit the field (participates in the cache key)")
 		drain   = flag.Duration("drain", 30*time.Second, "graceful-shutdown drain budget on SIGINT/SIGTERM")
 
 		storeDir = flag.String("store", "", "directory for the persistent solution store (empty = no persistence)")
 		warm     = flag.Bool("warm-start", false, "default warm-start mode for requests that omit the field (participates in the cache key; needs -store)")
-		simPipe  = flag.Bool("sim-pipeline", true, "overlap round t+1 prep with round t timing in the simulator (bit-identical reports, so not part of the cache key; see DESIGN.md \u00a713)")
 	)
 	flag.Parse()
 
 	reg := obs.New()
-	baseHW := af.DefaultHardware()
-	baseHW.Pipeline = *simPipe
 	cfg := serve.Config{
-		Hardware:         &baseHW,
 		Workers:          *workers,
 		QueueDepth:       *queue,
 		CacheEntries:     *cache,
 		RequestTimeout:   *timeout,
 		DefaultChains:    *chains,
-		DefaultSurrogate: *surr,
 		DefaultWarmStart: *warm,
 		VerifyDelta:      *verify,
 		Metrics:          reg,

@@ -12,7 +12,6 @@ import (
 
 	"github.com/atomic-dataflow/atomicflow/internal/atom"
 	"github.com/atomic-dataflow/atomicflow/internal/cost"
-	"github.com/atomic-dataflow/atomicflow/internal/cost/surrogate"
 	"github.com/atomic-dataflow/atomicflow/internal/engine"
 	"github.com/atomic-dataflow/atomicflow/internal/graph"
 	"github.com/atomic-dataflow/atomicflow/internal/obs"
@@ -62,26 +61,6 @@ type Options struct {
 	// portfolio's best-state exchange barriers (default 50). Only
 	// meaningful with Chains > 1.
 	ExchangeEvery int
-
-	// Surrogate, when non-nil, enables the two-tier cost oracle: candidate
-	// generation scores every enumerated partition with the learned model
-	// and spends exact Evaluate calls only on the survivors (plus an
-	// exploration floor), and a post-search refinement pass re-admits
-	// deferred partitions predicted near the final unified cycle,
-	// exact-evaluating them then. Accepted states and final schedules are
-	// always priced from exactly-evaluated candidates — no surrogate
-	// number ever reaches a Result.
-	//
-	// Determinism contract: nil (the default) leaves every code path
-	// untouched, so results are bit-identical to builds without the
-	// surrogate. A fresh model still yields a deterministic search for a
-	// fixed (graph, hardware, Options) tuple — candidate generation runs
-	// sequentially in first-occurrence layer order when a surrogate is
-	// installed, so the training stream and every filter decision are
-	// scheduling-independent. A model shared across solves is
-	// history-dependent: what it learned earlier changes which candidates
-	// later solves evaluate (cycles stay exact either way).
-	Surrogate *surrogate.Model
 
 	// WarmStart, when non-empty, seeds the search from a prior solution
 	// of the same graph: chain 0's initial state takes each listed
@@ -480,8 +459,7 @@ func SA(g *graph.Graph, cfg engine.Config, df engine.Dataflow, opt Options) Resu
 			opt.Progress([]Sample{c.sample(false)})
 		}
 	}
-	best := sctx.refine(c.best, c.bestS)
-	best, bestE, bestS := sctx.polish(opt, best, c.bestE, c.bestS)
+	best, bestE, bestS := sctx.polish(opt, c.best, c.bestE, c.bestS)
 	if n := len(c.trace); n > 0 && bestE < c.trace[n-1] {
 		c.trace = append(c.trace, bestE)
 	}
@@ -553,27 +531,13 @@ func newSearch(g *graph.Graph, cfg engine.Config, df engine.Dataflow, opt Option
 			uniqIdx = append(uniqIdx, i)
 		}
 	}
-	if opt.Surrogate != nil {
-		// Surrogate mode generates sequentially in first-occurrence order:
-		// each shape's exact evaluations train the model before the next
-		// shape is filtered, and the filter decisions become a pure
-		// function of the (graph, hardware, Options) tuple instead of a
-		// race between workers and the online fitter.
-		for k := range uniqIdx {
-			l := g.Layer(ids[uniqIdx[k]])
-			c, d := genCandidates(l, cfg, df, opt, s.orc)
-			built[uniqIdx[k]] = layerCands{layer: l, cands: c, deferred: d}
-		}
-	} else {
-		parallelFor(len(uniqIdx), func(k int) {
-			l := g.Layer(ids[uniqIdx[k]])
-			c, _ := genCandidates(l, cfg, df, opt, s.orc)
-			built[uniqIdx[k]] = layerCands{layer: l, cands: c}
-		})
-	}
+	parallelFor(len(uniqIdx), func(k int) {
+		l := g.Layer(ids[uniqIdx[k]])
+		built[uniqIdx[k]] = layerCands{layer: l, cands: genCandidates(l, cfg, df, opt, s.orc)}
+	})
 	for i, lid := range ids {
 		if j := uniq[keys[i]]; j != i {
-			built[i] = layerCands{layer: g.Layer(lid), cands: built[j].cands, deferred: built[j].deferred}
+			built[i] = layerCands{layer: g.Layer(lid), cands: built[j].cands}
 		}
 	}
 	var all []int

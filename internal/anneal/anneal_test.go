@@ -52,7 +52,7 @@ func TestGenCandidatesQuantization(t *testing.T) {
 	g := models.TinyConv()
 	l := g.Layer(3) // 16x16x32 conv
 	cfg := engine.Default()
-	cands, _ := genCandidates(l, cfg, engine.KCPartition, Options{}, cost.Direct{})
+	cands := genCandidates(l, cfg, engine.KCPartition, Options{}, cost.Direct{})
 	if len(cands) == 0 {
 		t.Fatal("no candidates")
 	}
@@ -86,7 +86,7 @@ func TestGenCandidatesBufferConstraint(t *testing.T) {
 	opt := Options{}
 	budget := int64(float64(cfg.BufferBytes) * opt.bufferFraction())
 	window := int64(4 * cfg.PEx * cfg.PEy * fc.Shape.Kh * fc.Shape.Kw)
-	cands, _ := genCandidates(fc, cfg, engine.KCPartition, opt, cost.Direct{})
+	cands := genCandidates(fc, cfg, engine.KCPartition, opt, cost.Direct{})
 	for _, c := range cands {
 		tk := engine.Task{Kind: fc.Kind, Hp: c.part.Hp, Wp: c.part.Wp,
 			Ci: fc.Shape.Ci, Cop: c.part.Cop, Kh: 1, Kw: 1, Stride: 1}

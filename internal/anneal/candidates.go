@@ -25,22 +25,17 @@ type candidate struct {
 	tiles  int     // atoms the partition induces on the layer
 }
 
-// deferredCand is a feasible atom size the surrogate filter priced but
-// did not spend an exact evaluation on. The refinement pass after SA
-// re-admits deferred candidates whose predicted cycles land near the
-// final unified cycle, evaluating them exactly then (see surrogate.go).
-type deferredCand struct {
-	part  atom.Partition
-	tiles int
-	pred  int64 // surrogate-predicted cycles (never reported anywhere)
+// layerCands holds a layer's candidate list sorted by cycles ascending.
+type layerCands struct {
+	layer *graph.Layer
+	cands []candidate
 }
 
-// layerCands holds a layer's candidate list sorted by cycles ascending,
-// plus (in surrogate mode) the enumerated-but-unevaluated remainder.
-type layerCands struct {
-	layer    *graph.Layer
-	cands    []candidate
-	deferred []deferredCand
+// pendingCand is one feasible partition awaiting pricing.
+type pendingCand struct {
+	part  atom.Partition
+	task  engine.Task
+	tiles int
 }
 
 // pick returns the index of the best candidate for a target cycle count:
@@ -103,15 +98,9 @@ func absDiff(a, b int64) int64 {
 // (paper Sec. IV-A: sizes are [c0, c1, c2*PEx, c3*PEy] under KC-P);
 // candidates whose working set cannot fit in the usable buffer fraction
 // are discarded, and tile counts are capped to keep the atomic DAG
-// tractable.
-//
-// With Options.Surrogate installed and ready, feasible partitions are
-// first priced by the learned model and exact Evaluate calls are spent
-// only on the selected survivors; the remainder comes back as the
-// deferred list for the post-search refinement pass. Without a surrogate
-// (or before it is ready) every feasible partition is evaluated exactly
-// and deferred is nil.
-func genCandidates(l *graph.Layer, cfg engine.Config, df engine.Dataflow, opt Options, orc cost.Oracle) ([]candidate, []deferredCand) {
+// tractable. Every feasible partition is priced with the exact oracle,
+// in enumeration order.
+func genCandidates(l *graph.Layer, cfg engine.Config, df engine.Dataflow, opt Options, orc cost.Oracle) []candidate {
 	s := l.Shape
 	var hs, ws, cs []int
 	// Channel extents always quantize to at least the column width even
@@ -178,7 +167,12 @@ func genCandidates(l *graph.Layer, cfg engine.Config, df engine.Dataflow, opt Op
 	// prior solution's partition before any oracle evaluation is spent
 	// (no-op without Options.WarmStart — see warm.go).
 	pend = warmPrune(l, opt, pend)
-	cands, deferred := evaluatePending(pend, cfg, df, opt, orc)
+	var cands []candidate
+	for i := range pend {
+		c := orc.Evaluate(cfg, df, pend[i].task)
+		cands = append(cands, candidate{part: pend[i].part,
+			cycles: c.Cycles, util: c.Utilization, tiles: pend[i].tiles})
+	}
 	// Prefer atoms whose weight slice can actually be cached in an
 	// engine's buffer (Algorithm 3 stores weights opportunistically, but
 	// a slice above ~3/4 of the buffer always streams from DRAM and is
@@ -233,7 +227,7 @@ func genCandidates(l *graph.Layer, cfg engine.Config, df engine.Dataflow, opt Op
 		cands = append(cands, candidate{part: p, cycles: c.Cycles, util: c.Utilization, tiles: p.Tiles(l)})
 	}
 	sort.Slice(cands, func(i, j int) bool { return cands[i].cycles < cands[j].cycles })
-	return cands, deferred
+	return cands
 }
 
 // splitSizes enumerates tile extents for a dimension of size n, quantized

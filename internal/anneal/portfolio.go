@@ -145,8 +145,7 @@ func portfolioSA(g *graph.Graph, cfg engine.Config, df engine.Dataflow, opt Opti
 			win = c
 		}
 	}
-	best := sctx.refine(win.best, win.bestS)
-	best, bestE, bestS := sctx.polish(opt, best, win.bestE, win.bestS)
+	best, bestE, bestS := sctx.polish(opt, win.best, win.bestE, win.bestS)
 	trace := win.trace
 	if n := len(trace); n > 0 && bestE < trace[n-1] {
 		trace = append(trace, bestE)

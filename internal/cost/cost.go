@@ -35,31 +35,6 @@ type Oracle interface {
 	Evaluate(cfg engine.Config, df engine.Dataflow, t engine.Task) engine.Cost
 }
 
-// Sampler observes exact evaluations as they are computed. A Memo with a
-// sampler installed forwards every cache miss — the one moment a real
-// engine-model computation happens — to it, which is how the learned
-// surrogate (internal/cost/surrogate) trains from the evaluation stream
-// the search pays for anyway. Implementations must be safe for concurrent
-// use; hits and dedup joins are never sampled, so the hook adds nothing
-// to the hot path.
-type Sampler interface {
-	Sample(cfg engine.Config, df engine.Dataflow, t engine.Task, c engine.Cost)
-}
-
-// AttachSampler installs s on the first oracle in the stack that supports
-// sampling (Memo, or Instrumented forwarding to its inner Memo) and
-// reports whether it did. Oracles without a miss stream (Direct, custom
-// implementations) are left alone — the caller's surrogate then simply
-// never trains and every consumer falls back to exact evaluation.
-func AttachSampler(o Oracle, s Sampler) bool {
-	type samplable interface{ SetSampler(Sampler) }
-	if a, ok := o.(samplable); ok {
-		a.SetSampler(s)
-		return true
-	}
-	return false
-}
-
 // Direct adapts engine.Evaluate with no caching. The engine model is a
 // pure function, so the zero value is ready to use and trivially
 // goroutine-safe.
@@ -103,28 +78,11 @@ type inflightCall struct {
 // forever (the engine model is pure, so entries never invalidate). Safe
 // for concurrent use.
 type Memo struct {
-	inner   Oracle
-	shards  [numShards]shard
-	hits    atomic.Int64
-	misses  atomic.Int64
-	dedups  atomic.Int64
-	sampled atomic.Int64
-	sampler atomic.Pointer[samplerBox]
-}
-
-// samplerBox wraps the interface value so the sampler can be swapped
-// atomically (atomic.Pointer needs a concrete pointee type).
-type samplerBox struct{ s Sampler }
-
-// SetSampler installs (or, with nil, removes) the miss-stream observer.
-// Safe to call concurrently with Evaluate; in-flight misses use whichever
-// sampler they load.
-func (m *Memo) SetSampler(s Sampler) {
-	if s == nil {
-		m.sampler.Store(nil)
-		return
-	}
-	m.sampler.Store(&samplerBox{s: s})
+	inner  Oracle
+	shards [numShards]shard
+	hits   atomic.Int64
+	misses atomic.Int64
+	dedups atomic.Int64
 }
 
 // NewMemo returns a memoizing oracle over inner (Direct{} if nil).
@@ -187,12 +145,6 @@ func (m *Memo) Evaluate(cfg engine.Config, df engine.Dataflow, t engine.Task) en
 		}
 	}()
 	c = m.inner.Evaluate(cfg, df, t)
-	if box := m.sampler.Load(); box != nil {
-		// Miss-stream hook: exactly one Sample per engine-model run, on
-		// the goroutine that paid for it. Joiners and hits never sample.
-		box.s.Sample(cfg, df, t, c)
-		m.sampled.Add(1)
-	}
 	call.c = c
 	sh.mu.Lock()
 	sh.m[k] = c
@@ -217,8 +169,7 @@ func (m *Memo) Len() int {
 // Stats reports the cache behaviour so far.
 func (m *Memo) Stats() Stats {
 	h, mi, d := m.hits.Load(), m.misses.Load(), m.dedups.Load()
-	return Stats{Evaluations: h + mi + d, Hits: h, Misses: mi, Dedups: d,
-		Sampled: m.sampled.Load()}
+	return Stats{Evaluations: h + mi + d, Hits: h, Misses: mi, Dedups: d}
 }
 
 // shardOf mixes the task-varying key fields into a shard index. Only the
@@ -251,7 +202,6 @@ type Stats struct {
 	Hits        int64 // served from a Memo cache
 	Misses      int64 // computed by the engine model
 	Dedups      int64 // concurrent duplicate misses joined to an in-flight evaluation
-	Sampled     int64 // misses forwarded to an installed Sampler (surrogate training)
 }
 
 // HitRate returns Hits/(Hits+Misses), 0 when nothing was evaluated.
@@ -270,7 +220,6 @@ func (s Stats) Sub(prev Stats) Stats {
 		Hits:        s.Hits - prev.Hits,
 		Misses:      s.Misses - prev.Misses,
 		Dedups:      s.Dedups - prev.Dedups,
-		Sampled:     s.Sampled - prev.Sampled,
 	}
 }
 
@@ -313,18 +262,9 @@ func (i *Instrumented) Stats() Stats {
 	st := Stats{Evaluations: i.calls.Load()}
 	if m, ok := i.inner.(*Memo); ok {
 		ms := m.Stats()
-		st.Hits, st.Misses, st.Dedups, st.Sampled = ms.Hits, ms.Misses, ms.Dedups, ms.Sampled
+		st.Hits, st.Misses, st.Dedups = ms.Hits, ms.Misses, ms.Dedups
 	}
 	return st
-}
-
-// SetSampler forwards the miss-stream observer to the wrapped Memo, so
-// the conventional Default() stack accepts a sampler without unwrapping.
-// A non-Memo inner oracle has no miss stream; the call is then a no-op.
-func (i *Instrumented) SetSampler(s Sampler) {
-	if m, ok := i.inner.(*Memo); ok {
-		m.SetSampler(s)
-	}
 }
 
 // Len reports the wrapped Memo's cached-entry count (0 for a non-Memo

@@ -286,10 +286,10 @@ func TestStatsEdgeCases(t *testing.T) {
 	if got := (Stats{Evaluations: 3, Hits: 3}).HitRate(); got != 1 {
 		t.Errorf("hit-only HitRate = %v, want 1", got)
 	}
-	// Sub covers every field, including Sampled, and X.Sub(X) is zero.
-	a := Stats{Evaluations: 10, Hits: 4, Misses: 5, Dedups: 1, Sampled: 5}
-	b := Stats{Evaluations: 25, Hits: 12, Misses: 10, Dedups: 3, Sampled: 10}
-	if d := b.Sub(a); d != (Stats{Evaluations: 15, Hits: 8, Misses: 5, Dedups: 2, Sampled: 5}) {
+	// Sub covers every field, and X.Sub(X) is zero.
+	a := Stats{Evaluations: 10, Hits: 4, Misses: 5, Dedups: 1}
+	b := Stats{Evaluations: 25, Hits: 12, Misses: 10, Dedups: 3}
+	if d := b.Sub(a); d != (Stats{Evaluations: 15, Hits: 8, Misses: 5, Dedups: 2}) {
 		t.Errorf("Sub = %+v", d)
 	}
 	if d := a.Sub(a); d != (Stats{}) {
@@ -320,98 +320,6 @@ func TestStatsOf(t *testing.T) {
 
 	if _, ok := StatsOf(Direct{}); ok {
 		t.Error("StatsOf(Direct{}) reported ok for a stat-less oracle")
-	}
-}
-
-// recordingSampler captures every sample the oracle forwards.
-type recordingSampler struct {
-	mu    sync.Mutex
-	tasks []engine.Task
-}
-
-func (r *recordingSampler) Sample(cfg engine.Config, df engine.Dataflow, t engine.Task, c engine.Cost) {
-	r.mu.Lock()
-	r.tasks = append(r.tasks, t)
-	r.mu.Unlock()
-}
-
-// TestSamplerMissOnly pins the training-stream contract: the sampler sees
-// each unique evaluation exactly once (on the miss), never on cache hits,
-// and dedup joiners do not re-forward the leader's result.
-func TestSamplerMissOnly(t *testing.T) {
-	cfg := engine.Default()
-	task := engine.Task{Kind: graph.OpConv, Hp: 8, Wp: 8, Ci: 16, Cop: 16, Kh: 3, Kw: 3, Stride: 1}
-
-	memo := NewMemo(Direct{})
-	rec := &recordingSampler{}
-	memo.SetSampler(rec)
-	for i := 0; i < 5; i++ {
-		memo.Evaluate(cfg, engine.KCPartition, task) // 1 miss + 4 hits
-	}
-	memo.Evaluate(cfg, engine.YXPartition, task) // second miss
-	if got := len(rec.tasks); got != 2 {
-		t.Fatalf("sampler saw %d samples, want 2 (misses only)", got)
-	}
-	if st := memo.Stats(); st.Sampled != 2 {
-		t.Errorf("Sampled = %d, want 2", st.Sampled)
-	}
-
-	// Dedup joiners must not multiply the training stream: one leader
-	// miss with 3 concurrent joiners is still one sample.
-	b := &blockingOracle{entered: make(chan struct{}, 1), release: make(chan struct{})}
-	dmemo := NewMemo(b)
-	drec := &recordingSampler{}
-	dmemo.SetSampler(drec)
-	task2 := engine.Task{Kind: graph.OpConv, Hp: 4, Wp: 4, Ci: 8, Cop: 8, Kh: 1, Kw: 1, Stride: 1}
-	done := make(chan struct{}, 4)
-	for i := 0; i < 4; i++ {
-		go func() {
-			dmemo.Evaluate(cfg, engine.KCPartition, task2)
-			done <- struct{}{}
-		}()
-	}
-	<-b.entered
-	for dmemo.Stats().Dedups < 3 {
-		time.Sleep(time.Millisecond)
-	}
-	close(b.release)
-	for i := 0; i < 4; i++ {
-		<-done
-	}
-	if got := len(drec.tasks); got != 1 {
-		t.Errorf("sampler saw %d samples across a dedup pile-up, want 1", got)
-	}
-
-	// Detaching stops the stream without disturbing the cache.
-	memo.SetSampler(nil)
-	memo.Evaluate(cfg, engine.FlexPartition, task) // third miss, unsampled
-	if got := len(rec.tasks); got != 2 {
-		t.Errorf("detached sampler still saw samples: %d", got)
-	}
-	if st := memo.Stats(); st.Misses != 3 || st.Sampled != 2 {
-		t.Errorf("stats after detach = %+v, want 3 misses / 2 sampled", st)
-	}
-}
-
-// TestAttachSampler pins the duck-typed attach path used by Orchestrate:
-// it reaches the Memo inside Default() through the Instrumented wrapper,
-// and reports false for oracles with no miss stream.
-func TestAttachSampler(t *testing.T) {
-	cfg := engine.Default()
-	task := engine.Task{Kind: graph.OpConv, Hp: 8, Wp: 8, Ci: 16, Cop: 16, Kh: 3, Kw: 3, Stride: 1}
-
-	orc := Default()
-	rec := &recordingSampler{}
-	if !AttachSampler(orc, rec) {
-		t.Fatal("AttachSampler(Default(), ...) = false")
-	}
-	orc.Evaluate(cfg, engine.KCPartition, task)
-	orc.Evaluate(cfg, engine.KCPartition, task)
-	if len(rec.tasks) != 1 {
-		t.Errorf("forwarded sampler saw %d samples, want 1", len(rec.tasks))
-	}
-	if AttachSampler(Direct{}, rec) {
-		t.Error("AttachSampler(Direct{}, ...) = true for a sampler-less oracle")
 	}
 
 	// Len forwards through the Instrumented wrapper too.

@@ -18,7 +18,6 @@ import (
 	"github.com/atomic-dataflow/atomicflow/internal/anneal"
 	"github.com/atomic-dataflow/atomicflow/internal/atom"
 	"github.com/atomic-dataflow/atomicflow/internal/cost"
-	"github.com/atomic-dataflow/atomicflow/internal/cost/surrogate"
 	"github.com/atomic-dataflow/atomicflow/internal/engine"
 	"github.com/atomic-dataflow/atomicflow/internal/graph"
 	"github.com/atomic-dataflow/atomicflow/internal/models"
@@ -31,12 +30,6 @@ import (
 type Config struct {
 	// HW is the hardware model (default sim.DefaultConfig()).
 	HW *sim.Config
-	// SerialSim disables the simulator's two-stage round pipeline
-	// (sim.Config.Pipeline) in every simulation of the run — the
-	// bit-identical but slower reference mode (-sim-pipeline=false on
-	// cmd/adexp). Applied after HW, so it also overrides an explicit
-	// hardware model.
-	SerialSim bool
 	// Workloads overrides the experiment's default model list (the
 	// paper's). Fast mode for CI uses a small subset.
 	Workloads []string
@@ -59,12 +52,6 @@ type Config struct {
 	// Purely a correctness harness: results are unchanged, searches cost
 	// more. cmd/adexp exposes it as -verify-delta.
 	VerifyDelta bool
-	// Surrogate runs every SA search with the two-tier learned cost
-	// oracle (see anneal.Options.Surrogate): one model per experiment,
-	// trained from the experiment oracle's evaluation stream, filters
-	// candidate generation. Results may differ slightly from exact mode;
-	// reported cycles remain exact. cmd/adexp exposes it as -surrogate.
-	Surrogate bool
 	// Out receives the printed rows (nil = discard).
 	Out io.Writer
 	// Oracle prices atoms across the whole experiment run (default: a
@@ -93,9 +80,6 @@ func (c Config) hw() sim.Config {
 	}
 	if hw.Metrics == nil {
 		hw.Metrics = c.Metrics
-	}
-	if c.SerialSim {
-		hw.Pipeline = false
 	}
 	return hw
 }
@@ -142,40 +126,25 @@ type searchOpts struct {
 	seed        int64
 	chains      int
 	verifyDelta bool
-	surrogate   *surrogate.Model
 }
 
 func (c Config) search() searchOpts {
-	so := searchOpts{
+	return searchOpts{
 		saIters:     c.saIters(),
 		seed:        c.seed(),
 		chains:      c.chains(),
 		verifyDelta: c.VerifyDelta,
 	}
-	if c.Surrogate {
-		// One model per experiment: every workload's exact evaluations
-		// train it, later workloads benefit from earlier filtering.
-		so.surrogate = surrogate.New()
-		so.surrogate.Instrument(c.Metrics)
-	}
-	return so
 }
 
 // anneal expands the search parameters into the full SA option set on a
-// hardware model (oracle and metrics ride along from hw). With the
-// surrogate enabled it also hooks the model into the oracle's
-// exact-evaluation stream — idempotent, so repeated pipeline builds over
-// one hardware model keep the single experiment-wide model.
+// hardware model (oracle and metrics ride along from hw).
 func (so searchOpts) anneal(hw sim.Config) anneal.Options {
-	if so.surrogate != nil {
-		cost.AttachSampler(hw.Oracle, so.surrogate)
-	}
 	return anneal.Options{
 		MaxIters:    so.saIters,
 		Seed:        so.seed,
 		Chains:      so.chains,
 		VerifyDelta: so.verifyDelta,
-		Surrogate:   so.surrogate,
 		Oracle:      hw.Oracle,
 		Metrics:     hw.Metrics,
 	}

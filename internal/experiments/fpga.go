@@ -53,9 +53,6 @@ func FPGA(cfg Config) ([]FPGARow, error) {
 	if cfg.HW != nil {
 		hw = *cfg.HW
 	}
-	if cfg.SerialSim {
-		hw.Pipeline = false
-	}
 	batch := cfg.batch(8) // frame-rate measurement streams images
 	var rows []FPGARow
 	cfg.printf("FPGA prototype (Sec V-D) — 2x2 engines, 32x32 MACs, 600 MHz\n")

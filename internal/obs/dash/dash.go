@@ -7,8 +7,8 @@
 //
 //   - an event ring: typed, sequence-numbered events (request admitted /
 //     dedup-joined / cached / rejected, solve started / finished /
-//     failed, chain exchanges, surrogate gate flips, store hits, warm
-//     starts), fanned out to SSE subscribers as they are published;
+//     failed, chain exchanges, store hits, warm starts), fanned out to
+//     SSE subscribers as they are published;
 //   - an active-solve store: per in-flight solve, the request identity
 //     and a per-chain series of (iteration, temperature, best energy)
 //     samples fed by the annealer's progress hook;
@@ -40,7 +40,6 @@ const (
 	EvFinished  EventType = "solve_finished"       // solution produced
 	EvFailed    EventType = "solve_failed"         // search errored or was abandoned
 	EvExchange  EventType = "chain_exchange"       // annealing portfolio barrier
-	EvSurrogate EventType = "surrogate_gate"       // learned-oracle readiness flipped
 	EvStoreHit  EventType = "request_store_hit"    // answered from the persistent store
 	EvWarmStart EventType = "solve_warm_started"   // search seeded from a stored donor
 )

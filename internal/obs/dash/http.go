@@ -22,7 +22,6 @@ var fleetGauges = []string{
 	"serve_queue_depth", "serve_queue_capacity",
 	"serve_workers", "serve_workers_busy",
 	"serve_cache_hit_ratio", "serve_uptime_seconds",
-	"surrogate_segments_ready",
 }
 
 var fleetCounters = []string{

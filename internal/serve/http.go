@@ -66,7 +66,7 @@ func (s *Server) handleSolve(w http.ResponseWriter, r *http.Request) {
 		s.writeError(w, http.StatusRequestEntityTooLarge, "request body too large")
 		return
 	}
-	req, err := parseRequest(body, s.cfg.DefaultChains, s.cfg.DefaultSurrogate, s.cfg.DefaultWarmStart)
+	req, err := parseRequest(body, s.cfg.DefaultChains, s.cfg.DefaultWarmStart)
 	if err != nil {
 		s.writeError(w, http.StatusBadRequest, err.Error())
 		return

@@ -160,39 +160,6 @@ func BenchmarkSolveColdChains(b *testing.B) {
 	}
 }
 
-// BenchmarkSolveColdSurrogate is BenchmarkSolveColdDeep with the
-// two-tier cost oracle switched on per request: the server-lifetime
-// surrogate model prices candidate partitions and exact engine
-// evaluations are spent only on survivors. Compared against
-// BenchmarkSolveColdDeep this tracks the cold-path latency the learned
-// filter buys (the CI bench smoke publishes both).
-func BenchmarkSolveColdSurrogate(b *testing.B) {
-	s := New(Config{Workers: 2})
-	ts := httptest.NewServer(s.Handler())
-	defer func() {
-		ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
-		defer cancel()
-		_ = s.Shutdown(ctx)
-		ts.Close()
-	}()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		body := fmt.Sprintf(`{"model":"deepchain1k","sa_iters":400,"seed":%d,"surrogate":true}`, i+1)
-		resp, err := ts.Client().Post(ts.URL+"/solve", "application/json", strings.NewReader(body))
-		if err != nil {
-			b.Fatal(err)
-		}
-		if resp.StatusCode != http.StatusOK {
-			b.Fatalf("status %d", resp.StatusCode)
-		}
-		if got := resp.Header.Get("X-Adserve-Cache"); got != "miss" {
-			b.Fatalf("request %d served %q, want a cold miss", i, got)
-		}
-		_, _ = bytes.NewBuffer(nil).ReadFrom(resp.Body)
-		resp.Body.Close()
-	}
-}
-
 // BenchmarkSolveColdDeep measures an uncached /solve over the 1026-layer
 // deepchain1k model — the transformer-depth stress case the incremental
 // (delta) move evaluation in internal/anneal targets. Every iteration

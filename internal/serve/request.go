@@ -49,24 +49,14 @@ type Request struct {
 	// -verify-delta flag forces it on for every request.
 	VerifyDelta bool `json:"verify_delta,omitempty"`
 
-	// Surrogate opts into the two-tier learned cost oracle (see
-	// atomicflow.Options.Surrogate). Tri-state: omitted takes the
-	// server's -surrogate default, explicit true/false pins it. UNLIKE
-	// verify_delta this IS part of the cache key — the surrogate filters
-	// which candidate partitions the search considers, so surrogate-on
-	// and surrogate-off solutions are legitimately different bytes and
-	// must never be served from each other's entries. (Cycles in both are
-	// exact; only the searched candidate set differs.)
-	Surrogate *bool `json:"surrogate,omitempty"`
-
 	// WarmStart opts into seeding the search from the persistent
 	// store's best related record (same graph solved under a different
-	// key — typically other hardware). Tri-state like Surrogate: omitted
-	// takes the server's -warm-start default, explicit true/false pins
-	// it. Part of the cache key — a warm-started search explores a
-	// different trajectory, so warm and cold entries are legitimately
-	// different bytes. On a server without a store (or when no donor
-	// exists yet) a warm request simply solves cold.
+	// key — typically other hardware). Tri-state: omitted takes the
+	// server's -warm-start default, explicit true/false pins it. Part of
+	// the cache key — a warm-started search explores a different
+	// trajectory, so warm and cold entries are legitimately different
+	// bytes. On a server without a store (or when no donor exists yet) a
+	// warm request simply solves cold.
 	WarmStart *bool `json:"warm_start,omitempty"`
 
 	graph     *graph.Graph // decoded workload
@@ -104,29 +94,24 @@ const (
 // (fuzzed by FuzzSolveRequest), and parsing the same bytes twice yields
 // the same key.
 func ParseRequest(data []byte) (*Request, error) {
-	return parseRequest(data, 0, false, false)
+	return parseRequest(data, 0, false)
 }
 
 // parseRequest is ParseRequest with server-level defaults applied before
 // normalization: a request that omits "chains" takes defChains (0 keeps
-// the library default of 1), one that omits "surrogate" takes
-// defSurrogate, and one that omits "warm_start" takes defWarm. Defaults
-// must land before the cache key is computed — the key states the chain
-// count, surrogate mode and warm-start mode a cached solution was
-// actually searched with, so an explicit chains=1 (or surrogate=false,
-// or warm_start=false) request can never be answered from a
-// differently-searched entry or vice versa.
-func parseRequest(data []byte, defChains int, defSurrogate, defWarm bool) (*Request, error) {
+// the library default of 1), and one that omits "warm_start" takes
+// defWarm. Defaults must land before the cache key is computed — the key
+// states the chain count and warm-start mode a cached solution was
+// actually searched with, so an explicit chains=1 (or warm_start=false)
+// request can never be answered from a differently-searched entry or
+// vice versa.
+func parseRequest(data []byte, defChains int, defWarm bool) (*Request, error) {
 	var r Request
 	if err := json.Unmarshal(data, &r); err != nil {
 		return nil, fmt.Errorf("serve: bad request body: %w", err)
 	}
 	if r.Chains == 0 {
 		r.Chains = defChains
-	}
-	if r.Surrogate == nil {
-		v := defSurrogate
-		r.Surrogate = &v
 	}
 	if r.WarmStart == nil {
 		v := defWarm
@@ -204,10 +189,6 @@ func (r *Request) normalize() error {
 	if r.TimeoutMS < 0 {
 		return fmt.Errorf("serve: negative timeout_ms %d", r.TimeoutMS)
 	}
-	if r.Surrogate == nil {
-		f := false
-		r.Surrogate = &f
-	}
 	if r.WarmStart == nil {
 		f := false
 		r.WarmStart = &f
@@ -265,8 +246,11 @@ func (r *Request) Key() string { return r.key }
 func (r *Request) computeKey() string {
 	h := sha256.New()
 	fmt.Fprintf(h, "graph %s\n", r.graphHash)
-	fmt.Fprintf(h, "batch %d seed %d iters %d chains %d tiles %d mode %s trace %t surrogate %t warm %t\n",
-		r.Batch, r.Seed, r.SAIters, r.Chains, r.MaxTiles, r.Mode, r.Trace, *r.Surrogate, *r.WarmStart)
+	// "surrogate false" is a fixed token left from the removed learned
+	// cost oracle: keys written by earlier builds carry it, and -store
+	// directories they wrote must keep replaying under the same keys.
+	fmt.Fprintf(h, "batch %d seed %d iters %d chains %d tiles %d mode %s trace %t surrogate false warm %t\n",
+		r.Batch, r.Seed, r.SAIters, r.Chains, r.MaxTiles, r.Mode, r.Trace, *r.WarmStart)
 	hw := r.Hardware
 	fmt.Fprintf(h, "hw %dx%d link %d buf %d df %s naive %t dbuf %t\n",
 		hw.MeshW, hw.MeshH, hw.LinkBytes, hw.BufferBytes, hw.Dataflow,

@@ -61,15 +61,6 @@ type Config struct {
 	// every request (see atomicflow.Options.VerifyDelta). A correctness
 	// harness, not part of the cache key — it never changes solutions.
 	VerifyDelta bool
-	// DefaultSurrogate applies the two-tier learned cost oracle to
-	// requests that omit "surrogate" (default off). Applied during
-	// request normalization, so it participates in the cache key: unlike
-	// VerifyDelta, the surrogate changes which candidates the search
-	// evaluates, so surrogate-on and -off entries must stay distinct. The
-	// server keeps one long-lived model trained from the shared oracle's
-	// whole evaluation stream regardless of this default; the flag only
-	// selects whether requests use it to filter.
-	DefaultSurrogate bool
 	// MaxBodyBytes bounds the /solve request body (default 8 MiB).
 	MaxBodyBytes int64
 	// Store, when non-nil, persists every finished solve: repeat
@@ -79,7 +70,7 @@ type Config struct {
 	// the store's directory.
 	Store *store.Store
 	// DefaultWarmStart applies warm-starting to requests that omit
-	// "warm_start" (default off). Like DefaultSurrogate it participates
+	// "warm_start" (default off). Like DefaultChains it participates
 	// in the cache key — a warm-started search explores a different
 	// trajectory, so warm and cold entries must stay distinct.
 	DefaultWarmStart bool
@@ -152,8 +143,7 @@ type Server struct {
 	reg     *obs.Registry
 	base    atomicflow.HardwareConfig
 	oracle  atomicflow.CostOracle // shared across requests (sharded cache)
-	surr    *atomicflow.SurrogateModel
-	store   *store.Store // nil: no persistence, no warm starts
+	store   *store.Store          // nil: no persistence, no warm starts
 	dash    *dash.Store
 	cache   *lruCache
 	queue   chan *job
@@ -197,7 +187,6 @@ type serveMetrics struct {
 	memoHits    *obs.Gauge
 	memoMisses  *obs.Gauge
 	memoDedups  *obs.Gauge
-	memoSampled *obs.Gauge
 
 	// Persistent-store visibility (zero-valued and inert when the server
 	// runs without a store).
@@ -252,7 +241,6 @@ func New(cfg Config) *Server {
 		memoHits:    reg.Gauge("cost_memo_hits"),
 		memoMisses:  reg.Gauge("cost_memo_misses"),
 		memoDedups:  reg.Gauge("cost_memo_dedups"),
-		memoSampled: reg.Gauge("cost_memo_sampled"),
 
 		storeHits:    reg.Counter("serve_store_hits_total"),
 		storeRecords: reg.Gauge("serve_store_records"),
@@ -271,13 +259,6 @@ func New(cfg Config) *Server {
 	if s.store != nil {
 		s.m.storeRecords.SetInt(int64(s.store.Len()))
 	}
-	// One long-lived surrogate trains from every exact evaluation the
-	// shared oracle computes, across all requests — training is a cheap
-	// rank-1 update on the miss path only, and whether a given request
-	// *uses* the model to filter is its own (cache-keyed) choice.
-	s.surr = atomicflow.NewSurrogateModel()
-	s.surr.Instrument(reg)
-	cost.AttachSampler(s.oracle, s.surr)
 	for i := 0; i < cfg.workers(); i++ {
 		s.wg.Add(1)
 		go s.worker()
@@ -393,6 +374,14 @@ func (s *Server) lookup(req *Request) (*solveResult, string, *flight, error) {
 
 	s.mu.Lock()
 	defer s.mu.Unlock()
+	// Re-check under mu: solve adds its result to the cache before finish
+	// unlinks the flight under mu, so a flight that completed after the
+	// lock-free check above is found here rather than solved twice. The
+	// request joined that solve, so it counts as a dedup, like a waiter.
+	if res, ok := s.cache.get(req.Key()); ok {
+		s.m.dedup.Inc()
+		return res, "miss", nil, nil
+	}
 	if s.draining {
 		return nil, "", nil, errDraining
 	}
@@ -478,8 +467,6 @@ func (s *Server) runJob(jb *job) (*solveResult, error) {
 		Chains:           req.Chains,
 		MaxTilesPerLayer: req.MaxTiles,
 		VerifyDelta:      req.VerifyDelta || s.cfg.VerifyDelta,
-		Surrogate:        *req.Surrogate,
-		SurrogateModel:   s.surr,
 		Progress:         s.dashProgress(id, model),
 		Context:          jb.ctx,
 	}
@@ -502,17 +489,9 @@ func (s *Server) runJob(jb *job) (*solveResult, error) {
 		}
 	}
 	s.dash.SolveStarted(id, model, req.Chains)
-	ready0 := s.surr.Stats().SegmentsReady
 	start := time.Now()
 	sol, err := atomicflow.Orchestrate(req.graph, opt)
 	s.publishOracleGauges()
-	// The learned oracle's trust gate is server state, not request state:
-	// surface every readiness flip as an event so operators can correlate
-	// solve-behavior changes with the model coming (or falling) online.
-	if ready1 := s.surr.Stats().SegmentsReady; ready1 != ready0 {
-		s.dash.Publish(dash.EvSurrogate, id, model,
-			fmt.Sprintf("segments_ready %d -> %d", ready0, ready1))
-	}
 	if err != nil {
 		s.m.solveErrs.Inc()
 		s.dash.SolveFinished(dash.Session{
@@ -605,7 +584,6 @@ func (s *Server) publishOracleGauges() {
 		s.m.memoHits.SetInt(st.Hits)
 		s.m.memoMisses.SetInt(st.Misses)
 		s.m.memoDedups.SetInt(st.Dedups)
-		s.m.memoSampled.SetInt(st.Sampled)
 	}
 	if l, ok := s.oracle.(interface{ Len() int }); ok {
 		s.m.memoEntries.SetInt(int64(l.Len()))

@@ -384,3 +384,54 @@ func waitFor(t *testing.T, cond func() bool) {
 		time.Sleep(time.Millisecond)
 	}
 }
+
+// TestLookupRecheckAfterFlightFinished pins the admission race: a flight
+// that finishes between lookup's lock-free cache check and its taking
+// s.mu has already put its result in the cache and unlinked itself, so
+// admission must answer from the cache instead of starting a second
+// solve of the same key. The test holds s.mu to park lookup exactly in
+// that window, publishes the result, then lets admission run.
+func TestLookupRecheckAfterFlightFinished(t *testing.T) {
+	gate := make(chan struct{})
+	s := New(Config{Workers: 1})
+	s.solveHook = func() { <-gate }
+	t.Cleanup(func() {
+		ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
+		defer cancel()
+		_ = s.Shutdown(ctx)
+	})
+	t.Cleanup(func() { close(gate) })
+
+	req, err := ParseRequest([]byte(`{"model":"tinyconv","sa_iters":60}`))
+	if err != nil {
+		t.Fatal(err)
+	}
+	type out struct {
+		res *solveResult
+		fl  *flight
+		err error
+	}
+	done := make(chan out, 1)
+	s.mu.Lock()
+	go func() {
+		res, _, fl, err := s.lookup(req)
+		done <- out{res, fl, err}
+	}()
+	// The miss is counted after the lock-free check and before s.mu.
+	waitFor(t, func() bool { return s.m.cacheMiss.Value() == 1 })
+	finished := &solveResult{body: []byte(`{}`), digest: "finished"}
+	s.cache.add(req.Key(), finished)
+	s.mu.Unlock()
+
+	o := <-done
+	if o.err != nil || o.fl != nil || o.res != finished {
+		t.Fatalf("lookup = (res %v, flight %v, err %v), want the cached result and no flight", o.res, o.fl, o.err)
+	}
+	s.mu.Lock()
+	flights := len(s.flights)
+	s.mu.Unlock()
+	if flights != 0 || len(s.queue) != 0 || s.m.solves.Value() != 0 {
+		t.Errorf("flights %d, queued %d, solves %d after a cached admission, want 0/0/0",
+			flights, len(s.queue), s.m.solves.Value())
+	}
+}

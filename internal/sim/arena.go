@@ -51,8 +51,6 @@ type arena struct {
 	runRound0 int64
 	runGroup0 int64
 
-	sorter flowSorter // sort scratch for simulateFlows
-
 	// linkTraffic, when non-nil, accumulates bytes per link ID across the
 	// whole Run (metrics scratch owned by simMetrics; nil when disabled).
 	linkTraffic []int64
@@ -206,14 +204,8 @@ func (fs *flowSorter) sort(flows []buffer.Flow) []keyedFlow {
 	return kf
 }
 
-// simulateFlows sorts and walks in one call — the single-stage entry
-// point used by tests; the pipeline calls flowSorter.sort and walkFlows
-// from their respective stages.
-func (a *arena) simulateFlows(flows []buffer.Flow, start int64) int64 {
-	return a.walkFlows(flows, a.sorter.sort(flows), start)
-}
-
-// walkFlows is the dense counterpart of simulateFlowsReference: it
+// walkFlows is the dense NoC contention model (its map-based executable
+// specification, simulateFlowsReference, lives in the tests): it
 // serializes the Round's flows on shared links in the order kf (from
 // sortFlows) and records per-destination arrival times in a.ready,
 // returning the Round's byte-hop volume. beginRound must have been

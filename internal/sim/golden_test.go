@@ -10,9 +10,12 @@ import (
 // TestGoldenReportDeterminism is the regression gate for the dense
 // route-table/arena hot paths: for one cascade, one residual and one
 // NAS-irregular zoo model, sim.Run must produce bit-identical Reports
-// (a) across repeated runs and (b) across the dense arena path and the
-// map-based reference path. The perf PR is a representation change, not
-// a model change — any drift here is a bug.
+// across repeated runs, and every Round's NoC flows must time the same on
+// the dense arena path and the map-based reference path. The reference
+// leg drives prep and time Round by Round, as runSerial does, checks each
+// Round's flows with runFlows at the Round's start cycle, and requires
+// the resulting Report to equal Run's. The perf PR is a representation
+// change, not a model change — any drift here is a bug.
 func TestGoldenReportDeterminism(t *testing.T) {
 	models := []struct {
 		name   string
@@ -33,26 +36,37 @@ func TestGoldenReportDeterminism(t *testing.T) {
 			}
 			d, s := pipeline(t, mc.name, mc.batch, cfg, schedule.Greedy)
 
-			run := func(reference bool) Report {
+			run := func() Report {
 				t.Helper()
-				old := useReferenceFlows
-				useReferenceFlows = reference
-				defer func() { useReferenceFlows = old }()
 				rep, err := Run(d, s, cfg)
 				if err != nil {
 					t.Fatal(err)
 				}
 				return rep
 			}
-
-			dense1 := run(false)
-			dense2 := run(false)
+			dense1 := run()
+			dense2 := run()
 			if dense1 != dense2 {
 				t.Errorf("dense path not deterministic:\n  %+v\nvs\n  %+v", dense1, dense2)
 			}
-			ref := run(true)
-			if dense1 != ref {
-				t.Errorf("dense and reference flow paths disagree:\n  dense %+v\n  ref   %+v", dense1, ref)
+
+			r, release, err := newRunner(d, s, cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer release()
+			var slot prepSlot
+			for rt := range s.Rounds {
+				r.prep(rt, &slot)
+				if slot.err != nil {
+					t.Fatal(slot.err)
+				}
+				runFlows(t, cfg.Mesh, slot.io.Flows, r.now)
+				r.time(&slot)
+				r.mapper.Recycle(&slot.placed)
+			}
+			if ref := r.report(); dense1 != ref {
+				t.Errorf("Round-by-Round reference run disagrees with Run:\n  Run %+v\n  ref %+v", dense1, ref)
 			}
 		})
 	}

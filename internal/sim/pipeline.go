@@ -102,9 +102,7 @@ func (r *runner) prep(t int, slot *prepSlot) {
 	}
 	slices.Sort(engines)
 	slot.engines = engines
-	if !useReferenceFlows {
-		slot.keyed = slot.sorter.sort(slot.io.Flows)
-	}
+	slot.keyed = slot.sorter.sort(slot.io.Flows)
 }
 
 // time runs the pipeline's second stage on a prepared Round: DRAM reads,
@@ -140,16 +138,7 @@ func (r *runner) time(slot *prepSlot) {
 
 	// --- NoC flows: link-level serialization along XY routes, with
 	// tagged weight broadcasts delivered as multicast trees.
-	var roundByteHops int64
-	if useReferenceFlows {
-		ready, bh := simulateFlowsReference(cfg.Mesh, io.Flows, now)
-		for e, at := range ready {
-			ar.setNoCReady(e, at)
-		}
-		roundByteHops = bh
-	} else {
-		roundByteHops = ar.walkFlows(io.Flows, slot.keyed, now)
-	}
+	roundByteHops := ar.walkFlows(io.Flows, slot.keyed, now)
 
 	// --- Compute: engines stream inputs concurrently with execution
 	// (tile-level double buffering), so an engine finishes when both

@@ -15,10 +15,8 @@ package sim
 import (
 	"context"
 	"fmt"
-	"sort"
 
 	"github.com/atomic-dataflow/atomicflow/internal/atom"
-	"github.com/atomic-dataflow/atomicflow/internal/buffer"
 	"github.com/atomic-dataflow/atomicflow/internal/cost"
 	"github.com/atomic-dataflow/atomicflow/internal/dram"
 	"github.com/atomic-dataflow/atomicflow/internal/energy"
@@ -180,31 +178,11 @@ func (r Report) NoCOverheadFraction() float64 {
 // Report by a single bit — Reports are pinned by the golden and zoo
 // digest tests with the pipeline both on and off.
 func Run(d *atom.DAG, s *schedule.Schedule, cfg Config) (Report, error) {
-	if err := cfg.Validate(); err != nil {
-		return Report{}, err
-	}
-	n := cfg.Mesh.Engines()
-	st, reused, err := acquireState(cfg, d, s)
+	r, release, err := newRunner(d, s, cfg)
 	if err != nil {
 		return Report{}, err
 	}
-	defer releaseState(cfg.Mesh, st)
-	hbm := dram.New(cfg.DRAM)
-	orc := cost.Or(cfg.Oracle)
-	sm := newSimMetrics(cfg.Metrics, cfg.Mesh)
-	if sm != nil {
-		st.ar.linkTraffic = sm.linkBytes
-		if reused {
-			sm.poolReuse.Inc()
-		}
-	}
-
-	r := &runner{
-		cfg: cfg, d: d, s: s, n: n,
-		man: st.man, mapper: st.mapper, ar: st.ar,
-		hbm: hbm, orc: orc, sm: sm,
-	}
-	r.rep.Rounds = s.NumRounds()
+	defer release()
 	if cfg.Pipeline && s.NumRounds() > 1 {
 		err = r.runPipelined()
 	} else {
@@ -213,11 +191,42 @@ func Run(d *atom.DAG, s *schedule.Schedule, cfg Config) (Report, error) {
 	if err != nil {
 		return Report{}, err
 	}
+	return r.report(), nil
+}
 
+// newRunner validates cfg and assembles a runner over pooled state; the
+// returned release hands the state back to its pool.
+func newRunner(d *atom.DAG, s *schedule.Schedule, cfg Config) (*runner, func(), error) {
+	if err := cfg.Validate(); err != nil {
+		return nil, nil, err
+	}
+	st, reused, err := acquireState(cfg, d, s)
+	if err != nil {
+		return nil, nil, err
+	}
+	sm := newSimMetrics(cfg.Metrics, cfg.Mesh)
+	if sm != nil {
+		st.ar.linkTraffic = sm.linkBytes
+		if reused {
+			sm.poolReuse.Inc()
+		}
+	}
+	r := &runner{
+		cfg: cfg, d: d, s: s, n: cfg.Mesh.Engines(),
+		man: st.man, mapper: st.mapper, ar: st.ar,
+		hbm: dram.New(cfg.DRAM), orc: cost.Or(cfg.Oracle), sm: sm,
+	}
+	r.rep.Rounds = s.NumRounds()
+	return r, func() { releaseState(cfg.Mesh, st) }, nil
+}
+
+// report completes the Report once every Round has been timed.
+func (r *runner) report() Report {
+	cfg, n := &r.cfg, r.n
 	rep := &r.rep
 	rep.Cycles = r.now
 	rep.TimeMS = float64(r.now) / (cfg.Engine.FreqMHz * 1e3)
-	rep.Evictions = st.man.Evictions()
+	rep.Evictions = r.man.Evictions()
 	if r.totalInputs > 0 {
 		rep.OnChipReuseRatio = float64(r.onChipInputs) / float64(r.totalInputs)
 	}
@@ -231,105 +240,10 @@ func Run(d *atom.DAG, s *schedule.Schedule, cfg Config) (Report, error) {
 	rep.Energy.AddMACs(cfg.Energy, rep.MACs)
 	rep.Energy.AddDRAM(cfg.Energy, rep.DRAMReadBytes+rep.DRAMWriteBytes)
 	rep.Energy.AddStatic(cfg.Energy, rep.Cycles*int64(n))
-	if sm != nil {
-		sm.finish(rep, st.man, hbm, orc, st.ar)
+	if r.sm != nil {
+		r.sm.finish(rep, r.man, r.hbm, r.orc, r.ar)
 	}
-	return r.rep, nil
-}
-
-// useReferenceFlows routes Run through the map-based reference NoC path
-// below instead of the dense arena path (a test hook: the golden
-// determinism test proves both paths produce bit-identical Reports).
-var useReferenceFlows = false
-
-// simulateFlowsReference serializes the Round's flows on shared links
-// (deterministic order) and returns per-destination-engine arrival times
-// plus the Round's byte-hop volume. Unicast flows each occupy every link
-// of their XY route; flows sharing (Src, Tag != 0) carry one tensor to
-// many engines and occupy the union of their routes once (switch-level
-// replication, as in weight broadcast).
-//
-// This is the executable specification of the NoC contention model; the
-// production path is arena.simulateFlows, which replays the same walk
-// over link-ID-indexed epoch-stamped slices without allocating.
-func simulateFlowsReference(mesh *noc.Mesh, flows []buffer.Flow, start int64) (map[int]int64, int64) {
-	type mkey struct {
-		src int
-		tag int64
-	}
-	groups := make(map[mkey][]buffer.Flow)
-	var order []mkey
-	for _, f := range flows {
-		k := mkey{src: f.Src, tag: f.GroupKey()}
-		if _, ok := groups[k]; !ok {
-			order = append(order, k)
-		}
-		groups[k] = append(groups[k], f)
-	}
-	sort.Slice(order, func(i, j int) bool {
-		if order[i].src != order[j].src {
-			return order[i].src < order[j].src
-		}
-		ti, tj := order[i].tag, order[j].tag
-		ai, aj := ti, tj
-		if ai < 0 {
-			ai = -ai
-		}
-		if aj < 0 {
-			aj = -aj
-		}
-		if ai != aj {
-			return ai < aj
-		}
-		return ti < tj
-	})
-
-	linkFree := make(map[noc.Link]int64)
-	ready := make(map[int]int64)
-	var byteHops int64
-	for _, k := range order {
-		fs := groups[k]
-		sort.Slice(fs, func(i, j int) bool { return fs[i].Dst < fs[j].Dst })
-		bytes := fs[0].Bytes
-		for _, f := range fs {
-			if f.Bytes > bytes {
-				bytes = f.Bytes
-			}
-		}
-		ser := (bytes + int64(mesh.LinkBytes) - 1) / int64(mesh.LinkBytes)
-		// Walk each destination's route; a link is claimed once per tree
-		// (switch-level replication). A link cannot start forwarding
-		// before the stream's head reaches it from the upstream link
-		// (cut-through), nor while a previous tensor occupies it.
-		linkStart := make(map[noc.Link]int64)
-		for _, f := range fs {
-			head := start
-			var lastStart int64 = start
-			path := mesh.Path(f.Src, f.Dst)
-			for _, l := range path {
-				s, claimed := linkStart[l]
-				if !claimed {
-					s = head
-					if lf := linkFree[l]; lf > s {
-						s = lf
-					}
-					linkStart[l] = s
-					linkFree[l] = s + ser
-				}
-				head = s + mesh.HopCycles
-				lastStart = s
-			}
-			arrive := start
-			if len(path) > 0 {
-				arrive = lastStart + ser + mesh.HopCycles
-			}
-			if arrive > ready[f.Dst] {
-				ready[f.Dst] = arrive
-			}
-		}
-		byteHops += bytes * int64(len(linkStart))
-	}
-	return ready, byteHops
+	return r.rep
 }
 
 func sumSlice(xs []int64) int64 {
