@@ -455,6 +455,35 @@ func BenchmarkScheduleBuild(b *testing.B) {
 	b.ReportMetric(float64(s.NumRounds()), "rounds")
 }
 
+// BenchmarkSimRunB8 measures sim.Run of the ResNet-50 batch-8 DP
+// schedule (the front-end benchmarks' spec): the batch compile's
+// simulator stage, whose prep half — placement, buffer replay and flow
+// order — is the critical path of the Round pipeline.
+func BenchmarkSimRunB8(b *testing.B) {
+	cfg := sim.DefaultConfig()
+	cfg.Oracle = cost.Default()
+	g, spec := frontEndSpec(b, cfg)
+	d, err := atom.Build(g, frontEndBatch, spec)
+	if err != nil {
+		b.Fatal(err)
+	}
+	s, err := schedule.Build(d, schedule.Options{
+		Engines: cfg.Mesh.Engines(), Mode: schedule.DP,
+		EngineCfg: cfg.Engine, Dataflow: cfg.Dataflow, Oracle: cfg.Oracle,
+	})
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := sim.Run(d, s, cfg); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.ReportMetric(float64(s.NumRounds()), "rounds")
+}
+
 // benchPlaceSink keeps the compiler from eliding placements.
 var benchPlaceSink mapping.Result
 

@@ -33,7 +33,7 @@ func main() {
 		metJSON  = flag.String("metrics-json", "", "write the SA search metrics as JSON to this file")
 	)
 	flag.Parse()
-	if err := checkFlags(*engines, *batch); err != nil {
+	if err := checkFlags(*engines, *batch, *saIters, *engineID); err != nil {
 		fmt.Fprintln(os.Stderr, "adgen:", err)
 		os.Exit(2)
 	}
@@ -93,14 +93,20 @@ func main() {
 }
 
 // checkFlags rejects flag values the pipeline would panic on (a mesh
-// without engines) or only fail on after the whole search (a batch
-// below 1).
-func checkFlags(engines, batch int) error {
-	if engines < 1 {
-		return fmt.Errorf("-engines %d: want at least 1", engines)
+// without engines), only fail on after the whole search (a batch below
+// 1, an engine ID below -1) or silently replace with a default (an
+// iteration budget below 1).
+func checkFlags(engines, batch, saIters, engineID int) error {
+	for _, f := range []struct {
+		name string
+		v    int
+	}{{"engines", engines}, {"batch", batch}, {"sa-iters", saIters}} {
+		if f.v < 1 {
+			return fmt.Errorf("-%s %d: want at least 1", f.name, f.v)
+		}
 	}
-	if batch < 1 {
-		return fmt.Errorf("-batch %d: want at least 1", batch)
+	if engineID < -1 {
+		return fmt.Errorf("-engine-id %d: want an engine index, or -1 for stats only", engineID)
 	}
 	return nil
 }

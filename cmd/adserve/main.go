@@ -52,6 +52,10 @@ func main() {
 		warm     = flag.Bool("warm-start", false, "default warm-start mode for requests that omit the field (participates in the cache key; needs -store)")
 	)
 	flag.Parse()
+	if err := checkFlags(*workers, *queue, *cache, *chains, *timeout, *drain); err != nil {
+		fmt.Fprintln(os.Stderr, "adserve:", err)
+		os.Exit(2)
+	}
 
 	reg := obs.New()
 	cfg := serve.Config{
@@ -97,6 +101,30 @@ func main() {
 			fmt.Fprintf(os.Stderr, "adserve: http shutdown: %v\n", err)
 		}
 	}
+}
+
+// checkFlags rejects flag values the server would otherwise replace with
+// a default or misuse: negative pool, queue, cache or chain counts (0
+// keeps its documented meaning) and a solve deadline or drain budget
+// that is not positive.
+func checkFlags(workers, queue, cache, chains int, timeout, drain time.Duration) error {
+	for _, f := range []struct {
+		name string
+		v    int
+	}{{"workers", workers}, {"queue", queue}, {"cache", cache}, {"chains", chains}} {
+		if f.v < 0 {
+			return fmt.Errorf("-%s %d: want 0 or more", f.name, f.v)
+		}
+	}
+	for _, f := range []struct {
+		name string
+		v    time.Duration
+	}{{"timeout", timeout}, {"drain", drain}} {
+		if f.v <= 0 {
+			return fmt.Errorf("-%s %v: want a positive duration", f.name, f.v)
+		}
+	}
+	return nil
 }
 
 func fatal(err error) {

@@ -27,6 +27,10 @@ func main() {
 		jsonDump = flag.Bool("json", false, "emit the characterization table as JSON (machine-readable)")
 	)
 	flag.Parse()
+	if err := checkFlags(*model, *dot, *export); err != nil {
+		fmt.Fprintln(os.Stderr, "adzoo:", err)
+		os.Exit(2)
+	}
 
 	if *model != "" {
 		g, err := af.LoadModel(*model)
@@ -87,4 +91,19 @@ func main() {
 			name, g.NumLayers(), len(g.ComputeLayers()),
 			float64(g.TotalParams())/1e6, float64(g.TotalMACs())/1e9, g.MaxDepth())
 	}
+}
+
+// checkFlags rejects the per-model output flags without a model, which
+// would otherwise be ignored in favour of the summary table.
+func checkFlags(model string, dot, export bool) error {
+	if model != "" {
+		return nil
+	}
+	if dot {
+		return fmt.Errorf("-dot needs -model")
+	}
+	if export {
+		return fmt.Errorf("-export needs -model")
+	}
+	return nil
 }

@@ -39,7 +39,7 @@ const calibration = "Calibration"
 
 // gated lists the benchmarks the gate enforces; others found in the
 // input are recorded in the artifact but never fail the build.
-var gated = []string{"SimRun", "SimRunDeep", "PlaceRound", "AtomBuild", "ScheduleBuild"}
+var gated = []string{"SimRun", "SimRunDeep", "SimRunB8", "PlaceRound", "AtomBuild", "ScheduleBuild"}
 
 // baseline is the checked-in reference (testdata/bench_baseline.json).
 type baseline struct {

@@ -12,28 +12,20 @@
 package buffer
 
 import (
+	"cmp"
 	"fmt"
+	"math/bits"
 	"slices"
-	"sort"
 
 	"github.com/atomic-dataflow/atomicflow/internal/atom"
 	"github.com/atomic-dataflow/atomicflow/internal/graph"
 	"github.com/atomic-dataflow/atomicflow/internal/schedule"
 )
 
-// entryKind distinguishes buffered tensors.
-type entryKind int
-
-const (
-	kindOutput entryKind = iota // an atom's produced ofmap tile
-	kindWeight                  // a layer's weight slice for one co-range
-)
-
-// entry is one resident tensor in an engine's buffer.
+// entry is one resident tensor in an engine's buffer: an atom's output
+// (keyed by atom ID) or a weight slice (keyed by slice id).
 type entry struct {
-	kind  entryKind
-	atom  int  // for kindOutput
-	wkey  wkey // for kindWeight
+	id    int32
 	bytes int64
 }
 
@@ -44,22 +36,17 @@ type wkey struct {
 	c0, c1 int
 }
 
-// wkeyLess orders weight keys by (layer, c0, c1) — the deterministic
-// tie-break used when ranking eviction candidates.
-func wkeyLess(a, b wkey) bool {
-	if a.layer != b.layer {
-		return a.layer < b.layer
-	}
-	if a.c0 != b.c0 {
-		return a.c0 < b.c0
-	}
-	return a.c1 < b.c1
+// cmpWkey orders weight keys by (layer, c0, c1). Slice ids follow this
+// order, so it is also the deterministic tie-break when ranking eviction
+// candidates and the order of weight-flow tags.
+func cmpWkey(a, b wkey) int {
+	return cmp.Or(cmp.Compare(a.layer, b.layer), cmp.Compare(a.c0, b.c0), cmp.Compare(a.c1, b.c1))
 }
 
-// tag packs the key into the non-zero multicast tag of a Flow. Weight
-// tags live in a namespace disjoint from ifmap (atom-ID) tags.
-func (k wkey) tag() int64 {
-	return 1<<60 | int64(k.layer)<<40 | int64(k.c0)<<20 | int64(k.c1)
+// wslice pairs an atom with its weight key while slice ids are assigned.
+type wslice struct {
+	k  wkey
+	id int32
 }
 
 // Flow is one inter-engine tensor movement within a Round. Flows sharing
@@ -135,33 +122,52 @@ func (io *RoundIO) reset(engines int) {
 	io.InputBytesTotal, io.InputBytesOnChip = 0, 0
 }
 
-// Manager replays a schedule against the distributed buffers.
+// Manager replays a schedule against the distributed buffers. All of its
+// state is dense and O(atoms + weight slices): per-engine entry lists
+// with swap-remove, a per-slice engine bitset of weight holders, and
+// ascending use-Round lists walked by cursors that only move forward.
 type Manager struct {
 	dag      *atom.DAG
 	sched    *schedule.Schedule
 	engines  int
 	capacity int64
 
-	resident  []int            // atom ID -> engine holding its output, -1 if off-chip/absent
-	written   []bool           // atom ID -> a copy exists in DRAM
-	buffers   []map[int]*entry // per engine: atomID -> output entry
-	wbuffers  []map[wkey]*entry
-	wholders  map[wkey]map[int]bool // weight slice -> engines caching it
+	resident []int     // atom ID -> engine holding its output, -1 if off-chip/absent
+	written  []bool    // atom ID -> a copy exists in DRAM
+	outPos   []int32   // atom ID -> index of its entry in outs[resident], -1 if unbuffered
+	outs     [][]entry // per engine: buffered outputs, unordered
+	wts      [][]entry // per engine: buffered weight slices, unordered
+	used     []int64
+	round    int
 
-	// HasWeights memo: holder set of atom waID's weight slice (aliases a
-	// wholders value, so it is dropped whenever replay mutates state).
-	waID      int
-	waNone    bool
-	waHolders map[int]bool
-	used      []int64
-	round     int
-	consRound [][]int32        // atom ID -> sorted consumer round list
-	wRounds   map[wkey][]int32 // weight key -> sorted rounds where used
+	// Weight slices carry dense ids in cmpWkey order.
+	widOf   []int32  // atom ID -> weight slice id, -1 when it needs no weights
+	holders []uint64 // slice id -> bitset of engines caching it, hw words each
+	hw      int
+	wtag0   int64 // Flow tag of slice 0; every atom tag lies below it
+
+	// Use Rounds in CSR form: the Rounds consuming atom id are
+	// consRounds[consOff[id]:consOff[id+1]], ascending, and consCur[id]
+	// indexes the first one not before the current Round. Replay Rounds
+	// only increase, so the cursors only move forward. wOff/wRounds/wCur
+	// are the same per weight slice.
+	consOff, consRounds, consCur []int32
+	wOff, wRounds, wCur          []int32
 
 	evictions int64
 	highWater int64 // largest bytes any engine's buffer ever held
 
-	streamedBy map[wkey]int // ExecuteRound scratch, cleared per Round
+	// streamBy[w] is the engine that streamed slice w from DRAM in the
+	// current Round, valid when streamStamp[w] == stamp. The stamp grows
+	// every Round and is never reset, so stale slots read as absent.
+	stamp       int64
+	streamStamp []int64
+	streamBy    []int32
+
+	// Reset scratch.
+	wsort []wslice
+	order []int32
+	cnt   []int32
 }
 
 // New builds a Manager for the DAG and schedule on `engines` buffers of
@@ -175,85 +181,171 @@ func New(d *atom.DAG, s *schedule.Schedule, engines int, capacityBytes int64) (*
 }
 
 // Reset re-targets a Manager at a (possibly different) DAG and schedule,
-// reusing its allocations: the resident/written arrays, the per-engine
-// buffer maps and the consumer-round spine survive across runs, which is
-// what lets the simulator pool Managers between sim.Run calls. A freshly
-// Reset Manager replays identically to a freshly New'd one.
+// reusing its allocations, which is what lets the simulator pool Managers
+// between sim.Run calls. A freshly Reset Manager replays identically to a
+// freshly New'd one.
 func (m *Manager) Reset(d *atom.DAG, s *schedule.Schedule, engines int, capacityBytes int64) error {
 	if engines <= 0 || capacityBytes <= 0 {
 		return fmt.Errorf("buffer: engines=%d capacity=%d", engines, capacityBytes)
 	}
 	m.dag, m.sched = d, s
 	m.engines, m.capacity = engines, capacityBytes
-	m.waID, m.waNone, m.waHolders = -1, false, nil
 	n := d.NumAtoms()
-	if cap(m.resident) >= n {
-		m.resident = m.resident[:n]
-		m.written = m.written[:n]
-	} else {
-		m.resident = make([]int, n)
-		m.written = make([]bool, n)
-	}
-	for i := range m.resident {
-		m.resident[i] = -1
-		m.written[i] = false
-	}
-	if len(m.buffers) != engines {
-		m.buffers = make([]map[int]*entry, engines)
-		m.wbuffers = make([]map[wkey]*entry, engines)
-		m.used = make([]int64, engines)
-		for e := 0; e < engines; e++ {
-			m.buffers[e] = make(map[int]*entry)
-			m.wbuffers[e] = make(map[wkey]*entry)
-		}
-	} else {
-		for e := 0; e < engines; e++ {
-			clear(m.buffers[e])
-			clear(m.wbuffers[e])
-			m.used[e] = 0
-		}
-	}
-	if m.wholders == nil {
-		m.wholders = make(map[wkey]map[int]bool)
-	} else {
-		clear(m.wholders)
-	}
+	m.resident = fill(m.resident, n, -1)
+	m.written = fill(m.written, n, false)
+	m.outPos = fill(m.outPos, n, -1)
+	m.outs = resetEntries(m.outs, engines)
+	m.wts = resetEntries(m.wts, engines)
+	m.used = fill(m.used, engines, 0)
 	m.round = 0
 	m.evictions, m.highWater = 0, 0
-	// Consumer-round lists (for Algorithm 3's t_next search) and weight
-	// usage rounds.
-	if cap(m.consRound) >= n {
-		m.consRound = m.consRound[:n]
-		for i := range m.consRound {
-			m.consRound[i] = m.consRound[i][:0]
-		}
-	} else {
-		m.consRound = make([][]int32, n)
+
+	nw := m.indexWeights(d)
+	m.hw = (engines + 63) / 64
+	m.holders = fill(m.holders, nw*m.hw, 0)
+	m.wtag0 = int64(n) + 1
+	if cap(m.streamStamp) < nw {
+		m.streamStamp = make([]int64, nw)
+		m.streamBy = make([]int32, nw)
 	}
-	if m.wRounds == nil {
-		m.wRounds = make(map[wkey][]int32)
-	} else {
-		clear(m.wRounds)
+	m.streamStamp, m.streamBy = m.streamStamp[:nw], m.streamBy[:nw]
+
+	// Scheduled atoms in (Round, ID) order, by one counting pass over
+	// Rounds: appending each atom's Round to its producers' and its weight
+	// slice's lists in this order leaves every list ascending.
+	rounds := 0
+	for _, r := range s.AtomRound {
+		rounds = max(rounds, r+1)
 	}
-	for _, a := range d.Atoms {
-		r := s.AtomRound[a.ID]
-		if r < 0 {
-			continue // virtual input atom
-		}
-		for _, dep := range a.Deps {
-			m.consRound[dep] = append(m.consRound[dep], int32(r))
-		}
-		if wk, ok := weightKeyOf(d, a); ok {
-			m.wRounds[wk] = append(m.wRounds[wk], int32(r))
+	cnt := fill(m.cnt, rounds+1, 0)
+	for _, r := range s.AtomRound {
+		if r >= 0 {
+			cnt[r+1]++
 		}
 	}
-	for i := range m.consRound {
-		slices.Sort(m.consRound[i])
+	for r := 1; r <= rounds; r++ {
+		cnt[r] += cnt[r-1]
 	}
-	for k := range m.wRounds {
-		slices.Sort(m.wRounds[k])
+	order := fill(m.order, int(cnt[rounds]), 0)
+	for id, r := range s.AtomRound {
+		if r >= 0 {
+			order[cnt[r]] = int32(id)
+			cnt[r]++
+		}
 	}
+	m.cnt, m.order = cnt, order
+
+	m.consOff = fill(m.consOff, n+1, 0)
+	m.wOff = fill(m.wOff, nw+1, 0)
+	for _, id := range order {
+		for _, dep := range d.Atoms[id].Deps {
+			m.consOff[dep+1]++
+		}
+		if w := m.widOf[id]; w >= 0 {
+			m.wOff[w+1]++
+		}
+	}
+	m.consRounds, m.consCur = prefixLists(m.consOff, m.consRounds, m.consCur)
+	m.wRounds, m.wCur = prefixLists(m.wOff, m.wRounds, m.wCur)
+	for _, id := range order {
+		r := int32(s.AtomRound[id])
+		for _, dep := range d.Atoms[id].Deps {
+			m.consRounds[m.consCur[dep]] = r
+			m.consCur[dep]++
+		}
+		if w := m.widOf[id]; w >= 0 {
+			m.wRounds[m.wCur[w]] = r
+			m.wCur[w]++
+		}
+	}
+	copy(m.consCur, m.consOff)
+	copy(m.wCur, m.wOff)
 	return nil
+}
+
+// indexWeights gives every weight slice the DAG's atoms use a dense id in
+// cmpWkey order, fills widOf and returns the slice count. Batch samples
+// repeat sample 0's atoms at a fixed ID stride, so an atom whose key
+// equals that of its twin one sample earlier takes the twin's id and
+// stays out of the sort.
+func (m *Manager) indexWeights(d *atom.DAG) int {
+	const twin = -2 // widOf mark: same slice as atom id-stride
+	n := d.NumAtoms()
+	stride := n
+	if d.Batch > 1 && n >= d.Batch {
+		stride = n / d.Batch
+	}
+	m.widOf = fill(m.widOf, n, -1)
+	ws := m.wsort[:0]
+	for id, a := range d.Atoms {
+		k, ok := weightKeyOf(d, a)
+		if !ok {
+			continue
+		}
+		if id >= stride {
+			if tk, ok := weightKeyOf(d, d.Atoms[id-stride]); ok && tk == k {
+				m.widOf[id] = twin
+				continue
+			}
+		}
+		ws = append(ws, wslice{k: k, id: int32(id)})
+	}
+	slices.SortFunc(ws, func(x, y wslice) int { return cmpWkey(x.k, y.k) })
+	nw := 0
+	for i, w := range ws {
+		if i > 0 && w.k != ws[i-1].k {
+			nw++
+		}
+		m.widOf[w.id] = int32(nw)
+	}
+	if len(ws) > 0 {
+		nw++
+	}
+	for id := stride; id < n; id++ {
+		if m.widOf[id] == twin {
+			m.widOf[id] = m.widOf[id-stride]
+		}
+	}
+	m.wsort = ws
+	return nw
+}
+
+// prefixLists turns per-list counts in off[1:] into CSR offsets and sizes
+// the value and cursor slices; each cursor starts at its list's head.
+func prefixLists(off, vals, cur []int32) ([]int32, []int32) {
+	for i := 1; i < len(off); i++ {
+		off[i] += off[i-1]
+	}
+	vals = fill(vals, int(off[len(off)-1]), 0)
+	cur = fill(cur, len(off)-1, 0)
+	copy(cur, off)
+	return vals, cur
+}
+
+// fill returns buf resized to n, reusing its capacity, with every element
+// set to v.
+func fill[T any](buf []T, n int, v T) []T {
+	if cap(buf) < n {
+		buf = make([]T, n)
+	}
+	buf = buf[:n]
+	for i := range buf {
+		buf[i] = v
+	}
+	return buf
+}
+
+// resetEntries returns per-engine entry lists for `engines` engines, all
+// empty, keeping the inner capacity of lists it already had.
+func resetEntries(lists [][]entry, engines int) [][]entry {
+	if cap(lists) < engines {
+		lists = make([][]entry, engines)
+	}
+	lists = lists[:engines]
+	for e := range lists {
+		lists[e] = lists[e][:0]
+	}
+	return lists
 }
 
 // weightKeyOf returns the weight slice an atom needs, if any.
@@ -265,31 +357,31 @@ func weightKeyOf(d *atom.DAG, a *atom.Atom) (wkey, bool) {
 	return wkey{}, false
 }
 
+// weightTag is the Flow tag of weight slice w. Tags of slices follow
+// their cmpWkey order and lie above every atom tag (producer ID + 1), so
+// the NoC's link-claim order puts ifmap groups before weight groups.
+func (m *Manager) weightTag(w int32) int64 { return m.wtag0 + int64(w) }
+
+// holderSet returns the engine bitset of weight slice w.
+func (m *Manager) holderSet(w int32) []uint64 {
+	return m.holders[int(w)*m.hw : (int(w)+1)*m.hw]
+}
+
+// has reports whether bitset h contains engine e.
+func has(h []uint64, e int) bool { return h[e>>6]&(1<<(e&63)) != 0 }
+
 // Locate reports the engine currently holding atom id's output (-1 when
 // off-chip). It implements mapping.Locator.
 func (m *Manager) Locate(id int) int { return m.resident[id] }
 
 // HasWeights reports whether engine e currently caches the weight slice
-// atom id requires. It implements mapping.WeightLocator. Placement
-// queries atom-major (every candidate engine for one atom, then the
-// next atom), so the holder set of the last atom's weight key is
-// memoized: one wholders lookup answers the whole row instead of one
-// struct-keyed map probe per engine. The memo is invalidated whenever
-// buffer state can change (ExecuteRoundInto, Reset).
+// atom id requires. It implements mapping.WeightLocator.
 func (m *Manager) HasWeights(e, id int) bool {
-	if m.waID != id {
-		m.waID = id
-		wk, ok := weightKeyOf(m.dag, m.dag.Atoms[id])
-		m.waNone = !ok
-		m.waHolders = nil
-		if ok {
-			m.waHolders = m.wholders[wk]
-		}
-	}
-	if m.waNone {
+	w := m.widOf[id]
+	if w < 0 {
 		return true // no weights needed: placement is free to ignore
 	}
-	return m.waHolders[e]
+	return has(m.holderSet(w), e)
 }
 
 // Evictions returns the cumulative number of overflow write-backs.
@@ -319,18 +411,12 @@ func (m *Manager) ExecuteRoundInto(t int, placement Placement, io *RoundIO) erro
 		return fmt.Errorf("buffer: ExecuteRound(%d) out of order, want %d", t, m.round)
 	}
 	m.round++
-	m.waID = -1 // replay mutates holder sets; drop the HasWeights memo
-	io.reset(m.engines)
-	roundAtoms := m.sched.Rounds[t].Atoms
 	// Streamed (uncacheable) weight slices fetched from DRAM are still
 	// broadcast on-chip within the Round: the first engine reads HBM and
 	// forwards to later engines needing the same slice.
-	if m.streamedBy == nil {
-		m.streamedBy = make(map[wkey]int)
-	} else {
-		clear(m.streamedBy)
-	}
-	streamedBy := m.streamedBy
+	m.stamp++
+	io.reset(m.engines)
+	roundAtoms := m.sched.Rounds[t].Atoms
 	// Phase 1: fetch inputs and weights for every atom in the Round.
 	for _, id := range roundAtoms {
 		e := placement.Engine(id)
@@ -358,31 +444,33 @@ func (m *Manager) ExecuteRoundInto(t int, placement Placement, io *RoundIO) erro
 				io.DRAMReadBytes[e] += bytes
 			}
 		}
-		if wk, ok := weightKeyOf(m.dag, a); ok {
-			bytes := a.Task.WeightBytes()
-			switch {
-			case m.wbuffers[e][wk] != nil:
-				// Local copy.
-				io.SRAMReadBytes[e] += bytes
-			case len(m.wholders[wk]) > 0:
-				// Another engine caches the slice: forward over the NoC
-				// instead of re-reading HBM (7 pJ/bit vs 0.61 pJ/bit/hop).
-				src := nearestHolder(m.wholders[wk], e)
-				io.Flows = append(io.Flows, Flow{Src: src, Dst: e, Bytes: bytes, Tag: wk.tag()})
-				io.SRAMReadBytes[src] += bytes
-				io.SRAMWriteBytes[e] += bytes
-				m.store(e, &entry{kind: kindWeight, wkey: wk, bytes: bytes}, t, io)
-			case streamedBy[wk] != 0:
-				// Broadcast of a streamed slice within this Round.
-				src := streamedBy[wk] - 1
-				io.Flows = append(io.Flows, Flow{Src: src, Dst: e, Bytes: bytes, Tag: wk.tag()})
-				io.SRAMReadBytes[src] += bytes
-				io.SRAMWriteBytes[e] += bytes
-			default:
-				io.DRAMReadBytes[e] += bytes
-				streamedBy[wk] = e + 1
-				m.store(e, &entry{kind: kindWeight, wkey: wk, bytes: bytes}, t, io)
-			}
+		w := m.widOf[id]
+		if w < 0 {
+			continue
+		}
+		bytes := a.Task.WeightBytes()
+		h := m.holderSet(w)
+		switch src := nearestHolder(h, e); {
+		case src == e:
+			// Local copy.
+			io.SRAMReadBytes[e] += bytes
+		case src >= 0:
+			// Another engine caches the slice: forward over the NoC
+			// instead of re-reading HBM (7 pJ/bit vs 0.61 pJ/bit/hop).
+			io.Flows = append(io.Flows, Flow{Src: src, Dst: e, Bytes: bytes, Tag: m.weightTag(w)})
+			io.SRAMReadBytes[src] += bytes
+			io.SRAMWriteBytes[e] += bytes
+			m.store(e, true, w, bytes, t, io)
+		case m.streamStamp[w] == m.stamp:
+			// Broadcast of a streamed slice within this Round.
+			src := int(m.streamBy[w])
+			io.Flows = append(io.Flows, Flow{Src: src, Dst: e, Bytes: bytes, Tag: m.weightTag(w)})
+			io.SRAMReadBytes[src] += bytes
+			io.SRAMWriteBytes[e] += bytes
+		default:
+			io.DRAMReadBytes[e] += bytes
+			m.streamStamp[w], m.streamBy[w] = m.stamp, int32(e)
+			m.store(e, true, w, bytes, t, io)
 		}
 	}
 	// Phase 2: retire consumed inputs whose last consumer has now run.
@@ -396,82 +484,81 @@ func (m *Manager) ExecuteRoundInto(t int, placement Placement, io *RoundIO) erro
 	// Phase 3: store produced outputs.
 	for _, id := range roundAtoms {
 		e := placement.Engine(id)
-		a := m.dag.Atoms[id]
-		out := a.OutputBytes()
+		out := m.dag.Atoms[id].OutputBytes()
 		io.SRAMWriteBytes[e] += out
-		if m.lastUse(id) < 0 {
-			// Final outputs (no consumers) stream to DRAM.
+		if m.lastUse(id) < 0 || out > m.capacity {
+			// Final outputs (no consumers) stream to DRAM; outputs that
+			// can never fit spill directly.
 			io.DRAMWriteBytes[e] += out
 			m.written[id] = true
 			continue
 		}
-		if out > m.capacity {
-			// Cannot ever fit: spill directly.
-			io.DRAMWriteBytes[e] += out
-			m.written[id] = true
-			continue
-		}
-		m.store(e, &entry{kind: kindOutput, atom: id, bytes: out}, t, io)
+		m.store(e, false, int32(id), out, t, io)
 		m.resident[id] = e
 	}
 	return nil
 }
 
-// store inserts an entry into engine e's buffer, evicting per Algorithm 3
-// until it fits. Entries that could never pay for the evictions they force
-// are not cached: weight slices above half the buffer stream through
-// (their per-pass window is tiny), and outputs above the full capacity
-// spill directly — without this guard a single oversized tensor would
-// write back an entire buffer of useful ofmaps and still not fit.
-func (m *Manager) store(e int, ent *entry, t int, io *RoundIO) {
-	if (ent.kind == kindWeight && ent.bytes > m.capacity*3/4) ||
-		(ent.kind == kindOutput && ent.bytes > m.capacity) {
-		if ent.kind == kindOutput {
-			io.DRAMWriteBytes[e] += ent.bytes
-			m.written[ent.atom] = true
-		}
+// store inserts a tensor — weight slice id or atom id's output — into
+// engine e's buffer, evicting per Algorithm 3 until it fits. Entries that
+// could never pay for the evictions they force are not cached: weight
+// slices above three quarters of the buffer stream through (their
+// per-pass window is tiny), and outputs above the full capacity spill
+// directly — without this guard a single oversized tensor would write
+// back an entire buffer of useful ofmaps and still not fit.
+func (m *Manager) store(e int, weight bool, id int32, bytes int64, t int, io *RoundIO) {
+	if (weight && bytes > m.capacity*3/4) || (!weight && bytes > m.capacity) {
+		m.spill(e, weight, id, bytes, io)
 		return
 	}
-	for m.used[e]+ent.bytes > m.capacity {
+	for m.used[e]+bytes > m.capacity {
 		if !m.evictOne(e, t, io) {
 			// Nothing evictable (pathological tiny buffer): spill the
 			// new entry itself.
-			if ent.kind == kindOutput {
-				io.DRAMWriteBytes[e] += ent.bytes
-				m.written[ent.atom] = true
-			}
+			m.spill(e, weight, id, bytes, io)
 			return
 		}
 	}
-	m.used[e] += ent.bytes
+	m.used[e] += bytes
 	if m.used[e] > m.highWater {
 		m.highWater = m.used[e]
 	}
-	if ent.kind == kindOutput {
-		m.buffers[e][ent.atom] = ent
+	if weight {
+		m.wts[e] = append(m.wts[e], entry{id: id, bytes: bytes})
+		m.holders[int(id)*m.hw+e>>6] |= 1 << (e & 63)
 	} else {
-		m.wbuffers[e][ent.wkey] = ent
-		h := m.wholders[ent.wkey]
-		if h == nil {
-			h = make(map[int]bool)
-			m.wholders[ent.wkey] = h
-		}
-		h[e] = true
+		m.outPos[id] = int32(len(m.outs[e]))
+		m.outs[e] = append(m.outs[e], entry{id: id, bytes: bytes})
 	}
 }
 
-// nearestHolder picks the holder with the smallest index distance to e —
-// a mesh-free proximity proxy (engine indices are row-major, so close
+// spill accounts a tensor that store could not cache: an output is
+// written to DRAM; a weight slice is simply not kept.
+func (m *Manager) spill(e int, weight bool, id int32, bytes int64, io *RoundIO) {
+	if !weight {
+		io.DRAMWriteBytes[e] += bytes
+		m.written[id] = true
+	}
+}
+
+// nearestHolder picks the engine in bitset h with the smallest index
+// distance to e, the smaller index on a tie, or -1 when h is empty — a
+// mesh-free proximity proxy (engine indices are row-major, so close
 // indices are close on the mesh).
-func nearestHolder(holders map[int]bool, e int) int {
+func nearestHolder(h []uint64, e int) int {
 	best, bestD := -1, 1<<30
-	for h := range holders {
-		d := h - e
-		if d < 0 {
-			d = -d
-		}
-		if d < bestD || (d == bestD && h < best) {
-			best, bestD = h, d
+	for wi, word := range h {
+		for word != 0 {
+			x := wi<<6 | bits.TrailingZeros64(word)
+			word &= word - 1
+			d := x - e
+			if d < 0 {
+				d = -d
+			}
+			if d >= bestD {
+				return best // holders ascend, so distances only grow from here
+			}
+			best, bestD = x, d
 		}
 	}
 	return best
@@ -482,43 +569,41 @@ func nearestHolder(holders map[int]bool, e int) int {
 // occupation (t_next − t) × size. Returns false if the buffer is empty.
 //
 // Candidates are ranked by an explicit total order — dead entries by
-// smallest key, live victims by (occupation, kind, key) — never by map
-// iteration order. Eviction choices shape DRAM traffic and flows, so
-// letting Go's randomized map walk break ties would make whole Reports
-// vary run to run.
+// smallest key, live victims by (occupation, kind, key) — never by their
+// position in the unordered entry lists, which swap-remove reshuffles.
+// Eviction choices shape DRAM traffic and flows, so the ranking alone
+// must decide them.
 func (m *Manager) evictOne(e, t int, io *RoundIO) bool {
-	var victim *entry
-	var victimOcc int64 = -1
 	// Pass 1: free entries with no future use (paper line 8-12). The
 	// current Round t still counts as a future use: eviction can run
 	// mid-Round, before every fetch of Round t has been served, so
 	// entries consumed this Round get occupation 0 (kept if possible)
 	// rather than being dropped as dead.
-	deadAtom := -1
-	for id, ent := range m.buffers[e] {
-		tn := m.nextUse(id, t-1)
+	outs, wts := m.outs[e], m.wts[e]
+	victim, victimOcc, victimWeight := -1, int64(-1), false
+	dead := -1
+	for i, ent := range outs {
+		tn := nextUse(m.consRounds, m.consOff, m.consCur, ent.id, t)
 		if tn < 0 {
-			if deadAtom < 0 || id < deadAtom {
-				deadAtom = id
+			if dead < 0 || ent.id < outs[dead].id {
+				dead = i
 			}
 			continue
 		}
 		occ := int64(tn-t) * ent.bytes
-		if occ > victimOcc || (occ == victimOcc && ent.atom < victim.atom) {
-			victimOcc, victim = occ, ent
+		if occ > victimOcc || (occ == victimOcc && ent.id < outs[victim].id) {
+			victimOcc, victim = occ, i
 		}
 	}
-	if deadAtom >= 0 {
-		m.release(e, deadAtom)
+	if dead >= 0 {
+		m.removeOutput(e, dead)
 		return true
 	}
-	var deadW wkey
-	haveDeadW := false
-	for wk, ent := range m.wbuffers[e] {
-		tn := m.nextWeightUse(wk, t-1)
+	for i, ent := range wts {
+		tn := nextUse(m.wRounds, m.wOff, m.wCur, ent.id, t)
 		if tn < 0 {
-			if !haveDeadW || wkeyLess(wk, deadW) {
-				deadW, haveDeadW = wk, true
+			if dead < 0 || ent.id < wts[dead].id {
+				dead = i
 			}
 			continue
 		}
@@ -529,80 +614,87 @@ func (m *Manager) evictOne(e, t int, io *RoundIO) bool {
 		// On an occupation tie a dirty ofmap victim is kept over a weight
 		// victim for the same reason.
 		occ := 2 * int64(tn-t) * ent.bytes
-		if occ > victimOcc ||
-			(occ == victimOcc && victim.kind == kindWeight && wkeyLess(wk, victim.wkey)) {
-			victimOcc, victim = occ, ent
+		if occ > victimOcc || (occ == victimOcc && victimWeight && ent.id < wts[victim].id) {
+			victimOcc, victim, victimWeight = occ, i, true
 		}
 	}
-	if haveDeadW {
-		m.releaseWeight(e, deadW)
+	if dead >= 0 {
+		m.removeWeight(e, dead)
 		return true
 	}
-	if victim == nil {
+	if victim < 0 {
 		return false
 	}
 	// Pass 2: write back the worst occupier.
-	if victim.kind == kindOutput {
-		if !m.written[victim.atom] {
-			io.DRAMWriteBytes[e] += victim.bytes
-			m.written[victim.atom] = true
-		}
-		m.release(e, victim.atom)
-	} else {
+	if victimWeight {
 		// Weights are immutable in DRAM: dropping is free.
-		m.releaseWeight(e, victim.wkey)
+		m.removeWeight(e, victim)
+	} else {
+		ent := outs[victim]
+		if !m.written[ent.id] {
+			io.DRAMWriteBytes[e] += ent.bytes
+			m.written[ent.id] = true
+		}
+		m.removeOutput(e, victim)
 	}
 	m.evictions++
 	return true
 }
 
+// release drops atom id's output from engine e's buffer, if it is there.
 func (m *Manager) release(e, id int) {
-	if ent, ok := m.buffers[e][id]; ok {
-		m.used[e] -= ent.bytes
-		delete(m.buffers[e], id)
-		m.resident[id] = -1
+	if p := m.outPos[id]; p >= 0 {
+		m.removeOutput(e, int(p))
 	}
 }
 
-func (m *Manager) releaseWeight(e int, wk wkey) {
-	if ent, ok := m.wbuffers[e][wk]; ok {
-		m.used[e] -= ent.bytes
-		delete(m.wbuffers[e], wk)
-		if h := m.wholders[wk]; h != nil {
-			delete(h, e)
-		}
+// removeOutput swap-removes entry p of engine e's output list.
+func (m *Manager) removeOutput(e, p int) {
+	buf := m.outs[e]
+	ent := buf[p]
+	last := len(buf) - 1
+	if p != last {
+		buf[p] = buf[last]
+		m.outPos[buf[p].id] = int32(p)
 	}
+	m.outs[e] = buf[:last]
+	m.outPos[ent.id] = -1
+	m.resident[ent.id] = -1
+	m.used[e] -= ent.bytes
 }
 
-// nextUse returns the earliest Round strictly after t that consumes atom
-// id, or -1 if none remains.
-func (m *Manager) nextUse(id, t int) int {
-	lst := m.consRound[id]
-	i := sort.Search(len(lst), func(i int) bool { return int(lst[i]) > t })
-	if i == len(lst) {
+// removeWeight swap-removes entry p of engine e's weight list.
+func (m *Manager) removeWeight(e, p int) {
+	buf := m.wts[e]
+	ent := buf[p]
+	last := len(buf) - 1
+	buf[p] = buf[last]
+	m.wts[e] = buf[:last]
+	m.used[e] -= ent.bytes
+	m.holders[int(ent.id)*m.hw+e>>6] &^= 1 << (e & 63)
+}
+
+// nextUse returns the earliest Round at or after t in list id of a CSR
+// use-Round table, or -1 if none remains. It advances the list's cursor
+// past earlier Rounds, so t must never decrease between calls.
+func nextUse(rounds, off, cur []int32, id int32, t int) int {
+	c, end := cur[id], off[id+1]
+	for c < end && int(rounds[c]) < t {
+		c++
+	}
+	cur[id] = c
+	if c == end {
 		return -1
 	}
-	return int(lst[i])
+	return int(rounds[c])
 }
 
 // lastUse returns the final consuming Round of atom id, or -1 if none.
 func (m *Manager) lastUse(id int) int {
-	lst := m.consRound[id]
-	if len(lst) == 0 {
-		return -1
+	if lo, hi := m.consOff[id], m.consOff[id+1]; hi > lo {
+		return int(m.consRounds[hi-1])
 	}
-	return int(lst[len(lst)-1])
-}
-
-// nextWeightUse returns the earliest Round strictly after t using the
-// weight slice, or -1.
-func (m *Manager) nextWeightUse(wk wkey, t int) int {
-	lst := m.wRounds[wk]
-	i := sort.Search(len(lst), func(i int) bool { return int(lst[i]) > t })
-	if i == len(lst) {
-		return -1
-	}
-	return int(lst[i])
+	return -1
 }
 
 // Used returns the bytes currently resident in engine e's buffer.

@@ -1,0 +1,158 @@
+package buffer
+
+import (
+	"reflect"
+	"slices"
+	"testing"
+
+	"github.com/atomic-dataflow/atomicflow/internal/atom"
+	"github.com/atomic-dataflow/atomicflow/internal/mapping"
+	"github.com/atomic-dataflow/atomicflow/internal/noc"
+	"github.com/atomic-dataflow/atomicflow/internal/schedule"
+)
+
+// TestWeightTagsAboveAtomTagsInKeyOrder pins the Flow tag layout the
+// NoC's link-claim order depends on: every weight tag lies above every
+// atom tag (producer ID + 1), equal slices share a tag, and tag order is
+// (layer, c0, c1) order. Every flow a replay emits carries one of these
+// tags.
+func TestWeightTagsAboveAtomTagsInKeyOrder(t *testing.T) {
+	d, s := pipeline(t, "tinyresnet", 3, 4)
+	m, err := New(d, s, 4, 8<<10)
+	if err != nil {
+		t.Fatal(err)
+	}
+	type tagged struct {
+		k   wkey
+		tag int64
+	}
+	var ws []tagged
+	weightTags := make(map[int64]bool)
+	for _, a := range d.Atoms {
+		k, ok := weightKeyOf(d, a)
+		if !ok {
+			continue
+		}
+		tag := m.weightTag(m.widOf[a.ID])
+		if tag <= int64(d.NumAtoms()) {
+			t.Fatalf("atom %d: weight tag %d not above the atom tags (max %d)", a.ID, tag, d.NumAtoms())
+		}
+		ws = append(ws, tagged{k, tag})
+		weightTags[tag] = true
+	}
+	if len(ws) == 0 {
+		t.Fatal("no weighted atoms")
+	}
+	less := func(a, b wkey) bool {
+		if a.layer != b.layer {
+			return a.layer < b.layer
+		}
+		if a.c0 != b.c0 {
+			return a.c0 < b.c0
+		}
+		return a.c1 < b.c1
+	}
+	slices.SortFunc(ws, func(x, y tagged) int {
+		switch {
+		case less(x.k, y.k):
+			return -1
+		case less(y.k, x.k):
+			return 1
+		}
+		return 0
+	})
+	for i := 1; i < len(ws); i++ {
+		same := ws[i].k == ws[i-1].k
+		if same && ws[i].tag != ws[i-1].tag || !same && ws[i].tag <= ws[i-1].tag {
+			t.Fatalf("keys %+v, %+v got tags %d, %d: not in key order", ws[i-1].k, ws[i].k, ws[i-1].tag, ws[i].tag)
+		}
+	}
+
+	weightFlows := 0
+	for rt := range s.Rounds {
+		io, err := m.ExecuteRound(rt, naivePlacement(s, rt))
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, f := range io.Flows {
+			switch {
+			case weightTags[f.Tag]:
+				weightFlows++
+			case f.Tag < 1 || f.Tag > int64(d.NumAtoms()):
+				t.Fatalf("round %d: flow tag %d is neither an atom nor a weight tag", rt, f.Tag)
+			}
+		}
+	}
+	if weightFlows == 0 {
+		t.Error("replay forwarded no weight slice; the test exercises nothing")
+	}
+}
+
+// replayIOs replays every Round of s through m with the mapper's
+// weight-aware placement, as the simulator does, and returns each
+// Round's RoundIO.
+func replayIOs(t *testing.T, m *Manager, d *atom.DAG, s *schedule.Schedule, mesh *noc.Mesh) []RoundIO {
+	t.Helper()
+	mp := mapping.New(mesh, d)
+	ios := make([]RoundIO, len(s.Rounds))
+	for rt, r := range s.Rounds {
+		pl := mp.PlaceRoundWeighted(r.Atoms, m.Locate, m.HasWeights)
+		if err := m.ExecuteRoundInto(rt, pl, &ios[rt]); err != nil {
+			t.Fatal(err)
+		}
+		mp.Recycle(&pl)
+	}
+	return ios
+}
+
+// TestResetMatchesNew reuses one Manager across different DAGs,
+// schedules, engine counts (the last above 64, so holder bitsets span
+// two words) and capacities, and requires every Round's IO to equal a
+// fresh Manager's. The third run repeats the first, so state the first
+// left behind and the second never touched is still there unless Reset
+// cleared it.
+func TestResetMatchesNew(t *testing.T) {
+	type run struct {
+		model     string
+		batch     int
+		side      int
+		capacity  int64
+		evictions bool
+	}
+	runs := []run{
+		{"resnet50", 8, 8, 256 << 10, true},
+		{"tinyresnet", 1, 4, 16 << 10, false},
+		{"resnet50", 8, 8, 256 << 10, true},
+		{"resnet50", 8, 10, 64 << 10, true},
+	}
+	var reused *Manager
+	for _, r := range runs {
+		mesh := noc.NewMesh(r.side, r.side, 16)
+		d, s := pipeline(t, r.model, r.batch, mesh.Engines())
+		fresh, err := New(d, s, mesh.Engines(), r.capacity)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if reused == nil {
+			reused = &Manager{}
+		}
+		if err := reused.Reset(d, s, mesh.Engines(), r.capacity); err != nil {
+			t.Fatal(err)
+		}
+		want := replayIOs(t, fresh, d, s, mesh)
+		got := replayIOs(t, reused, d, s, mesh)
+		for rt := range want {
+			if !reflect.DeepEqual(got[rt], want[rt]) {
+				t.Fatalf("%s b%d on %d engines, round %d: reset Manager\n  %+v\nfresh Manager\n  %+v",
+					r.model, r.batch, mesh.Engines(), rt, got[rt], want[rt])
+			}
+		}
+		if reused.Evictions() != fresh.Evictions() || reused.HighWater() != fresh.HighWater() {
+			t.Fatalf("%s: evictions/high-water %d/%d after Reset, %d/%d fresh", r.model,
+				reused.Evictions(), reused.HighWater(), fresh.Evictions(), fresh.HighWater())
+		}
+		if r.evictions && fresh.Evictions() == 0 {
+			t.Errorf("%s b%d: no evictions; the run does not exercise the victim ranking", r.model, r.batch)
+		}
+	}
+}

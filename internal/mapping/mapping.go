@@ -9,7 +9,7 @@
 package mapping
 
 import (
-	"sort"
+	"slices"
 	"sync"
 
 	"github.com/atomic-dataflow/atomicflow/internal/atom"
@@ -46,8 +46,14 @@ type Mapper struct {
 	zigzag  []int   // engine indices in zig-zag (snake) order
 	zigHops []int64 // src engine x zig-zag slot -> hop count (row-major)
 
+	// Round grouping (see groupByLayer): the group index of each
+	// (sample, layer) pair, valid when its gstamp equals stamp.
+	layers int // pair index = sample·layers + layer
+	gpair  []int32
+	gstamp []int64
+	stamp  int64
+
 	// Permutation-search scratch (see buildCostTable).
-	gidx      map[int64]int
 	groupsBuf []group
 	atomPool  [][]int
 	orderBuf  []int
@@ -57,6 +63,8 @@ type Mapper struct {
 	atomRows  []int64 // per-atom cost per slot (row-major; reused by refine)
 	rowOf     []int32 // atom ID -> atomRows row (valid for the current Round)
 	slotOf    []int32 // engine index -> zig-zag slot (current Round)
+	srcBytes  []int64 // engine -> one atom's dependency bytes from it (zero between atoms)
+	srcs      []int   // engines with non-zero srcBytes
 	minFrom   []int64 // group x base suffix minima (branch-and-bound bound)
 	ctSlots   int     // slot count of the current table
 
@@ -75,7 +83,7 @@ type Mapper struct {
 
 // New returns a Mapper for the DAG on the mesh.
 func New(mesh *noc.Mesh, dag *atom.DAG) *Mapper {
-	m := &Mapper{gidx: make(map[int64]int)}
+	m := &Mapper{}
 	m.Reset(mesh, dag)
 	return m
 }
@@ -92,6 +100,18 @@ func (m *Mapper) Reset(mesh *noc.Mesh, dag *atom.DAG) {
 		m.freeMu.Unlock()
 	}
 	m.mesh, m.dag = mesh, dag
+	// Pair stamps only grow, so entries left by an earlier DAG read as
+	// stale without clearing.
+	layers, samples := 0, 0
+	for _, a := range dag.Atoms {
+		layers, samples = max(layers, a.Layer+1), max(samples, a.Sample+1)
+	}
+	m.layers = layers
+	if n := layers * samples; cap(m.gpair) >= n {
+		m.gpair, m.gstamp = m.gpair[:n], m.gstamp[:n]
+	} else {
+		m.gpair, m.gstamp = make([]int32, n), make([]int64, n)
+	}
 	m.zigzag = m.zigzag[:0]
 	for y := 0; y < mesh.H; y++ {
 		if y%2 == 0 {
@@ -251,7 +271,7 @@ func (m *Mapper) PlaceRoundWeighted(roundAtoms []int, locate Locator, weights We
 	}
 	if weights != nil {
 		m.refineForWeights(groups, best, res.engineOf, weights)
-		res.ByteHops = m.placementCost(&res, locate)
+		res.ByteHops = m.placementCost(&res)
 	}
 	return res
 }
@@ -363,19 +383,14 @@ func heapRanks(n int) map[uint32]int {
 	return heapRankTabs[n]
 }
 
-// placementCost recomputes the ifmap byte-hop cost of a final placement.
-func (m *Mapper) placementCost(res *Result, locate Locator) int64 {
+// placementCost prices a final placement of the current Round from the
+// cost rows buildCostTable cached: an atom's row entry at its engine's
+// slot is its ifmap byte-hop cost there (a dependency already on that
+// engine costs zero hops).
+func (m *Mapper) placementCost(res *Result) int64 {
 	var cost int64
 	for _, id := range res.placed {
-		dst := int(res.engineOf[id])
-		a := m.dag.Atoms[id]
-		for di, dep := range a.Deps {
-			src := locate(dep)
-			if src < 0 || src == dst {
-				continue
-			}
-			cost += a.DepBytes[di] * int64(m.mesh.Hops(src, dst))
-		}
+		cost += m.atomRows[int(m.rowOf[id])*m.ctSlots+int(m.slotOf[res.engineOf[id]])]
 	}
 	return cost
 }
@@ -445,7 +460,9 @@ func (m *Mapper) refineForWeights(groups []group, perm []int, engineOf []int32, 
 // group gi's atoms on zig-zag slots base..base+size-1. Dependency sources
 // are fixed by locate (they were placed in earlier Rounds), so the cost
 // of a group depends only on its base slot — a permutation's TransferCost
-// is the sum of M lookups along its prefix bases (see permCost).
+// is the sum of M lookups along its prefix bases (see permCost). An
+// atom's dependencies are first summed per source engine, so its row
+// costs one slot pass per distinct source rather than per dependency.
 func (m *Mapper) buildCostTable(groups []group, locate Locator) {
 	slots := 0
 	for _, g := range groups {
@@ -455,11 +472,12 @@ func (m *Mapper) buildCostTable(groups []group, locate Locator) {
 	sizes := growInts(&m.sizes, len(groups))
 	groupCost := growInt64s(&m.groupCost, len(groups)*slots)
 	// Each atom's per-slot cost row is kept (with a lookup index by atom
-	// ID and an engine -> slot inverse) so refineForWeights can price
-	// intra-group swaps without re-walking any dependency lists. Stale
-	// rowOf/slotOf entries from earlier Rounds are never read: refinement
-	// only queries this Round's atoms and slot engines.
+	// ID and an engine -> slot inverse) so refineForWeights and
+	// placementCost can price placements without re-walking any
+	// dependency lists. Stale rowOf/slotOf entries from earlier Rounds are
+	// never read: both only query this Round's atoms and slot engines.
 	ne := m.mesh.Engines()
+	growInt64s(&m.srcBytes, ne)
 	atomRows := growInt64s(&m.atomRows, slots*slots)
 	rowOf := growInt32s(&m.rowOf, m.dag.NumAtoms())
 	slotOf := growInt32s(&m.slotOf, ne)
@@ -474,24 +492,10 @@ func (m *Mapper) buildCostTable(groups []group, locate Locator) {
 			gc[b] = 0
 		}
 		for k, id := range g.atoms {
-			a := m.dag.Atoms[id]
 			row := atomRows[r*slots : (r+1)*slots]
 			rowOf[id] = int32(r)
 			r++
-			for s := range row {
-				row[s] = 0
-			}
-			for di, dep := range a.Deps {
-				src := locate(dep)
-				if src < 0 {
-					continue
-				}
-				bytes := a.DepBytes[di]
-				zh := m.zigHops[src*ne : src*ne+slots]
-				for s, h := range zh {
-					row[s] += bytes * h
-				}
-			}
+			m.fillRow(row, m.dag.Atoms[id], locate)
 			// A group at base b puts its k-th atom on slot b+k.
 			for b := 0; b+len(g.atoms) <= slots; b++ {
 				gc[b] += row[b+k]
@@ -500,9 +504,36 @@ func (m *Mapper) buildCostTable(groups []group, locate Locator) {
 	}
 }
 
+// fillRow writes atom a's ifmap byte-hop cost at every slot of row. The
+// dependencies are first summed per source engine (in srcBytes, which is
+// all zero between calls), so the slot pass runs once per distinct
+// source rather than once per dependency.
+func (m *Mapper) fillRow(row []int64, a *atom.Atom, locate Locator) {
+	clear(row)
+	srcBytes, srcs := m.srcBytes, m.srcs[:0]
+	for di, dep := range a.Deps {
+		if src := locate(dep); src >= 0 {
+			if srcBytes[src] == 0 {
+				srcs = append(srcs, src)
+			}
+			srcBytes[src] += a.DepBytes[di]
+		}
+	}
+	ne := len(srcBytes)
+	for _, src := range srcs {
+		bytes := srcBytes[src]
+		srcBytes[src] = 0
+		zh := m.zigHops[src*ne:][:len(row)]
+		for s := range row {
+			row[s] += bytes * zh[s]
+		}
+	}
+	m.srcs = srcs
+}
+
 // permCost prices one layer permutation from the cost table built by
-// buildCostTable: O(M) lookups, no allocation, exactly equal to
-// transferCost on the same groups and locator.
+// buildCostTable: O(M) lookups, no allocation, exactly equal to the
+// TransferCost of placing the groups in that order.
 func (m *Mapper) permCost(perm []int) int64 {
 	var c int64
 	base := 0
@@ -545,15 +576,15 @@ func growInt64s(buf *[]int64, n int) []int64 {
 // per-group atom slices are pooled on the Mapper and reused across
 // Rounds; the returned slice is valid until the next call.
 func (m *Mapper) groupByLayer(roundAtoms []int) []group {
-	clear(m.gidx)
+	m.stamp++
 	groups := m.groupsBuf[:0]
 	for _, id := range roundAtoms {
 		a := m.dag.Atoms[id]
-		k := int64(a.Sample)<<32 | int64(a.Layer)
-		gi, ok := m.gidx[k]
-		if !ok {
+		p := a.Sample*m.layers + a.Layer
+		gi := int(m.gpair[p])
+		if m.gstamp[p] != m.stamp {
 			gi = len(groups)
-			m.gidx[k] = gi
+			m.gpair[p], m.gstamp[p] = int32(gi), m.stamp
 			if gi == len(m.atomPool) {
 				m.atomPool = append(m.atomPool, nil)
 			}
@@ -563,38 +594,10 @@ func (m *Mapper) groupByLayer(roundAtoms []int) []group {
 	}
 	for i := range groups {
 		m.atomPool[i] = groups[i].atoms // return grown capacity to the pool
-		sort.Ints(groups[i].atoms)
+		slices.Sort(groups[i].atoms)
 	}
 	m.groupsBuf = groups
 	return groups
-}
-
-// transferCost prices one layer permutation: place groups in zig-zag
-// sequence and sum hop-weighted bytes of every on-chip dependency fetch.
-func (m *Mapper) transferCost(groups []group, perm []int, locate Locator) int64 {
-	engineOf := make(map[int]int, len(groups)*2)
-	slot := 0
-	for _, gi := range perm {
-		for _, id := range groups[gi].atoms {
-			engineOf[id] = m.zigzag[slot]
-			slot++
-		}
-	}
-	var cost int64
-	for _, gi := range perm {
-		for _, id := range groups[gi].atoms {
-			dst := engineOf[id]
-			a := m.dag.Atoms[id]
-			for di, dep := range a.Deps {
-				src := locate(dep)
-				if src < 0 || src == dst {
-					continue
-				}
-				cost += a.DepBytes[di] * int64(m.mesh.Hops(src, dst))
-			}
-		}
-	}
-	return cost
 }
 
 // permute calls visit with every permutation of order (Heap's algorithm).

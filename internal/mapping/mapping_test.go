@@ -267,3 +267,32 @@ func TestHillClimbManyGroups(t *testing.T) {
 		seen[e] = true
 	}
 }
+
+// transferCost is the reference TransferCost(P) the cost table is tested
+// against: place groups in zig-zag sequence and sum hop-weighted bytes of
+// every on-chip dependency fetch.
+func (m *Mapper) transferCost(groups []group, perm []int, locate Locator) int64 {
+	engineOf := make(map[int]int, len(groups)*2)
+	slot := 0
+	for _, gi := range perm {
+		for _, id := range groups[gi].atoms {
+			engineOf[id] = m.zigzag[slot]
+			slot++
+		}
+	}
+	var cost int64
+	for _, gi := range perm {
+		for _, id := range groups[gi].atoms {
+			dst := engineOf[id]
+			a := m.dag.Atoms[id]
+			for di, dep := range a.Deps {
+				src := locate(dep)
+				if src < 0 || src == dst {
+					continue
+				}
+				cost += a.DepBytes[di] * int64(m.mesh.Hops(src, dst))
+			}
+		}
+	}
+	return cost
+}

@@ -93,3 +93,36 @@ func TestRefinementRespectsIfmapCost(t *testing.T) {
 		t.Errorf("uniform weights changed cost: %d vs %d", base.ByteHops, refined.ByteHops)
 	}
 }
+
+// TestWeightedByteHopsMatchDependencyWalk checks the ByteHops of refined
+// placements, which placementCost reads from the cached cost rows,
+// against a walk over every placed atom's dependencies.
+func TestWeightedByteHopsMatchDependencyWalk(t *testing.T) {
+	d, prev, cur := fig7DAG(t)
+	mesh := noc.NewMesh(3, 3, 8)
+	m := New(mesh, d)
+	r0 := m.PlaceRound(prev, func(int) int { return -1 })
+	locate := r0.Engine
+	round := append(append([]int(nil), cur...), prev...)
+	for salt := 0; salt < 6; salt++ {
+		weights := func(e, id int) bool { return (e*7+id+salt)%3 == 0 }
+		res := m.PlaceRoundWeighted(round, locate, weights)
+		var want int64
+		for _, id := range res.Placed() {
+			dst := res.Engine(id)
+			a := d.Atoms[id]
+			for di, dep := range a.Deps {
+				if src := locate(dep); src >= 0 && src != dst {
+					want += a.DepBytes[di] * int64(mesh.Hops(src, dst))
+				}
+			}
+		}
+		if want == 0 {
+			t.Fatal("no on-chip dependency bytes; the test exercises nothing")
+		}
+		if res.ByteHops != want {
+			t.Errorf("salt %d: ByteHops = %d, dependency walk = %d", salt, res.ByteHops, want)
+		}
+		m.Recycle(&res)
+	}
+}

@@ -1,6 +1,8 @@
 package sim
 
 import (
+	"fmt"
+	"math/bits"
 	"slices"
 
 	"github.com/atomic-dataflow/atomicflow/internal/buffer"
@@ -56,18 +58,6 @@ type arena struct {
 	linkTraffic []int64
 }
 
-// keyedFlow is one entry of the deterministic link-claim order: the
-// flow's index plus its precomputed sort key. okey encodes (|key|, key)
-// in one word — |key|<<1 with the low bit set for positive keys — so the
-// sort comparator is three integer compares instead of recomputing
-// absolute values per comparison. The element is 24 bytes (vs 40 for a
-// key + embedded Flow), which also cuts swap traffic during the sort.
-type keyedFlow struct {
-	okey     uint64
-	src, dst int32
-	idx      int32
-}
-
 // newArena sizes the scratch for the mesh.
 func newArena(mesh *noc.Mesh) *arena {
 	nl := mesh.NumLinks()
@@ -121,110 +111,128 @@ func (a *arena) getNoCReady(e int) (int64, bool) {
 	return a.ready[e], a.readyStamp[e] == a.roundStamp
 }
 
-// flowSorter holds the reusable scratch of sortFlows: the keyed order,
-// an unsorted staging buffer and the per-source bucket offsets of the
-// counting pass.
-type flowSorter struct {
-	kf  []keyedFlow
-	tmp []keyedFlow
-	off []int32
+// flowOrder is a Round's flows in deterministic link-claim order. Each
+// flow is one packed key, from the high bits down
+//
+//	okey | dst | idx
+//
+// where okey encodes (|key|, key) of the flow's GroupKey as |key|<<1 with
+// the low bit set for positive keys, dst is the destination engine and
+// idx the flow's index. Field widths come from the Round's own maxima,
+// so ascending keys within one source are ascending (|key|, key, Dst),
+// with ties in flow order.
+type flowOrder struct {
+	keys    []uint64
+	okShift uint   // okey = key >> okShift
+	idxMask uint64 // flow index = key & idxMask
 }
 
-// cmpKeyed orders two same-source keyed flows: ascending (|key|, key)
-// via the okey encoding, then Dst.
-func cmpKeyed(x, y keyedFlow) int {
-	if x.okey != y.okey {
-		if x.okey < y.okey {
-			return -1
-		}
-		return 1
+// flowSorter holds the reusable scratch of sort: the packed keys and the
+// per-source bucket offsets of the counting pass.
+type flowSorter struct {
+	keys []uint64
+	off  []int32
+}
+
+// absKey returns |k| as an unsigned magnitude (exact for every int64).
+func absKey(k int64) uint64 {
+	if k < 0 {
+		return uint64(-k)
 	}
-	return int(x.dst - y.dst)
+	return uint64(k)
 }
 
 // sort builds the deterministic link-claim order of a Round's flows:
 // ascending (Src, |key|, key, Dst), exactly the order the map-based
 // reference path iterates in. Sources are engine indices, so flows are
-// first scattered into per-source buckets by one counting pass, and
-// only each bucket is comparison-sorted (by the remaining two-field
-// key) — many small cache-resident sorts instead of one large one. The
-// order is a pure function of the flow list, so the pipeline runs this
-// in the prep stage.
-func (fs *flowSorter) sort(flows []buffer.Flow) []keyedFlow {
-	tmp := fs.tmp[:0]
-	maxSrc := int32(-1)
-	for i, f := range flows {
-		k := f.GroupKey()
-		ok := uint64(k)<<1 | 1
-		if k < 0 {
-			ok = uint64(-k) << 1
-		}
-		src := int32(f.Src)
-		if src > maxSrc {
-			maxSrc = src
-		}
-		tmp = append(tmp, keyedFlow{okey: ok, src: src, dst: int32(f.Dst), idx: int32(i)})
+// first scattered into per-source buckets by one counting pass, packing
+// each into its key on the way, and only each bucket is sorted — many
+// small cache-resident integer sorts instead of one large comparison
+// sort. The order is a pure function of the flow list, so the pipeline
+// runs this in the prep stage. It fails, without sorting, on a negative
+// engine index or when the packed fields would not fit in 64 bits.
+func (fs *flowSorter) sort(flows []buffer.Flow) (flowOrder, error) {
+	keys := fs.keys[:0]
+	if len(flows) == 0 {
+		return flowOrder{keys: keys}, nil
 	}
-	fs.tmp = tmp
-	if len(tmp) == 0 {
-		return fs.kf[:0]
+	var maxSrc, maxDst int
+	var maxAbs uint64
+	for _, f := range flows {
+		if f.Src < 0 || f.Dst < 0 {
+			return flowOrder{}, fmt.Errorf("sim: flow %d->%d has a negative engine", f.Src, f.Dst)
+		}
+		maxSrc, maxDst = max(maxSrc, f.Src), max(maxDst, f.Dst)
+		maxAbs = max(maxAbs, absKey(f.GroupKey()))
+	}
+	idxBits := uint(bits.Len(uint(len(flows) - 1)))
+	okShift := idxBits + uint(bits.Len(uint(maxDst)))
+	if okShift+uint(bits.Len64(maxAbs))+1 > 64 {
+		return flowOrder{}, fmt.Errorf("sim: %d flows to engines <= %d with |group key| <= %d do not pack into 64 bits",
+			len(flows), maxDst, maxAbs)
 	}
 
-	nb := int(maxSrc) + 2
+	nb := maxSrc + 2
 	if cap(fs.off) < nb {
 		fs.off = make([]int32, nb)
 	}
 	off := fs.off[:nb]
-	for i := range off {
-		off[i] = 0
-	}
-	for _, e := range tmp {
-		off[e.src+1]++
+	clear(off)
+	for _, f := range flows {
+		off[f.Src+1]++
 	}
 	for s := 1; s < nb; s++ {
 		off[s] += off[s-1]
 	}
-	if cap(fs.kf) < len(tmp) {
-		fs.kf = make([]keyedFlow, len(tmp))
+	if cap(keys) < len(flows) {
+		keys = make([]uint64, len(flows))
 	}
-	kf := fs.kf[:len(tmp)]
-	for _, e := range tmp {
-		kf[off[e.src]] = e
-		off[e.src]++
+	keys = keys[:len(flows)]
+	for i, f := range flows {
+		k := f.GroupKey()
+		okey := absKey(k) << 1
+		if k > 0 {
+			okey |= 1
+		}
+		keys[off[f.Src]] = okey<<okShift | uint64(f.Dst)<<idxBits | uint64(i)
+		off[f.Src]++
 	}
+	fs.keys = keys
 	// After the scatter, off[s] is the END of bucket s.
 	lo := int32(0)
-	for s := 0; s <= int(maxSrc); s++ {
+	for s := 0; s <= maxSrc; s++ {
 		hi := off[s]
 		if hi-lo > 1 {
-			slices.SortFunc(kf[lo:hi], cmpKeyed)
+			slices.Sort(keys[lo:hi])
 		}
 		lo = hi
 	}
-	return kf
+	return flowOrder{keys: keys, okShift: okShift, idxMask: 1<<idxBits - 1}, nil
 }
 
 // walkFlows is the dense NoC contention model (its map-based executable
 // specification, simulateFlowsReference, lives in the tests): it
-// serializes the Round's flows on shared links in the order kf (from
-// sortFlows) and records per-destination arrival times in a.ready,
+// serializes the Round's flows on shared links in the order fo (from
+// flowSorter.sort) and records per-destination arrival times in a.ready,
 // returning the Round's byte-hop volume. beginRound must have been
 // called.
-func (a *arena) walkFlows(flows []buffer.Flow, kf []keyedFlow, start int64) int64 {
+func (a *arena) walkFlows(flows []buffer.Flow, fo flowOrder, start int64) int64 {
 	hop := a.mesh.HopCycles
 	linkBytes := int64(a.mesh.LinkBytes)
+	keys := fo.keys
 	var byteHops int64
-	for gi := 0; gi < len(kf); {
+	for gi := 0; gi < len(keys); {
+		// A multicast group is a run of equal (Src, okey).
+		okey := keys[gi] >> fo.okShift
+		src := flows[keys[gi]&fo.idxMask].Src
+		bytes := flows[keys[gi]&fo.idxMask].Bytes
 		gj := gi + 1
-		for gj < len(kf) && kf[gj].src == kf[gi].src && kf[gj].okey == kf[gi].okey {
-			gj++
-		}
-		group := kf[gi:gj]
-		bytes := flows[group[0].idx].Bytes
-		for _, e := range group[1:] {
-			if b := flows[e.idx].Bytes; b > bytes {
-				bytes = b
+		for ; gj < len(keys) && keys[gj]>>fo.okShift == okey; gj++ {
+			f := &flows[keys[gj]&fo.idxMask]
+			if f.Src != src {
+				break
 			}
+			bytes = max(bytes, f.Bytes)
 		}
 		ser := (bytes + linkBytes - 1) / linkBytes
 		// Walk each destination's route; a link is claimed once per tree
@@ -233,10 +241,11 @@ func (a *arena) walkFlows(flows []buffer.Flow, kf []keyedFlow, start int64) int6
 		// (cut-through), nor while a previous tensor occupies it.
 		a.groupStamp++
 		treeLinks := int64(0)
-		for _, e := range group {
+		for _, k := range keys[gi:gj] {
+			dst := flows[k&fo.idxMask].Dst
 			head := start
 			lastStart := start
-			route := a.mesh.RouteIDs(int(e.src), int(e.dst))
+			route := a.mesh.RouteIDs(src, dst)
 			for _, id := range route {
 				var s int64
 				if a.startStamp[id] == a.groupStamp {
@@ -262,8 +271,8 @@ func (a *arena) walkFlows(flows []buffer.Flow, kf []keyedFlow, start int64) int6
 			if len(route) > 0 {
 				arrive = lastStart + ser + hop
 			}
-			if r, ok := a.getNoCReady(int(e.dst)); !ok || arrive > r {
-				a.setNoCReady(int(e.dst), arrive)
+			if r, ok := a.getNoCReady(dst); !ok || arrive > r {
+				a.setNoCReady(dst, arrive)
 			}
 		}
 		byteHops += bytes * treeLinks

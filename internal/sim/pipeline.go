@@ -37,14 +37,15 @@ import (
 const pipelineDepth = 4
 
 // prepSlot carries one prepared Round from the prep stage to the timing
-// stage. Slots are recycled through the ring, so their RoundIO slices and
-// engine lists stop allocating after the first few Rounds.
+// stage. Slots are recycled through the ring, and the ring lives in the
+// pooled runState, so their RoundIO, engine list and key buffers stop
+// allocating after the first few Rounds of the first Run.
 type prepSlot struct {
 	t       int
 	placed  mapping.Result
 	io      buffer.RoundIO
-	engines []int       // engines of the Round's atoms, sorted (DRAM issue order)
-	keyed   []keyedFlow // io.Flows in deterministic link-claim order
+	engines []int     // engines of the Round's atoms, sorted (DRAM issue order)
+	order   flowOrder // io.Flows in deterministic link-claim order
 	sorter  flowSorter
 	err     error
 }
@@ -63,6 +64,7 @@ type runner struct {
 	hbm    *dram.HBM
 	orc    cost.Oracle
 	ar     *arena
+	slots  *[pipelineDepth]prepSlot
 	sm     *simMetrics
 
 	rep          Report
@@ -83,8 +85,8 @@ func (r *runner) pollCtx() error {
 }
 
 // prep runs the pipeline's first stage for Round t into slot: placement,
-// buffer replay and the sorted engine list. Only the mapper and the
-// buffer manager are touched.
+// buffer replay, the sorted engine list and the flow order. Only the
+// mapper, the buffer manager and the slot are touched.
 func (r *runner) prep(t int, slot *prepSlot) {
 	slot.t = t
 	round := r.s.Rounds[t]
@@ -102,7 +104,7 @@ func (r *runner) prep(t int, slot *prepSlot) {
 	}
 	slices.Sort(engines)
 	slot.engines = engines
-	slot.keyed = slot.sorter.sort(slot.io.Flows)
+	slot.order, slot.err = slot.sorter.sort(slot.io.Flows)
 }
 
 // time runs the pipeline's second stage on a prepared Round: DRAM reads,
@@ -138,7 +140,7 @@ func (r *runner) time(slot *prepSlot) {
 
 	// --- NoC flows: link-level serialization along XY routes, with
 	// tagged weight broadcasts delivered as multicast trees.
-	roundByteHops := ar.walkFlows(io.Flows, slot.keyed, now)
+	roundByteHops := ar.walkFlows(io.Flows, slot.order, now)
 
 	// --- Compute: engines stream inputs concurrently with execution
 	// (tile-level double buffering), so an engine finishes when both
@@ -266,16 +268,16 @@ func (r *runner) time(slot *prepSlot) {
 // — the cfg.Pipeline=false path, and the reference the pipelined path is
 // tested against.
 func (r *runner) runSerial() error {
-	var slot prepSlot
+	slot := &r.slots[0]
 	for t := range r.s.Rounds {
 		if err := r.pollCtx(); err != nil {
 			return err
 		}
-		r.prep(t, &slot)
+		r.prep(t, slot)
 		if slot.err != nil {
 			return slot.err
 		}
-		r.time(&slot)
+		r.time(slot)
 		r.mapper.Recycle(&slot.placed)
 	}
 	return nil
@@ -290,8 +292,8 @@ func (r *runner) runSerial() error {
 func (r *runner) runPipelined() error {
 	free := make(chan *prepSlot, pipelineDepth)
 	ready := make(chan *prepSlot, pipelineDepth)
-	for i := 0; i < pipelineDepth; i++ {
-		free <- &prepSlot{}
+	for i := range r.slots {
+		free <- &r.slots[i]
 	}
 	stop := make(chan struct{})
 	var stopOnce sync.Once
@@ -351,15 +353,18 @@ func (r *runner) runPipelined() error {
 	return nil
 }
 
-// runState is the pooled per-mesh-shape trio rebuilt by every sim.Run
-// before this PR: the buffer manager, the mapper and the timing arena.
-// All three have O(atoms) or O(links) footprints and cheap Reset paths,
-// so serve requests and sweep iterations reuse them instead of
-// reallocating (counted by sim_pool_reuse_total).
+// runState is the pooled per-mesh-shape state of a sim.Run: the buffer
+// manager, the mapper, the timing arena and the prep-slot ring. All have
+// O(atoms), O(links) or O(flows per Round) footprints and cheap Reset
+// paths, so serve requests and sweep iterations reuse them instead of
+// reallocating (counted by sim_pool_reuse_total). A slot's contents are
+// rewritten by prep before the timing stage reads them, so the ring needs
+// no reset.
 type runState struct {
 	man    *buffer.Manager
 	mapper *mapping.Mapper
 	ar     *arena
+	slots  [pipelineDepth]prepSlot
 }
 
 // poolKey keys the state pools by what fixes the pooled slices' sizes:

@@ -10,9 +10,13 @@ import (
 // simulateFlows sorts and walks in one call — the single-stage entry
 // point of the flow tests; the pipeline calls flowSorter.sort and
 // walkFlows from their respective stages.
-func (a *arena) simulateFlows(flows []buffer.Flow, start int64) int64 {
+func (a *arena) simulateFlows(flows []buffer.Flow, start int64) (int64, error) {
 	var fs flowSorter
-	return a.walkFlows(flows, fs.sort(flows), start)
+	fo, err := fs.sort(flows)
+	if err != nil {
+		return 0, err
+	}
+	return a.walkFlows(flows, fo, start), nil
 }
 
 // simulateFlowsReference serializes the Round's flows on shared links

@@ -213,7 +213,7 @@ func newRunner(d *atom.DAG, s *schedule.Schedule, cfg Config) (*runner, func(), 
 	}
 	r := &runner{
 		cfg: cfg, d: d, s: s, n: cfg.Mesh.Engines(),
-		man: st.man, mapper: st.mapper, ar: st.ar,
+		man: st.man, mapper: st.mapper, ar: st.ar, slots: &st.slots,
 		hbm: dram.New(cfg.DRAM), orc: cost.Or(cfg.Oracle), sm: sm,
 	}
 	r.rep.Rounds = s.NumRounds()

@@ -152,7 +152,10 @@ func runFlows(t *testing.T, mesh *noc.Mesh, flows []buffer.Flow, start int64) (m
 	refReady, refHops := simulateFlowsReference(mesh, flows, start)
 	a := newArena(mesh)
 	a.beginRound()
-	hops := a.simulateFlows(flows, start)
+	hops, err := a.simulateFlows(flows, start)
+	if err != nil {
+		t.Fatal(err)
+	}
 	ready := make(map[int]int64)
 	for e := 0; e < mesh.Engines(); e++ {
 		if r, ok := a.getNoCReady(e); ok {
