@@ -207,8 +207,9 @@ type Options struct {
 	// Chains is the width of the parallel annealing portfolio (default
 	// 1): the SAIters budget is split across this many concurrently-run,
 	// independently-seeded SA chains that exchange best states at
-	// deterministic barriers, cutting cold-search wall-clock roughly by
-	// the core count while preserving solution quality. Results are
+	// deterministic barriers. The iteration budget is the same, so this
+	// is a different search rather than a faster one; on the zoo it
+	// often finds a lower simulated latency (DESIGN §8). Results are
 	// bit-identical for a fixed (Seed, Chains) pair regardless of
 	// GOMAXPROCS; Chains <= 1 is the classic sequential search.
 	Chains int
@@ -228,15 +229,12 @@ type Options struct {
 	// CI over the whole model zoo); it never changes the solution, only
 	// the search's cost.
 	VerifyDelta bool
-	// TraceWriter, when non-nil, receives a Chrome trace-event JSON
-	// document of the simulated execution (open in chrome://tracing or
-	// Perfetto; one lane per engine).
+	// TraceWriter, when non-nil, receives the full-span trace of the
+	// simulated execution as Chrome trace-event JSON: engine compute
+	// lanes plus named NoC and DRAM lanes with blocked spans, the DRAM
+	// prefetch windows and a flow-bytes counter track (open in
+	// ui.perfetto.dev or chrome://tracing).
 	TraceWriter io.Writer
-	// PerfettoWriter, when non-nil, receives the full-span trace: engine
-	// compute lanes plus named NoC and DRAM lanes with blocked spans, the
-	// DRAM prefetch windows and a flow-bytes counter track (open in
-	// ui.perfetto.dev).
-	PerfettoWriter io.Writer
 	// Metrics, when non-nil, collects the run's counters and histograms
 	// across the SA search and the simulator (overrides
 	// Hardware.Metrics); Solution.Metrics holds the final snapshot.
@@ -393,19 +391,12 @@ func Orchestrate(g *Graph, opt Options) (*Solution, error) {
 		return nil, err
 	}
 	searchTime := time.Since(start)
-	if opt.TraceWriter != nil || opt.PerfettoWriter != nil {
+	if opt.TraceWriter != nil {
 		col := &trace.Collector{}
 		hw.Trace = col.Hook
 		defer func() {
-			if opt.TraceWriter != nil {
-				if err := col.WriteChrome(opt.TraceWriter, g); err != nil {
-					fmt.Fprintf(opt.TraceWriter, `{"error": %q}`, err.Error())
-				}
-			}
-			if opt.PerfettoWriter != nil {
-				if err := col.WritePerfetto(opt.PerfettoWriter, g); err != nil {
-					fmt.Fprintf(opt.PerfettoWriter, `{"error": %q}`, err.Error())
-				}
+			if err := col.WritePerfetto(opt.TraceWriter, g); err != nil {
+				fmt.Fprintf(opt.TraceWriter, `{"error": %q}`, err.Error())
 			}
 		}()
 	}

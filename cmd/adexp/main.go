@@ -42,7 +42,6 @@ func main() {
 		saIters   = flag.Int("sa-iters", 400, "SA iterations")
 		seed      = flag.Int64("seed", 1, "search seed")
 		chains    = flag.Int("chains", 1, "parallel annealing chains per search (deterministic for a fixed seed)")
-		verifyDlt = flag.Bool("verify-delta", false, "cross-check every incremental SA move against a full recomputation (correctness harness; slower)")
 		dp        = flag.Bool("dp", false, "use DP scheduling everywhere (slower; Fig 10 measures it explicitly)")
 		fast      = flag.Bool("fast", false, "reduced workload set for quick runs")
 		cpuProf   = flag.String("cpuprofile", "", "write a CPU profile to this file")
@@ -135,15 +134,14 @@ func main() {
 	// reports its own evaluations/hits/misses delta below.
 	orc := cost.Default()
 	cfg := experiments.Config{
-		Batch:       *batch,
-		SAIters:     *saIters,
-		Seed:        *seed,
-		Chains:      *chains,
-		VerifyDelta: *verifyDlt,
-		Mode:        schedule.Greedy,
-		Out:         os.Stdout,
-		Oracle:      orc,
-		Metrics:     reg,
+		Batch:   *batch,
+		SAIters: *saIters,
+		Seed:    *seed,
+		Chains:  *chains,
+		Mode:    schedule.Greedy,
+		Out:     os.Stdout,
+		Oracle:  orc,
+		Metrics: reg,
 	}
 	if *dp {
 		cfg.Mode = schedule.DP

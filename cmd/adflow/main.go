@@ -17,82 +17,97 @@ import (
 	af "github.com/atomic-dataflow/atomicflow"
 )
 
+// flags are adflow's command-line options.
+type flags struct {
+	model, modelFile, dataflow, mode, traceFile, metJSON *string
+	batch, engines, pes, buffer, saIters, chains         *int
+	freq                                                 *float64
+	seed                                                 *int64
+	baselines                                            *bool
+}
+
+// defineFlags registers adflow's flags on fs. The search defaults match
+// the library's zero Options and /solve: DP scheduling, 600 SA
+// iterations, seed 1, one chain.
+func defineFlags(fs *flag.FlagSet) *flags {
+	return &flags{
+		model:     fs.String("model", "resnet50", "workload: one of "+strings.Join(af.ModelNames(), ", ")),
+		modelFile: fs.String("model-file", "", "load the workload from a JSON exchange document instead of the zoo"),
+		batch:     fs.Int("batch", 1, "inference batch size gathered into one atomic DAG"),
+		engines:   fs.Int("engines", 8, "engine mesh side (engines x engines grid)"),
+		pes:       fs.Int("pes", 16, "PE array side per engine"),
+		buffer:    fs.Int("buffer", 128<<10, "per-engine buffer bytes"),
+		freq:      fs.Float64("freq", 500, "engine clock in MHz"),
+		dataflow:  fs.String("dataflow", "kc", "engine dataflow: kc (NVDLA-style) or yx (ShiDianNao-style)"),
+		mode:      fs.String("mode", "dp", "scheduler: dp or greedy"),
+		saIters:   fs.Int("sa-iters", 600, "simulated-annealing iterations for atom generation"),
+		seed:      fs.Int64("seed", 1, "search seed"),
+		chains:    fs.Int("chains", 1, "parallel annealing chains (deterministic for a fixed seed)"),
+		baselines: fs.Bool("baselines", false, "also run LS, CNN-P, IL-Pipe and Rammer"),
+		traceFile: fs.String("trace", "", "write a full-span trace (engine/NoC/DRAM lanes, Chrome trace-event JSON) of the AD execution to this file"),
+		metJSON:   fs.String("metrics-json", "", "write the run's metrics snapshot as JSON to this file"),
+	}
+}
+
+// options validates the flags and builds the orchestration options,
+// including the hardware model the flags describe.
+func (f *flags) options() (af.Options, error) {
+	schedMode, df, err := checkFlags(*f.engines, *f.batch, *f.chains, *f.saIters, *f.mode, *f.dataflow)
+	if err != nil {
+		return af.Options{}, err
+	}
+	hw := af.DefaultHardware()
+	hw.Mesh = af.NewMesh(*f.engines, *f.engines, hw.Mesh.LinkBytes)
+	hw.Engine.PEx, hw.Engine.PEy = *f.pes, *f.pes
+	hw.Engine.BufferBytes = *f.buffer
+	hw.BufferBytes = int64(*f.buffer)
+	hw.Engine.FreqMHz = *f.freq
+	hw.Dataflow = df
+	return af.Options{
+		Batch: *f.batch, Hardware: &hw, Mode: schedMode,
+		SAIters: *f.saIters, Seed: *f.seed, Chains: *f.chains,
+	}, nil
+}
+
 func main() {
-	var (
-		model     = flag.String("model", "resnet50", "workload: one of "+strings.Join(af.ModelNames(), ", "))
-		modelFile = flag.String("model-file", "", "load the workload from a JSON exchange document instead of the zoo")
-		batch     = flag.Int("batch", 1, "inference batch size gathered into one atomic DAG")
-		engines   = flag.Int("engines", 8, "engine mesh side (engines x engines grid)")
-		pes       = flag.Int("pes", 16, "PE array side per engine")
-		buffer    = flag.Int("buffer", 128<<10, "per-engine buffer bytes")
-		freq      = flag.Float64("freq", 500, "engine clock in MHz")
-		dataflow  = flag.String("dataflow", "kc", "engine dataflow: kc (NVDLA-style) or yx (ShiDianNao-style)")
-		mode      = flag.String("mode", "greedy", "scheduler: dp or greedy")
-		saIters   = flag.Int("sa-iters", 400, "simulated-annealing iterations for atom generation")
-		seed      = flag.Int64("seed", 1, "search seed")
-		chains    = flag.Int("chains", 1, "parallel annealing chains (deterministic for a fixed seed)")
-		verifyDlt = flag.Bool("verify-delta", false, "cross-check every incremental SA move against a full recomputation (correctness harness; slower)")
-		baselines = flag.Bool("baselines", false, "also run LS, CNN-P, IL-Pipe and Rammer")
-		traceFile = flag.String("trace", "", "write a Chrome trace-event JSON of the AD execution to this file")
-		perfetto  = flag.String("perfetto", "", "write a full-span Perfetto trace (engine/NoC/DRAM lanes) to this file")
-		metJSON   = flag.String("metrics-json", "", "write the run's metrics snapshot as JSON to this file")
-	)
+	f := defineFlags(flag.CommandLine)
 	flag.Parse()
-	schedMode, df, err := checkFlags(*engines, *batch, *chains, *saIters, *mode, *dataflow)
+	opts, err := f.options()
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "adflow:", err)
 		os.Exit(2)
 	}
+	hw := *opts.Hardware
 
 	var g *af.Graph
-	if *modelFile != "" {
-		f, ferr := os.Open(*modelFile)
+	if *f.modelFile != "" {
+		mf, ferr := os.Open(*f.modelFile)
 		if ferr != nil {
 			fatal(ferr)
 		}
-		g, err = af.ReadModel(f)
-		f.Close()
+		g, err = af.ReadModel(mf)
+		mf.Close()
 	} else {
-		g, err = af.LoadModel(*model)
+		g, err = af.LoadModel(*f.model)
 	}
 	if err != nil {
 		fatal(err)
 	}
-	hw := af.DefaultHardware()
-	hw.Mesh = af.NewMesh(*engines, *engines, hw.Mesh.LinkBytes)
-	hw.Engine.PEx, hw.Engine.PEy = *pes, *pes
-	hw.Engine.BufferBytes = *buffer
-	hw.BufferBytes = int64(*buffer)
-	hw.Engine.FreqMHz = *freq
-	hw.Dataflow = df
 
 	fmt.Printf("workload:  %s\n", g.Summary())
 	fmt.Printf("hardware:  %dx%d engines x %dx%d PEs, %d KB/engine, %s, %.0f MHz\n",
-		*engines, *engines, *pes, *pes, *buffer>>10, hw.Dataflow, *freq)
+		*f.engines, *f.engines, *f.pes, *f.pes, *f.buffer>>10, hw.Dataflow, *f.freq)
 
-	opts := af.Options{
-		Batch: *batch, Hardware: &hw, Mode: schedMode,
-		SAIters: *saIters, Seed: *seed, Chains: *chains, VerifyDelta: *verifyDlt,
-	}
-	if *traceFile != "" {
-		f, err := os.Create(*traceFile)
+	if *f.traceFile != "" {
+		tf, err := os.Create(*f.traceFile)
 		if err != nil {
 			fatal(err)
 		}
-		defer f.Close()
-		opts.TraceWriter = f
-		defer fmt.Printf("trace written to %s (open in chrome://tracing)\n", *traceFile)
+		defer tf.Close()
+		opts.TraceWriter = tf
+		defer fmt.Printf("trace written to %s (open in ui.perfetto.dev)\n", *f.traceFile)
 	}
-	if *perfetto != "" {
-		f, err := os.Create(*perfetto)
-		if err != nil {
-			fatal(err)
-		}
-		defer f.Close()
-		opts.PerfettoWriter = f
-		defer fmt.Printf("full-span trace written to %s (open in ui.perfetto.dev)\n", *perfetto)
-	}
-	if *metJSON != "" {
+	if *f.metJSON != "" {
 		opts.Metrics = af.NewMetrics()
 	}
 	sol, err := af.Orchestrate(g, opts)
@@ -102,19 +117,19 @@ func main() {
 	printReport("atomic dataflow", sol.Report)
 	fmt.Printf("  atoms %d, rounds %d, atom-cycle CV %.3f, search %v\n",
 		sol.Atoms, sol.Rounds, sol.AtomCycleCV, sol.SearchTime.Round(1e6))
-	if *metJSON != "" {
-		f, err := os.Create(*metJSON)
+	if *f.metJSON != "" {
+		mf, err := os.Create(*f.metJSON)
 		if err != nil {
 			fatal(err)
 		}
-		if err := opts.Metrics.WriteJSON(f); err != nil {
+		if err := opts.Metrics.WriteJSON(mf); err != nil {
 			fatal(err)
 		}
-		f.Close()
-		fmt.Printf("metrics snapshot written to %s\n", *metJSON)
+		mf.Close()
+		fmt.Printf("metrics snapshot written to %s\n", *f.metJSON)
 	}
 
-	if *baselines {
+	if *f.baselines {
 		for _, b := range []struct {
 			name string
 			run  func(*af.Graph, int, af.HardwareConfig) (af.Report, error)
@@ -122,7 +137,7 @@ func main() {
 			{"LS", af.RunLS}, {"CNN-P", af.RunCNNP},
 			{"IL-Pipe", af.RunILPipe}, {"Rammer", af.RunRammer},
 		} {
-			rep, err := b.run(g, *batch, hw)
+			rep, err := b.run(g, *f.batch, hw)
 			if err != nil {
 				fatal(fmt.Errorf("%s: %w", b.name, err))
 			}

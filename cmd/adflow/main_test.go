@@ -1,6 +1,7 @@
 package main
 
 import (
+	"flag"
 	"testing"
 
 	af "github.com/atomic-dataflow/atomicflow"
@@ -38,5 +39,43 @@ func TestCheckFlags(t *testing.T) {
 			t.Errorf("checkFlags(%d, %d, %d, %d, %q, %q) = %v, %v, want %v, %v",
 				tc.engines, tc.batch, tc.chains, tc.iters, tc.mode, tc.df, m, df, tc.wantMode, tc.wantDF)
 		}
+	}
+}
+
+// TestDefaultFlagsMatchLibrary pins adflow's defaults to the library's:
+// the options built from an empty command line solve tinyconv to the same
+// digest as Orchestrate with zero Options on the default hardware.
+func TestDefaultFlagsMatchLibrary(t *testing.T) {
+	fs := flag.NewFlagSet("adflow", flag.ContinueOnError)
+	f := defineFlags(fs)
+	if err := fs.Parse(nil); err != nil {
+		t.Fatal(err)
+	}
+	opts, err := f.options()
+	if err != nil {
+		t.Fatal(err)
+	}
+	// tinyconv's search converges well inside 400 iterations, so the
+	// digest alone cannot see the iteration budget: pin the search
+	// fields to the library's documented defaults too.
+	if opts.Mode != af.ModeDP || opts.SAIters != 600 || opts.Seed != 1 || opts.Chains != 1 || opts.Batch != 1 {
+		t.Errorf("default flags give mode %v, sa-iters %d, seed %d, chains %d, batch %d; want dp, 600, 1, 1, 1",
+			opts.Mode, opts.SAIters, opts.Seed, opts.Chains, opts.Batch)
+	}
+	g, err := af.LoadModel("tinyconv")
+	if err != nil {
+		t.Fatal(err)
+	}
+	cli, err := af.Orchestrate(g, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	hw := af.DefaultHardware()
+	lib, err := af.Orchestrate(g, af.Options{Hardware: &hw})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if cli.Digest() != lib.Digest() {
+		t.Errorf("default-flag digest %s != library default %s", cli.Digest(), lib.Digest())
 	}
 }

@@ -10,8 +10,8 @@
 // /debug/dash.
 //
 // With -store DIR finished solves persist across restarts (exact replay
-// for repeated requests) and -warm-start seeds new searches from prior
-// solutions of the same graph.
+// for repeated requests), and requests with "warm_start":true seed their
+// search from prior solutions of the same graph.
 //
 // Usage:
 //
@@ -44,29 +44,23 @@ func main() {
 		queue   = flag.Int("queue", 64, "admission queue depth; a full queue answers 429")
 		cache   = flag.Int("cache", 256, "solution cache entries (LRU)")
 		timeout = flag.Duration("timeout", 2*time.Minute, "per-request solve deadline")
-		chains  = flag.Int("chains", 0, "default annealing chains for requests that omit the field (0 = 1)")
-		verify  = flag.Bool("verify-delta", false, "cross-check every incremental SA move against a full recomputation on all requests (correctness harness; slower)")
 		drain   = flag.Duration("drain", 30*time.Second, "graceful-shutdown drain budget on SIGINT/SIGTERM")
 
 		storeDir = flag.String("store", "", "directory for the persistent solution store (empty = no persistence)")
-		warm     = flag.Bool("warm-start", false, "default warm-start mode for requests that omit the field (participates in the cache key; needs -store)")
 	)
 	flag.Parse()
-	if err := checkFlags(*workers, *queue, *cache, *chains, *timeout, *drain); err != nil {
+	if err := checkFlags(*workers, *queue, *cache, *timeout, *drain); err != nil {
 		fmt.Fprintln(os.Stderr, "adserve:", err)
 		os.Exit(2)
 	}
 
 	reg := obs.New()
 	cfg := serve.Config{
-		Workers:          *workers,
-		QueueDepth:       *queue,
-		CacheEntries:     *cache,
-		RequestTimeout:   *timeout,
-		DefaultChains:    *chains,
-		DefaultWarmStart: *warm,
-		VerifyDelta:      *verify,
-		Metrics:          reg,
+		Workers:        *workers,
+		QueueDepth:     *queue,
+		CacheEntries:   *cache,
+		RequestTimeout: *timeout,
+		Metrics:        reg,
 	}
 	if *storeDir != "" {
 		st, err := store.Open(*storeDir)
@@ -104,14 +98,14 @@ func main() {
 }
 
 // checkFlags rejects flag values the server would otherwise replace with
-// a default or misuse: negative pool, queue, cache or chain counts (0
-// keeps its documented meaning) and a solve deadline or drain budget
-// that is not positive.
-func checkFlags(workers, queue, cache, chains int, timeout, drain time.Duration) error {
+// a default or misuse: negative pool, queue or cache sizes (0 keeps its
+// documented meaning) and a solve deadline or drain budget that is not
+// positive.
+func checkFlags(workers, queue, cache int, timeout, drain time.Duration) error {
 	for _, f := range []struct {
 		name string
 		v    int
-	}{{"workers", workers}, {"queue", queue}, {"cache", cache}, {"chains", chains}} {
+	}{{"workers", workers}, {"queue", queue}, {"cache", cache}} {
 		if f.v < 0 {
 			return fmt.Errorf("-%s %d: want 0 or more", f.name, f.v)
 		}

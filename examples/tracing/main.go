@@ -1,7 +1,7 @@
-// Tracing: export a Chrome trace of an atomic-dataflow execution and
-// print a terminal Gantt summary. The trace makes the scheduler's
-// behaviour visible — which layers share Rounds, how full each Round is,
-// where memory stalls stretch the barriers.
+// Tracing: export the full-span trace of an atomic-dataflow execution
+// (engine, NoC and DRAM lanes) for the Perfetto UI. The trace makes the
+// scheduler's behaviour visible — which layers share Rounds, how full
+// each Round is, where NoC and DRAM stalls stretch the barriers.
 package main
 
 import (
@@ -34,7 +34,8 @@ func main() {
 	}
 	fmt.Printf("%s: %d atoms over %d rounds, %.4f ms\n",
 		g.Summary(), sol.Atoms, sol.Rounds, sol.Report.TimeMS)
-	fmt.Println("wrote trace.json — open chrome://tracing or https://ui.perfetto.dev")
-	fmt.Println("\neach lane is one engine; block names are the layers whose atoms ran;")
-	fmt.Println("'mem-block' rows mark cycles where a Round outlived its compute.")
+	fmt.Println("wrote trace.json — open https://ui.perfetto.dev or chrome://tracing")
+	fmt.Println("\nin the engines process each lane is one engine, and block names are")
+	fmt.Println("the layers whose atoms ran; 'dram-block' and 'noc-block' spans in the")
+	fmt.Println("dram and noc processes mark cycles where a Round outlived its compute.")
 }

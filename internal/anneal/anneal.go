@@ -20,15 +20,9 @@ import (
 // Options tunes Algorithm 1. Zero values select the defaults noted on
 // each field.
 type Options struct {
-	MaxIters       int     // ite_max (default 600)
-	Len            float64 // movement length as a fraction of the state (default 0.25)
-	Epsilon        float64 // convergence threshold on CV^2 = Var/Mean^2 (default 0.01)
-	Temp           float64 // initial temperature (default 0.1)
-	Lambda         float64 // temperature decay per iteration (default 0.98)
-	Seed           int64   // RNG seed (default 1)
-	MaxTilesPerLay int     // atom-count cap per layer (default 1024)
-	MaxSplits      int     // candidate extents per dimension (default 10)
-	BufferFraction float64 // usable fraction of the engine buffer (default 0.5, rest for double buffering)
+	MaxIters       int   // ite_max (default 600)
+	Seed           int64 // RNG seed (default 1)
+	MaxTilesPerLay int   // atom-count cap per layer (default 1024)
 
 	// Oracle prices candidate atoms (default: a fresh memoized oracle per
 	// search). Pass the run's shared oracle so candidate generation reuses
@@ -50,17 +44,13 @@ type Options struct {
 	// Chains > 1 the iteration budget MaxIters is split across that many
 	// concurrently-run, independently-seeded SA chains (seeds derived
 	// from Seed via splitmix64) that exchange best states at
-	// deterministic iteration barriers — total Metropolis work stays
-	// ~MaxIters while the wall-clock drops with available cores. The
-	// result is bit-identical for a fixed (Seed, Chains) pair regardless
-	// of GOMAXPROCS; Chains <= 1 is exactly the classic single-chain
-	// Algorithm 1 trajectory.
+	// deterministic iteration barriers. Total Metropolis work stays
+	// ~MaxIters, so a wider portfolio is a different search on the same
+	// budget, not a faster one; measured over the zoo it often finds a
+	// lower latency (DESIGN §8). The result is bit-identical for a fixed
+	// (Seed, Chains) pair regardless of GOMAXPROCS; Chains <= 1 is
+	// exactly the classic single-chain Algorithm 1 trajectory.
 	Chains int
-
-	// ExchangeEvery is the chain-local iteration count between the
-	// portfolio's best-state exchange barriers (default 50). Only
-	// meaningful with Chains > 1.
-	ExchangeEvery int
 
 	// WarmStart, when non-empty, seeds the search from a prior solution
 	// of the same graph: chain 0's initial state takes each listed
@@ -84,13 +74,13 @@ type Options struct {
 	VerifyDelta bool
 
 	// Progress, when non-nil, receives one Sample per portfolio chain at
-	// every ExchangeEvery iteration barrier, plus a final batch (Final
+	// every exchangeEvery iteration barrier, plus a final batch (Final
 	// set) after the polish sweep. The hook runs on the coordinating
 	// goroutine between chain segments — never concurrently with chain
 	// execution — and only observes: chain RNGs and states are untouched
 	// while it runs, so installing it leaves every trajectory (and every
 	// pinned digest) bit-identical. Single-chain searches are segmented
-	// into ExchangeEvery-sized runs to create the observation points; the
+	// into exchangeEvery-sized runs to create the observation points; the
 	// segmentation itself is invisible because the Metropolis loop is a
 	// pure per-iteration recurrence. Keep the hook cheap — the whole
 	// search blocks while it executes.
@@ -121,6 +111,19 @@ func (s Sample) CV() float64 {
 	return math.Sqrt(s.BestE) / s.BestS
 }
 
+// Algorithm 1's fixed hyperparameters. The temperature schedule is
+// pinned: raising temp to the often-assumed 1.0 would change every
+// seeded SA trajectory in the repository.
+const (
+	lenFrac        = 0.25 // movement length as a fraction of the state
+	epsilon        = 0.01 // convergence threshold on CV^2 = Var/Mean^2
+	temp           = 0.1  // initial temperature
+	lambda         = 0.98 // temperature decay per iteration
+	maxSplits      = 10   // candidate extents per dimension
+	bufferFraction = 0.5  // usable fraction of the engine buffer, the rest double-buffers
+	exchangeEvery  = 50   // chain-local iterations between portfolio barriers
+)
+
 func (o Options) cancelled() bool {
 	return o.Ctx != nil && o.Ctx.Err() != nil
 }
@@ -130,30 +133,6 @@ func (o Options) maxIters() int {
 		return 600
 	}
 	return o.MaxIters
-}
-func (o Options) lenFrac() float64 {
-	if o.Len <= 0 {
-		return 0.25
-	}
-	return o.Len
-}
-func (o Options) epsilon() float64 {
-	if o.Epsilon <= 0 {
-		return 0.01
-	}
-	return o.Epsilon
-}
-func (o Options) temp() float64 {
-	if o.Temp <= 0 {
-		return 0.1
-	}
-	return o.Temp
-}
-func (o Options) lambda() float64 {
-	if o.Lambda <= 0 || o.Lambda >= 1 {
-		return 0.98
-	}
-	return o.Lambda
 }
 func (o Options) seed() int64 {
 	if o.Seed == 0 {
@@ -167,29 +146,11 @@ func (o Options) maxTiles() int {
 	}
 	return o.MaxTilesPerLay
 }
-func (o Options) maxSplits() int {
-	if o.MaxSplits <= 2 {
-		return 10
-	}
-	return o.MaxSplits
-}
-func (o Options) bufferFraction() float64 {
-	if o.BufferFraction <= 0 || o.BufferFraction > 1 {
-		return 0.5
-	}
-	return o.BufferFraction
-}
 func (o Options) chains() int {
 	if o.Chains <= 1 {
 		return 1
 	}
 	return o.Chains
-}
-func (o Options) exchangeEvery() int {
-	if o.ExchangeEvery <= 0 {
-		return 50
-	}
-	return o.ExchangeEvery
 }
 
 // Result is the outcome of atomic tensor generation.
@@ -295,8 +256,8 @@ func newChain(idx int, seed int64, sctx *search, opt Options) *saChain {
 	// Line 5-7: initial unified cycle S = mean, energy E = Var.
 	c.S, c.E = cur.acc.meanVariance()
 	c.best, c.bestE, c.bestS = cur, c.E, c.S
-	c.temp = opt.temp()
-	c.lenAbs = c.S * opt.lenFrac()
+	c.temp = temp
+	c.lenAbs = c.S * lenFrac
 	// The proposal walker pays its one full argmin build here; every move
 	// after is incremental.
 	c.w = sctx.newWalker(c.S)
@@ -329,17 +290,17 @@ func (c *saChain) run(sctx *search, opt Options, n int, m saMetrics) {
 		// Energies are normalized by the squared state (i.e. compared as
 		// squared coefficients of variation) so the temperature schedule
 		// is scale-free across workloads.
-		c.temp *= opt.lambda()
+		c.temp *= lambda
 		c.iters++
 		m.iters.Inc()
 		m.tempHist.Observe(c.temp)
-		p := math.Exp((c.E - Emove) / (opt.lambda() * c.temp * (c.S*c.S + 1)))
+		p := math.Exp((c.E - Emove) / (lambda * c.temp * (c.S*c.S + 1)))
 		if c.rng.Float64() <= p {
 			c.accepts++
 			m.accepts.Inc()
 			m.delta.Observe(math.Abs(c.E - Emove))
 			c.E, c.S = Emove, moveS
-			c.lenAbs = c.S * opt.lenFrac()
+			c.lenAbs = c.S * lenFrac
 			// E only changes on acceptance (or barrier adoption, handled
 			// by the portfolio), so the best-state snapshot — the one
 			// O(layers) copy left on this path — happens exactly on
@@ -353,7 +314,7 @@ func (c *saChain) run(sctx *search, opt Options, n int, m saMetrics) {
 		}
 		c.trace = append(c.trace, c.bestE)
 		// Line 23-25: convergence on normalized variance.
-		if c.bestE/(c.bestS*c.bestS+1) <= opt.epsilon() {
+		if c.bestE/(c.bestS*c.bestS+1) <= epsilon {
 			c.converged = true
 			return
 		}
@@ -432,8 +393,8 @@ func (s *search) polish(opt Options, best state, bestE, bestS float64) (state, f
 
 // SA runs the simulated-annealing search of Algorithm 1 and returns the
 // per-layer atom sizes plus the convergence trace. With Options.Chains
-// greater than one it runs the parallel portfolio instead (same contract,
-// ~Chains-fold less wall-clock on enough cores).
+// greater than one it runs the parallel portfolio instead (same contract
+// and iteration budget).
 func SA(g *graph.Graph, cfg engine.Config, df engine.Dataflow, opt Options) Result {
 	if opt.chains() > 1 {
 		return portfolioSA(g, cfg, df, opt)
@@ -446,11 +407,11 @@ func SA(g *graph.Graph, cfg engine.Config, df engine.Dataflow, opt Options) Resu
 	} else {
 		// Segment the budget exactly like the portfolio's barrier loop.
 		// run() is a pure per-iteration recurrence, so slicing MaxIters
-		// into ExchangeEvery-sized runs changes nothing about the
+		// into exchangeEvery-sized runs changes nothing about the
 		// trajectory — it only creates safe points to observe from.
 		total := opt.maxIters()
 		for done := 0; done < total && !c.converged && !opt.cancelled(); {
-			n := opt.exchangeEvery()
+			n := exchangeEvery
 			if done+n > total {
 				n = total - done
 			}

@@ -84,7 +84,7 @@ func TestGenCandidatesBufferConstraint(t *testing.T) {
 	}
 	cfg := engine.Default()
 	opt := Options{}
-	budget := int64(float64(cfg.BufferBytes) * opt.bufferFraction())
+	budget := int64(float64(cfg.BufferBytes) * bufferFraction)
 	window := int64(4 * cfg.PEx * cfg.PEy * fc.Shape.Kh * fc.Shape.Kw)
 	cands := genCandidates(fc, cfg, engine.KCPartition, opt, cost.Direct{})
 	for _, c := range cands {
@@ -203,7 +203,7 @@ func TestGAConvergesButSlower(t *testing.T) {
 	g := models.MustBuild("tinyresnet")
 	cfg := engine.Default()
 	sa := SA(g, cfg, engine.KCPartition, Options{MaxIters: 150, Seed: 5})
-	ga := GA(g, cfg, engine.KCPartition, GAOptions{Options: Options{MaxIters: 150, Seed: 5}})
+	ga := GA(g, cfg, engine.KCPartition, Options{MaxIters: 150, Seed: 5})
 	if len(ga.Trace) == 0 {
 		t.Fatal("GA produced no trace")
 	}
@@ -272,24 +272,13 @@ func meanVar(xs []float64) (mean, variance float64) {
 }
 
 func TestOptionsDefaults(t *testing.T) {
-	// The zero Options must resolve to the documented defaults. Temp in
-	// particular is pinned: raising it to the often-assumed 1.0 would
-	// change every seeded SA trajectory in the repository.
+	// The zero Options must resolve to the documented defaults, and the
+	// fixed hyperparameters keep their values. Temp in particular is
+	// pinned: raising it to the often-assumed 1.0 would change every
+	// seeded SA trajectory in the repository.
 	var o Options
-	if got := o.temp(); got != 0.1 {
-		t.Errorf("temp() = %v, want 0.1", got)
-	}
 	if got := o.maxIters(); got != 600 {
 		t.Errorf("maxIters() = %v, want 600", got)
-	}
-	if got := o.lenFrac(); got != 0.25 {
-		t.Errorf("lenFrac() = %v, want 0.25", got)
-	}
-	if got := o.epsilon(); got != 0.01 {
-		t.Errorf("epsilon() = %v, want 0.01", got)
-	}
-	if got := o.lambda(); got != 0.98 {
-		t.Errorf("lambda() = %v, want 0.98", got)
 	}
 	if got := o.seed(); got != 1 {
 		t.Errorf("seed() = %v, want 1", got)
@@ -297,11 +286,18 @@ func TestOptionsDefaults(t *testing.T) {
 	if got := o.maxTiles(); got != 1024 {
 		t.Errorf("maxTiles() = %v, want 1024", got)
 	}
-	if got := o.maxSplits(); got != 10 {
-		t.Errorf("maxSplits() = %v, want 10", got)
-	}
-	if got := o.bufferFraction(); got != 0.5 {
-		t.Errorf("bufferFraction() = %v, want 0.5", got)
+	for _, c := range []struct {
+		name      string
+		got, want float64
+	}{
+		{"temp", temp, 0.1}, {"lenFrac", lenFrac, 0.25}, {"epsilon", epsilon, 0.01},
+		{"lambda", lambda, 0.98}, {"maxSplits", maxSplits, 10}, {"bufferFraction", bufferFraction, 0.5},
+		{"exchangeEvery", exchangeEvery, 50}, {"population", population, 24}, {"elite", elite, 2},
+		{"mutateProb", mutateProb, 0.08},
+	} {
+		if c.got != c.want {
+			t.Errorf("%s = %v, want %v", c.name, c.got, c.want)
+		}
 	}
 }
 

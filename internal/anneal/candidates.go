@@ -114,24 +114,24 @@ func genCandidates(l *graph.Layer, cfg engine.Config, df engine.Dataflow, opt Op
 		// No cross-channel reuse: channel dim quantizes to PEy under
 		// KC-P (kernel occupies the rows), spatial dims under YX-P.
 		if df == engine.KCPartition {
-			hs, ws = splitSizes(s.Ho, 1, opt.maxSplits()), splitSizes(s.Wo, 1, opt.maxSplits())
+			hs, ws = splitSizes(s.Ho, 1, maxSplits), splitSizes(s.Wo, 1, maxSplits)
 		} else {
-			hs, ws = splitSizes(s.Ho, cfg.PEx, opt.maxSplits()), splitSizes(s.Wo, cfg.PEy, opt.maxSplits())
+			hs, ws = splitSizes(s.Ho, cfg.PEx, maxSplits), splitSizes(s.Wo, cfg.PEy, maxSplits)
 		}
-		cs = splitSizes(s.Co, cq, opt.maxSplits())
+		cs = splitSizes(s.Co, cq, maxSplits)
 	case df == engine.KCPartition:
-		hs, ws = splitSizes(s.Ho, 1, opt.maxSplits()), splitSizes(s.Wo, 1, opt.maxSplits())
-		cs = splitSizes(s.Co, cq, opt.maxSplits())
+		hs, ws = splitSizes(s.Ho, 1, maxSplits), splitSizes(s.Wo, 1, maxSplits)
+		cs = splitSizes(s.Co, cq, maxSplits)
 	case df == engine.FlexPartition:
 		// Sizes [c0, c1*PEz, c2*PEx, c3*PEy] (paper Sec. VI-A): width
 		// quantizes to the third array dimension.
-		hs, ws = splitSizes(s.Ho, 1, opt.maxSplits()), splitSizes(s.Wo, cfg.PEzOf(), opt.maxSplits())
-		cs = splitSizes(s.Co, cq, opt.maxSplits())
+		hs, ws = splitSizes(s.Ho, 1, maxSplits), splitSizes(s.Wo, cfg.PEzOf(), maxSplits)
+		cs = splitSizes(s.Co, cq, maxSplits)
 	default: // YXPartition
-		hs, ws = splitSizes(s.Ho, cfg.PEx, opt.maxSplits()), splitSizes(s.Wo, cfg.PEy, opt.maxSplits())
-		cs = splitSizes(s.Co, cq, opt.maxSplits())
+		hs, ws = splitSizes(s.Ho, cfg.PEx, maxSplits), splitSizes(s.Wo, cfg.PEy, maxSplits)
+		cs = splitSizes(s.Co, cq, maxSplits)
 	}
-	budget := int64(float64(cfg.BufferBytes) * opt.bufferFraction())
+	budget := int64(float64(cfg.BufferBytes) * bufferFraction)
 	// Weights stream through the buffer in per-pass windows (the array
 	// consumes PEx x PEy values per kernel position), so the residency
 	// requirement is a double-buffered window, not the full slice — full

@@ -8,41 +8,21 @@ import (
 	"github.com/atomic-dataflow/atomicflow/internal/graph"
 )
 
-// GAOptions tunes the genetic-algorithm comparator used by the paper's
-// Fig. 5b convergence study.
-type GAOptions struct {
-	Options
-	Population int     // default 24
-	Elite      int     // individuals copied unchanged (default 2)
-	MutateProb float64 // per-gene mutation probability (default 0.08)
-}
-
-func (o GAOptions) population() int {
-	if o.Population <= 1 {
-		return 24
-	}
-	return o.Population
-}
-func (o GAOptions) elite() int {
-	if o.Elite <= 0 {
-		return 2
-	}
-	return o.Elite
-}
-func (o GAOptions) mutateProb() float64 {
-	if o.MutateProb <= 0 {
-		return 0.08
-	}
-	return o.MutateProb
-}
+// The genetic-algorithm comparator's fixed hyperparameters (paper
+// Fig. 5b convergence study).
+const (
+	population = 24
+	elite      = 2    // individuals copied unchanged
+	mutateProb = 0.08 // per-gene mutation probability
+)
 
 // GA runs a genetic algorithm over the same candidate space as SA:
 // an individual is a per-layer candidate choice; fitness is the negated
 // variance of atom execution cycles. Its Trace records the best energy per
 // generation (one generation ~ one Trace entry, like SA's per-iteration
 // trace), exhibiting the mutation-driven rises the paper observes.
-func GA(g *graph.Graph, cfg engine.Config, df engine.Dataflow, opt GAOptions) Result {
-	sctx := newSearch(g, cfg, df, opt.Options)
+func GA(g *graph.Graph, cfg engine.Config, df engine.Dataflow, opt Options) Result {
+	sctx := newSearch(g, cfg, df, opt)
 	best, bestE, trace, gens := runGA(sctx, opt, opt.seed())
 	return sctx.finish(best, bestE, best.acc.mean(), trace, gens)
 }
@@ -50,10 +30,10 @@ func GA(g *graph.Graph, cfg engine.Config, df engine.Dataflow, opt GAOptions) Re
 // runGA is the GA trajectory on an existing search context. It polls
 // cancellation between generations (returning the best-so-far) and is
 // otherwise a pure function of (sctx, opt, seed).
-func runGA(sctx *search, opt GAOptions, seed int64) (state, float64, []float64, int) {
+func runGA(sctx *search, opt Options, seed int64) (state, float64, []float64, int) {
 	rng := rand.New(rand.NewSource(seed))
 
-	pop := make([]state, opt.population())
+	pop := make([]state, population)
 	for i := range pop {
 		pop[i] = sctx.randomState(rng)
 	}
@@ -78,19 +58,19 @@ func runGA(sctx *search, opt GAOptions, seed int64) (state, float64, []float64, 
 		// generation's champion, which mutation can make worse — the
 		// abrupt rises/falls the paper notes in Fig. 5b.
 		trace = append(trace, energy(pop[0]))
-		if m := best.acc.mean(); bestE/(m*m+1) <= opt.epsilon() {
+		if m := best.acc.mean(); bestE/(m*m+1) <= epsilon {
 			gens++
 			break
 		}
 		next := make([]state, 0, len(pop))
-		for i := 0; i < opt.elite() && i < len(pop); i++ {
+		for i := 0; i < elite; i++ {
 			next = append(next, cloneState(pop[i]))
 		}
 		for len(next) < len(pop) {
 			a := tournament(pop, energy, rng)
 			b := tournament(pop, energy, rng)
 			child := crossover(sctx, a, b, rng)
-			mutate(sctx, &child, rng, opt.mutateProb())
+			mutate(sctx, &child, rng)
 			next = append(next, child)
 		}
 		pop = next
@@ -127,10 +107,11 @@ func crossover(s *search, a, b state, rng *rand.Rand) state {
 	return c
 }
 
-// mutate flips genes in place; set keeps the accumulators in sync.
-func mutate(s *search, st *state, rng *rand.Rand, prob float64) {
+// mutate flips each gene in place with probability mutateProb; set
+// keeps the accumulators in sync.
+func mutate(s *search, st *state, rng *rand.Rand) {
 	for i := 0; i < s.nOrder; i++ {
-		if rng.Float64() < prob {
+		if rng.Float64() < mutateProb {
 			st.set(s, i, rng.Intn(len(s.lcAt[i].cands)))
 		}
 	}

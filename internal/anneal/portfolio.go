@@ -64,8 +64,9 @@ func portfolioSA(g *graph.Graph, cfg engine.Config, df engine.Dataflow, opt Opti
 
 	// The iteration budget is the portfolio total: K chains of
 	// ceil(MaxIters/K) iterations do ~MaxIters Metropolis steps combined,
-	// so Chains trades nothing away on total work — it only spreads the
-	// same budget over cores, with exchanges re-focusing strayed chains.
+	// so Chains trades nothing away on total work — it spreads the same
+	// budget over several trajectories, with exchanges re-focusing
+	// strayed chains.
 	perChain := (opt.maxIters() + K - 1) / K
 
 	chains := make([]*saChain, K)
@@ -75,7 +76,7 @@ func portfolioSA(g *graph.Graph, cfg engine.Config, df engine.Dataflow, opt Opti
 
 	exchanges := int64(0)
 	for done := 0; done < perChain; {
-		n := opt.exchangeEvery()
+		n := exchangeEvery
 		if done+n > perChain {
 			n = perChain - done
 		}
@@ -118,7 +119,7 @@ func portfolioSA(g *graph.Graph, cfg engine.Config, df engine.Dataflow, opt Opti
 			// the argmin image of a target drawn around the adopted S, which
 			// the walker reaches incrementally from wherever it stands.
 			c.E, c.S = chains[gb].bestE, chains[gb].bestS
-			c.lenAbs = c.S * opt.lenFrac()
+			c.lenAbs = c.S * lenFrac
 			if c.E < c.bestE {
 				c.best, c.bestE, c.bestS = cloneState(chains[gb].best), c.E, c.S
 			}

@@ -15,7 +15,7 @@ func TestProgressHookIsObservationOnly(t *testing.T) {
 	g := models.MustBuild("tinyresnet")
 	cfg := engine.Default()
 	for _, chains := range []int{1, 2, 4} {
-		base := Options{MaxIters: 160, Seed: 9, Chains: chains, ExchangeEvery: 32}
+		base := Options{MaxIters: 320, Seed: 9, Chains: chains}
 		plain := SA(g, cfg, engine.KCPartition, base)
 
 		hooked := base
@@ -75,13 +75,13 @@ func checkBatches(t *testing.T, batches [][]Sample, chains int) {
 }
 
 // TestProgressSingleChainCadence pins the emission schedule: one batch
-// per ExchangeEvery segment plus the final batch, each of exactly one
+// per exchangeEvery segment plus the final batch, each of exactly one
 // sample.
 func TestProgressSingleChainCadence(t *testing.T) {
 	g := models.MustBuild("tinyconv")
 	cfg := engine.Default()
 	var batches int
-	opt := Options{MaxIters: 100, Seed: 3, ExchangeEvery: 25}
+	opt := Options{MaxIters: 200, Seed: 3}
 	opt.Progress = func(s []Sample) {
 		if len(s) != 1 {
 			t.Fatalf("single-chain batch has %d samples", len(s))
@@ -89,9 +89,9 @@ func TestProgressSingleChainCadence(t *testing.T) {
 		batches++
 	}
 	res := SA(g, cfg, engine.KCPartition, opt)
-	// 100 iters / 25 per segment = 4 barrier batches, + 1 final — unless
+	// 200 iters / 50 per segment = 4 barrier batches, + 1 final — unless
 	// the chain converged early, which only shortens the schedule.
 	if batches < 2 || batches > 5 {
-		t.Fatalf("saw %d batches for 100 iters @ 25 (want 2..5, iters ran %d)", batches, res.Iters)
+		t.Fatalf("saw %d batches for 200 iters @ %d (want 2..5, iters ran %d)", batches, exchangeEvery, res.Iters)
 	}
 }

@@ -28,8 +28,6 @@ import (
 
 // Config tunes an experiment run.
 type Config struct {
-	// HW is the hardware model (default sim.DefaultConfig()).
-	HW *sim.Config
 	// Workloads overrides the experiment's default model list (the
 	// paper's). Fast mode for CI uses a small subset.
 	Workloads []string
@@ -42,16 +40,12 @@ type Config struct {
 	Seed int64
 	// Chains is the annealing portfolio width threaded into every SA
 	// search of the experiment (default 1 — the paper's sequential
-	// Algorithm 1; higher values cut sweep wall-clock on multicore).
+	// Algorithm 1). Wider portfolios split the same SAIters budget, so
+	// they change the search rather than speed it up.
 	Chains int
 	// Mode selects the scheduling effort (default Greedy: the DP gain is
 	// measured explicitly by Fig10).
 	Mode schedule.Mode
-	// VerifyDelta runs every SA search of the experiment with
-	// incremental-vs-full cross-checking (see anneal.Options.VerifyDelta).
-	// Purely a correctness harness: results are unchanged, searches cost
-	// more. cmd/adexp exposes it as -verify-delta.
-	VerifyDelta bool
 	// Out receives the printed rows (nil = discard).
 	Out io.Writer
 	// Oracle prices atoms across the whole experiment run (default: a
@@ -66,21 +60,15 @@ type Config struct {
 	Metrics *obs.Registry
 }
 
-// hw assembles the hardware model with the run's cost oracle installed.
-// When neither HW.Oracle nor Oracle is set, each experiment gets its own
-// memoized oracle — the cache still spans every stage and workload of that
-// experiment because hw() is called once per Fig*/Table* function.
+// hw assembles the paper's hardware model (sim.DefaultConfig) with the
+// run's cost oracle and metrics installed. When Oracle is unset, each
+// experiment gets its own memoized oracle — the cache still spans every
+// stage and workload of that experiment because hw() is called once per
+// Fig*/Table* function.
 func (c Config) hw() sim.Config {
 	hw := sim.DefaultConfig()
-	if c.HW != nil {
-		hw = *c.HW
-	}
-	if hw.Oracle == nil {
-		hw.Oracle = cost.Or(c.Oracle)
-	}
-	if hw.Metrics == nil {
-		hw.Metrics = c.Metrics
-	}
+	hw.Oracle = cost.Or(c.Oracle)
+	hw.Metrics = c.Metrics
 	return hw
 }
 
@@ -122,18 +110,16 @@ func (c Config) chains() int {
 // searchOpts bundles the SA parameters threaded through every experiment
 // pipeline — one value to pass instead of a trail of positional ints.
 type searchOpts struct {
-	saIters     int
-	seed        int64
-	chains      int
-	verifyDelta bool
+	saIters int
+	seed    int64
+	chains  int
 }
 
 func (c Config) search() searchOpts {
 	return searchOpts{
-		saIters:     c.saIters(),
-		seed:        c.seed(),
-		chains:      c.chains(),
-		verifyDelta: c.VerifyDelta,
+		saIters: c.saIters(),
+		seed:    c.seed(),
+		chains:  c.chains(),
 	}
 }
 
@@ -141,12 +127,11 @@ func (c Config) search() searchOpts {
 // hardware model (oracle and metrics ride along from hw).
 func (so searchOpts) anneal(hw sim.Config) anneal.Options {
 	return anneal.Options{
-		MaxIters:    so.saIters,
-		Seed:        so.seed,
-		Chains:      so.chains,
-		VerifyDelta: so.verifyDelta,
-		Oracle:      hw.Oracle,
-		Metrics:     hw.Metrics,
+		MaxIters: so.saIters,
+		Seed:     so.seed,
+		Chains:   so.chains,
+		Oracle:   hw.Oracle,
+		Metrics:  hw.Metrics,
 	}
 }
 

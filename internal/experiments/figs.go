@@ -96,7 +96,7 @@ func Fig5b(cfg Config) (Fig5bResult, error) {
 	g := mustModel(name)
 	opt := cfg.search().anneal(hw)
 	sa := anneal.SA(g, hw.Engine, hw.Dataflow, opt)
-	ga := anneal.GA(g, hw.Engine, hw.Dataflow, anneal.GAOptions{Options: opt})
+	ga := anneal.GA(g, hw.Engine, hw.Dataflow, opt)
 	res := Fig5bResult{
 		Workload: name,
 		SATrace:  sa.Trace, GATrace: ga.Trace,

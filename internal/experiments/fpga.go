@@ -50,9 +50,6 @@ func FPGAConfig() sim.Config {
 // improvement of AD over LS (~1.3-1.4x).
 func FPGA(cfg Config) ([]FPGARow, error) {
 	hw := FPGAConfig()
-	if cfg.HW != nil {
-		hw = *cfg.HW
-	}
 	batch := cfg.batch(8) // frame-rate measurement streams images
 	var rows []FPGARow
 	cfg.printf("FPGA prototype (Sec V-D) — 2x2 engines, 32x32 MACs, 600 MHz\n")

@@ -53,6 +53,9 @@ func (s *Server) Handler() http.Handler {
 	return mux
 }
 
+// maxBodyBytes bounds the /solve request body.
+const maxBodyBytes = 8 << 20
+
 func (s *Server) handleSolve(w http.ResponseWriter, r *http.Request) {
 	span := obs.StartSpan(s.m.reqLatency)
 	defer span.End()
@@ -61,12 +64,12 @@ func (s *Server) handleSolve(w http.ResponseWriter, r *http.Request) {
 		s.writeError(w, http.StatusMethodNotAllowed, "POST a solve request")
 		return
 	}
-	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, s.cfg.maxBodyBytes()))
+	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, maxBodyBytes))
 	if err != nil {
 		s.writeError(w, http.StatusRequestEntityTooLarge, "request body too large")
 		return
 	}
-	req, err := parseRequest(body, s.cfg.DefaultChains, s.cfg.DefaultWarmStart)
+	req, err := ParseRequest(body)
 	if err != nil {
 		s.writeError(w, http.StatusBadRequest, err.Error())
 		return

@@ -27,37 +27,30 @@ type Request struct {
 	Batch    int    `json:"batch,omitempty"`
 	Seed     int64  `json:"seed,omitempty"`
 	SAIters  int    `json:"sa_iters,omitempty"`
-	Chains   int    `json:"chains,omitempty"` // annealing portfolio width (default: server's -chains, else 1)
+	Chains   int    `json:"chains,omitempty"` // annealing portfolio width (default 1)
 	MaxTiles int    `json:"max_tiles,omitempty"`
 	Mode     string `json:"mode,omitempty"` // "dp" (default) or "greedy"
 
 	Hardware *HardwareSpec `json:"hardware,omitempty"`
 
-	// Trace includes the Chrome trace-event document of the simulated
-	// execution in the response (and in the cached entry).
+	// Trace includes the full-span trace document of the simulated
+	// execution (engine, NoC and DRAM lanes; see
+	// atomicflow.Options.TraceWriter) in the response and the cached
+	// entry.
 	Trace bool `json:"trace,omitempty"`
 
 	// TimeoutMS overrides the server's per-request deadline, clamped to
 	// the server maximum. Not part of the cache key.
 	TimeoutMS int64 `json:"timeout_ms,omitempty"`
 
-	// VerifyDelta runs the search with incremental-vs-full cross-checking
-	// enabled (see atomicflow.Options.VerifyDelta). Like TimeoutMS it is
-	// not part of the cache key: the harness never changes the solution,
-	// only how expensively it is searched, so a verified request may be
-	// answered from an unverified entry and vice versa. The server's
-	// -verify-delta flag forces it on for every request.
-	VerifyDelta bool `json:"verify_delta,omitempty"`
-
 	// WarmStart opts into seeding the search from the persistent
 	// store's best related record (same graph solved under a different
-	// key — typically other hardware). Tri-state: omitted takes the
-	// server's -warm-start default, explicit true/false pins it. Part of
-	// the cache key — a warm-started search explores a different
-	// trajectory, so warm and cold entries are legitimately different
-	// bytes. On a server without a store (or when no donor exists yet) a
-	// warm request simply solves cold.
-	WarmStart *bool `json:"warm_start,omitempty"`
+	// key — typically other hardware). Default off. Part of the cache
+	// key — a warm-started search explores a different trajectory, so
+	// warm and cold entries are legitimately different bytes. On a
+	// server without a store (or when no donor exists yet) a warm
+	// request simply solves cold.
+	WarmStart bool `json:"warm_start,omitempty"`
 
 	graph     *graph.Graph // decoded workload
 	graphHash string       // sha256 of the canonical modelio encoding
@@ -92,30 +85,12 @@ const (
 // ParseRequest decodes, validates and normalizes a /solve body and
 // computes its canonical cache key. It never panics on arbitrary input
 // (fuzzed by FuzzSolveRequest), and parsing the same bytes twice yields
-// the same key.
+// the same key. Unknown fields, such as "surrogate" or "verify_delta"
+// from older clients, are ignored.
 func ParseRequest(data []byte) (*Request, error) {
-	return parseRequest(data, 0, false)
-}
-
-// parseRequest is ParseRequest with server-level defaults applied before
-// normalization: a request that omits "chains" takes defChains (0 keeps
-// the library default of 1), and one that omits "warm_start" takes
-// defWarm. Defaults must land before the cache key is computed — the key
-// states the chain count and warm-start mode a cached solution was
-// actually searched with, so an explicit chains=1 (or warm_start=false)
-// request can never be answered from a differently-searched entry or
-// vice versa.
-func parseRequest(data []byte, defChains int, defWarm bool) (*Request, error) {
 	var r Request
 	if err := json.Unmarshal(data, &r); err != nil {
 		return nil, fmt.Errorf("serve: bad request body: %w", err)
-	}
-	if r.Chains == 0 {
-		r.Chains = defChains
-	}
-	if r.WarmStart == nil {
-		v := defWarm
-		r.WarmStart = &v
 	}
 	if err := r.normalize(); err != nil {
 		return nil, err
@@ -189,10 +164,6 @@ func (r *Request) normalize() error {
 	if r.TimeoutMS < 0 {
 		return fmt.Errorf("serve: negative timeout_ms %d", r.TimeoutMS)
 	}
-	if r.WarmStart == nil {
-		f := false
-		r.WarmStart = &f
-	}
 	if r.Hardware == nil {
 		r.Hardware = &HardwareSpec{}
 	}
@@ -250,7 +221,7 @@ func (r *Request) computeKey() string {
 	// cost oracle: keys written by earlier builds carry it, and -store
 	// directories they wrote must keep replaying under the same keys.
 	fmt.Fprintf(h, "batch %d seed %d iters %d chains %d tiles %d mode %s trace %t surrogate false warm %t\n",
-		r.Batch, r.Seed, r.SAIters, r.Chains, r.MaxTiles, r.Mode, r.Trace, *r.WarmStart)
+		r.Batch, r.Seed, r.SAIters, r.Chains, r.MaxTiles, r.Mode, r.Trace, r.WarmStart)
 	hw := r.Hardware
 	fmt.Fprintf(h, "hw %dx%d link %d buf %d df %s naive %t dbuf %t\n",
 		hw.MeshW, hw.MeshH, hw.LinkBytes, hw.BufferBytes, hw.Dataflow,

@@ -53,27 +53,12 @@ type Config struct {
 	// RequestTimeout is the per-request deadline, also the cap for
 	// request-supplied timeout_ms (default 2m).
 	RequestTimeout time.Duration
-	// DefaultChains is the annealing portfolio width applied to requests
-	// that omit "chains" (default 1, the sequential search). Applied
-	// during request normalization, so it participates in the cache key.
-	DefaultChains int
-	// VerifyDelta forces incremental-vs-full search cross-checking on for
-	// every request (see atomicflow.Options.VerifyDelta). A correctness
-	// harness, not part of the cache key — it never changes solutions.
-	VerifyDelta bool
-	// MaxBodyBytes bounds the /solve request body (default 8 MiB).
-	MaxBodyBytes int64
 	// Store, when non-nil, persists every finished solve: repeat
 	// requests after a restart are served the stored bytes without
 	// re-solving, and warm-start requests seed their search from the
 	// best related record (same graph, different key). The caller owns
 	// the store's directory.
 	Store *store.Store
-	// DefaultWarmStart applies warm-starting to requests that omit
-	// "warm_start" (default off). Like DefaultChains it participates
-	// in the cache key — a warm-started search explores a different
-	// trajectory, so warm and cold entries must stay distinct.
-	DefaultWarmStart bool
 	// Hardware is the base accelerator model requests override (default
 	// atomicflow.DefaultHardware).
 	Hardware *atomicflow.HardwareConfig
@@ -108,13 +93,6 @@ func (c Config) requestTimeout() time.Duration {
 		return c.RequestTimeout
 	}
 	return 2 * time.Minute
-}
-
-func (c Config) maxBodyBytes() int64 {
-	if c.MaxBodyBytes > 0 {
-		return c.MaxBodyBytes
-	}
-	return 8 << 20
 }
 
 // flight is one in-progress solve shared by every concurrent request
@@ -466,7 +444,6 @@ func (s *Server) runJob(jb *job) (*solveResult, error) {
 		SAIters:          req.SAIters,
 		Chains:           req.Chains,
 		MaxTilesPerLayer: req.MaxTiles,
-		VerifyDelta:      req.VerifyDelta || s.cfg.VerifyDelta,
 		Progress:         s.dashProgress(id, model),
 		Context:          jb.ctx,
 	}
@@ -480,7 +457,7 @@ func (s *Server) runJob(jb *job) (*solveResult, error) {
 	// Warm start: seed the search from the store's best related record —
 	// the same graph solved under a different key (typically different
 	// hardware). No donor yet means the request simply solves cold.
-	if *req.WarmStart && s.store != nil {
+	if req.WarmStart && s.store != nil {
 		if donor, ok := s.store.Related(req.graphHash, req.Key()); ok && len(donor.Parts) > 0 {
 			opt.WarmStart = donor.Parts
 			s.m.warmStarts.Inc()

@@ -340,6 +340,51 @@ func TestInlineGraphSolve(t *testing.T) {
 	}
 }
 
+// TestSolveTrace checks that "trace":true returns the full-span
+// document: the engines, noc and dram process lanes.
+func TestSolveTrace(t *testing.T) {
+	_, ts := newTestServer(t, Config{Workers: 1})
+	resp, body := postSolve(t, ts, `{"model":"tinyconv","sa_iters":60,"trace":true}`)
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("status %d: %s", resp.StatusCode, body)
+	}
+	var sr SolveResponse
+	if err := json.Unmarshal(body, &sr); err != nil {
+		t.Fatal(err)
+	}
+	var doc struct {
+		TraceEvents []struct {
+			Name string         `json:"name"`
+			Args map[string]any `json:"args"`
+		} `json:"traceEvents"`
+	}
+	if err := json.Unmarshal(sr.Trace, &doc); err != nil {
+		t.Fatalf("trace is not a trace-event document: %v", err)
+	}
+	lanes := map[any]bool{}
+	for _, ev := range doc.TraceEvents {
+		if ev.Name == "process_name" {
+			lanes[ev.Args["name"]] = true
+		}
+	}
+	for _, want := range []string{"engines", "noc", "dram"} {
+		if !lanes[want] {
+			t.Errorf("trace has no %q process lane (have %v)", want, lanes)
+		}
+	}
+}
+
+// TestSolveBodyLimit checks that a /solve body over 8 MiB is refused
+// with 413 before it is parsed.
+func TestSolveBodyLimit(t *testing.T) {
+	_, ts := newTestServer(t, Config{Workers: 1})
+	body := `{"model":"tinyconv","pad":"` + strings.Repeat("x", maxBodyBytes) + `"}`
+	resp, _ := postSolve(t, ts, body)
+	if resp.StatusCode != http.StatusRequestEntityTooLarge {
+		t.Fatalf("status %d for a %d-byte body, want 413", resp.StatusCode, len(body))
+	}
+}
+
 // TestHealthz checks the liveness document and its drain transition.
 func TestHealthz(t *testing.T) {
 	s, ts := newTestServer(t, Config{Workers: 2, QueueDepth: 7})

@@ -33,24 +33,6 @@ func golden(t *testing.T, name string, got []byte) {
 	}
 }
 
-func TestChromeGolden(t *testing.T) {
-	c, g, _ := collect(t, "tinybranch", 1)
-	var buf bytes.Buffer
-	if err := c.WriteChrome(&buf, g); err != nil {
-		t.Fatal(err)
-	}
-	golden(t, "chrome_tinybranch.json", buf.Bytes())
-}
-
-func TestGanttGolden(t *testing.T) {
-	c, g, _ := collect(t, "tinyconv", 1)
-	var buf bytes.Buffer
-	if err := c.WriteGantt(&buf, g, 0); err != nil {
-		t.Fatal(err)
-	}
-	golden(t, "gantt_tinyconv.txt", buf.Bytes())
-}
-
 func TestPerfettoGolden(t *testing.T) {
 	c, g, _ := collect(t, "tinybranch", 1)
 	var buf bytes.Buffer

@@ -1,9 +1,9 @@
 // Package trace collects per-Round execution traces from the simulator
-// and exports them for inspection: the Chrome trace-event JSON format
-// (load in chrome://tracing or Perfetto; one lane per engine) and a
-// plain-text Gantt summary for terminals. Traces make the scheduler's
-// behaviour visible — which layers share Rounds, where the barriers
-// stretch, which engines idle.
+// and exports them as one Chrome trace-event JSON document for the
+// Perfetto UI: engine compute lanes plus NoC and DRAM lanes. Traces make
+// the scheduler's behaviour visible — which layers share Rounds, where
+// the barriers stretch, which engines idle, and whether NoC or DRAM held
+// each barrier open.
 package trace
 
 import (
@@ -11,7 +11,6 @@ import (
 	"fmt"
 	"io"
 	"sort"
-	"strings"
 	"sync"
 
 	"github.com/atomic-dataflow/atomicflow/internal/cost"
@@ -72,39 +71,6 @@ type chromeEvent struct {
 	Args map[string]any `json:"args,omitempty"`
 }
 
-// WriteChrome renders the trace as Chrome trace-event JSON. Engines map
-// to threads; timestamps are cycles. The graph names each atom's layer.
-func (c *Collector) WriteChrome(w io.Writer, g *graph.Graph) error {
-	var events []chromeEvent
-	for _, rt := range c.Rounds {
-		for _, at := range rt.Atoms {
-			name := fmt.Sprintf("L%d", at.Layer)
-			if g != nil {
-				name = g.Layer(at.Layer).Name
-			}
-			events = append(events, chromeEvent{
-				Name: name, Ph: "X",
-				Ts: rt.Start, Dur: at.Cycles,
-				Pid: 0, Tid: at.Engine,
-				Args: map[string]any{
-					"atom": at.Atom, "sample": at.Sample, "round": rt.Round,
-				},
-			})
-		}
-		// Barrier slack after the last compute, on a synthetic lane.
-		if rt.End > rt.ComputeEnd {
-			events = append(events, chromeEvent{
-				Name: "mem-block", Ph: "X",
-				Ts: rt.ComputeEnd, Dur: rt.End - rt.ComputeEnd,
-				Pid: 0, Tid: -1,
-				Args: map[string]any{"round": rt.Round},
-			})
-		}
-	}
-	enc := json.NewEncoder(w)
-	return enc.Encode(map[string]any{"traceEvents": events})
-}
-
 // metaEvent builds a Chrome "M" metadata record naming a process or
 // thread lane.
 func metaEvent(kind string, pid, tid int, name string) chromeEvent {
@@ -114,9 +80,10 @@ func metaEvent(kind string, pid, tid int, name string) chromeEvent {
 	}
 }
 
-// WritePerfetto renders the full-span trace for the Perfetto UI. On top
-// of WriteChrome's per-engine compute lanes (pid 0) it adds a NoC process
-// (pid 1) and a DRAM process (pid 2):
+// WritePerfetto renders the full-span trace for the Perfetto UI (or
+// chrome://tracing). Engines are the threads of process 0, with one
+// layer-named span per atom; timestamps are cycles. A NoC process (pid 1)
+// and a DRAM process (pid 2) carry the Round barrier's memory side:
 //
 //   - noc/blocked — spans [DRAMEnd, End] where link contention held the
 //     Round barrier open, tagged with the Round's flow count and bytes.
@@ -197,82 +164,4 @@ func (c *Collector) WritePerfetto(w io.Writer, g *graph.Graph) error {
 	}
 	enc := json.NewEncoder(w)
 	return enc.Encode(map[string]any{"traceEvents": events})
-}
-
-// WriteGantt renders a coarse text Gantt: one row per Round, showing the
-// busy share of the Round and the layers it mixes.
-func (c *Collector) WriteGantt(w io.Writer, g *graph.Graph, maxRounds int) error {
-	if maxRounds <= 0 || maxRounds > len(c.Rounds) {
-		maxRounds = len(c.Rounds)
-	}
-	for _, rt := range c.Rounds[:maxRounds] {
-		span := rt.End - rt.Start
-		if span <= 0 {
-			span = 1
-		}
-		layers := map[string]bool{}
-		var busy int64
-		for _, at := range rt.Atoms {
-			busy += at.Cycles
-			if g != nil {
-				layers[g.Layer(at.Layer).Name] = true
-			} else {
-				layers[fmt.Sprintf("L%d", at.Layer)] = true
-			}
-		}
-		names := make([]string, 0, len(layers))
-		for n := range layers {
-			names = append(names, n)
-		}
-		sort.Strings(names)
-		if len(names) > 4 {
-			names = append(names[:4], "...")
-		}
-		bar := int(16 * float64(busy) / float64(span*int64(maxAtoms(rt))))
-		if bar > 16 {
-			bar = 16
-		}
-		fmt.Fprintf(w, "round %5d [%-16s] %8d cycles  %2d atoms  %s\n",
-			rt.Round, strings.Repeat("#", bar), span, len(rt.Atoms),
-			strings.Join(names, ","))
-	}
-	return nil
-}
-
-func maxAtoms(rt sim.RoundTrace) int {
-	if len(rt.Atoms) == 0 {
-		return 1
-	}
-	return len(rt.Atoms)
-}
-
-// Stats summarizes barrier efficiency over the trace.
-type Stats struct {
-	Rounds          int
-	MeanOccupancy   float64 // atoms per round / engines (needs engines)
-	MemBlockedFrac  float64 // share of span beyond compute-only time
-	TotalCycles     int64
-	TotalComputeMax int64
-}
-
-// Summarize computes trace statistics for n engines.
-func (c *Collector) Summarize(engines int) Stats {
-	var st Stats
-	st.Rounds = len(c.Rounds)
-	if st.Rounds == 0 {
-		return st
-	}
-	var occ float64
-	var blocked int64
-	for _, rt := range c.Rounds {
-		occ += float64(len(rt.Atoms)) / float64(engines)
-		blocked += rt.End - rt.ComputeEnd
-		st.TotalComputeMax += rt.ComputeEnd - rt.Start
-	}
-	st.MeanOccupancy = occ / float64(st.Rounds)
-	st.TotalCycles = c.TotalCycles()
-	if st.TotalCycles > 0 {
-		st.MemBlockedFrac = float64(blocked) / float64(st.TotalCycles)
-	}
-	return st
 }

@@ -65,10 +65,13 @@ func TestCollectorCoversRun(t *testing.T) {
 	}
 }
 
+// TestChromeExport checks the exporter's Chrome trace-event framing: a
+// valid JSON document whose compute events carry layer names from the
+// graph.
 func TestChromeExport(t *testing.T) {
 	c, g, _ := collect(t, "tinybranch", 1)
 	var buf bytes.Buffer
-	if err := c.WriteChrome(&buf, g); err != nil {
+	if err := c.WritePerfetto(&buf, g); err != nil {
 		t.Fatal(err)
 	}
 	var doc struct {
@@ -80,7 +83,6 @@ func TestChromeExport(t *testing.T) {
 	if len(doc.TraceEvents) == 0 {
 		t.Fatal("no events")
 	}
-	// Every compute event carries a layer name from the graph.
 	named := false
 	for _, ev := range doc.TraceEvents {
 		if name, ok := ev["name"].(string); ok && strings.Contains(name, "conv") {
@@ -89,22 +91,6 @@ func TestChromeExport(t *testing.T) {
 	}
 	if !named {
 		t.Error("no layer-named events")
-	}
-}
-
-func TestGanttExport(t *testing.T) {
-	c, g, _ := collect(t, "tinyconv", 1)
-	var buf bytes.Buffer
-	if err := c.WriteGantt(&buf, g, 5); err != nil {
-		t.Fatal(err)
-	}
-	out := buf.String()
-	if !strings.Contains(out, "round     0") {
-		t.Errorf("gantt output missing rounds:\n%s", out)
-	}
-	lines := strings.Count(out, "\n")
-	if lines > 5 {
-		t.Errorf("maxRounds not honored: %d lines", lines)
 	}
 }
 
@@ -178,26 +164,5 @@ func TestPerfettoExport(t *testing.T) {
 		if rt.ComputeEnd > rt.DRAMEnd || rt.DRAMEnd > rt.End {
 			t.Fatalf("round %d: span ordering violated: %+v", rt.Round, rt)
 		}
-	}
-}
-
-func TestSummarize(t *testing.T) {
-	c, _, rep := collect(t, "tinyresnet", 3)
-	st := c.Summarize(4)
-	if st.Rounds != rep.Rounds {
-		t.Errorf("Rounds = %d, want %d", st.Rounds, rep.Rounds)
-	}
-	if st.MeanOccupancy <= 0 || st.MeanOccupancy > 1 {
-		t.Errorf("occupancy = %v", st.MeanOccupancy)
-	}
-	if st.TotalCycles != rep.Cycles {
-		t.Errorf("cycles = %d, want %d", st.TotalCycles, rep.Cycles)
-	}
-	if st.MemBlockedFrac < 0 || st.MemBlockedFrac > 1 {
-		t.Errorf("blocked frac = %v", st.MemBlockedFrac)
-	}
-	empty := (&Collector{}).Summarize(4)
-	if empty.Rounds != 0 || empty.TotalCycles != 0 {
-		t.Error("empty collector non-zero stats")
 	}
 }

@@ -5,6 +5,8 @@ import (
 	"testing"
 )
 
+// TestTraceWriterOption checks that Options.TraceWriter receives a
+// trace document.
 func TestTraceWriterOption(t *testing.T) {
 	g, _ := LoadModel("tinyconv")
 	hw := smallHW()
@@ -14,29 +16,25 @@ func TestTraceWriterOption(t *testing.T) {
 		t.Fatal(err)
 	}
 	if !strings.Contains(sb.String(), "traceEvents") {
-		t.Errorf("no trace emitted: %q", sb.String()[:min(80, len(sb.String()))])
+		t.Errorf("no trace emitted: %.80s", sb.String())
 	}
 }
 
-func min(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
-}
-
+// TestPerfettoWriterOption checks that the document Options.TraceWriter
+// receives is the full-span Perfetto trace: engine, NoC and DRAM process
+// lanes, not only the compute lanes.
 func TestPerfettoWriterOption(t *testing.T) {
 	g, _ := LoadModel("tinyconv")
 	hw := smallHW()
 	var sb strings.Builder
-	_, err := Orchestrate(g, Options{Hardware: &hw, PerfettoWriter: &sb})
+	_, err := Orchestrate(g, Options{Hardware: &hw, TraceWriter: &sb})
 	if err != nil {
 		t.Fatal(err)
 	}
 	out := sb.String()
-	for _, want := range []string{"traceEvents", "process_name", "dram"} {
+	for _, want := range []string{"process_name", `"name":"engines"`, `"name":"noc"`, `"name":"dram"`} {
 		if !strings.Contains(out, want) {
-			t.Errorf("perfetto trace missing %q", want)
+			t.Errorf("perfetto trace missing %q: %.80s", want, out)
 		}
 	}
 }
