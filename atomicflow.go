@@ -187,7 +187,7 @@ func NewMetrics() *MetricsRegistry { return obs.New() }
 // NewCostOracle returns the standard instrumented memoizing cost oracle.
 // Set it as HardwareConfig.Oracle (or let Orchestrate build one per run)
 // to share one evaluation cache across searches, schedules and
-// simulations; Solution.OracleStats reports its counters.
+// baselines; Solution.OracleStats reports its counters.
 func NewCostOracle() CostOracle { return cost.Default() }
 
 // Options tunes Orchestrate. The zero value gives the paper's defaults on
@@ -346,7 +346,7 @@ func Orchestrate(g *Graph, opt Options) (*Solution, error) {
 		return nil, err
 	}
 	// One oracle spans the whole pipeline: atoms priced during candidate
-	// generation are cache hits for the scheduler and the simulator.
+	// generation are cache hits for the scheduler.
 	if hw.Oracle == nil {
 		hw.Oracle = cost.Default()
 	}

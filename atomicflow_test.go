@@ -212,12 +212,14 @@ func TestOrchestrateOracleStats(t *testing.T) {
 		t.Fatal(err)
 	}
 	st := sol.OracleStats
-	if st.Evaluations == 0 || st.Hits+st.Misses != st.Evaluations {
+	// cost.Memo counts a concurrent duplicate miss joined to an in-flight
+	// evaluation as a Dedup, neither hit nor miss.
+	if st.Evaluations == 0 || st.Hits+st.Misses+st.Dedups != st.Evaluations {
 		t.Fatalf("inconsistent oracle stats %+v", st)
 	}
-	// The SA search, the scheduler and the simulator price the same few
-	// dozen distinct tasks thousands of times; the shared cache must
-	// absorb well over half of that (acceptance: > 50% on ResNet-50).
+	// The SA search and the scheduler price the same few dozen distinct
+	// tasks thousands of times; the shared cache must absorb well over
+	// half of that (acceptance: > 50% on ResNet-50).
 	if hr := st.HitRate(); hr <= 0.5 {
 		t.Errorf("end-to-end hit rate %.1f%%, want > 50%%", 100*hr)
 	}

@@ -19,6 +19,9 @@
 //	baseline_ns x current_calibration_ns / baseline_calibration_ns
 //
 // and the gate fails when measured ns/op exceeds expected x (1+threshold).
+// It also fails when measured ns/op falls below expected x staleFloor: the
+// code got that much faster, and until the baseline is re-pinned the gate
+// would let a later regression of the same size through unnoticed.
 package main
 
 import (
@@ -41,6 +44,10 @@ const calibration = "Calibration"
 // input are recorded in the artifact but never fail the build.
 var gated = []string{"SimRun", "SimRunDeep", "SimRunB8", "PlaceRound", "AtomBuild", "ScheduleBuild"}
 
+// staleFloor is the measured/expected ratio below which a gated benchmark
+// fails the gate as a stale baseline.
+const staleFloor = 0.8
+
 // baseline is the checked-in reference (testdata/bench_baseline.json).
 type baseline struct {
 	// CalibrationNS is BenchmarkCalibration ns/op on the machine that
@@ -58,6 +65,7 @@ type result struct {
 	Ratio      float64 `json:"ratio,omitempty"`       // measured / expected
 	Gated      bool    `json:"gated"`
 	Regressed  bool    `json:"regressed"`
+	Stale      bool    `json:"stale,omitempty"` // ratio below staleFloor: re-pin
 }
 
 // artifact is the BENCH_sim.json schema.
@@ -133,46 +141,12 @@ func main() {
 	if base.CalibrationNS <= 0 {
 		fatal(fmt.Errorf("%s: calibration_ns missing or non-positive", *basePath))
 	}
-	scale := calib / base.CalibrationNS
-
-	art := artifact{CalibrationNS: calib, ScaleFactor: scale, Threshold: *threshold, Pass: true}
-	isGated := map[string]bool{}
-	for _, g := range gated {
-		isGated[g] = true
+	art, lines, err := compare(base, measured, *threshold)
+	if err != nil {
+		fatal(fmt.Errorf("%w (baseline %s)", err, *basePath))
 	}
-	names := make([]string, 0, len(measured))
-	for name := range measured {
-		names = append(names, name)
-	}
-	sort.Strings(names)
-	for _, name := range names {
-		r := result{Name: name, NSPerOp: measured[name], Gated: isGated[name]}
-		if bns, ok := base.Benchmarks[name]; ok {
-			r.BaselineNS = bns
-			r.ExpectedNS = bns * scale
-			r.Ratio = r.NSPerOp / r.ExpectedNS
-			r.Regressed = r.Gated && r.Ratio > 1+*threshold
-		}
-		art.Results = append(art.Results, r)
-	}
-	for _, name := range gated {
-		ns, ok := measured[name]
-		if !ok {
-			fatal(fmt.Errorf("gated benchmark %s missing from input", name))
-		}
-		bns, ok := base.Benchmarks[name]
-		if !ok {
-			fatal(fmt.Errorf("gated benchmark %s missing from baseline %s — re-pin with -update", name, *basePath))
-		}
-		expected := bns * scale
-		ratio := ns / expected
-		verdict := "ok"
-		if ratio > 1+*threshold {
-			verdict = "REGRESSED"
-			art.Pass = false
-		}
-		fmt.Printf("benchgate: %-12s %12.0f ns/op  expected %12.0f  ratio %.3f  %s\n",
-			name, ns, expected, ratio, verdict)
+	for _, l := range lines {
+		fmt.Println(l)
 	}
 
 	if *outPath != "" {
@@ -185,9 +159,79 @@ func main() {
 		}
 	}
 	if !art.Pass {
-		fmt.Fprintf(os.Stderr, "benchgate: ns/op regression beyond %.0f%% — investigate or re-pin the baseline with -update\n", 100**threshold)
+		fmt.Fprintln(os.Stderr, failure(art))
 		os.Exit(1)
 	}
+}
+
+// compare gates the measured ns/op (which must include the calibration
+// benchmark) against base: it returns the artifact, one report line per
+// gated benchmark, and an error when a gated benchmark is missing from
+// either side.
+func compare(base baseline, measured map[string]float64, threshold float64) (artifact, []string, error) {
+	calib := measured[calibration]
+	scale := calib / base.CalibrationNS
+	art := artifact{CalibrationNS: calib, ScaleFactor: scale, Threshold: threshold, Pass: true}
+	isGated := map[string]bool{}
+	for _, g := range gated {
+		isGated[g] = true
+	}
+	names := make([]string, 0, len(measured))
+	for name := range measured {
+		names = append(names, name)
+	}
+	sort.Strings(names)
+	at := map[string]int{} // name -> index in art.Results
+	for _, name := range names {
+		r := result{Name: name, NSPerOp: measured[name], Gated: isGated[name]}
+		if bns, ok := base.Benchmarks[name]; ok {
+			r.BaselineNS = bns
+			r.ExpectedNS = bns * scale
+			r.Ratio = r.NSPerOp / r.ExpectedNS
+			r.Regressed = r.Gated && r.Ratio > 1+threshold
+			r.Stale = r.Gated && r.Ratio < staleFloor
+		}
+		at[name] = len(art.Results)
+		art.Results = append(art.Results, r)
+	}
+	var lines []string
+	for _, name := range gated {
+		i, ok := at[name]
+		if !ok {
+			return art, nil, fmt.Errorf("gated benchmark %s missing from input", name)
+		}
+		r := art.Results[i]
+		if r.BaselineNS == 0 {
+			return art, nil, fmt.Errorf("gated benchmark %s missing from baseline — re-pin with -update", name)
+		}
+		verdict := "ok"
+		switch {
+		case r.Regressed:
+			verdict = "REGRESSED"
+		case r.Stale:
+			verdict = "STALE"
+		}
+		art.Pass = art.Pass && verdict == "ok"
+		lines = append(lines, fmt.Sprintf("benchgate: %-12s %12.0f ns/op  expected %12.0f  ratio %.3f  %s",
+			name, r.NSPerOp, r.ExpectedNS, r.Ratio, verdict))
+	}
+	return art, lines, nil
+}
+
+// failure explains a failed gate: regressions first, then stale baselines.
+func failure(art artifact) string {
+	var msgs []string
+	for _, r := range art.Results {
+		if r.Regressed {
+			msgs = append(msgs, fmt.Sprintf("benchgate: %s ns/op regression beyond %.0f%% — investigate or re-pin the baseline with -update", r.Name, 100*art.Threshold))
+		}
+	}
+	for _, r := range art.Results {
+		if r.Stale {
+			msgs = append(msgs, fmt.Sprintf("benchgate: %s runs at %.2f of its baseline, below %.2f — re-pin the baseline with -update", r.Name, r.Ratio, staleFloor))
+		}
+	}
+	return strings.Join(msgs, "\n")
 }
 
 // parseBench extracts name -> ns/op from `go test -bench` output. The

@@ -3,10 +3,11 @@
 // treats the engine model as a black-box Cycle(atom) oracle; MAESTRO-style
 // analytical oracles are cheap and repeatable, and atoms produced by the
 // same layer partition are identical tasks evaluated thousands of times
-// per SA run — so every consumer (annealer, schedulers, baselines,
-// simulator) goes through an Oracle instead of calling engine.Evaluate
-// directly, and one shared memoizing oracle spans candidate generation,
-// annealing, scheduling and simulation of the same workload.
+// per SA run — so every consumer (annealer, schedulers, baselines) goes
+// through an Oracle instead of calling engine.Evaluate directly, and one
+// shared memoizing oracle spans candidate generation, annealing and
+// scheduling of the same workload. The simulator reads the prices the
+// schedule carries.
 //
 // Three stacked implementations are provided:
 //

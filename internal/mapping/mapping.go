@@ -9,6 +9,7 @@
 package mapping
 
 import (
+	"math/bits"
 	"slices"
 	"sync"
 
@@ -27,7 +28,10 @@ type Locator func(atomID int) int
 
 // WeightLocator reports whether an engine's buffer already caches the
 // weight slice an atom needs, so placement can exploit weight reuse.
-// A nil WeightLocator disables the weight-affinity refinement.
+// A nil WeightLocator disables the weight-affinity refinement. It must
+// answer alike for two atoms of one layer covering the same output-channel
+// range — they need the same weight slice — as buffer.Manager.HasWeights
+// does: the refinement asks once per slice and engine.
 type WeightLocator func(engineID, atomID int) bool
 
 // dramHopEquivalent converts a byte refetched from DRAM into the
@@ -60,18 +64,31 @@ type Mapper struct {
 	bestBuf   []int
 	sizes     []int   // group -> atom count
 	groupCost []int64 // group x base-slot byte-hop costs
-	atomRows  []int64 // per-atom cost per slot (row-major; reused by refine)
-	rowOf     []int32 // atom ID -> atomRows row (valid for the current Round)
-	slotOf    []int32 // engine index -> zig-zag slot (current Round)
-	srcBytes  []int64 // engine -> one atom's dependency bytes from it (zero between atoms)
-	srcs      []int   // engines with non-zero srcBytes
 	minFrom   []int64 // group x base suffix minima (branch-and-bound bound)
 	ctSlots   int     // slot count of the current table
 
+	// Shared cost rows (see buildCostTable). Atoms with the same
+	// per-source dependency bytes share one row of atomRows; rowOf, slotOf
+	// and the signature table are valid for the current Round only.
+	atomRows []int64   // distinct per-slot cost rows (row-major; reused by refine)
+	rowOf    []int32   // atom ID -> atomRows row
+	slotOf   []int32   // engine index -> zig-zag slot
+	srcBytes []int64   // engine -> one atom's dependency bytes from it (zero between atoms)
+	srcSet   []uint64  // engine bitset of srcBytes' non-zero entries (zero between atoms)
+	sigs     []srcByte // row signatures, back to back: row r is sigs[sigEnd[r-1]:sigEnd[r]]
+	sigEnd   []int32   // row -> end of its signature in sigs
+	sigTab   []int32   // open-addressing signature hash table: row+1, 0 = empty
+
 	// Weight-refinement scratch (see refineForWeights).
-	refEng  []int
-	refPos  []int
-	refCost []int64
+	refEng    []int
+	refPos    []int
+	refCls    []int
+	refWKey   [][2]int
+	refRowCls []int32
+	refIfm    []int64
+	refWgt    []int64
+	refCost   []int64
+	refCur    []int64
 
 	// Result free list (see Recycle). Guarded by freeMu because results
 	// are recycled by the simulator's timing goroutine while the prep
@@ -226,6 +243,13 @@ func (m *Mapper) PlaceRound(roundAtoms []int, locate Locator) Result {
 func (m *Mapper) PlaceRoundWeighted(roundAtoms []int, locate Locator, weights WeightLocator) Result {
 	groups := m.groupByLayer(roundAtoms)
 	m.buildCostTable(groups, locate)
+	return m.place(groups, weights)
+}
+
+// place searches the layer permutation over the cost table buildCostTable
+// filled for groups, lays the groups onto the zig-zag slots and, with a
+// WeightLocator, refines the placement for weight reuse.
+func (m *Mapper) place(groups []group, weights WeightLocator) Result {
 	order := m.orderBuf[:0]
 	for i := range groups {
 		order = append(order, i)
@@ -401,11 +425,21 @@ func (m *Mapper) placementCost(res *Result) int64 {
 // buffer residency does not change during placement, so every atom-engine
 // cost — ifmap fetch hops plus the DRAM-equivalent price of a weight
 // slice the engine does not hold — is assembled into one dense n x n
-// matrix and each swap check is four lookups. The ifmap hop term is not
-// recomputed here at all: buildCostTable already priced every (atom,
-// slot) pair, so the matrix is filled from its cached rows.
+// matrix and each swap check is four lookups.
+//
+// Both terms are priced per class rather than per atom: the ifmap term
+// once per shared cost row (gathered from the row buildCostTable already
+// priced), the weight term once per weight slice (one output-channel
+// range of the group's layer), and an atom's matrix row is the sum of its
+// two class rows. Atoms agreeing on both classes have equal matrix rows,
+// and swapping two equal rows never changes the cost, so the hill-climb
+// skips those pairs without moving any decision.
 func (m *Mapper) refineForWeights(groups []group, perm []int, engineOf []int32, weights WeightLocator) {
 	slots := m.ctSlots
+	// rowCls maps a Round row to its ifmap class in the current group
+	// plus one (0 = not seen); every group resets the entries it set.
+	rowCls := growInt32s(&m.refRowCls, slots)
+	clear(rowCls)
 	for _, gi := range perm {
 		atoms := groups[gi].atoms
 		n := len(atoms)
@@ -416,18 +450,54 @@ func (m *Mapper) refineForWeights(groups []group, perm []int, engineOf []int32, 
 		for j, id := range atoms {
 			eng[j] = int(engineOf[id])
 		}
-		cost := growInt64s(&m.refCost, n*n)
+		ifm := growInt64s(&m.refIfm, n*n) // ifmap class x engine index
+		wgt := growInt64s(&m.refWgt, n*n) // weight class x engine index
+		cls := growInts(&m.refCls, n)     // atom -> ifmap class·n + weight class
+		wkeys := m.refWKey[:0]            // weight class -> output-channel range
+		nr := 0
 		for i, id := range atoms {
-			row := m.atomRows[int(m.rowOf[id])*slots : (int(m.rowOf[id])+1)*slots]
-			ci := cost[i*n : (i+1)*n]
-			wb := m.dag.Atoms[id].Task.WeightBytes() * dramHopEquivalent
-			for j, e := range eng {
-				c := row[m.slotOf[e]]
-				if !weights(e, id) {
-					c += wb
+			a := m.dag.Atoms[id]
+			r := m.rowOf[id]
+			ri := int(rowCls[r]) - 1
+			if ri < 0 {
+				ri, nr = nr, nr+1
+				rowCls[r] = int32(nr)
+				row := m.atomRows[int(r)*slots : (int(r)+1)*slots]
+				out := ifm[ri*n : (ri+1)*n]
+				for j, e := range eng {
+					out[j] = row[m.slotOf[e]]
 				}
-				ci[j] = c
 			}
+			key := [2]int{a.Region.C0, a.Region.C1}
+			wi := slices.Index(wkeys, key)
+			if wi < 0 {
+				wi = len(wkeys)
+				wkeys = append(wkeys, key)
+				wb := a.Task.WeightBytes() * dramHopEquivalent
+				out := wgt[wi*n : (wi+1)*n]
+				for j, e := range eng {
+					out[j] = 0
+					if !weights(e, id) {
+						out[j] = wb
+					}
+				}
+			}
+			cls[i] = ri*n + wi
+		}
+		m.refWKey = wkeys
+		// costT[p*n+i] is atom i's cost on engine eng[p], so the hill-climb
+		// reads the atoms' costs at one slot contiguously; cur[i] is atom
+		// i's cost where it sits now.
+		costT := growInt64s(&m.refCost, n*n)
+		cur := growInt64s(&m.refCur, n)
+		for i, id := range atoms {
+			rowCls[m.rowOf[id]] = 0
+			ri, wi := cls[i]/n, cls[i]%n
+			fi, fw := ifm[ri*n:(ri+1)*n], wgt[wi*n:(wi+1)*n]
+			for p := range fi {
+				costT[p*n+i] = fi[p] + fw[p]
+			}
+			cur[i] = fi[i] + fw[i]
 		}
 		// pos[i] is the slot (index into eng) atom i currently occupies.
 		pos := growInts(&m.refPos, n)
@@ -438,12 +508,20 @@ func (m *Mapper) refineForWeights(groups []group, perm []int, engineOf []int32, 
 		for pass := 0; improved && pass < 4; pass++ {
 			improved = false
 			for i := 0; i < n; i++ {
+				ri, wi := cls[i]/n, cls[i]%n
+				fi, fw := ifm[ri*n:(ri+1)*n], wgt[wi*n:(wi+1)*n]
+				pi := pos[i]
+				at := costT[pi*n : (pi+1)*n]
 				for j := i + 1; j < n; j++ {
-					pi, pj := pos[i], pos[j]
-					cur := cost[i*n+pi] + cost[j*n+pj]
-					swp := cost[i*n+pj] + cost[j*n+pi]
-					if swp < cur {
+					if cls[i] == cls[j] {
+						continue
+					}
+					pj := pos[j]
+					// Swap when cost[i][pj] + cost[j][pi] < cost[i][pi] + cost[j][pj].
+					if ci := fi[pj] + fw[pj]; ci+at[j] < cur[i]+cur[j] {
 						pos[i], pos[j] = pj, pi
+						cur[i], cur[j] = ci, at[j]
+						pi, at = pj, costT[pj*n:(pj+1)*n]
 						improved = true
 					}
 				}
@@ -460,9 +538,17 @@ func (m *Mapper) refineForWeights(groups []group, perm []int, engineOf []int32, 
 // group gi's atoms on zig-zag slots base..base+size-1. Dependency sources
 // are fixed by locate (they were placed in earlier Rounds), so the cost
 // of a group depends only on its base slot — a permutation's TransferCost
-// is the sum of M lookups along its prefix bases (see permCost). An
-// atom's dependencies are first summed per source engine, so its row
-// costs one slot pass per distinct source rather than per dependency.
+// is the sum of M lookups along its prefix bases (see permCost).
+//
+// An atom's per-slot cost row is a pure function of its signature, the
+// dependency bytes it draws from each source engine; most atoms of a
+// Round repeat an earlier atom's signature, so they share that atom's row
+// (see rowFor) instead of pricing every slot again. The rows are kept,
+// with a lookup index by atom ID and an engine -> slot inverse, so
+// refineForWeights and placementCost can price placements without
+// re-walking any dependency lists. Stale rowOf/slotOf entries from earlier
+// Rounds are never read: both only query this Round's atoms and slot
+// engines.
 func (m *Mapper) buildCostTable(groups []group, locate Locator) {
 	slots := 0
 	for _, g := range groups {
@@ -471,31 +557,29 @@ func (m *Mapper) buildCostTable(groups []group, locate Locator) {
 	m.ctSlots = slots
 	sizes := growInts(&m.sizes, len(groups))
 	groupCost := growInt64s(&m.groupCost, len(groups)*slots)
-	// Each atom's per-slot cost row is kept (with a lookup index by atom
-	// ID and an engine -> slot inverse) so refineForWeights and
-	// placementCost can price placements without re-walking any
-	// dependency lists. Stale rowOf/slotOf entries from earlier Rounds are
-	// never read: both only query this Round's atoms and slot engines.
 	ne := m.mesh.Engines()
 	growInt64s(&m.srcBytes, ne)
+	growUint64s(&m.srcSet, (ne+63)/64)
 	atomRows := growInt64s(&m.atomRows, slots*slots)
 	rowOf := growInt32s(&m.rowOf, m.dag.NumAtoms())
 	slotOf := growInt32s(&m.slotOf, ne)
 	for s := 0; s < slots; s++ {
 		slotOf[m.zigzag[s]] = int32(s)
 	}
-	r := 0
+	tabSize := 2
+	for tabSize < 2*slots {
+		tabSize *= 2
+	}
+	clear(growInt32s(&m.sigTab, tabSize))
+	m.sigs, m.sigEnd = m.sigs[:0], m.sigEnd[:0]
 	for gi, g := range groups {
 		sizes[gi] = len(g.atoms)
 		gc := groupCost[gi*slots : (gi+1)*slots]
-		for b := range gc {
-			gc[b] = 0
-		}
+		clear(gc)
 		for k, id := range g.atoms {
-			row := atomRows[r*slots : (r+1)*slots]
-			rowOf[id] = int32(r)
-			r++
-			m.fillRow(row, m.dag.Atoms[id], locate)
+			r := m.rowFor(m.dag.Atoms[id], locate)
+			rowOf[id] = r
+			row := atomRows[int(r)*slots : (int(r)+1)*slots]
 			// A group at base b puts its k-th atom on slot b+k.
 			for b := 0; b+len(g.atoms) <= slots; b++ {
 				gc[b] += row[b+k]
@@ -504,31 +588,79 @@ func (m *Mapper) buildCostTable(groups []group, locate Locator) {
 	}
 }
 
-// fillRow writes atom a's ifmap byte-hop cost at every slot of row. The
-// dependencies are first summed per source engine (in srcBytes, which is
-// all zero between calls), so the slot pass runs once per distinct
-// source rather than once per dependency.
-func (m *Mapper) fillRow(row []int64, a *atom.Atom, locate Locator) {
-	clear(row)
-	srcBytes, srcs := m.srcBytes, m.srcs[:0]
+// srcByte is one entry of a cost-row signature: the dependency bytes an
+// atom draws from one source engine.
+type srcByte struct {
+	src   int32
+	bytes int64
+}
+
+// rowFor returns the atomRows row of atom a, pricing a new row only when
+// no earlier atom of the Round has the same signature. The signature
+// lists the atom's non-zero dependency bytes per source engine in
+// ascending engine order: the dependencies are summed into srcBytes and
+// marked in the srcSet bitset, whose set bits are then read off in order
+// (leaving both all zero again). It is hashed and compared exactly
+// against the Round's stored signatures.
+func (m *Mapper) rowFor(a *atom.Atom, locate Locator) int32 {
+	srcBytes, set := m.srcBytes, m.srcSet
 	for di, dep := range a.Deps {
 		if src := locate(dep); src >= 0 {
-			if srcBytes[src] == 0 {
-				srcs = append(srcs, src)
-			}
 			srcBytes[src] += a.DepBytes[di]
+			set[src>>6] |= 1 << (src & 63)
 		}
 	}
-	ne := len(srcBytes)
-	for _, src := range srcs {
-		bytes := srcBytes[src]
-		srcBytes[src] = 0
-		zh := m.zigHops[src*ne:][:len(row)]
+	sigs := m.sigs
+	start := len(sigs)
+	h := uint64(14695981039346656037) // FNV-1a over the (src, bytes) words
+	for w, word := range set {
+		set[w] = 0
+		for ; word != 0; word &= word - 1 {
+			src := w<<6 | bits.TrailingZeros64(word)
+			b := srcBytes[src]
+			srcBytes[src] = 0
+			if b == 0 {
+				continue
+			}
+			sigs = append(sigs, srcByte{src: int32(src), bytes: b})
+			h = (h ^ uint64(src)) * 1099511628211
+			h = (h ^ uint64(b)) * 1099511628211
+		}
+	}
+	sig := sigs[start:]
+	tab := m.sigTab
+	mask := len(tab) - 1
+	for i := int(h^h>>32) & mask; ; i = (i + 1) & mask {
+		r := tab[i] - 1
+		if r < 0 {
+			r = int32(len(m.sigEnd))
+			tab[i] = r + 1
+			m.sigs, m.sigEnd = sigs, append(m.sigEnd, int32(len(sigs)))
+			m.fillRow(m.atomRows[int(r)*m.ctSlots:(int(r)+1)*m.ctSlots], sig)
+			return r
+		}
+		lo := int32(0)
+		if r > 0 {
+			lo = m.sigEnd[r-1]
+		}
+		if slices.Equal(sigs[lo:m.sigEnd[r]], sig) {
+			m.sigs = sigs[:start]
+			return r
+		}
+	}
+}
+
+// fillRow writes the ifmap byte-hop cost of a signature at every slot of
+// row: one slot pass per source engine.
+func (m *Mapper) fillRow(row []int64, sig []srcByte) {
+	clear(row)
+	ne := len(m.srcBytes)
+	for _, sb := range sig {
+		zh := m.zigHops[int(sb.src)*ne:][:len(row)]
 		for s := range row {
-			row[s] += bytes * zh[s]
+			row[s] += sb.bytes * zh[s]
 		}
 	}
-	m.srcs = srcs
 }
 
 // permCost prices one layer permutation from the cost table built by
@@ -557,6 +689,15 @@ func growInts(buf *[]int, n int) []int {
 func growInt32s(buf *[]int32, n int) []int32 {
 	if cap(*buf) < n {
 		*buf = make([]int32, n)
+	}
+	*buf = (*buf)[:n]
+	return *buf
+}
+
+// growUint64s returns *buf resized to n, reusing its capacity.
+func growUint64s(buf *[]uint64, n int) []uint64 {
+	if cap(*buf) < n {
+		*buf = make([]uint64, n)
 	}
 	*buf = (*buf)[:n]
 	return *buf

@@ -105,7 +105,12 @@ func TestWeightedByteHopsMatchDependencyWalk(t *testing.T) {
 	locate := r0.Engine
 	round := append(append([]int(nil), cur...), prev...)
 	for salt := 0; salt < 6; salt++ {
-		weights := func(e, id int) bool { return (e*7+id+salt)%3 == 0 }
+		// Answers depend on the atom's weight slice only, as the
+		// WeightLocator contract requires.
+		weights := func(e, id int) bool {
+			a := d.Atoms[id]
+			return (e*7+a.Layer*5+a.Region.C0+salt)%3 == 0
+		}
 		res := m.PlaceRoundWeighted(round, locate, weights)
 		var want int64
 		for _, id := range res.Placed() {

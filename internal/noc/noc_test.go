@@ -1,6 +1,7 @@
 package noc
 
 import (
+	"slices"
 	"testing"
 	"testing/quick"
 )
@@ -122,7 +123,8 @@ func TestEmptyTraffic(t *testing.T) {
 
 // TestRouteTableMatchesPath pins the dense route table to the allocating
 // Path walk on all three topologies: same links, same order, same hop
-// counts, and hop counts equal to the arithmetic reference.
+// counts, and hop counts equal to the arithmetic reference. RoutesFrom
+// must slice out the same routes as RouteIDs.
 func TestRouteTableMatchesPath(t *testing.T) {
 	for _, m := range []*Mesh{NewMesh(4, 3, 8), NewTorus(4, 4, 8), NewHTree(16, 8)} {
 		n := m.Engines()
@@ -130,9 +132,13 @@ func TestRouteTableMatchesPath(t *testing.T) {
 			t.Fatalf("%v: NumLinks = %d", m.Kind(), m.NumLinks())
 		}
 		for i := 0; i < n; i++ {
+			off, all := m.RoutesFrom(i)
 			for j := 0; j < n; j++ {
 				path := m.Path(i, j)
 				ids := m.RouteIDs(i, j)
+				if !slices.Equal(all[off[j]:off[j+1]], ids) {
+					t.Fatalf("%v: RoutesFrom(%d) route to %d = %v, RouteIDs %v", m.Kind(), i, j, all[off[j]:off[j+1]], ids)
+				}
 				if len(path) != len(ids) {
 					t.Fatalf("%v: route %d->%d: %d ids, %d links", m.Kind(), i, j, len(ids), len(path))
 				}

@@ -86,6 +86,15 @@ func (m *Mesh) RouteIDs(i, j int) []int32 {
 	return rt.ids[rt.off[k]:rt.off[k+1]]
 }
 
+// RoutesFrom returns every route out of engine i: the route from i to j
+// is ids[off[j]:off[j+1]]. Both slices alias the route table: callers
+// must not modify them. Hot loops routing many flows from one source fetch
+// them once instead of paying RouteIDs' table lookup per flow.
+func (m *Mesh) RoutesFrom(i int) (off, ids []int32) {
+	rt := m.table()
+	return rt.off[i*rt.n : (i+1)*rt.n+1], rt.ids
+}
+
 // LinkByID returns the directed link with the given ID.
 func (m *Mesh) LinkByID(id int32) Link { return m.table().linkOf[id] }
 

@@ -4,7 +4,6 @@ import (
 	"fmt"
 
 	"github.com/atomic-dataflow/atomicflow/internal/atom"
-	"github.com/atomic-dataflow/atomicflow/internal/cost"
 	"github.com/atomic-dataflow/atomicflow/internal/graph"
 )
 
@@ -21,18 +20,11 @@ func FromRounds(d *atom.DAG, rounds [][]int, opt Options) (*Schedule, error) {
 	if err := opt.EngineCfg.Validate(); err != nil {
 		return nil, err
 	}
-	s := &Schedule{
-		AtomRound:     make([]int, d.NumAtoms()),
-		ComputeCycles: make([]int64, d.NumAtoms()),
-	}
+	s := &Schedule{AtomRound: make([]int, d.NumAtoms())}
 	for i := range s.AtomRound {
 		s.AtomRound[i] = -1
 	}
-	orc := cost.Or(opt.Oracle)
-	for _, a := range d.Atoms {
-		c := orc.Evaluate(opt.EngineCfg, opt.Dataflow, a.Task)
-		s.ComputeCycles[a.ID] = c.Cycles
-	}
+	s.ComputeCycles, s.MACs = priceAtoms(d, opt)
 	for t, atoms := range rounds {
 		if len(atoms) == 0 {
 			return nil, fmt.Errorf("schedule: round %d empty", t)

@@ -130,19 +130,87 @@ func (st *state) longest(lst []int, k int) []int {
 // dpPick evaluates up to MaxOptions priority-pruned combinations with
 // bounded-lookahead recursion (the DP(G') of Algorithm 2) and returns the
 // combination with the minimum total estimated cost.
+//
+// The lookahead tree is kept (see optNode), and the next Round starts from
+// the chosen combination's subtree: Round t already computed the option
+// lists there — the frontier after the chosen combination, and after it
+// and each of its options — so Round t+1 reads them back instead of
+// calling options() again. An option list is a pure function of the
+// frontier state, so reuse cannot change a choice.
 func (st *state) dpPick() []int {
-	options := st.options()
+	prev := st.carry
+	st.cur ^= 1
+	st.trees[st.cur] = st.trees[st.cur][:0]
+	st.carry = -1
+	root := st.newNode()
+	options := st.optionsAt(prev, root)
 	if len(options) == 1 {
 		return options[0]
 	}
+	kids := st.expand(root, len(options))
 	bestIdx, bestCost := 0, int64(-1)
 	for i, comb := range options {
-		cost := st.combCost(comb) + st.lookaheadCost(comb, st.opt.lookahead()-1)
+		cost := st.combCost(comb) + st.lookaheadCost(comb, st.opt.lookahead()-1, st.oldKid(prev, i), kids+int32(i))
 		if bestCost < 0 || cost < bestCost {
 			bestIdx, bestCost = i, cost
 		}
 	}
+	st.carry = kids + int32(bestIdx)
 	return options[bestIdx]
+}
+
+// optNode is one frontier state of a Round's lookahead tree: its option
+// list, nil until computed, and the index of its first child in the same
+// tree (children are contiguous, one per option), -1 until expanded.
+// Trees are flat slices of nodes, double-buffered on the state: the Round
+// being picked builds trees[cur] while reading the previous Round's tree.
+type optNode struct {
+	opts [][]int
+	kids int32
+}
+
+// newNode appends an empty node to the current tree and returns its index.
+func (st *state) newNode() int32 {
+	st.trees[st.cur] = append(st.trees[st.cur], optNode{kids: -1})
+	return int32(len(st.trees[st.cur]) - 1)
+}
+
+// expand appends n child nodes of node at to the current tree and returns
+// the first one's index.
+func (st *state) expand(at int32, n int) int32 {
+	first := int32(len(st.trees[st.cur]))
+	for range n {
+		st.newNode()
+	}
+	st.trees[st.cur][at].kids = first
+	return first
+}
+
+// oldKid returns the i-th child of node prev of the previous Round's tree,
+// or -1 when prev is absent or was never expanded.
+func (st *state) oldKid(prev int32, i int) int32 {
+	if prev < 0 {
+		return -1
+	}
+	if k := st.trees[st.cur^1][prev].kids; k >= 0 {
+		return k + int32(i)
+	}
+	return -1
+}
+
+// optionsAt returns the option list of the current frontier, stored as
+// node at of the current tree: node prev of the previous Round's tree
+// describes the same frontier, and its list is reused when computed.
+func (st *state) optionsAt(prev, at int32) [][]int {
+	var opts [][]int
+	if prev >= 0 {
+		opts = st.trees[st.cur^1][prev].opts
+	}
+	if opts == nil {
+		opts = st.options()
+	}
+	st.trees[st.cur][at].opts = opts
+	return opts
 }
 
 // policies are the option generators, in preference order.
@@ -198,7 +266,9 @@ func (st *state) combCost(comb []int) int64 {
 // lookaheadCost recursively schedules `depth` more Rounds greedily after
 // applying comb, then closes with the packing lower bound
 // remainingWork / N — the DP(G') estimate for the un-traversed sub-DAG.
-func (st *state) lookaheadCost(comb []int, depth int) int64 {
+// The frontier after comb is node at of the current lookahead tree, and
+// node prev (or -1) of the previous Round's tree (see dpPick).
+func (st *state) lookaheadCost(comb []int, depth int, prev, at int32) int64 {
 	if depth <= 0 {
 		// At the horizon only the work comb leaves matters, and that needs
 		// no apply/rollback: these leaves are most of the lookahead tree.
@@ -214,10 +284,11 @@ func (st *state) lookaheadCost(comb []int, depth int) int64 {
 	st.apply(comb)
 	var cost int64
 	if st.remaining > 0 {
-		options := st.options()
+		options := st.optionsAt(prev, at)
+		kids := st.expand(at, len(options))
 		best := int64(-1)
-		for _, next := range options {
-			c := st.combCost(next) + st.lookaheadCost(next, depth-1)
+		for i, next := range options {
+			c := st.combCost(next) + st.lookaheadCost(next, depth-1, st.oldKid(prev, i), kids+int32(i))
 			if best < 0 || c < best {
 				best = c
 			}

@@ -83,8 +83,11 @@ type Schedule struct {
 	AtomRound []int // atom ID -> round index (-1 for virtual input atoms)
 
 	// ComputeCycles caches each atom's engine cycles under the scheduling
-	// engine config/dataflow.
+	// engine config/dataflow; MACs each atom's useful MAC count. Both are
+	// priced once here, so the simulator's timing stage reads them instead
+	// of asking the cost oracle per atom.
 	ComputeCycles []int64
+	MACs          []int64
 }
 
 // NumRounds returns the schedule length.
@@ -118,6 +121,7 @@ func Build(d *atom.DAG, opt Options) (*Schedule, error) {
 	sched := &Schedule{
 		AtomRound:     make([]int, d.NumAtoms()),
 		ComputeCycles: st.cycles,
+		MACs:          st.macs,
 	}
 	for i := range sched.AtomRound {
 		sched.AtomRound[i] = -1
@@ -156,6 +160,7 @@ type state struct {
 	opt Options
 
 	cycles    []int64 // per-atom engine cycles
+	macs      []int64 // per-atom MACs (for the Schedule only)
 	indeg     []int
 	scheduled []bool
 	remaining int
@@ -189,6 +194,13 @@ type state struct {
 
 	totalWork int64 // Σ cycles of unscheduled atoms
 	undoLog   []undo
+
+	// DP lookahead trees (see dpPick): trees[cur] is the current Round's,
+	// the other the previous Round's; carry is the node of trees[cur]
+	// holding the frontier after the picked combination, -1 when none.
+	trees [2][]optNode
+	cur   int
+	carry int32
 
 	// Scratch of pickWithPolicy, options and mergeReady; none re-enters
 	// itself while its buffer is in use, so one buffer each suffices.
@@ -241,7 +253,6 @@ func newState(d *atom.DAG, opt Options) *state {
 		d:           d,
 		g:           d.Graph,
 		opt:         opt,
-		cycles:      make([]int64, d.NumAtoms()),
 		indeg:       make([]int, d.NumAtoms()),
 		pairOf:      make([]int, d.NumAtoms()),
 		scheduled:   make([]bool, d.NumAtoms()),
@@ -253,15 +264,14 @@ func newState(d *atom.DAG, opt Options) *state {
 		pending:     make([]int, pairs),
 		activeDepth: make([]int, d.Batch*depths),
 		depths:      depths,
+		carry:       -1,
 	}
 	for i, lid := range d.Graph.Topo() {
 		st.layerPos[lid] = i
 	}
 	st.samplesLeft = make([]int, d.Batch)
-	orc := cost.Or(opt.Oracle)
+	st.cycles, st.macs = priceAtoms(d, opt)
 	for _, a := range d.Atoms {
-		c := orc.Evaluate(opt.EngineCfg, opt.Dataflow, a.Task)
-		st.cycles[a.ID] = c.Cycles
 		st.indeg[a.ID] = len(a.Deps)
 		st.pairOf[a.ID] = a.Sample*layers + a.Layer
 	}
@@ -295,6 +305,18 @@ func newState(d *atom.DAG, opt Options) *state {
 		}
 	}
 	return st
+}
+
+// priceAtoms returns every atom's engine cycles and MACs under the
+// scheduling engine config and dataflow.
+func priceAtoms(d *atom.DAG, opt Options) (cycles, macs []int64) {
+	orc := cost.Or(opt.Oracle)
+	cycles, macs = make([]int64, d.NumAtoms()), make([]int64, d.NumAtoms())
+	for _, a := range d.Atoms {
+		c := orc.Evaluate(opt.EngineCfg, opt.Dataflow, a.Task)
+		cycles[a.ID], macs[a.ID] = c.Cycles, c.MACs
+	}
+	return cycles, macs
 }
 
 // setReady installs lst as pair p's ready list, keeping readyPairs — the

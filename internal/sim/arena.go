@@ -17,11 +17,11 @@ import (
 //
 // Two stamp counters partition the state by lifetime:
 //
-//   - roundStamp guards state that resets every Round: linkFree (when a
-//     link finishes its last tensor), ready (per-engine NoC arrival) and
-//     dramReady (per-engine DRAM arrival).
-//   - groupStamp guards state that resets every multicast group:
-//     linkStart (when a link begins forwarding the group's tensor).
+//   - roundStamp guards state that resets every Round: a link's free
+//     time (when it finishes its last tensor), ready (per-engine NoC
+//     arrival) and dramReady (per-engine DRAM arrival).
+//   - groupStamp guards state that resets every multicast group: a
+//     link's start time (when it begins forwarding the group's tensor).
 //
 // A slot is live only when its stamp equals the current counter; stale
 // slots read as absent. Both counters are monotonically increasing
@@ -33,10 +33,7 @@ type arena struct {
 	mesh *noc.Mesh
 
 	// Link state, indexed by link ID (see noc.RouteIDs).
-	linkFree   []int64
-	freeStamp  []int64
-	linkStart  []int64
-	startStamp []int64
+	links []linkState
 
 	// Engine state, indexed by engine.
 	ready      []int64
@@ -46,6 +43,9 @@ type arena struct {
 
 	roundStamp int64
 	groupStamp int64
+
+	// sorter orders each Round's flows for walkFlows.
+	sorter flowSorter
 
 	// Stamp values when the current run acquired this arena — pooled
 	// arenas keep counting monotonically, so per-run epoch metrics are
@@ -58,16 +58,22 @@ type arena struct {
 	linkTraffic []int64
 }
 
+// linkState is one link's timing state, kept together so a route step
+// touches one cache line.
+type linkState struct {
+	free       int64 // when the link finishes its last tensor (roundStamp)
+	freeStamp  int64
+	start      int64 // when it begins forwarding the group's tensor (groupStamp)
+	startStamp int64
+}
+
 // newArena sizes the scratch for the mesh.
 func newArena(mesh *noc.Mesh) *arena {
 	nl := mesh.NumLinks()
 	ne := mesh.Engines()
 	return &arena{
 		mesh:       mesh,
-		linkFree:   make([]int64, nl),
-		freeStamp:  make([]int64, nl),
-		linkStart:  make([]int64, nl),
-		startStamp: make([]int64, nl),
+		links:      make([]linkState, nl),
 		ready:      make([]int64, ne),
 		readyStamp: make([]int64, ne),
 		dramReady:  make([]int64, ne),
@@ -127,11 +133,25 @@ type flowOrder struct {
 	idxMask uint64 // flow index = key & idxMask
 }
 
-// flowSorter holds the reusable scratch of sort: the packed keys and the
-// per-source bucket offsets of the counting pass.
+// flowSorter holds the reusable scratch of sort: the packed keys, the
+// multicast groups with their hash index, and the counting-pass buffers.
 type flowSorter struct {
-	keys []uint64
-	off  []int32
+	keys   []uint64
+	groups []flowGroup // (Src, okey) groups in first-seen order
+	tab    []int32     // open-addressing (Src, okey) -> group+1, 0 = empty
+	gid    []int32     // flow -> group
+	rank   []uint64    // okey<<gBits | group, in (Src, okey) order
+	byDst  []int32     // flow indices in (Dst, index) order
+	srcOff []int32     // counting-pass offsets per Src (of groups)
+	dstOff []int32     // counting-pass offsets per Dst (of flows)
+}
+
+// flowGroup is one (Src, okey) multicast group of a Round: its flow count,
+// then the next free position of its run in the sorted keys.
+type flowGroup struct {
+	okey uint64
+	src  int
+	next int32
 }
 
 // absKey returns |k| as an unsigned magnitude (exact for every int64).
@@ -142,15 +162,27 @@ func absKey(k int64) uint64 {
 	return uint64(k)
 }
 
+// okeyOf encodes a GroupKey as |key|<<1 with the low bit set for positive
+// keys, so ascending okeys are ascending (|key|, key).
+func okeyOf(k int64) uint64 {
+	okey := absKey(k) << 1
+	if k > 0 {
+		okey |= 1
+	}
+	return okey
+}
+
 // sort builds the deterministic link-claim order of a Round's flows:
 // ascending (Src, |key|, key, Dst), exactly the order the map-based
-// reference path iterates in. Sources are engine indices, so flows are
-// first scattered into per-source buckets by one counting pass, packing
-// each into its key on the way, and only each bucket is sorted — many
-// small cache-resident integer sorts instead of one large comparison
-// sort. The order is a pure function of the flow list, so the pipeline
-// runs this in the prep stage. It fails, without sorting, on a negative
-// engine index or when the packed fields would not fit in 64 bits.
+// reference path iterates in, with ties in flow order. A Round has far
+// fewer multicast groups — equal (Src, key) — than flows, so no flow is
+// compared: the groups are found by hashing and only they are sorted
+// (by a counting pass over Src, then each source's few groups by key),
+// each group gets its run of the output, and one counting pass by Dst
+// (engine indices) feeds the flows in (Dst, index) order into their
+// runs. The order is a pure function of the flow list. It fails, without
+// sorting, on a negative engine index or when the packed fields would not
+// fit in 64 bits.
 func (fs *flowSorter) sort(flows []buffer.Flow) (flowOrder, error) {
 	keys := fs.keys[:0]
 	if len(flows) == 0 {
@@ -165,49 +197,143 @@ func (fs *flowSorter) sort(flows []buffer.Flow) (flowOrder, error) {
 		maxSrc, maxDst = max(maxSrc, f.Src), max(maxDst, f.Dst)
 		maxAbs = max(maxAbs, absKey(f.GroupKey()))
 	}
-	idxBits := uint(bits.Len(uint(len(flows) - 1)))
+	n := len(flows)
+	idxBits := uint(bits.Len(uint(n - 1)))
 	okShift := idxBits + uint(bits.Len(uint(maxDst)))
 	if okShift+uint(bits.Len64(maxAbs))+1 > 64 {
 		return flowOrder{}, fmt.Errorf("sim: %d flows to engines <= %d with |group key| <= %d do not pack into 64 bits",
-			len(flows), maxDst, maxAbs)
+			n, maxDst, maxAbs)
 	}
 
-	nb := maxSrc + 2
-	if cap(fs.off) < nb {
-		fs.off = make([]int32, nb)
+	// Group every flow (the table keeps its size from Round to Round, at
+	// most a quarter full, which keeps probes short) and count the flows
+	// per Dst.
+	if len(fs.tab) == 0 {
+		fs.tab = make([]int32, 64)
 	}
-	off := fs.off[:nb]
-	clear(off)
-	for _, f := range flows {
-		off[f.Src+1]++
-	}
-	for s := 1; s < nb; s++ {
-		off[s] += off[s-1]
-	}
-	if cap(keys) < len(flows) {
-		keys = make([]uint64, len(flows))
-	}
-	keys = keys[:len(flows)]
-	for i, f := range flows {
-		k := f.GroupKey()
-		okey := absKey(k) << 1
-		if k > 0 {
-			okey |= 1
+	tab := fs.tab
+	clear(tab)
+	mask := uint64(len(tab) - 1)
+	gid := growInt32s(&fs.gid, n)
+	groups := fs.groups[:0]
+	dstOff := growInt32s(&fs.dstOff, maxDst+2)
+	clear(dstOff)
+	for i := range flows {
+		f := &flows[i]
+		dstOff[f.Dst+1]++
+		okey := okeyOf(f.GroupKey())
+		for j := flowGroupHash(okey, f.Src) & mask; ; j = (j + 1) & mask {
+			g := tab[j] - 1
+			if g < 0 {
+				if 4*(len(groups)+1) > len(tab) {
+					tab = fs.growTable(groups)
+					mask = uint64(len(tab) - 1)
+					j = flowGroupHash(okey, f.Src)&mask - 1 // re-probe in the new table
+					continue
+				}
+				g = int32(len(groups))
+				tab[j] = g + 1
+				groups = append(groups, flowGroup{okey: okey, src: f.Src})
+			} else if groups[g].okey != okey || groups[g].src != f.Src {
+				continue
+			}
+			groups[g].next++
+			gid[i] = g
+			break
 		}
-		keys[off[f.Src]] = okey<<okShift | uint64(f.Dst)<<idxBits | uint64(i)
-		off[f.Src]++
 	}
-	fs.keys = keys
-	// After the scatter, off[s] is the END of bucket s.
+	fs.groups = groups
+
+	// Order the groups by (Src, okey) and give each its run. A group index
+	// packs below its okey: okShift already reserves idxBits >= gBits.
+	gBits := uint(bits.Len(uint(len(groups) - 1)))
+	srcOff := growInt32s(&fs.srcOff, maxSrc+2)
+	clear(srcOff)
+	for _, g := range groups {
+		srcOff[g.src+1]++
+	}
+	for s := 1; s < len(srcOff); s++ {
+		srcOff[s] += srcOff[s-1]
+	}
+	rank := growUint64s(&fs.rank, len(groups))
+	for g, gr := range groups {
+		rank[srcOff[gr.src]] = gr.okey<<gBits | uint64(g)
+		srcOff[gr.src]++
+	}
 	lo := int32(0)
-	for s := 0; s <= maxSrc; s++ {
-		hi := off[s]
+	for _, hi := range srcOff[:maxSrc+1] {
 		if hi-lo > 1 {
-			slices.Sort(keys[lo:hi])
+			slices.Sort(rank[lo:hi])
 		}
 		lo = hi
 	}
+	at := int32(0)
+	for _, r := range rank {
+		g := &groups[r&(1<<gBits-1)]
+		at, g.next = at+g.next, at
+	}
+
+	// Flows in (Dst, index) order.
+	for d := 1; d < len(dstOff); d++ {
+		dstOff[d] += dstOff[d-1]
+	}
+	byDst := growInt32s(&fs.byDst, n)
+	for i := range flows {
+		d := flows[i].Dst
+		byDst[dstOff[d]] = int32(i)
+		dstOff[d]++
+	}
+
+	if cap(keys) < n {
+		keys = make([]uint64, n)
+	}
+	keys = keys[:n]
+	for _, i := range byDst {
+		g := &groups[gid[i]]
+		keys[g.next] = g.okey<<okShift | uint64(flows[i].Dst)<<idxBits | uint64(i)
+		g.next++
+	}
+	fs.keys = keys
 	return flowOrder{keys: keys, okShift: okShift, idxMask: 1<<idxBits - 1}, nil
+}
+
+// growTable doubles the group table and re-inserts the groups.
+func (fs *flowSorter) growTable(groups []flowGroup) []int32 {
+	tab := make([]int32, 2*len(fs.tab))
+	mask := uint64(len(tab) - 1)
+	for g, gr := range groups {
+		j := flowGroupHash(gr.okey, gr.src) & mask
+		for tab[j] != 0 {
+			j = (j + 1) & mask
+		}
+		tab[j] = int32(g) + 1
+	}
+	fs.tab = tab
+	return tab
+}
+
+// flowGroupHash mixes a group's (okey, Src) into a table index source.
+func flowGroupHash(okey uint64, src int) uint64 {
+	h := (okey ^ uint64(src)*0x9e3779b97f4a7c15) * 0xbf58476d1ce4e5b9
+	return h ^ h>>31
+}
+
+// growUint64s returns *buf resized to n, reusing its capacity.
+func growUint64s(buf *[]uint64, n int) []uint64 {
+	if cap(*buf) < n {
+		*buf = make([]uint64, n)
+	}
+	*buf = (*buf)[:n]
+	return *buf
+}
+
+// growInt32s returns *buf resized to n, reusing its capacity.
+func growInt32s(buf *[]int32, n int) []int32 {
+	if cap(*buf) < n {
+		*buf = make([]int32, n)
+	}
+	*buf = (*buf)[:n]
+	return *buf
 }
 
 // walkFlows is the dense NoC contention model (its map-based executable
@@ -240,25 +366,26 @@ func (a *arena) walkFlows(flows []buffer.Flow, fo flowOrder, start int64) int64 
 		// before the stream's head reaches it from the upstream link
 		// (cut-through), nor while a previous tensor occupies it.
 		a.groupStamp++
+		gs, rs := a.groupStamp, a.roundStamp
+		off, ids := a.mesh.RoutesFrom(src)
 		treeLinks := int64(0)
 		for _, k := range keys[gi:gj] {
 			dst := flows[k&fo.idxMask].Dst
 			head := start
 			lastStart := start
-			route := a.mesh.RouteIDs(src, dst)
+			route := ids[off[dst]:off[dst+1]]
 			for _, id := range route {
+				l := &a.links[id]
 				var s int64
-				if a.startStamp[id] == a.groupStamp {
-					s = a.linkStart[id]
+				if l.startStamp == gs {
+					s = l.start
 				} else {
 					s = head
-					if a.freeStamp[id] == a.roundStamp && a.linkFree[id] > s {
-						s = a.linkFree[id]
+					if l.freeStamp == rs && l.free > s {
+						s = l.free
 					}
-					a.linkStart[id] = s
-					a.startStamp[id] = a.groupStamp
-					a.linkFree[id] = s + ser
-					a.freeStamp[id] = a.roundStamp
+					l.start, l.startStamp = s, gs
+					l.free, l.freeStamp = s+ser, rs
 					treeLinks++
 					if a.linkTraffic != nil {
 						a.linkTraffic[id] += bytes

@@ -62,7 +62,9 @@ func TestGoldenReportDeterminism(t *testing.T) {
 					t.Fatal(slot.err)
 				}
 				runFlows(t, cfg.Mesh, slot.io.Flows, r.now)
-				r.time(&slot)
+				if err := r.time(&slot); err != nil {
+					t.Fatal(err)
+				}
 				r.mapper.Recycle(&slot.placed)
 			}
 			if ref := r.report(); dense1 != ref {

@@ -5,6 +5,7 @@ import (
 
 	"github.com/atomic-dataflow/atomicflow/internal/anneal"
 	"github.com/atomic-dataflow/atomicflow/internal/atom"
+	"github.com/atomic-dataflow/atomicflow/internal/cost"
 	"github.com/atomic-dataflow/atomicflow/internal/models"
 	"github.com/atomic-dataflow/atomicflow/internal/noc"
 	"github.com/atomic-dataflow/atomicflow/internal/obs"
@@ -12,12 +13,15 @@ import (
 )
 
 // runInstrumented simulates a small model twice — once bare, once with a
-// fresh registry — and returns both Reports plus the metrics snapshot.
+// fresh registry — and returns both Reports plus the metrics snapshot. The
+// scheduler and the simulator share one oracle, whose counters the
+// metered run exports.
 func runInstrumented(t *testing.T) (bare, metered Report, snap obs.Snapshot) {
 	t.Helper()
 	g := models.MustBuild("tinyresnet")
 	cfg := DefaultConfig()
 	cfg.Mesh = noc.NewMesh(2, 2, 32)
+	cfg.Oracle = cost.Default()
 	res := anneal.SA(g, cfg.Engine, cfg.Dataflow, anneal.Options{MaxIters: 60})
 	d, err := atom.Build(g, 2, res.Spec)
 	if err != nil {
@@ -25,6 +29,7 @@ func runInstrumented(t *testing.T) (bare, metered Report, snap obs.Snapshot) {
 	}
 	s, err := schedule.Build(d, schedule.Options{
 		Engines: 4, Mode: schedule.Greedy, EngineCfg: cfg.Engine, Dataflow: cfg.Dataflow,
+		Oracle: cfg.Oracle,
 	})
 	if err != nil {
 		t.Fatal(err)

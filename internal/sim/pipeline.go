@@ -7,7 +7,6 @@ import (
 
 	"github.com/atomic-dataflow/atomicflow/internal/atom"
 	"github.com/atomic-dataflow/atomicflow/internal/buffer"
-	"github.com/atomic-dataflow/atomicflow/internal/cost"
 	"github.com/atomic-dataflow/atomicflow/internal/dram"
 	"github.com/atomic-dataflow/atomicflow/internal/mapping"
 	"github.com/atomic-dataflow/atomicflow/internal/noc"
@@ -19,9 +18,14 @@ import (
 //	prep(t):  placement (mapper) + buffer replay (manager) — depends
 //	          only on prep(t-1), because the buffer state a placement
 //	          reads is exactly the state ExecuteRound(t-1) committed.
-//	time(t):  DRAM queueing, NoC flows, the compute barrier and all
-//	          accounting — depends on prep(t) and time(t-1) (the HBM
-//	          channel clocks and `now`), never on prep(t+1).
+//	time(t):  DRAM queueing, the flow order and NoC flows, the compute
+//	          barrier and all accounting — depends on prep(t) and
+//	          time(t-1) (the HBM channel clocks and `now`), never on
+//	          prep(t+1).
+//
+// The flow order depends only on Round t's flows, so it could run in
+// either stage; it runs in time because, with placement rows shared,
+// that balances the two (see DESIGN.md, simulator pipeline).
 //
 // So prep may run ahead of time on its own goroutine: a bounded ring of
 // prepSlots carries each Round's placement and IO from the prep stage to
@@ -38,15 +42,13 @@ const pipelineDepth = 4
 
 // prepSlot carries one prepared Round from the prep stage to the timing
 // stage. Slots are recycled through the ring, and the ring lives in the
-// pooled runState, so their RoundIO, engine list and key buffers stop
-// allocating after the first few Rounds of the first Run.
+// pooled runState, so their RoundIO and engine list stop allocating
+// after the first few Rounds of the first Run.
 type prepSlot struct {
 	t       int
 	placed  mapping.Result
 	io      buffer.RoundIO
-	engines []int     // engines of the Round's atoms, sorted (DRAM issue order)
-	order   flowOrder // io.Flows in deterministic link-claim order
-	sorter  flowSorter
+	engines []int // engines of the Round's atoms, sorted (DRAM issue order)
 	err     error
 }
 
@@ -62,7 +64,6 @@ type runner struct {
 	man    *buffer.Manager
 	mapper *mapping.Mapper
 	hbm    *dram.HBM
-	orc    cost.Oracle
 	ar     *arena
 	slots  *[pipelineDepth]prepSlot
 	sm     *simMetrics
@@ -85,8 +86,8 @@ func (r *runner) pollCtx() error {
 }
 
 // prep runs the pipeline's first stage for Round t into slot: placement,
-// buffer replay, the sorted engine list and the flow order. Only the
-// mapper, the buffer manager and the slot are touched.
+// buffer replay and the sorted engine list. Only the mapper, the buffer
+// manager and the slot are touched.
 func (r *runner) prep(t int, slot *prepSlot) {
 	slot.t = t
 	round := r.s.Rounds[t]
@@ -104,12 +105,12 @@ func (r *runner) prep(t int, slot *prepSlot) {
 	}
 	slices.Sort(engines)
 	slot.engines = engines
-	slot.order, slot.err = slot.sorter.sort(slot.io.Flows)
 }
 
 // time runs the pipeline's second stage on a prepared Round: DRAM reads,
-// NoC flows, the compute barrier, write-backs, metrics and accounting.
-func (r *runner) time(slot *prepSlot) {
+// the flow order and NoC flows, the compute barrier, write-backs, metrics
+// and accounting. It fails only when the Round's flows cannot be ordered.
+func (r *runner) time(slot *prepSlot) error {
 	t := slot.t
 	round := r.s.Rounds[t]
 	cfg := &r.cfg
@@ -140,7 +141,11 @@ func (r *runner) time(slot *prepSlot) {
 
 	// --- NoC flows: link-level serialization along XY routes, with
 	// tagged weight broadcasts delivered as multicast trees.
-	roundByteHops := ar.walkFlows(io.Flows, slot.order, now)
+	order, err := ar.sorter.sort(io.Flows)
+	if err != nil {
+		return err
+	}
+	roundByteHops := ar.walkFlows(io.Flows, order, now)
 
 	// --- Compute: engines stream inputs concurrently with execution
 	// (tile-level double buffering), so an engine finishes when both
@@ -216,8 +221,7 @@ func (r *runner) time(slot *prepSlot) {
 	rep.NoCBlockedCycles += endAll - endNoNoC
 	rep.DRAMBlockedCycles += endNoNoC - endNoMem
 	for _, id := range round.Atoms {
-		c := r.orc.Evaluate(cfg.Engine, cfg.Dataflow, r.d.Atoms[id].Task)
-		rep.MACs += c.MACs
+		rep.MACs += s.MACs[id]
 	}
 	rep.NoCByteHops += roundByteHops
 	rep.Energy.AddNoC(cfg.Energy, roundByteHops)
@@ -262,6 +266,7 @@ func (r *runner) time(slot *prepSlot) {
 
 	r.prevStart = now
 	r.now = endAll
+	return nil
 }
 
 // runSerial executes prep and time back to back on the calling goroutine
@@ -277,7 +282,9 @@ func (r *runner) runSerial() error {
 		if slot.err != nil {
 			return slot.err
 		}
-		r.time(slot)
+		if err := r.time(slot); err != nil {
+			return err
+		}
 		r.mapper.Recycle(&slot.placed)
 	}
 	return nil
@@ -346,7 +353,9 @@ func (r *runner) runPipelined() error {
 		if slot.err != nil {
 			return slot.err
 		}
-		r.time(slot)
+		if err := r.time(slot); err != nil {
+			return err
+		}
 		r.mapper.Recycle(&slot.placed)
 		free <- slot // never blocks: the ring holds at most pipelineDepth slots
 	}

@@ -53,9 +53,10 @@ type Config struct {
 	// Trace, when non-nil, receives one RoundTrace per executed Round
 	// (see internal/trace for exporters).
 	Trace func(RoundTrace)
-	// Oracle prices atoms (default: a fresh memoized oracle per Run).
-	// Pass one shared oracle across the annealer, scheduler, baselines and
-	// simulator so identical tasks are evaluated once for the whole run.
+	// Oracle is the run's shared cost oracle, read only for the metrics
+	// export: the simulator prices no atom itself, since the Schedule
+	// carries every atom's cycles and MACs. With Metrics set, its cache
+	// counters are exported as gauges (none when nil).
 	Oracle cost.Oracle
 	// Metrics, when non-nil, receives the run's counters and histograms:
 	// per-engine busy/idle cycles, barrier waits, per-link NoC traffic,
@@ -214,7 +215,7 @@ func newRunner(d *atom.DAG, s *schedule.Schedule, cfg Config) (*runner, func(), 
 	r := &runner{
 		cfg: cfg, d: d, s: s, n: cfg.Mesh.Engines(),
 		man: st.man, mapper: st.mapper, ar: st.ar, slots: &st.slots,
-		hbm: dram.New(cfg.DRAM), orc: cost.Or(cfg.Oracle), sm: sm,
+		hbm: dram.New(cfg.DRAM), sm: sm,
 	}
 	r.rep.Rounds = s.NumRounds()
 	return r, func() { releaseState(cfg.Mesh, st) }, nil
@@ -241,7 +242,7 @@ func (r *runner) report() Report {
 	rep.Energy.AddDRAM(cfg.Energy, rep.DRAMReadBytes+rep.DRAMWriteBytes)
 	rep.Energy.AddStatic(cfg.Energy, rep.Cycles*int64(n))
 	if r.sm != nil {
-		r.sm.finish(rep, r.man, r.hbm, r.orc, r.ar)
+		r.sm.finish(rep, r.man, r.hbm, cfg.Oracle, r.ar)
 	}
 	return r.rep
 }
