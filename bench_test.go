@@ -600,6 +600,30 @@ func BenchmarkSearchOverhead_InceptionV3(b *testing.B) {
 	}
 }
 
+// BenchmarkSearchSetup measures Algorithm 1 as a cold compile runs it:
+// anneal.SA at default knobs on ResNet-50 and Inception-v3 (KC-P), each
+// iteration with a fresh oracle. Candidate generation with its exact
+// evaluations, the pick tables and the walkers' event list are set-up
+// work on every search, and they outweigh the annealing moves.
+func BenchmarkSearchSetup(b *testing.B) {
+	var gs []*Graph
+	for _, name := range []string{"resnet50", "inceptionv3"} {
+		g, err := LoadModel(name)
+		if err != nil {
+			b.Fatal(err)
+		}
+		gs = append(gs, g)
+	}
+	cfg := engine.Default()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		for _, g := range gs {
+			anneal.SA(g, cfg, engine.KCPartition, anneal.Options{Oracle: cost.Default()})
+		}
+	}
+}
+
 // BenchmarkAnnealChains measures the SA search at portfolio widths 1, 2,
 // 4 and 8 on a mid-size workload. The iteration budget is fixed, so the
 // portfolio splits the same Metropolis work across chains: on a K-core

@@ -494,11 +494,12 @@ func newSearch(g *graph.Graph, cfg engine.Config, df engine.Dataflow, opt Option
 	}
 	parallelFor(len(uniqIdx), func(k int) {
 		l := g.Layer(ids[uniqIdx[k]])
-		built[uniqIdx[k]] = layerCands{layer: l, cands: genCandidates(l, cfg, df, opt, s.orc)}
+		built[uniqIdx[k]] = newLayerCands(l, genCandidates(l, cfg, df, opt, s.orc))
 	})
 	for i, lid := range ids {
 		if j := uniq[keys[i]]; j != i {
-			built[i] = layerCands{layer: g.Layer(lid), cands: built[j].cands}
+			built[i] = built[j]
+			built[i].layer = g.Layer(lid)
 		}
 	}
 	var all []int

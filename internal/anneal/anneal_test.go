@@ -103,9 +103,9 @@ func TestGenCandidatesBufferConstraint(t *testing.T) {
 }
 
 func TestPickNearest(t *testing.T) {
-	lc := layerCands{cands: []candidate{
+	lc := newLayerCands(nil, []candidate{
 		{cycles: 10}, {cycles: 100}, {cycles: 1000},
-	}}
+	})
 	cases := []struct {
 		target int64
 		want   int

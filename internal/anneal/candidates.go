@@ -19,16 +19,40 @@ import (
 
 // candidate is one feasible atom size for a layer, pre-priced.
 type candidate struct {
-	part   atom.Partition
-	cycles int64   // engine cycles of one (full) tile
-	util   float64 // PE utilization of one tile
-	tiles  int     // atoms the partition induces on the layer
+	part    atom.Partition
+	cycles  int64   // engine cycles of one (full) tile
+	util    float64 // PE utilization of one tile
+	tiles   int     // atoms the partition induces on the layer
+	chTiles int     // output-channel tiles, channelTiles(layer, part.Cop)
 }
 
 // layerCands holds a layer's candidate list sorted by cycles ascending.
 type layerCands struct {
 	layer *graph.Layer
 	cands []candidate
+	// reps indexes the first candidate of each distinct (cycles, util,
+	// chTiles), in ascending order: later exact duplicates never win a
+	// pick, so the window scan skips them.
+	reps []int32
+}
+
+// newLayerCands wraps a cycles-sorted candidate list with its reps.
+func newLayerCands(l *graph.Layer, cands []candidate) layerCands {
+	reps := make([]int32, 0, len(cands))
+	run := 0 // first candidate with the current cycles value
+	for j := range cands {
+		if cands[j].cycles != cands[run].cycles {
+			run = j
+		}
+		dup := false
+		for k := run; k < j && !dup; k++ {
+			dup = cands[k].util == cands[j].util && cands[k].chTiles == cands[j].chTiles
+		}
+		if !dup {
+			reps = append(reps, int32(j))
+		}
+	}
+	return layerCands{layer: l, cands: cands, reps: reps}
 }
 
 // pendingCand is one feasible partition awaiting pricing.
@@ -42,41 +66,62 @@ type pendingCand struct {
 // among candidates within ±25% of the target, the one with the fewest
 // output-channel tiles wins (every extra channel tile re-reads the whole
 // input tensor once, multiplying NoC/DRAM traffic); ties and the
-// no-candidate-in-window case fall back to nearest-cycles.
+// no-candidate-in-window case fall back to nearest-cycles. The list is
+// sorted by cycles, so the window is one run of reps found by binary
+// search, and only it is scanned.
 func (lc *layerCands) pick(target int64) int {
-	c := lc.cands
-	i := sort.Search(len(c), func(i int) bool { return c[i].cycles >= target })
+	c, r := lc.cands, lc.reps
+	// The first candidate of every cycles value is a rep, so the first rep
+	// reaching the target is the first candidate reaching it.
+	i := len(c)
+	if k := searchReps(c, r, target); k < len(r) {
+		i = int(r[k])
+	}
 	nearest := i
 	if i == len(c) {
 		nearest = len(c) - 1
 	} else if i > 0 && target-c[i-1].cycles <= c[i].cycles-target {
 		nearest = i - 1
 	}
-	lo, hi := target-target/4, target+target/4
+	win := r[searchReps(c, r, target-target/4):searchReps(c, r, target+target/4+1)]
 	// Within the window: keep near-peak PE utilization (target 1), then
 	// minimize channel tiles (target 2: every extra channel tile
 	// re-reads the whole input once), then nearest cycles.
 	maxUtil := 0.0
-	for j := range c {
-		if c[j].cycles >= lo && c[j].cycles <= hi && c[j].util > maxUtil {
+	for _, j := range win {
+		if c[j].util > maxUtil {
 			maxUtil = c[j].util
 		}
 	}
-	best, bestTiles := -1, 0
-	for j := range c {
-		if c[j].cycles < lo || c[j].cycles > hi || c[j].util < 0.9*maxUtil {
+	best := int32(-1)
+	for _, j := range win {
+		if c[j].util < 0.9*maxUtil {
 			continue
 		}
-		ct := channelTiles(lc.layer, c[j].part.Cop)
-		if best < 0 || ct < bestTiles ||
-			(ct == bestTiles && absDiff(c[j].cycles, target) < absDiff(c[best].cycles, target)) {
-			best, bestTiles = j, ct
+		if best < 0 || c[j].chTiles < c[best].chTiles ||
+			(c[j].chTiles == c[best].chTiles && absDiff(c[j].cycles, target) < absDiff(c[best].cycles, target)) {
+			best = j
 		}
 	}
 	if best >= 0 {
-		return best
+		return int(best)
 	}
 	return nearest
+}
+
+// searchReps returns the first index into reps whose candidate's cycles
+// reach v (len(reps) if none does).
+func searchReps(c []candidate, reps []int32, v int64) int {
+	lo, hi := 0, len(reps)
+	for lo < hi {
+		m := int(uint(lo+hi) >> 1)
+		if c[reps[m]].cycles < v {
+			lo = m + 1
+		} else {
+			hi = m
+		}
+	}
+	return lo
 }
 
 func channelTiles(l *graph.Layer, cop int) int {
@@ -171,7 +216,8 @@ func genCandidates(l *graph.Layer, cfg engine.Config, df engine.Dataflow, opt Op
 	for i := range pend {
 		c := orc.Evaluate(cfg, df, pend[i].task)
 		cands = append(cands, candidate{part: pend[i].part,
-			cycles: c.Cycles, util: c.Utilization, tiles: pend[i].tiles})
+			cycles: c.Cycles, util: c.Utilization, tiles: pend[i].tiles,
+			chTiles: channelTiles(l, pend[i].part.Cop)})
 	}
 	// Prefer atoms whose weight slice can actually be cached in an
 	// engine's buffer (Algorithm 3 stores weights opportunistically, but
@@ -224,7 +270,8 @@ func genCandidates(l *graph.Layer, cfg engine.Config, df engine.Dataflow, opt Op
 			t.Ci = 1
 		}
 		c := orc.Evaluate(cfg, df, t)
-		cands = append(cands, candidate{part: p, cycles: c.Cycles, util: c.Utilization, tiles: p.Tiles(l)})
+		cands = append(cands, candidate{part: p, cycles: c.Cycles, util: c.Utilization,
+			tiles: p.Tiles(l), chTiles: channelTiles(l, p.Cop)})
 	}
 	sort.Slice(cands, func(i, j int) bool { return cands[i].cycles < cands[j].cycles })
 	return cands

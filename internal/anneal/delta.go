@@ -1,6 +1,7 @@
 package anneal
 
 import (
+	"cmp"
 	"fmt"
 	"math/bits"
 	"slices"
@@ -202,13 +203,19 @@ func minT(hi int64, pred func(int64) bool) int64 {
 //     window (the window spans at most [3t/4, 5t/4], a 5/3 ratio), so
 //     wider pairs are pruned.
 //
-// The superset of those boundaries is enumerated, pick is evaluated once
-// per segment, and equal neighbours are merged. The result is validated
-// against direct pick evaluation by VerifyDelta and the fuzz tests.
+// Every one of those boundaries is a function of cycle values alone (the
+// tie-break ones of channel tiles too), and equal cycles give equal
+// thresholds and never flip a tie. So the first two kinds are enumerated
+// once per distinct cycle value and the tie-break midpoints once per
+// pair of distinct (channel tiles, cycles) values: the same boundary set
+// as one entry per candidate and candidate pair, from far fewer entries
+// on lists with many equal-cycle candidates. pick is evaluated once per
+// segment and equal neighbours are merged. The result is validated
+// against direct pick evaluation by VerifyDelta and the fuzz tests, and
+// against the per-candidate enumeration by TestPickTableMatchesReference.
 func buildPickTable(lc layerCands) pickTable {
 	c := lc.cands
-	m := len(c)
-	if m <= 1 {
+	if len(c) <= 1 {
 		return pickTable{} // constant function, no boundaries
 	}
 	var bps []int64
@@ -217,18 +224,13 @@ func buildPickTable(lc layerCands) pickTable {
 			bps = append(bps, t)
 		}
 	}
-	tiles := make([]int, m)
-	for j := range c {
-		tiles[j] = channelTiles(lc.layer, c[j].part.Cop)
-	}
 	for j := range c {
 		cy := c[j].cycles
-		// Window entry/exit thresholds.
-		hi := cy + 1
-		if hi < 1 {
-			hi = 1
+		if j > 0 && c[j-1].cycles == cy {
+			continue
 		}
-		addBP(minT(hi, func(t int64) bool { return t+t/4 >= cy }))
+		// Window entry/exit thresholds.
+		addBP(minT(max(cy+1, 1), func(t int64) bool { return t+t/4 >= cy }))
 		addBP(minT(2*cy+8, func(t int64) bool { return t-t/4 > cy }))
 		// sort.Search / nearest boundaries.
 		addBP(cy)
@@ -238,12 +240,23 @@ func buildPickTable(lc layerCands) pickTable {
 			addBP(mid)
 			addBP(mid + 1)
 		}
-		// Tie-break midpoints between window-compatible equal-tile pairs.
-		for k := j + 1; k < m && c[k].cycles <= 2*cy; k++ {
-			if tiles[k] != tiles[j] {
-				continue
-			}
-			mid := (cy + c[k].cycles) / 2
+	}
+	// Tie-break midpoints between window-compatible equal-tile pairs.
+	type tileCycles struct {
+		tiles  int
+		cycles int64
+	}
+	tc := make([]tileCycles, len(c))
+	for j := range c {
+		tc[j] = tileCycles{c[j].chTiles, c[j].cycles}
+	}
+	slices.SortFunc(tc, func(a, b tileCycles) int {
+		return cmp.Or(cmp.Compare(a.tiles, b.tiles), cmp.Compare(a.cycles, b.cycles))
+	})
+	tc = slices.Compact(tc)
+	for j := range tc {
+		for k := j + 1; k < len(tc) && tc[k].tiles == tc[j].tiles && tc[k].cycles <= 2*tc[j].cycles; k++ {
+			mid := (tc[j].cycles + tc[k].cycles) / 2
 			addBP(mid)
 			addBP(mid + 1)
 		}
@@ -268,21 +281,16 @@ func buildPickTable(lc layerCands) pickTable {
 // boundaries into the search-wide sorted event list the walkers replay.
 func (s *search) buildDeltaIndex() {
 	tables := make([]pickTable, len(s.all))
-	// A pick table is a pure function of the candidate list and the
-	// layer's Co (via channelTiles), and shape-identical layers share one
-	// cands slice (see newSearch) — so build one table per distinct slice,
-	// keyed by its backing-array identity.
-	type tableKey struct {
-		c  *candidate
-		co int
-	}
-	keys := make([]tableKey, len(s.all))
-	uniq := make(map[tableKey]int, len(s.all))
+	// A pick table is a pure function of the candidate list (channel
+	// tiles are precomputed on each candidate), and shape-identical layers
+	// share one cands slice (see newSearch) — so build one table per
+	// distinct slice, keyed by its backing-array identity.
+	keys := make([]*candidate, len(s.all))
+	uniq := make(map[*candidate]int, len(s.all))
 	var uniqIdx []int
 	for i := range s.all {
-		lc := s.lcAt[i]
-		if len(lc.cands) > 0 {
-			keys[i] = tableKey{&lc.cands[0], lc.layer.Shape.Co}
+		if lc := s.lcAt[i]; len(lc.cands) > 0 {
+			keys[i] = &lc.cands[0]
 		}
 		if _, ok := uniq[keys[i]]; !ok {
 			uniq[keys[i]] = i

@@ -1,11 +1,16 @@
 package anneal
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
+	"slices"
+	"sort"
 	"testing"
 
+	"github.com/atomic-dataflow/atomicflow/internal/atom"
 	"github.com/atomic-dataflow/atomicflow/internal/engine"
+	"github.com/atomic-dataflow/atomicflow/internal/graph"
 	"github.com/atomic-dataflow/atomicflow/internal/models"
 )
 
@@ -136,9 +141,103 @@ func TestWalkerMatchesArgmin(t *testing.T) {
 	}
 }
 
+// refPick is the full-scan picker, the executable specification of
+// layerCands.pick: it scans every candidate for the ±25% window and
+// derives channel tiles from the layer instead of the precomputed field.
+func refPick(lc layerCands, target int64) int {
+	c := lc.cands
+	i := sort.Search(len(c), func(i int) bool { return c[i].cycles >= target })
+	nearest := i
+	if i == len(c) {
+		nearest = len(c) - 1
+	} else if i > 0 && target-c[i-1].cycles <= c[i].cycles-target {
+		nearest = i - 1
+	}
+	lo, hi := target-target/4, target+target/4
+	maxUtil := 0.0
+	for j := range c {
+		if c[j].cycles >= lo && c[j].cycles <= hi && c[j].util > maxUtil {
+			maxUtil = c[j].util
+		}
+	}
+	best, bestTiles := -1, 0
+	for j := range c {
+		if c[j].cycles < lo || c[j].cycles > hi || c[j].util < 0.9*maxUtil {
+			continue
+		}
+		ct := channelTiles(lc.layer, c[j].part.Cop)
+		if best < 0 || ct < bestTiles ||
+			(ct == bestTiles && absDiff(c[j].cycles, target) < absDiff(c[best].cycles, target)) {
+			best, bestTiles = j, ct
+		}
+	}
+	if best >= 0 {
+		return best
+	}
+	return nearest
+}
+
+// refBuildPickTable is the per-candidate boundary enumeration, the
+// reference for buildPickTable: six boundaries per candidate plus two per
+// equal-tile pair within 2x, each segment priced by refPick.
+func refBuildPickTable(lc layerCands) pickTable {
+	c := lc.cands
+	m := len(c)
+	if m <= 1 {
+		return pickTable{}
+	}
+	var bps []int64
+	addBP := func(t int64) {
+		if t >= 2 {
+			bps = append(bps, t)
+		}
+	}
+	tiles := make([]int, m)
+	for j := range c {
+		tiles[j] = channelTiles(lc.layer, c[j].part.Cop)
+	}
+	for j := range c {
+		cy := c[j].cycles
+		hi := cy + 1
+		if hi < 1 {
+			hi = 1
+		}
+		addBP(minT(hi, func(t int64) bool { return t+t/4 >= cy }))
+		addBP(minT(2*cy+8, func(t int64) bool { return t-t/4 > cy }))
+		addBP(cy)
+		addBP(cy + 1)
+		if j > 0 {
+			mid := (c[j-1].cycles + cy) / 2
+			addBP(mid)
+			addBP(mid + 1)
+		}
+		for k := j + 1; k < m && c[k].cycles <= 2*cy; k++ {
+			if tiles[k] != tiles[j] {
+				continue
+			}
+			mid := (cy + c[k].cycles) / 2
+			addBP(mid)
+			addBP(mid + 1)
+		}
+	}
+	slices.Sort(bps)
+	bps = slices.Compact(bps)
+	ts := make([]int64, 0, len(bps))
+	choices := []int32{int32(refPick(lc, 1))}
+	for _, t := range bps {
+		ch := int32(refPick(lc, t))
+		if ch != choices[len(choices)-1] {
+			ts = append(ts, t)
+			choices = append(choices, ch)
+		}
+	}
+	return pickTable{ts: ts, choices: choices}
+}
+
 // TestPickTableExhaustive sweeps every integer target in [1, 4·max
 // cycles] for a small model and checks the table-driven segments against
-// direct pick evaluation — no sampling, every boundary placement proven.
+// the full-scan reference picker — no sampling, every boundary placement
+// proven.
 func TestPickTableExhaustive(t *testing.T) {
 	s := testSearch(t, "tinyconv")
 	for i := range s.all {
@@ -162,11 +261,99 @@ func TestPickTableExhaustive(t *testing.T) {
 			for seg < len(tb.ts) && tb.ts[seg] <= target {
 				seg++
 			}
-			if got, want := int(tb.choices[seg]), lc.pick(target); got != want {
-				t.Fatalf("layer %d target %d: table picks %d, pick() %d", s.all[i], target, got, want)
+			if got, want := int(tb.choices[seg]), refPick(lc, target); got != want {
+				t.Fatalf("layer %d target %d: table picks %d, reference %d", s.all[i], target, got, want)
 			}
 		}
 	}
+}
+
+// checkPickTable compares one production table (and the production
+// picker at every boundary) with the reference enumeration.
+func checkPickTable(t *testing.T, name string, lc layerCands) {
+	t.Helper()
+	got, want := buildPickTable(lc), refBuildPickTable(lc)
+	if !slices.Equal(got.ts, want.ts) || !slices.Equal(got.choices, want.choices) {
+		t.Fatalf("%s: table (%d boundaries) differs from the reference (%d boundaries)",
+			name, len(got.ts), len(want.ts))
+	}
+	for _, tt := range append([]int64{1}, want.ts...) {
+		for _, target := range []int64{tt - 1, tt, tt + 1} {
+			if target >= 1 && lc.pick(target) != refPick(lc, target) {
+				t.Fatalf("%s target %d: pick %d, reference %d", name, target, lc.pick(target), refPick(lc, target))
+			}
+		}
+	}
+}
+
+// TestPickTableMatchesReference pins the distinct-boundary enumeration
+// and the windowed picker to the per-candidate reference: identical
+// boundaries and choices on every zoo model under every dataflow and
+// three engine shapes, and on synthetic lists built to stress the
+// deduplication — repeated cycle values, equal cycles with different
+// utilization or channel tiles, and cycles near 2^40.
+func TestPickTableMatchesReference(t *testing.T) {
+	big := engine.Default()
+	big.PEx, big.PEy, big.BufferBytes = 32, 32, 256<<10
+	flex := engine.Default()
+	flex.PEx, flex.PEy, flex.PEz, flex.BufferBytes = 8, 8, 4, 64<<10
+	cfgs := []struct {
+		name string
+		cfg  engine.Config
+	}{{"default", engine.Default()}, {"32x32-256KB", big}, {"8x8x4-64KB", flex}}
+	for _, model := range models.Names() {
+		g := models.MustBuild(model)
+		for _, c := range cfgs {
+			for _, df := range []engine.Dataflow{engine.KCPartition, engine.YXPartition, engine.FlexPartition} {
+				t.Run(fmt.Sprintf("%s/%s/%v", model, c.name, df), func(t *testing.T) {
+					s := newSearch(g, c.cfg, df, Options{})
+					seen := map[*candidate]bool{}
+					for i, lc := range s.lcAt {
+						if seen[&lc.cands[0]] {
+							continue
+						}
+						seen[&lc.cands[0]] = true
+						checkPickTable(t, fmt.Sprintf("layer %d", s.all[i]), lc)
+					}
+				})
+			}
+		}
+	}
+	t.Run("synthetic", func(t *testing.T) {
+		rng := rand.New(rand.NewSource(5))
+		layer := &graph.Layer{Shape: graph.Shape{Co: 512}}
+		utils := []float64{1, 0.95, 0.9, 0.85, 0.6}
+		cops := []int{16, 32, 64, 128, 512}
+		for trial := 0; trial < 600; trial++ {
+			var base, spread int64
+			switch trial % 3 {
+			case 0: // small cycles: heavy duplication, boundaries near 1
+				base, spread = 1, 40
+			case 1: // typical atom sizes
+				base, spread = 1000, 4000
+			default: // near the accumulator's 2^40 ceiling
+				base, spread = 1<<40-1<<20, 1<<19
+			}
+			// A small pool of values forces equal cycles with different
+			// utilization and channel tiles.
+			pool := make([]int64, 1+rng.Intn(12))
+			for k := range pool {
+				pool[k] = base + rng.Int63n(spread)
+			}
+			cands := make([]candidate, 2+rng.Intn(40))
+			for k := range cands {
+				cop := cops[rng.Intn(len(cops))]
+				cands[k] = candidate{
+					part:    atom.Partition{Cop: cop},
+					cycles:  pool[rng.Intn(len(pool))],
+					util:    utils[rng.Intn(len(utils))],
+					chTiles: channelTiles(layer, cop),
+				}
+			}
+			sort.Slice(cands, func(i, j int) bool { return cands[i].cycles < cands[j].cycles })
+			checkPickTable(t, fmt.Sprintf("trial %d", trial), newLayerCands(layer, cands))
+		}
+	})
 }
 
 // TestSAWithVerifyDelta runs full searches — single-chain and portfolio —

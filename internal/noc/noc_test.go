@@ -160,6 +160,64 @@ func TestRouteTableMatchesPath(t *testing.T) {
 	}
 }
 
+// TestRoutesPrefixClosed checks the route-tree invariant on every
+// topology and size the simulator runs: from each source, every link has
+// one predecessor across all routes, checked here against Path directly.
+// It also feeds checkPrefixClosed hand-built tables that break the
+// invariant (a link reached from two predecessors, a route revisiting a
+// link), which must be rejected.
+func TestRoutesPrefixClosed(t *testing.T) {
+	for _, m := range []*Mesh{
+		NewMesh(8, 8, 8), NewMesh(9, 8, 8), NewMesh(4, 3, 8),
+		NewTorus(4, 4, 8), NewTorus(5, 6, 8), NewTorus(8, 8, 8),
+		NewHTree(16, 8), NewHTree(64, 8),
+	} {
+		if err := m.table().checkPrefixClosed(); err != nil {
+			t.Fatalf("%v %dx%d: %v", m.Kind(), m.W, m.H, err)
+		}
+		n := m.Engines()
+		for i := 0; i < n; i++ {
+			pred := map[Link]Link{}
+			for j := 0; j < n; j++ {
+				prev := Link{From: -1, To: -1}
+				for _, l := range m.Path(i, j) {
+					if p, ok := pred[l]; ok && p != prev {
+						t.Fatalf("%v %dx%d: routes from %d reach %v from %v and %v", m.Kind(), m.W, m.H, i, l, p, prev)
+					}
+					pred[l] = prev
+					prev = l
+				}
+			}
+		}
+	}
+
+	// Three engines, links 0 (0->1), 1 (1->2) and 2 (0->2); row 0 holds
+	// the routes from engine 0.
+	table := func(r01, r02 []int32) *routeTable {
+		rt := &routeTable{n: 3, numLinks: 3,
+			linkOf: []Link{{From: 0, To: 1}, {From: 1, To: 2}, {From: 0, To: 2}},
+			off:    make([]int32, 10)}
+		rt.ids = append(append(rt.ids, r01...), r02...)
+		rt.off[2], rt.off[3] = int32(len(r01)), int32(len(r01)+len(r02))
+		for k := 4; k < len(rt.off); k++ {
+			rt.off[k] = rt.off[3]
+		}
+		return rt
+	}
+	if err := table([]int32{0}, []int32{0, 1}).checkPrefixClosed(); err != nil {
+		t.Errorf("a route tree was rejected: %v", err)
+	}
+	if err := table([]int32{0}, []int32{2, 1}).checkPrefixClosed(); err != nil {
+		t.Errorf("a route tree was rejected: %v", err)
+	}
+	if err := table([]int32{0, 1}, []int32{2, 1}).checkPrefixClosed(); err == nil {
+		t.Error("link 1 reached from links 0 and 2 was accepted")
+	}
+	if err := table([]int32{0}, []int32{0, 1, 0}).checkPrefixClosed(); err == nil {
+		t.Error("a route revisiting link 0 was accepted")
+	}
+}
+
 // TestRouteTableConcurrentBuild exercises the lazy build from many
 // goroutines (parallel sweeps share meshes across sim runs); run with
 // -race in CI.

@@ -62,7 +62,37 @@ func (m *Mesh) buildTable() {
 		}
 	}
 	rt.numLinks = len(rt.linkOf)
+	if err := rt.checkPrefixClosed(); err != nil {
+		panic(err)
+	}
 	m.routes = rt
+}
+
+// checkPrefixClosed verifies that the routes out of each source form a
+// tree: every link has one predecessor (the link before it, or none for a
+// first hop) across all of them. Then the links any set of a source's
+// routes traverses are closed under route prefixes, which lets the
+// simulator's multicast walk skip the prefix a group already claimed.
+// XY, torus and H-tree routing all satisfy it.
+func (rt *routeTable) checkPrefixClosed() error {
+	pred := make([]int32, rt.numLinks)
+	seen := make([]int32, rt.numLinks) // source+1 that recorded pred
+	for i := 0; i < rt.n; i++ {
+		for j := 0; j < rt.n; j++ {
+			k := i*rt.n + j
+			prev := int32(-1)
+			for _, id := range rt.ids[rt.off[k]:rt.off[k+1]] {
+				if seen[id] != int32(i+1) {
+					pred[id], seen[id] = prev, int32(i+1)
+				} else if pred[id] != prev {
+					return fmt.Errorf("noc: routes from %d reach link %v from two predecessors (route to %d)",
+						i, rt.linkOf[id], j)
+				}
+				prev = id
+			}
+		}
+	}
+	return nil
 }
 
 // NumLinks returns the number of distinct directed links any route on the

@@ -364,32 +364,41 @@ func (a *arena) walkFlows(flows []buffer.Flow, fo flowOrder, start int64) int64 
 		// Walk each destination's route; a link is claimed once per tree
 		// (switch-level replication). A link cannot start forwarding
 		// before the stream's head reaches it from the upstream link
-		// (cut-through), nor while a previous tensor occupies it.
+		// (cut-through), nor while a previous tensor occupies it. Routes
+		// from one source form a tree (noc checks it when building the
+		// route table), so the links this group already claimed are a
+		// prefix of the route: find its end from the back and claim only
+		// the suffix.
 		a.groupStamp++
 		gs, rs := a.groupStamp, a.roundStamp
 		off, ids := a.mesh.RoutesFrom(src)
 		treeLinks := int64(0)
-		for _, k := range keys[gi:gj] {
+		for n, k := range keys[gi:gj] {
 			dst := flows[k&fo.idxMask].Dst
-			head := start
-			lastStart := start
 			route := ids[off[dst]:off[dst+1]]
-			for _, id := range route {
+			claimed := 0 // the group's first route finds nothing claimed
+			if n > 0 {
+				claimed = len(route)
+				for claimed > 0 && a.links[route[claimed-1]].startStamp != gs {
+					claimed--
+				}
+			}
+			head, lastStart := start, start
+			if claimed > 0 {
+				lastStart = a.links[route[claimed-1]].start
+				head = lastStart + hop
+			}
+			for _, id := range route[claimed:] {
 				l := &a.links[id]
-				var s int64
-				if l.startStamp == gs {
-					s = l.start
-				} else {
-					s = head
-					if l.freeStamp == rs && l.free > s {
-						s = l.free
-					}
-					l.start, l.startStamp = s, gs
-					l.free, l.freeStamp = s+ser, rs
-					treeLinks++
-					if a.linkTraffic != nil {
-						a.linkTraffic[id] += bytes
-					}
+				s := head
+				if l.freeStamp == rs && l.free > s {
+					s = l.free
+				}
+				l.start, l.startStamp = s, gs
+				l.free, l.freeStamp = s+ser, rs
+				treeLinks++
+				if a.linkTraffic != nil {
+					a.linkTraffic[id] += bytes
 				}
 				head = s + hop
 				lastStart = s

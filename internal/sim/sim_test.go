@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"math/rand"
 	"testing"
 
 	"github.com/atomic-dataflow/atomicflow/internal/anneal"
@@ -220,6 +221,29 @@ func TestSimulateFlowsMulticast(t *testing.T) {
 	}
 	if ready[3] <= ready[1] {
 		t.Errorf("farther destination should arrive later: %v", ready)
+	}
+}
+
+// TestWalkFlowsTopologies compares the dense walk, which claims only the
+// unclaimed suffix of each route, with the reference walk on random
+// Rounds of large multicast groups (few sources, few tags, many
+// destinations) over every topology, including a non-square mesh.
+func TestWalkFlowsTopologies(t *testing.T) {
+	for _, mesh := range []*noc.Mesh{
+		noc.NewMesh(8, 8, 16), noc.NewMesh(9, 8, 16),
+		noc.NewTorus(5, 6, 16), noc.NewTorus(8, 8, 16),
+		noc.NewHTree(16, 16), noc.NewHTree(64, 16),
+	} {
+		engines := mesh.Engines()
+		rng := rand.New(rand.NewSource(int64(engines)))
+		for trial := 0; trial < 60; trial++ {
+			srcs := make([]int, 1+rng.Intn(3))
+			for i := range srcs {
+				srcs[i] = rng.Intn(engines)
+			}
+			flows := randomFlows(rng, rng.Intn(4*engines), srcs, engines)
+			runFlows(t, mesh, flows, int64(rng.Intn(1000)))
+		}
 	}
 }
 
