@@ -80,10 +80,11 @@ type (
 	// EnergyModel holds per-event energy costs.
 	EnergyModel = energy.Model
 	// CostOracle prices atomic tasks on an engine — the Cycle() oracle of
-	// Algorithm 1. Install one in HardwareConfig.Oracle to share its cache
-	// across orchestration runs; NewCostOracle builds the standard stack.
+	// Algorithm 1. Install one in HardwareConfig.Oracle to count its
+	// evaluations across orchestration runs; NewCostOracle builds the
+	// standard stack.
 	CostOracle = cost.Oracle
-	// OracleStats counts cost-oracle evaluations, cache hits and misses.
+	// OracleStats counts cost-oracle evaluations.
 	OracleStats = cost.Stats
 	// MetricsRegistry collects counters, gauges and histograms from the
 	// search, scheduler and simulator when installed via Options.Metrics.
@@ -184,10 +185,11 @@ func DefaultHardware() HardwareConfig { return sim.DefaultConfig() }
 // obs HTTP handler (cmd/adexp -metrics-addr serves both).
 func NewMetrics() *MetricsRegistry { return obs.New() }
 
-// NewCostOracle returns the standard instrumented memoizing cost oracle.
-// Set it as HardwareConfig.Oracle (or let Orchestrate build one per run)
-// to share one evaluation cache across searches, schedules and
-// baselines; Solution.OracleStats reports its counters.
+// NewCostOracle returns the standard cost oracle: the engine model with
+// an evaluation counter. Set it as HardwareConfig.Oracle (or let
+// Orchestrate build one per run) to count the evaluations of several
+// searches, schedules and baselines together; Solution.OracleStats
+// reports its counter.
 func NewCostOracle() CostOracle { return cost.Default() }
 
 // Options tunes Orchestrate. The zero value gives the paper's defaults on
@@ -291,9 +293,9 @@ type Solution struct {
 	SATrace []float64
 	// SearchTime is the compile-time cost of the full search.
 	SearchTime time.Duration
-	// OracleStats counts the cost-oracle evaluations, cache hits and
-	// misses of this orchestration (zero when the configured oracle does
-	// not expose counters).
+	// OracleStats counts the cost-oracle evaluations of this
+	// orchestration (zero when the configured oracle does not expose
+	// counters).
 	OracleStats OracleStats
 	// Metrics is the final snapshot of the run's metrics registry (zero
 	// maps when no registry was installed).
@@ -345,8 +347,8 @@ func Orchestrate(g *Graph, opt Options) (*Solution, error) {
 	if err := hw.Validate(); err != nil {
 		return nil, err
 	}
-	// One oracle spans the whole pipeline: atoms priced during candidate
-	// generation are cache hits for the scheduler.
+	// One instrumented oracle spans the whole pipeline, so OracleStats
+	// counts the search's and the scheduler's evaluations together.
 	if hw.Oracle == nil {
 		hw.Oracle = cost.Default()
 	}

@@ -383,9 +383,9 @@ func modelSchedule(b *testing.B, model string, cfg sim.Config) (*atom.DAG, *sche
 
 // BenchmarkSimRun measures one end-to-end sim.Run of ResNet-50 on the
 // paper's 8x8 system — the inner loop of every figure and sweep. The
-// shared oracle keeps atom pricing out of the measurement so the NoC,
-// mapping and buffer hot paths dominate. Allocations per op are the
-// regression guard for the zero-allocation flow-simulation arena.
+// schedule carries every atom's price, so the NoC, mapping and buffer
+// hot paths dominate. Allocations per op are the regression guard for
+// the zero-allocation flow-simulation arena.
 func BenchmarkSimRun(b *testing.B) {
 	cfg := sim.DefaultConfig()
 	cfg.Oracle = cost.Default()
@@ -518,11 +518,12 @@ func BenchmarkPlaceRound(b *testing.B) {
 var benchSink engine.Cost
 
 // BenchmarkCostOracle compares pricing the ResNet-50 atom set through the
-// raw engine model against the memoized oracle. The atom set is what the
-// simulator evaluates every run: thousands of atoms drawn from a few dozen
-// distinct tasks, which is exactly the redundancy the cache exploits. The
-// memo variant reports the first-pass hit rate as a custom metric
-// (acceptance: well above 50% on ResNet-50).
+// raw engine model against a cost.Memo that already holds every entry.
+// The atom set is what a schedule prices every run: thousands of atoms
+// drawn from a few dozen distinct tasks. The memo variant reports the
+// first-pass hit rate as a custom metric. Even at that hit rate the
+// direct path is the faster one, which is why production stacks call the
+// engine model directly (DESIGN §3).
 func BenchmarkCostOracle(b *testing.B) {
 	g, err := LoadModel("resnet50")
 	if err != nil {

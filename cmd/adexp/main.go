@@ -129,9 +129,8 @@ func main() {
 		}()
 	}
 
-	// One instrumented memoizing oracle for the whole invocation: later
-	// experiments hit entries cached by earlier ones, and each experiment
-	// reports its own evaluations/hits/misses delta below.
+	// One instrumented oracle for the whole invocation: each experiment
+	// reports its own evaluation count below.
 	orc := cost.Default()
 	cfg := experiments.Config{
 		Batch:   *batch,

@@ -7,7 +7,7 @@
 //
 // Usage:
 //
-//	go test -run xxx -bench 'SimRun|PlaceRound|Calibration' . | tee bench.txt
+//	go test -run xxx -count 5 -bench 'SimRun|PlaceRound|Calibration' . | tee bench.txt
 //	benchgate -baseline testdata/bench_baseline.json -out BENCH_sim.json bench.txt
 //	benchgate -baseline testdata/bench_baseline.json -update bench.txt   # re-pin
 //
@@ -236,10 +236,11 @@ func failure(art artifact) string {
 
 // parseBench extracts name -> ns/op from `go test -bench` output. The
 // -<GOMAXPROCS> suffix is stripped so names are machine-independent;
-// sub-benchmark paths (SimRunPipelined/4) are kept as-is. Duplicate
-// names (e.g. -count>1) keep the LAST measurement.
+// sub-benchmark paths (SimRunPipelined/4) are kept as-is. A name
+// measured more than once (-count > 1) reads the median of its runs, so
+// one noisy run neither fails nor passes the gate on its own.
 func parseBench(r io.Reader) (map[string]float64, error) {
-	out := map[string]float64{}
+	runs := map[string][]float64{}
 	sc := bufio.NewScanner(r)
 	for sc.Scan() {
 		m := benchLine.FindStringSubmatch(sc.Text())
@@ -257,15 +258,30 @@ func parseBench(r io.Reader) (map[string]float64, error) {
 		if err != nil {
 			return nil, fmt.Errorf("bad ns/op in %q: %w", sc.Text(), err)
 		}
-		out[name] = ns
+		runs[name] = append(runs[name], ns)
 	}
 	if err := sc.Err(); err != nil {
 		return nil, err
 	}
-	if len(out) == 0 {
+	if len(runs) == 0 {
 		return nil, fmt.Errorf("no benchmark lines found in input")
 	}
+	out := make(map[string]float64, len(runs))
+	for name, ns := range runs {
+		out[name] = median(ns)
+	}
 	return out, nil
+}
+
+// median returns the middle value of xs (the mean of the two middle
+// values for an even count); it sorts xs in place.
+func median(xs []float64) float64 {
+	sort.Float64s(xs)
+	n := len(xs)
+	if n%2 == 1 {
+		return xs[n/2]
+	}
+	return (xs[n/2-1] + xs[n/2]) / 2
 }
 
 func fatal(err error) {

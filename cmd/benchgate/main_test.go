@@ -81,3 +81,38 @@ func TestCompareMissingBenchmark(t *testing.T) {
 		t.Errorf("a gated benchmark missing from the baseline: err %v, want a re-pin error", err)
 	}
 }
+
+// TestParseBenchMedian checks that repeated runs of one benchmark
+// (-count > 1) gate on their median, not on whichever line came last,
+// and that the procs suffix is stripped before grouping.
+func TestParseBenchMedian(t *testing.T) {
+	in := `goos: linux
+BenchmarkCalibration-2   	   30000	     38000 ns/op
+BenchmarkSimRun-2        	      50	  21000000 ns/op	 9000668 B/op	   17463 allocs/op
+BenchmarkSimRun-2        	      50	  90000000 ns/op	 9000668 B/op	   17463 allocs/op
+BenchmarkSimRun-2        	      50	  20000000 ns/op	 9000668 B/op	   17463 allocs/op
+BenchmarkSimRunPipelined/4-2	      44	  53000000 ns/op
+BenchmarkSimRunPipelined/4-2	      44	  51000000 ns/op
+PASS
+`
+	got, err := parseBench(strings.NewReader(in))
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := map[string]float64{
+		"Calibration":       38000,
+		"SimRun":            21000000, // odd count: the middle run
+		"SimRunPipelined/4": 52000000, // even count: mean of the middle two
+	}
+	if len(got) != len(want) {
+		t.Fatalf("parsed %v, want %v", got, want)
+	}
+	for name, ns := range want {
+		if got[name] != ns {
+			t.Errorf("%s = %v ns/op, want %v", name, got[name], ns)
+		}
+	}
+	if _, err := parseBench(strings.NewReader("PASS\n")); err == nil {
+		t.Error("input without benchmark lines parsed without error")
+	}
+}

@@ -24,9 +24,9 @@ type Options struct {
 	Seed           int64 // RNG seed (default 1)
 	MaxTilesPerLay int   // atom-count cap per layer (default 1024)
 
-	// Oracle prices candidate atoms (default: a fresh memoized oracle per
-	// search). Pass the run's shared oracle so candidate generation reuses
-	// evaluations cached by scheduling and simulation of the same workload.
+	// Oracle prices candidate atoms (default: the engine model directly).
+	// Pass the run's shared instrumented oracle to count the search's
+	// evaluations with the rest of the run's.
 	Oracle cost.Oracle
 
 	// Metrics, when non-nil, receives the search's accept/reject

@@ -302,10 +302,10 @@ func TestOptionsDefaults(t *testing.T) {
 }
 
 func TestSADeterministicAcrossOracles(t *testing.T) {
-	// Memoization must be invisible to the search: the same seed yields
-	// bit-identical results whether atoms are priced directly, through a
-	// fresh memo (the nil default), or through the full instrumented
-	// stack. Run with -race this also exercises the parallel candidate
+	// The oracle stack must be invisible to the search: the same seed
+	// yields bit-identical results whether atoms are priced directly (the
+	// nil default), through a memo, or through the instrumented stack.
+	// Run with -race this also exercises the parallel candidate
 	// generation against each oracle kind.
 	g := models.MustBuild("tinyresnet")
 	cfg := engine.Default()
@@ -370,6 +370,28 @@ func TestSAOracleHitRate(t *testing.T) {
 	}
 	if hr := second.HitRate(); hr <= 0.99 {
 		t.Errorf("repeat-search hit rate %.1f%% on resnet50, want > 99%%", 100*hr)
+	}
+}
+
+// TestWarmStartHalvesEvaluations is the efficiency bar of the warm-start
+// path: a search seeded from a prior solution of the same graph prices at
+// most half as many candidates with the exact oracle as the cold search.
+// Counted on SA itself, because a full solve also prices every atom once
+// for the schedule, which no warm start saves.
+func TestWarmStartHalvesEvaluations(t *testing.T) {
+	for _, name := range []string{"tinyresnet", "resnet50", "inceptionv3"} {
+		g := models.MustBuild(name)
+		cold := cost.NewInstrumented(cost.Direct{})
+		donor := SA(g, engine.Default(), engine.KCPartition,
+			Options{MaxIters: 300, Seed: 11, Oracle: cold})
+		warm := cost.NewInstrumented(cost.Direct{})
+		SA(g, engine.Default(), engine.KCPartition,
+			Options{MaxIters: 300, Seed: 11, Oracle: warm, WarmStart: donor.Spec})
+		c, w := cold.Stats().Evaluations, warm.Stats().Evaluations
+		if c == 0 || w*2 > c {
+			t.Errorf("%s: warm start evaluated %d candidates vs cold %d, want <= 50%%", name, w, c)
+		}
+		t.Logf("%s: cold %d, warm %d evaluations", name, c, w)
 	}
 }
 

@@ -3,9 +3,7 @@ package cost
 import (
 	"math/rand"
 	"sync"
-	"sync/atomic"
 	"testing"
-	"time"
 
 	"github.com/atomic-dataflow/atomicflow/internal/engine"
 	"github.com/atomic-dataflow/atomicflow/internal/graph"
@@ -72,8 +70,8 @@ func TestMemoMatchesDirect(t *testing.T) {
 }
 
 // TestMemoConcurrent hammers one memo from many goroutines over an
-// overlapping task set; run under -race this checks the striped locking,
-// and every result must still equal the direct evaluation.
+// overlapping task set; run under -race this checks the locking, and
+// every result must still equal the direct evaluation.
 func TestMemoConcurrent(t *testing.T) {
 	cfg := engine.Default()
 	tasks := make([]engine.Task, 200)
@@ -112,128 +110,26 @@ func TestMemoConcurrent(t *testing.T) {
 	if st.Evaluations != 8*2000 {
 		t.Errorf("evaluations = %d, want %d", st.Evaluations, 8*2000)
 	}
-	if st.Misses > int64(len(tasks)*2) {
-		t.Errorf("misses = %d, want <= %d (one per unique key, modulo benign races)",
-			st.Misses, len(tasks)*2)
-	}
-	if memo.Len() > len(tasks)*2 {
-		t.Errorf("cache holds %d entries for %d unique keys", memo.Len(), len(tasks)*2)
+	if st.Hits+st.Misses != st.Evaluations {
+		t.Errorf("hits %d + misses %d != evaluations %d", st.Hits, st.Misses, st.Evaluations)
 	}
 }
 
-// blockingOracle parks every evaluation until release is closed, so a
-// test can pile concurrent misses of one key onto a single in-flight
-// leader. calls counts how often the engine model actually ran.
-type blockingOracle struct {
-	entered chan struct{}
-	release chan struct{}
-	calls   int32
-	panics  bool
-}
-
-func (b *blockingOracle) Evaluate(cfg engine.Config, df engine.Dataflow, t engine.Task) engine.Cost {
-	atomic.AddInt32(&b.calls, 1)
-	b.entered <- struct{}{}
-	<-b.release
-	if b.panics {
-		panic("engine model failure")
-	}
-	return engine.Evaluate(cfg, df, t)
-}
-
-// TestMemoDedup pins the singleflight contract: N goroutines missing the
-// same key concurrently run the engine model exactly once — one miss, and
-// N-1 dedup joins that all observe the leader's result.
-func TestMemoDedup(t *testing.T) {
-	const joiners = 7
-	b := &blockingOracle{entered: make(chan struct{}, 1), release: make(chan struct{})}
-	memo := NewMemo(b)
-	cfg := engine.Default()
-	task := engine.Task{Kind: graph.OpConv, Hp: 8, Wp: 8, Ci: 16, Cop: 16, Kh: 3, Kw: 3, Stride: 1}
-	want := engine.Evaluate(cfg, engine.KCPartition, task)
-
-	results := make(chan engine.Cost, joiners+1)
-	for i := 0; i < joiners+1; i++ {
-		go func() { results <- memo.Evaluate(cfg, engine.KCPartition, task) }()
-	}
-	<-b.entered // the leader is inside the engine model
-	// Wait until every other goroutine has parked on the in-flight call;
-	// Dedups is incremented before blocking, so it is the join count.
-	for memo.Stats().Dedups < joiners {
-		time.Sleep(time.Millisecond)
-	}
-	close(b.release)
-	for i := 0; i < joiners+1; i++ {
-		if got := <-results; got != want {
-			t.Fatalf("result %d = %+v, want %+v", i, got, want)
-		}
-	}
-	st := memo.Stats()
-	if st.Misses != 1 || st.Dedups != joiners || st.Hits != 0 {
-		t.Fatalf("stats = %+v, want 1 miss, %d dedup joins, 0 hits", st, joiners)
-	}
-	if st.Evaluations != joiners+1 {
-		t.Errorf("evaluations = %d, want %d (every caller counted once)", st.Evaluations, joiners+1)
-	}
-	if b.calls != 1 {
-		t.Errorf("engine model ran %d times, want 1", b.calls)
-	}
-	// Post-dedup reads are plain cache hits.
-	if got := memo.Evaluate(cfg, engine.KCPartition, task); got != want {
-		t.Fatalf("post-dedup hit = %+v, want %+v", got, want)
-	}
-	if st := memo.Stats(); st.Hits != 1 {
-		t.Errorf("hits = %d, want 1 after the dedup settled", st.Hits)
-	}
-}
-
-// TestMemoDedupPanic checks a panicking leader wakes its joiners with the
-// same panic value and unregisters the in-flight entry, so a later retry
-// re-runs the engine model instead of deadlocking or caching garbage.
-func TestMemoDedupPanic(t *testing.T) {
-	b := &blockingOracle{entered: make(chan struct{}, 1), release: make(chan struct{}), panics: true}
-	memo := NewMemo(b)
-	cfg := engine.Default()
-	task := engine.Task{Kind: graph.OpConv, Hp: 8, Wp: 8, Ci: 16, Cop: 16, Kh: 3, Kw: 3, Stride: 1}
-
-	recovered := make(chan any, 2)
-	eval := func() {
-		defer func() { recovered <- recover() }()
-		memo.Evaluate(cfg, engine.KCPartition, task)
-	}
-	go eval()
-	<-b.entered
-	go eval()
-	for memo.Stats().Dedups < 1 {
-		time.Sleep(time.Millisecond)
-	}
-	close(b.release)
-	for i := 0; i < 2; i++ {
-		if r := <-recovered; r != "engine model failure" {
-			t.Fatalf("caller %d recovered %v, want the oracle's panic value", i, r)
-		}
-	}
-	// The failed flight must not be cached: a retry evaluates again.
-	b.panics = false
-	b.release = make(chan struct{})
-	close(b.release)
-	done := make(chan engine.Cost, 1)
-	go func() { done <- memo.Evaluate(cfg, engine.KCPartition, task) }()
-	<-b.entered
-	if got, want := <-done, engine.Evaluate(cfg, engine.KCPartition, task); got != want {
-		t.Fatalf("retry = %+v, want %+v", got, want)
-	}
-	if b.calls != 2 {
-		t.Errorf("engine model ran %d times, want 2 (failed flight + retry)", b.calls)
-	}
-}
-
-// TestInstrumentedStats checks the full Default() stack reports the
-// evaluations/hits/misses triple and the Sub/HitRate helpers.
+// TestInstrumentedStats checks the Default() stack counts every
+// evaluation, an Instrumented Memo adds the hit/miss pair, and the
+// Sub/HitRate helpers.
 func TestInstrumentedStats(t *testing.T) {
-	orc := Default()
 	cfg := engine.Default()
 	task := engine.Task{Kind: graph.OpConv, Hp: 8, Wp: 8, Ci: 16, Cop: 16, Kh: 3, Kw: 3, Stride: 1}
+	def := Default()
+	for i := 0; i < 10; i++ {
+		def.Evaluate(cfg, engine.KCPartition, task)
+	}
+	if st := def.Stats(); st != (Stats{Evaluations: 10}) {
+		t.Fatalf("Default() stats = %+v, want 10 evaluations and no cache counters", st)
+	}
+
+	orc := NewInstrumented(NewMemo(Direct{}))
 	for i := 0; i < 10; i++ {
 		orc.Evaluate(cfg, engine.KCPartition, task)
 	}
@@ -252,15 +148,15 @@ func TestInstrumentedStats(t *testing.T) {
 	}
 }
 
-// TestOrResolution pins the nil-oracle default: consumers get a fresh
-// memoized oracle, and a provided oracle passes through unchanged.
+// TestOrResolution pins the nil-oracle default: consumers get the engine
+// model directly, and a provided oracle passes through unchanged.
 func TestOrResolution(t *testing.T) {
-	if _, ok := Or(nil).(*Memo); !ok {
-		t.Errorf("Or(nil) = %T, want *Memo", Or(nil))
+	if got := Or(nil); got != Oracle(Direct{}) {
+		t.Errorf("Or(nil) = %T, want Direct", got)
 	}
-	d := Direct{}
-	if got := Or(d); got != Oracle(d) {
-		t.Errorf("Or(Direct{}) did not pass through")
+	m := NewMemo(nil)
+	if got := Or(m); got != Oracle(m) {
+		t.Errorf("Or(memo) did not pass through")
 	}
 }
 
@@ -271,14 +167,6 @@ func TestStatsEdgeCases(t *testing.T) {
 	if got := zero.HitRate(); got != 0 {
 		t.Errorf("zero HitRate = %v, want 0 (not NaN)", got)
 	}
-	if got := zero.String(); got != "0 evaluations (0 hits, 0 misses, 0.0% hit-rate)" {
-		t.Errorf("zero String = %q", got)
-	}
-	// Dedup joins only surface in String once one happened.
-	withDedup := Stats{Evaluations: 4, Hits: 1, Misses: 1, Dedups: 2}
-	if got := withDedup.String(); got != "4 evaluations (1 hits, 1 misses, 2 dedup joins, 50.0% hit-rate)" {
-		t.Errorf("dedup String = %q", got)
-	}
 	// Miss-only streams have a 0 hit-rate, hit-only streams 1.
 	if got := (Stats{Evaluations: 3, Misses: 3}).HitRate(); got != 0 {
 		t.Errorf("miss-only HitRate = %v, want 0", got)
@@ -287,9 +175,9 @@ func TestStatsEdgeCases(t *testing.T) {
 		t.Errorf("hit-only HitRate = %v, want 1", got)
 	}
 	// Sub covers every field, and X.Sub(X) is zero.
-	a := Stats{Evaluations: 10, Hits: 4, Misses: 5, Dedups: 1}
-	b := Stats{Evaluations: 25, Hits: 12, Misses: 10, Dedups: 3}
-	if d := b.Sub(a); d != (Stats{Evaluations: 15, Hits: 8, Misses: 5, Dedups: 2}) {
+	a := Stats{Evaluations: 10, Hits: 4, Misses: 6}
+	b := Stats{Evaluations: 25, Hits: 12, Misses: 13}
+	if d := b.Sub(a); d != (Stats{Evaluations: 15, Hits: 8, Misses: 7}) {
 		t.Errorf("Sub = %+v", d)
 	}
 	if d := a.Sub(a); d != (Stats{}) {
@@ -297,36 +185,27 @@ func TestStatsEdgeCases(t *testing.T) {
 	}
 }
 
-// TestStatsOf pins the uniform accounting contract over the three oracle
-// stacks consumers actually build: Default(), Or(nil), and bare Direct.
+// TestStatsOf pins the uniform accounting contract over the oracle
+// stacks consumers build: Default(), a bare Memo, and Direct (which is
+// also what Or(nil) returns).
 func TestStatsOf(t *testing.T) {
 	cfg := engine.Default()
 	task := engine.Task{Kind: graph.OpConv, Hp: 8, Wp: 8, Ci: 16, Cop: 16, Kh: 3, Kw: 3, Stride: 1}
 
 	orc := Default()
 	orc.Evaluate(cfg, engine.KCPartition, task)
-	if st, ok := StatsOf(orc); !ok || st.Evaluations != 1 || st.Misses != 1 {
+	if st, ok := StatsOf(orc); !ok || st.Evaluations != 1 {
 		t.Errorf("StatsOf(Default()) = %+v, %v", st, ok)
 	}
 
-	// The Or(nil) fallback is a bare *Memo, but still accountable — the
-	// deliberate asymmetry documented on Or.
-	fallback := Or(nil)
-	fallback.Evaluate(cfg, engine.KCPartition, task)
-	fallback.Evaluate(cfg, engine.KCPartition, task)
-	if st, ok := StatsOf(fallback); !ok || st.Misses != 1 || st.Hits != 1 {
-		t.Errorf("StatsOf(Or(nil)) = %+v, %v", st, ok)
+	memo := NewMemo(Direct{})
+	memo.Evaluate(cfg, engine.KCPartition, task)
+	memo.Evaluate(cfg, engine.KCPartition, task)
+	if st, ok := StatsOf(memo); !ok || st.Misses != 1 || st.Hits != 1 {
+		t.Errorf("StatsOf(memo) = %+v, %v", st, ok)
 	}
 
-	if _, ok := StatsOf(Direct{}); ok {
-		t.Error("StatsOf(Direct{}) reported ok for a stat-less oracle")
-	}
-
-	// Len forwards through the Instrumented wrapper too.
-	if got := orc.Len(); got != 1 {
-		t.Errorf("Instrumented.Len = %d, want 1", got)
-	}
-	if got := NewInstrumented(Direct{}).Len(); got != 0 {
-		t.Errorf("Len over non-Memo inner = %d, want 0", got)
+	if _, ok := StatsOf(Or(nil)); ok {
+		t.Error("StatsOf(Or(nil)) reported ok for a stat-less oracle")
 	}
 }

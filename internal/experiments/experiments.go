@@ -48,10 +48,10 @@ type Config struct {
 	Mode schedule.Mode
 	// Out receives the printed rows (nil = discard).
 	Out io.Writer
-	// Oracle prices atoms across the whole experiment run (default: a
-	// fresh memoized oracle per experiment). cmd/adexp passes one
-	// instrumented oracle for the entire invocation and prints its
-	// evaluations/hits/misses per experiment.
+	// Oracle prices atoms across the whole experiment run (default: the
+	// engine model directly). cmd/adexp passes one instrumented oracle
+	// for the entire invocation and prints its evaluations per
+	// experiment.
 	Oracle cost.Oracle
 	// Metrics, when non-nil, collects counters and histograms across
 	// every simulation of the experiment (see internal/obs). cmd/adexp
@@ -61,10 +61,7 @@ type Config struct {
 }
 
 // hw assembles the paper's hardware model (sim.DefaultConfig) with the
-// run's cost oracle and metrics installed. When Oracle is unset, each
-// experiment gets its own memoized oracle — the cache still spans every
-// stage and workload of that experiment because hw() is called once per
-// Fig*/Table* function.
+// run's cost oracle and metrics installed.
 func (c Config) hw() sim.Config {
 	hw := sim.DefaultConfig()
 	hw.Oracle = cost.Or(c.Oracle)
@@ -156,8 +153,8 @@ type adPipeline struct {
 }
 
 // buildAD runs SA + DAG + scheduling for a workload. The hardware model's
-// oracle is threaded through every stage, so candidate generation,
-// scheduling and the later simulation share one cache.
+// oracle is threaded through every stage, so one instrumented oracle
+// counts the evaluations of candidate generation and scheduling.
 func buildAD(g *graph.Graph, batch int, hw sim.Config, mode schedule.Mode, so searchOpts) (*adPipeline, error) {
 	sa := anneal.SA(g, hw.Engine, hw.Dataflow, so.anneal(hw))
 	d, err := atom.Build(g, batch, sa.Spec)

@@ -161,8 +161,7 @@ func latencyThroughput(cfg Config, batch int, strategies []string, title string)
 	names := cfg.workloads(models.PaperWorkloads)
 
 	// One sweep point per (dataflow, workload); the strategy list runs
-	// sequentially inside a point so strategies on the same workload reuse
-	// the cache lines the earlier strategies just priced.
+	// sequentially inside a point.
 	type point struct {
 		df   engine.Dataflow
 		name string

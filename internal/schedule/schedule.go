@@ -45,9 +45,9 @@ type Options struct {
 	EngineCfg  engine.Config   // engine pricing the atoms (required)
 	Dataflow   engine.Dataflow // dataflow pricing the atoms
 
-	// Oracle prices the atoms (default: a fresh memoized oracle). Pass the
-	// run's shared oracle so scheduling reuses evaluations cached during
-	// candidate generation.
+	// Oracle prices the atoms (default: the engine model directly). Pass
+	// the run's shared instrumented oracle to count scheduling's
+	// evaluations with the rest of the run's.
 	Oracle cost.Oracle
 
 	// Ctx, when non-nil, lets callers abandon the search: Build polls it

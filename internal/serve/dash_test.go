@@ -175,11 +175,15 @@ func TestDashConcurrentSolvesTracked(t *testing.T) {
 // TestServeMetricsLint scrapes the live /metrics endpoint after real
 // traffic and feeds the body through the promtool-equivalent linter —
 // the satellite gate that the exporter (including the hand-formatted
-// multi-label build_info) stays spec-clean.
+// multi-label build_info) stays spec-clean. The solve must also have
+// published the shared oracle's evaluation count.
 func TestServeMetricsLint(t *testing.T) {
-	_, ts := newTestServer(t, Config{Workers: 1})
+	s, ts := newTestServer(t, Config{Workers: 1})
 	if resp, body := postSolve(t, ts, `{"model":"tinyconv","sa_iters":60}`); resp.StatusCode != http.StatusOK {
 		t.Fatalf("solve: %d %s", resp.StatusCode, body)
+	}
+	if got := s.m.oracleEvals.Value(); got <= 0 {
+		t.Errorf("cost_oracle_evaluations = %v after a solve, want > 0", got)
 	}
 
 	res, err := http.Get(ts.URL + "/metrics")

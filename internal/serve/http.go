@@ -90,13 +90,12 @@ func (s *Server) handleSolve(w http.ResponseWriter, r *http.Request) {
 	}
 
 	// Wait for the flight under this request's deadline: the server
-	// default, tightened by a request-supplied timeout_ms.
+	// default, tightened by a request-supplied timeout_ms. Compare in
+	// milliseconds first: a huge timeout_ms would overflow Duration.
 	ctx := r.Context()
 	timeout := s.cfg.requestTimeout()
-	if req.TimeoutMS > 0 {
-		if d := time.Duration(req.TimeoutMS) * time.Millisecond; d < timeout {
-			timeout = d
-		}
+	if req.TimeoutMS > 0 && req.TimeoutMS <= timeout.Milliseconds() {
+		timeout = time.Duration(req.TimeoutMS) * time.Millisecond
 	}
 	var cancel context.CancelFunc
 	ctx, cancel = context.WithTimeout(ctx, timeout)

@@ -120,7 +120,7 @@ type Server struct {
 	cfg     Config
 	reg     *obs.Registry
 	base    atomicflow.HardwareConfig
-	oracle  atomicflow.CostOracle // shared across requests (sharded cache)
+	oracle  atomicflow.CostOracle // shared across requests (counts evaluations)
 	store   *store.Store          // nil: no persistence, no warm starts
 	dash    *dash.Store
 	cache   *lruCache
@@ -160,11 +160,8 @@ type serveMetrics struct {
 	reqLatency *obs.Histogram
 	solveTime  *obs.Histogram
 
-	// Cost-oracle cache visibility (updated after every solve).
-	memoEntries *obs.Gauge
-	memoHits    *obs.Gauge
-	memoMisses  *obs.Gauge
-	memoDedups  *obs.Gauge
+	// Cost-oracle evaluations (updated after every solve).
+	oracleEvals *obs.Gauge
 
 	// Persistent-store visibility (zero-valued and inert when the server
 	// runs without a store).
@@ -215,10 +212,7 @@ func New(cfg Config) *Server {
 		reqLatency: reg.Histogram("serve_request_seconds", lat),
 		solveTime:  reg.Histogram("serve_solve_seconds", lat),
 
-		memoEntries: reg.Gauge("cost_memo_entries"),
-		memoHits:    reg.Gauge("cost_memo_hits"),
-		memoMisses:  reg.Gauge("cost_memo_misses"),
-		memoDedups:  reg.Gauge("cost_memo_dedups"),
+		oracleEvals: reg.Gauge("cost_oracle_evaluations"),
 
 		storeHits:    reg.Counter("serve_store_hits_total"),
 		storeRecords: reg.Gauge("serve_store_records"),
@@ -552,18 +546,12 @@ func (s *Server) dashProgress(id, model string) func([]atomicflow.SearchSample) 
 	}
 }
 
-// publishOracleGauges refreshes the cost_memo_* gauges from the shared
-// oracle — production visibility into the evaluation cache that was
-// previously a black box. Gauges, not counters: the oracle owns the
-// monotone values and the registry mirrors its latest reading.
+// publishOracleGauges refreshes the cost_oracle_evaluations gauge from
+// the shared oracle. A gauge, not a counter: the oracle owns the monotone
+// value and the registry mirrors its latest reading.
 func (s *Server) publishOracleGauges() {
 	if st, ok := cost.StatsOf(s.oracle); ok {
-		s.m.memoHits.SetInt(st.Hits)
-		s.m.memoMisses.SetInt(st.Misses)
-		s.m.memoDedups.SetInt(st.Dedups)
-	}
-	if l, ok := s.oracle.(interface{ Len() int }); ok {
-		s.m.memoEntries.SetInt(int64(l.Len()))
+		s.m.oracleEvals.SetInt(st.Evaluations)
 	}
 }
 

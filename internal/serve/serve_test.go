@@ -274,7 +274,9 @@ func TestServedMatchesDirect(t *testing.T) {
 	}
 }
 
-// TestSolveValidation covers the request-surface error paths.
+// TestSolveValidation covers the request-surface error paths, and the
+// clamp of a timeout_ms too large for a time.Duration to the server's
+// deadline.
 func TestSolveValidation(t *testing.T) {
 	_, ts := newTestServer(t, Config{Workers: 1})
 	cases := []struct {
@@ -289,6 +291,7 @@ func TestSolveValidation(t *testing.T) {
 		{"batch too big", `{"model":"tinyconv","batch":1000}`, 400},
 		{"bad mesh", `{"model":"tinyconv","hardware":{"mesh_w":99}}`, 400},
 		{"negative timeout", `{"model":"tinyconv","timeout_ms":-1}`, 400},
+		{"huge timeout", `{"model":"tinyconv","timeout_ms":10000000000000}`, 200},
 		{"bad graph", `{"graph":{"name":"x","layers":[{"name":"a","op":"Conv","inputs":["missing"]}]}}`, 400},
 	}
 	for _, tc := range cases {

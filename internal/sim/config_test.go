@@ -30,7 +30,7 @@ func TestDefaultConfigPinned(t *testing.T) {
 		t.Errorf("BufferBytes = %d, want 0 (engine default)", c.BufferBytes)
 	}
 	if c.Oracle != nil {
-		t.Error("Oracle non-nil: the default must be per-run memoization")
+		t.Error("Oracle non-nil: the default exports no oracle counter")
 	}
 	if err := c.Validate(); err != nil {
 		t.Errorf("DefaultConfig does not validate: %v", err)

@@ -88,7 +88,7 @@ func (sm *simMetrics) observeRound(span, nocBlock, dramBlock int64, perms int, m
 
 // finish folds the end-of-run state of every hardware model into the
 // registry: per-link NoC traffic, DRAM row/queue stats, buffer occupancy,
-// the cost-oracle cache and the Report's headline quantities.
+// the cost-oracle evaluation count and the Report's headline quantities.
 func (sm *simMetrics) finish(rep *Report, man *buffer.Manager, hbm *dram.HBM, orc cost.Oracle, ar *arena) {
 	reg := sm.reg
 
@@ -141,19 +141,10 @@ func (sm *simMetrics) finish(rep *Report, man *buffer.Manager, hbm *dram.HBM, or
 	reg.Gauge("sim_compute_utilization").Set(rep.ComputeUtil)
 	reg.Gauge("sim_onchip_reuse_ratio").Set(rep.OnChipReuseRatio)
 
-	// Cost oracle: snapshot of the shared cache (gauges — the oracle is
-	// cumulative across runs, so deltas belong to the caller).
-	var st cost.Stats
-	switch o := orc.(type) {
-	case *cost.Instrumented:
-		st = o.Stats()
-	case *cost.Memo:
-		st = o.Stats()
-	default:
-		return
+	// Cost oracle: snapshot of the shared oracle's evaluation count (a
+	// gauge — the oracle is cumulative across runs, so deltas belong to
+	// the caller).
+	if st, ok := cost.StatsOf(orc); ok {
+		reg.Gauge("cost_oracle_evaluations").SetInt(st.Evaluations)
 	}
-	reg.Gauge("cost_oracle_evaluations").SetInt(st.Evaluations)
-	reg.Gauge("cost_oracle_hits").SetInt(st.Hits)
-	reg.Gauge("cost_oracle_misses").SetInt(st.Misses)
-	reg.Gauge("cost_oracle_hit_rate").Set(st.HitRate())
 }

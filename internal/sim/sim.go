@@ -55,12 +55,12 @@ type Config struct {
 	Trace func(RoundTrace)
 	// Oracle is the run's shared cost oracle, read only for the metrics
 	// export: the simulator prices no atom itself, since the Schedule
-	// carries every atom's cycles and MACs. With Metrics set, its cache
-	// counters are exported as gauges (none when nil).
+	// carries every atom's cycles and MACs. With Metrics set, its
+	// evaluation count is exported as a gauge (none when nil).
 	Oracle cost.Oracle
 	// Metrics, when non-nil, receives the run's counters and histograms:
 	// per-engine busy/idle cycles, barrier waits, per-link NoC traffic,
-	// DRAM row hits/queueing, buffer occupancy and the cost-oracle cache
+	// DRAM row hits/queueing, buffer occupancy and the cost-oracle count
 	// (see internal/obs). The nil default adds one predicted-not-taken
 	// branch per Round — nothing on the flow hot path (pinned by
 	// BenchmarkSimRun).

@@ -18,12 +18,12 @@ import (
 	"github.com/atomic-dataflow/atomicflow/internal/sim"
 )
 
-// WriteOracleStats prints one cost-oracle accounting line — evaluations,
-// cache hits/misses and hit rate — tagged with a label. With a shared
-// long-lived oracle, pass the Stats.Sub delta of the span to report (e.g.
-// cmd/adexp snapshots around each experiment).
+// WriteOracleStats prints one cost-oracle accounting line — the
+// evaluation count — tagged with a label. With a shared long-lived
+// oracle, pass the Stats.Sub delta of the span to report (e.g. cmd/adexp
+// snapshots around each experiment).
 func WriteOracleStats(w io.Writer, label string, s cost.Stats) {
-	fmt.Fprintf(w, "  [oracle %s: %s]\n", label, s)
+	fmt.Fprintf(w, "  [oracle %s: %d evaluations]\n", label, s.Evaluations)
 }
 
 // Collector accumulates RoundTraces; its Hook method plugs into
