@@ -213,7 +213,8 @@ type Options struct {
 	// is a different search rather than a faster one; on the zoo it
 	// often finds a lower simulated latency (DESIGN §8). Results are
 	// bit-identical for a fixed (Seed, Chains) pair regardless of
-	// GOMAXPROCS; Chains <= 1 is the classic sequential search.
+	// GOMAXPROCS; Chains <= 1 is the one-chain portfolio, the paper's
+	// Algorithm 1 trajectory.
 	Chains int
 	// MaxTilesPerLayer caps the atom count per layer (default 1024).
 	MaxTilesPerLayer int

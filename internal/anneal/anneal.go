@@ -4,10 +4,7 @@ import (
 	"context"
 	"math"
 	"math/rand"
-	"runtime"
 	"slices"
-	"sync"
-	"sync/atomic"
 	"time"
 
 	"github.com/atomic-dataflow/atomicflow/internal/atom"
@@ -15,6 +12,7 @@ import (
 	"github.com/atomic-dataflow/atomicflow/internal/engine"
 	"github.com/atomic-dataflow/atomicflow/internal/graph"
 	"github.com/atomic-dataflow/atomicflow/internal/obs"
+	"github.com/atomic-dataflow/atomicflow/internal/par"
 )
 
 // Options tunes Algorithm 1. Zero values select the defaults noted on
@@ -40,16 +38,17 @@ type Options struct {
 	// uncancelled context never perturbs the seeded trajectory.
 	Ctx context.Context
 
-	// Chains is the width of the search portfolio (default 1). With
-	// Chains > 1 the iteration budget MaxIters is split across that many
+	// Chains is the width of the search portfolio (default 1). The
+	// iteration budget MaxIters is split across that many
 	// concurrently-run, independently-seeded SA chains (seeds derived
 	// from Seed via splitmix64) that exchange best states at
 	// deterministic iteration barriers. Total Metropolis work stays
 	// ~MaxIters, so a wider portfolio is a different search on the same
 	// budget, not a faster one; measured over the zoo it often finds a
 	// lower latency (DESIGN §8). The result is bit-identical for a fixed
-	// (Seed, Chains) pair regardless of GOMAXPROCS; Chains <= 1 is
-	// exactly the classic single-chain Algorithm 1 trajectory.
+	// (Seed, Chains) pair regardless of GOMAXPROCS. Chains <= 1 is the
+	// one-chain portfolio, which follows exactly the paper's Algorithm 1
+	// trajectory: chain 0 keeps Seed and a lone chain never exchanges.
 	Chains int
 
 	// WarmStart, when non-empty, seeds the search from a prior solution
@@ -79,10 +78,7 @@ type Options struct {
 	// goroutine between chain segments — never concurrently with chain
 	// execution — and only observes: chain RNGs and states are untouched
 	// while it runs, so installing it leaves every trajectory (and every
-	// pinned digest) bit-identical. Single-chain searches are segmented
-	// into exchangeEvery-sized runs to create the observation points; the
-	// segmentation itself is invisible because the Metropolis loop is a
-	// pure per-iteration recurrence. Keep the hook cheap — the whole
+	// pinned digest) bit-identical. Keep the hook cheap — the whole
 	// search blocks while it executes.
 	Progress func([]Sample)
 }
@@ -92,7 +88,7 @@ type Options struct {
 // search minimizes; CV converts to the paper's scale-free load-balance
 // metric.
 type Sample struct {
-	Chain     int     // portfolio slot index (0 for single-chain SA)
+	Chain     int     // portfolio slot index (0 for a one-chain search)
 	Iters     int     // chain-local Metropolis iterations executed so far
 	Temp      float64 // current temperature
 	BestE     float64 // best energy (cycle variance) this chain has seen
@@ -209,8 +205,7 @@ func newSAMetrics(opt Options) saMetrics {
 
 // saChain is one Metropolis trajectory of Algorithm 1. A chain owns its
 // RNG, so its path is a pure function of its seed and of the states
-// injected at exchange barriers — never of goroutine scheduling. The
-// single-chain SA path and every portfolio member run the same code.
+// injected at exchange barriers — never of goroutine scheduling.
 //
 // The accepted state is held as scalars only (E, S): Algorithm 1's
 // proposal is the argmin image of the shifted target, which depends on
@@ -356,7 +351,7 @@ func (s *search) polish(opt Options, best state, bestE, bestS float64) (state, f
 	ms := make([]float64, n)
 	const chunks = 8
 	per := (n + chunks - 1) / chunks
-	parallelFor(chunks, func(ci int) {
+	par.ForEach(chunks, func(ci int) {
 		start, end := ci*per, ci*per+per
 		if end > n {
 			end = n
@@ -389,50 +384,6 @@ func (s *search) polish(opt Options, best state, bestE, bestS float64) (state, f
 		best = s.argmin(targets[win])
 	}
 	return best, bestE, bestS
-}
-
-// SA runs the simulated-annealing search of Algorithm 1 and returns the
-// per-layer atom sizes plus the convergence trace. With Options.Chains
-// greater than one it runs the parallel portfolio instead (same contract
-// and iteration budget).
-func SA(g *graph.Graph, cfg engine.Config, df engine.Dataflow, opt Options) Result {
-	if opt.chains() > 1 {
-		return portfolioSA(g, cfg, df, opt)
-	}
-	sctx := newSearch(g, cfg, df, opt)
-	m := newSAMetrics(opt)
-	c := newChain(0, opt.seed(), sctx, opt)
-	if opt.Progress == nil {
-		c.run(sctx, opt, opt.maxIters(), m)
-	} else {
-		// Segment the budget exactly like the portfolio's barrier loop.
-		// run() is a pure per-iteration recurrence, so slicing MaxIters
-		// into exchangeEvery-sized runs changes nothing about the
-		// trajectory — it only creates safe points to observe from.
-		total := opt.maxIters()
-		for done := 0; done < total && !c.converged && !opt.cancelled(); {
-			n := exchangeEvery
-			if done+n > total {
-				n = total - done
-			}
-			c.run(sctx, opt, n, m)
-			done += n
-			opt.Progress([]Sample{c.sample(false)})
-		}
-	}
-	best, bestE, bestS := sctx.polish(opt, c.best, c.bestE, c.bestS)
-	if n := len(c.trace); n > 0 && bestE < c.trace[n-1] {
-		c.trace = append(c.trace, bestE)
-	}
-	if opt.Progress != nil {
-		fin := c.sample(false)
-		fin.BestE, fin.BestS, fin.Final = bestE, bestS, true
-		opt.Progress([]Sample{fin})
-	}
-	m.tempFinal.Set(c.temp)
-	res := sctx.finish(best, bestE, bestS, c.trace, c.iters)
-	m.finalCV.Set(res.FinalCV)
-	return res
 }
 
 // search carries the immutable per-layer candidate lists.
@@ -492,7 +443,7 @@ func newSearch(g *graph.Graph, cfg engine.Config, df engine.Dataflow, opt Option
 			uniqIdx = append(uniqIdx, i)
 		}
 	}
-	parallelFor(len(uniqIdx), func(k int) {
+	par.ForEach(len(uniqIdx), func(k int) {
 		l := g.Layer(ids[uniqIdx[k]])
 		built[uniqIdx[k]] = newLayerCands(l, genCandidates(l, cfg, df, opt, s.orc))
 	})
@@ -662,50 +613,4 @@ func ceilDiv(a, b int) int {
 		return a
 	}
 	return (a + b - 1) / b
-}
-
-// parallelFor runs fn(0..n-1) on a bounded worker pool and waits for all.
-// Callers write results into index i of a pre-sized slice, so output
-// ordering is deterministic regardless of execution order. A panic in fn
-// is recovered on the worker and re-raised with its original value on the
-// calling goroutine once the pool drains — an anonymous goroutine must
-// never take the whole process down, and callers keep the stack-unwinding
-// semantics of the sequential loop.
-func parallelFor(n int, fn func(int)) {
-	workers := runtime.GOMAXPROCS(0)
-	if workers > n {
-		workers = n
-	}
-	if workers <= 1 {
-		for i := 0; i < n; i++ {
-			fn(i)
-		}
-		return
-	}
-	var next atomic.Int64
-	var wg sync.WaitGroup
-	var panicOnce sync.Once
-	var panicVal any
-	wg.Add(workers)
-	for w := 0; w < workers; w++ {
-		go func() {
-			defer wg.Done()
-			defer func() {
-				if r := recover(); r != nil {
-					panicOnce.Do(func() { panicVal = r })
-				}
-			}()
-			for {
-				i := int(next.Add(1)) - 1
-				if i >= n {
-					return
-				}
-				fn(i)
-			}
-		}()
-	}
-	wg.Wait()
-	if panicVal != nil {
-		panic(panicVal)
-	}
 }

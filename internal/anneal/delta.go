@@ -6,6 +6,8 @@ import (
 	"math/bits"
 	"slices"
 	"sort"
+
+	"github.com/atomic-dataflow/atomicflow/internal/par"
 )
 
 // This file is the O(Δ) move-evaluation machinery of the search inner
@@ -297,7 +299,7 @@ func (s *search) buildDeltaIndex() {
 			uniqIdx = append(uniqIdx, i)
 		}
 	}
-	parallelFor(len(uniqIdx), func(j int) {
+	par.ForEach(len(uniqIdx), func(j int) {
 		i := uniqIdx[j]
 		tables[i] = buildPickTable(s.lcAt[i])
 	})

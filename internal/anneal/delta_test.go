@@ -356,7 +356,7 @@ func TestPickTableMatchesReference(t *testing.T) {
 	})
 }
 
-// TestSAWithVerifyDelta runs full searches — single-chain and portfolio —
+// TestSAWithVerifyDelta runs full searches — one chain and several —
 // under the cross-checking harness: every move of every chain is
 // compared against a from-scratch recomputation.
 func TestSAWithVerifyDelta(t *testing.T) {

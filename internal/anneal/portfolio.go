@@ -4,23 +4,25 @@ import (
 	"github.com/atomic-dataflow/atomicflow/internal/engine"
 	"github.com/atomic-dataflow/atomicflow/internal/graph"
 	"github.com/atomic-dataflow/atomicflow/internal/obs"
+	"github.com/atomic-dataflow/atomicflow/internal/par"
 )
 
-// This file is the parallel search portfolio: Options.Chains
-// independently-seeded SA chains run concurrently over one shared
-// candidate space,
-// exchange best states at deterministic iteration barriers, and reduce to
-// a single winner.
+// This file is the search loop: Options.Chains independently-seeded SA
+// chains run concurrently over one shared candidate space, exchange best
+// states at deterministic iteration barriers, and reduce to a single
+// winner. One chain is the paper's Algorithm 1: chain 0 keeps the run
+// seed and a lone chain never exchanges, so the barriers only create
+// points to observe progress from.
 //
 // Determinism argument, in three parts:
 //
 //  1. Chain trajectories. Each chain owns a private RNG seeded by a pure
 //     function of (Options.Seed, chain index), so between barriers its
 //     path depends only on its seed and on the state it held when the
-//     segment started — never on scheduling. parallelFor only changes
+//     segment started — never on scheduling. par.ForEach only changes
 //     which OS thread executes a chain, not what the chain computes.
 //  2. Barriers. Exchanges happen when every chain has finished the same
-//     chain-local iteration count (a parallelFor join), and the exchange
+//     chain-local iteration count (a par.ForEach join), and the exchange
 //     itself runs sequentially on the caller: global best = lowest bestE
 //     with ties broken by lowest chain index (float comparison, no map
 //     iteration). What a chain resumes with is therefore a deterministic
@@ -31,11 +33,11 @@ import (
 // Together: a fixed (graph, hardware, Options.Seed, Options.Chains)
 // tuple yields a bit-identical Result for any GOMAXPROCS or goroutine
 // interleaving. Cancellation is the one sanctioned exception — it
-// truncates chains mid-segment wherever they happen to be, exactly like
-// single-chain SA returns its best-so-far.
+// truncates chains mid-segment wherever they happen to be and returns
+// the best state found so far.
 
 // chainSeed derives chain i's RNG seed from the run seed. Chain 0 keeps
-// the run seed itself so a one-chain portfolio is the classic trajectory;
+// the run seed itself so a one-chain search is Algorithm 1's trajectory;
 // the rest take a splitmix64 stream (Steele et al., "Fast Splittable
 // Pseudorandom Number Generators"), whose finalizer decorrelates even
 // consecutive run seeds into well-spread chain seeds.
@@ -56,8 +58,10 @@ func chainSeed(seed int64, i int) int64 {
 	return s
 }
 
-// portfolioSA is the Chains > 1 entry behind SA.
-func portfolioSA(g *graph.Graph, cfg engine.Config, df engine.Dataflow, opt Options) Result {
+// SA runs the simulated-annealing search of Algorithm 1 as a portfolio
+// of Options.Chains chains (one by default) and returns the per-layer
+// atom sizes plus the winning chain's convergence trace.
+func SA(g *graph.Graph, cfg engine.Config, df engine.Dataflow, opt Options) Result {
 	sctx := newSearch(g, cfg, df, opt)
 	m := newSAMetrics(opt)
 	K := opt.chains()
@@ -80,7 +84,7 @@ func portfolioSA(g *graph.Graph, cfg engine.Config, df engine.Dataflow, opt Opti
 		if done+n > perChain {
 			n = perChain - done
 		}
-		parallelFor(len(chains), func(i int) {
+		par.ForEach(len(chains), func(i int) {
 			if !chains[i].converged {
 				chains[i].run(sctx, opt, n, m)
 			}

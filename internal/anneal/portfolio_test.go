@@ -13,8 +13,8 @@ import (
 )
 
 func TestChainSeed(t *testing.T) {
-	// Chain 0 keeps the run seed: a one-chain portfolio must be the
-	// classic single-chain trajectory.
+	// Chain 0 keeps the run seed: a one-chain search must be the
+	// classic Algorithm 1 trajectory.
 	if got := chainSeed(42, 0); got != 42 {
 		t.Errorf("chainSeed(42, 0) = %d, want 42", got)
 	}
@@ -93,8 +93,8 @@ func TestPortfolioDeterministicAcrossGOMAXPROCS(t *testing.T) {
 
 // TestPortfolioSeedAndWidthMatter pins that the knobs do something: a
 // different seed or a different width must be allowed to change the
-// outcome (they explore different trajectories), while Chains: 1 through
-// the portfolio knob must be byte-for-byte the classic single chain.
+// outcome (they explore different trajectories), while Chains: 1 must be
+// byte-for-byte the default (unset) search.
 func TestPortfolioSeedAndWidthMatter(t *testing.T) {
 	g := models.MustBuild("tinyconv")
 	cfg := engine.Default()
@@ -157,31 +157,40 @@ func TestPortfolioCancellation(t *testing.T) {
 }
 
 // TestPortfolioMetrics checks the per-chain observability: the width
-// gauge, the per-chain accept/reject split summing to the aggregate
-// iteration counter, and a wall-time gauge per member.
+// gauge, the exchange counter, the per-chain accept/reject split summing
+// to the aggregate iteration counter, and a wall-time gauge per member.
+// A one-chain search is the one-chain portfolio, so it exports the same
+// series.
 func TestPortfolioMetrics(t *testing.T) {
 	g := models.MustBuild("tinyconv")
-	reg := obs.New()
-	const k = 4
-	SA(g, engine.Default(), engine.KCPartition,
-		Options{MaxIters: 120, Seed: 42, Chains: k, Metrics: reg})
-	snap := reg.Snapshot()
-	if got := snap.Gauge("anneal_chains"); got != k {
-		t.Errorf("anneal_chains = %v, want %d", got, k)
-	}
-	var perChain int64
-	for i := 0; i < k; i++ {
-		acc := snap.Counter(obs.Name("anneal_chain_accepts_total", "chain", i))
-		rej := snap.Counter(obs.Name("anneal_chain_rejects_total", "chain", i))
-		if acc+rej == 0 {
-			t.Errorf("chain %d recorded no Metropolis decisions", i)
+	for _, k := range []int{1, 4} {
+		reg := obs.New()
+		SA(g, engine.Default(), engine.KCPartition,
+			Options{MaxIters: 120, Seed: 42, Chains: k, Metrics: reg})
+		snap := reg.Snapshot()
+		if got := snap.Gauge("anneal_chains"); got != float64(k) {
+			t.Errorf("k=%d: anneal_chains = %v, want %d", k, got, k)
 		}
-		perChain += acc + rej
-	}
-	if iters := snap.Counter("anneal_iterations_total"); perChain != iters {
-		t.Errorf("per-chain accepts+rejects = %d, want %d (the aggregate)", perChain, iters)
-	}
-	if agg := snap.Counter("anneal_accepts_total") + snap.Counter("anneal_rejects_total"); agg != snap.Counter("anneal_iterations_total") {
-		t.Errorf("aggregate accepts+rejects = %d, want %d", agg, snap.Counter("anneal_iterations_total"))
+		if _, ok := snap.Counters["anneal_exchanges_total"]; !ok {
+			t.Errorf("k=%d: anneal_exchanges_total not exported", k)
+		}
+		var perChain int64
+		for i := 0; i < k; i++ {
+			acc := snap.Counter(obs.Name("anneal_chain_accepts_total", "chain", i))
+			rej := snap.Counter(obs.Name("anneal_chain_rejects_total", "chain", i))
+			if acc+rej == 0 {
+				t.Errorf("k=%d: chain %d recorded no Metropolis decisions", k, i)
+			}
+			perChain += acc + rej
+			if _, ok := snap.Gauges[obs.Name("anneal_chain_seconds", "chain", i)]; !ok {
+				t.Errorf("k=%d: chain %d has no wall-time gauge", k, i)
+			}
+		}
+		if iters := snap.Counter("anneal_iterations_total"); perChain != iters {
+			t.Errorf("k=%d: per-chain accepts+rejects = %d, want %d (the aggregate)", k, perChain, iters)
+		}
+		if agg := snap.Counter("anneal_accepts_total") + snap.Counter("anneal_rejects_total"); agg != snap.Counter("anneal_iterations_total") {
+			t.Errorf("k=%d: aggregate accepts+rejects = %d, want %d", k, agg, snap.Counter("anneal_iterations_total"))
+		}
 	}
 }

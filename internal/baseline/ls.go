@@ -1,8 +1,6 @@
 package baseline
 
 import (
-	"sort"
-
 	"github.com/atomic-dataflow/atomicflow/internal/atom"
 	"github.com/atomic-dataflow/atomicflow/internal/cost"
 	"github.com/atomic-dataflow/atomicflow/internal/engine"
@@ -94,21 +92,4 @@ func LayerUtilization(orc cost.Oracle, g *graph.Graph, cfg engine.Config, df eng
 		avg /= float64(len(perLayer))
 	}
 	return perLayer, avg
-}
-
-// UtilizationHistogram buckets per-layer utilization into bins of the
-// given width (e.g. 0.1), for Fig. 2-style summaries.
-func UtilizationHistogram(perLayer []float64, width float64) map[int]int {
-	h := make(map[int]int)
-	for _, u := range perLayer {
-		h[int(u/width)]++
-	}
-	return h
-}
-
-// SortedLayerUtil returns a sorted copy, useful for percentile reporting.
-func SortedLayerUtil(perLayer []float64) []float64 {
-	out := append([]float64(nil), perLayer...)
-	sort.Float64s(out)
-	return out
 }

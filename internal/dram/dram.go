@@ -171,15 +171,6 @@ func (h *HBM) serve(now, n int64) int64 {
 	return done
 }
 
-// StreamCycles returns the time to move n bytes at full aggregate
-// bandwidth — the lower bound used for coarse round-level accounting.
-func (h *HBM) StreamCycles(n int64) int64 {
-	if n <= 0 {
-		return 0
-	}
-	return h.cfg.AccessLatency + int64(float64(n)/h.cfg.BytesPerCycle()) + 1
-}
-
 // Traffic returns cumulative bytes read and written.
 func (h *HBM) Traffic() (read, written int64) { return h.bytesRead, h.bytesWritten }
 

@@ -64,17 +64,6 @@ func TestZeroByteRequestFree(t *testing.T) {
 	}
 }
 
-func TestStreamCycles(t *testing.T) {
-	h := New(Default())
-	if got := h.StreamCycles(0); got != 0 {
-		t.Errorf("StreamCycles(0) = %d", got)
-	}
-	// 256 KB at 256 B/cycle = 1024 cycles + latency + 1.
-	if got, want := h.StreamCycles(256<<10), Default().AccessLatency+1024+1; got != want {
-		t.Errorf("StreamCycles = %d, want %d", got, want)
-	}
-}
-
 // Property: completion times never precede issue time and are monotone in
 // request size.
 func TestServeMonotone(t *testing.T) {

@@ -58,12 +58,3 @@ func (b *Breakdown) TotalPJ() float64 { return b.MAC + b.SRAM + b.NoC + b.DRAM +
 
 // TotalMJ returns total energy in millijoules.
 func (b *Breakdown) TotalMJ() float64 { return b.TotalPJ() / 1e9 }
-
-// Accumulate adds another breakdown into b.
-func (b *Breakdown) Accumulate(o Breakdown) {
-	b.MAC += o.MAC
-	b.SRAM += o.SRAM
-	b.NoC += o.NoC
-	b.DRAM += o.DRAM
-	b.Static += o.Static
-}

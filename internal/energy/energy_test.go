@@ -30,17 +30,6 @@ func TestBreakdownAccumulation(t *testing.T) {
 	}
 }
 
-func TestAccumulate(t *testing.T) {
-	m := Default()
-	var a, b Breakdown
-	a.AddMACs(m, 100)
-	b.AddDRAM(m, 100)
-	a.Accumulate(b)
-	if !close(a.TotalPJ(), 0.3*100+56*100) {
-		t.Errorf("after Accumulate: %+v", a)
-	}
-}
-
 // The paper's core energy argument: one byte from HBM costs far more than
 // one byte over several NoC hops, which costs more than a local SRAM read.
 // The model must preserve this hierarchy or the buffering strategy has no

@@ -3,6 +3,7 @@ package experiments
 import (
 	"github.com/atomic-dataflow/atomicflow/internal/engine"
 	"github.com/atomic-dataflow/atomicflow/internal/noc"
+	"github.com/atomic-dataflow/atomicflow/internal/schedule"
 	"github.com/atomic-dataflow/atomicflow/internal/sim"
 )
 
@@ -162,7 +163,7 @@ func SearchOverhead(cfg Config) ([]SearchRow, error) {
 	for _, name := range cfg.workloads([]string{"resnet50", "resnet152", "inceptionv3"}) {
 		g := mustModel(name)
 		start := timeNow()
-		p, err := buildAD(g, cfg.batch(1), hw, cfg.Mode, cfg.search())
+		p, err := buildAD(g, cfg.batch(1), hw, cfg.Mode, cfg.search(), 0)
 		if err != nil {
 			return nil, err
 		}
@@ -197,7 +198,7 @@ func LookaheadAblation(cfg Config) ([]LookaheadRow, error) {
 	var rows []LookaheadRow
 	cfg.printf("Ablation — DP lookahead depth on %s\n", name)
 	for _, depth := range []int{1, 2, 3, 5} {
-		p, err := buildADWithLookahead(g, cfg.batch(4), hw, cfg.search(), depth)
+		p, err := buildAD(g, cfg.batch(4), hw, schedule.DP, cfg.search(), depth)
 		if err != nil {
 			return nil, err
 		}

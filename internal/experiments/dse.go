@@ -5,6 +5,7 @@ import (
 
 	"github.com/atomic-dataflow/atomicflow/internal/models"
 	"github.com/atomic-dataflow/atomicflow/internal/noc"
+	"github.com/atomic-dataflow/atomicflow/internal/par"
 )
 
 // Fig12Point is one (workload, engine-count, batch) sample of the
@@ -52,7 +53,7 @@ func Fig12(cfg Config) ([]Fig12Point, error) {
 		}
 	}
 	errs := make([]error, len(points))
-	forEach(len(points), func(i int) {
+	par.ForEach(len(points), func(i int) {
 		p := &points[i]
 		g := mustModel(p.Workload)
 		hw := base
@@ -116,7 +117,7 @@ func Fig13(cfg Config) ([]Fig13Point, error) {
 		}
 	}
 	errs := make([]error, len(points))
-	forEach(len(points), func(i int) {
+	par.ForEach(len(points), func(i int) {
 		p := &points[i]
 		g := mustModel(p.Workload)
 		hw := base

@@ -152,34 +152,18 @@ type adPipeline struct {
 	sched *schedule.Schedule
 }
 
-// buildAD runs SA + DAG + scheduling for a workload. The hardware model's
+// buildAD runs SA + DAG + scheduling for a workload; lookahead is the DP
+// recursion depth (0 = the scheduler default). The hardware model's
 // oracle is threaded through every stage, so one instrumented oracle
 // counts the evaluations of candidate generation and scheduling.
-func buildAD(g *graph.Graph, batch int, hw sim.Config, mode schedule.Mode, so searchOpts) (*adPipeline, error) {
+func buildAD(g *graph.Graph, batch int, hw sim.Config, mode schedule.Mode, so searchOpts, lookahead int) (*adPipeline, error) {
 	sa := anneal.SA(g, hw.Engine, hw.Dataflow, so.anneal(hw))
 	d, err := atom.Build(g, batch, sa.Spec)
 	if err != nil {
 		return nil, err
 	}
 	s, err := schedule.Build(d, schedule.Options{
-		Engines: hw.Mesh.Engines(), Mode: mode,
-		EngineCfg: hw.Engine, Dataflow: hw.Dataflow, Oracle: hw.Oracle,
-	})
-	if err != nil {
-		return nil, err
-	}
-	return &adPipeline{graph: g, sa: sa, dag: d, sched: s}, nil
-}
-
-// buildADWithLookahead is buildAD forcing DP mode at an explicit depth.
-func buildADWithLookahead(g *graph.Graph, batch int, hw sim.Config, so searchOpts, lookahead int) (*adPipeline, error) {
-	sa := anneal.SA(g, hw.Engine, hw.Dataflow, so.anneal(hw))
-	d, err := atom.Build(g, batch, sa.Spec)
-	if err != nil {
-		return nil, err
-	}
-	s, err := schedule.Build(d, schedule.Options{
-		Engines: hw.Mesh.Engines(), Mode: schedule.DP, Lookahead: lookahead,
+		Engines: hw.Mesh.Engines(), Mode: mode, Lookahead: lookahead,
 		EngineCfg: hw.Engine, Dataflow: hw.Dataflow, Oracle: hw.Oracle,
 	})
 	if err != nil {
@@ -190,7 +174,7 @@ func buildADWithLookahead(g *graph.Graph, batch int, hw sim.Config, so searchOpt
 
 // runAD is buildAD + simulation.
 func runAD(g *graph.Graph, batch int, hw sim.Config, mode schedule.Mode, so searchOpts) (sim.Report, error) {
-	p, err := buildAD(g, batch, hw, mode, so)
+	p, err := buildAD(g, batch, hw, mode, so, 0)
 	if err != nil {
 		return sim.Report{}, err
 	}

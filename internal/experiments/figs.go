@@ -9,6 +9,7 @@ import (
 	"github.com/atomic-dataflow/atomicflow/internal/engine"
 	"github.com/atomic-dataflow/atomicflow/internal/graph"
 	"github.com/atomic-dataflow/atomicflow/internal/models"
+	"github.com/atomic-dataflow/atomicflow/internal/par"
 	"github.com/atomic-dataflow/atomicflow/internal/schedule"
 	"github.com/atomic-dataflow/atomicflow/internal/sim"
 )
@@ -28,7 +29,7 @@ func Fig2(cfg Config) ([]Fig2Row, error) {
 	hw := cfg.hw()
 	names := cfg.workloads(models.Fig2Workloads)
 	rows := make([]Fig2Row, len(names))
-	forEach(len(names), func(i int) {
+	par.ForEach(len(names), func(i int) {
 		g := mustModel(names[i])
 		perLayer, avg := baseline.LayerUtilization(hw.Oracle, g, hw.Engine, hw.Dataflow, hw.Mesh.Engines())
 		rows[i] = Fig2Row{Workload: names[i], PerLayer: perLayer, Average: avg}
@@ -56,7 +57,7 @@ func Fig5a(cfg Config) ([]Fig5aRow, error) {
 	hw := cfg.hw()
 	names := cfg.workloads(models.Fig2Workloads)
 	rows := make([]Fig5aRow, len(names))
-	forEach(len(names), func(i int) {
+	par.ForEach(len(names), func(i int) {
 		g := mustModel(names[i])
 		res := anneal.SA(g, hw.Engine, hw.Dataflow,
 			cfg.search().anneal(hw))
@@ -174,7 +175,7 @@ func latencyThroughput(cfg Config, batch int, strategies []string, title string)
 	}
 	rows := make([][]StrategyResult, len(points))
 	errs := make([]error, len(points))
-	forEach(len(points), func(i int) {
+	par.ForEach(len(points), func(i int) {
 		p := points[i]
 		pointHW := hw
 		pointHW.Dataflow = p.df
@@ -251,7 +252,7 @@ func Fig10(cfg Config) ([]Fig10Row, error) {
 	names := cfg.workloads(models.PaperWorkloads)
 	rows := make([]Fig10Row, len(names))
 	errs := make([]error, len(names))
-	forEach(len(names), func(i int) {
+	par.ForEach(len(names), func(i int) {
 		name := names[i]
 		g := mustModel(name)
 

@@ -62,24 +62,6 @@ func TestUseBeforeFinalizePanics(t *testing.T) {
 	g.Topo()
 }
 
-func TestLayersAtDepth(t *testing.T) {
-	g := New("d")
-	in := g.AddLayer("input", OpInput, Shape{Ho: 4, Wo: 4, Co: 2})
-	a := g.AddLayer("a", OpConv, ConvShape(4, 4, 2, 2, 1, 1, 0), in)
-	b := g.AddLayer("b", OpConv, ConvShape(4, 4, 2, 2, 1, 1, 0), in)
-	g.AddLayer("add", OpEltwise, EltwiseShape(4, 4, 2), a, b)
-	if err := g.Finalize(); err != nil {
-		t.Fatal(err)
-	}
-	byDepth := g.LayersAtDepth()
-	if len(byDepth) != 3 {
-		t.Fatalf("depths = %d, want 3", len(byDepth))
-	}
-	if len(byDepth[1]) != 2 {
-		t.Errorf("depth-1 layers = %v, want the two siblings", byDepth[1])
-	}
-}
-
 func TestPoolAndFCShapes(t *testing.T) {
 	p := PoolShape(8, 8, 16, 2, 2, 0)
 	if p.Ho != 4 || p.Co != 16 || p.Ci != 16 {

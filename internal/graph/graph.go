@@ -304,16 +304,6 @@ func (g *Graph) TotalParams() int64 {
 	return t
 }
 
-// LayersAtDepth groups compute-relevant layer IDs by depth, index = depth.
-func (g *Graph) LayersAtDepth() [][]int {
-	g.mustFinal()
-	byDepth := make([][]int, g.MaxDepth()+1)
-	for _, l := range g.Layers {
-		byDepth[l.Depth] = append(byDepth[l.Depth], l.ID)
-	}
-	return byDepth
-}
-
 // DOT renders the graph in Graphviz DOT format, useful for debugging
 // irregular NAS topologies.
 func (g *Graph) DOT() string {

@@ -767,5 +767,5 @@ func permute(order []int, visit func([]int)) {
 	}
 }
 
-// ZigZag exposes the snake order for tests and the LS baseline.
+// ZigZag exposes the snake order; only tests read it.
 func (m *Mapper) ZigZag() []int { return append([]int(nil), m.zigzag...) }

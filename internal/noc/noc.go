@@ -109,78 +109,6 @@ func (m *Mesh) Path(i, j int) []Link {
 	return path
 }
 
-// TransferCycles returns the uncontended latency of moving bytes from i
-// to j: wormhole pipeline of hop latency plus serialization on one link.
-func (m *Mesh) TransferCycles(i, j int, bytes int64) int64 {
-	if i == j || bytes == 0 {
-		return 0
-	}
-	hops := int64(m.Hops(i, j))
-	return hops*m.HopCycles + ceilDiv(bytes, int64(m.LinkBytes))
-}
-
-// Traffic accumulates the flows of one scheduling Round and estimates the
-// Round's communication time under per-link contention. Link state is a
-// link-ID-indexed slice over the mesh's route table, so recording a flow
-// allocates nothing.
-type Traffic struct {
-	mesh     *Mesh
-	linkLoad []int64 // bytes crossing each directed link, by link ID
-	byteHops int64   // Σ bytes x hops, the energy-relevant volume
-	maxHops  int
-	flows    int
-}
-
-// NewTraffic returns an empty per-Round traffic accumulator.
-func (m *Mesh) NewTraffic() *Traffic {
-	return &Traffic{mesh: m, linkLoad: make([]int64, m.NumLinks())}
-}
-
-// Reset clears the accumulator for reuse across Rounds.
-func (t *Traffic) Reset() {
-	clear(t.linkLoad)
-	t.byteHops, t.maxHops, t.flows = 0, 0, 0
-}
-
-// Add records a flow of bytes from engine src to engine dst.
-func (t *Traffic) Add(src, dst int, bytes int64) {
-	if src == dst || bytes == 0 {
-		return
-	}
-	route := t.mesh.RouteIDs(src, dst)
-	for _, id := range route {
-		t.linkLoad[id] += bytes
-	}
-	h := len(route)
-	t.byteHops += bytes * int64(h)
-	if h > t.maxHops {
-		t.maxHops = h
-	}
-	t.flows++
-}
-
-// ByteHops returns the Σ bytes x hops volume (drives NoC energy).
-func (t *Traffic) ByteHops() int64 { return t.byteHops }
-
-// Flows returns the number of distinct flows recorded.
-func (t *Traffic) Flows() int { return t.flows }
-
-// FinishCycles estimates when all recorded flows complete, assuming they
-// start together: the bottleneck link's serialized load plus the longest
-// route's hop latency.
-func (t *Traffic) FinishCycles() int64 {
-	var worst int64
-	for _, load := range t.linkLoad {
-		if c := ceilDiv(load, int64(t.mesh.LinkBytes)); c > worst {
-			worst = c
-		}
-	}
-	if worst == 0 {
-		return 0
-	}
-	return worst + int64(t.maxHops)*t.mesh.HopCycles
-}
-
 func abs(a int) int {
 	if a < 0 {
 		return -a
@@ -194,5 +122,3 @@ func sign(a int) int {
 	}
 	return 1
 }
-
-func ceilDiv(a, b int64) int64 { return (a + b - 1) / b }

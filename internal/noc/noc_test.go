@@ -71,56 +71,6 @@ func TestPathContinuity(t *testing.T) {
 	}
 }
 
-func TestTransferCycles(t *testing.T) {
-	m := NewMesh(4, 4, 8)
-	if got := m.TransferCycles(0, 0, 1000); got != 0 {
-		t.Errorf("self transfer = %d, want 0", got)
-	}
-	// 3 hops + 1024/8 serialization.
-	if got, want := m.TransferCycles(0, 3, 1024), int64(3+128); got != want {
-		t.Errorf("TransferCycles = %d, want %d", got, want)
-	}
-}
-
-func TestTrafficContention(t *testing.T) {
-	m := NewMesh(4, 1, 8)
-	tr := m.NewTraffic()
-	// Two flows share link 0->1: 800 and 800 bytes serialize.
-	tr.Add(0, 2, 800)
-	tr.Add(0, 3, 800)
-	want := int64(1600/8) + 3 // bottleneck link + max hops
-	if got := tr.FinishCycles(); got != want {
-		t.Errorf("FinishCycles = %d, want %d", got, want)
-	}
-	if got, want := tr.ByteHops(), int64(800*2+800*3); got != want {
-		t.Errorf("ByteHops = %d, want %d", got, want)
-	}
-	if tr.Flows() != 2 {
-		t.Errorf("Flows = %d, want 2", tr.Flows())
-	}
-}
-
-func TestDisjointFlowsDontContend(t *testing.T) {
-	m := NewMesh(4, 4, 8)
-	tr := m.NewTraffic()
-	// Opposite corners moving to adjacent engines: no shared links.
-	tr.Add(0, 1, 640)
-	tr.Add(15, 14, 640)
-	want := int64(640/8) + 1
-	if got := tr.FinishCycles(); got != want {
-		t.Errorf("FinishCycles = %d, want %d (no contention)", got, want)
-	}
-}
-
-func TestEmptyTraffic(t *testing.T) {
-	m := NewMesh(2, 2, 8)
-	tr := m.NewTraffic()
-	tr.Add(1, 1, 4096) // self-flow ignored
-	if tr.FinishCycles() != 0 || tr.ByteHops() != 0 || tr.Flows() != 0 {
-		t.Error("self-flow should be free")
-	}
-}
-
 // TestRouteTableMatchesPath pins the dense route table to the allocating
 // Path walk on all three topologies: same links, same order, same hop
 // counts, and hop counts equal to the arithmetic reference. RoutesFrom
@@ -238,23 +188,6 @@ func TestRouteTableConcurrentBuild(t *testing.T) {
 		if got := <-done; got != first {
 			t.Fatalf("concurrent route walks disagree: %d vs %d", got, first)
 		}
-	}
-}
-
-// TestTrafficReset pins Reset to a fully cleared accumulator.
-func TestTrafficReset(t *testing.T) {
-	m := NewMesh(4, 1, 8)
-	tr := m.NewTraffic()
-	tr.Add(0, 3, 800)
-	tr.Reset()
-	if tr.FinishCycles() != 0 || tr.ByteHops() != 0 || tr.Flows() != 0 {
-		t.Error("Reset left residual traffic state")
-	}
-	tr.Add(0, 2, 800)
-	fresh := m.NewTraffic()
-	fresh.Add(0, 2, 800)
-	if tr.FinishCycles() != fresh.FinishCycles() || tr.ByteHops() != fresh.ByteHops() {
-		t.Error("reused accumulator differs from a fresh one")
 	}
 }
 

@@ -96,7 +96,7 @@ func (rt *routeTable) checkPrefixClosed() error {
 }
 
 // NumLinks returns the number of distinct directed links any route on the
-// mesh traverses — the index space of RouteIDs and Traffic link state.
+// mesh traverses — the index space of RouteIDs and link state.
 func (m *Mesh) NumLinks() int { return m.table().numLinks }
 
 // RouteBuildTime returns how long the all-pairs route table took to

@@ -96,19 +96,33 @@ func TestHTreePathEndsAtDestination(t *testing.T) {
 }
 
 func TestHTreeRootContention(t *testing.T) {
-	// Cross-quad flows share the root switch links — the H-tree's known
-	// bisection bottleneck. Two same-quad flows must not contend.
+	// Cross-quad routes share the root switch links — the H-tree's known
+	// bisection bottleneck, on which the simulator serializes their
+	// flows. Same-quad routes stay below the root and share nothing.
 	m := NewHTree(16, 8)
-	tr := m.NewTraffic()
-	tr.Add(0, 1, 800)
-	tr.Add(2, 3, 800)
-	sameQuad := tr.FinishCycles()
-	tr2 := m.NewTraffic()
-	tr2.Add(0, 15, 800)
-	tr2.Add(1, 14, 800)
-	crossQuad := tr2.FinishCycles()
-	if crossQuad <= sameQuad {
-		t.Errorf("cross-quad flows (%d cycles) should exceed same-quad (%d)", crossQuad, sameQuad)
+	const root = 16 + 4 // leaves 0..15, quad switches 16..19, then the root
+	shared := func(a, b []int32) []Link {
+		var out []Link
+		for _, x := range a {
+			for _, y := range b {
+				if x == y {
+					out = append(out, m.LinkByID(x))
+				}
+			}
+		}
+		return out
+	}
+	if got := shared(m.RouteIDs(0, 1), m.RouteIDs(2, 3)); len(got) != 0 {
+		t.Errorf("same-quad routes 0->1 and 2->3 share links %v, want none", got)
+	}
+	got := shared(m.RouteIDs(0, 15), m.RouteIDs(1, 14))
+	if len(got) != 2 {
+		t.Fatalf("cross-quad routes 0->15 and 1->14 share links %v, want the two root links", got)
+	}
+	for _, l := range got {
+		if l.From != root && l.To != root {
+			t.Errorf("cross-quad routes share non-root link %v", l)
+		}
 	}
 }
 

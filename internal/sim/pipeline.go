@@ -31,9 +31,9 @@ import (
 // prepSlots carries each Round's placement and IO from the prep stage to
 // the timing stage, and because each stage remains internally sequential
 // the interleaving cannot change a single value either stage computes —
-// the pipelined Report is bit-identical to the serial one by
-// construction (and pinned by TestSimPipelineParity and the zoo digest
-// matrix).
+// the pipelined Report is bit-identical to running prep and time back to
+// back by construction (pinned against the tests' serial reference loop
+// by TestSimPipelineParity, and by the zoo digest matrix).
 
 // pipelineDepth is the prep-slot ring size: how many Rounds prep may run
 // ahead of timing. Small — each slot holds a RoundIO — and enough to
@@ -266,27 +266,6 @@ func (r *runner) time(slot *prepSlot) error {
 
 	r.prevStart = now
 	r.now = endAll
-	return nil
-}
-
-// runSerial executes prep and time back to back on the calling goroutine
-// — the cfg.Pipeline=false path, and the reference the pipelined path is
-// tested against.
-func (r *runner) runSerial() error {
-	slot := &r.slots[0]
-	for t := range r.s.Rounds {
-		if err := r.pollCtx(); err != nil {
-			return err
-		}
-		r.prep(t, slot)
-		if slot.err != nil {
-			return slot.err
-		}
-		if err := r.time(slot); err != nil {
-			return err
-		}
-		r.mapper.Recycle(&slot.placed)
-	}
 	return nil
 }
 

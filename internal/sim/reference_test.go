@@ -3,8 +3,10 @@ package sim
 import (
 	"sort"
 
+	"github.com/atomic-dataflow/atomicflow/internal/atom"
 	"github.com/atomic-dataflow/atomicflow/internal/buffer"
 	"github.com/atomic-dataflow/atomicflow/internal/noc"
+	"github.com/atomic-dataflow/atomicflow/internal/schedule"
 )
 
 // simulateFlows sorts and walks in one call — the single-stage entry
@@ -107,4 +109,32 @@ func simulateFlowsReference(mesh *noc.Mesh, flows []buffer.Flow, start int64) (m
 		byteHops += bytes * int64(len(linkStart))
 	}
 	return ready, byteHops
+}
+
+// RunSerial is the reference the pipelined Round loop is tested against:
+// sim.Run with prep and time executed back to back on the calling
+// goroutine. Exported to the package's external tests only.
+var RunSerial = runSerial
+
+func runSerial(d *atom.DAG, s *schedule.Schedule, cfg Config) (Report, error) {
+	r, release, err := newRunner(d, s, cfg)
+	if err != nil {
+		return Report{}, err
+	}
+	defer release()
+	slot := &r.slots[0]
+	for t := range s.Rounds {
+		if err := r.pollCtx(); err != nil {
+			return Report{}, err
+		}
+		r.prep(t, slot)
+		if slot.err != nil {
+			return Report{}, slot.err
+		}
+		if err := r.time(slot); err != nil {
+			return Report{}, err
+		}
+		r.mapper.Recycle(&slot.placed)
+	}
+	return r.report(), nil
 }

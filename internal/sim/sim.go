@@ -40,12 +40,6 @@ type Config struct {
 	// DoubleBuffer overlaps a Round's DRAM fetches with the previous
 	// Round's compute (default true via DefaultConfig).
 	DoubleBuffer bool
-	// Pipeline runs Round t+1's placement and buffer replay on a second
-	// goroutine while Round t is being timed (default true via
-	// DefaultConfig). The two stages share no mutable state, so the
-	// Report is bit-identical with the pipeline on or off — pinned by
-	// TestSimPipelineParity and the zoo digest matrix.
-	Pipeline bool
 	// NaiveMapping places Rounds in plain zig-zag order without the
 	// TransferCost permutation search or weight-affinity refinement —
 	// the placement a reuse-oblivious runtime (e.g. Rammer) would use.
@@ -112,7 +106,6 @@ func DefaultConfig() Config {
 		DRAM:         dram.Default(),
 		Energy:       energy.Default(),
 		DoubleBuffer: true,
-		Pipeline:     true,
 	}
 }
 
@@ -172,24 +165,20 @@ func (r Report) NoCOverheadFraction() float64 {
 
 // Run simulates the schedule on the configured hardware.
 //
-// The Round loop is a two-stage software pipeline (see pipeline.go):
-// round t+1's placement and buffer replay can run on a second goroutine
-// while round t is timed, and the mapper/buffer-manager/arena trio is
-// pooled across Run calls keyed by mesh shape. Neither changes the
-// Report by a single bit — Reports are pinned by the golden and zoo
-// digest tests with the pipeline both on and off.
+// The Round loop is always a two-stage software pipeline (see
+// pipeline.go): round t+1's placement and buffer replay run on a second
+// goroutine while round t is timed, and the mapper/buffer-manager/arena
+// trio is pooled across Run calls keyed by mesh shape. Neither changes
+// the Report by a single bit — the pipelined Report is pinned against a
+// serial prep→time reference loop kept in the package's tests, and by
+// the golden and zoo digest tests.
 func Run(d *atom.DAG, s *schedule.Schedule, cfg Config) (Report, error) {
 	r, release, err := newRunner(d, s, cfg)
 	if err != nil {
 		return Report{}, err
 	}
 	defer release()
-	if cfg.Pipeline && s.NumRounds() > 1 {
-		err = r.runPipelined()
-	} else {
-		err = r.runSerial()
-	}
-	if err != nil {
+	if err := r.runPipelined(); err != nil {
 		return Report{}, err
 	}
 	return r.report(), nil

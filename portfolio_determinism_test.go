@@ -45,7 +45,7 @@ func TestOrchestrateChainsDeterministic(t *testing.T) {
 }
 
 // TestOrchestrateChainsOneIsBaseline: the Chains knob at 1 (or unset)
-// must not perturb the classic sequential trajectory — the digests the
+// must not perturb Algorithm 1's one-chain trajectory — the digests the
 // determinism matrix pins are exactly the chains=1 digests.
 func TestOrchestrateChainsOneIsBaseline(t *testing.T) {
 	explicit := chainsOrchestrate(t, "tinyconv", 1)
