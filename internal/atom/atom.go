@@ -14,6 +14,7 @@ package atom
 import (
 	"fmt"
 	"slices"
+	"sync"
 
 	"github.com/atomic-dataflow/atomicflow/internal/engine"
 	"github.com/atomic-dataflow/atomicflow/internal/graph"
@@ -64,6 +65,8 @@ func (r Region) empty() bool { return r.H1 <= r.H0 || r.W1 <= r.W0 || r.C1 <= r.
 
 // Atom is one vertex of the atomic DAG: the Region of one layer's output
 // for one batch sample, plus the engine.Task that prices its execution.
+// It holds no pointers; its edges live in the DAG's row tables and are
+// read through DAG.Deps and DAG.ConsumerRows.
 type Atom struct {
 	ID     int
 	Layer  int // layer ID in the source graph
@@ -71,16 +74,6 @@ type Atom struct {
 	Index  int // tile index within (Layer, Sample), row-major (h, w, c)
 	Region Region
 	Task   engine.Task
-
-	// Deps lists producer atom IDs; DepBytes[i] is the byte volume of the
-	// overlap between Deps[i]'s output region and this atom's receptive
-	// field — the actual tensor traffic of the edge. Atoms of input layers
-	// have no deps (their data is in DRAM).
-	//
-	// Both are read-only once Build returns: an atom of sample s > 0
-	// shares its DepBytes slice with the same atom of sample 0.
-	Deps     []int
-	DepBytes []int64
 }
 
 // OutputBytes returns the atom's produced tensor bytes.
@@ -101,65 +94,175 @@ type grid struct {
 	base       int // first atom ID of this grid in sample 0
 }
 
-// DAG is the atomic computation graph.
+func (g grid) atoms() int { return g.nH * g.nW * g.nC }
+
+// sharesRows reports whether every output-channel tile of one (ih, iw)
+// tile of a layer of kind k has the same dependency list: a dense conv
+// reads all input channels, and FC and GlobalPool read the whole input.
+func sharesRows(k graph.OpKind) bool {
+	return k == graph.OpConv || k == graph.OpFC || k == graph.OpGlobalPool
+}
+
+// DAG is the atomic computation graph, its edges in compressed sparse row
+// form keyed by rows. A row is a contiguous atom-ID range with one shared
+// dependency list: one (ih, iw) tile's nC atoms of a Conv, FC or
+// GlobalPool layer, or a single atom of any other layer.
+//
+// Only sample 0's rows are stored. No edge crosses samples, so sample s
+// is sample 0 with every atom ID offset by s·n and every row by s·R (n
+// atoms and R rows per sample); the accessors return sample-0 lists with
+// the offset to add.
 type DAG struct {
 	Graph *graph.Graph
 	Batch int
-	Atoms []*Atom
+	Atoms []Atom
 
-	consumers [][]int
-	grids     map[int]grid // layerID -> sample-0 grid (concat/elided layers absent)
-	perSample int          // atoms per sample: sample s holds IDs [s·perSample, (s+1)·perSample)
+	grids []grid // by layer ID; nC == 0 marks an elided (concat) layer
+	n     int    // atoms per replicated block: sample s holds IDs [s·n, (s+1)·n)
+	rows  int    // rows per block
+
+	rowOf    []int32 // block atom -> row
+	rowStart []int32 // rows+1 entries: row r holds atoms [rowStart[r], rowStart[r+1])
+	depOff   []int32 // rows+1 entries: row r's deps are depIDs/depBytes[depOff[r]:depOff[r+1]]
+	depIDs   []int32
+	depBytes []int64
+	consOff  []int32 // n+1 entries: atom id's consumer rows are consRows[consOff[id]:consOff[id+1]]
+	consRows []int32 // ascending per producer
 }
 
 // NumAtoms returns the vertex count.
 func (d *DAG) NumAtoms() int { return len(d.Atoms) }
 
-// Consumers returns the atom IDs that consume atom id's output.
-// The returned slice must not be modified.
-func (d *DAG) Consumers(id int) []int { return d.consumers[id] }
-
-// AtomsOf returns the atom IDs of one (layer, sample), or nil if the layer
-// is elided (concat) or the sample is out of range.
-func (d *DAG) AtomsOf(sample, layerID int) []int {
-	g, ok := d.grids[layerID]
-	if !ok || sample < 0 || sample >= d.Batch {
-		return nil
+// NumRows returns the row count over all samples.
+func (d *DAG) NumRows() int {
+	if d.n == 0 {
+		return 0
 	}
-	base := g.base + sample*d.perSample
-	ids := make([]int, g.nH*g.nW*g.nC)
-	for i := range ids {
-		ids[i] = base + i
-	}
-	return ids
+	return d.rows * (len(d.Atoms) / d.n)
 }
 
-// Validate checks the DAG's structural invariants: dependency edges point
-// strictly backward (acyclicity by construction order), every edge has a
-// positive byte weight no larger than the producer's output, and each
-// (layer, sample) grid exactly tiles its output tensor.
-func (d *DAG) Validate() error {
-	for _, a := range d.Atoms {
-		if len(a.Deps) != len(a.DepBytes) {
-			return fmt.Errorf("atom %d: %d deps but %d weights", a.ID, len(a.Deps), len(a.DepBytes))
+// block splits atom id into its replicated block and its ID in block 0.
+func (d *DAG) block(id int) (s, id0 int) {
+	if id < d.n {
+		return 0, id
+	}
+	s = id / d.n
+	return s, id - s*d.n
+}
+
+// Deps returns the producers of atom id: producer i is atom ids[i]+off
+// and the edge carries bytes[i], the overlap between that producer's
+// output region and the atom's receptive field. Atoms of input layers
+// have no deps (their data is in DRAM). The slices must not be modified.
+func (d *DAG) Deps(id int) (ids []int32, bytes []int64, off int32) {
+	s, id0 := d.block(id)
+	r := d.rowOf[id0]
+	lo, hi := d.depOff[r], d.depOff[r+1]
+	return d.depIDs[lo:hi], d.depBytes[lo:hi], int32(s * d.n)
+}
+
+// ConsumerRows returns the rows reading atom id's output, ascending: row
+// rows[i]+off. The slice must not be modified.
+func (d *DAG) ConsumerRows(id int) (rows []int32, off int32) {
+	s, id0 := d.block(id)
+	return d.consRows[d.consOff[id0]:d.consOff[id0+1]], int32(s * d.rows)
+}
+
+// RowAtoms returns the atom-ID range [lo, hi) of row r.
+func (d *DAG) RowAtoms(r int) (lo, hi int) {
+	s := r / d.rows
+	r0, off := r-s*d.rows, s*d.n
+	return int(d.rowStart[r0]) + off, int(d.rowStart[r0+1]) + off
+}
+
+// AtomRange returns the atom-ID range [lo, hi) of one (sample, layer), or
+// an empty range if the layer is elided (concat) or absent or the sample
+// is out of range.
+func (d *DAG) AtomRange(sample, layerID int) (lo, hi int) {
+	if layerID < 0 || layerID >= len(d.grids) || sample < 0 || sample >= d.Batch {
+		return 0, 0
+	}
+	g := d.grids[layerID]
+	lo = g.base + sample*d.n
+	return lo, lo + g.atoms()
+}
+
+// FromLists builds a DAG from explicit atoms and per-atom dependency
+// lists, one row per atom and a single replicated block, so atoms of
+// every sample carry their own lists. It is for hand-drawn DAGs; the
+// atoms' IDs must be their indices, deps[i] and bytes[i] atom i's
+// producers and edge bytes.
+func FromLists(g *graph.Graph, batch int, atoms []Atom, deps [][]int, bytes [][]int64) *DAG {
+	n := len(atoms)
+	d := &DAG{Graph: g, Batch: batch, Atoms: atoms, n: n, rows: n,
+		rowOf: make([]int32, n), rowStart: make([]int32, n+1), depOff: make([]int32, n+1)}
+	for id := range atoms {
+		d.rowOf[id], d.rowStart[id+1] = int32(id), int32(id+1)
+		for i, p := range deps[id] {
+			d.depIDs = append(d.depIDs, int32(p))
+			d.depBytes = append(d.depBytes, bytes[id][i])
 		}
-		for i, dep := range a.Deps {
-			if dep >= a.ID {
-				return fmt.Errorf("atom %d: forward dep %d", a.ID, dep)
-			}
-			if a.DepBytes[i] <= 0 || a.DepBytes[i] > d.Atoms[dep].OutputBytes() {
-				return fmt.Errorf("atom %d: dep %d carries %d bytes (producer has %d)",
-					a.ID, dep, a.DepBytes[i], d.Atoms[dep].OutputBytes())
-			}
+		d.depOff[id+1] = int32(len(d.depIDs))
+	}
+	d.indexConsumers()
+	return d
+}
+
+// indexConsumers fills the consumer-row CSR from the dep rows. Rows are
+// walked in order, so each producer's consumer rows come out ascending.
+func (d *DAG) indexConsumers() {
+	d.consOff = make([]int32, d.n+1)
+	for _, p := range d.depIDs {
+		d.consOff[p+1]++
+	}
+	for i := 1; i <= d.n; i++ {
+		d.consOff[i] += d.consOff[i-1]
+	}
+	d.consRows = make([]int32, len(d.depIDs))
+	at := slices.Clone(d.consOff[:d.n])
+	for r := 0; r < d.rows; r++ {
+		for _, p := range d.depIDs[d.depOff[r]:d.depOff[r+1]] {
+			d.consRows[at[p]] = int32(r)
+			at[p]++
 		}
 	}
-	for s := 0; s < d.Batch; s++ {
-		for lid, gr := range d.grids {
-			l := d.Graph.Layer(lid)
+}
+
+// Validate checks the DAG's structural invariants, layer by layer in
+// topological order so the first violation reported is deterministic:
+//   - the row tables are well formed: offsets are monotone, every row is
+//     a non-empty run of one layer's atoms, and the consumer-row index is
+//     the exact inverse of the dep rows;
+//   - dependency edges point strictly backward (acyclicity by
+//     construction order) and carry a positive byte weight no larger
+//     than the producer's output;
+//   - each (layer, sample) grid exactly tiles its output tensor.
+func (d *DAG) Validate() error {
+	if err := d.validateRows(); err != nil {
+		return err
+	}
+	for _, lid := range d.Graph.Topo() {
+		gr := d.grids[lid]
+		if gr.nC == 0 {
+			continue
+		}
+		for id := gr.base; id < gr.base+gr.atoms(); id++ {
+			ids, bytes, _ := d.Deps(id)
+			for i, dep := range ids {
+				if int(dep) >= id {
+					return fmt.Errorf("atom %d: forward dep %d", id, dep)
+				}
+				if lim := d.Atoms[dep].OutputBytes(); bytes[i] <= 0 || bytes[i] > lim {
+					return fmt.Errorf("atom %d: dep %d carries %d bytes (producer has %d)", id, dep, bytes[i], lim)
+				}
+			}
+		}
+		l := d.Graph.Layer(lid)
+		for s := 0; s < d.Batch; s++ {
 			var covered int64
-			base := gr.base + s*d.perSample
-			for i := 0; i < gr.nH*gr.nW*gr.nC; i++ {
-				covered += d.Atoms[base+i].Region.Bytes()
+			lo, hi := d.AtomRange(s, lid)
+			for id := lo; id < hi; id++ {
+				covered += d.Atoms[id].Region.Bytes()
 			}
 			if covered != l.OutputBytes() {
 				return fmt.Errorf("layer %d sample %d: atoms cover %d of %d bytes",
@@ -170,18 +273,65 @@ func (d *DAG) Validate() error {
 	return nil
 }
 
+// validateRows checks the row tables of block 0.
+func (d *DAG) validateRows() error {
+	if len(d.rowStart) != d.rows+1 || len(d.depOff) != d.rows+1 || len(d.consOff) != d.n+1 ||
+		len(d.rowOf) != d.n || d.rowStart[0] != 0 || int(d.rowStart[d.rows]) != d.n {
+		return fmt.Errorf("atom: row tables sized for %d rows of %d atoms", d.rows, d.n)
+	}
+	if d.depOff[0] != 0 || int(d.depOff[d.rows]) != len(d.depIDs) || len(d.depBytes) != len(d.depIDs) ||
+		d.consOff[0] != 0 || int(d.consOff[d.n]) != len(d.consRows) || len(d.consRows) != len(d.depIDs) {
+		return fmt.Errorf("atom: %d dep IDs, %d dep weights and %d consumer rows", len(d.depIDs), len(d.depBytes), len(d.consRows))
+	}
+	for r := 0; r < d.rows; r++ {
+		lo, hi := int(d.rowStart[r]), int(d.rowStart[r+1])
+		if lo >= hi || d.depOff[r] > d.depOff[r+1] {
+			return fmt.Errorf("row %d: offsets not monotone", r)
+		}
+		for id := lo; id < hi; id++ {
+			if int(d.rowOf[id]) != r || d.Atoms[id].Layer != d.Atoms[lo].Layer {
+				return fmt.Errorf("row %d: atom %d does not belong to it", r, id)
+			}
+		}
+		for _, dep := range d.depIDs[d.depOff[r]:d.depOff[r+1]] {
+			if int(dep) >= lo {
+				return fmt.Errorf("row %d (atoms %d..%d): forward dep %d", r, lo, hi-1, dep)
+			}
+		}
+	}
+	// The dep rows, walked in order, must meet each producer's consumer
+	// rows in order, and use all of them.
+	at := slices.Clone(d.consOff[:d.n])
+	for r := 0; r < d.rows; r++ {
+		for _, p := range d.depIDs[d.depOff[r]:d.depOff[r+1]] {
+			if at[p] >= d.consOff[p+1] || d.consRows[at[p]] != int32(r) {
+				return fmt.Errorf("atom %d: consumer rows miss row %d", p, r)
+			}
+			at[p]++
+		}
+	}
+	for p := 0; p < d.n; p++ {
+		if d.consOff[p] > d.consOff[p+1] {
+			return fmt.Errorf("atom %d: consumer offsets not monotone", p)
+		}
+		if at[p] != d.consOff[p+1] {
+			return fmt.Errorf("atom %d: consumer rows list a row without that dep", p)
+		}
+	}
+	return nil
+}
+
 // Build constructs the atomic DAG for the workload graph under the given
 // per-layer partition spec and batch size.
 //
-// Only sample 0 is tiled and wired. No edge crosses samples, so sample s
-// is sample 0 with every atom ID and dependency offset by s·perSample;
-// the replicas are stamped out in one block each and share sample 0's
-// DepBytes.
+// Only sample 0 is tiled and wired, one dependency list per row; the
+// other samples' atoms are copies of sample 0's with their ID and Sample
+// advanced, and their edges stay implicit.
 func Build(g *graph.Graph, batch int, spec Spec) (*DAG, error) {
 	if batch < 1 {
 		return nil, fmt.Errorf("atom: batch %d < 1", batch)
 	}
-	d := &DAG{Graph: g, Batch: batch, grids: make(map[int]grid)}
+	d := &DAG{Graph: g, Batch: batch, grids: make([]grid, g.NumLayers())}
 	for _, lid := range g.Topo() {
 		l := g.Layer(lid)
 		if l.Kind == graph.OpConcat {
@@ -196,39 +346,45 @@ func Build(g *graph.Graph, batch int, spec Spec) (*DAG, error) {
 		}
 		s := l.Shape
 		gr := grid{part: part, nH: ceilDiv(s.Ho, part.Hp), nW: ceilDiv(s.Wo, part.Wp),
-			nC: ceilDiv(s.Co, part.Cop), base: d.perSample}
+			nC: ceilDiv(s.Co, part.Cop), base: d.n}
 		d.grids[lid] = gr
-		d.perSample += gr.nH * gr.nW * gr.nC
+		d.n += gr.atoms()
+		if sharesRows(l.Kind) {
+			d.rows += gr.nH * gr.nW
+		} else {
+			d.rows += gr.atoms()
+		}
 	}
-	d.Atoms = make([]*Atom, d.perSample*batch)
-	d.consumers = make([][]int, d.perSample*batch)
-	edges := d.buildSample0()
+	d.Atoms = make([]Atom, d.n*batch)
+	d.buildSample0()
+	d.indexConsumers()
 	for s := 1; s < batch; s++ {
-		d.replicate(s, edges)
+		blk := d.Atoms[s*d.n : (s+1)*d.n]
+		copy(blk, d.Atoms[:d.n])
+		for i := range blk {
+			blk[i].ID += s * d.n
+			blk[i].Sample = s
+		}
 	}
 	return d, nil
 }
 
-// buildSample0 tiles and wires every layer of sample 0, fills its
-// consumer lists and returns its edge count.
-func (d *DAG) buildSample0() int {
-	n := d.perSample
-	blk := make([]Atom, n)
-	sc := depScratch{stamp: make([]int, n), pos: make([]int, n)}
-	// One layer's edges at a time, atom by atom, in reused scratch
-	// (deps[ends[i-1]:ends[i]] are its i-th atom's); the layer's atoms
-	// then carve theirs out of one exact-size block.
-	var deps, ends []int
-	var bytes []int64
-	edges := 0
+// buildSample0 tiles every layer of sample 0 and wires its rows.
+func (d *DAG) buildSample0() {
+	n := d.n
+	d.rowOf = make([]int32, n)
+	d.rowStart = make([]int32, 0, d.rows+1)
+	d.depOff = make([]int32, 1, d.rows+1)
+	sc := scratchPool.Get().(*buildScratch)
+	sc.reset(n)
 	for _, lid := range d.Graph.Topo() {
-		gr, ok := d.grids[lid]
-		if !ok {
+		gr := d.grids[lid]
+		if gr.nC == 0 {
 			continue
 		}
 		l := d.Graph.Layer(lid)
 		s, part := l.Shape, gr.part
-		deps, bytes, ends = deps[:0], bytes[:0], ends[:0]
+		shared := sharesRows(l.Kind)
 		id := gr.base
 		for ih := 0; ih < gr.nH; ih++ {
 			for iw := 0; iw < gr.nW; iw++ {
@@ -238,78 +394,21 @@ func (d *DAG) buildSample0() int {
 						W0: iw * part.Wp, W1: min((iw+1)*part.Wp, s.Wo),
 						C0: ic * part.Cop, C1: min((ic+1)*part.Cop, s.Co),
 					}
-					blk[id] = Atom{ID: id, Layer: lid, Index: id - gr.base, Region: r, Task: taskFor(l, r)}
-					d.Atoms[id] = &blk[id]
-					deps, bytes = d.appendDeps(&sc, id, deps, bytes, l, r)
-					ends = append(ends, len(deps))
+					d.Atoms[id] = Atom{ID: id, Layer: lid, Index: id - gr.base, Region: r, Task: taskFor(l, r)}
+					if !shared || ic == 0 {
+						d.rowStart = append(d.rowStart, int32(id))
+						d.appendDeps(sc, l, r)
+						d.depOff = append(d.depOff, int32(len(sc.ids)))
+					}
+					d.rowOf[id] = int32(len(d.rowStart) - 1)
 					id++
 				}
 			}
 		}
-		layerDeps, layerBytes := slices.Clone(deps), slices.Clone(bytes)
-		lo := 0
-		for i, hi := range ends {
-			if lo < hi {
-				a := &blk[gr.base+i]
-				a.Deps, a.DepBytes = layerDeps[lo:hi:hi], layerBytes[lo:hi:hi]
-			}
-			lo = hi
-		}
-		edges += len(deps)
 	}
-	// Carve the consumer lists out of one block; a producer's consumers
-	// come out in ascending ID order.
-	fill := make([]int, n)
-	for i := range blk {
-		for _, dep := range blk[i].Deps {
-			fill[dep]++
-		}
-	}
-	cons := make([]int, edges)
-	at := 0
-	for id, c := range fill {
-		if c > 0 {
-			d.consumers[id] = cons[at : at : at+c]
-		}
-		at += c
-	}
-	for id := range blk {
-		for _, dep := range blk[id].Deps {
-			d.consumers[dep] = append(d.consumers[dep], id)
-		}
-	}
-	return edges
-}
-
-// replicate stamps out sample s from sample 0, whose edges number edges:
-// one Atom block, one block each for the offset deps and consumers.
-// DepBytes are shared with sample 0.
-func (d *DAG) replicate(s, edges int) {
-	n, off := d.perSample, s*d.perSample
-	blk := make([]Atom, n)
-	deps := make([]int, 0, edges)
-	cons := make([]int, 0, edges)
-	for i, src := range d.Atoms[:n] {
-		a := &blk[i]
-		*a = *src
-		a.ID += off
-		a.Sample = s
-		if len(src.Deps) > 0 {
-			lo := len(deps)
-			for _, dep := range src.Deps {
-				deps = append(deps, dep+off)
-			}
-			a.Deps = deps[lo:len(deps):len(deps)]
-		}
-		d.Atoms[off+i] = a
-		if c := d.consumers[i]; len(c) > 0 {
-			lo := len(cons)
-			for _, id := range c {
-				cons = append(cons, id+off)
-			}
-			d.consumers[off+i] = cons[lo:len(cons):len(cons)]
-		}
-	}
+	d.rowStart = append(d.rowStart, int32(n))
+	d.depIDs, d.depBytes = slices.Clone(sc.ids), slices.Clone(sc.bytes)
+	scratchPool.Put(sc)
 }
 
 // taskFor builds the engine.Task pricing an atom covering region r of l.
@@ -327,39 +426,48 @@ func taskFor(l *graph.Layer, r Region) engine.Task {
 	return t
 }
 
-// depScratch maps producer atom IDs to their index in the edge list being
-// assembled. An entry is live only while stamp[id] equals the current
-// consumer's ID+1, so no per-atom reset is needed.
-type depScratch struct {
-	stamp []int
-	pos   []int
+// buildScratch is Build's working memory, pooled so that the dep lists
+// grow in one buffer across builds and are copied out at their exact
+// size.
+type buildScratch struct {
+	// stamp and pos map producer atom IDs to their index in the dep list
+	// being assembled. An entry is live only while stamp[id] equals the
+	// current row's number plus one, so no per-row reset is needed.
+	stamp, pos []int32
+	ids        []int32 // the rows' dep IDs so far
+	bytes      []int64 // and their edge bytes
+	refs       []regionRef
 }
 
-// appendDeps appends to deps/bytes the sample-0 producer atoms whose
-// outputs overlap the input receptive field of region r of layer l,
-// together with the per-edge overlap volume in bytes. id is the
-// consuming atom.
-func (d *DAG) appendDeps(sc *depScratch, id int, deps []int, bytes []int64, l *graph.Layer, r Region) ([]int, []int64) {
-	lo, epoch := len(deps), id+1
-	for _, ref := range inputRegions(d.Graph, l, r) {
-		d.collectOverlaps(ref, func(p int, overlap int64) {
-			if sc.stamp[p] == epoch {
-				bytes[sc.pos[p]] += overlap
-				return
-			}
-			sc.stamp[p], sc.pos[p] = epoch, len(deps)
-			deps = append(deps, p)
-			bytes = append(bytes, overlap)
-		})
+var scratchPool = sync.Pool{New: func() any { return new(buildScratch) }}
+
+// reset readies the scratch for a build of n atoms per sample.
+func (sc *buildScratch) reset(n int) {
+	if cap(sc.stamp) < n {
+		sc.stamp, sc.pos = make([]int32, n), make([]int32, n)
+	}
+	sc.stamp, sc.pos = sc.stamp[:n], sc.pos[:n]
+	clear(sc.stamp)
+	sc.ids, sc.bytes = sc.ids[:0], sc.bytes[:0]
+}
+
+// appendDeps appends the next row's dep list to sc: the sample-0
+// producer atoms whose outputs overlap the input receptive field of
+// region r of layer l, together with the per-edge overlap volume in
+// bytes.
+func (d *DAG) appendDeps(sc *buildScratch, l *graph.Layer, r Region) {
+	lo, epoch := len(sc.ids), int32(len(d.depOff))
+	sc.refs = appendInputRegions(sc.refs[:0], d.Graph, l, r)
+	for _, ref := range sc.refs {
+		d.addOverlaps(sc, ref, epoch)
 	}
 	// Multiple refs can overlap the same producer region (e.g. eltwise
 	// inputs resolving to one atom); cap at the producer's output size.
-	for i := lo; i < len(deps); i++ {
-		if lim := d.Atoms[deps[i]].OutputBytes(); bytes[i] > lim {
-			bytes[i] = lim
+	for i := lo; i < len(sc.ids); i++ {
+		if lim := d.Atoms[sc.ids[i]].OutputBytes(); sc.bytes[i] > lim {
+			sc.bytes[i] = lim
 		}
 	}
-	return deps, bytes
 }
 
 // regionRef names a required region of one producer layer's output.
@@ -368,32 +476,26 @@ type regionRef struct {
 	region Region
 }
 
-// inputRegions back-projects output region r of layer l onto its producer
-// layers, resolving through concat layers recursively.
-func inputRegions(g *graph.Graph, l *graph.Layer, r Region) []regionRef {
+// appendInputRegions appends to refs the back-projection of output
+// region r of layer l onto its producer layers, resolving through concat
+// layers recursively.
+func appendInputRegions(refs []regionRef, g *graph.Graph, l *graph.Layer, r Region) []regionRef {
 	s := l.Shape
-	var refs []regionRef
 	switch l.Kind {
 	case graph.OpInput:
-		return nil
+		return refs
 	case graph.OpFC, graph.OpGlobalPool:
 		// Consumes the producer's whole tensor. (GlobalPool could in
 		// principle restrict channels, but it is never partitioned —
 		// keeping the full extent is always correct.)
 		for _, in := range l.Inputs {
 			p := g.Layer(in).Shape
-			full := Region{H0: 0, H1: p.Ho, W0: 0, W1: p.Wo, C0: 0, C1: p.Co}
-			refs = append(refs, resolve(g, in, full)...)
+			refs = appendResolved(refs, g, in, Region{H0: 0, H1: p.Ho, W0: 0, W1: p.Wo, C0: 0, C1: p.Co})
 		}
 		return refs
-	case graph.OpEltwise:
+	case graph.OpEltwise, graph.OpActivation:
 		for _, in := range l.Inputs {
-			refs = append(refs, resolve(g, in, r)...)
-		}
-		return refs
-	case graph.OpActivation:
-		for _, in := range l.Inputs {
-			refs = append(refs, resolve(g, in, r)...)
+			refs = appendResolved(refs, g, in, r)
 		}
 		return refs
 	}
@@ -413,21 +515,20 @@ func inputRegions(g *graph.Graph, l *graph.Layer, r Region) []regionRef {
 	default:
 		c0, c1 = 0, s.Ci // dense conv consumes all input channels
 	}
-	in := l.Inputs[0]
-	return resolve(g, in, Region{H0: h0, H1: h1, W0: w0, W1: w1, C0: c0, C1: c1})
+	return appendResolved(refs, g, l.Inputs[0], Region{H0: h0, H1: h1, W0: w0, W1: w1, C0: c0, C1: c1})
 }
 
-// resolve maps a required region of layer `lid`'s output through any
-// concat layers down to concrete (non-concat) producer regions.
-func resolve(g *graph.Graph, lid int, r Region) []regionRef {
+// appendResolved appends to refs a required region of layer lid's
+// output, mapped through any concat layers down to concrete (non-concat)
+// producer regions.
+func appendResolved(refs []regionRef, g *graph.Graph, lid int, r Region) []regionRef {
 	l := g.Layer(lid)
 	if l.Kind != graph.OpConcat {
 		if r.empty() {
-			return nil
+			return refs
 		}
-		return []regionRef{{layer: lid, region: r}}
+		return append(refs, regionRef{layer: lid, region: r})
 	}
-	var refs []regionRef
 	off := 0
 	for _, in := range l.Inputs {
 		pc := g.Layer(in).Shape.Co
@@ -435,48 +536,53 @@ func resolve(g *graph.Graph, lid int, r Region) []regionRef {
 		if lo < hi {
 			sub := r
 			sub.C0, sub.C1 = lo-off, hi-off
-			refs = append(refs, resolve(g, in, sub)...)
+			refs = appendResolved(refs, g, in, sub)
 		}
 		off += pc
 	}
 	return refs
 }
 
-// collectOverlaps visits the IDs of sample-0 producer atoms whose regions
-// overlap ref, passing the overlap volume in bytes.
-func (d *DAG) collectOverlaps(ref regionRef, visit func(id int, overlap int64)) {
-	gr, ok := d.grids[ref.layer]
-	if !ok {
-		// Producer was itself elided (concat feeding concat): resolve
-		// another level down. This cannot recurse unboundedly because
-		// resolve() already flattened concat chains; reaching here means
-		// a bug in construction order.
+// addOverlaps adds to the row being assembled in sc the sample-0
+// producer atoms whose regions overlap ref, with the overlap volume in
+// bytes. Tile i of a producer axis of extent n cut every t spans
+// [i·t, min((i+1)·t, n)), so the volume factors into three spans.
+func (d *DAG) addOverlaps(sc *buildScratch, ref regionRef, epoch int32) {
+	gr := d.grids[ref.layer]
+	if gr.nC == 0 {
+		// Producer was itself elided (concat feeding concat). This cannot
+		// happen because appendResolved already flattened concat chains;
+		// reaching here means a bug in construction order.
 		panic(fmt.Sprintf("atom: no grid for layer %d", ref.layer))
 	}
-	r := ref.region
-	p := gr.part
-	ih0, ih1 := r.H0/p.Hp, (r.H1-1)/p.Hp
-	iw0, iw1 := r.W0/p.Wp, (r.W1-1)/p.Wp
-	ic0, ic1 := r.C0/p.Cop, (r.C1-1)/p.Cop
-	for ih := ih0; ih <= ih1 && ih < gr.nH; ih++ {
-		for iw := iw0; iw <= iw1 && iw < gr.nW; iw++ {
-			for ic := ic0; ic <= ic1 && ic < gr.nC; ic++ {
+	r, p, s := ref.region, gr.part, d.Graph.Layer(ref.layer).Shape
+	for ih := r.H0 / p.Hp; ih <= (r.H1-1)/p.Hp && ih < gr.nH; ih++ {
+		h := span(ih, p.Hp, s.Ho, r.H0, r.H1)
+		for iw := r.W0 / p.Wp; iw <= (r.W1-1)/p.Wp && iw < gr.nW; iw++ {
+			w := span(iw, p.Wp, s.Wo, r.W0, r.W1)
+			for ic := r.C0 / p.Cop; ic <= (r.C1-1)/p.Cop && ic < gr.nC; ic++ {
+				c := span(ic, p.Cop, s.Co, r.C0, r.C1)
+				var overlap int64
+				if h > 0 && w > 0 && c > 0 {
+					overlap = h * w * c
+				}
 				id := gr.base + (ih*gr.nW+iw)*gr.nC + ic
-				visit(id, overlapBytes(d.Atoms[id].Region, r))
+				if sc.stamp[id] == epoch {
+					sc.bytes[sc.pos[id]] += overlap
+					continue
+				}
+				sc.stamp[id], sc.pos[id] = epoch, int32(len(sc.ids))
+				sc.ids = append(sc.ids, int32(id))
+				sc.bytes = append(sc.bytes, overlap)
 			}
 		}
 	}
 }
 
-// overlapBytes returns the intersection volume of two regions.
-func overlapBytes(a, b Region) int64 {
-	h := int64(min(a.H1, b.H1) - max(a.H0, b.H0))
-	w := int64(min(a.W1, b.W1) - max(a.W0, b.W0))
-	c := int64(min(a.C1, b.C1) - max(a.C0, b.C0))
-	if h <= 0 || w <= 0 || c <= 0 {
-		return 0
-	}
-	return h * w * c
+// span returns the length of the overlap of tile [i·t, min((i+1)·t, n))
+// with [lo, hi), or a non-positive number if they are disjoint.
+func span(i, t, n, lo, hi int) int64 {
+	return int64(min(min((i+1)*t, n), hi) - max(i*t, lo))
 }
 
 func ceilDiv(a, b int) int { return (a + b - 1) / b }

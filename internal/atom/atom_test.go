@@ -1,8 +1,13 @@
 package atom
 
 import (
+	"encoding/json"
+	"flag"
 	"fmt"
+	"os"
 	"slices"
+	"strings"
+	"sync"
 	"testing"
 	"testing/quick"
 
@@ -17,6 +22,39 @@ func buildDAG(t *testing.T, g *graph.Graph, batch int, spec Spec) *DAG {
 		t.Fatalf("Build: %v", err)
 	}
 	return d
+}
+
+// atomsOf lists the atom IDs of one (sample, layer).
+func atomsOf(d *DAG, sample, layerID int) []int {
+	var ids []int
+	lo, hi := d.AtomRange(sample, layerID)
+	for id := lo; id < hi; id++ {
+		ids = append(ids, id)
+	}
+	return ids
+}
+
+// depsOf expands atom id's producers and edge bytes.
+func depsOf(d *DAG, id int) ([]int, []int64) {
+	ids, bytes, off := d.Deps(id)
+	deps := make([]int, len(ids))
+	for i, p := range ids {
+		deps[i] = int(p + off)
+	}
+	return deps, slices.Clone(bytes)
+}
+
+// consumersOf expands the atoms of atom id's consumer rows.
+func consumersOf(d *DAG, id int) []int {
+	var cons []int
+	rows, off := d.ConsumerRows(id)
+	for _, r := range rows {
+		lo, hi := d.RowAtoms(int(r + off))
+		for c := lo; c < hi; c++ {
+			cons = append(cons, c)
+		}
+	}
+	return cons
 }
 
 func TestWholeLayerSingleAtom(t *testing.T) {
@@ -39,7 +77,7 @@ func TestTileCounts(t *testing.T) {
 	conv1 := g.Layer(1)
 	spec := Spec{conv1.ID: {Hp: 16, Wp: 16, Cop: 8}}
 	d := buildDAG(t, g, 1, spec)
-	atoms := d.AtomsOf(0, conv1.ID)
+	atoms := atomsOf(d, 0, conv1.ID)
 	if len(atoms) != 2*2*2 {
 		t.Errorf("conv1 atoms = %d, want 8", len(atoms))
 	}
@@ -58,7 +96,7 @@ func TestRaggedTiling(t *testing.T) {
 	conv1 := g.Layer(1) // 32x32x16
 	spec := Spec{conv1.ID: {Hp: 10, Wp: 32, Cop: 16}}
 	d := buildDAG(t, g, 1, spec)
-	atoms := d.AtomsOf(0, conv1.ID)
+	atoms := atomsOf(d, 0, conv1.ID)
 	if len(atoms) != 4 {
 		t.Fatalf("atoms = %d, want 4 (32 = 10+10+10+2)", len(atoms))
 	}
@@ -86,16 +124,15 @@ func TestConvReceptiveFieldDeps(t *testing.T) {
 		c2: {Hp: 4, Wp: 8, Cop: 4},
 	}
 	d := buildDAG(t, g, 1, spec)
-	c1Atoms := d.AtomsOf(0, c1)
-	c2Atoms := d.AtomsOf(0, c2)
+	c1Atoms := atomsOf(d, 0, c1)
+	c2Atoms := atomsOf(d, 0, c2)
 	if len(c1Atoms) != 2 || len(c2Atoms) != 2 {
 		t.Fatalf("atom counts = %d, %d; want 2, 2", len(c1Atoms), len(c2Atoms))
 	}
 	// c2 top tile covers output rows [0,4); it reads input rows [0,5)
 	// which spans c1 tile [0,4) and tile [4,8).
-	top := d.Atoms[c2Atoms[0]]
-	if len(top.Deps) != 2 {
-		t.Errorf("c2 top tile deps = %v, want both c1 tiles", top.Deps)
+	if top, _ := depsOf(d, c2Atoms[0]); len(top) != 2 {
+		t.Errorf("c2 top tile deps = %v, want both c1 tiles", top)
 	}
 }
 
@@ -114,11 +151,11 @@ func TestStridedConvDeps(t *testing.T) {
 		c2: {Hp: 2, Wp: 8, Cop: 4}, // c2 output is 8x8
 	}
 	d := buildDAG(t, g, 1, spec)
-	top := d.Atoms[d.AtomsOf(0, c2)[0]]
+	top, _ := depsOf(d, atomsOf(d, 0, c2)[0])
 	// Output rows [0,2), stride 2, pad 1, k 3 -> input rows [0, 4): only
 	// c1's first H-tile.
-	if len(top.Deps) != 1 {
-		t.Errorf("strided top tile deps = %d, want 1", len(top.Deps))
+	if len(top) != 1 {
+		t.Errorf("strided top tile deps = %d, want 1", len(top))
 	}
 }
 
@@ -139,9 +176,9 @@ func TestConcatElision(t *testing.T) {
 			gpID = l.ID
 		}
 	}
-	gp := d.Atoms[d.AtomsOf(0, gpID)[0]]
+	gp, _ := depsOf(d, atomsOf(d, 0, gpID)[0])
 	branchLayers := make(map[int]bool)
-	for _, dep := range gp.Deps {
+	for _, dep := range gp {
 		branchLayers[d.Atoms[dep].Layer] = true
 	}
 	if len(branchLayers) != 3 {
@@ -165,13 +202,13 @@ func TestConcatChannelRouting(t *testing.T) {
 	}
 	spec := Spec{dw: {Hp: 4, Wp: 4, Cop: 8}}
 	d := buildDAG(t, g, 1, spec)
-	atoms := d.AtomsOf(0, dw)
+	atoms := atomsOf(d, 0, dw)
 	if len(atoms) != 2 {
 		t.Fatalf("dw atoms = %d, want 2", len(atoms))
 	}
-	second := d.Atoms[atoms[1]]
-	if len(second.Deps) != 1 || d.Atoms[second.Deps[0]].Layer != b {
-		t.Errorf("second dw tile deps = %v, want only layer b", second.Deps)
+	second, _ := depsOf(d, atoms[1])
+	if len(second) != 1 || d.Atoms[second[0]].Layer != b {
+		t.Errorf("second dw tile deps = %v, want only layer b", second)
 	}
 }
 
@@ -184,9 +221,10 @@ func TestBatchReplication(t *testing.T) {
 	}
 	// No edges may cross samples.
 	for _, a := range d3.Atoms {
-		for _, dep := range a.Deps {
+		deps, _ := depsOf(d3, a.ID)
+		for _, dep := range deps {
 			if d3.Atoms[dep].Sample != a.Sample {
-				t.Fatalf("cross-sample edge %v -> %v", d3.Atoms[dep], a)
+				t.Fatalf("cross-sample edge %v -> %v", &d3.Atoms[dep], &a)
 			}
 		}
 	}
@@ -205,7 +243,8 @@ func TestDepsAreAcyclicAndOrdered(t *testing.T) {
 		}
 		d := buildDAG(t, g, 2, spec)
 		for _, a := range d.Atoms {
-			for _, dep := range a.Deps {
+			deps, _ := depsOf(d, a.ID)
+			for _, dep := range deps {
 				if dep >= a.ID {
 					t.Fatalf("%s: dep %d not before atom %d", name, dep, a.ID)
 				}
@@ -218,14 +257,9 @@ func TestConsumersInverseOfDeps(t *testing.T) {
 	g := models.TinyBranch()
 	d := buildDAG(t, g, 1, nil)
 	for _, a := range d.Atoms {
-		for _, dep := range a.Deps {
-			found := false
-			for _, c := range d.Consumers(dep) {
-				if c == a.ID {
-					found = true
-				}
-			}
-			if !found {
+		deps, _ := depsOf(d, a.ID)
+		for _, dep := range deps {
+			if !slices.Contains(consumersOf(d, dep), a.ID) {
 				t.Fatalf("consumers(%d) missing %d", dep, a.ID)
 			}
 		}
@@ -271,7 +305,7 @@ func TestPartitionCoverageProperty(t *testing.T) {
 			return false
 		}
 		var covered int64
-		for _, id := range d.AtomsOf(0, conv2.ID) {
+		for _, id := range atomsOf(d, 0, conv2.ID) {
 			r := d.Atoms[id].Region
 			if r.empty() || r.H1 > 32 || r.W1 > 32 || r.C1 > 16 {
 				return false
@@ -286,12 +320,19 @@ func TestPartitionCoverageProperty(t *testing.T) {
 }
 
 // refDAG is the construction Build replaced, kept as the executable
-// reference for replication: every sample is tiled and wired from
-// scratch, with a fresh producer-position map per atom.
+// reference: every sample is tiled and wired from scratch, atom by atom,
+// with a fresh producer-position map per atom.
 type refDAG struct {
-	atoms     []*Atom
+	atoms     []refAtom
 	consumers [][]int
 	grids     []map[int]grid // per sample: layerID -> grid
+}
+
+// refAtom is an atom with its own dependency list.
+type refAtom struct {
+	Atom
+	deps  []int
+	bytes []int64
 }
 
 func buildReference(g *graph.Graph, batch int, spec Spec) (*refDAG, error) {
@@ -315,7 +356,7 @@ func buildReference(g *graph.Graph, batch int, spec Spec) (*refDAG, error) {
 	}
 	d.consumers = make([][]int, len(d.atoms))
 	for _, a := range d.atoms {
-		for _, dep := range a.Deps {
+		for _, dep := range a.deps {
 			d.consumers[dep] = append(d.consumers[dep], a.ID)
 		}
 	}
@@ -335,9 +376,9 @@ func (d *refDAG) addLayerAtoms(g *graph.Graph, sample int, l *graph.Layer, part 
 					W0: iw * part.Wp, W1: min((iw+1)*part.Wp, s.Wo),
 					C0: ic * part.Cop, C1: min((ic+1)*part.Cop, s.Co),
 				}
-				a := &Atom{ID: len(d.atoms), Layer: l.ID, Sample: sample, Index: idx,
-					Region: r, Task: taskFor(l, r)}
-				a.Deps, a.DepBytes = d.depsFor(g, sample, l, r)
+				a := refAtom{Atom: Atom{ID: len(d.atoms), Layer: l.ID, Sample: sample, Index: idx,
+					Region: r, Task: taskFor(l, r)}}
+				a.deps, a.bytes = d.depsFor(g, sample, l, r)
 				d.atoms = append(d.atoms, a)
 				idx++
 			}
@@ -349,7 +390,7 @@ func (d *refDAG) depsFor(g *graph.Graph, sample int, l *graph.Layer, r Region) (
 	var deps []int
 	var bytes []int64
 	pos := make(map[int]int)
-	for _, ref := range inputRegions(g, l, r) {
+	for _, ref := range appendInputRegions(nil, g, l, r) {
 		gr := d.grids[sample][ref.layer]
 		rr, p := ref.region, gr.part
 		for ih := rr.H0 / p.Hp; ih <= (rr.H1-1)/p.Hp && ih < gr.nH; ih++ {
@@ -376,6 +417,17 @@ func (d *refDAG) depsFor(g *graph.Graph, sample int, l *graph.Layer, r Region) (
 	return deps, bytes
 }
 
+// overlapBytes returns the intersection volume of two regions.
+func overlapBytes(a, b Region) int64 {
+	h := int64(min(a.H1, b.H1) - max(a.H0, b.H0))
+	w := int64(min(a.W1, b.W1) - max(a.W0, b.W0))
+	c := int64(min(a.C1, b.C1) - max(a.C0, b.C0))
+	if h <= 0 || w <= 0 || c <= 0 {
+		return 0
+	}
+	return h * w * c
+}
+
 func (d *refDAG) atomsOf(sample, layerID int) []int {
 	g, ok := d.grids[sample][layerID]
 	if !ok {
@@ -388,50 +440,73 @@ func (d *refDAG) atomsOf(sample, layerID int) []int {
 	return ids
 }
 
-// equalDAG reports the first field where the replicated DAG departs from
-// the per-sample reference.
+// equalDAG reports the first field where the row-shared DAG, expanded
+// through its accessors, departs from the per-sample reference, or where
+// a row breaks the row invariant: all its atoms belong to one layer and
+// sample and have the same expanded deps.
 func equalDAG(g *graph.Graph, batch int, got *DAG, want *refDAG) error {
 	if len(got.Atoms) != len(want.atoms) {
 		return fmt.Errorf("%d atoms, reference has %d", len(got.Atoms), len(want.atoms))
 	}
 	for i, w := range want.atoms {
-		a := got.Atoms[i]
+		a := &got.Atoms[i]
+		deps, bytes := depsOf(got, i)
 		switch {
 		case a.ID != w.ID || a.Layer != w.Layer || a.Sample != w.Sample || a.Index != w.Index:
-			return fmt.Errorf("atom %d: identity %v, reference %v", i, a, w)
+			return fmt.Errorf("atom %d: identity %v, reference %v", i, a, &w.Atom)
 		case a.Region != w.Region:
 			return fmt.Errorf("atom %d: region %+v, reference %+v", i, a.Region, w.Region)
 		case a.Task != w.Task:
 			return fmt.Errorf("atom %d: task %+v, reference %+v", i, a.Task, w.Task)
-		case !slices.Equal(a.Deps, w.Deps):
-			return fmt.Errorf("atom %d: deps %v, reference %v", i, a.Deps, w.Deps)
-		case !slices.Equal(a.DepBytes, w.DepBytes):
-			return fmt.Errorf("atom %d: dep bytes %v, reference %v", i, a.DepBytes, w.DepBytes)
-		case !slices.Equal(got.Consumers(i), want.consumers[i]):
-			return fmt.Errorf("atom %d: consumers %v, reference %v", i, got.Consumers(i), want.consumers[i])
+		case !slices.Equal(deps, w.deps):
+			return fmt.Errorf("atom %d: deps %v, reference %v", i, deps, w.deps)
+		case !slices.Equal(bytes, w.bytes):
+			return fmt.Errorf("atom %d: dep bytes %v, reference %v", i, bytes, w.bytes)
+		case !slices.Equal(consumersOf(got, i), want.consumers[i]):
+			return fmt.Errorf("atom %d: consumers %v, reference %v", i, consumersOf(got, i), want.consumers[i])
 		}
 	}
-	for s := 0; s < batch; s++ {
-		for _, l := range g.Layers {
-			if a, w := got.AtomsOf(s, l.ID), want.atomsOf(s, l.ID); !slices.Equal(a, w) {
-				return fmt.Errorf("AtomsOf(%d, %d) = %v, reference %v", s, l.ID, a, w)
+	next := 0 // rows tile the atom IDs in order
+	for r := 0; r < got.NumRows(); r++ {
+		lo, hi := got.RowAtoms(r)
+		if lo != next || hi <= lo {
+			return fmt.Errorf("row %d spans atoms [%d, %d), want a non-empty range from %d", r, lo, hi, next)
+		}
+		next = hi
+		first := want.atoms[lo]
+		for id := lo; id < hi; id++ {
+			a := want.atoms[id]
+			switch {
+			case a.Layer != first.Layer || a.Sample != first.Sample:
+				return fmt.Errorf("row %d: atom %d of layer %d sample %d, atom %d of layer %d sample %d",
+					r, lo, first.Layer, first.Sample, id, a.Layer, a.Sample)
+			case !slices.Equal(a.deps, first.deps) || !slices.Equal(a.bytes, first.bytes):
+				return fmt.Errorf("row %d: atom %d deps %v, atom %d deps %v", r, id, a.deps, lo, first.deps)
 			}
 		}
 	}
-	return nil
+	if next != len(got.Atoms) {
+		return fmt.Errorf("rows cover %d of %d atoms", next, len(got.Atoms))
+	}
+	for s := 0; s < batch; s++ {
+		for _, l := range g.Layers {
+			if a, w := atomsOf(got, s, l.ID), want.atomsOf(s, l.ID); !slices.Equal(a, w) {
+				return fmt.Errorf("AtomRange(%d, %d) = %v, reference %v", s, l.ID, a, w)
+			}
+		}
+	}
+	return got.Validate()
 }
 
-// TestReplicationMatchesReference checks Build's replicate-once
-// construction against the per-sample reference on every zoo model,
-// field for field, at batch 1, 2 and 3 under a non-trivial spec.
+// TestReplicationMatchesReference checks Build's row-shared, replicate-
+// once construction against the per-sample reference on every zoo model,
+// field for field through the accessors, at batch 1, 2 and 3 under a
+// non-trivial spec. The default-knob SA specs are compared in
+// TestSASpecMatchesReference.
 func TestReplicationMatchesReference(t *testing.T) {
 	for _, name := range models.Names() {
 		g := models.MustBuild(name)
-		spec := make(Spec)
-		for _, lid := range g.ComputeLayers() {
-			l := g.Layer(lid)
-			spec[lid] = Partition{Hp: max(1, l.Shape.Ho/3), Wp: max(1, l.Shape.Wo/2), Cop: max(1, l.Shape.Co/2)}
-		}
+		spec := fixedSpec(g)
 		for batch := 1; batch <= 3; batch++ {
 			d := buildDAG(t, g, batch, spec)
 			ref, err := buildReference(g, batch, spec)
@@ -441,14 +516,193 @@ func TestReplicationMatchesReference(t *testing.T) {
 			if err := equalDAG(g, batch, d, ref); err != nil {
 				t.Fatalf("%s batch %d: %v", name, batch, err)
 			}
-			// Replicas share sample 0's edge weights.
-			n := d.NumAtoms() / batch
-			for id := n; id < d.NumAtoms(); id++ {
-				a, a0 := d.Atoms[id], d.Atoms[id%n]
-				if len(a.DepBytes) > 0 && &a.DepBytes[0] != &a0.DepBytes[0] {
-					t.Fatalf("%s batch %d: atom %d does not share DepBytes with atom %d", name, batch, id, id%n)
-				}
+		}
+	}
+}
+
+// fixedSpec cuts every compute layer in thirds along H and in halves
+// along W and Co.
+func fixedSpec(g *graph.Graph) Spec {
+	spec := make(Spec)
+	for _, lid := range g.ComputeLayers() {
+		l := g.Layer(lid)
+		spec[lid] = Partition{Hp: max(1, l.Shape.Ho/3), Wp: max(1, l.Shape.Wo/2), Cop: max(1, l.Shape.Co/2)}
+	}
+	return spec
+}
+
+// dagCounts is the work one DAG holds, over the whole batch: edges count
+// one per (atom, producer), row edges one per (row, producer).
+type dagCounts struct {
+	Atoms    int `json:"atoms"`
+	Edges    int `json:"edges"`
+	Rows     int `json:"rows"`
+	RowEdges int `json:"row_edges"`
+}
+
+func countDAG(d *DAG) dagCounts {
+	c := dagCounts{Atoms: d.NumAtoms(), Rows: d.NumRows()}
+	for id := range d.Atoms {
+		ids, _, _ := d.Deps(id)
+		c.Edges += len(ids)
+	}
+	for r := 0; r < d.NumRows(); r++ {
+		lo, _ := d.RowAtoms(r)
+		ids, _, _ := d.Deps(lo)
+		c.RowEdges += len(ids)
+	}
+	return c
+}
+
+var updateCounts = flag.Bool("update", false, "rewrite testdata/dag_counts.json from this tree")
+
+const countsPath = "../../testdata/dag_counts.json"
+
+// TestDAGCounts pins the atoms, edges, rows and row edges of every zoo
+// model at batch 1 under fixedSpec, and of resnet50 at batch 8. Any
+// count above its pin fails: the DAG grew. A count below its pin fails
+// too, as a stale pin; re-pin with
+//
+//	go test ./internal/atom -run TestDAGCounts -update
+func TestDAGCounts(t *testing.T) {
+	got := map[string]dagCounts{}
+	for _, name := range models.Names() {
+		g := models.MustBuild(name)
+		got[name+"/b1"] = countDAG(buildDAG(t, g, 1, fixedSpec(g)))
+	}
+	g := models.MustBuild("resnet50")
+	got["resnet50/b8"] = countDAG(buildDAG(t, g, 8, fixedSpec(g)))
+	if *updateCounts {
+		b, err := json.MarshalIndent(got, "", "  ")
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(countsPath, append(b, '\n'), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		return
+	}
+	b, err := os.ReadFile(countsPath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var pin map[string]dagCounts
+	if err := json.Unmarshal(b, &pin); err != nil {
+		t.Fatal(err)
+	}
+	for key, c := range got {
+		p, ok := pin[key]
+		if !ok {
+			t.Errorf("%s: no pin (re-pin with -update)", key)
+			continue
+		}
+		for _, f := range []struct {
+			name      string
+			got, want int
+		}{{"atoms", c.Atoms, p.Atoms}, {"edges", c.Edges, p.Edges}, {"rows", c.Rows, p.Rows}, {"row_edges", c.RowEdges, p.RowEdges}} {
+			switch {
+			case f.got > f.want:
+				t.Errorf("%s: %s rose from %d to %d", key, f.name, f.want, f.got)
+			case f.got < f.want:
+				t.Errorf("%s: %s fell from %d to %d: stale pin, re-pin with -update", key, f.name, f.want, f.got)
 			}
 		}
+	}
+	for key := range pin {
+		if _, ok := got[key]; !ok {
+			t.Errorf("%s: pinned but no longer measured (re-pin with -update)", key)
+		}
+	}
+}
+
+// TestValidateCatchesCorruption breaks one invariant at a time in a copy
+// of the row tables and checks Validate names it; with two layers broken
+// it must name the topologically first, every time.
+func TestValidateCatchesCorruption(t *testing.T) {
+	g := models.MustBuild("tinyresnet")
+	fresh := func() *DAG {
+		d := buildDAG(t, g, 2, fixedSpec(g))
+		d.depIDs, d.depBytes = slices.Clone(d.depIDs), slices.Clone(d.depBytes)
+		d.consRows, d.rowStart = slices.Clone(d.consRows), slices.Clone(d.rowStart)
+		return d
+	}
+	// The last row with deps, and its first producer.
+	d0 := fresh()
+	r := d0.rows - 1
+	for d0.depOff[r] == d0.depOff[r+1] {
+		r--
+	}
+	for _, tc := range []struct {
+		name, want string
+		corrupt    func(d *DAG)
+	}{
+		{"forward dep", "forward dep", func(d *DAG) { d.depIDs[d.depOff[r]] = int32(d.n - 1) }},
+		{"zero bytes", "carries 0 bytes", func(d *DAG) { d.depBytes[d.depOff[r]] = 0 }},
+		{"consumer index", "consumer rows", func(d *DAG) {
+			p := d.depIDs[d.depOff[r]]
+			d.consRows[d.consOff[p]]++
+		}},
+		{"offsets", "not monotone", func(d *DAG) { d.rowStart[1] = d.rowStart[0] }},
+	} {
+		d := fresh()
+		tc.corrupt(d)
+		if err := d.Validate(); err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("%s: Validate = %v, want an error naming %q", tc.name, err, tc.want)
+		}
+	}
+	// Shrink one atom of two layers each: the first in Topo order is named.
+	d := fresh()
+	var broken []int
+	for _, lid := range g.Topo() {
+		if lo, hi := d.AtomRange(1, lid); hi > lo && len(broken) < 2 {
+			d.Atoms[lo].Region.H1 = d.Atoms[lo].Region.H0
+			broken = append(broken, lid)
+		}
+	}
+	want := fmt.Sprintf("layer %d sample 1", broken[0])
+	for i := 0; i < 20; i++ {
+		if err := d.Validate(); err == nil || !strings.HasPrefix(err.Error(), want) {
+			t.Fatalf("Validate = %v, want the error of %q", err, want)
+		}
+	}
+}
+
+// TestBuildConcurrent builds DAGs of different sizes from several
+// goroutines at once, all drawing on the pooled build scratch, and checks
+// each equals the DAG the same build yields alone.
+func TestBuildConcurrent(t *testing.T) {
+	names := []string{"tinyresnet", "inceptionv3", "pnascell", "mobilenetv2"}
+	alone := make([]*DAG, len(names))
+	for i, name := range names {
+		g := models.MustBuild(name)
+		alone[i] = buildDAG(t, g, 2, fixedSpec(g))
+	}
+	var wg sync.WaitGroup
+	errs := make(chan error, 4*len(names))
+	for w := 0; w < 4; w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for k := range names {
+				i := (k + w) % len(names)
+				g := models.MustBuild(names[i])
+				d, err := Build(g, 2, fixedSpec(g))
+				if err != nil {
+					errs <- err
+					continue
+				}
+				a := alone[i]
+				if !slices.Equal(d.Atoms, a.Atoms) || !slices.Equal(d.rowStart, a.rowStart) ||
+					!slices.Equal(d.depOff, a.depOff) || !slices.Equal(d.depIDs, a.depIDs) ||
+					!slices.Equal(d.depBytes, a.depBytes) || !slices.Equal(d.consRows, a.consRows) {
+					errs <- fmt.Errorf("%s: concurrent build differs from the build alone", names[i])
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	close(errs)
+	for err := range errs {
+		t.Error(err)
 	}
 }

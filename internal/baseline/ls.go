@@ -46,7 +46,10 @@ func LSSchedule(g *graph.Graph, batch int, cfg sim.Config) (*atom.DAG, *schedule
 		for s0 := 0; s0 < batch; s0 += group {
 			var round []int
 			for smp := s0; smp < minInt(s0+group, batch); smp++ {
-				round = append(round, d.AtomsOf(smp, lid)...)
+				lo, hi := d.AtomRange(smp, lid)
+				for id := lo; id < hi; id++ {
+					round = append(round, id)
+				}
 			}
 			// A layer with more tiles than engines needs several waves.
 			for off := 0; off < len(round); off += n {

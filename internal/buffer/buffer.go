@@ -238,8 +238,9 @@ func (m *Manager) Reset(d *atom.DAG, s *schedule.Schedule, engines int, capacity
 	m.consOff = fill(m.consOff, n+1, 0)
 	m.wOff = fill(m.wOff, nw+1, 0)
 	for _, id := range order {
-		for _, dep := range d.Atoms[id].Deps {
-			m.consOff[dep+1]++
+		deps, _, off := d.Deps(int(id))
+		for _, dep := range deps {
+			m.consOff[dep+off+1]++
 		}
 		if w := m.widOf[id]; w >= 0 {
 			m.wOff[w+1]++
@@ -249,7 +250,9 @@ func (m *Manager) Reset(d *atom.DAG, s *schedule.Schedule, engines int, capacity
 	m.wRounds, m.wCur = prefixLists(m.wOff, m.wRounds, m.wCur)
 	for _, id := range order {
 		r := int32(s.AtomRound[id])
-		for _, dep := range d.Atoms[id].Deps {
+		deps, _, off := d.Deps(int(id))
+		for _, dep := range deps {
+			dep += off
 			m.consRounds[m.consCur[dep]] = r
 			m.consCur[dep]++
 		}
@@ -277,13 +280,13 @@ func (m *Manager) indexWeights(d *atom.DAG) int {
 	}
 	m.widOf = fill(m.widOf, n, -1)
 	ws := m.wsort[:0]
-	for id, a := range d.Atoms {
-		k, ok := weightKeyOf(d, a)
+	for id := range d.Atoms {
+		k, ok := weightKeyOf(&d.Atoms[id])
 		if !ok {
 			continue
 		}
 		if id >= stride {
-			if tk, ok := weightKeyOf(d, d.Atoms[id-stride]); ok && tk == k {
+			if tk, ok := weightKeyOf(&d.Atoms[id-stride]); ok && tk == k {
 				m.widOf[id] = twin
 				continue
 			}
@@ -349,7 +352,7 @@ func resetEntries(lists [][]entry, engines int) [][]entry {
 }
 
 // weightKeyOf returns the weight slice an atom needs, if any.
-func weightKeyOf(d *atom.DAG, a *atom.Atom) (wkey, bool) {
+func weightKeyOf(a *atom.Atom) (wkey, bool) {
 	switch a.Task.Kind {
 	case graph.OpConv, graph.OpFC, graph.OpDepthwiseConv:
 		return wkey{layer: a.Layer, c0: a.Region.C0, c1: a.Region.C1}, true
@@ -423,9 +426,10 @@ func (m *Manager) ExecuteRoundInto(t int, placement Placement, io *RoundIO) erro
 		if e < 0 || e >= m.engines {
 			return fmt.Errorf("buffer: atom %d has no valid placement", id)
 		}
-		a := m.dag.Atoms[id]
-		for di, dep := range a.Deps {
-			bytes := a.DepBytes[di]
+		deps, depBytes, off := m.dag.Deps(id)
+		for di, dep := range deps {
+			dep := int(dep + off)
+			bytes := depBytes[di]
 			io.InputBytesTotal += bytes
 			src := m.resident[dep]
 			switch {
@@ -448,7 +452,7 @@ func (m *Manager) ExecuteRoundInto(t int, placement Placement, io *RoundIO) erro
 		if w < 0 {
 			continue
 		}
-		bytes := a.Task.WeightBytes()
+		bytes := m.dag.Atoms[id].Task.WeightBytes()
 		h := m.holderSet(w)
 		switch src := nearestHolder(h, e); {
 		case src == e:
@@ -475,7 +479,9 @@ func (m *Manager) ExecuteRoundInto(t int, placement Placement, io *RoundIO) erro
 	}
 	// Phase 2: retire consumed inputs whose last consumer has now run.
 	for _, id := range roundAtoms {
-		for _, dep := range m.dag.Atoms[id].Deps {
+		deps, _, off := m.dag.Deps(id)
+		for _, dep := range deps {
+			dep := int(dep + off)
 			if e := m.resident[dep]; e >= 0 && m.lastUse(dep) <= t {
 				m.release(e, dep)
 			}

@@ -85,14 +85,7 @@ func TestLargeBufferMostlyOnChip(t *testing.T) {
 	}
 	// All inter-layer inputs served on-chip except fetches of the raw
 	// network input (produced by the virtual input atom in DRAM).
-	var inputLayerBytes int64
-	for _, a := range d.Atoms {
-		for di, dep := range a.Deps {
-			if d.Atoms[dep].Task.Kind == graph.OpInput {
-				inputLayerBytes += a.DepBytes[di]
-			}
-		}
-	}
+	inputLayerBytes := inputDepBytes(d)
 	if got := io.InputBytesTotal - io.InputBytesOnChip; got != inputLayerBytes {
 		t.Errorf("off-chip input bytes = %d, want %d (network input only)", got, inputLayerBytes)
 	}
@@ -165,14 +158,7 @@ func TestWeightCaching(t *testing.T) {
 	// Weight slice = 8*8*3*3 = 576 bytes, fetched once; plus input
 	// fetches from DRAM.
 	wantWeights := int64(8 * 8 * 3 * 3)
-	var inputBytes int64
-	for _, a := range d.Atoms {
-		for di, dep := range a.Deps {
-			if d.Atoms[dep].Task.Kind == graph.OpInput {
-				inputBytes += a.DepBytes[di]
-			}
-		}
-	}
+	inputBytes := inputDepBytes(d)
 	if weightReads != wantWeights+inputBytes {
 		t.Errorf("DRAM reads = %d, want %d (weights once) + %d (inputs)",
 			weightReads, wantWeights, inputBytes)
@@ -190,7 +176,7 @@ func TestNoWritebackForDeadTensors(t *testing.T) {
 		if a.Task.Kind == graph.OpInput {
 			continue
 		}
-		if len(d.Consumers(a.ID)) == 0 {
+		if rows, _ := d.ConsumerRows(a.ID); len(rows) == 0 {
 			finalBytes += a.OutputBytes()
 		}
 	}
@@ -258,8 +244,22 @@ func TestLocateTracksResidence(t *testing.T) {
 	}
 	for id, e := range p {
 		// Atoms with future consumers must be resident where placed.
-		if len(d.Consumers(id)) > 0 && m.Locate(id) != e {
+		if rows, _ := d.ConsumerRows(id); len(rows) > 0 && m.Locate(id) != e {
 			t.Errorf("atom %d resident at %d, want %d", id, m.Locate(id), e)
 		}
 	}
+}
+
+// inputDepBytes sums the bytes of every edge out of a virtual input atom.
+func inputDepBytes(d *atom.DAG) int64 {
+	var total int64
+	for id := range d.Atoms {
+		deps, bytes, off := d.Deps(id)
+		for di, dep := range deps {
+			if d.Atoms[dep+off].Task.Kind == graph.OpInput {
+				total += bytes[di]
+			}
+		}
+	}
+	return total
 }

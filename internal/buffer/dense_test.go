@@ -29,7 +29,7 @@ func TestWeightTagsAboveAtomTagsInKeyOrder(t *testing.T) {
 	var ws []tagged
 	weightTags := make(map[int64]bool)
 	for _, a := range d.Atoms {
-		k, ok := weightKeyOf(d, a)
+		k, ok := weightKeyOf(&a)
 		if !ok {
 			continue
 		}

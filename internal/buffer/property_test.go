@@ -69,8 +69,9 @@ func TestConservationProperty(t *testing.T) {
 		t.Fatal(err)
 	}
 	var wantInput int64
-	for _, a := range d.Atoms {
-		for _, b := range a.DepBytes {
+	for id := range d.Atoms {
+		_, bytes, _ := d.Deps(id)
+		for _, b := range bytes {
 			wantInput += b
 		}
 	}

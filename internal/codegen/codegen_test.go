@@ -60,7 +60,8 @@ func TestStreamsCoverAllAtoms(t *testing.T) {
 		}
 	}
 	for _, a := range d.Atoms {
-		virtual := len(a.Deps) == 0 && !a.Task.Kind.IsCompute() && a.Layer == 0
+		deps, _, _ := d.Deps(a.ID)
+		virtual := len(deps) == 0 && !a.Task.Kind.IsCompute() && a.Layer == 0
 		if virtual {
 			continue
 		}

@@ -324,6 +324,12 @@ func runLayerOrdered(g *graph.Graph, batch int, hw sim.Config, spec atom.Spec, c
 		return sim.Report{}, err
 	}
 	n := hw.Mesh.Engines()
+	// Each Round is a run of one (sample, layer)'s contiguous IDs, sliced
+	// out of one identity table.
+	all := make([]int, d.NumAtoms())
+	for id := range all {
+		all[id] = id
+	}
 	var rounds [][]int
 	for _, lid := range g.Topo() {
 		l := g.Layer(lid)
@@ -331,13 +337,9 @@ func runLayerOrdered(g *graph.Graph, batch int, hw sim.Config, spec atom.Spec, c
 			continue
 		}
 		for smp := 0; smp < batch; smp++ {
-			ids := d.AtomsOf(smp, lid)
-			for off := 0; off < len(ids); off += n {
-				end := off + n
-				if end > len(ids) {
-					end = len(ids)
-				}
-				rounds = append(rounds, ids[off:end])
+			lo, hi := d.AtomRange(smp, lid)
+			for ; lo < hi; lo += n {
+				rounds = append(rounds, all[lo:min(lo+n, hi)])
 			}
 		}
 	}

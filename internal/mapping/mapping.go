@@ -120,7 +120,8 @@ func (m *Mapper) Reset(mesh *noc.Mesh, dag *atom.DAG) {
 	// Pair stamps only grow, so entries left by an earlier DAG read as
 	// stale without clearing.
 	layers, samples := 0, 0
-	for _, a := range dag.Atoms {
+	for i := range dag.Atoms {
+		a := &dag.Atoms[i]
 		layers, samples = max(layers, a.Layer+1), max(samples, a.Sample+1)
 	}
 	m.layers = layers
@@ -456,7 +457,7 @@ func (m *Mapper) refineForWeights(groups []group, perm []int, engineOf []int32, 
 		wkeys := m.refWKey[:0]            // weight class -> output-channel range
 		nr := 0
 		for i, id := range atoms {
-			a := m.dag.Atoms[id]
+			a := &m.dag.Atoms[id]
 			r := m.rowOf[id]
 			ri := int(rowCls[r]) - 1
 			if ri < 0 {
@@ -577,7 +578,7 @@ func (m *Mapper) buildCostTable(groups []group, locate Locator) {
 		gc := groupCost[gi*slots : (gi+1)*slots]
 		clear(gc)
 		for k, id := range g.atoms {
-			r := m.rowFor(m.dag.Atoms[id], locate)
+			r := m.rowFor(id, locate)
 			rowOf[id] = r
 			row := atomRows[int(r)*slots : (int(r)+1)*slots]
 			// A group at base b puts its k-th atom on slot b+k.
@@ -595,18 +596,19 @@ type srcByte struct {
 	bytes int64
 }
 
-// rowFor returns the atomRows row of atom a, pricing a new row only when
+// rowFor returns the atomRows row of atom id, pricing a new row only when
 // no earlier atom of the Round has the same signature. The signature
 // lists the atom's non-zero dependency bytes per source engine in
 // ascending engine order: the dependencies are summed into srcBytes and
 // marked in the srcSet bitset, whose set bits are then read off in order
 // (leaving both all zero again). It is hashed and compared exactly
 // against the Round's stored signatures.
-func (m *Mapper) rowFor(a *atom.Atom, locate Locator) int32 {
+func (m *Mapper) rowFor(id int, locate Locator) int32 {
 	srcBytes, set := m.srcBytes, m.srcSet
-	for di, dep := range a.Deps {
-		if src := locate(dep); src >= 0 {
-			srcBytes[src] += a.DepBytes[di]
+	deps, depBytes, off := m.dag.Deps(id)
+	for di, dep := range deps {
+		if src := locate(int(dep + off)); src >= 0 {
+			srcBytes[src] += depBytes[di]
 			set[src>>6] |= 1 << (src & 63)
 		}
 	}
@@ -720,7 +722,7 @@ func (m *Mapper) groupByLayer(roundAtoms []int) []group {
 	m.stamp++
 	groups := m.groupsBuf[:0]
 	for _, id := range roundAtoms {
-		a := m.dag.Atoms[id]
+		a := &m.dag.Atoms[id]
 		p := a.Sample*m.layers + a.Layer
 		gi := int(m.gpair[p])
 		if m.gstamp[p] != m.stamp {

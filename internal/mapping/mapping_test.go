@@ -10,7 +10,7 @@ import (
 )
 
 func TestZigZagOrder(t *testing.T) {
-	m := New(noc.NewMesh(4, 2, 8), &atom.DAG{})
+	m := New(noc.NewMesh(4, 2, 8), atom.FromLists(nil, 1, nil, nil, nil))
 	want := []int{0, 1, 2, 3, 7, 6, 5, 4}
 	got := m.ZigZag()
 	if len(got) != len(want) {
@@ -78,13 +78,13 @@ func TestPlaceRoundReducesHops(t *testing.T) {
 	// Compute the cost of the chosen placement independently.
 	var chosen int64
 	for _, id := range cur {
-		a := d.Atoms[id]
-		for di, dep := range a.Deps {
+		deps, depBytes := depsOf(d, id)
+		for di, dep := range deps {
 			src := locate(dep)
 			if src < 0 || src == r1.Engine(id) {
 				continue
 			}
-			chosen += a.DepBytes[di] * int64(mesh.Hops(src, r1.Engine(id)))
+			chosen += depBytes[di] * int64(mesh.Hops(src, r1.Engine(id)))
 		}
 	}
 	if chosen != r1.ByteHops {
@@ -95,13 +95,13 @@ func TestPlaceRoundReducesHops(t *testing.T) {
 	rev := m.ZigZag()
 	for i, id := range cur {
 		e := rev[len(cur)-1-i]
-		a := d.Atoms[id]
-		for di, dep := range a.Deps {
+		deps, depBytes := depsOf(d, id)
+		for di, dep := range deps {
 			src := locate(dep)
 			if src < 0 || src == e {
 				continue
 			}
-			worst += a.DepBytes[di] * int64(mesh.Hops(src, e))
+			worst += depBytes[di] * int64(mesh.Hops(src, e))
 		}
 	}
 	if chosen > worst {
@@ -284,13 +284,13 @@ func (m *Mapper) transferCost(groups []group, perm []int, locate Locator) int64 
 	for _, gi := range perm {
 		for _, id := range groups[gi].atoms {
 			dst := engineOf[id]
-			a := m.dag.Atoms[id]
-			for di, dep := range a.Deps {
+			deps, depBytes := depsOf(m.dag, id)
+			for di, dep := range deps {
 				src := locate(dep)
 				if src < 0 || src == dst {
 					continue
 				}
-				cost += a.DepBytes[di] * int64(m.mesh.Hops(src, dst))
+				cost += depBytes[di] * int64(m.mesh.Hops(src, dst))
 			}
 		}
 	}

@@ -33,11 +33,11 @@ func referencePlace(m *Mapper, roundAtoms []int, locate Locator, weights WeightL
 		clear(gc)
 		for k, id := range g.atoms {
 			row := make([]int64, slots)
-			a := m.dag.Atoms[id]
-			for di, dep := range a.Deps {
+			deps, depBytes := depsOf(m.dag, id)
+			for di, dep := range deps {
 				if src := locate(dep); src >= 0 {
 					for s := range row {
-						row[s] += a.DepBytes[di] * int64(m.mesh.Hops(src, m.zigzag[s]))
+						row[s] += depBytes[di] * int64(m.mesh.Hops(src, m.zigzag[s]))
 					}
 				}
 			}
@@ -94,10 +94,10 @@ func referencePlace(m *Mapper, roundAtoms []int, locate Locator, weights WeightL
 	}
 	res.ByteHops = 0
 	for _, id := range res.Placed() {
-		a := m.dag.Atoms[id]
-		for di, dep := range a.Deps {
+		deps, depBytes := depsOf(m.dag, id)
+		for di, dep := range deps {
 			if src := locate(dep); src >= 0 {
-				res.ByteHops += a.DepBytes[di] * int64(m.mesh.Hops(src, res.Engine(id)))
+				res.ByteHops += depBytes[di] * int64(m.mesh.Hops(src, res.Engine(id)))
 			}
 		}
 	}
@@ -116,11 +116,17 @@ func referencePlace(m *Mapper, roundAtoms []int, locate Locator, weights WeightL
 // Consumers carry one of three output-channel ranges, so weight slices
 // repeat within a group; one layer needs no weights at all.
 func sharedRowsDAG(rng *rand.Rand, engines int) (*atom.DAG, []int, []int) {
-	var atoms []*atom.Atom
-	add := func(layer, sample int, kind graph.OpKind, c0 int) *atom.Atom {
-		a := &atom.Atom{ID: len(atoms), Layer: layer, Sample: sample,
+	// drawn is an atom with its own dependency list.
+	type drawn struct {
+		atom.Atom
+		Deps     []int
+		DepBytes []int64
+	}
+	var atoms []*drawn
+	add := func(layer, sample int, kind graph.OpKind, c0 int) *drawn {
+		a := &drawn{Atom: atom.Atom{ID: len(atoms), Layer: layer, Sample: sample,
 			Region: atom.Region{H1: 1, W1: 1, C0: c0, C1: c0 + 16},
-			Task:   engine.Task{Kind: kind, Hp: 1, Wp: 1, Ci: 8, Cop: 16, Kh: 3, Kw: 3}}
+			Task:   engine.Task{Kind: kind, Hp: 1, Wp: 1, Ci: 8, Cop: 16, Kh: 3, Kw: 3}}}
 		atoms = append(atoms, a)
 		return a
 	}
@@ -136,7 +142,7 @@ func sharedRowsDAG(rng *rand.Rand, engines int) (*atom.DAG, []int, []int) {
 			onEngine[home[p]] = append(onEngine[home[p]], p)
 		}
 	}
-	var consumers []*atom.Atom
+	var consumers []*drawn
 	for layer := 1; layer <= 3; layer++ {
 		kind := graph.OpConv
 		if layer == 3 {
@@ -188,7 +194,12 @@ func sharedRowsDAG(rng *rand.Rand, engines int) (*atom.DAG, []int, []int) {
 			}
 		}
 	}
-	d := &atom.DAG{Atoms: atoms}
+	list := make([]atom.Atom, len(atoms))
+	deps, bytes := make([][]int, len(atoms)), make([][]int64, len(atoms))
+	for i, a := range atoms {
+		list[i], deps[i], bytes[i] = a.Atom, a.Deps, a.DepBytes
+	}
+	d := atom.FromLists(nil, 2, list, deps, bytes)
 	ids := make([]int, len(consumers))
 	for i, a := range consumers {
 		ids[i] = a.ID
@@ -263,4 +274,14 @@ func TestSharedRowsMatchPerAtomReference(t *testing.T) {
 			t.Logf("%d shared rows, %d empty signatures, %d sources above 63", shared, empty, highSrc)
 		})
 	}
+}
+
+// depsOf expands atom id's producers and edge bytes.
+func depsOf(d *atom.DAG, id int) ([]int, []int64) {
+	ids, bytes, off := d.Deps(id)
+	deps := make([]int, len(ids))
+	for i, p := range ids {
+		deps[i] = int(p + off)
+	}
+	return deps, bytes
 }

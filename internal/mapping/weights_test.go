@@ -115,10 +115,10 @@ func TestWeightedByteHopsMatchDependencyWalk(t *testing.T) {
 		var want int64
 		for _, id := range res.Placed() {
 			dst := res.Engine(id)
-			a := d.Atoms[id]
-			for di, dep := range a.Deps {
+			deps, depBytes := depsOf(d, id)
+			for di, dep := range deps {
 				if src := locate(dep); src >= 0 && src != dst {
-					want += a.DepBytes[di] * int64(mesh.Hops(src, dst))
+					want += depBytes[di] * int64(mesh.Hops(src, dst))
 				}
 			}
 		}

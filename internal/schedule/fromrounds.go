@@ -47,20 +47,22 @@ func FromRounds(d *atom.DAG, rounds [][]int, opt Options) (*Schedule, error) {
 		}
 		s.Rounds = append(s.Rounds, Round{Atoms: append([]int(nil), atoms...)})
 	}
-	for _, a := range d.Atoms {
-		if a.Task.Kind == graph.OpInput {
+	for id := range d.Atoms {
+		if d.Atoms[id].Task.Kind == graph.OpInput {
 			continue
 		}
-		if s.AtomRound[a.ID] == -1 {
-			return nil, fmt.Errorf("schedule: atom %d never scheduled", a.ID)
+		if s.AtomRound[id] == -1 {
+			return nil, fmt.Errorf("schedule: atom %d never scheduled", id)
 		}
-		for _, dep := range a.Deps {
+		deps, _, off := d.Deps(id)
+		for _, dep := range deps {
+			dep := int(dep + off)
 			if d.Atoms[dep].Task.Kind == graph.OpInput {
 				continue
 			}
-			if s.AtomRound[dep] >= s.AtomRound[a.ID] {
+			if s.AtomRound[dep] >= s.AtomRound[id] {
 				return nil, fmt.Errorf("schedule: atom %d (round %d) depends on %d (round %d)",
-					a.ID, s.AtomRound[a.ID], dep, s.AtomRound[dep])
+					id, s.AtomRound[id], dep, s.AtomRound[dep])
 			}
 		}
 	}

@@ -94,7 +94,10 @@ func TestDPUndoLogIntegrity(t *testing.T) {
 func TestFromRoundsValidation(t *testing.T) {
 	d, a, _ := siblingsGraph(t)
 	opt := Options{Engines: 4, EngineCfg: engine.Default(), Dataflow: engine.KCPartition}
-	atoms := d.AtomsOf(0, a)
+	var atoms []int
+	for lo, hi := d.AtomRange(0, a); lo < hi; lo++ {
+		atoms = append(atoms, lo)
+	}
 
 	cases := map[string][][]int{
 		"empty round":       {{}},
@@ -161,6 +164,7 @@ type frontier struct {
 	ready       map[int][]int // pair -> ready atom IDs, ascending
 	pending     []int
 	activeDepth []int
+	indeg       []int32 // per row: unscheduled producers
 }
 
 func (st *state) rebuildFrontier() frontier {
@@ -168,6 +172,16 @@ func (st *state) rebuildFrontier() frontier {
 		ready:       map[int][]int{},
 		pending:     make([]int, len(st.pending)),
 		activeDepth: make([]int, len(st.activeDepth)),
+		indeg:       make([]int32, st.d.NumRows()),
+	}
+	for r := range f.indeg {
+		lo, _ := st.d.RowAtoms(r)
+		deps, _ := depsOf(st.d, lo)
+		for _, dep := range deps {
+			if !st.scheduled[dep] {
+				f.indeg[r]++
+			}
+		}
 	}
 	traversed := make([]bool, len(st.pending))
 	for _, a := range st.d.Atoms {
@@ -181,7 +195,8 @@ func (st *state) rebuildFrontier() frontier {
 		}
 		f.pending[p]++
 		ready := true
-		for _, dep := range a.Deps {
+		deps, _ := depsOf(st.d, a.ID)
+		for _, dep := range deps {
 			ready = ready && st.scheduled[dep]
 		}
 		if ready {
@@ -220,6 +235,9 @@ func (st *state) checkFrontier() error {
 	}
 	if !slices.Equal(st.activeDepth, want.activeDepth) {
 		return fmt.Errorf("activeDepth %v, rebuild %v", st.activeDepth, want.activeDepth)
+	}
+	if !slices.Equal(st.indeg, want.indeg) {
+		return fmt.Errorf("row in-degrees %v, rebuild %v", st.indeg, want.indeg)
 	}
 	return nil
 }

@@ -161,7 +161,7 @@ type state struct {
 
 	cycles    []int64 // per-atom engine cycles
 	macs      []int64 // per-atom MACs (for the Schedule only)
-	indeg     []int
+	indeg     []int32 // per DAG row: producers of the row not yet scheduled
 	scheduled []bool
 	remaining int
 
@@ -212,7 +212,7 @@ type state struct {
 
 type undo struct {
 	comb        []int
-	readyAdded  []int // atom IDs that became ready during this apply
+	readyRows   []int // rows whose atoms became ready during this apply
 	newTravKeys []int // pairs first traversed during this apply
 	prevSample  int
 	workDelta   int64
@@ -253,7 +253,7 @@ func newState(d *atom.DAG, opt Options) *state {
 		d:           d,
 		g:           d.Graph,
 		opt:         opt,
-		indeg:       make([]int, d.NumAtoms()),
+		indeg:       make([]int32, d.NumRows()),
 		pairOf:      make([]int, d.NumAtoms()),
 		scheduled:   make([]bool, d.NumAtoms()),
 		ready:       make([][]int, pairs),
@@ -271,40 +271,53 @@ func newState(d *atom.DAG, opt Options) *state {
 	}
 	st.samplesLeft = make([]int, d.Batch)
 	st.cycles, st.macs = priceAtoms(d, opt)
-	for _, a := range d.Atoms {
-		st.indeg[a.ID] = len(a.Deps)
-		st.pairOf[a.ID] = a.Sample*layers + a.Layer
-	}
 	// Virtual atoms (graph inputs) complete immediately: they model data
 	// already resident in DRAM, not engine work.
 	completedVirtual := make([]int, 0)
-	for _, a := range d.Atoms {
+	for id := range d.Atoms {
+		a := &d.Atoms[id]
+		st.pairOf[id] = a.Sample*layers + a.Layer
 		if a.Task.Kind == graph.OpInput {
-			st.scheduled[a.ID] = true
-			completedVirtual = append(completedVirtual, a.ID)
+			st.scheduled[id] = true
+			completedVirtual = append(completedVirtual, id)
 			continue
 		}
 		st.remaining++
 		st.samplesLeft[a.Sample]++
-		st.pending[st.pairOf[a.ID]]++
-		st.totalWork += st.cycles[a.ID]
+		st.pending[st.pairOf[id]]++
+		st.totalWork += st.cycles[id]
 	}
-	for _, a := range d.Atoms {
-		if st.scheduled[a.ID] || st.indeg[a.ID] > 0 {
-			continue
+	for r := range st.indeg {
+		lo, hi := d.RowAtoms(r)
+		ids, _, _ := d.Deps(lo)
+		st.indeg[r] = int32(len(ids))
+		// Ready unless it waits on a dep; virtual deps are released below.
+		if len(ids) == 0 && !st.scheduled[lo] {
+			st.pushRow(lo, hi)
 		}
-		// Ready unless it waits on a virtual dep (handled below).
-		st.pushReady(a.ID)
 	}
 	for _, id := range completedVirtual {
-		for _, c := range d.Consumers(id) {
-			st.indeg[c]--
-			if st.indeg[c] == 0 && !st.scheduled[c] {
-				st.pushReady(c)
-			}
-		}
+		st.release(id, nil)
 	}
 	return st
+}
+
+// release counts scheduled atom id off its consumer rows and pushes the
+// atoms of every row left with no unscheduled producer, recording the row
+// in u when non-nil. A row's atoms share their deps, so they become ready
+// together, and in the order per-atom in-degrees would make them.
+func (st *state) release(id int, u *undo) {
+	rows, off := st.d.ConsumerRows(id)
+	for _, r := range rows {
+		r += off
+		if st.indeg[r]--; st.indeg[r] > 0 {
+			continue
+		}
+		st.pushRow(st.d.RowAtoms(int(r)))
+		if u != nil {
+			u.readyRows = append(u.readyRows, int(r))
+		}
+	}
 }
 
 // priceAtoms returns every atom's engine cycles and MACs under the
@@ -312,9 +325,9 @@ func newState(d *atom.DAG, opt Options) *state {
 func priceAtoms(d *atom.DAG, opt Options) (cycles, macs []int64) {
 	orc := cost.Or(opt.Oracle)
 	cycles, macs = make([]int64, d.NumAtoms()), make([]int64, d.NumAtoms())
-	for _, a := range d.Atoms {
-		c := orc.Evaluate(opt.EngineCfg, opt.Dataflow, a.Task)
-		cycles[a.ID], macs[a.ID] = c.Cycles, c.MACs
+	for id := range d.Atoms {
+		c := orc.Evaluate(opt.EngineCfg, opt.Dataflow, d.Atoms[id].Task)
+		cycles[id], macs[id] = c.Cycles, c.MACs
 	}
 	return cycles, macs
 }
@@ -337,21 +350,28 @@ func (st *state) setReady(p int, lst []int) {
 	}
 }
 
-// pushReady inserts id into its pair's sorted ready list.
-func (st *state) pushReady(id int) {
-	p := st.pairOf[id]
+// pushRow inserts the atoms [lo, hi) of one row into their pair's sorted
+// ready list. No atom of a row waiting on a producer can have been
+// scheduled, so none of them is there yet and all of them go in.
+func (st *state) pushRow(lo, hi int) {
+	p, k := st.pairOf[lo], hi-lo
 	lst := st.ready[p]
-	i, _ := slices.BinarySearch(lst, id)
-	st.setReady(p, slices.Insert(lst, i, id))
+	i, _ := slices.BinarySearch(lst, lo)
+	lst = slices.Grow(lst, k)[:len(lst)+k]
+	copy(lst[i+k:], lst[i:])
+	for j := range k {
+		lst[i+j] = lo + j
+	}
+	st.setReady(p, lst)
 }
 
-// dropReady removes id from its pair's sorted ready list.
-func (st *state) dropReady(id int) {
-	p := st.pairOf[id]
+// dropRow removes the atoms [lo, hi) of one row, all ready and so one run
+// of consecutive entries, from their pair's sorted ready list.
+func (st *state) dropRow(lo, hi int) {
+	p := st.pairOf[lo]
 	lst := st.ready[p]
-	if i, ok := slices.BinarySearch(lst, id); ok {
-		st.setReady(p, slices.Delete(lst, i, i+1))
-	}
+	i, _ := slices.BinarySearch(lst, lo)
+	st.setReady(p, slices.Delete(lst, i, i+hi-lo))
 }
 
 // mergeReady merges run, atoms of pair p, back into the pair's sorted
@@ -400,7 +420,7 @@ func (st *state) apply(comb []int) {
 	}
 	u := &st.undoLog[len(st.undoLog)-1]
 	u.comb, u.prevSample, u.workDelta = comb, st.curSample, 0
-	u.readyAdded, u.newTravKeys = u.readyAdded[:0], u.newTravKeys[:0]
+	u.readyRows, u.newTravKeys = u.readyRows[:0], u.newTravKeys[:0]
 	for i := 0; i < len(comb); {
 		j := st.runEnd(comb, i)
 		run, p := comb[i:j], st.pairOf[comb[i]]
@@ -421,13 +441,7 @@ func (st *state) apply(comb []int) {
 		}
 		st.adjustActive(p, wasActive, st.pairActive(p))
 		for _, id := range run {
-			for _, c := range st.d.Consumers(id) {
-				st.indeg[c]--
-				if st.indeg[c] == 0 && !st.scheduled[c] {
-					st.pushReady(c)
-					u.readyAdded = append(u.readyAdded, c)
-				}
-			}
+			st.release(id, u)
 		}
 		i = j
 	}
@@ -444,8 +458,8 @@ func (st *state) commit() { st.undoLog = st.undoLog[:0] }
 func (st *state) rollback() {
 	u := &st.undoLog[len(st.undoLog)-1]
 	st.undoLog = st.undoLog[:len(st.undoLog)-1]
-	for _, id := range u.readyAdded {
-		st.dropReady(id)
+	for _, r := range u.readyRows {
+		st.dropRow(st.d.RowAtoms(r))
 	}
 	for i := 0; i < len(u.comb); {
 		j := st.runEnd(u.comb, i)
@@ -453,8 +467,9 @@ func (st *state) rollback() {
 		wasActive := st.pairActive(p)
 		for _, id := range run {
 			st.scheduled[id] = false
-			for _, c := range st.d.Consumers(id) {
-				st.indeg[c]++
+			rows, off := st.d.ConsumerRows(id)
+			for _, r := range rows {
+				st.indeg[r+off]++
 			}
 		}
 		st.remaining += len(run)

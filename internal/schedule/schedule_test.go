@@ -59,7 +59,8 @@ func checkValid(t *testing.T, d *atom.DAG, s *Schedule, n int) {
 		if s.AtomRound[a.ID] != rt {
 			t.Fatalf("AtomRound[%d] = %d, want %d", a.ID, s.AtomRound[a.ID], rt)
 		}
-		for _, dep := range a.Deps {
+		deps, _ := depsOf(d, a.ID)
+		for _, dep := range deps {
 			if d.Atoms[dep].Task.Kind == graph.OpInput {
 				continue
 			}

@@ -255,7 +255,7 @@ func (r *runner) time(slot *prepSlot) error {
 			tr.FlowBytes += f.Bytes
 		}
 		for _, id := range round.Atoms {
-			a := r.d.Atoms[id]
+			a := &r.d.Atoms[id]
 			tr.Atoms = append(tr.Atoms, AtomTrace{
 				Atom: id, Layer: a.Layer, Sample: a.Sample,
 				Engine: placed.Engine(id), Cycles: s.ComputeCycles[id],
