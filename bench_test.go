@@ -487,7 +487,7 @@ func BenchmarkSimRunB8(b *testing.B) {
 // benchPlaceSink keeps the compiler from eliding placements.
 var benchPlaceSink mapping.Result
 
-// BenchmarkPlaceRound measures one PlaceRoundWeighted call on the fullest
+// BenchmarkPlaceRound measures one PlaceRound call on the fullest
 // ResNet-50 Round (engines occupied by the previous Round's outputs), the
 // permutation-search hot path of the mapping stage.
 func BenchmarkPlaceRound(b *testing.B) {
@@ -502,14 +502,14 @@ func BenchmarkPlaceRound(b *testing.B) {
 			best = r
 		}
 	}
-	prev := mapper.PlaceRound(s.Rounds[best-1].Atoms, func(int) int { return -1 })
+	var prev mapping.Result
+	mapper.PlaceRound(&prev, s.Rounds[best-1].Atoms, func(int) int { return -1 }, nil)
 	locate := prev.Engine
 	round := s.Rounds[best].Atoms
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		benchPlaceSink = mapper.PlaceRoundWeighted(round, locate, nil)
-		mapper.Recycle(&benchPlaceSink) // steady-state: the simulator recycles every Round
+		mapper.PlaceRound(&benchPlaceSink, round, locate, nil) // steady-state: a prep slot reuses its Result every Round
 	}
 	b.ReportMetric(float64(len(round)), "atoms/round")
 }

@@ -192,11 +192,7 @@ func genCandidates(l *graph.Layer, cfg engine.Config, df engine.Dataflow, opt Op
 				if tiles > opt.maxTiles() {
 					continue
 				}
-				t := engine.Task{Kind: l.Kind, Hp: hp, Wp: wp, Ci: s.Ci, Cop: cp,
-					Kh: s.Kh, Kw: s.Kw, Stride: s.Stride}
-				if l.Kind == graph.OpDepthwiseConv {
-					t.Ci = 1
-				}
+				t := engine.TileTask(l, hp, wp, cp)
 				w := t.WeightBytes()
 				if w > weightWindow {
 					w = weightWindow
@@ -228,11 +224,7 @@ func genCandidates(l *graph.Layer, cfg engine.Config, df engine.Dataflow, opt Op
 		cacheable := cands[:0]
 		limit := int64(cfg.BufferBytes) * 3 / 4
 		for _, c := range cands {
-			wb := int64(s.Ci) * int64(c.part.Cop) * int64(s.Kh) * int64(s.Kw)
-			if l.Kind == graph.OpDepthwiseConv {
-				wb = int64(c.part.Cop) * int64(s.Kh) * int64(s.Kw)
-			}
-			if wb <= limit {
+			if engine.TileTask(l, c.part.Hp, c.part.Wp, c.part.Cop).WeightBytes() <= limit {
 				cacheable = append(cacheable, c)
 			}
 		}
@@ -264,12 +256,7 @@ func genCandidates(l *graph.Layer, cfg engine.Config, df engine.Dataflow, opt Op
 		// per spatial position so the pipeline still produces a
 		// (memory-thrashing) schedule with a bounded atom count.
 		p := atom.Partition{Hp: min(s.Ho, cfg.PEx), Wp: min(s.Wo, cfg.PEy), Cop: s.Co}
-		t := engine.Task{Kind: l.Kind, Hp: p.Hp, Wp: p.Wp, Ci: s.Ci, Cop: p.Cop,
-			Kh: s.Kh, Kw: s.Kw, Stride: s.Stride}
-		if l.Kind == graph.OpDepthwiseConv {
-			t.Ci = 1
-		}
-		c := orc.Evaluate(cfg, df, t)
+		c := orc.Evaluate(cfg, df, engine.TileTask(l, p.Hp, p.Wp, p.Cop))
 		cands = append(cands, candidate{part: p, cycles: c.Cycles, util: c.Utilization,
 			tiles: p.Tiles(l), chTiles: channelTiles(l, p.Cop)})
 	}

@@ -394,7 +394,8 @@ func (d *DAG) buildSample0() {
 						W0: iw * part.Wp, W1: min((iw+1)*part.Wp, s.Wo),
 						C0: ic * part.Cop, C1: min((ic+1)*part.Cop, s.Co),
 					}
-					d.Atoms[id] = Atom{ID: id, Layer: lid, Index: id - gr.base, Region: r, Task: taskFor(l, r)}
+					d.Atoms[id] = Atom{ID: id, Layer: lid, Index: id - gr.base, Region: r,
+						Task: engine.TileTask(l, r.H1-r.H0, r.W1-r.W0, r.C1-r.C0)}
 					if !shared || ic == 0 {
 						d.rowStart = append(d.rowStart, int32(id))
 						d.appendDeps(sc, l, r)
@@ -409,21 +410,6 @@ func (d *DAG) buildSample0() {
 	d.rowStart = append(d.rowStart, int32(n))
 	d.depIDs, d.depBytes = slices.Clone(sc.ids), slices.Clone(sc.bytes)
 	scratchPool.Put(sc)
-}
-
-// taskFor builds the engine.Task pricing an atom covering region r of l.
-func taskFor(l *graph.Layer, r Region) engine.Task {
-	s := l.Shape
-	t := engine.Task{
-		Kind: l.Kind,
-		Hp:   r.H1 - r.H0, Wp: r.W1 - r.W0,
-		Ci: s.Ci, Cop: r.C1 - r.C0,
-		Kh: s.Kh, Kw: s.Kw, Stride: s.Stride,
-	}
-	if l.Kind == graph.OpDepthwiseConv {
-		t.Ci = 1
-	}
-	return t
 }
 
 // buildScratch is Build's working memory, pooled so that the dep lists

@@ -11,6 +11,7 @@ import (
 	"testing"
 	"testing/quick"
 
+	"github.com/atomic-dataflow/atomicflow/internal/engine"
 	"github.com/atomic-dataflow/atomicflow/internal/graph"
 	"github.com/atomic-dataflow/atomicflow/internal/models"
 )
@@ -377,7 +378,7 @@ func (d *refDAG) addLayerAtoms(g *graph.Graph, sample int, l *graph.Layer, part 
 					C0: ic * part.Cop, C1: min((ic+1)*part.Cop, s.Co),
 				}
 				a := refAtom{Atom: Atom{ID: len(d.atoms), Layer: l.ID, Sample: sample, Index: idx,
-					Region: r, Task: taskFor(l, r)}}
+					Region: r, Task: engine.TileTask(l, r.H1-r.H0, r.W1-r.W0, r.C1-r.C0)}}
 				a.deps, a.bytes = d.depsFor(g, sample, l, r)
 				d.atoms = append(d.atoms, a)
 				idx++

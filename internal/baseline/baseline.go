@@ -52,32 +52,25 @@ func evenSplit(l *graph.Layer, n int) (atom.Partition, int) {
 	return p, p.Tiles(l)
 }
 
-// evenSpec builds the even-partition Spec for every non-virtual layer and
-// returns per-layer tile counts.
-func evenSpec(g *graph.Graph, n int) (atom.Spec, map[int]int) {
+// EvenSpec builds the even-partition Spec of every non-virtual layer on n
+// engines (see evenSplit): the atoms of the LS and Rammer baselines and
+// of the Fig. 10 ablation's first stage.
+func EvenSpec(g *graph.Graph, n int) atom.Spec {
 	spec := make(atom.Spec)
-	tiles := make(map[int]int)
 	for _, l := range g.Layers {
 		if l.Kind == graph.OpInput || l.Kind == graph.OpConcat {
 			continue
 		}
-		p, tc := evenSplit(l, n)
-		spec[l.ID] = p
-		tiles[l.ID] = tc
+		spec[l.ID], _ = evenSplit(l, n)
 	}
-	return spec, tiles
+	return spec
 }
 
 // layerEngineCycles prices one layer evenly split across n engines:
 // the slowest tile's cycles (tiles run concurrently, one wave).
 func layerEngineCycles(orc cost.Oracle, l *graph.Layer, cfg engine.Config, df engine.Dataflow, n int) int64 {
 	p, tiles := evenSplit(l, n)
-	t := engine.Task{Kind: l.Kind, Hp: p.Hp, Wp: p.Wp, Ci: l.Shape.Ci, Cop: p.Cop,
-		Kh: l.Shape.Kh, Kw: l.Shape.Kw, Stride: l.Shape.Stride}
-	if l.Kind == graph.OpDepthwiseConv {
-		t.Ci = 1
-	}
-	c := orc.Evaluate(cfg, df, t)
+	c := orc.Evaluate(cfg, df, engine.TileTask(l, p.Hp, p.Wp, p.Cop))
 	waves := ceilDiv(tiles, n)
 	return c.Cycles * int64(waves)
 }

@@ -51,7 +51,7 @@ func TestEvenSplitPrefersSpatial(t *testing.T) {
 func TestLSScheduleIsLayerSequential(t *testing.T) {
 	g := models.MustBuild("tinybranch")
 	cfg := smallHW()
-	d, s, err := LSSchedule(g, 2, cfg)
+	d, s, err := lsSchedule(g, 2, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -86,7 +86,7 @@ func TestLSBatchCoMapping(t *testing.T) {
 	// cannot fill the chip alone, so enhanced LS must co-map samples.
 	g := models.MustBuild("tinyconv")
 	cfg := sim.DefaultConfig()
-	d, s, err := LSSchedule(g, 4, cfg)
+	d, s, err := lsSchedule(g, 4, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -15,18 +15,18 @@ import (
 // multiple batch samples are co-mapped in the same Round (the paper's
 // enhanced LS for batch processing).
 func LS(g *graph.Graph, batch int, cfg sim.Config) (sim.Report, error) {
-	d, s, err := LSSchedule(g, batch, cfg)
+	d, s, err := lsSchedule(g, batch, cfg)
 	if err != nil {
 		return sim.Report{}, err
 	}
 	return sim.Run(d, s, cfg)
 }
 
-// LSSchedule builds the LS atomic DAG and Round schedule without
-// simulating, for reuse by Rammer and the experiments.
-func LSSchedule(g *graph.Graph, batch int, cfg sim.Config) (*atom.DAG, *schedule.Schedule, error) {
+// lsSchedule builds the LS atomic DAG and Round schedule without
+// simulating them.
+func lsSchedule(g *graph.Graph, batch int, cfg sim.Config) (*atom.DAG, *schedule.Schedule, error) {
 	n := cfg.Mesh.Engines()
-	spec, tiles := evenSpec(g, n)
+	spec := EvenSpec(g, n)
 	d, err := atom.Build(g, batch, spec)
 	if err != nil {
 		return nil, nil, err
@@ -39,7 +39,7 @@ func LSSchedule(g *graph.Graph, batch int, cfg sim.Config) (*atom.DAG, *schedule
 		}
 		// Samples co-mapped per Round: fill idle engines with the same
 		// layer from subsequent samples.
-		group := n / tiles[lid]
+		group := n / spec[lid].Tiles(l)
 		if group < 1 {
 			group = 1
 		}
@@ -77,12 +77,7 @@ func LayerUtilization(orc cost.Oracle, g *graph.Graph, cfg engine.Config, df eng
 	for _, lid := range ids {
 		l := g.Layer(lid)
 		p, tiles := evenSplit(l, n)
-		t := engine.Task{Kind: l.Kind, Hp: p.Hp, Wp: p.Wp, Ci: l.Shape.Ci, Cop: p.Cop,
-			Kh: l.Shape.Kh, Kw: l.Shape.Kw, Stride: l.Shape.Stride}
-		if l.Kind == graph.OpDepthwiseConv {
-			t.Ci = 1
-		}
-		c := orc.Evaluate(cfg, df, t)
+		c := orc.Evaluate(cfg, df, engine.TileTask(l, p.Hp, p.Wp, p.Cop))
 		// Engine-level utilization of the slowest wave, discounted by the
 		// fraction of engines the layer occupies at all.
 		occupancy := float64(minInt(tiles, n)) / float64(n)

@@ -18,8 +18,7 @@ import (
 // placement remain.
 func Rammer(g *graph.Graph, batch int, cfg sim.Config) (sim.Report, error) {
 	n := cfg.Mesh.Engines()
-	spec, _ := evenSpec(g, n)
-	d, err := atom.Build(g, batch, spec)
+	d, err := atom.Build(g, batch, EvenSpec(g, n))
 	if err != nil {
 		return sim.Report{}, err
 	}

@@ -95,12 +95,12 @@ func replayIOs(t *testing.T, m *Manager, d *atom.DAG, s *schedule.Schedule, mesh
 	t.Helper()
 	mp := mapping.New(mesh, d)
 	ios := make([]RoundIO, len(s.Rounds))
+	var pl mapping.Result
 	for rt, r := range s.Rounds {
-		pl := mp.PlaceRoundWeighted(r.Atoms, m.Locate, m.HasWeights)
-		if err := m.ExecuteRoundInto(rt, pl, &ios[rt]); err != nil {
+		mp.PlaceRound(&pl, r.Atoms, m.Locate, m.HasWeights)
+		if err := m.ExecuteRoundInto(rt, &pl, &ios[rt]); err != nil {
 			t.Fatal(err)
 		}
-		mp.Recycle(&pl)
 	}
 	return ios
 }

@@ -100,11 +100,12 @@ func Generate(d *atom.DAG, s *schedule.Schedule, mesh *noc.Mesh, bufferBytes int
 	mapper := mapping.New(mesh, d)
 	p := &Program{Streams: make([][]Instr, n), Rounds: s.NumRounds()}
 
+	var placed mapping.Result
 	for t, round := range s.Rounds {
-		placed := mapper.PlaceRoundWeighted(round.Atoms, man.Locate, man.HasWeights)
+		mapper.PlaceRound(&placed, round.Atoms, man.Locate, man.HasWeights)
 
 		// Emit receives/sends from the Round's IO.
-		io, err := man.ExecuteRound(t, placed)
+		io, err := man.ExecuteRound(t, &placed)
 		if err != nil {
 			return nil, err
 		}
@@ -134,7 +135,6 @@ func Generate(d *atom.DAG, s *schedule.Schedule, mesh *noc.Mesh, bufferBytes int
 			}
 			p.Streams[e] = append(p.Streams[e], Instr{Op: OpSync, Round: t})
 		}
-		mapper.Recycle(&placed)
 	}
 	return p, nil
 }

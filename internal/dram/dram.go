@@ -66,11 +66,9 @@ func (c Config) Validate() error {
 // least-loaded channel (idealized address interleaving) and served at the
 // per-channel bandwidth; a request issued while channels are busy waits.
 type HBM struct {
-	cfg          Config
-	chanFree     []int64 // absolute cycle at which each channel is next free
-	bytesRead    int64
-	bytesWritten int64
-	stats        Stats
+	cfg      Config
+	chanFree []int64 // absolute cycle at which each channel is next free
+	stats    Stats
 }
 
 // Stats is the HBM model's cumulative accounting — the quantities a
@@ -114,7 +112,6 @@ func (h *HBM) perChannelBytesPerCycle() float64 {
 // Read issues a read of n bytes at absolute cycle `now` and returns the
 // completion cycle.
 func (h *HBM) Read(now, n int64) int64 {
-	h.bytesRead += n
 	if n > 0 {
 		h.stats.Reads++
 	}
@@ -124,7 +121,6 @@ func (h *HBM) Read(now, n int64) int64 {
 // Write issues a write of n bytes at absolute cycle `now` and returns the
 // completion cycle.
 func (h *HBM) Write(now, n int64) int64 {
-	h.bytesWritten += n
 	if n > 0 {
 		h.stats.Writes++
 	}
@@ -171,17 +167,5 @@ func (h *HBM) serve(now, n int64) int64 {
 	return done
 }
 
-// Traffic returns cumulative bytes read and written.
-func (h *HBM) Traffic() (read, written int64) { return h.bytesRead, h.bytesWritten }
-
 // Stats returns the cumulative request accounting.
 func (h *HBM) Stats() Stats { return h.stats }
-
-// Reset clears all queue state and counters.
-func (h *HBM) Reset() {
-	for i := range h.chanFree {
-		h.chanFree[i] = 0
-	}
-	h.bytesRead, h.bytesWritten = 0, 0
-	h.stats = Stats{}
-}

@@ -43,20 +43,6 @@ func TestChannelParallelism(t *testing.T) {
 	}
 }
 
-func TestTrafficAccounting(t *testing.T) {
-	h := New(Default())
-	h.Read(0, 1000)
-	h.Write(0, 500)
-	r, w := h.Traffic()
-	if r != 1000 || w != 500 {
-		t.Errorf("Traffic = %d/%d, want 1000/500", r, w)
-	}
-	h.Reset()
-	if r, w := h.Traffic(); r != 0 || w != 0 {
-		t.Errorf("Traffic after Reset = %d/%d", r, w)
-	}
-}
-
 func TestZeroByteRequestFree(t *testing.T) {
 	h := New(Default())
 	if d := h.Read(42, 0); d != 42 {
@@ -139,10 +125,6 @@ func TestQueueStats(t *testing.T) {
 	}
 	if st.QueueDepthPeak != 8 {
 		t.Errorf("QueueDepthPeak = %d, want 8", st.QueueDepthPeak)
-	}
-	h.Reset()
-	if st := h.Stats(); st != (Stats{}) {
-		t.Errorf("stats after Reset = %+v", st)
 	}
 }
 

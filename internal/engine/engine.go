@@ -108,6 +108,19 @@ func TaskFromLayer(l *graph.Layer) Task {
 		Kh: s.Kh, Kw: s.Kw, Stride: s.Stride}
 }
 
+// TileTask builds the Task of one hp x wp x cop output tile of layer l.
+// A depthwise tile reads one input channel per output channel, so its Ci
+// is 1.
+func TileTask(l *graph.Layer, hp, wp, cop int) Task {
+	s := l.Shape
+	t := Task{Kind: l.Kind, Hp: hp, Wp: wp, Ci: s.Ci, Cop: cop,
+		Kh: s.Kh, Kw: s.Kw, Stride: s.Stride}
+	if l.Kind == graph.OpDepthwiseConv {
+		t.Ci = 1
+	}
+	return t
+}
+
 // MACs returns the multiply-accumulate count of the task.
 func (t Task) MACs() int64 {
 	n := t.reps()

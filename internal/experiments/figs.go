@@ -261,7 +261,7 @@ func Fig10(cfg Config) ([]Fig10Row, error) {
 		noReuse.NaiveMapping = true
 
 		// T0: even-split atoms in strict layer order, no reuse.
-		t0, err := runLayerOrdered(g, batch, noReuse, nil, cfg)
+		t0, err := runLayerOrdered(g, batch, noReuse, baseline.EvenSpec(g, hw.Mesh.Engines()))
 		if err != nil {
 			errs[i] = err
 			return
@@ -269,13 +269,13 @@ func Fig10(cfg Config) ([]Fig10Row, error) {
 		// T1: SA atoms, still layer-ordered, no reuse.
 		sa := anneal.SA(g, hw.Engine, hw.Dataflow,
 			cfg.search().anneal(hw))
-		t1, err := runLayerOrdered(g, batch, noReuse, sa.Spec, cfg)
+		t1, err := runLayerOrdered(g, batch, noReuse, sa.Spec)
 		if err != nil {
 			errs[i] = err
 			return
 		}
 		// T2: + mapping and buffering (on-chip reuse), still layer order.
-		t2, err := runLayerOrdered(g, batch, hw, sa.Spec, cfg)
+		t2, err := runLayerOrdered(g, batch, hw, sa.Spec)
 		if err != nil {
 			errs[i] = err
 			return
@@ -312,13 +312,10 @@ func Fig10(cfg Config) ([]Fig10Row, error) {
 	return rows, nil
 }
 
-// runLayerOrdered simulates atoms (spec nil = even split) executed in
-// strict layer-wise order — the pre-graph-scheduling baseline of the
+// runLayerOrdered simulates the atoms of spec executed in strict
+// layer-wise order — the pre-graph-scheduling stages T0–T2 of the
 // Fig. 10 ablation.
-func runLayerOrdered(g *graph.Graph, batch int, hw sim.Config, spec atom.Spec, cfg Config) (sim.Report, error) {
-	if spec == nil {
-		return baseline.Rammer(g, batch, hw)
-	}
+func runLayerOrdered(g *graph.Graph, batch int, hw sim.Config, spec atom.Spec) (sim.Report, error) {
 	d, err := atom.Build(g, batch, spec)
 	if err != nil {
 		return sim.Report{}, err

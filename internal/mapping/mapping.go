@@ -39,11 +39,9 @@ type WeightLocator func(engineID, atomID int) bool
 // pJ/bit/hop NoC ≈ 11; rounded down to keep ifmap locality dominant).
 const dramHopEquivalent = 8
 
-// Mapper places Rounds onto a mesh. One goroutine at a time may call
-// PlaceRound/PlaceRoundWeighted (the scratch buffers below are reused
-// across calls), but Recycle is safe to call concurrently with placement:
-// the pipelined simulator recycles round t's Result on the timing
-// goroutine while the prep goroutine is already placing round t+1.
+// Mapper places Rounds onto a mesh. It is single-goroutine: its scratch
+// buffers are reused across PlaceRound calls, and the Results it fills
+// belong to the caller.
 type Mapper struct {
 	mesh    *noc.Mesh
 	dag     *atom.DAG
@@ -89,13 +87,6 @@ type Mapper struct {
 	refWgt    []int64
 	refCost   []int64
 	refCur    []int64
-
-	// Result free list (see Recycle). Guarded by freeMu because results
-	// are recycled by the simulator's timing goroutine while the prep
-	// goroutine allocates the next Round's placement.
-	freeMu  sync.Mutex
-	freeEng [][]int32
-	freePl  [][]int
 }
 
 // New returns a Mapper for the DAG on the mesh.
@@ -106,16 +97,8 @@ func New(mesh *noc.Mesh, dag *atom.DAG) *Mapper {
 }
 
 // Reset re-targets a pooled Mapper at a (possibly different) mesh and DAG,
-// keeping its scratch allocations. The recycled-Result free list survives
-// when the atom count is unchanged (entries are sized by NumAtoms) and is
-// dropped otherwise.
+// keeping its scratch allocations.
 func (m *Mapper) Reset(mesh *noc.Mesh, dag *atom.DAG) {
-	if m.dag != nil && m.dag.NumAtoms() != dag.NumAtoms() {
-		m.freeMu.Lock()
-		m.freeEng = m.freeEng[:0]
-		m.freePl = m.freePl[:0]
-		m.freeMu.Unlock()
-	}
 	m.mesh, m.dag = mesh, dag
 	// Pair stamps only grow, so entries left by an earlier DAG read as
 	// stale without clearing.
@@ -157,8 +140,9 @@ func (m *Mapper) Reset(mesh *noc.Mesh, dag *atom.DAG) {
 
 // Result is the placement of one Round. The atom-to-engine assignment is
 // a dense NumAtoms-sized slice (no per-Round map): read it through
-// Engine, iterate the Round's atoms through Placed. Returning a Result to
-// its Mapper with Recycle lets the next Round reuse the slice.
+// Engine, iterate the Round's atoms through Placed. The caller owns a
+// Result and hands it to PlaceRound again for the next Round, which
+// reuses its slices.
 type Result struct {
 	engineOf []int32 // atom ID -> engine index, -1 when not placed
 	placed   []int   // the atom IDs placed this Round, in slot order
@@ -168,7 +152,7 @@ type Result struct {
 
 // Engine returns the engine assigned to atom id, or -1 if the Result does
 // not place it.
-func (r Result) Engine(id int) int {
+func (r *Result) Engine(id int) int {
 	if id < 0 || id >= len(r.engineOf) {
 		return -1
 	}
@@ -176,81 +160,35 @@ func (r Result) Engine(id int) int {
 }
 
 // Placed returns the atom IDs this Result places, in zig-zag slot order.
-// The slice is owned by the Result; do not retain it past Recycle.
-func (r Result) Placed() []int { return r.placed }
+// The slice is owned by the Result; the next PlaceRound into it reuses it.
+func (r *Result) Placed() []int { return r.placed }
 
 // NumPlaced returns how many atoms the Result places.
-func (r Result) NumPlaced() int { return len(r.placed) }
-
-// Recycle returns res's backing storage to the Mapper for the next
-// PlaceRound call. Only the entries placed by res are cleared, so the
-// cost is O(atoms in the Round), not O(NumAtoms). res must not be used
-// afterwards. Safe to call from a different goroutine than the placer.
-func (m *Mapper) Recycle(res *Result) {
-	if res.engineOf == nil {
-		return
-	}
-	for _, id := range res.placed {
-		res.engineOf[id] = -1
-	}
-	m.freeMu.Lock()
-	m.freeEng = append(m.freeEng, res.engineOf)
-	m.freePl = append(m.freePl, res.placed[:0])
-	m.freeMu.Unlock()
-	res.engineOf, res.placed = nil, nil
-}
-
-// newResult pops a recycled engine slice (all -1) and placed slice, or
-// allocates fresh ones sized for the DAG.
-func (m *Mapper) newResult() ([]int32, []int) {
-	m.freeMu.Lock()
-	var eng []int32
-	var pl []int
-	if n := len(m.freeEng); n > 0 {
-		eng = m.freeEng[n-1]
-		m.freeEng = m.freeEng[:n-1]
-	}
-	if n := len(m.freePl); n > 0 {
-		pl = m.freePl[n-1]
-		m.freePl = m.freePl[:n-1]
-	}
-	m.freeMu.Unlock()
-	if eng == nil {
-		eng = make([]int32, m.dag.NumAtoms())
-		for i := range eng {
-			eng[i] = -1
-		}
-	}
-	return eng, pl
-}
+func (r *Result) NumPlaced() int { return len(r.placed) }
 
 // group is the placement unit: the Round's atoms of one (sample, layer).
 type group struct {
 	atoms []int
 }
 
-// PlaceRound assigns each Round atom an engine. locate reports the engine
-// holding each dependency's output (-1 = off-chip, no NoC cost — the DRAM
-// cost does not depend on P).
-func (m *Mapper) PlaceRound(roundAtoms []int, locate Locator) Result {
-	return m.PlaceRoundWeighted(roundAtoms, locate, nil)
-}
-
-// PlaceRoundWeighted is PlaceRound with an optional weight-affinity
+// PlaceRound assigns each Round atom an engine and writes the placement
+// into res, replacing its previous one. locate reports the engine holding
+// each dependency's output (-1 = off-chip, no NoC cost — the DRAM cost
+// does not depend on P). A non-nil weights adds the weight-affinity
 // refinement: after the layer permutation fixes each group's slot range,
 // atoms are swapped within their group to land on engines that already
 // cache their weight slices, as long as the combined ifmap-hop +
 // weight-refetch cost improves.
-func (m *Mapper) PlaceRoundWeighted(roundAtoms []int, locate Locator, weights WeightLocator) Result {
+func (m *Mapper) PlaceRound(res *Result, roundAtoms []int, locate Locator, weights WeightLocator) {
 	groups := m.groupByLayer(roundAtoms)
 	m.buildCostTable(groups, locate)
-	return m.place(groups, weights)
+	m.place(res, groups, weights)
 }
 
 // place searches the layer permutation over the cost table buildCostTable
-// filled for groups, lays the groups onto the zig-zag slots and, with a
-// WeightLocator, refines the placement for weight reuse.
-func (m *Mapper) place(groups []group, weights WeightLocator) Result {
+// filled for groups, lays the groups onto the zig-zag slots of res and,
+// with a WeightLocator, refines the placement for weight reuse.
+func (m *Mapper) place(res *Result, groups []group, weights WeightLocator) {
 	order := m.orderBuf[:0]
 	for i := range groups {
 		order = append(order, i)
@@ -284,8 +222,20 @@ func (m *Mapper) place(groups []group, weights WeightLocator) Result {
 		}
 	}
 
-	eng, placed := m.newResult()
-	res := Result{engineOf: eng, placed: placed, ByteHops: bestCost, Perms: perms}
+	// Only the previous placement's entries are reset, so the cost is
+	// O(atoms in the Round), not O(NumAtoms) — unless res is new or sized
+	// for another DAG.
+	if n := m.dag.NumAtoms(); len(res.engineOf) != n {
+		res.engineOf = make([]int32, n)
+		for i := range res.engineOf {
+			res.engineOf[i] = -1
+		}
+	} else {
+		for _, id := range res.placed {
+			res.engineOf[id] = -1
+		}
+	}
+	res.placed, res.ByteHops, res.Perms = res.placed[:0], bestCost, perms
 	slot := 0
 	for _, gi := range best {
 		for _, id := range groups[gi].atoms {
@@ -296,9 +246,8 @@ func (m *Mapper) place(groups []group, weights WeightLocator) Result {
 	}
 	if weights != nil {
 		m.refineForWeights(groups, best, res.engineOf, weights)
-		res.ByteHops = m.placementCost(&res)
+		res.ByteHops = m.placementCost(res)
 	}
-	return res
 }
 
 // branchAndBound searches the M! layer permutations with prefix pruning

@@ -1,6 +1,7 @@
 package mapping
 
 import (
+	"slices"
 	"testing"
 
 	"github.com/atomic-dataflow/atomicflow/internal/atom"
@@ -69,12 +70,12 @@ func TestPlaceRoundReducesHops(t *testing.T) {
 	m := New(mesh, d)
 
 	// Round t: place layers 1 and 2 with the identity permutation.
-	r0 := m.PlaceRound(prev, func(int) int { return -1 })
+	r0 := placeNew(m, prev, func(int) int { return -1 }, nil)
 	locate := r0.Engine
 
 	// Round t+1: the mapper's choice must beat or match the worst
 	// permutation's cost.
-	r1 := m.PlaceRound(cur, locate)
+	r1 := placeNew(m, cur, locate, nil)
 	// Compute the cost of the chosen placement independently.
 	var chosen int64
 	for _, id := range cur {
@@ -129,7 +130,7 @@ func TestPlacementIsInjective(t *testing.T) {
 			round = append(round, a.ID)
 		}
 	}
-	res := m.PlaceRound(round, func(int) int { return -1 })
+	res := placeNew(m, round, func(int) int { return -1 }, nil)
 	seen := make(map[int]bool)
 	for _, id := range round {
 		e := res.Engine(id)
@@ -147,7 +148,7 @@ func TestSameLayerAtomsAdjacent(t *testing.T) {
 	d, prev, _ := fig7DAG(t)
 	mesh := noc.NewMesh(3, 2, 8)
 	m := New(mesh, d)
-	res := m.PlaceRound(prev, func(int) int { return -1 })
+	res := placeNew(m, prev, func(int) int { return -1 }, nil)
 	// Atoms of one layer occupy consecutive zig-zag slots.
 	slotOf := make(map[int]int)
 	for i, e := range m.ZigZag() {
@@ -181,7 +182,7 @@ func TestCostTableMatchesTransferCost(t *testing.T) {
 	d, prev, cur := fig7DAG(t)
 	mesh := noc.NewMesh(3, 3, 8) // 9 slots: fits the 9-atom synthetic Round
 	m := New(mesh, d)
-	r0 := m.PlaceRound(prev, func(int) int { return -1 })
+	r0 := placeNew(m, prev, func(int) int { return -1 }, nil)
 	locate := r0.Engine
 	// Synthetic 3-group Round: cur holds one group per layer after
 	// grouping, so extend it with prev's layers for a multi-group case.
@@ -203,26 +204,58 @@ func TestCostTableMatchesTransferCost(t *testing.T) {
 	})
 }
 
-// TestPlaceRoundScratchReuse checks that back-to-back placements on one
-// Mapper (the per-Round reuse path) match placements on fresh Mappers.
+// placeNew places a Round into a fresh Result.
+func placeNew(m *Mapper, atoms []int, locate Locator, weights WeightLocator) *Result {
+	res := new(Result)
+	m.PlaceRound(res, atoms, locate, weights)
+	return res
+}
+
+// TestPlaceRoundScratchReuse checks that reuse is a pure speed-up: one
+// Mapper and one Result carried across Rounds, and across Resets to DAGs
+// with a different atom count, place every Round exactly as a fresh
+// Mapper does into a fresh Result — including leaving every atom the
+// Round does not place at -1.
 func TestPlaceRoundScratchReuse(t *testing.T) {
-	d, prev, cur := fig7DAG(t)
+	fig7, prev, cur := fig7DAG(t)
+	g := models.MustBuild("tinybranch")
+	branch, err := atom.Build(g, 2, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if branch.NumAtoms() == fig7.NumAtoms() {
+		t.Fatalf("both DAGs have %d atoms; the Reset case exercises nothing", fig7.NumAtoms())
+	}
+	var compute []int
+	for _, a := range branch.Atoms {
+		if a.Task.Kind != graph.OpInput {
+			compute = append(compute, a.ID)
+		}
+	}
 	mesh := noc.NewMesh(3, 2, 8)
-	shared := New(mesh, d)
 	none := func(int) int { return -1 }
-	for round := 0; round < 2; round++ {
-		atoms := prev
-		if round == 1 {
-			atoms = cur
+	steps := []struct {
+		d     *atom.DAG
+		atoms []int
+	}{
+		{fig7, prev}, {fig7, cur},
+		{branch, compute[:6]}, {branch, compute[6:min(12, len(compute))]},
+		{fig7, cur}, {fig7, prev},
+	}
+	shared := New(mesh, fig7)
+	var got Result
+	for i, st := range steps {
+		if i > 0 && st.d != steps[i-1].d {
+			shared.Reset(mesh, st.d)
 		}
-		got := shared.PlaceRound(atoms, none)
-		want := New(mesh, d).PlaceRound(atoms, none)
-		if got.ByteHops != want.ByteHops || got.NumPlaced() != want.NumPlaced() {
-			t.Fatalf("round %d: reused mapper differs: %+v vs %+v", round, got, want)
+		shared.PlaceRound(&got, st.atoms, none, nil)
+		want := placeNew(New(mesh, st.d), st.atoms, none, nil)
+		if got.ByteHops != want.ByteHops || got.Perms != want.Perms || !slices.Equal(got.Placed(), want.Placed()) {
+			t.Fatalf("step %d: reused Result %+v, fresh %+v", i, got, *want)
 		}
-		for _, id := range want.Placed() {
+		for id := -1; id <= st.d.NumAtoms(); id++ {
 			if got.Engine(id) != want.Engine(id) {
-				t.Fatalf("round %d: atom %d on engine %d, want %d", round, id, got.Engine(id), want.Engine(id))
+				t.Fatalf("step %d: atom %d on engine %d, want %d", i, id, got.Engine(id), want.Engine(id))
 			}
 		}
 	}
@@ -254,7 +287,7 @@ func TestHillClimbManyGroups(t *testing.T) {
 			round = append(round, a.ID)
 		}
 	}
-	res := m.PlaceRound(round, func(int) int { return -1 })
+	res := placeNew(m, round, func(int) int { return -1 }, nil)
 	if res.NumPlaced() != 9 {
 		t.Fatalf("placed %d atoms, want 9", res.NumPlaced())
 	}

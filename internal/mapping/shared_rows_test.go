@@ -12,12 +12,12 @@ import (
 	"github.com/atomic-dataflow/atomicflow/internal/noc"
 )
 
-// referencePlace is PlaceRoundWeighted without any sharing: every atom's
+// referencePlace is PlaceRound without any sharing: every atom's
 // cost row is priced from its own dependency list, and the weight
 // refinement asks weights about every (atom, engine) pair and tries every
 // atom pair. Only the layer-permutation search is the production code's,
 // run on the table this reference builds.
-func referencePlace(m *Mapper, roundAtoms []int, locate Locator, weights WeightLocator) Result {
+func referencePlace(m *Mapper, res *Result, roundAtoms []int, locate Locator, weights WeightLocator) {
 	groups := m.groupByLayer(roundAtoms)
 	slots := 0
 	for _, g := range groups {
@@ -47,9 +47,9 @@ func referencePlace(m *Mapper, roundAtoms []int, locate Locator, weights WeightL
 			}
 		}
 	}
-	res := m.place(groups, nil)
+	m.place(res, groups, nil)
 	if weights == nil {
-		return res
+		return
 	}
 	slotOf := map[int]int{}
 	for s, e := range m.zigzag[:slots] {
@@ -101,7 +101,6 @@ func referencePlace(m *Mapper, roundAtoms []int, locate Locator, weights WeightL
 			}
 		}
 	}
-	return res
 }
 
 // sharedRowsDAG draws a DAG for the shared-row property test: a layer of
@@ -211,7 +210,7 @@ func sharedRowsDAG(rng *rand.Rand, engines int) (*atom.DAG, []int, []int) {
 // between atoms with equal signatures, and pricing the weight refinement
 // per class, are pure speed-ups: on random Rounds over meshes, tori,
 // H-trees and a mesh of more than 64 engines (a multi-word source
-// bitset), PlaceRoundWeighted places every atom where the per-atom
+// bitset), PlaceRound places every atom where the per-atom
 // reference does, with the same ByteHops and Perms.
 func TestSharedRowsMatchPerAtomReference(t *testing.T) {
 	for i, mesh := range []*noc.Mesh{
@@ -234,12 +233,13 @@ func TestSharedRowsMatchPerAtomReference(t *testing.T) {
 					return (a.Layer*31+a.Region.C0*7+e*13+salt)%3 == 0
 				}
 				got, want := New(mesh, d), New(mesh, d)
+				var g, r Result // reused across Rounds, as a prep slot's is
 				for round := 0; round < 4; round++ {
 					ids := slices.Clone(consumers)
 					rng.Shuffle(len(ids), func(i, j int) { ids[i], ids[j] = ids[j], ids[i] })
 					ids = ids[:min(len(ids), 1+rng.Intn(mesh.Engines()))]
 					for _, w := range []WeightLocator{nil, weights} {
-						g := got.PlaceRoundWeighted(ids, locate, w)
+						got.PlaceRound(&g, ids, locate, w)
 						shared += len(ids) - len(got.sigEnd)
 						for r, end := range got.sigEnd {
 							if r == 0 && end == 0 || r > 0 && end == got.sigEnd[r-1] {
@@ -251,7 +251,7 @@ func TestSharedRowsMatchPerAtomReference(t *testing.T) {
 								highSrc++
 							}
 						}
-						r := referencePlace(want, ids, locate, w)
+						referencePlace(want, &r, ids, locate, w)
 						if !slices.Equal(g.Placed(), r.Placed()) || g.ByteHops != r.ByteHops || g.Perms != r.Perms {
 							t.Fatalf("trial %d round %d (weights %v): placed %v ByteHops %d Perms %d, reference %v %d %d",
 								trial, round, w != nil, g.Placed(), g.ByteHops, g.Perms, r.Placed(), r.ByteHops, r.Perms)
@@ -262,8 +262,6 @@ func TestSharedRowsMatchPerAtomReference(t *testing.T) {
 									trial, round, w != nil, id, g.Engine(id), r.Engine(id))
 							}
 						}
-						got.Recycle(&g)
-						want.Recycle(&r)
 					}
 				}
 			}

@@ -51,7 +51,7 @@ func TestWeightAffinityRefinement(t *testing.T) {
 	}
 
 	// Round 1 placed slices c0=0,16,32,48 on engines 0..3 (by atom order).
-	r1 := m.PlaceRound(first, func(int) int { return -1 })
+	r1 := placeNew(m, first, func(int) int { return -1 }, nil)
 	sliceEngine := map[int]int{} // c0 -> engine
 	for _, id := range first {
 		sliceEngine[d.Atoms[id].Region.C0] = r1.Engine(id)
@@ -62,7 +62,7 @@ func TestWeightAffinityRefinement(t *testing.T) {
 	weights := func(e, id int) bool {
 		return sliceEngine[d.Atoms[id].Region.C0] == e
 	}
-	r2 := m.PlaceRoundWeighted(second, func(int) int { return -1 }, weights)
+	r2 := placeNew(m, second, func(int) int { return -1 }, weights)
 	// Every atom must land on the engine holding its slice (ifmap costs
 	// are zero here, so weight affinity decides).
 	for _, id := range second {
@@ -87,8 +87,8 @@ func TestRefinementRespectsIfmapCost(t *testing.T) {
 		}
 	}
 	noWeights := func(int, int) bool { return false }
-	base := m.PlaceRound(convs, func(int) int { return -1 })
-	refined := m.PlaceRoundWeighted(convs, func(int) int { return -1 }, noWeights)
+	base := placeNew(m, convs, func(int) int { return -1 }, nil)
+	refined := placeNew(m, convs, func(int) int { return -1 }, noWeights)
 	if base.ByteHops != refined.ByteHops {
 		t.Errorf("uniform weights changed cost: %d vs %d", base.ByteHops, refined.ByteHops)
 	}
@@ -101,7 +101,7 @@ func TestWeightedByteHopsMatchDependencyWalk(t *testing.T) {
 	d, prev, cur := fig7DAG(t)
 	mesh := noc.NewMesh(3, 3, 8)
 	m := New(mesh, d)
-	r0 := m.PlaceRound(prev, func(int) int { return -1 })
+	r0 := placeNew(m, prev, func(int) int { return -1 }, nil)
 	locate := r0.Engine
 	round := append(append([]int(nil), cur...), prev...)
 	for salt := 0; salt < 6; salt++ {
@@ -111,7 +111,7 @@ func TestWeightedByteHopsMatchDependencyWalk(t *testing.T) {
 			a := d.Atoms[id]
 			return (e*7+a.Layer*5+a.Region.C0+salt)%3 == 0
 		}
-		res := m.PlaceRoundWeighted(round, locate, weights)
+		res := placeNew(m, round, locate, weights)
 		var want int64
 		for _, id := range res.Placed() {
 			dst := res.Engine(id)
@@ -128,6 +128,5 @@ func TestWeightedByteHopsMatchDependencyWalk(t *testing.T) {
 		if res.ByteHops != want {
 			t.Errorf("salt %d: ByteHops = %d, dependency walk = %d", salt, res.ByteHops, want)
 		}
-		m.Recycle(&res)
 	}
 }

@@ -11,46 +11,43 @@ import (
 
 // arena is the per-Run scratch state of the simulator's hot loop. All
 // link and engine state lives in dense slices indexed by the mesh's link
-// IDs and engine indices, and is invalidated by bumping an epoch stamp
-// instead of clearing or reallocating, so simulating a Round's flows
-// allocates nothing after the first Round.
+// IDs and engine indices, so simulating a Round's flows allocates nothing
+// after the first Round. The state has two lifetimes:
 //
-// Two stamp counters partition the state by lifetime:
+//   - Round state is cleared by beginRound at every Round barrier: a
+//     link's free time (when it finishes its last tensor), ready
+//     (per-engine NoC arrival) and dramReady (per-engine DRAM arrival).
+//     Zero means nothing arrived this Round; every reader compares
+//     against a time at or after the Round start, so it cannot tell zero
+//     from an earlier arrival. Clearing costs a few KB per Round (224
+//     links and 64 engines on the 8x8 mesh).
+//   - Multicast-group state — a link's start time (when it begins
+//     forwarding the group's tensor) — is guarded by groupStamp: a slot
+//     is live only when its stamp equals the counter, which only grows,
+//     so the NoC walk never clears per group.
 //
-//   - roundStamp guards state that resets every Round: a link's free
-//     time (when it finishes its last tensor), ready (per-engine NoC
-//     arrival) and dramReady (per-engine DRAM arrival).
-//   - groupStamp guards state that resets every multicast group: a
-//     link's start time (when it begins forwarding the group's tensor).
-//
-// A slot is live only when its stamp equals the current counter; stale
-// slots read as absent. Both counters are monotonically increasing
-// int64s, so stamps never collide across Rounds or groups. Determinism
-// is preserved by construction: flows are sorted by a total order
-// (Src, |key|, key, Dst) before link claiming, which is exactly the
-// order the map-based reference path iterates in.
+// Determinism is preserved by construction: flows are sorted by a total
+// order (Src, |key|, key, Dst) before link claiming, which is exactly
+// the order the map-based reference path iterates in.
 type arena struct {
 	mesh *noc.Mesh
 
 	// Link state, indexed by link ID (see noc.RouteIDs).
+	free  []int64 // Round state: when the link finishes its last tensor
 	links []linkState
 
-	// Engine state, indexed by engine.
-	ready      []int64
-	readyStamp []int64
-	dramReady  []int64
-	dramStamp  []int64
+	// Engine state, indexed by engine (Round state).
+	ready     []int64
+	dramReady []int64
 
-	roundStamp int64
 	groupStamp int64
 
 	// sorter orders each Round's flows for walkFlows.
 	sorter flowSorter
 
-	// Stamp values when the current run acquired this arena — pooled
-	// arenas keep counting monotonically, so per-run epoch metrics are
-	// the deltas against these.
-	runRound0 int64
+	// groupStamp when the current run acquired this arena — pooled arenas
+	// keep counting monotonically, so the per-run group-epoch metric is
+	// the delta against it.
 	runGroup0 int64
 
 	// linkTraffic, when non-nil, accumulates bytes per link ID across the
@@ -58,12 +55,10 @@ type arena struct {
 	linkTraffic []int64
 }
 
-// linkState is one link's timing state, kept together so a route step
-// touches one cache line.
+// linkState is a link's multicast-group state: when it begins forwarding
+// the group's tensor, live while startStamp equals groupStamp.
 type linkState struct {
-	free       int64 // when the link finishes its last tensor (roundStamp)
-	freeStamp  int64
-	start      int64 // when it begins forwarding the group's tensor (groupStamp)
+	start      int64
 	startStamp int64
 }
 
@@ -72,49 +67,30 @@ func newArena(mesh *noc.Mesh) *arena {
 	nl := mesh.NumLinks()
 	ne := mesh.Engines()
 	return &arena{
-		mesh:       mesh,
-		links:      make([]linkState, nl),
-		ready:      make([]int64, ne),
-		readyStamp: make([]int64, ne),
-		dramReady:  make([]int64, ne),
-		dramStamp:  make([]int64, ne),
+		mesh:      mesh,
+		free:      make([]int64, nl),
+		links:     make([]linkState, nl),
+		ready:     make([]int64, ne),
+		dramReady: make([]int64, ne),
 	}
 }
 
 // reset re-targets a pooled arena at a new mesh. The pool key guarantees
 // the new mesh has the same link and engine counts, so the dense slices
-// keep their sizes, and the epoch stamps are monotonic — stale slots from
-// the previous run read as absent without any clearing.
+// keep their sizes; beginRound clears the Round state, and the group
+// stamps are monotonic, so stale slots from the previous run read as
+// absent.
 func (a *arena) reset(mesh *noc.Mesh) {
 	a.mesh = mesh
 	a.linkTraffic = nil
-	a.runRound0 = a.roundStamp
 	a.runGroup0 = a.groupStamp
 }
 
-// beginRound invalidates all per-Round state.
-func (a *arena) beginRound() { a.roundStamp++ }
-
-// setDRAMReady records engine e's DRAM arrival time for this Round.
-func (a *arena) setDRAMReady(e int, at int64) {
-	a.dramReady[e] = at
-	a.dramStamp[e] = a.roundStamp
-}
-
-// getDRAMReady returns engine e's DRAM arrival this Round, if any.
-func (a *arena) getDRAMReady(e int) (int64, bool) {
-	return a.dramReady[e], a.dramStamp[e] == a.roundStamp
-}
-
-// setNoCReady records engine e's NoC arrival time (reference-path shim).
-func (a *arena) setNoCReady(e int, at int64) {
-	a.ready[e] = at
-	a.readyStamp[e] = a.roundStamp
-}
-
-// getNoCReady returns engine e's NoC arrival this Round, if any.
-func (a *arena) getNoCReady(e int) (int64, bool) {
-	return a.ready[e], a.readyStamp[e] == a.roundStamp
+// beginRound clears all per-Round state at the Round barrier.
+func (a *arena) beginRound() {
+	clear(a.free)
+	clear(a.ready)
+	clear(a.dramReady)
 }
 
 // flowOrder is a Round's flows in deterministic link-claim order. Each
@@ -370,7 +346,7 @@ func (a *arena) walkFlows(flows []buffer.Flow, fo flowOrder, start int64) int64 
 		// prefix of the route: find its end from the back and claim only
 		// the suffix.
 		a.groupStamp++
-		gs, rs := a.groupStamp, a.roundStamp
+		gs := a.groupStamp
 		off, ids := a.mesh.RoutesFrom(src)
 		treeLinks := int64(0)
 		for n, k := range keys[gi:gj] {
@@ -389,13 +365,9 @@ func (a *arena) walkFlows(flows []buffer.Flow, fo flowOrder, start int64) int64 
 				head = lastStart + hop
 			}
 			for _, id := range route[claimed:] {
-				l := &a.links[id]
-				s := head
-				if l.freeStamp == rs && l.free > s {
-					s = l.free
-				}
-				l.start, l.startStamp = s, gs
-				l.free, l.freeStamp = s+ser, rs
+				s := max(head, a.free[id])
+				a.links[id] = linkState{start: s, startStamp: gs}
+				a.free[id] = s + ser
 				treeLinks++
 				if a.linkTraffic != nil {
 					a.linkTraffic[id] += bytes
@@ -407,9 +379,7 @@ func (a *arena) walkFlows(flows []buffer.Flow, fo flowOrder, start int64) int64 
 			if len(route) > 0 {
 				arrive = lastStart + ser + hop
 			}
-			if r, ok := a.getNoCReady(dst); !ok || arrive > r {
-				a.setNoCReady(dst, arrive)
-			}
+			a.ready[dst] = max(a.ready[dst], arrive)
 		}
 		byteHops += bytes * treeLinks
 		gi = gj

@@ -65,7 +65,6 @@ func TestGoldenReportDeterminism(t *testing.T) {
 				if err := r.time(&slot); err != nil {
 					t.Fatal(err)
 				}
-				r.mapper.Recycle(&slot.placed)
 			}
 			if ref := r.report(); dense1 != ref {
 				t.Errorf("Round-by-Round reference run disagrees with Run:\n  Run %+v\n  ref %+v", dense1, ref)

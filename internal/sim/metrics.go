@@ -127,15 +127,14 @@ func (sm *simMetrics) finish(rep *Report, man *buffer.Manager, hbm *dram.HBM, or
 	reg.Gauge("buffer_occupancy_highwater_bytes").Max(float64(man.HighWater()))
 	reg.Gauge("buffer_capacity_bytes").SetInt(man.Capacity())
 
-	// Simulator totals and the arena's epoch reuse (stamp bumps instead
-	// of clears — each counted Round/group reused the same backing
-	// slices).
+	// Simulator totals and the arena's multicast-group epochs (stamp
+	// bumps instead of clears — each counted group reused the same
+	// backing slices).
 	reg.Counter("sim_cycles_total").Add(rep.Cycles)
 	reg.Counter("sim_compute_cycles_total").Add(rep.ComputeCycles)
 	reg.Counter("sim_noc_blocked_cycles_total").Add(rep.NoCBlockedCycles)
 	reg.Counter("sim_dram_blocked_cycles_total").Add(rep.DRAMBlockedCycles)
 	reg.Counter("sim_macs_total").Add(rep.MACs)
-	reg.Counter("sim_arena_round_epochs_total").Add(ar.roundStamp - ar.runRound0)
 	reg.Counter("sim_arena_group_epochs_total").Add(ar.groupStamp - ar.runGroup0)
 	reg.Gauge("sim_pe_utilization").Set(rep.PEUtilization)
 	reg.Gauge("sim_compute_utilization").Set(rep.ComputeUtil)

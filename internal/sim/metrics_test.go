@@ -108,9 +108,6 @@ func TestRunMetricsPopulated(t *testing.T) {
 	if got := snap.Gauge("cost_oracle_evaluations"); got <= 0 {
 		t.Errorf("cost_oracle_evaluations = %v, want > 0", got)
 	}
-	if got := snap.Counter("sim_arena_round_epochs_total"); got != int64(rep.Rounds) {
-		t.Errorf("arena round epochs = %d, want %d", got, rep.Rounds)
-	}
 }
 
 // TestRunMetricsDoNotPerturb pins the determinism contract: enabling the

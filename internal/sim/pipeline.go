@@ -42,8 +42,8 @@ const pipelineDepth = 4
 
 // prepSlot carries one prepared Round from the prep stage to the timing
 // stage. Slots are recycled through the ring, and the ring lives in the
-// pooled runState, so their RoundIO and engine list stop allocating
-// after the first few Rounds of the first Run.
+// pooled runState, so their placement, RoundIO and engine list stop
+// allocating after the first few Rounds of the first Run.
 type prepSlot struct {
 	t       int
 	placed  mapping.Result
@@ -92,11 +92,11 @@ func (r *runner) prep(t int, slot *prepSlot) {
 	slot.t = t
 	round := r.s.Rounds[t]
 	if r.cfg.NaiveMapping {
-		slot.placed = r.mapper.PlaceRound(round.Atoms, func(int) int { return -1 })
+		r.mapper.PlaceRound(&slot.placed, round.Atoms, func(int) int { return -1 }, nil)
 	} else {
-		slot.placed = r.mapper.PlaceRoundWeighted(round.Atoms, r.man.Locate, r.man.HasWeights)
+		r.mapper.PlaceRound(&slot.placed, round.Atoms, r.man.Locate, r.man.HasWeights)
 	}
-	if slot.err = r.man.ExecuteRoundInto(t, slot.placed, &slot.io); slot.err != nil {
+	if slot.err = r.man.ExecuteRoundInto(t, &slot.placed, &slot.io); slot.err != nil {
 		return
 	}
 	engines := slot.engines[:0]
@@ -117,7 +117,7 @@ func (r *runner) time(slot *prepSlot) error {
 	s := r.s
 	ar := r.ar
 	io := &slot.io
-	placed := slot.placed
+	placed := &slot.placed
 	engines := slot.engines
 	now := r.now
 
@@ -131,11 +131,7 @@ func (r *runner) time(slot *prepSlot) error {
 	}
 	for _, e := range engines {
 		if b := io.DRAMReadBytes[e]; b > 0 {
-			done := r.hbm.Read(issueAt, b)
-			if done < now {
-				done = now
-			}
-			ar.setDRAMReady(e, done)
+			ar.dramReady[e] = max(r.hbm.Read(issueAt, b), now)
 		}
 	}
 
@@ -156,30 +152,14 @@ func (r *runner) time(slot *prepSlot) error {
 	for _, id := range round.Atoms {
 		e := placed.Engine(id)
 		comp := s.ComputeCycles[id]
-		if comp > maxComp {
-			maxComp = comp
-		}
-		end := now + comp
-		if rr, ok := ar.getDRAMReady(e); ok && rr > end {
-			end = rr
-		}
-		if end > endNoNoC {
-			endNoNoC = end
-		}
-		if rr, ok := ar.getNoCReady(e); ok && rr > end {
-			end = rr
-		}
-		if end > endAll {
-			endAll = end
-		}
+		maxComp = max(maxComp, comp)
+		end := max(now+comp, ar.dramReady[e])
+		endNoNoC = max(endNoNoC, end)
+		endAll = max(endAll, end, ar.ready[e])
 	}
 	endNoMem := now + maxComp
-	if endNoNoC < endNoMem {
-		endNoNoC = endNoMem
-	}
-	if endAll < endNoNoC {
-		endAll = endNoNoC
-	}
+	endNoNoC = max(endNoNoC, endNoMem)
+	endAll = max(endAll, endNoNoC)
 
 	// --- Write-backs post at Round end without blocking it.
 	for _, e := range engines {
@@ -198,13 +178,7 @@ func (r *runner) time(slot *prepSlot) error {
 		for _, id := range round.Atoms {
 			e := placed.Engine(id)
 			comp := s.ComputeCycles[id]
-			end := now + comp
-			if rr, ok := ar.getDRAMReady(e); ok && rr > end {
-				end = rr
-			}
-			if rr, ok := ar.getNoCReady(e); ok && rr > end {
-				end = rr
-			}
+			end := max(now+comp, ar.dramReady[e], ar.ready[e])
 			sm.barrierWait.ObserveInt(endAll - end)
 			sm.busy[e].Add(comp)
 			sm.compOf[e] = comp
@@ -247,9 +221,7 @@ func (r *runner) time(slot *prepSlot) error {
 			DRAMReady: now,
 		}
 		for _, e := range engines {
-			if rr, ok := ar.getDRAMReady(e); ok && rr > tr.DRAMReady {
-				tr.DRAMReady = rr
-			}
+			tr.DRAMReady = max(tr.DRAMReady, ar.dramReady[e])
 		}
 		for _, f := range io.Flows {
 			tr.FlowBytes += f.Bytes
@@ -335,7 +307,6 @@ func (r *runner) runPipelined() error {
 		if err := r.time(slot); err != nil {
 			return err
 		}
-		r.mapper.Recycle(&slot.placed)
 		free <- slot // never blocks: the ring holds at most pipelineDepth slots
 	}
 	return nil

@@ -30,7 +30,7 @@ func (a *arena) simulateFlows(flows []buffer.Flow, start int64) (int64, error) {
 //
 // This is the executable specification of the NoC contention model; the
 // production path is arena.walkFlows, which replays the same walk over
-// link-ID-indexed epoch-stamped slices without allocating.
+// link-ID-indexed slices without allocating.
 func simulateFlowsReference(mesh *noc.Mesh, flows []buffer.Flow, start int64) (map[int]int64, int64) {
 	type mkey struct {
 		src int
@@ -134,7 +134,6 @@ func runSerial(d *atom.DAG, s *schedule.Schedule, cfg Config) (Report, error) {
 		if err := r.time(slot); err != nil {
 			return Report{}, err
 		}
-		r.mapper.Recycle(&slot.placed)
 	}
 	return r.report(), nil
 }

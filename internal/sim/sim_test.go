@@ -159,7 +159,7 @@ func runFlows(t *testing.T, mesh *noc.Mesh, flows []buffer.Flow, start int64) (m
 	}
 	ready := make(map[int]int64)
 	for e := 0; e < mesh.Engines(); e++ {
-		if r, ok := a.getNoCReady(e); ok {
+		if r := a.ready[e]; r != 0 {
 			ready[e] = r
 		}
 	}
@@ -243,6 +243,45 @@ func TestWalkFlowsTopologies(t *testing.T) {
 			}
 			flows := randomFlows(rng, rng.Intn(4*engines), srcs, engines)
 			runFlows(t, mesh, flows, int64(rng.Intn(1000)))
+		}
+	}
+}
+
+// TestWalkFlowsAcrossRounds runs one arena over back-to-back random
+// multi-group Rounds, clearing its Round state with beginRound between
+// them as the timing stage does, and checks every Round against the
+// map-based reference. The Rounds start at cycles that do not increase,
+// so a link free time or an engine arrival left over from an earlier
+// Round would delay or add an arrival; in the simulator a later Round
+// always starts after every earlier arrival, which would hide the leak.
+func TestWalkFlowsAcrossRounds(t *testing.T) {
+	mesh := noc.NewMesh(8, 8, 16)
+	engines := mesh.Engines()
+	rng := rand.New(rand.NewSource(7))
+	a := newArena(mesh)
+	for round := 0; round < 60; round++ {
+		srcs := make([]int, 1+rng.Intn(4))
+		for i := range srcs {
+			srcs[i] = rng.Intn(engines)
+		}
+		flows := randomFlows(rng, 1+rng.Intn(2*engines), srcs, engines)
+		start := int64(5000 - 80*round)
+		if round%3 == 2 {
+			start = int64(5000 - 80*(round-1)) // a repeated start
+		}
+		refReady, refHops := simulateFlowsReference(mesh, flows, start)
+		a.beginRound()
+		hops, err := a.simulateFlows(flows, start)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if hops != refHops {
+			t.Fatalf("round %d: byteHops %d, reference %d", round, hops, refHops)
+		}
+		for e := 0; e < engines; e++ {
+			if a.ready[e] != refReady[e] {
+				t.Fatalf("round %d: engine %d arrival %d, reference %d", round, e, a.ready[e], refReady[e])
+			}
 		}
 	}
 }
