@@ -49,42 +49,31 @@ func WholeLayer(l *graph.Layer) Partition {
 // atom (WholeLayer). Concat and Input layers never need entries.
 type Spec map[int]Partition
 
-// Region is a half-open sub-box of a layer's output tensor.
-type Region struct {
+// region is a half-open sub-box of a layer's output tensor, the unit of
+// the builder's receptive-field back-projection.
+type region struct {
 	H0, H1 int // [H0, H1) along Ho
 	W0, W1 int
 	C0, C1 int // along Co
 }
 
-// Bytes returns the INT8 footprint of the region.
-func (r Region) Bytes() int64 {
-	return int64(r.H1-r.H0) * int64(r.W1-r.W0) * int64(r.C1-r.C0)
-}
+func (r region) empty() bool { return r.H1 <= r.H0 || r.W1 <= r.W0 || r.C1 <= r.C0 }
 
-func (r Region) empty() bool { return r.H1 <= r.H0 || r.W1 <= r.W0 || r.C1 <= r.C0 }
-
-// Atom is one vertex of the atomic DAG: the Region of one layer's output
-// for one batch sample, plus the engine.Task that prices its execution.
-// It holds no pointers; its edges live in the DAG's row tables and are
-// read through DAG.Deps and DAG.ConsumerRows.
+// Atom is one vertex of the atomic DAG: one tile of one layer's output
+// for one batch sample, and the engine.Task that prices its execution.
+// An atom's ID is its index in DAG.Atoms. Its output region and the
+// weight slice it reads follow from its layer's tiling; the DAG owns
+// both (see DAG.WeightSlice). It holds no pointers; its edges live in
+// the DAG's row tables and are read through DAG.Deps and
+// DAG.ConsumerRows.
 type Atom struct {
-	ID     int
 	Layer  int // layer ID in the source graph
 	Sample int // batch index
-	Index  int // tile index within (Layer, Sample), row-major (h, w, c)
-	Region Region
 	Task   engine.Task
 }
 
 // OutputBytes returns the atom's produced tensor bytes.
-func (a *Atom) OutputBytes() int64 { return a.Region.Bytes() }
-
-// String implements fmt.Stringer with the paper's "layer-index" notation.
-func (a *Atom) String() string {
-	return fmt.Sprintf("atom{L%d-%d s%d [%d:%d,%d:%d,%d:%d]}",
-		a.Layer, a.Index, a.Sample,
-		a.Region.H0, a.Region.H1, a.Region.W0, a.Region.W1, a.Region.C0, a.Region.C1)
-}
+func (a *Atom) OutputBytes() int64 { return a.Task.OutputBytes() }
 
 // grid records the regular tiling of one layer in sample 0 so that
 // region→atom lookups are O(overlap) instead of O(atoms).
@@ -112,6 +101,11 @@ func sharesRows(k graph.OpKind) bool {
 // is sample 0 with every atom ID offset by s·n and every row by s·R (n
 // atoms and R rows per sample); the accessors return sample-0 lists with
 // the offset to add.
+//
+// The DAG also numbers the weight slices: one per output-channel tile of
+// every layer whose tiles carry weights, dense in (layer ID, channel
+// tile) order. Weights are shared across samples and spatial tiles, so
+// every atom of one (layer, channel tile) reads the same slice.
 type DAG struct {
 	Graph *graph.Graph
 	Batch int
@@ -128,6 +122,9 @@ type DAG struct {
 	depBytes []int64
 	consOff  []int32 // n+1 entries: atom id's consumer rows are consRows[consOff[id]:consOff[id+1]]
 	consRows []int32 // ascending per producer
+
+	wslice  []int32 // block atom -> weight slice id, -1 when it reads none
+	nslices int
 }
 
 // NumAtoms returns the vertex count.
@@ -168,6 +165,24 @@ func (d *DAG) ConsumerRows(id int) (rows []int32, off int32) {
 	return d.consRows[d.consOff[id0]:d.consOff[id0+1]], int32(s * d.rows)
 }
 
+// Row returns the row holding atom id. Atoms of one row share their
+// dependency list.
+func (d *DAG) Row(id int) int {
+	s, id0 := d.block(id)
+	return int(d.rowOf[id0]) + s*d.rows
+}
+
+// WeightSlice returns the weight slice atom id reads, or -1 if it reads
+// none. Replicas read their sample-0 twin's slice.
+func (d *DAG) WeightSlice(id int) int {
+	_, id0 := d.block(id)
+	return int(d.wslice[id0])
+}
+
+// NumWeightSlices returns the weight slice count; slice ids are
+// [0, NumWeightSlices()).
+func (d *DAG) NumWeightSlices() int { return d.nslices }
+
 // RowAtoms returns the atom-ID range [lo, hi) of row r.
 func (d *DAG) RowAtoms(r int) (lo, hi int) {
 	s := r / d.rows
@@ -189,13 +204,24 @@ func (d *DAG) AtomRange(sample, layerID int) (lo, hi int) {
 
 // FromLists builds a DAG from explicit atoms and per-atom dependency
 // lists, one row per atom and a single replicated block, so atoms of
-// every sample carry their own lists. It is for hand-drawn DAGs; the
-// atoms' IDs must be their indices, deps[i] and bytes[i] atom i's
-// producers and edge bytes.
-func FromLists(g *graph.Graph, batch int, atoms []Atom, deps [][]int, bytes [][]int64) *DAG {
+// every sample carry their own lists. It is for hand-drawn DAGs: deps[i]
+// and bytes[i] are atom i's producers and edge bytes, and wslice[i] the
+// weight slice it reads (-1 for none; a nil wslice means no atom reads
+// one).
+func FromLists(g *graph.Graph, batch int, atoms []Atom, deps [][]int, bytes [][]int64, wslice []int32) *DAG {
 	n := len(atoms)
 	d := &DAG{Graph: g, Batch: batch, Atoms: atoms, n: n, rows: n,
-		rowOf: make([]int32, n), rowStart: make([]int32, n+1), depOff: make([]int32, n+1)}
+		rowOf: make([]int32, n), rowStart: make([]int32, n+1), depOff: make([]int32, n+1),
+		wslice: wslice}
+	if wslice == nil {
+		d.wslice = make([]int32, n)
+		for id := range d.wslice {
+			d.wslice[id] = -1
+		}
+	}
+	for _, w := range d.wslice {
+		d.nslices = max(d.nslices, int(w)+1)
+	}
 	for id := range atoms {
 		d.rowOf[id], d.rowStart[id+1] = int32(id), int32(id+1)
 		for i, p := range deps[id] {
@@ -262,7 +288,7 @@ func (d *DAG) Validate() error {
 			var covered int64
 			lo, hi := d.AtomRange(s, lid)
 			for id := lo; id < hi; id++ {
-				covered += d.Atoms[id].Region.Bytes()
+				covered += d.Atoms[id].OutputBytes()
 			}
 			if covered != l.OutputBytes() {
 				return fmt.Errorf("layer %d sample %d: atoms cover %d of %d bytes",
@@ -325,8 +351,8 @@ func (d *DAG) validateRows() error {
 // per-layer partition spec and batch size.
 //
 // Only sample 0 is tiled and wired, one dependency list per row; the
-// other samples' atoms are copies of sample 0's with their ID and Sample
-// advanced, and their edges stay implicit.
+// other samples' atoms are copies of sample 0's with their Sample
+// advanced, and their edges and weight slices stay implicit.
 func Build(g *graph.Graph, batch int, spec Spec) (*DAG, error) {
 	if batch < 1 {
 		return nil, fmt.Errorf("atom: batch %d < 1", batch)
@@ -358,15 +384,38 @@ func Build(g *graph.Graph, batch int, spec Spec) (*DAG, error) {
 	d.Atoms = make([]Atom, d.n*batch)
 	d.buildSample0()
 	d.indexConsumers()
+	d.numberSlices()
 	for s := 1; s < batch; s++ {
 		blk := d.Atoms[s*d.n : (s+1)*d.n]
 		copy(blk, d.Atoms[:d.n])
 		for i := range blk {
-			blk[i].ID += s * d.n
 			blk[i].Sample = s
 		}
 	}
 	return d, nil
+}
+
+// numberSlices gives each output-channel tile of every weighted layer a
+// slice id, walking the layers in ID order: a layer's nC channel tiles
+// take nC consecutive ids.
+func (d *DAG) numberSlices() {
+	d.wslice = make([]int32, d.n)
+	for _, gr := range d.grids {
+		lo, hi := gr.base, gr.base+gr.atoms()
+		if lo == hi {
+			continue
+		}
+		if d.Atoms[lo].Task.WeightBytes() == 0 {
+			for id := lo; id < hi; id++ {
+				d.wslice[id] = -1
+			}
+			continue
+		}
+		for id := lo; id < hi; id++ {
+			d.wslice[id] = int32(d.nslices + (id-lo)%gr.nC)
+		}
+		d.nslices += gr.nC
+	}
 }
 
 // buildSample0 tiles every layer of sample 0 and wires its rows.
@@ -389,13 +438,12 @@ func (d *DAG) buildSample0() {
 		for ih := 0; ih < gr.nH; ih++ {
 			for iw := 0; iw < gr.nW; iw++ {
 				for ic := 0; ic < gr.nC; ic++ {
-					r := Region{
+					r := region{
 						H0: ih * part.Hp, H1: min((ih+1)*part.Hp, s.Ho),
 						W0: iw * part.Wp, W1: min((iw+1)*part.Wp, s.Wo),
 						C0: ic * part.Cop, C1: min((ic+1)*part.Cop, s.Co),
 					}
-					d.Atoms[id] = Atom{ID: id, Layer: lid, Index: id - gr.base, Region: r,
-						Task: engine.TileTask(l, r.H1-r.H0, r.W1-r.W0, r.C1-r.C0)}
+					d.Atoms[id] = Atom{Layer: lid, Task: engine.TileTask(l, r.H1-r.H0, r.W1-r.W0, r.C1-r.C0)}
 					if !shared || ic == 0 {
 						d.rowStart = append(d.rowStart, int32(id))
 						d.appendDeps(sc, l, r)
@@ -441,7 +489,7 @@ func (sc *buildScratch) reset(n int) {
 // producer atoms whose outputs overlap the input receptive field of
 // region r of layer l, together with the per-edge overlap volume in
 // bytes.
-func (d *DAG) appendDeps(sc *buildScratch, l *graph.Layer, r Region) {
+func (d *DAG) appendDeps(sc *buildScratch, l *graph.Layer, r region) {
 	lo, epoch := len(sc.ids), int32(len(d.depOff))
 	sc.refs = appendInputRegions(sc.refs[:0], d.Graph, l, r)
 	for _, ref := range sc.refs {
@@ -459,13 +507,13 @@ func (d *DAG) appendDeps(sc *buildScratch, l *graph.Layer, r Region) {
 // regionRef names a required region of one producer layer's output.
 type regionRef struct {
 	layer  int
-	region Region
+	region region
 }
 
 // appendInputRegions appends to refs the back-projection of output
 // region r of layer l onto its producer layers, resolving through concat
 // layers recursively.
-func appendInputRegions(refs []regionRef, g *graph.Graph, l *graph.Layer, r Region) []regionRef {
+func appendInputRegions(refs []regionRef, g *graph.Graph, l *graph.Layer, r region) []regionRef {
 	s := l.Shape
 	switch l.Kind {
 	case graph.OpInput:
@@ -476,7 +524,7 @@ func appendInputRegions(refs []regionRef, g *graph.Graph, l *graph.Layer, r Regi
 		// keeping the full extent is always correct.)
 		for _, in := range l.Inputs {
 			p := g.Layer(in).Shape
-			refs = appendResolved(refs, g, in, Region{H0: 0, H1: p.Ho, W0: 0, W1: p.Wo, C0: 0, C1: p.Co})
+			refs = appendResolved(refs, g, in, region{H0: 0, H1: p.Ho, W0: 0, W1: p.Wo, C0: 0, C1: p.Co})
 		}
 		return refs
 	case graph.OpEltwise, graph.OpActivation:
@@ -501,13 +549,13 @@ func appendInputRegions(refs []regionRef, g *graph.Graph, l *graph.Layer, r Regi
 	default:
 		c0, c1 = 0, s.Ci // dense conv consumes all input channels
 	}
-	return appendResolved(refs, g, l.Inputs[0], Region{H0: h0, H1: h1, W0: w0, W1: w1, C0: c0, C1: c1})
+	return appendResolved(refs, g, l.Inputs[0], region{H0: h0, H1: h1, W0: w0, W1: w1, C0: c0, C1: c1})
 }
 
 // appendResolved appends to refs a required region of layer lid's
 // output, mapped through any concat layers down to concrete (non-concat)
 // producer regions.
-func appendResolved(refs []regionRef, g *graph.Graph, lid int, r Region) []regionRef {
+func appendResolved(refs []regionRef, g *graph.Graph, lid int, r region) []regionRef {
 	l := g.Layer(lid)
 	if l.Kind != graph.OpConcat {
 		if r.empty() {

@@ -1,6 +1,7 @@
 package atom
 
 import (
+	"cmp"
 	"encoding/json"
 	"flag"
 	"fmt"
@@ -10,6 +11,7 @@ import (
 	"sync"
 	"testing"
 	"testing/quick"
+	"unsafe"
 
 	"github.com/atomic-dataflow/atomicflow/internal/engine"
 	"github.com/atomic-dataflow/atomicflow/internal/graph"
@@ -43,6 +45,32 @@ func depsOf(d *DAG, id int) ([]int, []int64) {
 		deps[i] = int(p + off)
 	}
 	return deps, slices.Clone(bytes)
+}
+
+// region returns atom id's output region, read off its layer's grid.
+func (d *DAG) region(id int) region {
+	_, id0 := d.block(id)
+	a := &d.Atoms[id]
+	gr, s := d.grids[a.Layer], d.Graph.Layer(a.Layer).Shape
+	p, i := gr.part, id0-gr.base
+	ih, iw, ic := i/(gr.nW*gr.nC), i/gr.nC%gr.nW, i%gr.nC
+	return region{
+		H0: ih * p.Hp, H1: min((ih+1)*p.Hp, s.Ho),
+		W0: iw * p.Wp, W1: min((iw+1)*p.Wp, s.Wo),
+		C0: ic * p.Cop, C1: min((ic+1)*p.Cop, s.Co),
+	}
+}
+
+func (r region) bytes() int64 {
+	return int64(r.H1-r.H0) * int64(r.W1-r.W0) * int64(r.C1-r.C0)
+}
+
+// TestAtomSize pins the atom's footprint: DAG.Atoms holds one per atom
+// of every sample.
+func TestAtomSize(t *testing.T) {
+	if got := unsafe.Sizeof(Atom{}); got != 80 {
+		t.Errorf("unsafe.Sizeof(Atom{}) = %d, want 80", got)
+	}
 }
 
 // consumersOf expands the atoms of atom id's consumer rows.
@@ -101,11 +129,10 @@ func TestRaggedTiling(t *testing.T) {
 	if len(atoms) != 4 {
 		t.Fatalf("atoms = %d, want 4 (32 = 10+10+10+2)", len(atoms))
 	}
-	last := d.Atoms[atoms[3]]
-	if got := last.Region.H1 - last.Region.H0; got != 2 {
-		t.Errorf("last tile height = %d, want 2", got)
+	if r := d.region(atoms[3]); r.H1-r.H0 != 2 {
+		t.Errorf("last tile height = %d, want 2", r.H1-r.H0)
 	}
-	if last.Task.Hp != 2 {
+	if last := d.Atoms[atoms[3]]; last.Task.Hp != 2 {
 		t.Errorf("last tile Task.Hp = %d, want 2", last.Task.Hp)
 	}
 }
@@ -221,8 +248,8 @@ func TestBatchReplication(t *testing.T) {
 		t.Errorf("batch 3 atoms = %d, want %d", d3.NumAtoms(), 3*d1.NumAtoms())
 	}
 	// No edges may cross samples.
-	for _, a := range d3.Atoms {
-		deps, _ := depsOf(d3, a.ID)
+	for id, a := range d3.Atoms {
+		deps, _ := depsOf(d3, id)
 		for _, dep := range deps {
 			if d3.Atoms[dep].Sample != a.Sample {
 				t.Fatalf("cross-sample edge %v -> %v", &d3.Atoms[dep], &a)
@@ -243,11 +270,11 @@ func TestDepsAreAcyclicAndOrdered(t *testing.T) {
 			}
 		}
 		d := buildDAG(t, g, 2, spec)
-		for _, a := range d.Atoms {
-			deps, _ := depsOf(d, a.ID)
+		for id := range d.Atoms {
+			deps, _ := depsOf(d, id)
 			for _, dep := range deps {
-				if dep >= a.ID {
-					t.Fatalf("%s: dep %d not before atom %d", name, dep, a.ID)
+				if dep >= id {
+					t.Fatalf("%s: dep %d not before atom %d", name, dep, id)
 				}
 			}
 		}
@@ -257,11 +284,11 @@ func TestDepsAreAcyclicAndOrdered(t *testing.T) {
 func TestConsumersInverseOfDeps(t *testing.T) {
 	g := models.TinyBranch()
 	d := buildDAG(t, g, 1, nil)
-	for _, a := range d.Atoms {
-		deps, _ := depsOf(d, a.ID)
+	for id := range d.Atoms {
+		deps, _ := depsOf(d, id)
 		for _, dep := range deps {
-			if !slices.Contains(consumersOf(d, dep), a.ID) {
-				t.Fatalf("consumers(%d) missing %d", dep, a.ID)
+			if !slices.Contains(consumersOf(d, dep), id) {
+				t.Fatalf("consumers(%d) missing %d", dep, id)
 			}
 		}
 	}
@@ -307,11 +334,11 @@ func TestPartitionCoverageProperty(t *testing.T) {
 		}
 		var covered int64
 		for _, id := range atomsOf(d, 0, conv2.ID) {
-			r := d.Atoms[id].Region
+			r := d.region(id)
 			if r.empty() || r.H1 > 32 || r.W1 > 32 || r.C1 > 16 {
 				return false
 			}
-			covered += r.Bytes()
+			covered += r.bytes()
 		}
 		return covered == conv2.OutputBytes()
 	}
@@ -329,11 +356,12 @@ type refDAG struct {
 	grids     []map[int]grid // per sample: layerID -> grid
 }
 
-// refAtom is an atom with its own dependency list.
+// refAtom is an atom with its own region and dependency list.
 type refAtom struct {
 	Atom
-	deps  []int
-	bytes []int64
+	region region
+	deps   []int
+	bytes  []int64
 }
 
 func buildReference(g *graph.Graph, batch int, spec Spec) (*refDAG, error) {
@@ -356,9 +384,9 @@ func buildReference(g *graph.Graph, batch int, spec Spec) (*refDAG, error) {
 		}
 	}
 	d.consumers = make([][]int, len(d.atoms))
-	for _, a := range d.atoms {
+	for id, a := range d.atoms {
 		for _, dep := range a.deps {
-			d.consumers[dep] = append(d.consumers[dep], a.ID)
+			d.consumers[dep] = append(d.consumers[dep], id)
 		}
 	}
 	return d, nil
@@ -368,26 +396,24 @@ func (d *refDAG) addLayerAtoms(g *graph.Graph, sample int, l *graph.Layer, part 
 	s := l.Shape
 	nH, nW, nC := ceilDiv(s.Ho, part.Hp), ceilDiv(s.Wo, part.Wp), ceilDiv(s.Co, part.Cop)
 	d.grids[sample][l.ID] = grid{part: part, nH: nH, nW: nW, nC: nC, base: len(d.atoms)}
-	idx := 0
 	for ih := 0; ih < nH; ih++ {
 		for iw := 0; iw < nW; iw++ {
 			for ic := 0; ic < nC; ic++ {
-				r := Region{
+				r := region{
 					H0: ih * part.Hp, H1: min((ih+1)*part.Hp, s.Ho),
 					W0: iw * part.Wp, W1: min((iw+1)*part.Wp, s.Wo),
 					C0: ic * part.Cop, C1: min((ic+1)*part.Cop, s.Co),
 				}
-				a := refAtom{Atom: Atom{ID: len(d.atoms), Layer: l.ID, Sample: sample, Index: idx,
-					Region: r, Task: engine.TileTask(l, r.H1-r.H0, r.W1-r.W0, r.C1-r.C0)}}
+				a := refAtom{Atom: Atom{Layer: l.ID, Sample: sample,
+					Task: engine.TileTask(l, r.H1-r.H0, r.W1-r.W0, r.C1-r.C0)}, region: r}
 				a.deps, a.bytes = d.depsFor(g, sample, l, r)
 				d.atoms = append(d.atoms, a)
-				idx++
 			}
 		}
 	}
 }
 
-func (d *refDAG) depsFor(g *graph.Graph, sample int, l *graph.Layer, r Region) ([]int, []int64) {
+func (d *refDAG) depsFor(g *graph.Graph, sample int, l *graph.Layer, r region) ([]int, []int64) {
 	var deps []int
 	var bytes []int64
 	pos := make(map[int]int)
@@ -398,7 +424,7 @@ func (d *refDAG) depsFor(g *graph.Graph, sample int, l *graph.Layer, r Region) (
 			for iw := rr.W0 / p.Wp; iw <= (rr.W1-1)/p.Wp && iw < gr.nW; iw++ {
 				for ic := rr.C0 / p.Cop; ic <= (rr.C1-1)/p.Cop && ic < gr.nC; ic++ {
 					id := gr.base + (ih*gr.nW+iw)*gr.nC + ic
-					overlap := overlapBytes(d.atoms[id].Region, rr)
+					overlap := overlapBytes(d.atoms[id].region, rr)
 					if i, ok := pos[id]; ok {
 						bytes[i] += overlap
 					} else {
@@ -419,7 +445,7 @@ func (d *refDAG) depsFor(g *graph.Graph, sample int, l *graph.Layer, r Region) (
 }
 
 // overlapBytes returns the intersection volume of two regions.
-func overlapBytes(a, b Region) int64 {
+func overlapBytes(a, b region) int64 {
 	h := int64(min(a.H1, b.H1) - max(a.H0, b.H0))
 	w := int64(min(a.W1, b.W1) - max(a.W0, b.W0))
 	c := int64(min(a.C1, b.C1) - max(a.C0, b.C0))
@@ -453,10 +479,10 @@ func equalDAG(g *graph.Graph, batch int, got *DAG, want *refDAG) error {
 		a := &got.Atoms[i]
 		deps, bytes := depsOf(got, i)
 		switch {
-		case a.ID != w.ID || a.Layer != w.Layer || a.Sample != w.Sample || a.Index != w.Index:
-			return fmt.Errorf("atom %d: identity %v, reference %v", i, a, &w.Atom)
-		case a.Region != w.Region:
-			return fmt.Errorf("atom %d: region %+v, reference %+v", i, a.Region, w.Region)
+		case a.Layer != w.Layer || a.Sample != w.Sample:
+			return fmt.Errorf("atom %d: identity %+v, reference %+v", i, *a, w.Atom)
+		case got.region(i) != w.region:
+			return fmt.Errorf("atom %d: region %+v, reference %+v", i, got.region(i), w.region)
 		case a.Task != w.Task:
 			return fmt.Errorf("atom %d: task %+v, reference %+v", i, a.Task, w.Task)
 		case !slices.Equal(deps, w.deps):
@@ -496,7 +522,59 @@ func equalDAG(g *graph.Graph, batch int, got *DAG, want *refDAG) error {
 			}
 		}
 	}
+	if err := equalSlices(got, want); err != nil {
+		return err
+	}
 	return got.Validate()
+}
+
+// equalSlices checks the DAG's weight slice ids against the reference
+// regions: an atom reads a slice exactly when its task carries weights,
+// atoms of one (layer, C0) read one slice in every sample, so each
+// replica reads its sample-0 twin's slice, and the ids ascend densely in
+// (layer ID, C0) order, one per output-channel tile of each weighted
+// layer.
+func equalSlices(got *DAG, want *refDAG) error {
+	type key struct{ layer, c0 int }
+	ids := map[key]int{}
+	for i, w := range want.atoms {
+		id := got.WeightSlice(i)
+		if (id >= 0) != (w.Task.WeightBytes() > 0) {
+			return fmt.Errorf("atom %d (layer %d, %v): weight slice %d", i, w.Layer, w.Task.Kind, id)
+		}
+		if id < 0 {
+			continue
+		}
+		k := key{w.Layer, w.region.C0}
+		if prev, ok := ids[k]; ok && prev != id {
+			return fmt.Errorf("atom %d (sample %d): slice %d, but layer %d C0 %d is slice %d in an earlier atom",
+				i, w.Sample, id, k.layer, k.c0, prev)
+		}
+		ids[k] = id
+	}
+	keys := make([]key, 0, len(ids))
+	for k := range ids {
+		keys = append(keys, k)
+	}
+	slices.SortFunc(keys, func(a, b key) int {
+		return cmp.Or(cmp.Compare(a.layer, b.layer), cmp.Compare(a.c0, b.c0))
+	})
+	for i, k := range keys {
+		if ids[k] != i {
+			return fmt.Errorf("layer %d C0 %d: slice %d, want %d in (layer, C0) order", k.layer, k.c0, ids[k], i)
+		}
+	}
+	nslices := 0
+	for lid, gr := range want.grids[0] {
+		if l := got.Graph.Layer(lid); engine.TaskFromLayer(l).WeightBytes() > 0 {
+			nslices += gr.nC
+		}
+	}
+	if got.NumWeightSlices() != nslices || len(keys) != nslices {
+		return fmt.Errorf("NumWeightSlices = %d for %d slices in use, want %d (Σ nC over weighted layers)",
+			got.NumWeightSlices(), len(keys), nslices)
+	}
+	return nil
 }
 
 // TestReplicationMatchesReference checks Build's row-shared, replicate-
@@ -535,14 +613,15 @@ func fixedSpec(g *graph.Graph) Spec {
 // dagCounts is the work one DAG holds, over the whole batch: edges count
 // one per (atom, producer), row edges one per (row, producer).
 type dagCounts struct {
-	Atoms    int `json:"atoms"`
-	Edges    int `json:"edges"`
-	Rows     int `json:"rows"`
-	RowEdges int `json:"row_edges"`
+	Atoms        int `json:"atoms"`
+	Edges        int `json:"edges"`
+	Rows         int `json:"rows"`
+	RowEdges     int `json:"row_edges"`
+	WeightSlices int `json:"weight_slices"`
 }
 
 func countDAG(d *DAG) dagCounts {
-	c := dagCounts{Atoms: d.NumAtoms(), Rows: d.NumRows()}
+	c := dagCounts{Atoms: d.NumAtoms(), Rows: d.NumRows(), WeightSlices: d.NumWeightSlices()}
 	for id := range d.Atoms {
 		ids, _, _ := d.Deps(id)
 		c.Edges += len(ids)
@@ -559,7 +638,7 @@ var updateCounts = flag.Bool("update", false, "rewrite testdata/dag_counts.json 
 
 const countsPath = "../../testdata/dag_counts.json"
 
-// TestDAGCounts pins the atoms, edges, rows and row edges of every zoo
+// TestDAGCounts pins the atoms, edges, rows, row edges and weight slices of every zoo
 // model at batch 1 under fixedSpec, and of resnet50 at batch 8. Any
 // count above its pin fails: the DAG grew. A count below its pin fails
 // too, as a stale pin; re-pin with
@@ -600,7 +679,8 @@ func TestDAGCounts(t *testing.T) {
 		for _, f := range []struct {
 			name      string
 			got, want int
-		}{{"atoms", c.Atoms, p.Atoms}, {"edges", c.Edges, p.Edges}, {"rows", c.Rows, p.Rows}, {"row_edges", c.RowEdges, p.RowEdges}} {
+		}{{"atoms", c.Atoms, p.Atoms}, {"edges", c.Edges, p.Edges}, {"rows", c.Rows, p.Rows}, {"row_edges", c.RowEdges, p.RowEdges},
+			{"weight_slices", c.WeightSlices, p.WeightSlices}} {
 			switch {
 			case f.got > f.want:
 				t.Errorf("%s: %s rose from %d to %d", key, f.name, f.want, f.got)
@@ -656,7 +736,7 @@ func TestValidateCatchesCorruption(t *testing.T) {
 	var broken []int
 	for _, lid := range g.Topo() {
 		if lo, hi := d.AtomRange(1, lid); hi > lo && len(broken) < 2 {
-			d.Atoms[lo].Region.H1 = d.Atoms[lo].Region.H0
+			d.Atoms[lo].Task.Hp = 0
 			broken = append(broken, lid)
 		}
 	}
@@ -695,7 +775,8 @@ func TestBuildConcurrent(t *testing.T) {
 				a := alone[i]
 				if !slices.Equal(d.Atoms, a.Atoms) || !slices.Equal(d.rowStart, a.rowStart) ||
 					!slices.Equal(d.depOff, a.depOff) || !slices.Equal(d.depIDs, a.depIDs) ||
-					!slices.Equal(d.depBytes, a.depBytes) || !slices.Equal(d.consRows, a.consRows) {
+					!slices.Equal(d.depBytes, a.depBytes) || !slices.Equal(d.consRows, a.consRows) ||
+					!slices.Equal(d.wslice, a.wslice) {
 					errs <- fmt.Errorf("%s: concurrent build differs from the build alone", names[i])
 				}
 			}

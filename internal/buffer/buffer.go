@@ -12,13 +12,10 @@
 package buffer
 
 import (
-	"cmp"
 	"fmt"
 	"math/bits"
-	"slices"
 
 	"github.com/atomic-dataflow/atomicflow/internal/atom"
-	"github.com/atomic-dataflow/atomicflow/internal/graph"
 	"github.com/atomic-dataflow/atomicflow/internal/schedule"
 )
 
@@ -27,26 +24,6 @@ import (
 type entry struct {
 	id    int32
 	bytes int64
-}
-
-// wkey identifies a weight slice: a layer and output-channel range
-// (weights are shared across samples and spatial tiles).
-type wkey struct {
-	layer  int
-	c0, c1 int
-}
-
-// cmpWkey orders weight keys by (layer, c0, c1). Slice ids follow this
-// order, so it is also the deterministic tie-break when ranking eviction
-// candidates and the order of weight-flow tags.
-func cmpWkey(a, b wkey) int {
-	return cmp.Or(cmp.Compare(a.layer, b.layer), cmp.Compare(a.c0, b.c0), cmp.Compare(a.c1, b.c1))
-}
-
-// wslice pairs an atom with its weight key while slice ids are assigned.
-type wslice struct {
-	k  wkey
-	id int32
 }
 
 // Flow is one inter-engine tensor movement within a Round. Flows sharing
@@ -140,8 +117,7 @@ type Manager struct {
 	used     []int64
 	round    int
 
-	// Weight slices carry dense ids in cmpWkey order.
-	widOf   []int32  // atom ID -> weight slice id, -1 when it needs no weights
+	// Weight slices are keyed by their DAG slice id (atom.DAG.WeightSlice).
 	holders []uint64 // slice id -> bitset of engines caching it, hw words each
 	hw      int
 	wtag0   int64 // Flow tag of slice 0; every atom tag lies below it
@@ -165,7 +141,6 @@ type Manager struct {
 	streamBy    []int32
 
 	// Reset scratch.
-	wsort []wslice
 	order []int32
 	cnt   []int32
 }
@@ -200,7 +175,7 @@ func (m *Manager) Reset(d *atom.DAG, s *schedule.Schedule, engines int, capacity
 	m.round = 0
 	m.evictions, m.highWater = 0, 0
 
-	nw := m.indexWeights(d)
+	nw := d.NumWeightSlices()
 	m.hw = (engines + 63) / 64
 	m.holders = fill(m.holders, nw*m.hw, 0)
 	m.wtag0 = int64(n) + 1
@@ -242,7 +217,7 @@ func (m *Manager) Reset(d *atom.DAG, s *schedule.Schedule, engines int, capacity
 		for _, dep := range deps {
 			m.consOff[dep+off+1]++
 		}
-		if w := m.widOf[id]; w >= 0 {
+		if w := d.WeightSlice(int(id)); w >= 0 {
 			m.wOff[w+1]++
 		}
 	}
@@ -256,7 +231,7 @@ func (m *Manager) Reset(d *atom.DAG, s *schedule.Schedule, engines int, capacity
 			m.consRounds[m.consCur[dep]] = r
 			m.consCur[dep]++
 		}
-		if w := m.widOf[id]; w >= 0 {
+		if w := d.WeightSlice(int(id)); w >= 0 {
 			m.wRounds[m.wCur[w]] = r
 			m.wCur[w]++
 		}
@@ -264,53 +239,6 @@ func (m *Manager) Reset(d *atom.DAG, s *schedule.Schedule, engines int, capacity
 	copy(m.consCur, m.consOff)
 	copy(m.wCur, m.wOff)
 	return nil
-}
-
-// indexWeights gives every weight slice the DAG's atoms use a dense id in
-// cmpWkey order, fills widOf and returns the slice count. Batch samples
-// repeat sample 0's atoms at a fixed ID stride, so an atom whose key
-// equals that of its twin one sample earlier takes the twin's id and
-// stays out of the sort.
-func (m *Manager) indexWeights(d *atom.DAG) int {
-	const twin = -2 // widOf mark: same slice as atom id-stride
-	n := d.NumAtoms()
-	stride := n
-	if d.Batch > 1 && n >= d.Batch {
-		stride = n / d.Batch
-	}
-	m.widOf = fill(m.widOf, n, -1)
-	ws := m.wsort[:0]
-	for id := range d.Atoms {
-		k, ok := weightKeyOf(&d.Atoms[id])
-		if !ok {
-			continue
-		}
-		if id >= stride {
-			if tk, ok := weightKeyOf(&d.Atoms[id-stride]); ok && tk == k {
-				m.widOf[id] = twin
-				continue
-			}
-		}
-		ws = append(ws, wslice{k: k, id: int32(id)})
-	}
-	slices.SortFunc(ws, func(x, y wslice) int { return cmpWkey(x.k, y.k) })
-	nw := 0
-	for i, w := range ws {
-		if i > 0 && w.k != ws[i-1].k {
-			nw++
-		}
-		m.widOf[w.id] = int32(nw)
-	}
-	if len(ws) > 0 {
-		nw++
-	}
-	for id := stride; id < n; id++ {
-		if m.widOf[id] == twin {
-			m.widOf[id] = m.widOf[id-stride]
-		}
-	}
-	m.wsort = ws
-	return nw
 }
 
 // prefixLists turns per-list counts in off[1:] into CSR offsets and sizes
@@ -351,18 +279,9 @@ func resetEntries(lists [][]entry, engines int) [][]entry {
 	return lists
 }
 
-// weightKeyOf returns the weight slice an atom needs, if any.
-func weightKeyOf(a *atom.Atom) (wkey, bool) {
-	switch a.Task.Kind {
-	case graph.OpConv, graph.OpFC, graph.OpDepthwiseConv:
-		return wkey{layer: a.Layer, c0: a.Region.C0, c1: a.Region.C1}, true
-	}
-	return wkey{}, false
-}
-
 // weightTag is the Flow tag of weight slice w. Tags of slices follow
-// their cmpWkey order and lie above every atom tag (producer ID + 1), so
-// the NoC's link-claim order puts ifmap groups before weight groups.
+// their ids and lie above every atom tag (producer ID + 1), so the NoC's
+// link-claim order puts ifmap groups before weight groups.
 func (m *Manager) weightTag(w int32) int64 { return m.wtag0 + int64(w) }
 
 // holderSet returns the engine bitset of weight slice w.
@@ -377,15 +296,9 @@ func has(h []uint64, e int) bool { return h[e>>6]&(1<<(e&63)) != 0 }
 // off-chip). It implements mapping.Locator.
 func (m *Manager) Locate(id int) int { return m.resident[id] }
 
-// HasWeights reports whether engine e currently caches the weight slice
-// atom id requires. It implements mapping.WeightLocator.
-func (m *Manager) HasWeights(e, id int) bool {
-	w := m.widOf[id]
-	if w < 0 {
-		return true // no weights needed: placement is free to ignore
-	}
-	return has(m.holderSet(w), e)
-}
+// HasWeights reports whether engine e currently caches weight slice w.
+// It implements mapping.WeightLocator.
+func (m *Manager) HasWeights(e, w int) bool { return has(m.holderSet(int32(w)), e) }
 
 // Evictions returns the cumulative number of overflow write-backs.
 func (m *Manager) Evictions() int64 { return m.evictions }
@@ -448,7 +361,7 @@ func (m *Manager) ExecuteRoundInto(t int, placement Placement, io *RoundIO) erro
 				io.DRAMReadBytes[e] += bytes
 			}
 		}
-		w := m.widOf[id]
+		w := int32(m.dag.WeightSlice(id))
 		if w < 0 {
 			continue
 		}

@@ -172,11 +172,11 @@ func TestNoWritebackForDeadTensors(t *testing.T) {
 	d, s := pipeline(t, "tinyconv", 1, 4)
 	io, _ := replay(t, d, s, 4, 16<<20)
 	var finalBytes int64
-	for _, a := range d.Atoms {
+	for id, a := range d.Atoms {
 		if a.Task.Kind == graph.OpInput {
 			continue
 		}
-		if rows, _ := d.ConsumerRows(a.ID); len(rows) == 0 {
+		if rows, _ := d.ConsumerRows(id); len(rows) == 0 {
 			finalBytes += a.OutputBytes()
 		}
 	}

@@ -6,65 +6,50 @@ import (
 	"testing"
 
 	"github.com/atomic-dataflow/atomicflow/internal/atom"
+	"github.com/atomic-dataflow/atomicflow/internal/graph"
 	"github.com/atomic-dataflow/atomicflow/internal/mapping"
 	"github.com/atomic-dataflow/atomicflow/internal/noc"
 	"github.com/atomic-dataflow/atomicflow/internal/schedule"
 )
 
-// TestWeightTagsAboveAtomTagsInKeyOrder pins the Flow tag layout the
+// TestWeightTagsAboveAtomTagsInSliceOrder pins the Flow tag layout the
 // NoC's link-claim order depends on: every weight tag lies above every
-// atom tag (producer ID + 1), equal slices share a tag, and tag order is
-// (layer, c0, c1) order. Every flow a replay emits carries one of these
-// tags.
-func TestWeightTagsAboveAtomTagsInKeyOrder(t *testing.T) {
+// atom tag (producer ID + 1), equal slices share a tag, and tags ascend
+// with slice ids. Every flow a replay emits carries one of these tags.
+func TestWeightTagsAboveAtomTagsInSliceOrder(t *testing.T) {
 	d, s := pipeline(t, "tinyresnet", 3, 4)
 	m, err := New(d, s, 4, 8<<10)
 	if err != nil {
 		t.Fatal(err)
 	}
-	type tagged struct {
-		k   wkey
-		tag int64
-	}
-	var ws []tagged
+	tagOf := make(map[int]int64) // slice id -> tag
 	weightTags := make(map[int64]bool)
-	for _, a := range d.Atoms {
-		k, ok := weightKeyOf(&a)
-		if !ok {
+	for id := range d.Atoms {
+		w := d.WeightSlice(id)
+		if w < 0 {
 			continue
 		}
-		tag := m.weightTag(m.widOf[a.ID])
+		tag := m.weightTag(int32(w))
 		if tag <= int64(d.NumAtoms()) {
-			t.Fatalf("atom %d: weight tag %d not above the atom tags (max %d)", a.ID, tag, d.NumAtoms())
+			t.Fatalf("atom %d: weight tag %d not above the atom tags (max %d)", id, tag, d.NumAtoms())
 		}
-		ws = append(ws, tagged{k, tag})
+		if prev, ok := tagOf[w]; ok && prev != tag {
+			t.Fatalf("slice %d: tags %d and %d", w, prev, tag)
+		}
+		tagOf[w] = tag
 		weightTags[tag] = true
 	}
-	if len(ws) == 0 {
+	if len(tagOf) == 0 {
 		t.Fatal("no weighted atoms")
 	}
-	less := func(a, b wkey) bool {
-		if a.layer != b.layer {
-			return a.layer < b.layer
-		}
-		if a.c0 != b.c0 {
-			return a.c0 < b.c0
-		}
-		return a.c1 < b.c1
+	ids := make([]int, 0, len(tagOf))
+	for w := range tagOf {
+		ids = append(ids, w)
 	}
-	slices.SortFunc(ws, func(x, y tagged) int {
-		switch {
-		case less(x.k, y.k):
-			return -1
-		case less(y.k, x.k):
-			return 1
-		}
-		return 0
-	})
-	for i := 1; i < len(ws); i++ {
-		same := ws[i].k == ws[i-1].k
-		if same && ws[i].tag != ws[i-1].tag || !same && ws[i].tag <= ws[i-1].tag {
-			t.Fatalf("keys %+v, %+v got tags %d, %d: not in key order", ws[i-1].k, ws[i].k, ws[i-1].tag, ws[i].tag)
+	slices.Sort(ids)
+	for i := 1; i < len(ids); i++ {
+		if tagOf[ids[i]] <= tagOf[ids[i-1]] {
+			t.Fatalf("slices %d, %d got tags %d, %d: not in slice order", ids[i-1], ids[i], tagOf[ids[i-1]], tagOf[ids[i]])
 		}
 	}
 
@@ -85,6 +70,80 @@ func TestWeightTagsAboveAtomTagsInKeyOrder(t *testing.T) {
 	}
 	if weightFlows == 0 {
 		t.Error("replay forwarded no weight slice; the test exercises nothing")
+	}
+}
+
+// TestWeightTagsAboveAtomTagsInKeyOrder rebuilds each weighted atom's
+// (layer, c0, c1) weight key from its layer's shape and tile extents,
+// without the DAG's slice ids, and requires the weight tags to keep that
+// key order: Conv, FC and depthwise atoms read a slice and no other atom
+// does, equal keys share a tag, and tags ascend with the key. This is the
+// order the NoC's link-claim tie-breaks were pinned under.
+func TestWeightTagsAboveAtomTagsInKeyOrder(t *testing.T) {
+	// ResNet-50's searched spec splits output channels, so layers have
+	// several channel tiles (tinyresnet's have one each).
+	d, s := pipeline(t, "resnet50", 2, 16)
+	m, err := New(d, s, 16, 256<<10)
+	if err != nil {
+		t.Fatal(err)
+	}
+	type wkey struct{ layer, c0, c1 int }
+	type tagged struct {
+		k   wkey
+		tag int64
+	}
+	var ws []tagged
+	for smp := 0; smp < d.Batch; smp++ {
+		for _, l := range d.Graph.Layers {
+			lo, hi := d.AtomRange(smp, l.ID)
+			if lo == hi {
+				continue
+			}
+			weighted := false
+			switch l.Kind {
+			case graph.OpConv, graph.OpFC, graph.OpDepthwiseConv:
+				weighted = true
+			}
+			cop := d.Atoms[lo].Task.Cop
+			nC := (l.Shape.Co + cop - 1) / cop
+			for id := lo; id < hi; id++ {
+				w := d.WeightSlice(id)
+				if !weighted {
+					if w >= 0 {
+						t.Fatalf("atom %d of %v layer %d reads slice %d", id, l.Kind, l.ID, w)
+					}
+					continue
+				}
+				if w < 0 {
+					t.Fatalf("atom %d of %v layer %d reads no slice", id, l.Kind, l.ID)
+				}
+				c0 := (id - lo) % nC * cop
+				k := wkey{layer: l.ID, c0: c0, c1: c0 + d.Atoms[id].Task.Cop}
+				tag := m.weightTag(int32(w))
+				if tag <= int64(d.NumAtoms()) {
+					t.Fatalf("atom %d: weight tag %d not above the atom tags (max %d)", id, tag, d.NumAtoms())
+				}
+				ws = append(ws, tagged{k, tag})
+			}
+		}
+	}
+	if len(ws) == 0 {
+		t.Fatal("no weighted atoms")
+	}
+	slices.SortFunc(ws, func(x, y tagged) int {
+		if x.k.layer != y.k.layer {
+			return x.k.layer - y.k.layer
+		}
+		if x.k.c0 != y.k.c0 {
+			return x.k.c0 - y.k.c0
+		}
+		return x.k.c1 - y.k.c1
+	})
+	for i := 1; i < len(ws); i++ {
+		same := ws[i].k == ws[i-1].k
+		if same && ws[i].tag != ws[i-1].tag || !same && ws[i].tag <= ws[i-1].tag {
+			t.Fatalf("keys %+v, %+v got tags %d, %d: not in key order", ws[i-1].k, ws[i].k, ws[i-1].tag, ws[i].tag)
+		}
 	}
 }
 

@@ -59,14 +59,14 @@ func TestStreamsCoverAllAtoms(t *testing.T) {
 			}
 		}
 	}
-	for _, a := range d.Atoms {
-		deps, _, _ := d.Deps(a.ID)
+	for id, a := range d.Atoms {
+		deps, _, _ := d.Deps(id)
 		virtual := len(deps) == 0 && !a.Task.Kind.IsCompute() && a.Layer == 0
 		if virtual {
 			continue
 		}
-		if !seen[a.ID] && a.Task.Kind.String() != "Input" {
-			t.Errorf("atom %d never computed", a.ID)
+		if !seen[id] && a.Task.Kind.String() != "Input" {
+			t.Errorf("atom %d never computed", id)
 		}
 	}
 }

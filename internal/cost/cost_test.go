@@ -16,15 +16,14 @@ func randTask(rng *rand.Rand) engine.Task {
 		graph.OpPool, graph.OpEltwise, graph.OpActivation, graph.OpGlobalPool,
 	}
 	t := engine.Task{
-		Kind:     kinds[rng.Intn(len(kinds))],
-		Hp:       1 + rng.Intn(64),
-		Wp:       1 + rng.Intn(64),
-		Ci:       1 + rng.Intn(256),
-		Cop:      1 + rng.Intn(256),
-		Kh:       1 + rng.Intn(3),
-		Kw:       1 + rng.Intn(3),
-		Stride:   1 + rng.Intn(2),
-		Replicas: rng.Intn(4),
+		Kind:   kinds[rng.Intn(len(kinds))],
+		Hp:     1 + rng.Intn(64),
+		Wp:     1 + rng.Intn(64),
+		Ci:     1 + rng.Intn(256),
+		Cop:    1 + rng.Intn(256),
+		Kh:     1 + rng.Intn(3),
+		Kw:     1 + rng.Intn(3),
+		Stride: 1 + rng.Intn(2),
 	}
 	if t.Kind == graph.OpFC {
 		t.Hp, t.Wp, t.Kh, t.Kw, t.Stride = 1, 1, 1, 1, 1

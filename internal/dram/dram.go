@@ -14,12 +14,6 @@ type Config struct {
 	Channels       int     // independent channels (HBM: 8)
 	AccessLatency  int64   // fixed per-request latency in engine cycles
 	EngineClockMHz float64 // clock used to convert bandwidth to bytes/cycle
-	// RowBytes is the DRAM row-buffer size used for row hit/miss
-	// accounting (default 2 KB when zero). It prices nothing — requests
-	// are streaming, so the timing model already amortizes activations
-	// into AccessLatency — but the hit/miss split is the observability
-	// signal Ramulator would report for the same access stream.
-	RowBytes int64
 }
 
 // Default returns the paper's HBM configuration at a 500 MHz engine clock.
@@ -30,7 +24,6 @@ func Default() Config {
 		Channels:       8,
 		AccessLatency:  60, // ~120 ns row activate + CAS at 500 MHz
 		EngineClockMHz: 500,
-		RowBytes:       2 << 10,
 	}
 }
 
@@ -38,13 +31,12 @@ func Default() Config {
 // 32 B access per burst, the HBM pseudo-channel burst length.
 const burstBytes = 32
 
-// rowBytes returns the effective row-buffer size.
-func (c Config) rowBytes() int64 {
-	if c.RowBytes > 0 {
-		return c.RowBytes
-	}
-	return 2 << 10
-}
+// rowBytes is the DRAM row-buffer size of the hit/miss accounting. It
+// prices nothing — requests are streaming, so the timing model already
+// amortizes activations into AccessLatency — but the hit/miss split is
+// the observability signal Ramulator would report for the same access
+// stream.
+const rowBytes = 2 << 10
 
 // BytesPerCycle returns the aggregate bandwidth in bytes per engine cycle.
 func (c Config) BytesPerCycle() float64 {
@@ -55,9 +47,6 @@ func (c Config) BytesPerCycle() float64 {
 func (c Config) Validate() error {
 	if c.CapacityBytes <= 0 || c.PeakGBps <= 0 || c.Channels <= 0 || c.EngineClockMHz <= 0 {
 		return fmt.Errorf("dram: invalid config %+v", c)
-	}
-	if c.RowBytes < 0 {
-		return fmt.Errorf("dram: negative RowBytes %d", c.RowBytes)
 	}
 	return nil
 }
@@ -74,7 +63,7 @@ type HBM struct {
 // Stats is the HBM model's cumulative accounting — the quantities a
 // Ramulator trace of the same access stream would expose. Row hits and
 // misses follow an open-row streaming model: a request of n bytes makes
-// ceil(n/burstBytes) accesses of which ceil(n/RowBytes) activate a new
+// ceil(n/burstBytes) accesses of which ceil(n/rowBytes) activate a new
 // row (misses) and the rest stream from the open row (hits).
 type Stats struct {
 	Reads           int64 // read requests served
@@ -133,7 +122,7 @@ func (h *HBM) serve(now, n int64) int64 {
 	}
 	// Row hit/miss accounting (timing is unaffected; see Stats).
 	bursts := (n + burstBytes - 1) / burstBytes
-	misses := (n + h.cfg.rowBytes() - 1) / h.cfg.rowBytes()
+	misses := (n + rowBytes - 1) / rowBytes
 	if misses > bursts {
 		misses = bursts
 	}

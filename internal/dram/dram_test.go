@@ -76,11 +76,6 @@ func TestValidate(t *testing.T) {
 	if err := bad.Validate(); err == nil {
 		t.Error("0 channels accepted")
 	}
-	bad = Default()
-	bad.RowBytes = -1
-	if err := bad.Validate(); err == nil {
-		t.Error("negative RowBytes accepted")
-	}
 }
 
 func TestRowHitMissAccounting(t *testing.T) {
@@ -125,18 +120,5 @@ func TestQueueStats(t *testing.T) {
 	}
 	if st.QueueDepthPeak != 8 {
 		t.Errorf("QueueDepthPeak = %d, want 8", st.QueueDepthPeak)
-	}
-}
-
-func TestRowBytesZeroDefaults(t *testing.T) {
-	cfg := Default()
-	cfg.RowBytes = 0 // legacy configs predate the field
-	if err := cfg.Validate(); err != nil {
-		t.Fatal(err)
-	}
-	h := New(cfg)
-	h.Read(0, 2<<10)
-	if st := h.Stats(); st.RowMisses != 1 {
-		t.Errorf("zero RowBytes: misses = %d, want 1 (2 KB default)", st.RowMisses)
 	}
 }

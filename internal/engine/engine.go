@@ -92,13 +92,12 @@ func (c Config) fillDrain() int64 { return int64(c.PEx + c.PEy) }
 // channel extent consumed (atoms always span the full input-channel range,
 // see DESIGN.md §3).
 type Task struct {
-	Kind     graph.OpKind
-	Hp, Wp   int // output tile spatial extent
-	Ci       int // input channels consumed
-	Cop      int // output channels produced
-	Kh, Kw   int // kernel dims
-	Stride   int
-	Replicas int // identical tiles batched back-to-back (>=1; 0 means 1)
+	Kind   graph.OpKind
+	Hp, Wp int // output tile spatial extent
+	Ci     int // input channels consumed
+	Cop    int // output channels produced
+	Kh, Kw int // kernel dims
+	Stride int
 }
 
 // TaskFromLayer builds the Task describing a full layer on one engine.
@@ -123,21 +122,13 @@ func TileTask(l *graph.Layer, hp, wp, cop int) Task {
 
 // MACs returns the multiply-accumulate count of the task.
 func (t Task) MACs() int64 {
-	n := t.reps()
 	switch t.Kind {
 	case graph.OpConv, graph.OpFC:
-		return n * int64(t.Hp) * int64(t.Wp) * int64(t.Cop) * int64(t.Ci) * int64(t.Kh) * int64(t.Kw)
+		return int64(t.Hp) * int64(t.Wp) * int64(t.Cop) * int64(t.Ci) * int64(t.Kh) * int64(t.Kw)
 	case graph.OpDepthwiseConv:
-		return n * int64(t.Hp) * int64(t.Wp) * int64(t.Cop) * int64(t.Kh) * int64(t.Kw)
+		return int64(t.Hp) * int64(t.Wp) * int64(t.Cop) * int64(t.Kh) * int64(t.Kw)
 	}
 	return 0
-}
-
-func (t Task) reps() int64 {
-	if t.Replicas <= 1 {
-		return 1
-	}
-	return int64(t.Replicas)
 }
 
 // InputBytes returns the input-tile footprint (INT8), including the
@@ -204,7 +195,6 @@ func Evaluate(cfg Config, df Dataflow, t Task) Cost {
 	default:
 		cycles = vectorCycles(cfg, t)
 	}
-	cycles *= t.reps()
 	macs := t.MACs()
 	util := 0.0
 	if cycles > 0 {

@@ -107,19 +107,6 @@ func TestVectorUnitOps(t *testing.T) {
 	}
 }
 
-func TestReplicasScaleLinearly(t *testing.T) {
-	cfg := Default()
-	base := convTask(16, 16, 32, 32, 3)
-	rep := base
-	rep.Replicas = 5
-	c1 := Evaluate(cfg, KCPartition, base)
-	c5 := Evaluate(cfg, KCPartition, rep)
-	if c5.Cycles != 5*c1.Cycles || c5.MACs != 5*c1.MACs {
-		t.Errorf("replicas: got %d cycles/%d MACs, want %d/%d",
-			c5.Cycles, c5.MACs, 5*c1.Cycles, 5*c1.MACs)
-	}
-}
-
 func TestFootprints(t *testing.T) {
 	tk := convTask(8, 8, 32, 64, 3)
 	// Input halo: (8-1)*1+3 = 10 per dim.

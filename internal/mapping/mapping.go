@@ -26,13 +26,13 @@ const maxExhaustive = 6
 // index, or -1 if it is off-chip (in DRAM) or not yet produced.
 type Locator func(atomID int) int
 
-// WeightLocator reports whether an engine's buffer already caches the
-// weight slice an atom needs, so placement can exploit weight reuse.
-// A nil WeightLocator disables the weight-affinity refinement. It must
-// answer alike for two atoms of one layer covering the same output-channel
-// range — they need the same weight slice — as buffer.Manager.HasWeights
-// does: the refinement asks once per slice and engine.
-type WeightLocator func(engineID, atomID int) bool
+// WeightLocator reports whether an engine's buffer already caches a
+// weight slice (an atom.DAG.WeightSlice id), so placement can exploit
+// weight reuse; buffer.Manager.HasWeights is one. A nil WeightLocator
+// disables the weight-affinity refinement. The refinement asks once per
+// slice and engine of a group, and never for an atom that reads no
+// slice.
+type WeightLocator func(engineID, slice int) bool
 
 // dramHopEquivalent converts a byte refetched from DRAM into the
 // placement cost of a byte moved one NoC hop (7 pJ/bit HBM vs 0.61
@@ -81,7 +81,7 @@ type Mapper struct {
 	refEng    []int
 	refPos    []int
 	refCls    []int
-	refWKey   [][2]int
+	refWSlice []int
 	refRowCls []int32
 	refIfm    []int64
 	refWgt    []int64
@@ -379,8 +379,8 @@ func (m *Mapper) placementCost(res *Result) int64 {
 //
 // Both terms are priced per class rather than per atom: the ifmap term
 // once per shared cost row (gathered from the row buildCostTable already
-// priced), the weight term once per weight slice (one output-channel
-// range of the group's layer), and an atom's matrix row is the sum of its
+// priced), the weight term once per weight slice (atoms reading none
+// share one all-zero class), and an atom's matrix row is the sum of its
 // two class rows. Atoms agreeing on both classes have equal matrix rows,
 // and swapping two equal rows never changes the cost, so the hill-climb
 // skips those pairs without moving any decision.
@@ -403,10 +403,9 @@ func (m *Mapper) refineForWeights(groups []group, perm []int, engineOf []int32, 
 		ifm := growInt64s(&m.refIfm, n*n) // ifmap class x engine index
 		wgt := growInt64s(&m.refWgt, n*n) // weight class x engine index
 		cls := growInts(&m.refCls, n)     // atom -> ifmap class·n + weight class
-		wkeys := m.refWKey[:0]            // weight class -> output-channel range
+		wcls := m.refWSlice[:0]           // weight class -> slice id, -1 for none
 		nr := 0
 		for i, id := range atoms {
-			a := &m.dag.Atoms[id]
 			r := m.rowOf[id]
 			ri := int(rowCls[r]) - 1
 			if ri < 0 {
@@ -418,23 +417,25 @@ func (m *Mapper) refineForWeights(groups []group, perm []int, engineOf []int32, 
 					out[j] = row[m.slotOf[e]]
 				}
 			}
-			key := [2]int{a.Region.C0, a.Region.C1}
-			wi := slices.Index(wkeys, key)
+			w := m.dag.WeightSlice(id)
+			wi := slices.Index(wcls, w)
 			if wi < 0 {
-				wi = len(wkeys)
-				wkeys = append(wkeys, key)
-				wb := a.Task.WeightBytes() * dramHopEquivalent
+				wi = len(wcls)
+				wcls = append(wcls, w)
 				out := wgt[wi*n : (wi+1)*n]
-				for j, e := range eng {
-					out[j] = 0
-					if !weights(e, id) {
-						out[j] = wb
+				clear(out)
+				if w >= 0 {
+					wb := m.dag.Atoms[id].Task.WeightBytes() * dramHopEquivalent
+					for j, e := range eng {
+						if !weights(e, w) {
+							out[j] = wb
+						}
 					}
 				}
 			}
 			cls[i] = ri*n + wi
 		}
-		m.refWKey = wkeys
+		m.refWSlice = wcls
 		// costT[p*n+i] is atom i's cost on engine eng[p], so the hill-climb
 		// reads the atoms' costs at one slot contiguously; cur[i] is atom
 		// i's cost where it sits now.
@@ -493,7 +494,9 @@ func (m *Mapper) refineForWeights(groups []group, perm []int, engineOf []int32, 
 // An atom's per-slot cost row is a pure function of its signature, the
 // dependency bytes it draws from each source engine; most atoms of a
 // Round repeat an earlier atom's signature, so they share that atom's row
-// (see rowFor) instead of pricing every slot again. The rows are kept,
+// (see rowFor) instead of pricing every slot again; an atom in the same
+// DAG row as its group's previous atom has that atom's dependencies, so
+// it takes its cost row without the signature walk. The rows are kept,
 // with a lookup index by atom ID and an engine -> slot inverse, so
 // refineForWeights and placementCost can price placements without
 // re-walking any dependency lists. Stale rowOf/slotOf entries from earlier
@@ -526,8 +529,14 @@ func (m *Mapper) buildCostTable(groups []group, locate Locator) {
 		sizes[gi] = len(g.atoms)
 		gc := groupCost[gi*slots : (gi+1)*slots]
 		clear(gc)
+		prev := -1 // DAG row of the group's previous atom
 		for k, id := range g.atoms {
-			r := m.rowFor(id, locate)
+			var r int32
+			if row := m.dag.Row(id); row == prev {
+				r = rowOf[g.atoms[k-1]]
+			} else {
+				r, prev = m.rowFor(id, locate), row
+			}
 			rowOf[id] = r
 			row := atomRows[int(r)*slots : (int(r)+1)*slots]
 			// A group at base b puts its k-th atom on slot b+k.

@@ -11,7 +11,7 @@ import (
 )
 
 func TestZigZagOrder(t *testing.T) {
-	m := New(noc.NewMesh(4, 2, 8), atom.FromLists(nil, 1, nil, nil, nil))
+	m := New(noc.NewMesh(4, 2, 8), atom.FromLists(nil, 1, nil, nil, nil, nil))
 	want := []int{0, 1, 2, 3, 7, 6, 5, 4}
 	got := m.ZigZag()
 	if len(got) != len(want) {
@@ -53,12 +53,12 @@ func fig7DAG(t *testing.T) (*atom.DAG, []int, []int) {
 		t.Fatal(err)
 	}
 	var prev, cur []int
-	for _, a := range d.Atoms {
+	for id, a := range d.Atoms {
 		switch a.Layer {
 		case l1, l2:
-			prev = append(prev, a.ID)
+			prev = append(prev, id)
 		case 3:
-			cur = append(cur, a.ID)
+			cur = append(cur, id)
 		}
 	}
 	return d, prev, cur
@@ -125,9 +125,9 @@ func TestPlacementIsInjective(t *testing.T) {
 	m := New(mesh, d)
 	// Take the first 8 non-input atoms as one synthetic round.
 	var round []int
-	for _, a := range d.Atoms {
+	for id, a := range d.Atoms {
 		if a.Task.Kind != graph.OpInput && len(round) < 8 {
-			round = append(round, a.ID)
+			round = append(round, id)
 		}
 	}
 	res := placeNew(m, round, func(int) int { return -1 }, nil)
@@ -227,9 +227,9 @@ func TestPlaceRoundScratchReuse(t *testing.T) {
 		t.Fatalf("both DAGs have %d atoms; the Reset case exercises nothing", fig7.NumAtoms())
 	}
 	var compute []int
-	for _, a := range branch.Atoms {
+	for id, a := range branch.Atoms {
 		if a.Task.Kind != graph.OpInput {
-			compute = append(compute, a.ID)
+			compute = append(compute, id)
 		}
 	}
 	mesh := noc.NewMesh(3, 2, 8)
@@ -282,9 +282,9 @@ func TestHillClimbManyGroups(t *testing.T) {
 	mesh := noc.NewMesh(3, 3, 8)
 	m := New(mesh, d)
 	var round []int
-	for _, a := range d.Atoms {
+	for id, a := range d.Atoms {
 		if a.Task.Kind != graph.OpInput {
-			round = append(round, a.ID)
+			round = append(round, id)
 		}
 	}
 	res := placeNew(m, round, func(int) int { return -1 }, nil)

@@ -14,8 +14,8 @@ import (
 
 // referencePlace is PlaceRound without any sharing: every atom's
 // cost row is priced from its own dependency list, and the weight
-// refinement asks weights about every (atom, engine) pair and tries every
-// atom pair. Only the layer-permutation search is the production code's,
+// refinement asks weights about every (weighted atom, engine) pair and
+// tries every atom pair. Only the layer-permutation search is the production code's,
 // run on the table this reference builds.
 func referencePlace(m *Mapper, res *Result, roundAtoms []int, locate Locator, weights WeightLocator) {
 	groups := m.groupByLayer(roundAtoms)
@@ -66,7 +66,7 @@ func referencePlace(m *Mapper, res *Result, roundAtoms []int, locate Locator, we
 			cost[i] = make([]int64, n)
 			for j, e := range eng {
 				cost[i][j] = rows[id][slotOf[e]]
-				if !weights(e, id) {
+				if w := m.dag.WeightSlice(id); w >= 0 && !weights(e, w) {
 					cost[i][j] += m.dag.Atoms[id].Task.WeightBytes() * dramHopEquivalent
 				}
 			}
@@ -112,20 +112,24 @@ func referencePlace(m *Mapper, res *Result, roundAtoms []int, locate Locator, we
 //     per-engine byte totals (equal signatures from different deps);
 //   - empty signatures: no deps, or only off-chip ones.
 //
-// Consumers carry one of three output-channel ranges, so weight slices
-// repeat within a group; one layer needs no weights at all.
+// Consumers of a conv layer read one of three weight slices, so slices
+// repeat within a group; one layer reads no weights at all.
 func sharedRowsDAG(rng *rand.Rand, engines int) (*atom.DAG, []int, []int) {
-	// drawn is an atom with its own dependency list.
+	// drawn is an atom with its own dependency list and weight slice.
 	type drawn struct {
 		atom.Atom
+		ID       int
+		Slice    int32
 		Deps     []int
 		DepBytes []int64
 	}
 	var atoms []*drawn
-	add := func(layer, sample int, kind graph.OpKind, c0 int) *drawn {
-		a := &drawn{Atom: atom.Atom{ID: len(atoms), Layer: layer, Sample: sample,
-			Region: atom.Region{H1: 1, W1: 1, C0: c0, C1: c0 + 16},
-			Task:   engine.Task{Kind: kind, Hp: 1, Wp: 1, Ci: 8, Cop: 16, Kh: 3, Kw: 3}}}
+	add := func(layer, sample int, kind graph.OpKind, tile int) *drawn {
+		a := &drawn{ID: len(atoms), Slice: -1, Atom: atom.Atom{Layer: layer, Sample: sample,
+			Task: engine.Task{Kind: kind, Hp: 1, Wp: 1, Ci: 8, Cop: 16, Kh: 3, Kw: 3}}}
+		if kind == graph.OpConv {
+			a.Slice = int32(3*layer + tile)
+		}
 		atoms = append(atoms, a)
 		return a
 	}
@@ -149,7 +153,7 @@ func sharedRowsDAG(rng *rand.Rand, engines int) (*atom.DAG, []int, []int) {
 		}
 		for sample := 0; sample < 2; sample++ {
 			for k := 0; k < 2+rng.Intn(engines/2); k++ {
-				a := add(layer, sample, kind, 16*rng.Intn(3))
+				a := add(layer, sample, kind, rng.Intn(3))
 				switch mode := rng.Intn(6); {
 				case mode == 0 || len(consumers) == 0:
 					// Empty: no deps, or off-chip deps only.
@@ -195,10 +199,11 @@ func sharedRowsDAG(rng *rand.Rand, engines int) (*atom.DAG, []int, []int) {
 	}
 	list := make([]atom.Atom, len(atoms))
 	deps, bytes := make([][]int, len(atoms)), make([][]int64, len(atoms))
+	wslice := make([]int32, len(atoms))
 	for i, a := range atoms {
-		list[i], deps[i], bytes[i] = a.Atom, a.Deps, a.DepBytes
+		list[i], deps[i], bytes[i], wslice[i] = a.Atom, a.Deps, a.DepBytes, a.Slice
 	}
-	d := atom.FromLists(nil, 2, list, deps, bytes)
+	d := atom.FromLists(nil, 2, list, deps, bytes, wslice)
 	ids := make([]int, len(consumers))
 	for i, a := range consumers {
 		ids[i] = a.ID
@@ -228,10 +233,7 @@ func TestSharedRowsMatchPerAtomReference(t *testing.T) {
 					return -1
 				}
 				salt := rng.Intn(1000)
-				weights := func(e, id int) bool {
-					a := d.Atoms[id]
-					return (a.Layer*31+a.Region.C0*7+e*13+salt)%3 == 0
-				}
+				weights := func(e, w int) bool { return (w*7+e*13+salt)%3 == 0 }
 				got, want := New(mesh, d), New(mesh, d)
 				var g, r Result // reused across Rounds, as a prep slot's is
 				for round := 0; round < 4; round++ {

@@ -33,43 +33,42 @@ func TestWeightAffinityRefinement(t *testing.T) {
 	mesh := noc.NewMesh(2, 2, 32)
 	m := New(mesh, d)
 
-	// Find the conv atoms: first 4 share h-range [0,4), second 4 [4,8);
-	// slices repeat across the halves.
+	// Find the conv atoms: the first 4 (in ID order) share h-range
+	// [0,4), the second 4 [4,8); slices repeat across the halves.
 	var first, second []int
-	for _, a := range d.Atoms {
-		if a.Task.Kind != graph.OpConv {
-			continue
-		}
-		if a.Region.H0 == 0 {
-			first = append(first, a.ID)
-		} else {
-			second = append(second, a.ID)
+	for id, a := range d.Atoms {
+		switch {
+		case a.Task.Kind != graph.OpConv:
+		case len(first) < 4:
+			first = append(first, id)
+		default:
+			second = append(second, id)
 		}
 	}
 	if len(first) != 4 || len(second) != 4 {
 		t.Fatalf("unexpected tiling: %d/%d", len(first), len(second))
 	}
 
-	// Round 1 placed slices c0=0,16,32,48 on engines 0..3 (by atom order).
+	// Round 1 placed the four slices on engines 0..3 (by atom order).
 	r1 := placeNew(m, first, func(int) int { return -1 }, nil)
-	sliceEngine := map[int]int{} // c0 -> engine
+	sliceEngine := map[int]int{} // slice -> engine
 	for _, id := range first {
-		sliceEngine[d.Atoms[id].Region.C0] = r1.Engine(id)
+		sliceEngine[d.WeightSlice(id)] = r1.Engine(id)
+	}
+	if len(sliceEngine) != 4 {
+		t.Fatalf("first half reads %d slices, want 4", len(sliceEngine))
 	}
 
-	// Round 2: weights for slice c0 are cached exactly where round 1 ran
-	// that slice.
-	weights := func(e, id int) bool {
-		return sliceEngine[d.Atoms[id].Region.C0] == e
-	}
+	// Round 2: each slice is cached exactly where round 1 ran it.
+	weights := func(e, w int) bool { return sliceEngine[w] == e }
 	r2 := placeNew(m, second, func(int) int { return -1 }, weights)
 	// Every atom must land on the engine holding its slice (ifmap costs
 	// are zero here, so weight affinity decides).
 	for _, id := range second {
-		want := sliceEngine[d.Atoms[id].Region.C0]
+		want := sliceEngine[d.WeightSlice(id)]
 		if r2.Engine(id) != want {
-			t.Errorf("atom %d (c0=%d) on engine %d, want %d (weight holder)",
-				id, d.Atoms[id].Region.C0, r2.Engine(id), want)
+			t.Errorf("atom %d (slice %d) on engine %d, want %d (weight holder)",
+				id, d.WeightSlice(id), r2.Engine(id), want)
 		}
 	}
 }
@@ -81,9 +80,9 @@ func TestRefinementRespectsIfmapCost(t *testing.T) {
 	mesh := noc.NewMesh(2, 2, 32)
 	m := New(mesh, d)
 	var convs []int
-	for _, a := range d.Atoms {
+	for id, a := range d.Atoms {
 		if a.Task.Kind == graph.OpConv && len(convs) < 4 {
-			convs = append(convs, a.ID)
+			convs = append(convs, id)
 		}
 	}
 	noWeights := func(int, int) bool { return false }
@@ -105,12 +104,7 @@ func TestWeightedByteHopsMatchDependencyWalk(t *testing.T) {
 	locate := r0.Engine
 	round := append(append([]int(nil), cur...), prev...)
 	for salt := 0; salt < 6; salt++ {
-		// Answers depend on the atom's weight slice only, as the
-		// WeightLocator contract requires.
-		weights := func(e, id int) bool {
-			a := d.Atoms[id]
-			return (e*7+a.Layer*5+a.Region.C0+salt)%3 == 0
-		}
+		weights := func(e, w int) bool { return (e*7+w*5+salt)%3 == 0 }
 		res := placeNew(m, round, locate, weights)
 		var want int64
 		for _, id := range res.Placed() {

@@ -110,33 +110,12 @@ type State struct {
 	Active  []ActiveSnapshot `json:"active"`
 }
 
-// Config bounds the store. Zero values select the defaults.
-type Config struct {
-	EventCap   int // event ring capacity (default 512)
-	HistoryCap int // session history capacity (default 64)
-	PointCap   int // per-chain sample cap before decimation (default 256)
-}
-
-func (c Config) eventCap() int {
-	if c.EventCap > 0 {
-		return c.EventCap
-	}
-	return 512
-}
-
-func (c Config) historyCap() int {
-	if c.HistoryCap > 0 {
-		return c.HistoryCap
-	}
-	return 64
-}
-
-func (c Config) pointCap() int {
-	if c.PointCap > 0 {
-		return c.PointCap
-	}
-	return 256
-}
+// The store's bounds.
+const (
+	eventCap   = 512 // event ring capacity
+	historyCap = 64  // session history capacity
+	pointCap   = 256 // per-chain sample cap before decimation
+)
 
 // chainSeries is one chain's bounded sample trail. When the series hits
 // its cap it halves its own resolution: every other retained point is
@@ -149,7 +128,7 @@ type chainSeries struct {
 	tick   int
 }
 
-func (cs *chainSeries) add(p ChainPoint, max int) {
+func (cs *chainSeries) add(p ChainPoint) {
 	if cs.stride == 0 {
 		cs.stride = 1
 	}
@@ -158,7 +137,7 @@ func (cs *chainSeries) add(p ChainPoint, max int) {
 		return
 	}
 	cs.pts = append(cs.pts, p)
-	if len(cs.pts) >= max {
+	if len(cs.pts) >= pointCap {
 		kept := cs.pts[:0]
 		for i := 0; i < len(cs.pts); i += 2 {
 			kept = append(kept, cs.pts[i])
@@ -187,8 +166,6 @@ type subscriber struct {
 // Store holds the fleet's live observability state. Safe for concurrent
 // use; the zero value is not usable — construct with NewStore.
 type Store struct {
-	cfg Config
-
 	mu     sync.Mutex
 	seq    uint64
 	events []Event // ring, events[(head+i)%cap] for i < n
@@ -203,13 +180,12 @@ type Store struct {
 }
 
 // NewStore builds an empty store.
-func NewStore(cfg Config) *Store {
+func NewStore() *Store {
 	return &Store{
-		cfg:    cfg,
-		events: make([]Event, cfg.eventCap()),
+		events: make([]Event, eventCap),
 		subs:   make(map[*subscriber]struct{}),
 		active: make(map[string]*activeSolve),
-		hist:   make([]Session, cfg.historyCap()),
+		hist:   make([]Session, historyCap),
 	}
 }
 
@@ -323,7 +299,7 @@ func (s *Store) SolveProgress(id string, samples []ChainSample) {
 		}
 		a.series[sm.Chain].add(ChainPoint{
 			Iter: sm.Iters, Temp: sm.Temp, BestE: sm.BestE, BestCV: sm.BestCV,
-		}, s.cfg.pointCap())
+		})
 		if sm.Adopted {
 			a.exchanges++
 		}

@@ -7,13 +7,14 @@ import (
 )
 
 func TestEventRingOverflow(t *testing.T) {
-	st := NewStore(Config{EventCap: 8})
-	for i := 0; i < 20; i++ {
+	st := NewStore()
+	const total = eventCap + 12
+	for i := 0; i < total; i++ {
 		st.Publish(EvAdmitted, fmt.Sprintf("k%d", i), "m", "")
 	}
 	evs := st.Recent(0)
-	if len(evs) != 8 {
-		t.Fatalf("retained %d events, want ring cap 8", len(evs))
+	if len(evs) != eventCap {
+		t.Fatalf("retained %d events, want ring cap %d", len(evs), eventCap)
 	}
 	// Oldest retained is #13 (seq 13): events 1..12 were evicted.
 	for i, ev := range evs {
@@ -27,13 +28,13 @@ func TestEventRingOverflow(t *testing.T) {
 	}
 	// Recent with a max returns the newest slice, still oldest-first.
 	tail := st.Recent(3)
-	if len(tail) != 3 || tail[0].Seq != 18 || tail[2].Seq != 20 {
-		t.Fatalf("Recent(3) = %+v, want seqs 18..20", tail)
+	if len(tail) != 3 || tail[0].Seq != total-2 || tail[2].Seq != total {
+		t.Fatalf("Recent(3) = %+v, want seqs %d..%d", tail, total-2, total)
 	}
 }
 
 func TestConcurrentProducersAndSubscriber(t *testing.T) {
-	st := NewStore(Config{EventCap: 64})
+	st := NewStore()
 	const producers, perProducer = 8, 200
 
 	ch, cancel := st.Subscribe(producers * perProducer)
@@ -96,7 +97,7 @@ func TestConcurrentProducersAndSubscriber(t *testing.T) {
 }
 
 func TestSlowSubscriberDropsNotBlocks(t *testing.T) {
-	st := NewStore(Config{EventCap: 16})
+	st := NewStore()
 	ch, cancel := st.Subscribe(2) // tiny buffer, never read
 	defer cancel()
 	for i := 0; i < 50; i++ {
@@ -108,7 +109,7 @@ func TestSlowSubscriberDropsNotBlocks(t *testing.T) {
 }
 
 func TestSeriesDecimation(t *testing.T) {
-	st := NewStore(Config{PointCap: 8})
+	st := NewStore()
 	st.SolveStarted("s", "m", 1)
 	const total = 1000
 	for i := 1; i <= total; i++ {
@@ -119,8 +120,8 @@ func TestSeriesDecimation(t *testing.T) {
 		t.Fatalf("want 1 active solve, got %d", len(snap.Active))
 	}
 	pts := snap.Active[0].Series[0]
-	if len(pts) == 0 || len(pts) >= 8 {
-		t.Fatalf("decimated series has %d points, want (0, 8)", len(pts))
+	if len(pts) == 0 || len(pts) >= pointCap {
+		t.Fatalf("decimated series has %d points, want (0, %d)", len(pts), pointCap)
 	}
 	// Full extent preserved: first sample survives every halving and the
 	// trail stays strictly increasing in iteration.
@@ -138,7 +139,7 @@ func TestSeriesDecimation(t *testing.T) {
 }
 
 func TestSolveProgressGrowsLazySlots(t *testing.T) {
-	st := NewStore(Config{})
+	st := NewStore()
 	st.SolveStarted("s", "m", 2)
 	// A chain index past the declared width grows the series instead of
 	// being dropped.
@@ -155,24 +156,25 @@ func TestSolveProgressGrowsLazySlots(t *testing.T) {
 }
 
 func TestHistoryRingEviction(t *testing.T) {
-	st := NewStore(Config{HistoryCap: 4})
-	for i := 0; i < 10; i++ {
+	st := NewStore()
+	const total = historyCap + 6
+	for i := 0; i < total; i++ {
 		st.SolveFinished(Session{ID: fmt.Sprintf("s%d", i), DurMS: 1})
 	}
 	sessions := st.Sessions()
-	if len(sessions) != 4 {
-		t.Fatalf("history retained %d, want 4", len(sessions))
+	if len(sessions) != historyCap {
+		t.Fatalf("history retained %d, want %d", len(sessions), historyCap)
 	}
-	// Newest first: s9, s8, s7, s6.
+	// Newest first: the last one finished leads.
 	for i, sess := range sessions {
-		if want := fmt.Sprintf("s%d", 9-i); sess.ID != want {
+		if want := fmt.Sprintf("s%d", total-1-i); sess.ID != want {
 			t.Fatalf("sessions[%d].ID = %q, want %q", i, sess.ID, want)
 		}
 	}
 }
 
 func TestSolveFinishedFillsFromActive(t *testing.T) {
-	st := NewStore(Config{})
+	st := NewStore()
 	st.SolveStarted("s", "resnet50", 4)
 	st.SolveFinished(Session{ID: "s", Digest: "abc"})
 	sessions := st.Sessions()
@@ -193,7 +195,7 @@ func TestSolveFinishedFillsFromActive(t *testing.T) {
 }
 
 func TestStateSnapshotBestAcrossChains(t *testing.T) {
-	st := NewStore(Config{})
+	st := NewStore()
 	st.SolveStarted("s", "m", 2)
 	st.SolveProgress("s", []ChainSample{
 		{Chain: 0, Iters: 10, BestE: 9.0, BestCV: 0.9},
@@ -206,7 +208,7 @@ func TestStateSnapshotBestAcrossChains(t *testing.T) {
 }
 
 func TestSubscribeCancelIdempotent(t *testing.T) {
-	st := NewStore(Config{})
+	st := NewStore()
 	_, cancel := st.Subscribe(1)
 	cancel()
 	cancel() // second cancel must not panic (double close)

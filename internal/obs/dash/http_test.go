@@ -24,7 +24,7 @@ func waitFor(t *testing.T, what string, cond func() bool) {
 }
 
 func TestDashEndpointsContentTypes(t *testing.T) {
-	st := NewStore(Config{})
+	st := NewStore()
 	reg := obs.New()
 	reg.Gauge("serve_workers").Set(4)
 	reg.Counter("serve_requests_total").Add(7)
@@ -62,7 +62,7 @@ func TestDashEndpointsContentTypes(t *testing.T) {
 }
 
 func TestDashRejectsNonGET(t *testing.T) {
-	st := NewStore(Config{})
+	st := NewStore()
 	srv := httptest.NewServer(Handler(st, nil))
 	defer srv.Close()
 	for _, path := range []string{"/debug/dash", "/debug/dash/state.json", "/debug/dash/sessions.json", "/debug/dash/events"} {
@@ -81,7 +81,7 @@ func TestDashRejectsNonGET(t *testing.T) {
 }
 
 func TestStateJSONMirrorsRegistry(t *testing.T) {
-	st := NewStore(Config{})
+	st := NewStore()
 	reg := obs.New()
 	reg.Gauge("serve_workers").Set(4)
 	reg.Gauge("unrelated_gauge").Set(99) // not on the allowlist
@@ -169,7 +169,7 @@ func dialSSE(t *testing.T, url string) *sseClient {
 func (c *sseClient) close() { c.res.Body.Close() }
 
 func TestSSEDeliversLiveAndBacklog(t *testing.T) {
-	st := NewStore(Config{})
+	st := NewStore()
 	srv := httptest.NewServer(Handler(st, nil))
 	defer srv.Close()
 
@@ -199,7 +199,7 @@ func TestSSEDeliversLiveAndBacklog(t *testing.T) {
 }
 
 func TestSSESinceSkipsReplayed(t *testing.T) {
-	st := NewStore(Config{})
+	st := NewStore()
 	srv := httptest.NewServer(Handler(st, nil))
 	defer srv.Close()
 	st.Publish(EvStarted, "s1", "m", "")
@@ -214,7 +214,7 @@ func TestSSESinceSkipsReplayed(t *testing.T) {
 }
 
 func TestSSEClientDisconnectReleasesSubscriber(t *testing.T) {
-	st := NewStore(Config{})
+	st := NewStore()
 	srv := httptest.NewServer(Handler(st, nil))
 	defer srv.Close()
 

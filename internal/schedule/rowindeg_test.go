@@ -25,10 +25,12 @@ func depsOf(d *atom.DAG, id int) ([]int, []int64) {
 // scheduler's row in-degrees over it are plain per-atom in-degrees.
 func perAtomDAG(d *atom.DAG) *atom.DAG {
 	deps, bytes := make([][]int, d.NumAtoms()), make([][]int64, d.NumAtoms())
+	wslice := make([]int32, d.NumAtoms())
 	for id := range d.Atoms {
 		deps[id], bytes[id] = depsOf(d, id)
+		wslice[id] = int32(d.WeightSlice(id))
 	}
-	return atom.FromLists(d.Graph, d.Batch, slices.Clone(d.Atoms), deps, bytes)
+	return atom.FromLists(d.Graph, d.Batch, slices.Clone(d.Atoms), deps, bytes, wslice)
 }
 
 // TestRowIndegMatchesReference checks that counting in-degrees per shared

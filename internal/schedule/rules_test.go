@@ -111,16 +111,16 @@ func TestFromRoundsValidation(t *testing.T) {
 		if label == "dependency broken" {
 			// Schedule the eltwise before its producers.
 			var addAtom int
-			for _, at := range d.Atoms {
+			for id, at := range d.Atoms {
 				if at.Task.Kind == graph.OpEltwise {
-					addAtom = at.ID
+					addAtom = id
 				}
 			}
 			rounds = [][]int{{addAtom}}
 			rest := []int{}
-			for _, at := range d.Atoms {
-				if at.ID != addAtom && at.Task.Kind != graph.OpInput {
-					rest = append(rest, at.ID)
+			for id, at := range d.Atoms {
+				if id != addAtom && at.Task.Kind != graph.OpInput {
+					rest = append(rest, id)
 				}
 			}
 			for off := 0; off < len(rest); off += 4 {
@@ -184,23 +184,23 @@ func (st *state) rebuildFrontier() frontier {
 		}
 	}
 	traversed := make([]bool, len(st.pending))
-	for _, a := range st.d.Atoms {
+	for id, a := range st.d.Atoms {
 		p := a.Sample*st.layers + a.Layer
 		if a.Task.Kind == graph.OpInput {
 			continue // virtual: complete from the start, never traversed
 		}
-		if st.scheduled[a.ID] {
+		if st.scheduled[id] {
 			traversed[p] = true
 			continue
 		}
 		f.pending[p]++
 		ready := true
-		deps, _ := depsOf(st.d, a.ID)
+		deps, _ := depsOf(st.d, id)
 		for _, dep := range deps {
 			ready = ready && st.scheduled[dep]
 		}
 		if ready {
-			f.ready[p] = append(f.ready[p], a.ID) // atoms visit in ID order
+			f.ready[p] = append(f.ready[p], id) // atoms visit in ID order
 		}
 	}
 	for p, done := range traversed {

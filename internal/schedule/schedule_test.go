@@ -45,28 +45,28 @@ func checkValid(t *testing.T, d *atom.DAG, s *Schedule, n int) {
 		}
 	}
 	// Every non-input atom scheduled exactly once, after all its deps.
-	for _, a := range d.Atoms {
+	for id, a := range d.Atoms {
 		if a.Task.Kind == graph.OpInput {
-			if _, ok := seenRound[a.ID]; ok {
-				t.Fatalf("virtual input atom %d scheduled", a.ID)
+			if _, ok := seenRound[id]; ok {
+				t.Fatalf("virtual input atom %d scheduled", id)
 			}
 			continue
 		}
-		rt, ok := seenRound[a.ID]
+		rt, ok := seenRound[id]
 		if !ok {
-			t.Fatalf("atom %d never scheduled", a.ID)
+			t.Fatalf("atom %d never scheduled", id)
 		}
-		if s.AtomRound[a.ID] != rt {
-			t.Fatalf("AtomRound[%d] = %d, want %d", a.ID, s.AtomRound[a.ID], rt)
+		if s.AtomRound[id] != rt {
+			t.Fatalf("AtomRound[%d] = %d, want %d", id, s.AtomRound[id], rt)
 		}
-		deps, _ := depsOf(d, a.ID)
+		deps, _ := depsOf(d, id)
 		for _, dep := range deps {
 			if d.Atoms[dep].Task.Kind == graph.OpInput {
 				continue
 			}
 			if dt := seenRound[dep]; dt >= rt {
 				t.Fatalf("atom %d in round %d depends on atom %d in round %d",
-					a.ID, rt, dep, dt)
+					id, rt, dep, dt)
 			}
 		}
 	}
@@ -185,11 +185,11 @@ func TestSampleOrderLatency(t *testing.T) {
 		t.Fatal(err)
 	}
 	last := make([]int, d.Batch)
-	for _, a := range d.Atoms {
+	for id, a := range d.Atoms {
 		if a.Task.Kind == graph.OpInput {
 			continue
 		}
-		if r := s.AtomRound[a.ID]; r > last[a.Sample] {
+		if r := s.AtomRound[id]; r > last[a.Sample] {
 			last[a.Sample] = r
 		}
 	}

@@ -227,7 +227,7 @@ func New(cfg Config) *Server {
 	// The live dashboard's stores. Always on: feeding them costs ring
 	// appends on already-slow paths (request admission, solve lifecycle,
 	// exchange barriers), and bounded memory. Mounted at /debug/dash.
-	s.dash = dash.NewStore(dash.Config{})
+	s.dash = dash.NewStore()
 	if s.store != nil {
 		s.m.storeRecords.SetInt(int64(s.store.Len()))
 	}
