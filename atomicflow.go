@@ -226,12 +226,6 @@ type Options struct {
 	// trajectory) changes. Entries for unknown layers are ignored, so a
 	// donor solved under different hardware is safe.
 	WarmStart map[int]Partition
-	// VerifyDelta cross-checks every incrementally-scored SA move against
-	// a from-scratch recomputation, panicking on any divergence. It is a
-	// correctness harness for the O(Δ) move-evaluation machinery (run in
-	// CI over the whole model zoo); it never changes the solution, only
-	// the search's cost.
-	VerifyDelta bool
 	// TraceWriter, when non-nil, receives the full-span trace of the
 	// simulated execution as Chrome trace-event JSON: engine compute
 	// lanes plus named NoC and DRAM lanes with blocked spans, the DRAM
@@ -366,7 +360,6 @@ func Orchestrate(g *Graph, opt Options) (*Solution, error) {
 		Seed:           opt.Seed,
 		Chains:         opt.Chains,
 		MaxTilesPerLay: opt.MaxTilesPerLayer,
-		VerifyDelta:    opt.VerifyDelta,
 		WarmStart:      opt.WarmStart,
 		Oracle:         hw.Oracle,
 		Metrics:        hw.Metrics,

@@ -20,7 +20,6 @@ import (
 	"github.com/atomic-dataflow/atomicflow/internal/experiments"
 	"github.com/atomic-dataflow/atomicflow/internal/graph"
 	"github.com/atomic-dataflow/atomicflow/internal/mapping"
-	"github.com/atomic-dataflow/atomicflow/internal/noc"
 	"github.com/atomic-dataflow/atomicflow/internal/schedule"
 	"github.com/atomic-dataflow/atomicflow/internal/sim"
 )
@@ -484,34 +483,36 @@ func BenchmarkSimRunB8(b *testing.B) {
 	b.ReportMetric(float64(s.NumRounds()), "rounds")
 }
 
-// benchPlaceSink keeps the compiler from eliding placements.
-var benchPlaceSink mapping.Result
-
-// BenchmarkPlaceRound measures one PlaceRound call on the fullest
-// ResNet-50 Round (engines occupied by the previous Round's outputs), the
-// permutation-search hot path of the mapping stage.
+// BenchmarkPlaceRound measures placing every Round of a ResNet-50
+// schedule in order, each Round locating its inputs on the engines the
+// previous Round placed them on: the permutation search of the mapping
+// stage over Rounds of every size, and the cost-row reuse of atoms that
+// share a DAG row with their group's previous atom.
 func BenchmarkPlaceRound(b *testing.B) {
 	cfg := sim.DefaultConfig()
 	d, s := modelSchedule(b, "resnet50", cfg)
-	mesh := noc.NewMesh(8, 8, 32)
-	mapper := mapping.New(mesh, d)
-	// The fullest Round (preferring a non-first one so locate is realistic).
-	best := 1
-	for r := 1; r < s.NumRounds(); r++ {
-		if len(s.Rounds[r].Atoms) > len(s.Rounds[best].Atoms) {
-			best = r
+	mapper := mapping.New(cfg.Mesh, d)
+	// Two Results alternate, as prep slots reuse theirs: one holds the
+	// Round being placed, the other its predecessor's placement. The
+	// locators are bound once; a method value per Round would allocate.
+	var res [2]mapping.Result
+	prev := [2]mapping.Locator{res[1].Engine, res[0].Engine}
+	placeAll := func() {
+		for r, round := range s.Rounds {
+			locate := prev[r%2]
+			if r == 0 {
+				locate = func(int) int { return -1 }
+			}
+			mapper.PlaceRound(&res[r%2], round.Atoms, locate, nil)
 		}
 	}
-	var prev mapping.Result
-	mapper.PlaceRound(&prev, s.Rounds[best-1].Atoms, func(int) int { return -1 }, nil)
-	locate := prev.Engine
-	round := s.Rounds[best].Atoms
+	placeAll() // size both Results' engine tables
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		mapper.PlaceRound(&benchPlaceSink, round, locate, nil) // steady-state: a prep slot reuses its Result every Round
+		placeAll()
 	}
-	b.ReportMetric(float64(len(round)), "atoms/round")
+	b.ReportMetric(float64(s.NumRounds()), "rounds/op")
 }
 
 // benchSink keeps the compiler from eliding oracle evaluations.

@@ -28,16 +28,18 @@ type flags struct {
 
 // defineFlags registers adflow's flags on fs. The search defaults match
 // the library's zero Options and /solve: DP scheduling, 600 SA
-// iterations, seed 1, one chain.
+// iterations, seed 1, one chain. The hardware defaults are read from
+// DefaultHardware.
 func defineFlags(fs *flag.FlagSet) *flags {
+	hw := af.DefaultHardware()
 	return &flags{
 		model:     fs.String("model", "resnet50", "workload: one of "+strings.Join(af.ModelNames(), ", ")),
 		modelFile: fs.String("model-file", "", "load the workload from a JSON exchange document instead of the zoo"),
 		batch:     fs.Int("batch", 1, "inference batch size gathered into one atomic DAG"),
-		engines:   fs.Int("engines", 8, "engine mesh side (engines x engines grid)"),
-		pes:       fs.Int("pes", 16, "PE array side per engine"),
-		buffer:    fs.Int("buffer", 128<<10, "per-engine buffer bytes"),
-		freq:      fs.Float64("freq", 500, "engine clock in MHz"),
+		engines:   fs.Int("engines", hw.Mesh.W, "engine mesh side (engines x engines grid)"),
+		pes:       fs.Int("pes", hw.Engine.PEx, "PE array side per engine"),
+		buffer:    fs.Int("buffer", hw.Engine.BufferBytes, "per-engine buffer bytes"),
+		freq:      fs.Float64("freq", hw.Engine.FreqMHz, "engine clock in MHz"),
 		dataflow:  fs.String("dataflow", "kc", "engine dataflow: kc (NVDLA-style) or yx (ShiDianNao-style)"),
 		mode:      fs.String("mode", "dp", "scheduler: dp or greedy"),
 		saIters:   fs.Int("sa-iters", 600, "simulated-annealing iterations for atom generation"),
@@ -60,7 +62,6 @@ func (f *flags) options() (af.Options, error) {
 	hw.Mesh = af.NewMesh(*f.engines, *f.engines, hw.Mesh.LinkBytes)
 	hw.Engine.PEx, hw.Engine.PEy = *f.pes, *f.pes
 	hw.Engine.BufferBytes = *f.buffer
-	hw.BufferBytes = int64(*f.buffer)
 	hw.Engine.FreqMHz = *f.freq
 	hw.Dataflow = df
 	return af.Options{

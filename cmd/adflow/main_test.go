@@ -2,6 +2,7 @@ package main
 
 import (
 	"flag"
+	"reflect"
 	"testing"
 
 	af "github.com/atomic-dataflow/atomicflow"
@@ -61,6 +62,17 @@ func TestDefaultFlagsMatchLibrary(t *testing.T) {
 	if opts.Mode != af.ModeDP || opts.SAIters != 600 || opts.Seed != 1 || opts.Chains != 1 || opts.Batch != 1 {
 		t.Errorf("default flags give mode %v, sa-iters %d, seed %d, chains %d, batch %d; want dp, 600, 1, 1, 1",
 			opts.Mode, opts.SAIters, opts.Seed, opts.Chains, opts.Batch)
+	}
+	// The hardware an empty command line builds is DefaultHardware, field
+	// by field; the mesh is a pointer, so it is compared by shape.
+	got, want := *opts.Hardware, af.DefaultHardware()
+	if got.Mesh.W != want.Mesh.W || got.Mesh.H != want.Mesh.H || got.Mesh.LinkBytes != want.Mesh.LinkBytes {
+		t.Errorf("default-flag mesh %dx%d link %d, want %dx%d link %d",
+			got.Mesh.W, got.Mesh.H, got.Mesh.LinkBytes, want.Mesh.W, want.Mesh.H, want.Mesh.LinkBytes)
+	}
+	got.Mesh, want.Mesh = nil, nil
+	if !reflect.DeepEqual(got, want) {
+		t.Errorf("default-flag hardware %+v, want DefaultHardware() %+v", got, want)
 	}
 	g, err := af.LoadModel("tinyconv")
 	if err != nil {

@@ -71,7 +71,7 @@ func main() {
 	if err != nil {
 		fatal(err)
 	}
-	p, err := codegen.Generate(d, s, hw.Mesh, hw.UsableBufferBytes())
+	p, err := codegen.Generate(d, s, hw.Mesh, int64(hw.Engine.BufferBytes))
 	if err != nil {
 		fatal(err)
 	}

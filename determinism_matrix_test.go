@@ -12,9 +12,6 @@ import (
 var updateDigests = flag.Bool("update-digests", false,
 	"rewrite testdata/zoo_digests.json from the current pipeline")
 
-var verifyDelta = flag.Bool("verify-delta", false,
-	"run the matrix with incremental-vs-full search cross-checking (the verify-delta CI leg)")
-
 var dashProgress = flag.Bool("dash-progress", false,
 	"run the matrix with a dashboard progress hook attached; the hook is "+
 		"observation-only, so every pinned digest must stay byte-identical")
@@ -39,7 +36,7 @@ func (p matrixProfile) run(t *testing.T, model string) *Solution {
 		t.Fatal(err)
 	}
 	opt := Options{Seed: 1, SAIters: p.saIters, MaxTilesPerLayer: p.maxTiles,
-		Batch: p.batch, VerifyDelta: *verifyDelta}
+		Batch: p.batch}
 	if *dashProgress {
 		// The hook the serving layer's dashboard installs, reduced to its
 		// essence: it observes every sample batch (exactly what serve's

@@ -30,7 +30,6 @@ func main() {
 		hw.Engine.PEx = totalPEside / grid
 		hw.Engine.PEy = totalPEside / grid
 		hw.Engine.BufferBytes = totalBuffer / (grid * grid)
-		hw.BufferBytes = int64(hw.Engine.BufferBytes)
 		sol, err := af.Orchestrate(g, af.Options{Batch: 1, Hardware: &hw})
 		if err != nil {
 			log.Fatal(err)
@@ -51,7 +50,6 @@ func main() {
 		hw.Mesh = af.NewMesh(4, 4, hw.Mesh.LinkBytes)
 		hw.Engine.PEx, hw.Engine.PEy = 16, 16
 		hw.Engine.BufferBytes = kb << 10
-		hw.BufferBytes = int64(kb << 10)
 		sol, err := af.Orchestrate(g, af.Options{Batch: 1, Hardware: &hw})
 		if err != nil {
 			log.Fatal(err)

@@ -64,14 +64,6 @@ type Options struct {
 	// for unknown layers are ignored.
 	WarmStart map[int]atom.Partition
 
-	// VerifyDelta cross-checks every incrementally-scored move against a
-	// from-scratch recomputation (full argmin rebuild + exact accumulator
-	// rebuild) and panics on any divergence — see (*search).verifyDelta.
-	// It is a correctness harness for the O(Δ) move-evaluation machinery,
-	// run by a dedicated CI leg over the whole zoo; it never changes the
-	// search trajectory, only its cost.
-	VerifyDelta bool
-
 	// Progress, when non-nil, receives one Sample per portfolio chain at
 	// every exchangeEvery iteration barrier, plus a final batch (Final
 	// set) after the polish sweep. The hook runs on the coordinating
@@ -81,6 +73,12 @@ type Options struct {
 	// pinned digest) bit-identical. Keep the hook cheap — the whole
 	// search blocks while it executes.
 	Progress func([]Sample)
+
+	// verify, when non-nil, sees every incrementally-scored move's
+	// walker and target. Only this package's tests set it, to the
+	// from-scratch cross-check in delta_test.go; it must not change the
+	// trajectory.
+	verify func(s *search, w *walker, target float64)
 }
 
 // Sample is one per-chain observation of search progress, delivered
@@ -278,8 +276,8 @@ func (c *saChain) run(sctx *search, opt Options, n int, m saMetrics) {
 		// exact accumulators.
 		c.w.moveTo(Smove)
 		moveS, Emove := c.w.st.acc.meanVariance()
-		if opt.VerifyDelta {
-			sctx.verifyDelta(c.w, Smove)
+		if opt.verify != nil {
+			opt.verify(sctx, c.w, Smove)
 		}
 		// Line 16-22: Metropolis acceptance with decaying temperature.
 		// Energies are normalized by the squared state (i.e. compared as
@@ -366,8 +364,8 @@ func (s *search) polish(opt Options, best state, bestE, bestS float64) (state, f
 				continue
 			}
 			w.moveTo(targets[i])
-			if opt.VerifyDelta {
-				s.verifyDelta(w, targets[i])
+			if opt.verify != nil {
+				opt.verify(s, w, targets[i])
 			}
 			ms[i], es[i] = w.st.acc.meanVariance()
 		}

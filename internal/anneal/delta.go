@@ -2,7 +2,6 @@ package anneal
 
 import (
 	"cmp"
-	"fmt"
 	"math/bits"
 	"slices"
 	"sort"
@@ -31,8 +30,9 @@ import (
 //     O(changed layers) per move instead of O(all layers · candidates).
 //
 // The walker is cross-checked against the from-scratch argmin/pick path
-// by Options.VerifyDelta (see (*search).verifyDelta) and by the
-// apply/revert property and fuzz tests in delta_test.go.
+// by the tests in delta_test.go: verifyDelta, installed as the
+// Options.verify hook, checks every move of whole searches, and the
+// apply/revert property and fuzz tests check move sequences.
 
 // accum holds exact integer sums over a state's energy-participating
 // layers: n layers, S1 = Σ cycles (int64) and S2 = Σ cycles² (unsigned
@@ -127,7 +127,7 @@ func (st *state) set(s *search, i, c int) {
 }
 
 // accumOf rebuilds a state's accumulators from scratch — the reference
-// the property tests and VerifyDelta compare incremental results against.
+// the property tests and verifyDelta compare incremental results against.
 func (s *search) accumOf(st state) accum {
 	a := accum{n: s.nOrder}
 	for i := 0; i < s.nOrder; i++ {
@@ -213,7 +213,7 @@ func minT(hi int64, pred func(int64) bool) int64 {
 // as one entry per candidate and candidate pair, from far fewer entries
 // on lists with many equal-cycle candidates. pick is evaluated once per
 // segment and equal neighbours are merged. The result is validated
-// against direct pick evaluation by VerifyDelta and the fuzz tests, and
+// against direct pick evaluation by verifyDelta and the fuzz tests, and
 // against the per-candidate enumeration by TestPickTableMatchesReference.
 func buildPickTable(lc layerCands) pickTable {
 	c := lc.cands
@@ -373,59 +373,4 @@ func (w *walker) moveTo(target float64) {
 		}
 	}
 	w.t = t
-}
-
-// verifyDelta cross-checks a walker against the from-scratch reference:
-// the argmin image rebuilt by direct pick evaluation must match the
-// incrementally-maintained choices exactly, the rebuilt accumulators
-// must be integer-identical, and the derived energies must agree to ulp
-// scale. Any divergence is a bug in the delta machinery (a missed pick
-// boundary, a drifted accumulator), never a legitimate outcome, so it
-// panics. Enabled by Options.VerifyDelta; the verify-delta CI leg runs
-// the whole zoo determinism matrix under it.
-func (s *search) verifyDelta(w *walker, target float64) {
-	ref := s.argmin(target)
-	for i := range ref.choice {
-		if ref.choice[i] != w.st.choice[i] {
-			panic(fmt.Sprintf(
-				"anneal: delta divergence at target %g: layer %d (id %d) picked %d incrementally, %d from scratch",
-				target, i, s.all[i], w.st.choice[i], ref.choice[i]))
-		}
-	}
-	if ref.acc != w.st.acc {
-		panic(fmt.Sprintf(
-			"anneal: accumulator divergence at target %g: incremental %+v, rebuilt %+v",
-			target, w.st.acc, ref.acc))
-	}
-	// Identical accumulators imply identical derived floats; spell the
-	// ulp-scale check out anyway so a future divergence reports energies.
-	im, iv := w.st.acc.meanVariance()
-	rm, rv := ref.acc.meanVariance()
-	if !ulpClose(im, rm) || !ulpClose(iv, rv) {
-		panic(fmt.Sprintf(
-			"anneal: energy divergence at target %g: incremental (S=%v, E=%v), full (S=%v, E=%v)",
-			target, im, iv, rm, rv))
-	}
-}
-
-// ulpClose reports whether two float64s agree to ~ulp scale (relative
-// 1e-12, matching a couple of rounding steps at double precision).
-func ulpClose(a, b float64) bool {
-	if a == b {
-		return true
-	}
-	d := a - b
-	if d < 0 {
-		d = -d
-	}
-	m := a
-	if m < 0 {
-		m = -m
-	}
-	if b > m {
-		m = b
-	} else if -b > m {
-		m = -b
-	}
-	return d <= 1e-12*m
 }

@@ -1,6 +1,7 @@
 package anneal
 
 import (
+	"flag"
 	"fmt"
 	"math"
 	"math/rand"
@@ -356,6 +357,9 @@ func TestPickTableMatchesReference(t *testing.T) {
 	})
 }
 
+var zooVerifyDelta = flag.Bool("verify-delta", false,
+	"run TestZooVerifyDelta: every zoo model's search under the incremental-vs-full cross-check")
+
 // TestSAWithVerifyDelta runs full searches — one chain and several —
 // under the cross-checking harness: every move of every chain is
 // compared against a from-scratch recomputation.
@@ -363,11 +367,33 @@ func TestSAWithVerifyDelta(t *testing.T) {
 	for _, model := range []string{"tinyconv", "tinyresnet", "tinybranch"} {
 		g := models.MustBuild(model)
 		SA(g, engine.Default(), engine.KCPartition,
-			Options{MaxIters: 150, Seed: 9, VerifyDelta: true})
+			Options{MaxIters: 150, Seed: 9, verify: (*search).verifyDelta})
 		SA(g, engine.Default(), engine.KCPartition,
-			Options{MaxIters: 150, Seed: 9, Chains: 3, VerifyDelta: true})
+			Options{MaxIters: 150, Seed: 9, Chains: 3, verify: (*search).verifyDelta})
 		SA(g, engine.Default(), engine.KCPartition,
-			Options{MaxIters: 100, Seed: 9, Chains: 3, VerifyDelta: true})
+			Options{MaxIters: 100, Seed: 9, Chains: 3, verify: (*search).verifyDelta})
+	}
+}
+
+// TestZooVerifyDelta runs the search of every zoo model at the full
+// profile of the root determinism matrix (seed 1, 200 iterations, 128
+// tiles per layer, the default engine) with one chain and with three,
+// cross-checking every move. It is the verify-delta CI leg and runs only
+// with the flag, placed after the package:
+//
+//	go test -timeout 20m -run TestZooVerifyDelta -v ./internal/anneal -verify-delta
+func TestZooVerifyDelta(t *testing.T) {
+	if !*zooVerifyDelta {
+		t.Skip("run with -verify-delta")
+	}
+	for _, model := range models.Names() {
+		g := models.MustBuild(model)
+		for _, chains := range []int{1, 3} {
+			t.Run(fmt.Sprintf("%s/chains%d", model, chains), func(t *testing.T) {
+				SA(g, engine.Default(), engine.KCPartition, Options{MaxIters: 200, Seed: 1,
+					MaxTilesPerLay: 128, Chains: chains, verify: (*search).verifyDelta})
+			})
+		}
 	}
 }
 
@@ -375,9 +401,9 @@ func TestSAWithVerifyDelta(t *testing.T) {
 func TestVerifyDeltaNeutral(t *testing.T) {
 	g := models.MustBuild("tinyresnet")
 	plain := SA(g, engine.Default(), engine.KCPartition, Options{MaxIters: 120, Seed: 4})
-	checked := SA(g, engine.Default(), engine.KCPartition, Options{MaxIters: 120, Seed: 4, VerifyDelta: true})
+	checked := SA(g, engine.Default(), engine.KCPartition, Options{MaxIters: 120, Seed: 4, verify: (*search).verifyDelta})
 	if plain.FinalVar != checked.FinalVar || plain.MeanCycle != checked.MeanCycle || plain.Iters != checked.Iters {
-		t.Errorf("VerifyDelta perturbed the search: %v/%v/%d vs %v/%v/%d",
+		t.Errorf("verifyDelta perturbed the search: %v/%v/%d vs %v/%v/%d",
 			plain.FinalVar, plain.MeanCycle, plain.Iters,
 			checked.FinalVar, checked.MeanCycle, checked.Iters)
 	}
@@ -410,4 +436,59 @@ func FuzzMoveSequence(f *testing.F) {
 			}
 		}
 	})
+}
+
+// verifyDelta cross-checks a walker against the from-scratch reference:
+// the argmin image rebuilt by direct pick evaluation must match the
+// incrementally-maintained choices exactly, the rebuilt accumulators
+// must be integer-identical, and the derived energies must agree to ulp
+// scale. Any divergence is a bug in the delta machinery (a missed pick
+// boundary, a drifted accumulator), never a legitimate outcome, so it
+// panics. Installed as the Options.verify hook by the tests below;
+// TestZooVerifyDelta runs it over the whole zoo.
+func (s *search) verifyDelta(w *walker, target float64) {
+	ref := s.argmin(target)
+	for i := range ref.choice {
+		if ref.choice[i] != w.st.choice[i] {
+			panic(fmt.Sprintf(
+				"anneal: delta divergence at target %g: layer %d (id %d) picked %d incrementally, %d from scratch",
+				target, i, s.all[i], w.st.choice[i], ref.choice[i]))
+		}
+	}
+	if ref.acc != w.st.acc {
+		panic(fmt.Sprintf(
+			"anneal: accumulator divergence at target %g: incremental %+v, rebuilt %+v",
+			target, w.st.acc, ref.acc))
+	}
+	// Identical accumulators imply identical derived floats; spell the
+	// ulp-scale check out anyway so a future divergence reports energies.
+	im, iv := w.st.acc.meanVariance()
+	rm, rv := ref.acc.meanVariance()
+	if !ulpClose(im, rm) || !ulpClose(iv, rv) {
+		panic(fmt.Sprintf(
+			"anneal: energy divergence at target %g: incremental (S=%v, E=%v), full (S=%v, E=%v)",
+			target, im, iv, rm, rv))
+	}
+}
+
+// ulpClose reports whether two float64s agree to ~ulp scale (relative
+// 1e-12, matching a couple of rounding steps at double precision).
+func ulpClose(a, b float64) bool {
+	if a == b {
+		return true
+	}
+	d := a - b
+	if d < 0 {
+		d = -d
+	}
+	m := a
+	if m < 0 {
+		m = -m
+	}
+	if b > m {
+		m = b
+	} else if -b > m {
+		m = -b
+	}
+	return d <= 1e-12*m
 }

@@ -5,6 +5,7 @@ import (
 	"math"
 
 	"github.com/atomic-dataflow/atomicflow/internal/cost"
+	"github.com/atomic-dataflow/atomicflow/internal/dram"
 	"github.com/atomic-dataflow/atomicflow/internal/graph"
 	"github.com/atomic-dataflow/atomicflow/internal/sim"
 )
@@ -116,7 +117,7 @@ func cnnpWithK(g *graph.Graph, units []*graph.Layer, batch int, cfg sim.Config, 
 	// Per-CLP per-image time: compute overlapped with its DRAM streaming
 	// (double buffering), whichever dominates. The k CLPs share HBM
 	// bandwidth.
-	perCLPBW := cfg.DRAM.BytesPerCycle() / float64(k)
+	perCLPBW := cfg.DRAM.BytesPerCycle(cfg.Engine.FreqMHz) / float64(k)
 	var segCompute, segTotal int64
 	var totalDRAM, totalSRAM, totalMACs, totalWeightHops int64
 	for j := 0; j < k; j++ {
@@ -128,7 +129,7 @@ func cnnpWithK(g *graph.Graph, units []*graph.Layer, batch int, cfg sim.Config, 
 			sram += lt[i].sramBytes
 			totalWeightHops += lt[i].weightHops
 		}
-		dramCycles := int64(float64(bytes)/perCLPBW) + cfg.DRAM.AccessLatency
+		dramCycles := int64(float64(bytes)/perCLPBW) + dram.AccessLatency
 		t := comp
 		if dramCycles > t {
 			t = dramCycles
@@ -191,7 +192,7 @@ func outputBytes(units []*graph.Layer, bounds []int, k int) int64 {
 // minimizing the maximum chunk weight (compute + DRAM time), via binary
 // search over the bottleneck. Returns k+1 chunk boundaries.
 func balancedPartition(lt []layerTime, k int, cfg sim.Config, clps int) []int {
-	perCLPBW := cfg.DRAM.BytesPerCycle() / float64(clps)
+	perCLPBW := cfg.DRAM.BytesPerCycle(cfg.Engine.FreqMHz) / float64(clps)
 	weight := func(i int) int64 {
 		d := int64(float64(lt[i].dramBytes) / perCLPBW)
 		if d > lt[i].compute {

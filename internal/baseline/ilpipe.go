@@ -5,6 +5,7 @@ import (
 	"math"
 
 	"github.com/atomic-dataflow/atomicflow/internal/cost"
+	"github.com/atomic-dataflow/atomicflow/internal/dram"
 	"github.com/atomic-dataflow/atomicflow/internal/graph"
 	"github.com/atomic-dataflow/atomicflow/internal/sim"
 )
@@ -88,7 +89,7 @@ func ilPipeWithStages(units []*graph.Layer, batch int, cfg sim.Config, s int) si
 		sc.interOut = last.OutputBytes()
 		// Stage weights resident when they fit the region's buffers;
 		// otherwise they stream from DRAM every sample.
-		regionBuf := int64(m) * cfg.UsableBufferBytes()
+		regionBuf := int64(m) * int64(cfg.Engine.BufferBytes)
 		if weightBytes > regionBuf/2 {
 			sc.dram += weightBytes
 		}
@@ -105,7 +106,7 @@ func ilPipeWithStages(units []*graph.Layer, batch int, cfg sim.Config, s int) si
 			sc.noc = in * 2
 			sc.compute += in / int64(cfg.Mesh.LinkBytes)
 		}
-		dramCycles := int64(float64(sc.dram)/cfg.DRAM.BytesPerCycle()) + cfg.DRAM.AccessLatency
+		dramCycles := int64(float64(sc.dram)/cfg.DRAM.BytesPerCycle(cfg.Engine.FreqMHz)) + dram.AccessLatency
 		sc.total = sc.compute
 		if dramCycles > sc.total {
 			sc.total = dramCycles

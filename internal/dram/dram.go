@@ -1,31 +1,29 @@
 // Package dram models the off-chip memory of the accelerator: a 4-layer
-// HBM stack with 4 GB capacity and 128 GB/s peak bandwidth (paper Sec.
-// V-A). It stands in for the Ramulator traces the paper feeds with access
-// streams: the simulator only needs request completion times under
-// bandwidth contention, which a channel-interleaved queue model provides.
+// HBM stack with 128 GB/s peak bandwidth (paper Sec. V-A; its 4 GB
+// capacity holds every workload, so capacity is not modeled). It stands
+// in for the Ramulator traces the paper feeds with access streams: the
+// simulator only needs request completion times under bandwidth
+// contention, which a channel-interleaved queue model provides.
 package dram
 
 import "fmt"
 
-// Config describes the HBM stack.
+// Config describes the HBM stack. It holds no clock: the model prices
+// requests in cycles of the engine clock New is given, so the engines and
+// the memory always agree on what a cycle is.
 type Config struct {
-	CapacityBytes  int64   // total capacity (4 GB)
-	PeakGBps       float64 // aggregate peak bandwidth (128 GB/s)
-	Channels       int     // independent channels (HBM: 8)
-	AccessLatency  int64   // fixed per-request latency in engine cycles
-	EngineClockMHz float64 // clock used to convert bandwidth to bytes/cycle
+	PeakGBps float64 // aggregate peak bandwidth (128 GB/s)
+	Channels int     // independent channels (HBM: 8)
 }
 
-// Default returns the paper's HBM configuration at a 500 MHz engine clock.
+// Default returns the paper's HBM configuration.
 func Default() Config {
-	return Config{
-		CapacityBytes:  4 << 30,
-		PeakGBps:       128,
-		Channels:       8,
-		AccessLatency:  60, // ~120 ns row activate + CAS at 500 MHz
-		EngineClockMHz: 500,
-	}
+	return Config{PeakGBps: 128, Channels: 8}
 }
+
+// AccessLatency is the fixed per-request latency in engine cycles: ~120 ns
+// of row activate + CAS at the paper's 500 MHz clock.
+const AccessLatency int64 = 60
 
 // burstBytes is the transfer granularity of the hit/miss accounting: one
 // 32 B access per burst, the HBM pseudo-channel burst length.
@@ -38,14 +36,15 @@ const burstBytes = 32
 // stream.
 const rowBytes = 2 << 10
 
-// BytesPerCycle returns the aggregate bandwidth in bytes per engine cycle.
-func (c Config) BytesPerCycle() float64 {
-	return c.PeakGBps * 1e3 / c.EngineClockMHz // GB/s / MHz = bytes/cycle x 1e3
+// BytesPerCycle returns the aggregate bandwidth in bytes per cycle of an
+// engine clocked at freqMHz.
+func (c Config) BytesPerCycle(freqMHz float64) float64 {
+	return c.PeakGBps * 1e3 / freqMHz // GB/s / MHz = bytes/cycle x 1e3
 }
 
 // Validate reports configuration errors.
 func (c Config) Validate() error {
-	if c.CapacityBytes <= 0 || c.PeakGBps <= 0 || c.Channels <= 0 || c.EngineClockMHz <= 0 {
+	if c.PeakGBps <= 0 || c.Channels <= 0 {
 		return fmt.Errorf("dram: invalid config %+v", c)
 	}
 	return nil
@@ -55,7 +54,7 @@ func (c Config) Validate() error {
 // least-loaded channel (idealized address interleaving) and served at the
 // per-channel bandwidth; a request issued while channels are busy waits.
 type HBM struct {
-	cfg      Config
+	chanBW   float64 // one channel's bytes per engine cycle
 	chanFree []int64 // absolute cycle at which each channel is next free
 	stats    Stats
 }
@@ -82,20 +81,14 @@ func (s Stats) RowHitRate() float64 {
 	return float64(s.RowHits) / float64(s.RowHits+s.RowMisses)
 }
 
-// New returns an idle HBM model.
-func New(cfg Config) *HBM {
+// New returns an idle HBM model timed in cycles of an engine clocked at
+// freqMHz.
+func New(cfg Config, freqMHz float64) *HBM {
 	if err := cfg.Validate(); err != nil {
 		panic(err)
 	}
-	return &HBM{cfg: cfg, chanFree: make([]int64, cfg.Channels)}
-}
-
-// Config returns the model's configuration.
-func (h *HBM) Config() Config { return h.cfg }
-
-// perChannelBytesPerCycle is the bandwidth of one channel.
-func (h *HBM) perChannelBytesPerCycle() float64 {
-	return h.cfg.BytesPerCycle() / float64(h.cfg.Channels)
+	return &HBM{chanBW: cfg.BytesPerCycle(freqMHz) / float64(cfg.Channels),
+		chanFree: make([]int64, cfg.Channels)}
 }
 
 // Read issues a read of n bytes at absolute cycle `now` and returns the
@@ -150,8 +143,8 @@ func (h *HBM) serve(now, n int64) int64 {
 		start = h.chanFree[best]
 		h.stats.QueueWaitCycles += start - now
 	}
-	xfer := int64(float64(n)/h.perChannelBytesPerCycle()) + 1
-	done := start + h.cfg.AccessLatency + xfer
+	xfer := int64(float64(n)/h.chanBW) + 1
+	done := start + AccessLatency + xfer
 	h.chanFree[best] = done
 	return done
 }

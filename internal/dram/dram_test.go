@@ -7,24 +7,27 @@ import (
 
 func TestBytesPerCycle(t *testing.T) {
 	cfg := Default()
-	// 128 GB/s at 500 MHz = 256 B/cycle.
-	if got := cfg.BytesPerCycle(); got != 256 {
-		t.Errorf("BytesPerCycle = %v, want 256", got)
+	// 128 GB/s at 500 MHz = 256 B/cycle; at 1 GHz a cycle moves half.
+	if got := cfg.BytesPerCycle(500); got != 256 {
+		t.Errorf("BytesPerCycle(500) = %v, want 256", got)
+	}
+	if got := cfg.BytesPerCycle(1000); got != 128 {
+		t.Errorf("BytesPerCycle(1000) = %v, want 128", got)
 	}
 }
 
 func TestSingleRequestLatency(t *testing.T) {
-	h := New(Default())
+	h := New(Default(), 500)
 	// One channel serves 32 B/cycle; 3200 bytes = 100 cycles + latency.
 	done := h.Read(0, 3200)
-	want := Default().AccessLatency + 100 + 1
+	want := AccessLatency + 100 + 1
 	if done != want {
 		t.Errorf("Read completion = %d, want %d", done, want)
 	}
 }
 
 func TestChannelParallelism(t *testing.T) {
-	h := New(Default())
+	h := New(Default(), 500)
 	// 8 equal requests at t=0 spread over 8 channels: all finish at the
 	// single-request time.
 	var worst int64
@@ -33,7 +36,7 @@ func TestChannelParallelism(t *testing.T) {
 			worst = d
 		}
 	}
-	single := New(Default()).Read(0, 3200)
+	single := New(Default(), 500).Read(0, 3200)
 	if worst != single {
 		t.Errorf("8 parallel requests finish at %d, want %d", worst, single)
 	}
@@ -44,7 +47,7 @@ func TestChannelParallelism(t *testing.T) {
 }
 
 func TestZeroByteRequestFree(t *testing.T) {
-	h := New(Default())
+	h := New(Default(), 500)
 	if d := h.Read(42, 0); d != 42 {
 		t.Errorf("zero-byte read completes at %d, want 42", d)
 	}
@@ -54,11 +57,11 @@ func TestZeroByteRequestFree(t *testing.T) {
 // request size.
 func TestServeMonotone(t *testing.T) {
 	f := func(nRaw uint16, nowRaw uint8) bool {
-		h := New(Default())
+		h := New(Default(), 500)
 		now := int64(nowRaw)
 		n := int64(nRaw) + 1
 		d1 := h.Read(now, n)
-		h2 := New(Default())
+		h2 := New(Default(), 500)
 		d2 := h2.Read(now, n*2)
 		return d1 > now && d2 >= d1
 	}
@@ -79,7 +82,7 @@ func TestValidate(t *testing.T) {
 }
 
 func TestRowHitMissAccounting(t *testing.T) {
-	h := New(Default())
+	h := New(Default(), 500)
 	// One 2 KB row = 64 bursts of 32 B: reading exactly one row is 1
 	// activation (miss) + 63 open-row hits.
 	h.Read(0, 2<<10)
@@ -97,7 +100,7 @@ func TestRowHitMissAccounting(t *testing.T) {
 		t.Errorf("RowHitRate = %v, want %v", got, want)
 	}
 	// A sub-burst request is a single miss, never negative hits.
-	h2 := New(Default())
+	h2 := New(Default(), 500)
 	h2.Read(0, 8)
 	if st := h2.Stats(); st.RowMisses != 1 || st.RowHits != 0 {
 		t.Errorf("tiny read stats = %+v", st)
@@ -105,7 +108,7 @@ func TestRowHitMissAccounting(t *testing.T) {
 }
 
 func TestQueueStats(t *testing.T) {
-	h := New(Default())
+	h := New(Default(), 500)
 	// Saturate all 8 channels, then one more request must wait.
 	for i := 0; i < 8; i++ {
 		h.Read(0, 3200)

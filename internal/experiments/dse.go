@@ -60,7 +60,6 @@ func Fig12(cfg Config) ([]Fig12Point, error) {
 		hw.Mesh = noc.NewMesh(p.Grid, p.Grid, base.Mesh.LinkBytes)
 		hw.Engine.PEx, hw.Engine.PEy = p.PEsPer, p.PEsPer
 		hw.Engine.BufferBytes = bufBytes[i]
-		hw.BufferBytes = int64(hw.Engine.BufferBytes)
 		rep, err := runAD(g, p.Batch, hw, cfg.Mode, cfg.search())
 		if err != nil {
 			errs[i] = err
@@ -122,7 +121,6 @@ func Fig13(cfg Config) ([]Fig13Point, error) {
 		g := mustModel(p.Workload)
 		hw := base
 		hw.Engine.BufferBytes = bufBytes[i]
-		hw.BufferBytes = int64(bufBytes[i])
 		rep, err := runAD(g, cfg.batch(1), hw, cfg.Mode, cfg.search())
 		if err != nil {
 			errs[i] = err

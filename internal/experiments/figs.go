@@ -257,7 +257,7 @@ func Fig10(cfg Config) ([]Fig10Row, error) {
 		g := mustModel(name)
 
 		noReuse := hw
-		noReuse.BufferBytes = 1
+		noReuse.Engine.BufferBytes = 1
 		noReuse.NaiveMapping = true
 
 		// T0: even-split atoms in strict layer order, no reuse.

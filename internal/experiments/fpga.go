@@ -30,15 +30,11 @@ func FPGAConfig() sim.Config {
 		BufferBytes: 1 << 20, PortBytes: 16,
 		FreqMHz: 600, MACsPerPE: 1,
 	}
-	d := dram.Default()
-	d.EngineClockMHz = 600
-	d.PeakGBps = 25.6 // DDR4-3200 board memory rather than HBM
-	d.Channels = 2
 	return sim.Config{
 		Mesh:         noc.NewMesh(2, 2, 16),
 		Engine:       eng,
 		Dataflow:     engine.KCPartition,
-		DRAM:         d,
+		DRAM:         dram.Config{PeakGBps: 25.6, Channels: 2}, // DDR4-3200 board memory rather than HBM
 		Energy:       energy.Default(),
 		DoubleBuffer: true,
 	}

@@ -223,8 +223,16 @@ func (r *Request) computeKey() string {
 	fmt.Fprintf(h, "batch %d seed %d iters %d chains %d tiles %d mode %s trace %t surrogate false warm %t\n",
 		r.Batch, r.Seed, r.SAIters, r.Chains, r.MaxTiles, r.Mode, r.Trace, r.WarmStart)
 	hw := r.Hardware
-	fmt.Fprintf(h, "hw %dx%d link %d buf %d df %s naive %t dbuf %t\n",
-		hw.MeshW, hw.MeshH, hw.LinkBytes, hw.BufferBytes, hw.Dataflow,
+	// A set buffer_bytes sizes the engine, so the search's atoms as well
+	// as the simulated buffer; earlier builds sized only the latter. The
+	// "ebuf" token keeps their stored answers from replaying, and leaves
+	// every key without buffer_bytes as it was.
+	buf := "buf"
+	if hw.BufferBytes > 0 {
+		buf = "ebuf"
+	}
+	fmt.Fprintf(h, "hw %dx%d link %d %s %d df %s naive %t dbuf %t\n",
+		hw.MeshW, hw.MeshH, hw.LinkBytes, buf, hw.BufferBytes, hw.Dataflow,
 		hw.NaiveMapping, *hw.DoubleBuffer)
 	return hex.EncodeToString(h.Sum(nil))
 }
@@ -235,7 +243,7 @@ func (r *Request) hardware(base sim.Config) sim.Config {
 	h := r.Hardware
 	hw.Mesh = noc.NewMesh(h.MeshW, h.MeshH, h.LinkBytes)
 	if h.BufferBytes > 0 {
-		hw.BufferBytes = h.BufferBytes
+		hw.Engine.BufferBytes = int(h.BufferBytes)
 	}
 	if h.Dataflow == "yxp" {
 		hw.Dataflow = engine.YXPartition

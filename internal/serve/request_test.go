@@ -21,6 +21,9 @@ func TestCacheKeyStable(t *testing.T) {
 		{`{"model":"resnet50","surrogate":true}`, "5b061e5647a33c1733983ed58ca267014e592ba4127367c48274d4727b0cac70"},
 		{`{"model":"resnet50","surrogate":false}`, "5b061e5647a33c1733983ed58ca267014e592ba4127367c48274d4727b0cac70"},
 		{`{"model":"resnet50","verify_delta":true}`, "5b061e5647a33c1733983ed58ca267014e592ba4127367c48274d4727b0cac70"},
+		// buffer_bytes sizes the engine, not only the simulated buffer as
+		// it once did, so it hashes under a new token.
+		{`{"model":"resnet50","hardware":{"buffer_bytes":65536}}`, "88d14026a55ed911e98394095cca24a3086be4119ff6be83ee85119cab6929b9"},
 	} {
 		r, err := ParseRequest([]byte(tc.body))
 		if err != nil {

@@ -245,11 +245,22 @@ func TestServedMatchesDirect(t *testing.T) {
 	// Reduced sizes keep the 8-model sweep affordable under -race; the
 	// digests still pin the full anneal→schedule→map→simulate pipeline.
 	const saIters, maxTiles = 120, 128
-	_, ts := newTestServer(t, Config{})
+	type input struct {
+		test, model string
+		bufferBytes int // 0 = default hardware
+	}
+	var inputs []input
 	for _, name := range names {
-		t.Run(name, func(t *testing.T) {
-			resp, body := postSolve(t, ts,
-				fmt.Sprintf(`{"model":%q,"sa_iters":%d,"max_tiles":%d}`, name, saIters, maxTiles))
+		inputs = append(inputs, input{name, name, 0})
+	}
+	// buffer_bytes sizes the engine: the search's atoms as well as the
+	// simulated buffer.
+	inputs = append(inputs, input{"tinyresnet_buffer16KB", "tinyresnet", 16 << 10})
+	_, ts := newTestServer(t, Config{})
+	for _, in := range inputs {
+		t.Run(in.test, func(t *testing.T) {
+			resp, body := postSolve(t, ts, fmt.Sprintf(`{"model":%q,"sa_iters":%d,"max_tiles":%d,"hardware":{"buffer_bytes":%d}}`,
+				in.model, saIters, maxTiles, in.bufferBytes))
 			if resp.StatusCode != http.StatusOK {
 				t.Fatalf("status %d: %s", resp.StatusCode, body)
 			}
@@ -257,12 +268,16 @@ func TestServedMatchesDirect(t *testing.T) {
 			if err := json.Unmarshal(body, &sr); err != nil {
 				t.Fatal(err)
 			}
-			g, err := atomicflow.LoadModel(name)
+			g, err := atomicflow.LoadModel(in.model)
 			if err != nil {
 				t.Fatal(err)
 			}
+			hw := atomicflow.DefaultHardware()
+			if in.bufferBytes > 0 {
+				hw.Engine.BufferBytes = in.bufferBytes
+			}
 			sol, err := atomicflow.Orchestrate(g, atomicflow.Options{
-				SAIters: saIters, MaxTilesPerLayer: maxTiles,
+				SAIters: saIters, MaxTilesPerLayer: maxTiles, Hardware: &hw,
 			})
 			if err != nil {
 				t.Fatal(err)

@@ -3,6 +3,7 @@ package sim
 import (
 	"testing"
 
+	"github.com/atomic-dataflow/atomicflow/internal/dram"
 	"github.com/atomic-dataflow/atomicflow/internal/engine"
 )
 
@@ -26,8 +27,11 @@ func TestDefaultConfigPinned(t *testing.T) {
 	if !c.DoubleBuffer {
 		t.Error("DoubleBuffer = false, want true")
 	}
-	if c.BufferBytes != 0 {
-		t.Errorf("BufferBytes = %d, want 0 (engine default)", c.BufferBytes)
+	if want := (dram.Config{PeakGBps: 128, Channels: 8}); c.DRAM != want {
+		t.Errorf("DRAM = %+v, want %+v", c.DRAM, want)
+	}
+	if dram.AccessLatency != 60 {
+		t.Errorf("dram.AccessLatency = %d, want 60", dram.AccessLatency)
 	}
 	if c.Oracle != nil {
 		t.Error("Oracle non-nil: the default exports no oracle counter")
@@ -39,9 +43,9 @@ func TestDefaultConfigPinned(t *testing.T) {
 
 func TestValidateRejectsBadConfig(t *testing.T) {
 	c := DefaultConfig()
-	c.BufferBytes = -1
+	c.Engine.BufferBytes = -1
 	if err := c.Validate(); err == nil {
-		t.Error("negative BufferBytes validated")
+		t.Error("negative Engine.BufferBytes validated")
 	}
 	c = DefaultConfig()
 	c.Mesh = nil

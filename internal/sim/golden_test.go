@@ -20,7 +20,7 @@ func TestGoldenReportDeterminism(t *testing.T) {
 	models := []struct {
 		name   string
 		batch  int
-		bufDiv int64 // shrink BufferBytes by this factor (0 = default)
+		bufDiv int // shrink the simulated Engine.BufferBytes by this factor (0 = default)
 	}{
 		{"tinyconv", 2, 0},    // cascade
 		{"tinyresnet", 2, 0},  // residual bypasses
@@ -31,10 +31,10 @@ func TestGoldenReportDeterminism(t *testing.T) {
 		t.Run(mc.name, func(t *testing.T) {
 			cfg := DefaultConfig()
 			cfg.Mesh = noc.NewMesh(4, 4, 16)
-			if mc.bufDiv > 0 {
-				cfg.BufferBytes = int64(cfg.Engine.BufferBytes) / mc.bufDiv
-			}
 			d, s := pipeline(t, mc.name, mc.batch, cfg, schedule.Greedy)
+			if mc.bufDiv > 0 {
+				cfg.Engine.BufferBytes /= mc.bufDiv
+			}
 
 			run := func() Report {
 				t.Helper()

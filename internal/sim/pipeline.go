@@ -352,14 +352,14 @@ func acquireState(cfg Config, d *atom.DAG, s *schedule.Schedule) (*runState, boo
 	k := poolKey{engines: cfg.Mesh.Engines(), links: cfg.Mesh.NumLinks()}
 	if v := statePool(k).Get(); v != nil {
 		st := v.(*runState)
-		if err := st.man.Reset(d, s, k.engines, cfg.UsableBufferBytes()); err != nil {
+		if err := st.man.Reset(d, s, k.engines, int64(cfg.Engine.BufferBytes)); err != nil {
 			return nil, false, err
 		}
 		st.mapper.Reset(cfg.Mesh, d)
 		st.ar.reset(cfg.Mesh)
 		return st, true, nil
 	}
-	man, err := buffer.New(d, s, k.engines, cfg.UsableBufferBytes())
+	man, err := buffer.New(d, s, k.engines, int64(cfg.Engine.BufferBytes))
 	if err != nil {
 		return nil, false, err
 	}

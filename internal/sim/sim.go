@@ -34,9 +34,6 @@ type Config struct {
 	DRAM     dram.Config
 	Energy   energy.Model
 
-	// BufferBytes overrides the per-engine buffer capacity used by the
-	// buffer manager (default Engine.BufferBytes).
-	BufferBytes int64
 	// DoubleBuffer overlaps a Round's DRAM fetches with the previous
 	// Round's compute (default true via DefaultConfig).
 	DoubleBuffer bool
@@ -114,22 +111,10 @@ func (c Config) Validate() error {
 	if c.Mesh == nil {
 		return fmt.Errorf("sim: nil mesh")
 	}
-	if c.BufferBytes < 0 {
-		return fmt.Errorf("sim: negative BufferBytes %d", c.BufferBytes)
-	}
 	if err := c.Engine.Validate(); err != nil {
 		return err
 	}
 	return c.DRAM.Validate()
-}
-
-// UsableBufferBytes returns the per-engine buffer capacity in effect:
-// the BufferBytes override when set, else the engine's configured SRAM.
-func (c Config) UsableBufferBytes() int64 {
-	if c.BufferBytes > 0 {
-		return c.BufferBytes
-	}
-	return int64(c.Engine.BufferBytes)
 }
 
 // Report is the simulation outcome.
@@ -204,7 +189,7 @@ func newRunner(d *atom.DAG, s *schedule.Schedule, cfg Config) (*runner, func(), 
 	r := &runner{
 		cfg: cfg, d: d, s: s, n: cfg.Mesh.Engines(),
 		man: st.man, mapper: st.mapper, ar: st.ar, slots: &st.slots,
-		hbm: dram.New(cfg.DRAM), sm: sm,
+		hbm: dram.New(cfg.DRAM, cfg.Engine.FreqMHz), sm: sm,
 	}
 	r.rep.Rounds = s.NumRounds()
 	return r, func() { releaseState(cfg.Mesh, st) }, nil

@@ -7,6 +7,7 @@ import (
 	"github.com/atomic-dataflow/atomicflow/internal/anneal"
 	"github.com/atomic-dataflow/atomicflow/internal/atom"
 	"github.com/atomic-dataflow/atomicflow/internal/buffer"
+	"github.com/atomic-dataflow/atomicflow/internal/dram"
 	"github.com/atomic-dataflow/atomicflow/internal/engine"
 	"github.com/atomic-dataflow/atomicflow/internal/models"
 	"github.com/atomic-dataflow/atomicflow/internal/noc"
@@ -102,9 +103,9 @@ func TestSmallerBufferMoreDRAM(t *testing.T) {
 	cfg := smallConfig()
 	d, s := pipeline(t, "tinyresnet", 2, cfg, schedule.Greedy)
 	big := cfg
-	big.BufferBytes = 4 << 20
+	big.Engine.BufferBytes = 4 << 20
 	small := cfg
-	small.BufferBytes = 4 << 10
+	small.Engine.BufferBytes = 4 << 10
 	rb, err := Run(d, s, big)
 	if err != nil {
 		t.Fatal(err)
@@ -122,6 +123,37 @@ func TestSmallerBufferMoreDRAM(t *testing.T) {
 	}
 	if rs.Energy.DRAM <= rb.Energy.DRAM {
 		t.Error("small buffer should cost more DRAM energy")
+	}
+}
+
+// TestHBMClockedByEngine: the HBM prices transfers in engine cycles, so
+// at a fixed PeakGBps doubling Engine.FreqMHz doubles the cycles a
+// transfer takes (to within the floor of the byte division).
+func TestHBMClockedByEngine(t *testing.T) {
+	cfg := smallConfig()
+	d, s := pipeline(t, "tinyconv", 1, cfg, schedule.Greedy)
+	xfer := func(freqMHz float64) int64 {
+		t.Helper()
+		c := cfg
+		c.Engine.FreqMHz = freqMHz
+		var first RoundTrace
+		c.Trace = func(rt RoundTrace) {
+			if rt.Round == 0 {
+				first = rt
+			}
+		}
+		if _, err := Run(d, s, c); err != nil {
+			t.Fatal(err)
+		}
+		// Round 0 issues at most one read per engine, on idle channels.
+		return first.DRAMReady - first.DRAMIssue - dram.AccessLatency - 1
+	}
+	slow, fast := xfer(500), xfer(1000)
+	if slow <= 0 {
+		t.Fatalf("Round 0 transfer takes %d cycles at 500 MHz, want > 0", slow)
+	}
+	if fast < 2*slow || fast > 2*slow+1 {
+		t.Errorf("transfer takes %d cycles at 1000 MHz, want 2x the %d at 500 MHz", fast, slow)
 	}
 }
 
