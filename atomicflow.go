@@ -247,7 +247,8 @@ type Options struct {
 	// Context, when non-nil, bounds the orchestration: the SA search, the
 	// Round scheduler and the simulator poll it and Orchestrate returns
 	// an error wrapping the context's error (context.Canceled or
-	// context.DeadlineExceeded) as soon as it fires. An uncancelled
+	// context.DeadlineExceeded) as soon as it fires. When nil, the
+	// hardware's Ctx bounds all three stages instead. An uncancelled
 	// context never changes the solution produced.
 	Context context.Context
 }
@@ -266,9 +267,14 @@ func (o Options) hardware() HardwareConfig {
 	return DefaultHardware()
 }
 
-func (o Options) context() context.Context {
+// context resolves the one context every stage runs under: Context,
+// else the hardware's Ctx, else Background.
+func (o Options) context(hw HardwareConfig) context.Context {
 	if o.Context != nil {
 		return o.Context
+	}
+	if hw.Ctx != nil {
+		return hw.Ctx
 	}
 	return context.Background()
 }
@@ -350,10 +356,8 @@ func Orchestrate(g *Graph, opt Options) (*Solution, error) {
 	if opt.Metrics != nil {
 		hw.Metrics = opt.Metrics
 	}
-	ctx := opt.context()
-	if hw.Ctx == nil {
-		hw.Ctx = ctx
-	}
+	ctx := opt.context(hw)
+	hw.Ctx = ctx
 	start := time.Now()
 	res := anneal.SA(g, hw.Engine, hw.Dataflow, anneal.Options{
 		MaxIters:       opt.SAIters,

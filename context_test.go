@@ -3,6 +3,7 @@ package atomicflow
 import (
 	"context"
 	"errors"
+	"strings"
 	"testing"
 	"time"
 )
@@ -76,5 +77,27 @@ func TestOrchestrateContextNoEffect(t *testing.T) {
 	}
 	if plain.Digest() != withCtx.Digest() {
 		t.Errorf("context changed the solution: %s vs %s", plain.Digest(), withCtx.Digest())
+	}
+}
+
+// TestOrchestrateHardwareCtx: a context set only on the hardware bounds
+// the whole pipeline, not just the simulator. Cancelled up front, it
+// must stop Orchestrate at the post-search check instead of paying for
+// the search and the schedule first.
+func TestOrchestrateHardwareCtx(t *testing.T) {
+	g, err := LoadModel("tinyresnet")
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	hw := smallHW()
+	hw.Ctx = ctx
+	_, err = Orchestrate(g, Options{Hardware: &hw})
+	if !errors.Is(err, context.Canceled) {
+		t.Fatalf("err = %v, want context.Canceled", err)
+	}
+	if !strings.Contains(err.Error(), "orchestration abandoned") {
+		t.Errorf("err = %v, want the post-search abandonment error", err)
 	}
 }

@@ -126,16 +126,6 @@ func (st *state) set(s *search, i, c int) {
 	}
 }
 
-// accumOf rebuilds a state's accumulators from scratch — the reference
-// the property tests and verifyDelta compare incremental results against.
-func (s *search) accumOf(st state) accum {
-	a := accum{n: s.nOrder}
-	for i := 0; i < s.nOrder; i++ {
-		a.add(s.lcAt[i].cands[st.choice[i]].cycles)
-	}
-	return a
-}
-
 // targetOf maps a float unified-cycle target onto the integer domain
 // pick operates in. Targets below 1 clamp up (a cycle count cannot be
 // fractional) and absurdly large ones clamp before the float→int

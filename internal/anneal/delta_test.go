@@ -1,7 +1,6 @@
 package anneal
 
 import (
-	"flag"
 	"fmt"
 	"math"
 	"math/rand"
@@ -357,9 +356,6 @@ func TestPickTableMatchesReference(t *testing.T) {
 	})
 }
 
-var zooVerifyDelta = flag.Bool("verify-delta", false,
-	"run TestZooVerifyDelta: every zoo model's search under the incremental-vs-full cross-check")
-
 // TestSAWithVerifyDelta runs full searches — one chain and several —
 // under the cross-checking harness: every move of every chain is
 // compared against a from-scratch recomputation.
@@ -378,14 +374,8 @@ func TestSAWithVerifyDelta(t *testing.T) {
 // TestZooVerifyDelta runs the search of every zoo model at the full
 // profile of the root determinism matrix (seed 1, 200 iterations, 128
 // tiles per layer, the default engine) with one chain and with three,
-// cross-checking every move. It is the verify-delta CI leg and runs only
-// with the flag, placed after the package:
-//
-//	go test -timeout 20m -run TestZooVerifyDelta -v ./internal/anneal -verify-delta
+// cross-checking every move.
 func TestZooVerifyDelta(t *testing.T) {
-	if !*zooVerifyDelta {
-		t.Skip("run with -verify-delta")
-	}
 	for _, model := range models.Names() {
 		g := models.MustBuild(model)
 		for _, chains := range []int{1, 3} {
@@ -491,4 +481,14 @@ func ulpClose(a, b float64) bool {
 		m = -b
 	}
 	return d <= 1e-12*m
+}
+
+// accumOf rebuilds a state's accumulators from scratch — the reference
+// the property tests compare incremental results against.
+func (s *search) accumOf(st state) accum {
+	a := accum{n: s.nOrder}
+	for i := 0; i < s.nOrder; i++ {
+		a.add(s.lcAt[i].cands[st.choice[i]].cycles)
+	}
+	return a
 }

@@ -49,22 +49,10 @@ func (f Flow) GroupKey() int64 {
 }
 
 // Placement resolves an atom to the engine that runs it this Round, or
-// -1 when the atom is not placed. *mapping.Result satisfies it; tests and
-// baselines can use a PlacementMap.
+// -1 when the atom is not placed. *mapping.Result satisfies it; tests
+// substitute a plain map.
 type Placement interface {
 	Engine(atomID int) int
-}
-
-// PlacementMap adapts a plain atom→engine map to Placement.
-type PlacementMap map[int]int
-
-// Engine implements Placement; absent atoms report -1.
-func (p PlacementMap) Engine(id int) int {
-	e, ok := p[id]
-	if !ok {
-		return -1
-	}
-	return e
 }
 
 // RoundIO is the data movement of one Round, per engine where relevant.
@@ -615,6 +603,3 @@ func (m *Manager) lastUse(id int) int {
 	}
 	return -1
 }
-
-// Used returns the bytes currently resident in engine e's buffer.
-func (m *Manager) Used(e int) int64 { return m.used[e] }

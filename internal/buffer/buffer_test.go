@@ -30,6 +30,18 @@ func pipeline(t *testing.T, model string, batch, engines int) (*atom.DAG, *sched
 	return d, s
 }
 
+// PlacementMap adapts a plain atom→engine map to Placement.
+type PlacementMap map[int]int
+
+// Engine implements Placement; absent atoms report -1.
+func (p PlacementMap) Engine(id int) int {
+	e, ok := p[id]
+	if !ok {
+		return -1
+	}
+	return e
+}
+
 // naivePlacement maps round atoms to engines 0..n-1 in order.
 func naivePlacement(s *schedule.Schedule, t int) PlacementMap {
 	p := make(PlacementMap)

@@ -41,7 +41,7 @@ func TestCapacityInvariantProperty(t *testing.T) {
 				return false
 			}
 			for e := 0; e < 4; e++ {
-				if m.Used(e) > capacity {
+				if m.used[e] > capacity {
 					return false
 				}
 			}

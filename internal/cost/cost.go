@@ -107,14 +107,6 @@ type Stats struct {
 	Misses      int64 // passed through a Memo to its inner oracle (0 without a Memo)
 }
 
-// HitRate returns Hits/(Hits+Misses), 0 when nothing was evaluated.
-func (s Stats) HitRate() float64 {
-	if s.Hits+s.Misses == 0 {
-		return 0
-	}
-	return float64(s.Hits) / float64(s.Hits+s.Misses)
-}
-
 // Sub returns the delta since an earlier snapshot — per-experiment
 // accounting over a long-lived shared oracle.
 func (s Stats) Sub(prev Stats) Stats {

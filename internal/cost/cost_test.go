@@ -115,8 +115,8 @@ func TestMemoConcurrent(t *testing.T) {
 }
 
 // TestInstrumentedStats checks the Default() stack counts every
-// evaluation, an Instrumented Memo adds the hit/miss pair, and the
-// Sub/HitRate helpers.
+// evaluation, an Instrumented Memo adds the hit/miss pair, and the Sub
+// helper.
 func TestInstrumentedStats(t *testing.T) {
 	cfg := engine.Default()
 	task := engine.Task{Kind: graph.OpConv, Hp: 8, Wp: 8, Ci: 16, Cop: 16, Kh: 3, Kw: 3, Stride: 1}
@@ -135,9 +135,6 @@ func TestInstrumentedStats(t *testing.T) {
 	st := orc.Stats()
 	if st.Evaluations != 10 || st.Misses != 1 || st.Hits != 9 {
 		t.Fatalf("stats = %+v, want 10 evaluations, 9 hits, 1 miss", st)
-	}
-	if got := st.HitRate(); got != 0.9 {
-		t.Errorf("hit rate = %v, want 0.9", got)
 	}
 	prev := st
 	orc.Evaluate(cfg, engine.YXPartition, task)
@@ -159,20 +156,9 @@ func TestOrResolution(t *testing.T) {
 	}
 }
 
-// TestStatsEdgeCases pins the zero-value and delta behaviour of the
-// Stats helpers that accounting code leans on.
+// TestStatsEdgeCases pins the delta behaviour of Stats.Sub that
+// per-experiment accounting leans on.
 func TestStatsEdgeCases(t *testing.T) {
-	var zero Stats
-	if got := zero.HitRate(); got != 0 {
-		t.Errorf("zero HitRate = %v, want 0 (not NaN)", got)
-	}
-	// Miss-only streams have a 0 hit-rate, hit-only streams 1.
-	if got := (Stats{Evaluations: 3, Misses: 3}).HitRate(); got != 0 {
-		t.Errorf("miss-only HitRate = %v, want 0", got)
-	}
-	if got := (Stats{Evaluations: 3, Hits: 3}).HitRate(); got != 1 {
-		t.Errorf("hit-only HitRate = %v, want 1", got)
-	}
 	// Sub covers every field, and X.Sub(X) is zero.
 	a := Stats{Evaluations: 10, Hits: 4, Misses: 6}
 	b := Stats{Evaluations: 25, Hits: 12, Misses: 13}

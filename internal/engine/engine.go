@@ -166,12 +166,6 @@ func (t Task) OutputBytes() int64 {
 	return int64(t.Hp) * int64(t.Wp) * int64(t.Cop)
 }
 
-// MinBufferBytes returns the working set the engine must hold to execute
-// the task: input tile + weights + output tile.
-func (t Task) MinBufferBytes() int64 {
-	return t.InputBytes() + t.WeightBytes() + t.OutputBytes()
-}
-
 // Cost is the engine model's verdict on one task.
 type Cost struct {
 	Cycles      int64   // compute cycles on this engine, excluding data movement

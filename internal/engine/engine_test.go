@@ -119,9 +119,6 @@ func TestFootprints(t *testing.T) {
 	if got, want := tk.OutputBytes(), int64(8*8*64); got != want {
 		t.Errorf("OutputBytes = %d, want %d", got, want)
 	}
-	if tk.MinBufferBytes() != tk.InputBytes()+tk.WeightBytes()+tk.OutputBytes() {
-		t.Error("MinBufferBytes != sum of components")
-	}
 }
 
 func TestConfigValidate(t *testing.T) {

@@ -1,8 +1,6 @@
 package experiments
 
 import (
-	"math"
-
 	"github.com/atomic-dataflow/atomicflow/internal/models"
 	"github.com/atomic-dataflow/atomicflow/internal/noc"
 	"github.com/atomic-dataflow/atomicflow/internal/par"
@@ -75,18 +73,6 @@ func Fig12(cfg Config) ([]Fig12Point, error) {
 			p.Workload, p.Batch, p.Grid, p.Grid, p.PEsPer, p.PEsPer, p.BufferKB, p.TimeMS)
 	}
 	return points, nil
-}
-
-// SweetSpot returns the grid side minimizing time for one workload/batch
-// within a Fig12 result set.
-func SweetSpot(points []Fig12Point, workload string, batch int) (grid int, timeMS float64) {
-	timeMS = math.MaxFloat64
-	for _, p := range points {
-		if p.Workload == workload && p.Batch == batch && p.TimeMS < timeMS {
-			grid, timeMS = p.Grid, p.TimeMS
-		}
-	}
-	return grid, timeMS
 }
 
 // Fig13Point is one (workload, buffer size) sample.

@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"math"
 	"strings"
 	"testing"
 
@@ -292,4 +293,16 @@ func TestFPGAOrdering(t *testing.T) {
 	if r := fps["vgg19"]["AD"] / fps["vgg19"]["LS"]; r < 0.9 {
 		t.Errorf("vgg19: AD/LS fps ratio %.2f collapsed below 0.9", r)
 	}
+}
+
+// SweetSpot returns the grid side minimizing time for one workload/batch
+// within a Fig12 result set.
+func SweetSpot(points []Fig12Point, workload string, batch int) (grid int, timeMS float64) {
+	timeMS = math.MaxFloat64
+	for _, p := range points {
+		if p.Workload == workload && p.Batch == batch && p.TimeMS < timeMS {
+			grid, timeMS = p.Grid, p.TimeMS
+		}
+	}
+	return grid, timeMS
 }

@@ -140,8 +140,7 @@ type Graph struct {
 	Name   string
 	Layers []*Layer
 
-	consumers [][]int // layer ID -> consumer layer IDs
-	topo      []int   // topological order of layer IDs
+	topo      []int // topological order of layer IDs
 	finalized bool
 }
 
@@ -173,8 +172,8 @@ func (g *Graph) AddLayer(name string, kind OpKind, shape Shape, inputs ...int) i
 	return id
 }
 
-// Finalize validates the graph, computes consumer lists, the topological
-// order, and per-layer depths. It must be called once after construction.
+// Finalize validates the graph and computes the topological order and
+// per-layer depths. It must be called once after construction.
 func (g *Graph) Finalize() error {
 	if g.finalized {
 		return nil
@@ -184,12 +183,6 @@ func (g *Graph) Finalize() error {
 	}
 	if err := g.validate(); err != nil {
 		return err
-	}
-	g.consumers = make([][]int, len(g.Layers))
-	for _, l := range g.Layers {
-		for _, in := range l.Inputs {
-			g.consumers[in] = append(g.consumers[in], l.ID)
-		}
 	}
 	// Layers were added producers-first, so ID order is already a valid
 	// topological order.
@@ -239,13 +232,6 @@ func (g *Graph) validate() error {
 		}
 	}
 	return nil
-}
-
-// Consumers returns the IDs of the layers that read the given layer's
-// output. The returned slice must not be modified.
-func (g *Graph) Consumers(id int) []int {
-	g.mustFinal()
-	return g.consumers[id]
 }
 
 // Topo returns layer IDs in topological (producer-before-consumer) order.

@@ -140,7 +140,7 @@ func (m *Mapper) Reset(mesh *noc.Mesh, dag *atom.DAG) {
 
 // Result is the placement of one Round. The atom-to-engine assignment is
 // a dense NumAtoms-sized slice (no per-Round map): read it through
-// Engine, iterate the Round's atoms through Placed. The caller owns a
+// Engine. The caller owns a
 // Result and hands it to PlaceRound again for the next Round, which
 // reuses its slices.
 type Result struct {
@@ -158,13 +158,6 @@ func (r *Result) Engine(id int) int {
 	}
 	return int(r.engineOf[id])
 }
-
-// Placed returns the atom IDs this Result places, in zig-zag slot order.
-// The slice is owned by the Result; the next PlaceRound into it reuses it.
-func (r *Result) Placed() []int { return r.placed }
-
-// NumPlaced returns how many atoms the Result places.
-func (r *Result) NumPlaced() int { return len(r.placed) }
 
 // group is the placement unit: the Round's atoms of one (sample, layer).
 type group struct {
@@ -726,6 +719,3 @@ func permute(order []int, visit func([]int)) {
 		}
 	}
 }
-
-// ZigZag exposes the snake order; only tests read it.
-func (m *Mapper) ZigZag() []int { return append([]int(nil), m.zigzag...) }

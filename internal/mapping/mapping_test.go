@@ -13,7 +13,7 @@ import (
 func TestZigZagOrder(t *testing.T) {
 	m := New(noc.NewMesh(4, 2, 8), atom.FromLists(nil, 1, nil, nil, nil, nil))
 	want := []int{0, 1, 2, 3, 7, 6, 5, 4}
-	got := m.ZigZag()
+	got := m.zigzag
 	if len(got) != len(want) {
 		t.Fatalf("zigzag len = %d", len(got))
 	}
@@ -25,7 +25,7 @@ func TestZigZagOrder(t *testing.T) {
 	// Consecutive zig-zag slots are mesh-adjacent (1 hop).
 	mesh := noc.NewMesh(4, 2, 8)
 	for i := 1; i < len(got); i++ {
-		if mesh.Hops(got[i-1], got[i]) != 1 {
+		if mesh.HopsRow(got[i-1])[got[i]] != 1 {
 			t.Errorf("zigzag slots %d,%d not adjacent", got[i-1], got[i])
 		}
 	}
@@ -85,7 +85,7 @@ func TestPlaceRoundReducesHops(t *testing.T) {
 			if src < 0 || src == r1.Engine(id) {
 				continue
 			}
-			chosen += depBytes[di] * int64(mesh.Hops(src, r1.Engine(id)))
+			chosen += depBytes[di] * int64(mesh.HopsRow(src)[r1.Engine(id)])
 		}
 	}
 	if chosen != r1.ByteHops {
@@ -93,7 +93,7 @@ func TestPlaceRoundReducesHops(t *testing.T) {
 	}
 	// Worst case: reverse placement of the 3 atoms.
 	var worst int64
-	rev := m.ZigZag()
+	rev := m.zigzag
 	for i, id := range cur {
 		e := rev[len(cur)-1-i]
 		deps, depBytes := depsOf(d, id)
@@ -102,7 +102,7 @@ func TestPlaceRoundReducesHops(t *testing.T) {
 			if src < 0 || src == e {
 				continue
 			}
-			worst += depBytes[di] * int64(mesh.Hops(src, e))
+			worst += depBytes[di] * int64(mesh.HopsRow(src)[e])
 		}
 	}
 	if chosen > worst {
@@ -151,7 +151,7 @@ func TestSameLayerAtomsAdjacent(t *testing.T) {
 	res := placeNew(m, prev, func(int) int { return -1 }, nil)
 	// Atoms of one layer occupy consecutive zig-zag slots.
 	slotOf := make(map[int]int)
-	for i, e := range m.ZigZag() {
+	for i, e := range m.zigzag {
 		slotOf[e] = i
 	}
 	byLayer := map[int][]int{}
@@ -250,7 +250,7 @@ func TestPlaceRoundScratchReuse(t *testing.T) {
 		}
 		shared.PlaceRound(&got, st.atoms, none, nil)
 		want := placeNew(New(mesh, st.d), st.atoms, none, nil)
-		if got.ByteHops != want.ByteHops || got.Perms != want.Perms || !slices.Equal(got.Placed(), want.Placed()) {
+		if got.ByteHops != want.ByteHops || got.Perms != want.Perms || !slices.Equal(got.placed, want.placed) {
 			t.Fatalf("step %d: reused Result %+v, fresh %+v", i, got, *want)
 		}
 		for id := -1; id <= st.d.NumAtoms(); id++ {
@@ -288,11 +288,11 @@ func TestHillClimbManyGroups(t *testing.T) {
 		}
 	}
 	res := placeNew(m, round, func(int) int { return -1 }, nil)
-	if res.NumPlaced() != 9 {
-		t.Fatalf("placed %d atoms, want 9", res.NumPlaced())
+	if len(res.placed) != 9 {
+		t.Fatalf("placed %d atoms, want 9", len(res.placed))
 	}
 	seen := make(map[int]bool)
-	for _, id := range res.Placed() {
+	for _, id := range res.placed {
 		e := res.Engine(id)
 		if seen[e] {
 			t.Fatal("duplicate engine assignment")
@@ -323,7 +323,7 @@ func (m *Mapper) transferCost(groups []group, perm []int, locate Locator) int64 
 				if src < 0 || src == dst {
 					continue
 				}
-				cost += depBytes[di] * int64(m.mesh.Hops(src, dst))
+				cost += depBytes[di] * int64(m.mesh.HopsRow(src)[dst])
 			}
 		}
 	}

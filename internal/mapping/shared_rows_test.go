@@ -37,7 +37,7 @@ func referencePlace(m *Mapper, res *Result, roundAtoms []int, locate Locator, we
 			for di, dep := range deps {
 				if src := locate(dep); src >= 0 {
 					for s := range row {
-						row[s] += depBytes[di] * int64(m.mesh.Hops(src, m.zigzag[s]))
+						row[s] += depBytes[di] * int64(m.mesh.HopsRow(src)[m.zigzag[s]])
 					}
 				}
 			}
@@ -93,11 +93,11 @@ func referencePlace(m *Mapper, res *Result, roundAtoms []int, locate Locator, we
 		}
 	}
 	res.ByteHops = 0
-	for _, id := range res.Placed() {
+	for _, id := range res.placed {
 		deps, depBytes := depsOf(m.dag, id)
 		for di, dep := range deps {
 			if src := locate(dep); src >= 0 {
-				res.ByteHops += depBytes[di] * int64(m.mesh.Hops(src, res.Engine(id)))
+				res.ByteHops += depBytes[di] * int64(m.mesh.HopsRow(src)[res.Engine(id)])
 			}
 		}
 	}
@@ -254,9 +254,9 @@ func TestSharedRowsMatchPerAtomReference(t *testing.T) {
 							}
 						}
 						referencePlace(want, &r, ids, locate, w)
-						if !slices.Equal(g.Placed(), r.Placed()) || g.ByteHops != r.ByteHops || g.Perms != r.Perms {
+						if !slices.Equal(g.placed, r.placed) || g.ByteHops != r.ByteHops || g.Perms != r.Perms {
 							t.Fatalf("trial %d round %d (weights %v): placed %v ByteHops %d Perms %d, reference %v %d %d",
-								trial, round, w != nil, g.Placed(), g.ByteHops, g.Perms, r.Placed(), r.ByteHops, r.Perms)
+								trial, round, w != nil, g.placed, g.ByteHops, g.Perms, r.placed, r.ByteHops, r.Perms)
 						}
 						for _, id := range ids {
 							if g.Engine(id) != r.Engine(id) {

@@ -107,12 +107,12 @@ func TestWeightedByteHopsMatchDependencyWalk(t *testing.T) {
 		weights := func(e, w int) bool { return (e*7+w*5+salt)%3 == 0 }
 		res := placeNew(m, round, locate, weights)
 		var want int64
-		for _, id := range res.Placed() {
+		for _, id := range res.placed {
 			dst := res.Engine(id)
 			deps, depBytes := depsOf(d, id)
 			for di, dep := range deps {
 				if src := locate(dep); src >= 0 && src != dst {
-					want += depBytes[di] * int64(mesh.Hops(src, dst))
+					want += depBytes[di] * int64(mesh.HopsRow(src)[dst])
 				}
 			}
 		}

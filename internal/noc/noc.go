@@ -49,16 +49,6 @@ func (m *Mesh) Coord(e int) (x, y int) { return e % m.W, e / m.W }
 // EngineAt returns the engine index at (x, y).
 func (m *Mesh) EngineAt(x, y int) int { return y*m.W + x }
 
-// Hops returns the minimal hop count between engines i and j — the
-// D(i,j) of the paper's TransferCost (Manhattan distance on the mesh,
-// wrap-aware on the torus, tree distance on the H-tree). It reads the
-// dense all-pairs matrix of the route table, so after the first call on
-// a mesh it is one array load regardless of topology.
-func (m *Mesh) Hops(i, j int) int {
-	rt := m.table()
-	return int(rt.hops[i*rt.n+j])
-}
-
 // hopsDirect computes the hop count arithmetically; buildTable checks the
 // route walk against it, and tests use it as an independent reference.
 func (m *Mesh) hopsDirect(i, j int) int {

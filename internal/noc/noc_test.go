@@ -1,10 +1,18 @@
 package noc
 
 import (
-	"slices"
 	"testing"
 	"testing/quick"
 )
+
+// hops reads D(i,j) from the route table's dense hop row of engine i.
+func hops(m *Mesh, i, j int) int { return int(m.HopsRow(i)[j]) }
+
+// routeIDs slices the route from i to j out of RoutesFrom(i).
+func routeIDs(m *Mesh, i, j int) []int32 {
+	off, ids := m.RoutesFrom(i)
+	return ids[off[j]:off[j+1]]
+}
 
 func TestHopsManhattan(t *testing.T) {
 	m := NewMesh(8, 8, 8)
@@ -19,7 +27,7 @@ func TestHopsManhattan(t *testing.T) {
 		{7, 56, 14},
 	}
 	for _, c := range cases {
-		if got := m.Hops(c.i, c.j); got != c.want {
+		if got := hops(m, c.i, c.j); got != c.want {
 			t.Errorf("Hops(%d,%d) = %d, want %d", c.i, c.j, got, c.want)
 		}
 	}
@@ -54,12 +62,12 @@ func TestPathContinuity(t *testing.T) {
 		i := int(iRaw) % m.Engines()
 		j := int(jRaw) % m.Engines()
 		path := m.Path(i, j)
-		if len(path) != m.Hops(i, j) {
+		if len(path) != hops(m, i, j) {
 			return false
 		}
 		cur := i
 		for _, l := range path {
-			if l.From != cur || m.Hops(l.From, l.To) != 1 {
+			if l.From != cur || hops(m, l.From, l.To) != 1 {
 				return false
 			}
 			cur = l.To
@@ -73,8 +81,7 @@ func TestPathContinuity(t *testing.T) {
 
 // TestRouteTableMatchesPath pins the dense route table to the allocating
 // Path walk on all three topologies: same links, same order, same hop
-// counts, and hop counts equal to the arithmetic reference. RoutesFrom
-// must slice out the same routes as RouteIDs.
+// counts, and hop counts equal to the arithmetic reference.
 func TestRouteTableMatchesPath(t *testing.T) {
 	for _, m := range []*Mesh{NewMesh(4, 3, 8), NewTorus(4, 4, 8), NewHTree(16, 8)} {
 		n := m.Engines()
@@ -82,13 +89,9 @@ func TestRouteTableMatchesPath(t *testing.T) {
 			t.Fatalf("%v: NumLinks = %d", m.Kind(), m.NumLinks())
 		}
 		for i := 0; i < n; i++ {
-			off, all := m.RoutesFrom(i)
 			for j := 0; j < n; j++ {
 				path := m.Path(i, j)
-				ids := m.RouteIDs(i, j)
-				if !slices.Equal(all[off[j]:off[j+1]], ids) {
-					t.Fatalf("%v: RoutesFrom(%d) route to %d = %v, RouteIDs %v", m.Kind(), i, j, all[off[j]:off[j+1]], ids)
-				}
+				ids := routeIDs(m, i, j)
 				if len(path) != len(ids) {
 					t.Fatalf("%v: route %d->%d: %d ids, %d links", m.Kind(), i, j, len(ids), len(path))
 				}
@@ -96,14 +99,14 @@ func TestRouteTableMatchesPath(t *testing.T) {
 					if id < 0 || int(id) >= m.NumLinks() {
 						t.Fatalf("%v: link ID %d out of range [0,%d)", m.Kind(), id, m.NumLinks())
 					}
-					if m.LinkByID(id) != path[k] {
+					if m.table().linkOf[id] != path[k] {
 						t.Fatalf("%v: route %d->%d link %d: ID %d = %v, want %v",
-							m.Kind(), i, j, k, id, m.LinkByID(id), path[k])
+							m.Kind(), i, j, k, id, m.table().linkOf[id], path[k])
 					}
 				}
-				if m.Hops(i, j) != len(path) || m.Hops(i, j) != m.hopsDirect(i, j) {
+				if hops(m, i, j) != len(path) || hops(m, i, j) != m.hopsDirect(i, j) {
 					t.Fatalf("%v: Hops(%d,%d) = %d, path %d, direct %d",
-						m.Kind(), i, j, m.Hops(i, j), len(path), m.hopsDirect(i, j))
+						m.Kind(), i, j, hops(m, i, j), len(path), m.hopsDirect(i, j))
 				}
 			}
 		}
@@ -178,7 +181,7 @@ func TestRouteTableConcurrentBuild(t *testing.T) {
 		go func() {
 			s := 0
 			for i := 0; i < m.Engines(); i++ {
-				s += len(m.RouteIDs(i, (i*7+3)%m.Engines())) + m.Hops(0, i)
+				s += len(routeIDs(m, i, (i*7+3)%m.Engines())) + hops(m, 0, i)
 			}
 			done <- s
 		}()
@@ -196,10 +199,10 @@ func TestHopsMetricProperty(t *testing.T) {
 	m := NewMesh(8, 8, 8)
 	f := func(aRaw, bRaw, cRaw uint8) bool {
 		a, b, c := int(aRaw)%64, int(bRaw)%64, int(cRaw)%64
-		if m.Hops(a, b) != m.Hops(b, a) {
+		if hops(m, a, b) != hops(m, b, a) {
 			return false
 		}
-		return m.Hops(a, c) <= m.Hops(a, b)+m.Hops(b, c)
+		return hops(m, a, c) <= hops(m, a, b)+hops(m, b, c)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
 		t.Error(err)

@@ -96,7 +96,7 @@ func (rt *routeTable) checkPrefixClosed() error {
 }
 
 // NumLinks returns the number of distinct directed links any route on the
-// mesh traverses — the index space of RouteIDs and link state.
+// mesh traverses — the index space of RoutesFrom's link IDs and link state.
 func (m *Mesh) NumLinks() int { return m.table().numLinks }
 
 // RouteBuildTime returns how long the all-pairs route table took to
@@ -107,31 +107,19 @@ func (m *Mesh) RouteBuildTime() time.Duration {
 	return m.buildTime
 }
 
-// RouteIDs returns the route from i to j as link IDs into 0..NumLinks()-1.
-// The slice aliases the shared route table: callers must not modify it.
-// It is the allocation-free counterpart of Path.
-func (m *Mesh) RouteIDs(i, j int) []int32 {
-	rt := m.table()
-	k := i*rt.n + j
-	return rt.ids[rt.off[k]:rt.off[k+1]]
-}
-
-// RoutesFrom returns every route out of engine i: the route from i to j
-// is ids[off[j]:off[j+1]]. Both slices alias the route table: callers
-// must not modify them. Hot loops routing many flows from one source fetch
-// them once instead of paying RouteIDs' table lookup per flow.
+// RoutesFrom returns every route out of engine i as link IDs into
+// 0..NumLinks()-1: the route from i to j is ids[off[j]:off[j+1]], the
+// allocation-free counterpart of Path. Both slices alias the route
+// table: callers must not modify them.
 func (m *Mesh) RoutesFrom(i int) (off, ids []int32) {
 	rt := m.table()
 	return rt.off[i*rt.n : (i+1)*rt.n+1], rt.ids
 }
 
-// LinkByID returns the directed link with the given ID.
-func (m *Mesh) LinkByID(id int32) Link { return m.table().linkOf[id] }
-
-// HopsRow returns the dense hop-count row from engine i to every engine.
-// The slice aliases the route table: callers must not modify it. Hot
-// loops that price many destinations against one source fetch the row
-// once instead of paying the table lookup per pair.
+// HopsRow returns the minimal hop counts from engine i to every engine:
+// row i of D(i,j) in the paper's TransferCost (Manhattan distance on the
+// mesh, wrap-aware on the torus, tree distance on the H-tree). The slice
+// aliases the route table: callers must not modify it.
 func (m *Mesh) HopsRow(i int) []int32 {
 	rt := m.table()
 	return rt.hops[i*rt.n : (i+1)*rt.n]

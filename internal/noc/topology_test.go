@@ -8,19 +8,19 @@ import (
 func TestTorusWraparound(t *testing.T) {
 	m := NewTorus(8, 8, 8)
 	// Opposite corners are 2 hops on a torus (one wrap per dimension).
-	if got := m.Hops(0, m.EngineAt(7, 7)); got != 2 {
+	if got := hops(m, 0, m.EngineAt(7, 7)); got != 2 {
 		t.Errorf("corner-to-corner torus hops = %d, want 2", got)
 	}
 	// Half-way around is the worst case: 8 hops.
-	if got := m.Hops(0, m.EngineAt(4, 4)); got != 8 {
+	if got := hops(m, 0, m.EngineAt(4, 4)); got != 8 {
 		t.Errorf("half-way torus hops = %d, want 8", got)
 	}
 	// Torus never exceeds mesh distance.
 	mesh := NewMesh(8, 8, 8)
 	for i := 0; i < 64; i += 7 {
 		for j := 0; j < 64; j += 5 {
-			if m.Hops(i, j) > mesh.Hops(i, j) {
-				t.Errorf("torus hops(%d,%d)=%d > mesh %d", i, j, m.Hops(i, j), mesh.Hops(i, j))
+			if hops(m, i, j) > hops(mesh, i, j) {
+				t.Errorf("torus hops(%d,%d)=%d > mesh %d", i, j, hops(m, i, j), hops(mesh, i, j))
 			}
 		}
 	}
@@ -32,7 +32,7 @@ func TestTorusPathContinuity(t *testing.T) {
 		i := int(iRaw) % m.Engines()
 		j := int(jRaw) % m.Engines()
 		path := m.Path(i, j)
-		if len(path) != m.Hops(i, j) {
+		if len(path) != hops(m, i, j) {
 			return false
 		}
 		cur := i
@@ -41,7 +41,7 @@ func TestTorusPathContinuity(t *testing.T) {
 				return false
 			}
 			// Each link connects torus-adjacent engines.
-			if m.Hops(l.From, l.To) != 1 {
+			if hops(m, l.From, l.To) != 1 {
 				return false
 			}
 			cur = l.To
@@ -56,15 +56,15 @@ func TestTorusPathContinuity(t *testing.T) {
 func TestHTreeDistances(t *testing.T) {
 	m := NewHTree(16, 8)
 	// Leaves 0..3 share a first-level switch: distance 2.
-	if got := m.Hops(0, 3); got != 2 {
+	if got := hops(m, 0, 3); got != 2 {
 		t.Errorf("Hops(0,3) = %d, want 2", got)
 	}
 	// Leaves in different quads go through the root: distance 4 on a
 	// 16-leaf 4-ary tree.
-	if got := m.Hops(0, 15); got != 4 {
+	if got := hops(m, 0, 15); got != 4 {
 		t.Errorf("Hops(0,15) = %d, want 4", got)
 	}
-	if got := m.Hops(5, 5); got != 0 {
+	if got := hops(m, 5, 5); got != 0 {
 		t.Errorf("self distance = %d", got)
 	}
 }
@@ -78,7 +78,7 @@ func TestHTreePathEndsAtDestination(t *testing.T) {
 		if i == j {
 			return len(path) == 0
 		}
-		if len(path) != m.Hops(i, j) {
+		if len(path) != hops(m, i, j) {
 			return false
 		}
 		cur := i
@@ -106,16 +106,16 @@ func TestHTreeRootContention(t *testing.T) {
 		for _, x := range a {
 			for _, y := range b {
 				if x == y {
-					out = append(out, m.LinkByID(x))
+					out = append(out, m.table().linkOf[x])
 				}
 			}
 		}
 		return out
 	}
-	if got := shared(m.RouteIDs(0, 1), m.RouteIDs(2, 3)); len(got) != 0 {
+	if got := shared(routeIDs(m, 0, 1), routeIDs(m, 2, 3)); len(got) != 0 {
 		t.Errorf("same-quad routes 0->1 and 2->3 share links %v, want none", got)
 	}
-	got := shared(m.RouteIDs(0, 15), m.RouteIDs(1, 14))
+	got := shared(routeIDs(m, 0, 15), routeIDs(m, 1, 14))
 	if len(got) != 2 {
 		t.Fatalf("cross-quad routes 0->15 and 1->14 share links %v, want the two root links", got)
 	}
@@ -150,13 +150,13 @@ func TestTopologyMetricProperty(t *testing.T) {
 		for _, m := range tops {
 			i := int(iRaw) % 16
 			j := int(jRaw) % 16
-			if m.Hops(i, j) != m.Hops(j, i) {
+			if hops(m, i, j) != hops(m, j, i) {
 				return false
 			}
-			if (m.Hops(i, j) == 0) != (i == j) {
+			if (hops(m, i, j) == 0) != (i == j) {
 				return false
 			}
-			if len(m.Path(i, j)) != m.Hops(i, j) {
+			if len(m.Path(i, j)) != hops(m, i, j) {
 				return false
 			}
 		}

@@ -253,13 +253,6 @@ func (s *Store) Subscribe(buf int) (<-chan Event, func()) {
 	return sub.ch, cancel
 }
 
-// Subscribers reports the attached SSE client count (leak checks).
-func (s *Store) Subscribers() int {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return len(s.subs)
-}
-
 // SolveStarted registers an in-flight solve and publishes EvStarted. A
 // restarted id (same request solved again after an abandonment) resets
 // its series.

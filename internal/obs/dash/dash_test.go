@@ -216,3 +216,10 @@ func TestSubscribeCancelIdempotent(t *testing.T) {
 		t.Fatalf("subscriber count %d after cancel", st.Subscribers())
 	}
 }
+
+// Subscribers reports the attached SSE client count (leak checks).
+func (s *Store) Subscribers() int {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return len(s.subs)
+}

@@ -241,9 +241,6 @@ func New(cfg Config) *Server {
 // Metrics returns the server's registry (exported at /metrics).
 func (s *Server) Metrics() *obs.Registry { return s.reg }
 
-// Dash returns the server's live-dashboard store (served at /debug/dash).
-func (s *Server) Dash() *dash.Store { return s.dash }
-
 // buildInfoName assembles the labeled build_info gauge name: the
 // binary's module version (or VCS revision when stamped), the Go
 // toolchain and GOMAXPROCS. Computed once at startup — none of these

@@ -32,7 +32,7 @@ import (
 type arena struct {
 	mesh *noc.Mesh
 
-	// Link state, indexed by link ID (see noc.RouteIDs).
+	// Link state, indexed by link ID (see noc.RoutesFrom).
 	free  []int64 // Round state: when the link finishes its last tensor
 	links []linkState
 

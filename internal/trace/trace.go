@@ -10,7 +10,6 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
-	"sort"
 	"sync"
 
 	"github.com/atomic-dataflow/atomicflow/internal/cost"
@@ -27,9 +26,9 @@ func WriteOracleStats(w io.Writer, label string, s cost.Stats) {
 }
 
 // Collector accumulates RoundTraces; its Hook method plugs into
-// sim.Config.Trace. Hook is safe for concurrent use — parallel sweeps
-// may share one collector — but interleaved runs arrive out of order:
-// call Sort before exporting if more than one goroutine recorded.
+// sim.Config.Trace. Hook is safe for concurrent use, but runs sharing one
+// collector interleave their Rounds; one sim.Run records them in Round
+// order, which is the order the exporter expects.
 type Collector struct {
 	mu     sync.Mutex
 	Rounds []sim.RoundTrace
@@ -40,24 +39,6 @@ func (c *Collector) Hook(rt sim.RoundTrace) {
 	c.mu.Lock()
 	c.Rounds = append(c.Rounds, rt)
 	c.mu.Unlock()
-}
-
-// Sort orders the recorded Rounds by Round index, restoring export order
-// after concurrent collection.
-func (c *Collector) Sort() {
-	c.mu.Lock()
-	sort.SliceStable(c.Rounds, func(i, j int) bool {
-		return c.Rounds[i].Round < c.Rounds[j].Round
-	})
-	c.mu.Unlock()
-}
-
-// TotalCycles returns the traced execution span.
-func (c *Collector) TotalCycles() int64 {
-	if len(c.Rounds) == 0 {
-		return 0
-	}
-	return c.Rounds[len(c.Rounds)-1].End
 }
 
 // chromeEvent is one Chrome trace-event entry ("X" = complete event).
