@@ -16,6 +16,7 @@ import (
 
 	"github.com/atomic-dataflow/atomicflow/internal/anneal"
 	"github.com/atomic-dataflow/atomicflow/internal/atom"
+	"github.com/atomic-dataflow/atomicflow/internal/buffer"
 	"github.com/atomic-dataflow/atomicflow/internal/cost"
 	"github.com/atomic-dataflow/atomicflow/internal/engine"
 	"github.com/atomic-dataflow/atomicflow/internal/experiments"
@@ -466,18 +467,7 @@ func BenchmarkScheduleBuild(b *testing.B) {
 func BenchmarkSimRunB8(b *testing.B) {
 	cfg := sim.DefaultConfig()
 	cfg.Oracle = cost.Default()
-	g, spec := frontEndSpec(b, cfg)
-	d, err := atom.Build(g, frontEndBatch, spec)
-	if err != nil {
-		b.Fatal(err)
-	}
-	s, err := schedule.Build(d, schedule.Options{
-		Engines: cfg.Mesh.Engines(), Mode: schedule.DP,
-		EngineCfg: cfg.Engine, Dataflow: cfg.Dataflow, Oracle: cfg.Oracle,
-	})
-	if err != nil {
-		b.Fatal(err)
-	}
+	d, s := frontEndSchedule(b, cfg)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -486,6 +476,88 @@ func BenchmarkSimRunB8(b *testing.B) {
 		}
 	}
 	b.ReportMetric(float64(s.NumRounds()), "rounds")
+}
+
+// frontEndSchedule builds the ResNet-50 batch-8 DP schedule of the
+// front-end benchmarks' spec.
+func frontEndSchedule(b *testing.B, cfg sim.Config) (*atom.DAG, *schedule.Schedule) {
+	b.Helper()
+	g, spec := frontEndSpec(b, cfg)
+	d, err := atom.Build(g, frontEndBatch, spec)
+	if err != nil {
+		b.Fatal(err)
+	}
+	s, err := schedule.Build(d, schedule.Options{
+		Engines: cfg.Mesh.Engines(), Mode: schedule.DP,
+		EngineCfg: cfg.Engine, Dataflow: cfg.Dataflow, Oracle: cost.Or(cfg.Oracle),
+	})
+	if err != nil {
+		b.Fatal(err)
+	}
+	return d, s
+}
+
+// atomEngines maps every atom of a schedule to the engine it ran on: each
+// atom runs in exactly one Round, so one table holds every Round's
+// placement.
+type atomEngines []int
+
+func (p *atomEngines) Engine(id int) int { return (*p)[id] }
+
+// BenchmarkPrepB8 runs the simulator's prep stage alone over
+// BenchmarkSimRunB8's schedule: every Round's weight-aware placement and
+// its buffer replay, which emits the Round's multicast groups ("place"),
+// and the replay alone under the placements the first pass recorded
+// ("replay"). Prep is the longer stage of the Round pipeline.
+func BenchmarkPrepB8(b *testing.B) {
+	cfg := sim.DefaultConfig()
+	d, s := frontEndSchedule(b, cfg)
+	n, capacity := cfg.Mesh.Engines(), int64(cfg.Engine.BufferBytes)
+	man, err := buffer.New(d, s, n, capacity)
+	if err != nil {
+		b.Fatal(err)
+	}
+	mapper := mapping.New(cfg.Mesh, d)
+	var placed mapping.Result
+	var io buffer.RoundIO
+	recorded := make(atomEngines, d.NumAtoms())
+	prep := func(record bool) {
+		if err := man.Reset(d, s, n, capacity); err != nil {
+			b.Fatal(err)
+		}
+		mapper.Reset(cfg.Mesh, d)
+		for t, round := range s.Rounds {
+			mapper.PlaceRound(&placed, round.Atoms, man.Locate, man.HasWeights)
+			if err := man.ExecuteRoundInto(t, &placed, &io); err != nil {
+				b.Fatal(err)
+			}
+			if record {
+				for _, id := range round.Atoms {
+					recorded[id] = placed.Engine(id)
+				}
+			}
+		}
+	}
+	prep(true)
+	b.Run("place", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			prep(false)
+		}
+	})
+	b.Run("replay", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			if err := man.Reset(d, s, n, capacity); err != nil {
+				b.Fatal(err)
+			}
+			for t := range s.Rounds {
+				if err := man.ExecuteRoundInto(t, &recorded, &io); err != nil {
+					b.Fatal(err)
+				}
+			}
+		}
+	})
 }
 
 // BenchmarkPlaceRound measures placing every Round of a ResNet-50

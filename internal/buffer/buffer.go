@@ -14,10 +14,31 @@ package buffer
 import (
 	"fmt"
 	"math/bits"
+	"slices"
 
 	"github.com/atomic-dataflow/atomicflow/internal/atom"
 	"github.com/atomic-dataflow/atomicflow/internal/schedule"
 )
+
+// outLoc is where an atom's output is: the engine holding it (-1 when
+// off-chip or absent) and, while the current Round sends it on-chip,
+// 1 + the index of the Round's group carrying it (0 otherwise). Only an
+// eviction moves an output mid-Round, and then off-chip, so an output
+// leaves one engine per Round. The group sits beside the engine so the
+// replay reads both with one load.
+type outLoc struct {
+	engine int32
+	group  int32
+}
+
+// rowInput is one on-chip input of a DAG row: the producer atom, the
+// engine holding its output, the bytes each atom of the row reads, and
+// the current Round's group carrying it (-1 until the row first sends
+// it).
+type rowInput struct {
+	dep, src, group int32
+	bytes           int64
+}
 
 // entry is one resident tensor in an engine's buffer: an atom's output
 // (keyed by atom ID) or a weight slice (keyed by slice id).
@@ -26,26 +47,14 @@ type entry struct {
 	bytes int64
 }
 
-// Flow is one inter-engine tensor movement within a Round. Flows sharing
-// a non-zero Tag and the same Src carry the same tensor (a weight slice
-// broadcast): the NoC delivers them as one multicast tree, serializing the
-// bytes once per tree link instead of once per destination.
-type Flow struct {
-	Src, Dst int
-	Bytes    int64
-	Tag      int64
-}
-
-// GroupKey returns the multicast-group key of the flow within its (Src)
-// namespace: tagged flows share their Tag (one tree per tensor), while
-// unicast flows get a unique negative key per destination so each forms
-// its own group. The NoC simulator sorts flows by (Src, |key|, key, Dst)
-// and treats equal (Src, key) runs as one multicast tree.
-func (f Flow) GroupKey() int64 {
-	if f.Tag != 0 {
-		return f.Tag
-	}
-	return -int64(f.Dst) - 1
+// Group is one multicast group of a Round: every on-chip transfer of one
+// tensor from one source engine. The NoC moves it once, as one tree from
+// Src to each engine of its destination set (RoundIO.DestSet), so the
+// tree carries the largest member transfer's bytes.
+type Group struct {
+	Src   int
+	Key   int64 // the tensor: producer atom ID + 1, or a weight slice's tag
+	Bytes int64 // the largest member transfer
 }
 
 // Placement resolves an atom to the engine that runs it this Round, or
@@ -61,15 +70,31 @@ type RoundIO struct {
 	DRAMWriteBytes []int64 // per engine: evictions + unbufferable outputs
 	SRAMReadBytes  []int64
 	SRAMWriteBytes []int64
-	Flows          []Flow // on-chip transfers between engines
+
+	// On-chip transfers between engines, one Group per (Src, Key) in the
+	// order the replay first needed each. Dests holds the groups'
+	// destination bitsets, DestWords words each (one per 64 engines).
+	Groups    []Group
+	Dests     []uint64
+	DestWords int
+	// The transfers folded into Groups, one per consumer fetch of a
+	// remote tensor (an engine fetching one tensor twice counts twice),
+	// and the sum of their bytes.
+	FlowCount int
+	FlowBytes int64
 
 	// Reuse accounting for Table II.
 	InputBytesTotal  int64 // all input tensor bytes consumed this Round
 	InputBytesOnChip int64 // the subset served from distributed buffers
 }
 
+// DestSet returns the destination-engine bitset of group g.
+func (io *RoundIO) DestSet(g int) []uint64 {
+	return io.Dests[g*io.DestWords : (g+1)*io.DestWords]
+}
+
 // reset prepares io for a new Round of `engines` engines, reusing its
-// per-engine slices and Flows capacity.
+// per-engine slices and group capacity.
 func (io *RoundIO) reset(engines int) {
 	for _, s := range []*[]int64{
 		&io.DRAMReadBytes, &io.DRAMWriteBytes, &io.SRAMReadBytes, &io.SRAMWriteBytes,
@@ -83,8 +108,23 @@ func (io *RoundIO) reset(engines int) {
 			*s = make([]int64, engines)
 		}
 	}
-	io.Flows = io.Flows[:0]
+	io.Groups, io.Dests = io.Groups[:0], io.Dests[:0]
+	io.DestWords = (engines + 63) / 64
+	io.FlowCount, io.FlowBytes = 0, 0
 	io.InputBytesTotal, io.InputBytesOnChip = 0, 0
+}
+
+// reserve makes room for n more groups without reallocating.
+func (io *RoundIO) reserve(n int) {
+	io.Groups = slices.Grow(io.Groups, n)
+	io.Dests = slices.Grow(io.Dests, n*io.DestWords)
+}
+
+// join adds a transfer of bytes to engine dst to group g.
+func (io *RoundIO) join(g, dst int, bytes int64) {
+	gr := &io.Groups[g]
+	gr.Bytes = max(gr.Bytes, bytes)
+	io.Dests[g*io.DestWords+dst>>6] |= 1 << (dst & 63)
 }
 
 // Manager replays a schedule against the distributed buffers. All of its
@@ -97,7 +137,7 @@ type Manager struct {
 	engines  int
 	capacity int64
 
-	resident []int     // atom ID -> engine holding its output, -1 if off-chip/absent
+	resident []outLoc  // atom ID -> where its output is
 	written  []bool    // atom ID -> a copy exists in DRAM
 	outPos   []int32   // atom ID -> index of its entry in outs[resident], -1 if unbuffered
 	outs     [][]entry // per engine: buffered outputs, unordered
@@ -108,7 +148,7 @@ type Manager struct {
 	// Weight slices are keyed by their DAG slice id (atom.DAG.WeightSlice).
 	holders []uint64 // slice id -> bitset of engines caching it, hw words each
 	hw      int
-	wtag0   int64 // Flow tag of slice 0; every atom tag lies below it
+	wtag0   int64 // group key of slice 0; every atom key lies below it
 
 	// Use Rounds in CSR form: the Rounds consuming atom id are
 	// consRounds[consOff[id]:consOff[id+1]], ascending, and consCur[id]
@@ -127,6 +167,22 @@ type Manager struct {
 	stamp       int64
 	streamStamp []int64
 	streamBy    []int32
+
+	// The current Round's weight groups, found by direct index: wGroup[w]
+	// is 1 + the head of slice w's chain of groups, linked by gnext, or 0.
+	// Consumers forward a slice from their nearest holder, so it may leave
+	// several engines in one Round. Atom outputs keep their group in
+	// resident. clearGroups zeroes both once the Round's sends are done.
+	wGroup []int32
+	gnext  []int32
+
+	// The inputs of the DAG row the last atom belonged to (rowInputs),
+	// valid while outMoves, which counts outputs leaving their engine,
+	// still reads rowMoves.
+	row                int
+	rowIns             []rowInput
+	rowFetched         int64
+	outMoves, rowMoves int64
 
 	// Reset scratch.
 	order []int32
@@ -154,7 +210,7 @@ func (m *Manager) Reset(d *atom.DAG, s *schedule.Schedule, engines int, capacity
 	m.dag, m.sched = d, s
 	m.engines, m.capacity = engines, capacityBytes
 	n := d.NumAtoms()
-	m.resident = fill(m.resident, n, -1)
+	m.resident = fill(m.resident, n, outLoc{engine: -1})
 	m.written = fill(m.written, n, false)
 	m.outPos = fill(m.outPos, n, -1)
 	m.outs = resetEntries(m.outs, engines)
@@ -172,6 +228,7 @@ func (m *Manager) Reset(d *atom.DAG, s *schedule.Schedule, engines int, capacity
 		m.streamBy = make([]int32, nw)
 	}
 	m.streamStamp, m.streamBy = m.streamStamp[:nw], m.streamBy[:nw]
+	m.wGroup = fill(m.wGroup, nw, 0)
 
 	// Scheduled atoms in (Round, ID) order, by one counting pass over
 	// Rounds: appending each atom's Round to its producers' and its weight
@@ -198,12 +255,20 @@ func (m *Manager) Reset(d *atom.DAG, s *schedule.Schedule, engines int, capacity
 	}
 	m.cnt, m.order = cnt, order
 
+	// The atoms of a DAG row share their producers, and order lists a
+	// row's atoms of one Round together: only the first of them adds that
+	// Round to the producers' lists, since a repeat changes no next or
+	// last use.
 	m.consOff = fill(m.consOff, n+1, 0)
 	m.wOff = fill(m.wOff, nw+1, 0)
+	prevRow, prevR := -1, -1
 	for _, id := range order {
-		deps, _, off := d.Deps(int(id))
-		for _, dep := range deps {
-			m.consOff[dep+off+1]++
+		if row, r := d.Row(int(id)), s.AtomRound[id]; row != prevRow || r != prevR {
+			prevRow, prevR = row, r
+			deps, _, off := d.Deps(int(id))
+			for _, dep := range deps {
+				m.consOff[dep+off+1]++
+			}
 		}
 		if w := d.WeightSlice(int(id)); w >= 0 {
 			m.wOff[w+1]++
@@ -211,13 +276,17 @@ func (m *Manager) Reset(d *atom.DAG, s *schedule.Schedule, engines int, capacity
 	}
 	m.consRounds, m.consCur = prefixLists(m.consOff, m.consRounds, m.consCur)
 	m.wRounds, m.wCur = prefixLists(m.wOff, m.wRounds, m.wCur)
+	prevRow, prevR = -1, -1
 	for _, id := range order {
 		r := int32(s.AtomRound[id])
-		deps, _, off := d.Deps(int(id))
-		for _, dep := range deps {
-			dep += off
-			m.consRounds[m.consCur[dep]] = r
-			m.consCur[dep]++
+		if row := d.Row(int(id)); row != prevRow || int(r) != prevR {
+			prevRow, prevR = row, int(r)
+			deps, _, off := d.Deps(int(id))
+			for _, dep := range deps {
+				dep += off
+				m.consRounds[m.consCur[dep]] = r
+				m.consCur[dep]++
+			}
 		}
 		if w := d.WeightSlice(int(id)); w >= 0 {
 			m.wRounds[m.wCur[w]] = r
@@ -267,8 +336,8 @@ func resetEntries(lists [][]entry, engines int) [][]entry {
 	return lists
 }
 
-// weightTag is the Flow tag of weight slice w. Tags of slices follow
-// their ids and lie above every atom tag (producer ID + 1), so the NoC's
+// weightTag is the group key of weight slice w. Keys of slices follow
+// their ids and lie above every atom key (producer ID + 1), so the NoC's
 // link-claim order puts ifmap groups before weight groups.
 func (m *Manager) weightTag(w int32) int64 { return m.wtag0 + int64(w) }
 
@@ -282,7 +351,7 @@ func has(h []uint64, e int) bool { return h[e>>6]&(1<<(e&63)) != 0 }
 
 // Locate reports the engine currently holding atom id's output (-1 when
 // off-chip). It implements mapping.Locator.
-func (m *Manager) Locate(id int) int { return m.resident[id] }
+func (m *Manager) Locate(id int) int { return int(m.resident[id].engine) }
 
 // HasWeights reports whether engine e currently caches weight slice w.
 // It implements mapping.WeightLocator.
@@ -307,7 +376,7 @@ func (m *Manager) ExecuteRound(t int, placement Placement) (RoundIO, error) {
 }
 
 // ExecuteRoundInto is ExecuteRound writing into a caller-owned RoundIO,
-// reusing its per-engine slices and Flows capacity — the pipelined
+// reusing its per-engine slices and group capacity — the pipelined
 // simulator cycles a small ring of RoundIOs through it so the replay
 // stops allocating after the first few Rounds.
 func (m *Manager) ExecuteRoundInto(t int, placement Placement, io *RoundIO) error {
@@ -320,35 +389,27 @@ func (m *Manager) ExecuteRoundInto(t int, placement Placement, io *RoundIO) erro
 	// forwards to later engines needing the same slice.
 	m.stamp++
 	io.reset(m.engines)
+	m.gnext = m.gnext[:0]
+	m.row = -1 // the cached row inputs name the last Round's groups
 	roundAtoms := m.sched.Rounds[t].Atoms
 	// Phase 1: fetch inputs and weights for every atom in the Round.
+	sramR, sramW, dramR := io.SRAMReadBytes, io.SRAMWriteBytes, io.DRAMReadBytes
+	var inTotal, inOnChip, flowBytes int64
+	var flows int
 	for _, id := range roundAtoms {
 		e := placement.Engine(id)
 		if e < 0 || e >= m.engines {
+			m.clearGroups(io)
 			return fmt.Errorf("buffer: atom %d has no valid placement", id)
 		}
-		deps, depBytes, off := m.dag.Deps(id)
-		for di, dep := range deps {
-			dep := int(dep + off)
-			bytes := depBytes[di]
-			io.InputBytesTotal += bytes
-			src := m.resident[dep]
-			switch {
-			case src == e:
-				io.SRAMReadBytes[e] += bytes
-				io.InputBytesOnChip += bytes
-			case src >= 0:
-				// The producing atom's tile often feeds several engines
-				// in one Round (channel-partitioned consumers): tagging
-				// by producer lets the NoC multicast it.
-				io.Flows = append(io.Flows, Flow{Src: src, Dst: e, Bytes: bytes, Tag: int64(dep) + 1})
-				io.SRAMReadBytes[src] += bytes
-				io.SRAMWriteBytes[e] += bytes
-				io.InputBytesOnChip += bytes
-			default:
-				io.DRAMReadBytes[e] += bytes
-			}
-		}
+		local, remote, fetched, n := m.fetchInputs(io, id, e)
+		flows += n
+		inTotal += local + remote + fetched
+		inOnChip += local + remote
+		flowBytes += remote
+		sramR[e] += local
+		sramW[e] += remote
+		dramR[e] += fetched
 		w := int32(m.dag.WeightSlice(id))
 		if w < 0 {
 			continue
@@ -358,32 +419,39 @@ func (m *Manager) ExecuteRoundInto(t int, placement Placement, io *RoundIO) erro
 		switch src := nearestHolder(h, e); {
 		case src == e:
 			// Local copy.
-			io.SRAMReadBytes[e] += bytes
+			sramR[e] += bytes
 		case src >= 0:
 			// Another engine caches the slice: forward over the NoC
 			// instead of re-reading HBM (7 pJ/bit vs 0.61 pJ/bit/hop).
-			io.Flows = append(io.Flows, Flow{Src: src, Dst: e, Bytes: bytes, Tag: m.weightTag(w)})
-			io.SRAMReadBytes[src] += bytes
-			io.SRAMWriteBytes[e] += bytes
+			io.join(m.weightGroup(io, w, src), e, bytes)
+			flows++
+			flowBytes += bytes
+			sramR[src] += bytes
+			sramW[e] += bytes
 			m.store(e, true, w, bytes, t, io)
 		case m.streamStamp[w] == m.stamp:
 			// Broadcast of a streamed slice within this Round.
 			src := int(m.streamBy[w])
-			io.Flows = append(io.Flows, Flow{Src: src, Dst: e, Bytes: bytes, Tag: m.weightTag(w)})
-			io.SRAMReadBytes[src] += bytes
-			io.SRAMWriteBytes[e] += bytes
+			io.join(m.weightGroup(io, w, src), e, bytes)
+			flows++
+			flowBytes += bytes
+			sramR[src] += bytes
+			sramW[e] += bytes
 		default:
-			io.DRAMReadBytes[e] += bytes
+			dramR[e] += bytes
 			m.streamStamp[w], m.streamBy[w] = m.stamp, int32(e)
 			m.store(e, true, w, bytes, t, io)
 		}
 	}
+	m.clearGroups(io)
+	io.InputBytesTotal, io.InputBytesOnChip = inTotal, inOnChip
+	io.FlowCount, io.FlowBytes = flows, flowBytes
 	// Phase 2: retire consumed inputs whose last consumer has now run.
 	for _, id := range roundAtoms {
 		deps, _, off := m.dag.Deps(id)
 		for _, dep := range deps {
 			dep := int(dep + off)
-			if e := m.resident[dep]; e >= 0 && m.lastUse(dep) <= t {
+			if e := int(m.resident[dep].engine); e >= 0 && m.lastUse(dep) <= t {
 				m.release(e, dep)
 			}
 		}
@@ -401,9 +469,117 @@ func (m *Manager) ExecuteRoundInto(t int, placement Placement, io *RoundIO) erro
 			continue
 		}
 		m.store(e, false, int32(id), out, t, io)
-		m.resident[id] = e
+		m.resident[id].engine = int32(e)
 	}
 	return nil
+}
+
+// fetchInputs serves atom id's inputs on engine e: from e's own buffer,
+// as a member of the producer's group when another engine holds the
+// output, or from DRAM. It returns the bytes served each way and the
+// number of on-chip transfers, and charges each transfer's SRAM read to
+// its source.
+//
+// The atoms of one DAG row read the same inputs at the same bytes, and a
+// Round lists a row's atoms together, so the replay locates a row's
+// inputs once (see rowInputs) and each atom of the row only sorts them
+// by its own engine. That skips a random load per input, the replay's
+// main cost, on about four of five atoms.
+func (m *Manager) fetchInputs(io *RoundIO, id, e int) (local, remote, fetched int64, flows int) {
+	ins, fetched := m.rowInputs(id)
+	io.reserve(len(ins))
+	groups, dests := io.Groups, io.Dests
+	hw, ew, eb := io.DestWords, e>>6, uint64(1)<<(e&63)
+	sramR := io.SRAMReadBytes
+	for i := range ins {
+		in := &ins[i]
+		src := int(in.src)
+		if src == e {
+			local += in.bytes
+			continue
+		}
+		// The producing atom's tile often feeds several engines in one
+		// Round (channel-partitioned consumers): grouping by producer
+		// lets the NoC multicast it. An earlier atom of the row joined
+		// the group at the same bytes, so only the row's first
+		// transfer can raise them.
+		g := int(in.group)
+		if g < 0 {
+			if g = int(m.resident[in.dep].group) - 1; g < 0 {
+				g = len(groups)
+				groups = groups[:g+1]
+				groups[g] = Group{Src: src, Key: int64(in.dep) + 1}
+				dests = dests[:len(dests)+hw]
+				for w := g * hw; w < len(dests); w++ {
+					dests[w] = 0
+				}
+				m.resident[in.dep].group = int32(g) + 1
+			}
+			groups[g].Bytes = max(groups[g].Bytes, in.bytes)
+			in.group = int32(g)
+		}
+		dests[g*hw+ew] |= eb
+		flows++
+		remote += in.bytes
+		sramR[src] += in.bytes
+	}
+	io.Groups, io.Dests = groups, dests
+	return local, remote, fetched, flows
+}
+
+// rowInputs returns the on-chip inputs of atom id's DAG row and the bytes
+// of its off-chip ones. They stay valid, and are reused, until the next
+// atom belongs to another row or an output leaves its engine; ExecuteRound
+// drops them at each Round's start.
+func (m *Manager) rowInputs(id int) ([]rowInput, int64) {
+	if row := m.dag.Row(id); row != m.row || m.outMoves != m.rowMoves {
+		m.row, m.rowMoves = row, m.outMoves
+		deps, depBytes, off := m.dag.Deps(id)
+		ins := m.rowIns[:0]
+		m.rowFetched = 0
+		for di, dep := range deps {
+			dep += off
+			if src := m.resident[dep].engine; src >= 0 {
+				ins = append(ins, rowInput{dep: dep, src: src, group: -1, bytes: depBytes[di]})
+			} else {
+				m.rowFetched += depBytes[di]
+			}
+		}
+		m.rowIns = ins
+	}
+	return m.rowIns, m.rowFetched
+}
+
+// weightGroup returns the current Round's group carrying weight slice w
+// from engine src, opening it if the Round has none yet.
+func (m *Manager) weightGroup(io *RoundIO, w int32, src int) int {
+	head := m.wGroup[w] - 1
+	for g := head; g >= 0; g = m.gnext[g] {
+		if io.Groups[g].Src == src {
+			return int(g)
+		}
+	}
+	g := len(io.Groups)
+	io.Groups = append(io.Groups, Group{Src: src, Key: m.weightTag(w)})
+	io.Dests = append(io.Dests, make([]uint64, io.DestWords)...)
+	for len(m.gnext) <= g {
+		m.gnext = append(m.gnext, -1) // producer groups have no chain
+	}
+	m.gnext[g] = head
+	m.wGroup[w] = int32(g) + 1
+	return g
+}
+
+// clearGroups unmarks every tensor the Round's groups carry, so the next
+// Round opens its own.
+func (m *Manager) clearGroups(io *RoundIO) {
+	for _, g := range io.Groups {
+		if g.Key < m.wtag0 {
+			m.resident[g.Key-1].group = 0
+		} else {
+			m.wGroup[g.Key-m.wtag0] = 0
+		}
+	}
 }
 
 // store inserts a tensor — weight slice id or atom id's output — into
@@ -566,7 +742,8 @@ func (m *Manager) removeOutput(e, p int) {
 	}
 	m.outs[e] = buf[:last]
 	m.outPos[ent.id] = -1
-	m.resident[ent.id] = -1
+	m.resident[ent.id].engine = -1
+	m.outMoves++
 	m.used[e] -= ent.bytes
 }
 

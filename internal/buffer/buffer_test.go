@@ -74,7 +74,9 @@ func replay(t *testing.T, d *atom.DAG, s *schedule.Schedule, engines int, capaci
 			total.SRAMReadBytes[e] += io.SRAMReadBytes[e]
 			total.SRAMWriteBytes[e] += io.SRAMWriteBytes[e]
 		}
-		total.Flows = append(total.Flows, io.Flows...)
+		total.Groups = append(total.Groups, io.Groups...)
+		total.FlowCount += io.FlowCount
+		total.FlowBytes += io.FlowBytes
 		total.InputBytesTotal += io.InputBytesTotal
 		total.InputBytesOnChip += io.InputBytesOnChip
 	}

@@ -24,6 +24,7 @@ package codegen
 import (
 	"fmt"
 	"io"
+	"math/bits"
 
 	"github.com/atomic-dataflow/atomicflow/internal/atom"
 	"github.com/atomic-dataflow/atomicflow/internal/buffer"
@@ -109,11 +110,18 @@ func Generate(d *atom.DAG, s *schedule.Schedule, mesh *noc.Mesh, bufferBytes int
 		if err != nil {
 			return nil, err
 		}
-		for _, f := range io.Flows {
-			p.Streams[f.Src] = append(p.Streams[f.Src],
-				Instr{Op: OpSend, Peer: f.Dst, Bytes: f.Bytes, Round: t})
-			p.Streams[f.Dst] = append(p.Streams[f.Dst],
-				Instr{Op: OpRecv, Peer: f.Src, Bytes: f.Bytes, Round: t})
+		// One SEND/RECV pair per multicast group and destination, at the
+		// group's bytes: the tensor the NoC tree carries.
+		for g, gr := range io.Groups {
+			for wi, word := range io.DestSet(g) {
+				for ; word != 0; word &= word - 1 {
+					dst := wi<<6 | bits.TrailingZeros64(word)
+					p.Streams[gr.Src] = append(p.Streams[gr.Src],
+						Instr{Op: OpSend, Peer: dst, Bytes: gr.Bytes, Round: t})
+					p.Streams[dst] = append(p.Streams[dst],
+						Instr{Op: OpRecv, Peer: gr.Src, Bytes: gr.Bytes, Round: t})
+				}
+			}
 		}
 		for e := 0; e < n; e++ {
 			if b := io.DRAMReadBytes[e]; b > 0 {

@@ -172,11 +172,11 @@ func TestDashConcurrentSolvesTracked(t *testing.T) {
 	}
 }
 
-// TestServeMetricsLint checks that a solve publishes the shared oracle's
-// evaluation count to the registry /metrics exports. The exposition
-// lint of the live /metrics body is TestLintServeMetrics in
-// internal/obs, next to the linter.
-func TestServeMetricsLint(t *testing.T) {
+// TestServeSolvePublishesOracleEvaluations checks that a solve publishes
+// the shared oracle's evaluation count to the registry /metrics exports.
+// The exposition lint of the live /metrics body is TestLintServeMetrics
+// in internal/obs, next to the linter.
+func TestServeSolvePublishesOracleEvaluations(t *testing.T) {
 	s, ts := newTestServer(t, Config{Workers: 1})
 	if resp, body := postSolve(t, ts, `{"model":"tinyconv","sa_iters":60}`); resp.StatusCode != http.StatusOK {
 		t.Fatalf("solve: %d %s", resp.StatusCode, body)

@@ -1,7 +1,7 @@
 package sim
 
 import (
-	"fmt"
+	"cmp"
 	"math/bits"
 	"slices"
 
@@ -11,8 +11,8 @@ import (
 
 // arena is the per-Run scratch state of the simulator's hot loop. All
 // link and engine state lives in dense slices indexed by the mesh's link
-// IDs and engine indices, so simulating a Round's flows allocates nothing
-// after the first Round. The state has two lifetimes:
+// IDs and engine indices, so timing a Round's multicast groups allocates
+// nothing after the first Round. The state has two lifetimes:
 //
 //   - Round state is cleared by beginRound at every Round barrier: a
 //     link's free time (when it finishes its last tensor), ready
@@ -26,9 +26,9 @@ import (
 //     is live only when its stamp equals the counter, which only grows,
 //     so the NoC walk never clears per group.
 //
-// Determinism is preserved by construction: flows are sorted by a total
-// order (Src, |key|, key, Dst) before link claiming, which is exactly
-// the order the map-based reference path iterates in.
+// Determinism is preserved by construction: a Round's multicast groups
+// are ordered by the total order (Src, |Key|, Key) before link claiming,
+// which is exactly the order the map-based reference path iterates in.
 type arena struct {
 	mesh *noc.Mesh
 
@@ -42,13 +42,9 @@ type arena struct {
 
 	groupStamp int64
 
-	// sorter orders each Round's flows for walkFlows.
-	sorter flowSorter
-
-	// groupStamp when the current run acquired this arena — pooled arenas
-	// keep counting monotonically, so the per-run group-epoch metric is
-	// the delta against it.
-	runGroup0 int64
+	// Scratch of orderGroups: the link-claim order and its counting pass.
+	order  []int32
+	srcOff []int32
 
 	// linkTraffic, when non-nil, accumulates bytes per link ID across the
 	// whole Run (metrics scratch owned by simMetrics; nil when disabled).
@@ -83,7 +79,6 @@ func newArena(mesh *noc.Mesh) *arena {
 func (a *arena) reset(mesh *noc.Mesh) {
 	a.mesh = mesh
 	a.linkTraffic = nil
-	a.runGroup0 = a.groupStamp
 }
 
 // beginRound clears all per-Round state at the Round barrier.
@@ -93,41 +88,38 @@ func (a *arena) beginRound() {
 	clear(a.dramReady)
 }
 
-// flowOrder is a Round's flows in deterministic link-claim order. Each
-// flow is one packed key, from the high bits down
-//
-//	okey | dst | idx
-//
-// where okey encodes (|key|, key) of the flow's GroupKey as |key|<<1 with
-// the low bit set for positive keys, dst is the destination engine and
-// idx the flow's index. Field widths come from the Round's own maxima,
-// so ascending keys within one source are ascending (|key|, key, Dst),
-// with ties in flow order.
-type flowOrder struct {
-	keys    []uint64
-	okShift uint   // okey = key >> okShift
-	idxMask uint64 // flow index = key & idxMask
-}
-
-// flowSorter holds the reusable scratch of sort: the packed keys, the
-// multicast groups with their hash index, and the counting-pass buffers.
-type flowSorter struct {
-	keys   []uint64
-	groups []flowGroup // (Src, okey) groups in first-seen order
-	tab    []int32     // open-addressing (Src, okey) -> group+1, 0 = empty
-	gid    []int32     // flow -> group
-	rank   []uint64    // okey<<gBits | group, in (Src, okey) order
-	byDst  []int32     // flow indices in (Dst, index) order
-	srcOff []int32     // counting-pass offsets per Src (of groups)
-	dstOff []int32     // counting-pass offsets per Dst (of flows)
-}
-
-// flowGroup is one (Src, okey) multicast group of a Round: its flow count,
-// then the next free position of its run in the sorted keys.
-type flowGroup struct {
-	okey uint64
-	src  int
-	next int32
+// orderGroups returns the Round's multicast groups in link-claim order:
+// ascending (Src, |Key|, Key), the order the map-based reference path
+// iterates in. A counting pass over Src places the groups by source, and
+// each source's few groups are sorted by key. A Round has one group per
+// (Src, Key), so the order is total and a pure function of the groups.
+func (a *arena) orderGroups(groups []buffer.Group) []int32 {
+	n := a.mesh.Engines()
+	srcOff := growInt32s(&a.srcOff, n+1)
+	clear(srcOff)
+	for i := range groups {
+		srcOff[groups[i].Src+1]++
+	}
+	for s := 1; s <= n; s++ {
+		srcOff[s] += srcOff[s-1]
+	}
+	order := growInt32s(&a.order, len(groups))
+	for i := range groups {
+		s := groups[i].Src
+		order[srcOff[s]] = int32(i)
+		srcOff[s]++
+	}
+	lo := int32(0)
+	for _, hi := range srcOff[:n] { // srcOff[s] now ends source s's run
+		if hi-lo > 1 {
+			slices.SortFunc(order[lo:hi], func(x, y int32) int {
+				kx, ky := groups[x].Key, groups[y].Key
+				return cmp.Or(cmp.Compare(absKey(kx), absKey(ky)), cmp.Compare(kx, ky))
+			})
+		}
+		lo = hi
+	}
+	return order
 }
 
 // absKey returns |k| as an unsigned magnitude (exact for every int64).
@@ -136,171 +128,6 @@ func absKey(k int64) uint64 {
 		return uint64(-k)
 	}
 	return uint64(k)
-}
-
-// okeyOf encodes a GroupKey as |key|<<1 with the low bit set for positive
-// keys, so ascending okeys are ascending (|key|, key).
-func okeyOf(k int64) uint64 {
-	okey := absKey(k) << 1
-	if k > 0 {
-		okey |= 1
-	}
-	return okey
-}
-
-// sort builds the deterministic link-claim order of a Round's flows:
-// ascending (Src, |key|, key, Dst), exactly the order the map-based
-// reference path iterates in, with ties in flow order. A Round has far
-// fewer multicast groups — equal (Src, key) — than flows, so no flow is
-// compared: the groups are found by hashing and only they are sorted
-// (by a counting pass over Src, then each source's few groups by key),
-// each group gets its run of the output, and one counting pass by Dst
-// (engine indices) feeds the flows in (Dst, index) order into their
-// runs. The order is a pure function of the flow list. It fails, without
-// sorting, on a negative engine index or when the packed fields would not
-// fit in 64 bits.
-func (fs *flowSorter) sort(flows []buffer.Flow) (flowOrder, error) {
-	keys := fs.keys[:0]
-	if len(flows) == 0 {
-		return flowOrder{keys: keys}, nil
-	}
-	var maxSrc, maxDst int
-	var maxAbs uint64
-	for _, f := range flows {
-		if f.Src < 0 || f.Dst < 0 {
-			return flowOrder{}, fmt.Errorf("sim: flow %d->%d has a negative engine", f.Src, f.Dst)
-		}
-		maxSrc, maxDst = max(maxSrc, f.Src), max(maxDst, f.Dst)
-		maxAbs = max(maxAbs, absKey(f.GroupKey()))
-	}
-	n := len(flows)
-	idxBits := uint(bits.Len(uint(n - 1)))
-	okShift := idxBits + uint(bits.Len(uint(maxDst)))
-	if okShift+uint(bits.Len64(maxAbs))+1 > 64 {
-		return flowOrder{}, fmt.Errorf("sim: %d flows to engines <= %d with |group key| <= %d do not pack into 64 bits",
-			n, maxDst, maxAbs)
-	}
-
-	// Group every flow (the table keeps its size from Round to Round, at
-	// most a quarter full, which keeps probes short) and count the flows
-	// per Dst.
-	if len(fs.tab) == 0 {
-		fs.tab = make([]int32, 64)
-	}
-	tab := fs.tab
-	clear(tab)
-	mask := uint64(len(tab) - 1)
-	gid := growInt32s(&fs.gid, n)
-	groups := fs.groups[:0]
-	dstOff := growInt32s(&fs.dstOff, maxDst+2)
-	clear(dstOff)
-	for i := range flows {
-		f := &flows[i]
-		dstOff[f.Dst+1]++
-		okey := okeyOf(f.GroupKey())
-		for j := flowGroupHash(okey, f.Src) & mask; ; j = (j + 1) & mask {
-			g := tab[j] - 1
-			if g < 0 {
-				if 4*(len(groups)+1) > len(tab) {
-					tab = fs.growTable(groups)
-					mask = uint64(len(tab) - 1)
-					j = flowGroupHash(okey, f.Src)&mask - 1 // re-probe in the new table
-					continue
-				}
-				g = int32(len(groups))
-				tab[j] = g + 1
-				groups = append(groups, flowGroup{okey: okey, src: f.Src})
-			} else if groups[g].okey != okey || groups[g].src != f.Src {
-				continue
-			}
-			groups[g].next++
-			gid[i] = g
-			break
-		}
-	}
-	fs.groups = groups
-
-	// Order the groups by (Src, okey) and give each its run. A group index
-	// packs below its okey: okShift already reserves idxBits >= gBits.
-	gBits := uint(bits.Len(uint(len(groups) - 1)))
-	srcOff := growInt32s(&fs.srcOff, maxSrc+2)
-	clear(srcOff)
-	for _, g := range groups {
-		srcOff[g.src+1]++
-	}
-	for s := 1; s < len(srcOff); s++ {
-		srcOff[s] += srcOff[s-1]
-	}
-	rank := growUint64s(&fs.rank, len(groups))
-	for g, gr := range groups {
-		rank[srcOff[gr.src]] = gr.okey<<gBits | uint64(g)
-		srcOff[gr.src]++
-	}
-	lo := int32(0)
-	for _, hi := range srcOff[:maxSrc+1] {
-		if hi-lo > 1 {
-			slices.Sort(rank[lo:hi])
-		}
-		lo = hi
-	}
-	at := int32(0)
-	for _, r := range rank {
-		g := &groups[r&(1<<gBits-1)]
-		at, g.next = at+g.next, at
-	}
-
-	// Flows in (Dst, index) order.
-	for d := 1; d < len(dstOff); d++ {
-		dstOff[d] += dstOff[d-1]
-	}
-	byDst := growInt32s(&fs.byDst, n)
-	for i := range flows {
-		d := flows[i].Dst
-		byDst[dstOff[d]] = int32(i)
-		dstOff[d]++
-	}
-
-	if cap(keys) < n {
-		keys = make([]uint64, n)
-	}
-	keys = keys[:n]
-	for _, i := range byDst {
-		g := &groups[gid[i]]
-		keys[g.next] = g.okey<<okShift | uint64(flows[i].Dst)<<idxBits | uint64(i)
-		g.next++
-	}
-	fs.keys = keys
-	return flowOrder{keys: keys, okShift: okShift, idxMask: 1<<idxBits - 1}, nil
-}
-
-// growTable doubles the group table and re-inserts the groups.
-func (fs *flowSorter) growTable(groups []flowGroup) []int32 {
-	tab := make([]int32, 2*len(fs.tab))
-	mask := uint64(len(tab) - 1)
-	for g, gr := range groups {
-		j := flowGroupHash(gr.okey, gr.src) & mask
-		for tab[j] != 0 {
-			j = (j + 1) & mask
-		}
-		tab[j] = int32(g) + 1
-	}
-	fs.tab = tab
-	return tab
-}
-
-// flowGroupHash mixes a group's (okey, Src) into a table index source.
-func flowGroupHash(okey uint64, src int) uint64 {
-	h := (okey ^ uint64(src)*0x9e3779b97f4a7c15) * 0xbf58476d1ce4e5b9
-	return h ^ h>>31
-}
-
-// growUint64s returns *buf resized to n, reusing its capacity.
-func growUint64s(buf *[]uint64, n int) []uint64 {
-	if cap(*buf) < n {
-		*buf = make([]uint64, n)
-	}
-	*buf = (*buf)[:n]
-	return *buf
 }
 
 // growInt32s returns *buf resized to n, reusing its capacity.
@@ -312,30 +139,17 @@ func growInt32s(buf *[]int32, n int) []int32 {
 	return *buf
 }
 
-// walkFlows is the dense NoC contention model (its map-based executable
+// walkGroups is the dense NoC contention model (its map-based executable
 // specification, simulateFlowsReference, lives in the tests): it
-// serializes the Round's flows on shared links in the order fo (from
-// flowSorter.sort) and records per-destination arrival times in a.ready,
-// returning the Round's byte-hop volume. beginRound must have been
-// called.
-func (a *arena) walkFlows(flows []buffer.Flow, fo flowOrder, start int64) int64 {
+// serializes the Round's multicast groups on shared links in the order
+// given (from orderGroups), records per-destination arrival times in
+// a.ready, and returns the Round's byte-hop volume and the number of tree
+// links its groups claimed. beginRound must have been called.
+func (a *arena) walkGroups(io *buffer.RoundIO, order []int32, start int64) (byteHops, claims int64) {
 	hop := a.mesh.HopCycles
 	linkBytes := int64(a.mesh.LinkBytes)
-	keys := fo.keys
-	var byteHops int64
-	for gi := 0; gi < len(keys); {
-		// A multicast group is a run of equal (Src, okey).
-		okey := keys[gi] >> fo.okShift
-		src := flows[keys[gi]&fo.idxMask].Src
-		bytes := flows[keys[gi]&fo.idxMask].Bytes
-		gj := gi + 1
-		for ; gj < len(keys) && keys[gj]>>fo.okShift == okey; gj++ {
-			f := &flows[keys[gj]&fo.idxMask]
-			if f.Src != src {
-				break
-			}
-			bytes = max(bytes, f.Bytes)
-		}
+	for _, g := range order {
+		src, bytes := io.Groups[g].Src, io.Groups[g].Bytes
 		ser := (bytes + linkBytes - 1) / linkBytes
 		// Walk each destination's route; a link is claimed once per tree
 		// (switch-level replication). A link cannot start forwarding
@@ -344,45 +158,49 @@ func (a *arena) walkFlows(flows []buffer.Flow, fo flowOrder, start int64) int64 
 		// from one source form a tree (noc checks it when building the
 		// route table), so the links this group already claimed are a
 		// prefix of the route: find its end from the back and claim only
-		// the suffix.
+		// the suffix. Each link's start depends only on its parent link's
+		// start and its own free time, so the destination order cannot
+		// change a value.
 		a.groupStamp++
 		gs := a.groupStamp
 		off, ids := a.mesh.RoutesFrom(src)
 		treeLinks := int64(0)
-		for n, k := range keys[gi:gj] {
-			dst := flows[k&fo.idxMask].Dst
-			route := ids[off[dst]:off[dst+1]]
-			claimed := 0 // the group's first route finds nothing claimed
-			if n > 0 {
-				claimed = len(route)
-				for claimed > 0 && a.links[route[claimed-1]].startStamp != gs {
-					claimed--
+		for wi, word := range io.DestSet(int(g)) {
+			for ; word != 0; word &= word - 1 {
+				dst := wi<<6 | bits.TrailingZeros64(word)
+				route := ids[off[dst]:off[dst+1]]
+				claimed := 0 // nothing to scan for until the group claims a link
+				if treeLinks > 0 {
+					claimed = len(route)
+					for claimed > 0 && a.links[route[claimed-1]].startStamp != gs {
+						claimed--
+					}
 				}
-			}
-			head, lastStart := start, start
-			if claimed > 0 {
-				lastStart = a.links[route[claimed-1]].start
-				head = lastStart + hop
-			}
-			for _, id := range route[claimed:] {
-				s := max(head, a.free[id])
-				a.links[id] = linkState{start: s, startStamp: gs}
-				a.free[id] = s + ser
-				treeLinks++
-				if a.linkTraffic != nil {
-					a.linkTraffic[id] += bytes
+				head, lastStart := start, start
+				if claimed > 0 {
+					lastStart = a.links[route[claimed-1]].start
+					head = lastStart + hop
 				}
-				head = s + hop
-				lastStart = s
+				for _, id := range route[claimed:] {
+					s := max(head, a.free[id])
+					a.links[id] = linkState{start: s, startStamp: gs}
+					a.free[id] = s + ser
+					treeLinks++
+					if a.linkTraffic != nil {
+						a.linkTraffic[id] += bytes
+					}
+					head = s + hop
+					lastStart = s
+				}
+				arrive := start
+				if len(route) > 0 {
+					arrive = lastStart + ser + hop
+				}
+				a.ready[dst] = max(a.ready[dst], arrive)
 			}
-			arrive := start
-			if len(route) > 0 {
-				arrive = lastStart + ser + hop
-			}
-			a.ready[dst] = max(a.ready[dst], arrive)
 		}
 		byteHops += bytes * treeLinks
-		gi = gj
+		claims += treeLinks
 	}
-	return byteHops
+	return byteHops, claims
 }

@@ -2,18 +2,17 @@ package sim
 
 import (
 	"cmp"
-	"math"
+	"math/bits"
 	"math/rand"
 	"slices"
 	"testing"
 
-	"github.com/atomic-dataflow/atomicflow/internal/buffer"
 	"github.com/atomic-dataflow/atomicflow/internal/noc"
 )
 
 // wantFlowOrder is the link-claim order by definition: flow indices
 // stably sorted by (Src, |key|, key, Dst) of each flow's GroupKey.
-func wantFlowOrder(flows []buffer.Flow) []int {
+func wantFlowOrder(flows []Flow) []int {
 	abs := func(k int64) int64 {
 		if k < 0 {
 			return -k
@@ -40,8 +39,8 @@ func wantFlowOrder(flows []buffer.Flow) []int {
 // randomFlows draws a Round of n flows over the given source engines:
 // a mix of tagged flows (a few shared tags, so multicast groups form),
 // untagged ones and exact (Src, key, Dst) duplicates.
-func randomFlows(rng *rand.Rand, n int, srcs []int, engines int) []buffer.Flow {
-	flows := make([]buffer.Flow, 0, n)
+func randomFlows(rng *rand.Rand, n int, srcs []int, engines int) []Flow {
+	flows := make([]Flow, 0, n)
 	for len(flows) < n {
 		if len(flows) > 0 && rng.Intn(6) == 0 {
 			f := flows[rng.Intn(len(flows))]
@@ -49,7 +48,7 @@ func randomFlows(rng *rand.Rand, n int, srcs []int, engines int) []buffer.Flow {
 			flows = append(flows, f)
 			continue
 		}
-		f := buffer.Flow{
+		f := Flow{
 			Src:   srcs[rng.Intn(len(srcs))],
 			Dst:   rng.Intn(engines),
 			Bytes: int64(1 + rng.Intn(4096)),
@@ -62,14 +61,22 @@ func randomFlows(rng *rand.Rand, n int, srcs []int, engines int) []buffer.Flow {
 	return flows
 }
 
-// TestFlowOrderProperty checks the packed-key order against its
-// definition on random Rounds, and the order's NoC timing against the
-// map-based reference walk.
+// member is one (Src, key, Dst) step of a link-claim order.
+type member struct {
+	src int
+	key int64
+	dst int
+}
+
+// TestFlowOrderProperty checks the group order and each group's
+// destination order against the flow order's definition on random
+// Rounds, and the grouped walk's NoC timing against the map-based
+// reference walk.
 func TestFlowOrderProperty(t *testing.T) {
 	mesh := noc.NewMesh(8, 8, 16)
 	engines := mesh.Engines()
 	rng := rand.New(rand.NewSource(1))
-	var fs flowSorter // reused across Rounds, as the prep slots do
+	a := newArena(mesh) // reused across Rounds, as the timing stage does
 	for trial := 0; trial < 400; trial++ {
 		n := rng.Intn(300)
 		switch trial {
@@ -86,40 +93,27 @@ func TestFlowOrderProperty(t *testing.T) {
 			}
 		}
 		flows := randomFlows(rng, n, srcs, engines)
-		fo, err := fs.sort(flows)
-		if err != nil {
-			t.Fatalf("trial %d: %v", trial, err)
+		io := groupFlows(flows, engines)
+		var got []member
+		for _, g := range a.orderGroups(io.Groups) {
+			gr := io.Groups[g]
+			for wi, word := range io.DestSet(int(g)) {
+				for ; word != 0; word &= word - 1 {
+					got = append(got, member{gr.Src, gr.Key, wi<<6 | bits.TrailingZeros64(word)})
+				}
+			}
 		}
-		got := make([]int, len(fo.keys))
-		for i, k := range fo.keys {
-			got[i] = int(k & fo.idxMask)
+		var want []member
+		for _, i := range wantFlowOrder(flows) {
+			f := flows[i]
+			m := member{f.Src, f.GroupKey(), f.Dst}
+			if len(want) == 0 || want[len(want)-1] != m { // a group reaches each engine once
+				want = append(want, m)
+			}
 		}
-		if want := wantFlowOrder(flows); !slices.Equal(got, want) {
+		if !slices.Equal(got, want) {
 			t.Fatalf("trial %d (%d flows): order\n  got  %v\n  want %v", trial, n, got, want)
 		}
 		runFlows(t, mesh, flows, int64(trial))
-	}
-}
-
-// TestFlowOrderOverflow feeds Rounds whose packed keys cannot fit in 64
-// bits, or that name a negative engine: sort must report an error, and
-// never panic.
-func TestFlowOrderOverflow(t *testing.T) {
-	many := make([]buffer.Flow, 1<<12)
-	for i := range many {
-		many[i] = buffer.Flow{Src: i % 4, Dst: 3, Bytes: 1, Tag: 1 << 55}
-	}
-	for name, flows := range map[string][]buffer.Flow{
-		"max tag":        {{Src: 0, Dst: 1, Bytes: 8, Tag: math.MaxInt64}, {Src: 0, Dst: 2, Bytes: 8, Tag: 3}},
-		"min tag":        {{Src: 1, Dst: 0, Bytes: 8, Tag: math.MinInt64}},
-		"wide fields":    many,
-		"negative src":   {{Src: -1, Dst: 0, Bytes: 8, Tag: 2}},
-		"negative dst":   {{Src: 0, Dst: -3, Bytes: 8}},
-		"huge dst, tags": {{Src: 0, Dst: math.MaxInt32, Bytes: 8, Tag: 1 << 40}, {Src: 0, Dst: 1, Bytes: 8}},
-	} {
-		var fs flowSorter
-		if _, err := fs.sort(flows); err == nil {
-			t.Errorf("%s: sort accepted a Round whose keys do not pack", name)
-		}
 	}
 }

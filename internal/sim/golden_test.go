@@ -10,11 +10,11 @@ import (
 // TestGoldenReportDeterminism is the regression gate for the dense
 // route-table/arena hot paths: for one cascade, one residual and one
 // NAS-irregular zoo model, sim.Run must produce bit-identical Reports
-// across repeated runs, and every Round's NoC flows must time the same on
-// the dense arena path and the map-based reference path. The reference
-// leg drives prep and time Round by Round, as runSerial does, checks each
-// Round's flows with runFlows at the Round's start cycle, and requires
-// the resulting Report to equal Run's. The perf PR is a representation
+// across repeated runs, and every Round's multicast groups must time the
+// same on the dense arena path and, unfolded into their member flows, on
+// the map-based reference path. The reference leg is runSerial, which
+// checks each Round against the reference at the Round's start cycle, and
+// its Report must equal Run's. The dense paths are a representation
 // change, not a model change — any drift here is a bug.
 func TestGoldenReportDeterminism(t *testing.T) {
 	models := []struct {
@@ -50,23 +50,11 @@ func TestGoldenReportDeterminism(t *testing.T) {
 				t.Errorf("dense path not deterministic:\n  %+v\nvs\n  %+v", dense1, dense2)
 			}
 
-			r, release, err := newRunner(d, s, cfg)
+			ref, err := runSerial(d, s, cfg)
 			if err != nil {
 				t.Fatal(err)
 			}
-			defer release()
-			var slot prepSlot
-			for rt := range s.Rounds {
-				r.prep(rt, &slot)
-				if slot.err != nil {
-					t.Fatal(slot.err)
-				}
-				runFlows(t, cfg.Mesh, slot.io.Flows, r.now)
-				if err := r.time(&slot); err != nil {
-					t.Fatal(err)
-				}
-			}
-			if ref := r.report(); dense1 != ref {
+			if dense1 != ref {
 				t.Errorf("Round-by-Round reference run disagrees with Run:\n  Run %+v\n  ref %+v", dense1, ref)
 			}
 		})

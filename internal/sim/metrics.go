@@ -16,6 +16,8 @@ import (
 type simMetrics struct {
 	rounds         *obs.Counter
 	flows          *obs.Counter
+	groups         *obs.Counter // multicast trees timed
+	linkClaims     *obs.Counter // tree links claimed
 	mapPerms       *obs.Counter
 	mapByteHops    *obs.Counter
 	pipelineStalls *obs.Counter // Rounds where timing waited on prep
@@ -51,6 +53,8 @@ func newSimMetrics(reg *obs.Registry, mesh *noc.Mesh) *simMetrics {
 	sm := &simMetrics{
 		rounds:         reg.Counter("sim_rounds_total"),
 		flows:          reg.Counter("noc_flows_total"),
+		groups:         reg.Counter("noc_multicast_groups_total"),
+		linkClaims:     reg.Counter("noc_link_claims_total"),
 		mapPerms:       reg.Counter("mapping_permutations_total"),
 		mapByteHops:    reg.Counter("mapping_byte_hops_total"),
 		pipelineStalls: reg.Counter("sim_pipeline_stalls_total"),
@@ -73,10 +77,10 @@ func newSimMetrics(reg *obs.Registry, mesh *noc.Mesh) *simMetrics {
 	return sm
 }
 
-// observeRound records one Round's metrics. endAll/endNoNoC/endNoMem are
-// the Round's barrier times (see Run); engineEnd returns the cycle engine
-// e's atom finished (compute and data both arrived).
-func (sm *simMetrics) observeRound(span, nocBlock, dramBlock int64, perms int, mapHops int64, nFlows int) {
+// observeRound records one Round's metrics: its span and blocked cycles,
+// the mapper's work, and the NoC's transfers, multicast groups and
+// claimed tree links.
+func (sm *simMetrics) observeRound(span, nocBlock, dramBlock int64, perms int, mapHops int64, nFlows, nGroups int, claims int64) {
 	sm.rounds.Inc()
 	sm.roundSpan.ObserveInt(span)
 	sm.nocBlockHist.ObserveInt(nocBlock)
@@ -84,12 +88,14 @@ func (sm *simMetrics) observeRound(span, nocBlock, dramBlock int64, perms int, m
 	sm.mapPerms.Add(int64(perms))
 	sm.mapByteHops.Add(mapHops)
 	sm.flows.Add(int64(nFlows))
+	sm.groups.Add(int64(nGroups))
+	sm.linkClaims.Add(claims)
 }
 
 // finish folds the end-of-run state of every hardware model into the
 // registry: per-link NoC traffic, DRAM row/queue stats, buffer occupancy,
 // the cost-oracle evaluation count and the Report's headline quantities.
-func (sm *simMetrics) finish(rep *Report, man *buffer.Manager, hbm *dram.HBM, orc cost.Oracle, ar *arena) {
+func (sm *simMetrics) finish(rep *Report, man *buffer.Manager, hbm *dram.HBM, orc cost.Oracle) {
 	reg := sm.reg
 
 	// NoC: per-link distribution of this run's traffic, peak and total.
@@ -127,15 +133,12 @@ func (sm *simMetrics) finish(rep *Report, man *buffer.Manager, hbm *dram.HBM, or
 	reg.Gauge("buffer_occupancy_highwater_bytes").Max(float64(man.HighWater()))
 	reg.Gauge("buffer_capacity_bytes").SetInt(man.Capacity())
 
-	// Simulator totals and the arena's multicast-group epochs (stamp
-	// bumps instead of clears — each counted group reused the same
-	// backing slices).
+	// Simulator totals.
 	reg.Counter("sim_cycles_total").Add(rep.Cycles)
 	reg.Counter("sim_compute_cycles_total").Add(rep.ComputeCycles)
 	reg.Counter("sim_noc_blocked_cycles_total").Add(rep.NoCBlockedCycles)
 	reg.Counter("sim_dram_blocked_cycles_total").Add(rep.DRAMBlockedCycles)
 	reg.Counter("sim_macs_total").Add(rep.MACs)
-	reg.Counter("sim_arena_group_epochs_total").Add(ar.groupStamp - ar.runGroup0)
 	reg.Gauge("sim_pe_utilization").Set(rep.PEUtilization)
 	reg.Gauge("sim_compute_utilization").Set(rep.ComputeUtil)
 	reg.Gauge("sim_onchip_reuse_ratio").Set(rep.OnChipReuseRatio)

@@ -15,17 +15,14 @@ import (
 
 // The simulator's Round loop is two dependency chains glued together:
 //
-//	prep(t):  placement (mapper) + buffer replay (manager) — depends
-//	          only on prep(t-1), because the buffer state a placement
-//	          reads is exactly the state ExecuteRound(t-1) committed.
-//	time(t):  DRAM queueing, the flow order and NoC flows, the compute
+//	prep(t):  placement (mapper) + buffer replay (manager), which
+//	          emits the Round's multicast groups — depends only on
+//	          prep(t-1), because the buffer state a placement reads is
+//	          exactly the state ExecuteRound(t-1) committed.
+//	time(t):  DRAM queueing, the group order and NoC walk, the compute
 //	          barrier and all accounting — depends on prep(t) and
 //	          time(t-1) (the HBM channel clocks and `now`), never on
 //	          prep(t+1).
-//
-// The flow order depends only on Round t's flows, so it could run in
-// either stage; it runs in time because, with placement rows shared,
-// that balances the two (see DESIGN.md, simulator pipeline).
 //
 // So prep may run ahead of time on its own goroutine: a bounded ring of
 // prepSlots carries each Round's placement and IO from the prep stage to
@@ -108,9 +105,9 @@ func (r *runner) prep(t int, slot *prepSlot) {
 }
 
 // time runs the pipeline's second stage on a prepared Round: DRAM reads,
-// the flow order and NoC flows, the compute barrier, write-backs, metrics
-// and accounting. It fails only when the Round's flows cannot be ordered.
-func (r *runner) time(slot *prepSlot) error {
+// the group order and NoC walk, the compute barrier, write-backs, metrics
+// and accounting.
+func (r *runner) time(slot *prepSlot) {
 	t := slot.t
 	round := r.s.Rounds[t]
 	cfg := &r.cfg
@@ -135,13 +132,9 @@ func (r *runner) time(slot *prepSlot) error {
 		}
 	}
 
-	// --- NoC flows: link-level serialization along XY routes, with
-	// tagged weight broadcasts delivered as multicast trees.
-	order, err := ar.sorter.sort(io.Flows)
-	if err != nil {
-		return err
-	}
-	roundByteHops := ar.walkFlows(io.Flows, order, now)
+	// --- NoC: link-level serialization along XY routes, each tensor's
+	// transfers delivered as one multicast tree.
+	roundByteHops, claims := ar.walkGroups(io, ar.orderGroups(io.Groups), now)
 
 	// --- Compute: engines stream inputs concurrently with execution
 	// (tile-level double buffering), so an engine finishes when both
@@ -174,7 +167,7 @@ func (r *runner) time(slot *prepSlot) error {
 	if sm := r.sm; sm != nil {
 		span := endAll - now
 		sm.observeRound(span, endAll-endNoNoC, endNoNoC-endNoMem,
-			placed.Perms, placed.ByteHops, len(io.Flows))
+			placed.Perms, placed.ByteHops, io.FlowCount, len(io.Groups), claims)
 		for _, id := range round.Atoms {
 			e := placed.Engine(id)
 			comp := s.ComputeCycles[id]
@@ -213,18 +206,16 @@ func (r *runner) time(slot *prepSlot) error {
 	if cfg.Trace != nil {
 		tr := RoundTrace{
 			Round: t, Start: now, End: endAll, ComputeEnd: endNoMem,
-			Flows:     len(io.Flows),
+			Flows:     io.FlowCount,
 			DRAMRead:  sumSlice(io.DRAMReadBytes),
 			DRAMWrite: sumSlice(io.DRAMWriteBytes),
 			DRAMEnd:   endNoNoC,
 			DRAMIssue: issueAt,
 			DRAMReady: now,
+			FlowBytes: io.FlowBytes,
 		}
 		for _, e := range engines {
 			tr.DRAMReady = max(tr.DRAMReady, ar.dramReady[e])
-		}
-		for _, f := range io.Flows {
-			tr.FlowBytes += f.Bytes
 		}
 		for _, id := range round.Atoms {
 			a := &r.d.Atoms[id]
@@ -238,7 +229,6 @@ func (r *runner) time(slot *prepSlot) error {
 
 	r.prevStart = now
 	r.now = endAll
-	return nil
 }
 
 // runPipelined overlaps prep(t+1) with time(t). One goroutine runs the
@@ -304,9 +294,7 @@ func (r *runner) runPipelined() error {
 		if slot.err != nil {
 			return slot.err
 		}
-		if err := r.time(slot); err != nil {
-			return err
-		}
+		r.time(slot)
 		free <- slot // never blocks: the ring holds at most pipelineDepth slots
 	}
 	return nil
@@ -314,7 +302,7 @@ func (r *runner) runPipelined() error {
 
 // runState is the pooled per-mesh-shape state of a sim.Run: the buffer
 // manager, the mapper, the timing arena and the prep-slot ring. All have
-// O(atoms), O(links) or O(flows per Round) footprints and cheap Reset
+// O(atoms), O(links) or O(groups per Round) footprints and cheap Reset
 // paths, so serve requests and sweep iterations reuse them instead of
 // reallocating (counted by sim_pool_reuse_total). A slot's contents are
 // rewritten by prep before the timing stage reads them, so the ring needs

@@ -216,7 +216,7 @@ func (r *runner) report() Report {
 	rep.Energy.AddDRAM(cfg.Energy, rep.DRAMReadBytes+rep.DRAMWriteBytes)
 	rep.Energy.AddStatic(cfg.Energy, rep.Cycles*int64(n))
 	if r.sm != nil {
-		r.sm.finish(rep, r.man, r.hbm, cfg.Oracle, r.ar)
+		r.sm.finish(rep, r.man, r.hbm, cfg.Oracle)
 	}
 	return r.rep
 }

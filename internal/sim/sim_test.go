@@ -6,7 +6,6 @@ import (
 
 	"github.com/atomic-dataflow/atomicflow/internal/anneal"
 	"github.com/atomic-dataflow/atomicflow/internal/atom"
-	"github.com/atomic-dataflow/atomicflow/internal/buffer"
 	"github.com/atomic-dataflow/atomicflow/internal/dram"
 	"github.com/atomic-dataflow/atomicflow/internal/engine"
 	"github.com/atomic-dataflow/atomicflow/internal/models"
@@ -177,26 +176,23 @@ func TestDoubleBufferHelps(t *testing.T) {
 	}
 }
 
-// runFlows executes the Round's flows through BOTH the dense arena path
-// and the map-based reference path, asserts they agree exactly, and
-// returns the (shared) result.
-func runFlows(t *testing.T, mesh *noc.Mesh, flows []buffer.Flow, start int64) (map[int]int64, int64) {
+// runFlows folds the Round's flows into groups, times them on the dense
+// arena path and the flows on the map-based reference path, asserts the
+// two agree exactly, and returns the (shared) result.
+func runFlows(t *testing.T, mesh *noc.Mesh, flows []Flow, start int64) (map[int]int64, int64) {
 	t.Helper()
-	refReady, refHops := simulateFlowsReference(mesh, flows, start)
+	refReady, refHops, refClaims := simulateFlowsReference(mesh, flows, start)
 	a := newArena(mesh)
 	a.beginRound()
-	hops, err := a.simulateFlows(flows, start)
-	if err != nil {
-		t.Fatal(err)
-	}
+	hops, claims := a.timeGroups(groupFlows(flows, mesh.Engines()), start)
 	ready := make(map[int]int64)
 	for e := 0; e < mesh.Engines(); e++ {
 		if r := a.ready[e]; r != 0 {
 			ready[e] = r
 		}
 	}
-	if hops != refHops {
-		t.Fatalf("byteHops: dense %d, reference %d", hops, refHops)
+	if hops != refHops || claims != refClaims {
+		t.Fatalf("byteHops/claims: dense %d/%d, reference %d/%d", hops, claims, refHops, refClaims)
 	}
 	if len(ready) != len(refReady) {
 		t.Fatalf("arrivals: dense %v, reference %v", ready, refReady)
@@ -212,7 +208,7 @@ func runFlows(t *testing.T, mesh *noc.Mesh, flows []buffer.Flow, start int64) (m
 func TestSimulateFlowsContention(t *testing.T) {
 	mesh := noc.NewMesh(4, 1, 8)
 	// Two flows over the shared 0->1 link.
-	flows := []buffer.Flow{
+	flows := []Flow{
 		{Src: 0, Dst: 2, Bytes: 800},
 		{Src: 0, Dst: 3, Bytes: 800},
 	}
@@ -234,7 +230,7 @@ func TestSimulateFlowsMulticast(t *testing.T) {
 	mesh := noc.NewMesh(4, 1, 8)
 	// Tagged broadcast from 0 to 1,2,3: bytes serialize once per link of
 	// the shared route, not once per destination.
-	flows := []buffer.Flow{
+	flows := []Flow{
 		{Src: 0, Dst: 1, Bytes: 800, Tag: 7},
 		{Src: 0, Dst: 2, Bytes: 800, Tag: 7},
 		{Src: 0, Dst: 3, Bytes: 800, Tag: 7},
@@ -301,14 +297,11 @@ func TestWalkFlowsAcrossRounds(t *testing.T) {
 		if round%3 == 2 {
 			start = int64(5000 - 80*(round-1)) // a repeated start
 		}
-		refReady, refHops := simulateFlowsReference(mesh, flows, start)
+		refReady, refHops, refClaims := simulateFlowsReference(mesh, flows, start)
 		a.beginRound()
-		hops, err := a.simulateFlows(flows, start)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if hops != refHops {
-			t.Fatalf("round %d: byteHops %d, reference %d", round, hops, refHops)
+		hops, claims := a.timeGroups(groupFlows(flows, engines), start)
+		if hops != refHops || claims != refClaims {
+			t.Fatalf("round %d: byteHops/claims %d/%d, reference %d/%d", round, hops, claims, refHops, refClaims)
 		}
 		for e := 0; e < engines; e++ {
 			if a.ready[e] != refReady[e] {
