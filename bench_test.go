@@ -404,11 +404,12 @@ func BenchmarkSimRun(b *testing.B) {
 	}
 }
 
-// frontEndSpec returns ResNet-50 and the partition spec of a fixed-seed
-// SA search: the input of the two stages in front of the simulator.
-func frontEndSpec(b *testing.B, cfg sim.Config) (*Graph, atom.Spec) {
+// frontEndSpec returns a zoo model and the partition spec of a
+// fixed-seed SA search: the input of the two stages in front of the
+// simulator.
+func frontEndSpec(b *testing.B, cfg sim.Config, model string) (*Graph, atom.Spec) {
 	b.Helper()
-	g, err := LoadModel("resnet50")
+	g, err := LoadModel(model)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -422,7 +423,7 @@ const frontEndBatch = 8
 // BenchmarkAtomBuild measures atom.Build of ResNet-50 at batch 8: tiling
 // and wiring one sample, then replicating it.
 func BenchmarkAtomBuild(b *testing.B) {
-	g, spec := frontEndSpec(b, sim.DefaultConfig())
+	g, spec := frontEndSpec(b, sim.DefaultConfig(), "resnet50")
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -435,9 +436,16 @@ func BenchmarkAtomBuild(b *testing.B) {
 // BenchmarkScheduleBuild measures Algorithm 2 in DP mode on the
 // ResNet-50 batch-8 atomic DAG. The shared oracle is warmed outside the
 // timed region, so the frontier and the lookahead dominate.
-func BenchmarkScheduleBuild(b *testing.B) {
+func BenchmarkScheduleBuild(b *testing.B) { benchScheduleBuild(b, "resnet50") }
+
+// BenchmarkScheduleBuildInception is BenchmarkScheduleBuild on the
+// Inception-v3 batch-8 atomic DAG, whose wider frontier costs the
+// lookahead about twice ResNet-50's.
+func BenchmarkScheduleBuildInception(b *testing.B) { benchScheduleBuild(b, "inceptionv3") }
+
+func benchScheduleBuild(b *testing.B, model string) {
 	cfg := sim.DefaultConfig()
-	g, spec := frontEndSpec(b, cfg)
+	g, spec := frontEndSpec(b, cfg, model)
 	d, err := atom.Build(g, frontEndBatch, spec)
 	if err != nil {
 		b.Fatal(err)
@@ -482,7 +490,7 @@ func BenchmarkSimRunB8(b *testing.B) {
 // front-end benchmarks' spec.
 func frontEndSchedule(b *testing.B, cfg sim.Config) (*atom.DAG, *schedule.Schedule) {
 	b.Helper()
-	g, spec := frontEndSpec(b, cfg)
+	g, spec := frontEndSpec(b, cfg, "resnet50")
 	d, err := atom.Build(g, frontEndBatch, spec)
 	if err != nil {
 		b.Fatal(err)

@@ -42,7 +42,7 @@ const calibration = "Calibration"
 
 // gated lists the benchmarks the gate enforces; others found in the
 // input are recorded in the artifact but never fail the build.
-var gated = []string{"SimRun", "SimRunDeep", "SimRunB8", "PlaceRound", "AtomBuild", "ScheduleBuild", "SearchSetup"}
+var gated = []string{"SimRun", "SimRunDeep", "SimRunB8", "PlaceRound", "AtomBuild", "ScheduleBuild", "ScheduleBuildInception", "SearchSetup"}
 
 // staleFloor is the measured/expected ratio below which a gated benchmark
 // fails the gate as a stale baseline.

@@ -375,8 +375,8 @@ func (m *Mapper) placementCost(res *Result) int64 {
 // priced), the weight term once per weight slice (atoms reading none
 // share one all-zero class), and an atom's matrix row is the sum of its
 // two class rows. Atoms agreeing on both classes have equal matrix rows,
-// and swapping two equal rows never changes the cost, so the hill-climb
-// skips those pairs without moving any decision.
+// and such a pair never passes the strict swap test, so the hill-climb
+// checks every pair without a class test in its inner loop.
 func (m *Mapper) refineForWeights(groups []group, perm []int, engineOf []int32, weights WeightLocator) {
 	slots := m.ctSlots
 	// rowCls maps a Round row to its ifmap class in the current group
@@ -454,21 +454,19 @@ func (m *Mapper) refineForWeights(groups []group, perm []int, engineOf []int32, 
 			for i := 0; i < n; i++ {
 				ri, wi := cls[i]/n, cls[i]%n
 				fi, fw := ifm[ri*n:(ri+1)*n], wgt[wi*n:(wi+1)*n]
-				pi := pos[i]
+				pi, curI := pos[i], cur[i]
 				at := costT[pi*n : (pi+1)*n]
 				for j := i + 1; j < n; j++ {
-					if cls[i] == cls[j] {
-						continue
-					}
 					pj := pos[j]
 					// Swap when cost[i][pj] + cost[j][pi] < cost[i][pi] + cost[j][pj].
-					if ci := fi[pj] + fw[pj]; ci+at[j] < cur[i]+cur[j] {
+					if ci := fi[pj] + fw[pj]; ci+at[j] < curI+cur[j] {
 						pos[i], pos[j] = pj, pi
-						cur[i], cur[j] = ci, at[j]
+						curI, cur[j] = ci, at[j]
 						pi, at = pj, costT[pj*n:(pj+1)*n]
 						improved = true
 					}
 				}
+				cur[i] = curI
 			}
 		}
 		for i, id := range atoms {

@@ -12,8 +12,9 @@ import "slices"
 //  3. atoms of other ready (dependent) layers in the current sample;
 //  4. atoms of later samples, entered only when the current sample cannot
 //     fill all engines.
-func (st *state) greedyPick() []int {
-	return st.pickWithPolicy(policy{})
+func (st *state) greedyPick(dst []int) []int {
+	st.rankCandidates()
+	return st.pickWithPolicy(policy{}, dst)
 }
 
 // policy perturbs the greedy decision to generate DP alternatives.
@@ -32,14 +33,15 @@ type candidateLayer struct {
 	pos    int // topological position, for deterministic ordering
 }
 
-// pickWithPolicy is the shared selection engine. The rule-2 reference set
-// (depths of traversed-but-unfinished layers in the current sample) is
-// read from the incrementally-maintained state.activeDepth counters — the
-// DP lookahead calls this for every option at every recursion level, so
-// rebuilding the set here from the traversed pairs would put an
-// O(traversed pairs) walk inside the scheduler's innermost loop.
-func (st *state) pickWithPolicy(p policy) []int {
-	n := st.opt.Engines
+// rankCandidates sorts the frontier's candidate layers into st.cands by
+// (rule, sample, topological position) and records where each rule's run
+// ends in st.ruleAt. Every policy reads this one order: none changes a
+// layer's rule, and deferRule2 only visits the rule-3 run before the
+// rule-2 run. The rule-2 reference set (depths of traversed-but-
+// unfinished layers in the current sample) is read from the
+// incrementally-maintained state.activeDepth counters, so ranking walks
+// the ready pairs only.
+func (st *state) rankCandidates() {
 	cands := st.cands[:0]
 	for _, pr := range st.readyPairs {
 		sample, layer := pr/st.layers, pr%st.layers
@@ -53,11 +55,6 @@ func (st *state) pickWithPolicy(p policy) []int {
 			rule = 3
 		default:
 			rule = 4
-		}
-		if p.deferRule2 && rule == 2 {
-			rule = 3
-		} else if p.deferRule2 && rule == 3 {
-			rule = 2
 		}
 		cands = append(cands, candidateLayer{pair: pr, sample: sample, rule: rule, pos: st.layerPos[layer]})
 	}
@@ -74,35 +71,56 @@ func (st *state) pickWithPolicy(p policy) []int {
 		}
 		return a.pos - b.pos
 	})
-
-	pick := make([]int, 0, n)
-	for _, c := range cands {
-		if len(pick) >= n {
-			break
+	i := 0
+	for r := 1; r <= 4; r++ {
+		for i < len(cands) && cands[i].rule == r {
+			i++
 		}
-		if p.onlyRule1 && c.rule > 1 && len(pick) > 0 {
-			break
-		}
-		if p.stayInSample && c.rule == 4 {
-			break
-		}
-		// Ready lists are sorted by ID, the default within-layer order.
-		lst := st.ready[c.pair]
-		k := min(n-len(pick), len(lst))
-		if p.longestFirst {
-			pick = append(pick, st.longest(lst, k)...)
-		} else {
-			pick = append(pick, lst[:k]...)
-		}
+		st.ruleAt[r] = i
 	}
-	return pick
 }
 
-// longest returns the k atoms of the ID-sorted lst with the most cycles,
-// most first and ties by ID. It keeps a bounded sorted selection instead
-// of sorting the whole list; the result is scratch, valid until the next
-// call.
-func (st *state) longest(lst []int, k int) []int {
+// pickWithPolicy is the shared selection engine: it appends the policy's
+// combination, read off the ranked candidates, to dst.
+func (st *state) pickWithPolicy(p policy, dst []int) []int {
+	n, start := st.opt.Engines, len(dst)
+	order := [4]int{1, 2, 3, 4}
+	if p.deferRule2 {
+		order = [4]int{1, 3, 2, 4}
+	}
+	for _, rule := range order {
+		for _, c := range st.cands[st.ruleAt[rule-1]:st.ruleAt[rule]] {
+			picked := len(dst) - start
+			if picked >= n {
+				return dst
+			}
+			// Swapping rules 2 and 3 keeps both past rule 1 and short of
+			// rule 4, so these tests read the candidate's own rule.
+			if p.onlyRule1 && rule > 1 && picked > 0 {
+				return dst
+			}
+			if p.stayInSample && rule == 4 {
+				return dst
+			}
+			k := min(n-picked, st.nready[c.pair])
+			if p.longestFirst {
+				dst = append(dst, st.longest(c.pair, k)...)
+			} else {
+				// ID order is the default within-layer order.
+				dst = st.appendReady(dst, c.pair, k)
+			}
+		}
+	}
+	return dst
+}
+
+// longest returns the k ready atoms of pair p with the most cycles, most
+// first and ties by ID. It keeps a bounded sorted selection instead of
+// sorting the pair's ready atoms; the result is scratch, valid until the
+// next call.
+func (st *state) longest(p, k int) []int {
+	lst := st.appendReady(st.lst[:0], p, st.nready[p])
+	st.lst = lst
 	top := st.top[:0]
 	for _, id := range lst {
 		c := st.cycles[id]
@@ -141,6 +159,7 @@ func (st *state) dpPick() []int {
 	prev := st.carry
 	st.cur ^= 1
 	st.trees[st.cur] = st.trees[st.cur][:0]
+	st.slabs[st.cur].reset()
 	st.carry = -1
 	root := st.newNode()
 	options := st.optionsAt(prev, root)
@@ -200,7 +219,9 @@ func (st *state) oldKid(prev int32, i int) int32 {
 
 // optionsAt returns the option list of the current frontier, stored as
 // node at of the current tree: node prev of the previous Round's tree
-// describes the same frontier, and its list is reused when computed.
+// describes the same frontier, and its list is reused when computed. A
+// reused list is copied into the current slab, since the previous slab
+// is reset with the previous tree at the next Round.
 func (st *state) optionsAt(prev, at int32) [][]int {
 	var opts [][]int
 	if prev >= 0 {
@@ -208,9 +229,48 @@ func (st *state) optionsAt(prev, at int32) [][]int {
 	}
 	if opts == nil {
 		opts = st.options()
+	} else {
+		st.optReads++
+		opts = st.slabs[st.cur].copyOf(opts)
 	}
 	st.trees[st.cur][at].opts = opts
 	return opts
+}
+
+// slab holds the option lists of one lookahead tree: ints the atoms of
+// every list, heads the lists. Both only grow until the tree is reset; a
+// list never moves once written, so a tree node may keep a sub-slice of
+// heads, and each of heads an ints sub-slice, until the reset.
+type slab struct {
+	ints  []int
+	heads [][]int
+}
+
+func (s *slab) reset() { s.ints, s.heads = s.ints[:0], s.heads[:0] }
+
+// keep records s.ints[start:] as the next list.
+func (s *slab) keep(start int) {
+	s.heads = append(s.heads, s.ints[start:len(s.ints):len(s.ints)])
+}
+
+// lists returns the lists kept since heads held first of them, or nil for
+// none.
+func (s *slab) lists(first int) [][]int {
+	if len(s.heads) == first {
+		return nil
+	}
+	return s.heads[first:len(s.heads):len(s.heads)]
+}
+
+// copyOf copies opts, lists of another slab, into s.
+func (s *slab) copyOf(opts [][]int) [][]int {
+	first := len(s.heads)
+	for _, comb := range opts {
+		start := len(s.ints)
+		s.ints = append(s.ints, comb...)
+		s.keep(start)
+	}
+	return s.lists(first)
 }
 
 // policies are the option generators, in preference order.
@@ -222,34 +282,56 @@ var policies = [...]policy{
 	{deferRule2: true},   // dependent layers before siblings
 }
 
-// options generates the pruned combination set for the current Round,
-// dropping a combination that selects the same atom set as an earlier one.
+// options generates the pruned combination set for the current Round into
+// the current slab, dropping a combination that selects the same atom set
+// as an earlier one. Combinations hold distinct atoms, so two select the
+// same set when they are equally long and one holds every atom of the
+// other: optMask marks each atom with the kept options holding it.
 func (st *state) options() [][]int {
+	st.optLists++
+	st.rankCandidates()
 	maxOpts := st.opt.maxOptions()
-	var out [][]int
+	sl := &st.slabs[st.cur]
+	first := len(sl.heads)
 	for _, p := range policies {
-		if len(out) >= maxOpts {
+		kept := sl.heads[first:]
+		if len(kept) >= maxOpts {
 			break
 		}
-		comb := st.pickWithPolicy(p)
-		if len(comb) == 0 {
+		start := len(sl.ints)
+		sl.ints = st.pickWithPolicy(p, sl.ints)
+		comb := sl.ints[start:]
+		if len(comb) == 0 || st.duplicate(comb, kept) {
+			sl.ints = sl.ints[:start]
 			continue
 		}
-		// st.sorted[:len(out)] holds the kept combinations' sorted atom
-		// sets; slot len(out) takes this one's.
-		j := len(out)
-		if j == len(st.sorted) {
-			st.sorted = append(st.sorted, nil)
+		for _, id := range comb {
+			st.optMask[id] |= 1 << len(kept)
 		}
-		sorted := append(st.sorted[j][:0], comb...)
-		slices.Sort(sorted)
-		st.sorted[j] = sorted
-		if slices.ContainsFunc(st.sorted[:j], func(prev []int) bool { return slices.Equal(prev, sorted) }) {
-			continue
-		}
-		out = append(out, comb)
+		sl.keep(start)
 	}
-	return out
+	for _, comb := range sl.heads[first:] {
+		for _, id := range comb {
+			st.optMask[id] = 0
+		}
+	}
+	return sl.lists(first)
+}
+
+// duplicate reports whether comb selects the atom set of a kept option.
+func (st *state) duplicate(comb []int, kept [][]int) bool {
+	m := uint8(1)<<len(kept) - 1
+	for _, id := range comb {
+		if m &= st.optMask[id]; m == 0 {
+			return false
+		}
+	}
+	for j, opt := range kept {
+		if m&(1<<j) != 0 && len(opt) == len(comb) {
+			return true
+		}
+	}
+	return false
 }
 
 // combCost prices one Round: the engines synchronize on the slowest atom.

@@ -2,6 +2,7 @@ package schedule
 
 import (
 	"fmt"
+	"math/bits"
 	"slices"
 	"testing"
 
@@ -225,10 +226,19 @@ func (st *state) checkFrontier() error {
 			return fmt.Errorf("pair %d listed, rebuild has no ready atoms there", p)
 		}
 	}
-	for p, lst := range st.ready {
-		if !slices.Equal(lst, want.ready[p]) {
+	total := 0
+	for p, k := range st.nready {
+		if lst := st.appendReady(nil, p, k); !slices.Equal(lst, want.ready[p]) {
 			return fmt.Errorf("pair %d ready %v, rebuild %v", p, lst, want.ready[p])
 		}
+		total += k
+	}
+	set := 0
+	for _, w := range st.ready {
+		set += bits.OnesCount64(w)
+	}
+	if set != total {
+		return fmt.Errorf("%d ready bits set, the pairs count %d", set, total)
 	}
 	if !slices.Equal(st.pending, want.pending) {
 		return fmt.Errorf("pending %v, rebuild %v", st.pending, want.pending)
@@ -245,9 +255,9 @@ func (st *state) checkFrontier() error {
 func TestActiveDepthIncremental(t *testing.T) {
 	// Property: after any interleaving of apply/rollback — here a full DP
 	// build, whose lookahead nests them several levels deep — the
-	// incrementally-maintained frontier (pair list, sorted per-pair ready
-	// lists, pending counts and activeDepth counters) must equal a
-	// from-scratch rebuild at every Round boundary.
+	// incrementally-maintained frontier (pair list, ready bitset and
+	// per-pair counts, pending counts and activeDepth counters) must equal
+	// a from-scratch rebuild at every Round boundary.
 	for _, model := range []string{"tinyresnet", "tinybranch", "pnascell"} {
 		d := dagFor(t, model, 2)
 		opt := Options{Engines: 3, Mode: DP, Lookahead: 3, MaxOptions: 5,

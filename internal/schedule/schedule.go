@@ -17,7 +17,7 @@ package schedule
 import (
 	"context"
 	"fmt"
-	"slices"
+	"math/bits"
 
 	"github.com/atomic-dataflow/atomicflow/internal/atom"
 	"github.com/atomic-dataflow/atomicflow/internal/cost"
@@ -111,11 +111,18 @@ func (s *Schedule) MakespanLB() int64 {
 
 // Build schedules the atomic DAG.
 func Build(d *atom.DAG, opt Options) (*Schedule, error) {
+	s, _, err := build(d, opt)
+	return s, err
+}
+
+// build is Build returning its final state too, whose work counters the
+// tests read.
+func build(d *atom.DAG, opt Options) (*Schedule, *state, error) {
 	if opt.Engines <= 0 {
-		return nil, fmt.Errorf("schedule: Engines = %d", opt.Engines)
+		return nil, nil, fmt.Errorf("schedule: Engines = %d", opt.Engines)
 	}
 	if err := opt.EngineCfg.Validate(); err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 	st := newState(d, opt)
 	sched := &Schedule{
@@ -126,20 +133,24 @@ func Build(d *atom.DAG, opt Options) (*Schedule, error) {
 	for i := range sched.AtomRound {
 		sched.AtomRound[i] = -1
 	}
+	// Every Round's atoms are copied into one array, sized to the atoms to
+	// schedule, so the picks' own buffers are free to be reused.
+	atoms := make([]int, 0, st.remaining)
 	for st.remaining > 0 {
 		if opt.Ctx != nil {
 			if err := opt.Ctx.Err(); err != nil {
-				return nil, fmt.Errorf("schedule: %w", err)
+				return nil, nil, fmt.Errorf("schedule: %w", err)
 			}
 		}
-		var comb []int
+		start := len(atoms)
 		if opt.Mode == Greedy {
-			comb = st.greedyPick()
+			atoms = st.greedyPick(atoms)
 		} else {
-			comb = st.dpPick()
+			atoms = append(atoms, st.dpPick()...)
 		}
+		comb := atoms[start:len(atoms):len(atoms)]
 		if len(comb) == 0 {
-			return nil, fmt.Errorf("schedule: deadlock with %d atoms remaining", st.remaining)
+			return nil, nil, fmt.Errorf("schedule: deadlock with %d atoms remaining", st.remaining)
 		}
 		t := len(sched.Rounds)
 		for _, id := range comb {
@@ -149,7 +160,7 @@ func Build(d *atom.DAG, opt Options) (*Schedule, error) {
 		st.apply(comb)
 		st.commit()
 	}
-	return sched, nil
+	return sched, st, nil
 }
 
 // state is the mutable scheduling frontier. Each (sample, layer) pair is
@@ -165,10 +176,15 @@ type state struct {
 	scheduled []bool
 	remaining int
 
-	// ready holds each pair's ready atoms sorted by ID; readyPairs lists
-	// the pairs whose ready list is non-empty (in no particular order) and
-	// readyAt is each listed pair's index in it.
-	ready      [][]int
+	// ready is the ready set, one bit per atom ID: set when the atom is
+	// unscheduled and every producer of it is scheduled. A pair's atoms
+	// are one contiguous ID range starting at pairLo[p], so its ready
+	// atoms are the set bits there, read in ID order; nready counts them.
+	// readyPairs lists the pairs with a ready atom (in no particular
+	// order) and readyAt is each listed pair's index in it.
+	ready      []uint64
+	nready     []int
+	pairLo     []int
 	readyPairs []int
 	readyAt    []int
 
@@ -198,16 +214,27 @@ type state struct {
 	// DP lookahead trees (see dpPick): trees[cur] is the current Round's,
 	// the other the previous Round's; carry is the node of trees[cur]
 	// holding the frontier after the picked combination, -1 when none.
+	// slabs[i] holds the option lists of trees[i]'s nodes and is reset
+	// with it.
 	trees [2][]optNode
+	slabs [2]slab
 	cur   int
 	carry int32
 
-	// Scratch of pickWithPolicy, options and mergeReady; none re-enters
-	// itself while its buffer is in use, so one buffer each suffices.
-	cands  []candidateLayer
-	top    []int
-	sorted [][]int
-	runBuf []int
+	// The frontier's candidate layers in (rule, sample, topological
+	// position) order, rule r's run being cands[ruleAt[r-1]:ruleAt[r]];
+	// see rankCandidates. lst and top are longest's scratch.
+	cands    []candidateLayer
+	ruleAt   [5]int
+	lst, top []int
+
+	// optMask[id] has bit j set while atom id is in the j-th option kept
+	// by the running options() call; it is all zero between calls.
+	optMask []uint8
+
+	// Work counts of one Build: option lists computed by options(), option
+	// lists read back from the previous Round's tree, and apply calls.
+	optLists, optReads, applies int
 }
 
 type undo struct {
@@ -256,7 +283,9 @@ func newState(d *atom.DAG, opt Options) *state {
 		indeg:       make([]int32, d.NumRows()),
 		pairOf:      make([]int, d.NumAtoms()),
 		scheduled:   make([]bool, d.NumAtoms()),
-		ready:       make([][]int, pairs),
+		ready:       make([]uint64, (d.NumAtoms()+63)/64),
+		nready:      make([]int, pairs),
+		pairLo:      make([]int, pairs),
 		readyAt:     make([]int, pairs),
 		layers:      layers,
 		layerPos:    make([]int, layers),
@@ -265,6 +294,7 @@ func newState(d *atom.DAG, opt Options) *state {
 		activeDepth: make([]int, d.Batch*depths),
 		depths:      depths,
 		carry:       -1,
+		optMask:     make([]uint8, d.NumAtoms()),
 	}
 	for i, lid := range d.Graph.Topo() {
 		st.layerPos[lid] = i
@@ -286,6 +316,9 @@ func newState(d *atom.DAG, opt Options) *state {
 		st.samplesLeft[a.Sample]++
 		st.pending[st.pairOf[id]]++
 		st.totalWork += st.cycles[id]
+	}
+	for id := len(d.Atoms) - 1; id >= 0; id-- {
+		st.pairLo[st.pairOf[id]] = id
 	}
 	for r := range st.indeg {
 		lo, hi := d.RowAtoms(r)
@@ -332,17 +365,18 @@ func priceAtoms(d *atom.DAG, opt Options) (cycles, macs []int64) {
 	return cycles, macs
 }
 
-// setReady installs lst as pair p's ready list, keeping readyPairs — the
-// pairs with a non-empty list — in step: a pair joins at the end and
-// leaves by swap-remove.
-func (st *state) setReady(p int, lst []int) {
-	was := len(st.ready[p]) > 0
-	st.ready[p] = lst
+// addReady counts k more ready atoms (fewer for k < 0) in pair p,
+// keeping readyPairs — the pairs with a ready atom — in step: a pair
+// joins at the end and leaves by swap-remove.
+func (st *state) addReady(p, k int) {
+	was := st.nready[p] > 0
+	st.nready[p] += k
+	is := st.nready[p] > 0
 	switch {
-	case !was && len(lst) > 0:
+	case !was && is:
 		st.readyAt[p] = len(st.readyPairs)
 		st.readyPairs = append(st.readyPairs, p)
-	case was && len(lst) == 0:
+	case was && !is:
 		at, last := st.readyAt[p], st.readyPairs[len(st.readyPairs)-1]
 		st.readyPairs[at] = last
 		st.readyAt[last] = at
@@ -350,52 +384,53 @@ func (st *state) setReady(p int, lst []int) {
 	}
 }
 
-// pushRow inserts the atoms [lo, hi) of one row into their pair's sorted
-// ready list. No atom of a row waiting on a producer can have been
-// scheduled, so none of them is there yet and all of them go in.
-func (st *state) pushRow(lo, hi int) {
-	p, k := st.pairOf[lo], hi-lo
-	lst := st.ready[p]
-	i, _ := slices.BinarySearch(lst, lo)
-	lst = slices.Grow(lst, k)[:len(lst)+k]
-	copy(lst[i+k:], lst[i:])
-	for j := range k {
-		lst[i+j] = lo + j
-	}
-	st.setReady(p, lst)
-}
-
-// dropRow removes the atoms [lo, hi) of one row, all ready and so one run
-// of consecutive entries, from their pair's sorted ready list.
-func (st *state) dropRow(lo, hi int) {
-	p := st.pairOf[lo]
-	lst := st.ready[p]
-	i, _ := slices.BinarySearch(lst, lo)
-	st.setReady(p, slices.Delete(lst, i, i+hi-lo))
-}
-
-// mergeReady merges run, atoms of pair p, back into the pair's sorted
-// ready list in one pass.
-func (st *state) mergeReady(p int, run []int) {
-	if !slices.IsSorted(run) { // a longestFirst pick; comb itself stays as picked
-		run = append(st.runBuf[:0], run...)
-		slices.Sort(run)
-		st.runBuf = run
-	}
-	old := st.ready[p]
-	n, k := len(old), len(run)
-	lst := slices.Grow(old, k)[:n+k]
-	// Merge from the back, so no element is overwritten before it moves.
-	for i, j, w := n-1, k-1, n+k-1; j >= 0; w-- {
-		if i >= 0 && lst[i] > run[j] {
-			lst[w] = lst[i]
-			i--
+// setBits sets (on) or clears the ready bits of the IDs [lo, hi).
+func (st *state) setBits(lo, hi int, on bool) {
+	for lo < hi {
+		w, b := lo>>6, lo&63
+		n := min(hi-lo, 64-b)
+		mask := (^uint64(0) >> (64 - n)) << b
+		if on {
+			st.ready[w] |= mask
 		} else {
-			lst[w] = run[j]
-			j--
+			st.ready[w] &^= mask
+		}
+		lo += n
+	}
+}
+
+// pushRow adds the atoms [lo, hi) of one row to the ready set. No atom of
+// a row waiting on a producer can have been scheduled, so none of them is
+// there yet and all of them go in.
+func (st *state) pushRow(lo, hi int) {
+	st.setBits(lo, hi, true)
+	st.addReady(st.pairOf[lo], hi-lo)
+}
+
+// dropRow removes the atoms [lo, hi) of one row, all ready, from the
+// ready set.
+func (st *state) dropRow(lo, hi int) {
+	st.setBits(lo, hi, false)
+	st.addReady(st.pairOf[lo], lo-hi)
+}
+
+// appendReady appends the first k ready atoms of pair p, in ID order, to
+// dst; k must not exceed nready[p]. The pair's atoms are contiguous and
+// the walk stops at its k-th ready atom, so only the bits below the
+// pair's first atom need masking.
+func (st *state) appendReady(dst []int, p, k int) []int {
+	lo := st.pairLo[p]
+	for w := lo >> 6; k > 0; w++ {
+		word := st.ready[w]
+		if w == lo>>6 {
+			word &= ^uint64(0) << (lo & 63)
+		}
+		for ; word != 0 && k > 0; k-- {
+			dst = append(dst, w<<6+bits.TrailingZeros64(word))
+			word &= word - 1
 		}
 	}
-	st.setReady(p, lst)
+	return dst
 }
 
 // runEnd returns the end of the run of consecutive comb atoms that share
@@ -418,6 +453,7 @@ func (st *state) apply(comb []int) {
 	} else {
 		st.undoLog = append(st.undoLog, undo{})
 	}
+	st.applies++
 	u := &st.undoLog[len(st.undoLog)-1]
 	u.comb, u.prevSample, u.workDelta = comb, st.curSample, 0
 	u.readyRows, u.newTravKeys = u.readyRows[:0], u.newTravKeys[:0]
@@ -427,14 +463,13 @@ func (st *state) apply(comb []int) {
 		wasActive := st.pairActive(p)
 		for _, id := range run {
 			st.scheduled[id] = true
+			st.ready[id>>6] &^= 1 << (id & 63)
 			u.workDelta += st.cycles[id]
 		}
+		st.addReady(p, -len(run))
 		st.remaining -= len(run)
 		st.samplesLeft[p/st.layers] -= len(run)
 		st.pending[p] -= len(run)
-		// Ready lists hold only unscheduled atoms, so this drops exactly
-		// the run, in one pass over the list.
-		st.setReady(p, slices.DeleteFunc(st.ready[p], func(id int) bool { return st.scheduled[id] }))
 		if !st.traversed[p] {
 			st.traversed[p] = true
 			u.newTravKeys = append(u.newTravKeys, p)
@@ -467,6 +502,7 @@ func (st *state) rollback() {
 		wasActive := st.pairActive(p)
 		for _, id := range run {
 			st.scheduled[id] = false
+			st.ready[id>>6] |= 1 << (id & 63)
 			rows, off := st.d.ConsumerRows(id)
 			for _, r := range rows {
 				st.indeg[r+off]++
@@ -476,7 +512,7 @@ func (st *state) rollback() {
 		st.samplesLeft[p/st.layers] += len(run)
 		st.pending[p] += len(run)
 		st.adjustActive(p, wasActive, st.pairActive(p))
-		st.mergeReady(p, run)
+		st.addReady(p, len(run))
 		i = j
 	}
 	for _, p := range u.newTravKeys {

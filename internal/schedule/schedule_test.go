@@ -94,6 +94,19 @@ func TestDPValidSchedules(t *testing.T) {
 	}
 }
 
+// TestDPValidSchedulesAtScale validates DP schedules of paper-scale DAGs:
+// resnet50 and inceptionv3 at batch 8 on 64 engines.
+func TestDPValidSchedulesAtScale(t *testing.T) {
+	for _, model := range []string{"resnet50", "inceptionv3"} {
+		d := dagFor(t, model, 8)
+		s, err := Build(d, opts(64, DP))
+		if err != nil {
+			t.Fatalf("%s: %v", model, err)
+		}
+		checkValid(t, d, s, 64)
+	}
+}
+
 func TestDPNeverWorseThanGreedy(t *testing.T) {
 	for _, model := range []string{"tinyresnet", "tinybranch", "pnascell"} {
 		d := dagFor(t, model, 2)
