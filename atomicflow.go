@@ -94,11 +94,6 @@ type (
 	// MetricsSnapshot is a point-in-time copy of a registry's instruments,
 	// exported by Solution.Metrics and (*MetricsRegistry).Snapshot.
 	MetricsSnapshot = obs.Snapshot
-	// Partition is one layer's atomic tiling choice (Hp, Wp, Cop splits).
-	// Solution.Partitions exposes the solved per-layer map and
-	// Options.WarmStart accepts one, so a prior solution can seed a new
-	// search on the same graph.
-	Partition = atom.Partition
 	// SearchSample is one per-chain annealing progress observation,
 	// delivered in batches through Options.Progress: chain index,
 	// iterations, temperature, best energy/unified cycle, and whether the
@@ -218,14 +213,6 @@ type Options struct {
 	Chains int
 	// MaxTilesPerLayer caps the atom count per layer (default 1024).
 	MaxTilesPerLayer int
-	// WarmStart, when non-empty, seeds the search from a prior solution
-	// of the same graph (layer id -> partition): chain 0 starts at the
-	// donor state instead of the deterministic default, and candidate
-	// enumeration keeps a window around each donor split. Solutions stay
-	// exactly evaluated; only the starting point (and so the explored
-	// trajectory) changes. Entries for unknown layers are ignored, so a
-	// donor solved under different hardware is safe.
-	WarmStart map[int]Partition
 	// TraceWriter, when non-nil, receives the full-span trace of the
 	// simulated execution as Chrome trace-event JSON: engine compute
 	// lanes plus named NoC and DRAM lanes with blocked spans, the DRAM
@@ -304,18 +291,6 @@ type Solution struct {
 
 	dag   *atom.DAG
 	sched *schedule.Schedule
-	spec  map[int]atom.Partition
-}
-
-// Partitions returns the solved per-layer partition map — the state a
-// later orchestration of the same graph can warm-start from via
-// Options.WarmStart. The returned map is a copy.
-func (s *Solution) Partitions() map[int]Partition {
-	out := make(map[int]Partition, len(s.spec))
-	for id, p := range s.spec {
-		out[id] = p
-	}
-	return out
 }
 
 // Digest returns a hex SHA-256 over the solution's deterministic content:
@@ -364,7 +339,6 @@ func Orchestrate(g *Graph, opt Options) (*Solution, error) {
 		Seed:           opt.Seed,
 		Chains:         opt.Chains,
 		MaxTilesPerLay: opt.MaxTilesPerLayer,
-		WarmStart:      opt.WarmStart,
 		Oracle:         hw.Oracle,
 		Metrics:        hw.Metrics,
 		Progress:       opt.Progress,
@@ -426,7 +400,6 @@ func Orchestrate(g *Graph, opt Options) (*Solution, error) {
 		Metrics:     snap,
 		dag:         d,
 		sched:       s,
-		spec:        res.Spec,
 	}, nil
 }
 

@@ -52,7 +52,8 @@ func defineFlags(fs *flag.FlagSet) *flags {
 }
 
 // options validates the flags and builds the orchestration options,
-// including the hardware model the flags describe.
+// including the hardware model the flags describe, which must validate
+// too (a NaN or infinite -freq is rejected there).
 func (f *flags) options() (af.Options, error) {
 	schedMode, df, err := checkFlags(*f.engines, *f.batch, *f.chains, *f.saIters, *f.mode, *f.dataflow)
 	if err != nil {
@@ -64,6 +65,9 @@ func (f *flags) options() (af.Options, error) {
 	hw.Engine.BufferBytes = *f.buffer
 	hw.Engine.FreqMHz = *f.freq
 	hw.Dataflow = df
+	if err := hw.Validate(); err != nil {
+		return af.Options{}, err
+	}
 	return af.Options{
 		Batch: *f.batch, Hardware: &hw, Mode: schedMode,
 		SAIters: *f.saIters, Seed: *f.seed, Chains: *f.chains,

@@ -41,6 +41,18 @@ func TestCheckFlags(t *testing.T) {
 				tc.engines, tc.batch, tc.chains, tc.iters, tc.mode, tc.df, m, df, tc.wantMode, tc.wantDF)
 		}
 	}
+	// The clock is checked on the assembled hardware: a NaN -freq once
+	// printed "NaN ms" and +Inf "0.000 ms", both with exit status 0.
+	for _, freq := range []string{"NaN", "+Inf", "0", "-500"} {
+		fs := flag.NewFlagSet("adflow", flag.ContinueOnError)
+		f := defineFlags(fs)
+		if err := fs.Parse([]string{"-freq", freq}); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := f.options(); err == nil {
+			t.Errorf("-freq %s accepted", freq)
+		}
+	}
 }
 
 // TestDefaultFlagsMatchLibrary pins adflow's defaults to the library's:

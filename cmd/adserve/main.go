@@ -9,9 +9,8 @@
 // sparklines, session history, and an SSE event stream — is embedded at
 // /debug/dash.
 //
-// With -store DIR finished solves persist across restarts (exact replay
-// for repeated requests), and requests with "warm_start":true seed their
-// search from prior solutions of the same graph.
+// With -store DIR finished solves persist across restarts: a repeated
+// request is answered with the stored bytes instead of re-solving.
 //
 // Usage:
 //

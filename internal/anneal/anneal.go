@@ -51,19 +51,6 @@ type Options struct {
 	// trajectory: chain 0 keeps Seed and a lone chain never exchanges.
 	Chains int
 
-	// WarmStart, when non-empty, seeds the search from a prior solution
-	// of the same graph: chain 0's initial state takes each listed
-	// layer's nearest surviving candidate instead of a random draw (the
-	// remaining chains keep their seeded random starts, preserving
-	// exploration), and candidate enumeration is pruned to a window
-	// around the listed partitions — plus an exploration floor — so the
-	// exact cost oracle prices far fewer partitions. Deterministic: the
-	// map is just more input to the (graph, hardware, Options) tuple.
-	// Empty (the default) leaves every code path untouched, so all
-	// pinned digests are unaffected. Keys are graph layer IDs; entries
-	// for unknown layers are ignored.
-	WarmStart map[int]atom.Partition
-
 	// Progress, when non-nil, receives one Sample per portfolio chain at
 	// every exchangeEvery iteration barrier, plus a final batch (Final
 	// set) after the polish sweep. The hook runs on the coordinating
@@ -234,18 +221,10 @@ type saChain struct {
 
 // newChain seeds a chain and draws its random initial state
 // (Algorithm 1 lines 1-7).
-func newChain(idx int, seed int64, sctx *search, opt Options) *saChain {
+func newChain(idx int, seed int64, sctx *search) *saChain {
 	c := &saChain{idx: idx, rng: rand.New(rand.NewSource(seed))}
-	// Line 1-4: random initialization of every layer's atom size. A
-	// warm-started search seeds chain 0 from the prior solution instead;
-	// the other chains keep their random draws so the portfolio still
-	// explores.
-	var cur state
-	if idx == 0 && len(opt.WarmStart) > 0 {
-		cur = sctx.warmState(opt.WarmStart)
-	} else {
-		cur = sctx.randomState(c.rng)
-	}
+	// Line 1-4: random initialization of every layer's atom size.
+	cur := sctx.randomState(c.rng)
 	// Line 5-7: initial unified cycle S = mean, energy E = Var.
 	c.S, c.E = cur.acc.meanVariance()
 	c.best, c.bestE, c.bestS = cur, c.E, c.S

@@ -204,10 +204,6 @@ func genCandidates(l *graph.Layer, cfg engine.Config, df engine.Dataflow, opt Op
 			}
 		}
 	}
-	// Warm-started searches narrow the enumeration to a window around the
-	// prior solution's partition before any oracle evaluation is spent
-	// (no-op without Options.WarmStart — see warm.go).
-	pend = warmPrune(l, opt, pend)
 	var cands []candidate
 	for i := range pend {
 		c := orc.Evaluate(cfg, df, pend[i].task)

@@ -75,7 +75,7 @@ func SA(g *graph.Graph, cfg engine.Config, df engine.Dataflow, opt Options) Resu
 
 	chains := make([]*saChain, K)
 	for i := range chains {
-		chains[i] = newChain(i, chainSeed(opt.seed(), i), sctx, opt)
+		chains[i] = newChain(i, chainSeed(opt.seed(), i), sctx)
 	}
 
 	exchanges := int64(0)

@@ -130,6 +130,11 @@ type DAG struct {
 // NumAtoms returns the vertex count.
 func (d *DAG) NumAtoms() int { return len(d.Atoms) }
 
+// BlockAtoms returns n, the atom count of one replicated block: atom id
+// is a replica of atom id mod n, with the same layer and Task. Build's
+// blocks are its samples; FromLists makes one block of every atom.
+func (d *DAG) BlockAtoms() int { return d.n }
+
 // NumRows returns the row count over all samples.
 func (d *DAG) NumRows() int {
 	if d.n == 0 {

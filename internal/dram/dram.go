@@ -6,7 +6,10 @@
 // contention, which a channel-interleaved queue model provides.
 package dram
 
-import "fmt"
+import (
+	"fmt"
+	"math"
+)
 
 // Config describes the HBM stack. It holds no clock: the model prices
 // requests in cycles of the engine clock New is given, so the engines and
@@ -44,7 +47,8 @@ func (c Config) BytesPerCycle(freqMHz float64) float64 {
 
 // Validate reports configuration errors.
 func (c Config) Validate() error {
-	if c.PeakGBps <= 0 || c.Channels <= 0 {
+	// NaN fails every comparison, so the bandwidth is checked as !(b > 0).
+	if !(c.PeakGBps > 0) || math.IsInf(c.PeakGBps, 1) || c.Channels <= 0 {
 		return fmt.Errorf("dram: invalid config %+v", c)
 	}
 	return nil

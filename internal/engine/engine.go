@@ -19,6 +19,7 @@ package engine
 
 import (
 	"fmt"
+	"math"
 
 	"github.com/atomic-dataflow/atomicflow/internal/graph"
 )
@@ -75,7 +76,8 @@ func (c Config) Validate() error {
 	if c.BufferBytes <= 0 {
 		return fmt.Errorf("engine: non-positive buffer size %d", c.BufferBytes)
 	}
-	if c.VectorLanes <= 0 || c.PortBytes <= 0 || c.MACsPerPE <= 0 || c.FreqMHz <= 0 {
+	// NaN fails every comparison, so the clock is checked as !(f > 0).
+	if c.VectorLanes <= 0 || c.PortBytes <= 0 || c.MACsPerPE <= 0 || !(c.FreqMHz > 0) || math.IsInf(c.FreqMHz, 1) {
 		return fmt.Errorf("engine: invalid config %+v", c)
 	}
 	return nil

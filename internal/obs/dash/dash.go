@@ -7,7 +7,7 @@
 //
 //   - an event ring: typed, sequence-numbered events (request admitted /
 //     dedup-joined / cached / rejected, solve started / finished /
-//     failed, chain exchanges, store hits, warm starts), fanned out to
+//     failed, chain exchanges, store hits), fanned out to
 //     SSE subscribers as they are published;
 //   - an active-solve store: per in-flight solve, the request identity
 //     and a per-chain series of (iteration, temperature, best energy)
@@ -32,16 +32,15 @@ type EventType string
 // The event vocabulary. Request-stage events carry the request's short
 // key; solve-stage events carry the solve id (the same short key).
 const (
-	EvAdmitted  EventType = "request_admitted"     // queued for a worker
-	EvDedup     EventType = "request_dedup_joined" // joined an identical in-flight solve
-	EvCached    EventType = "request_cached"       // answered from the solution cache
-	EvRejected  EventType = "request_rejected"     // shed by queue backpressure
-	EvStarted   EventType = "solve_started"        // worker began the search
-	EvFinished  EventType = "solve_finished"       // solution produced
-	EvFailed    EventType = "solve_failed"         // search errored or was abandoned
-	EvExchange  EventType = "chain_exchange"       // annealing portfolio barrier
-	EvStoreHit  EventType = "request_store_hit"    // answered from the persistent store
-	EvWarmStart EventType = "solve_warm_started"   // search seeded from a stored donor
+	EvAdmitted EventType = "request_admitted"     // queued for a worker
+	EvDedup    EventType = "request_dedup_joined" // joined an identical in-flight solve
+	EvCached   EventType = "request_cached"       // answered from the solution cache
+	EvRejected EventType = "request_rejected"     // shed by queue backpressure
+	EvStarted  EventType = "solve_started"        // worker began the search
+	EvFinished EventType = "solve_finished"       // solution produced
+	EvFailed   EventType = "solve_failed"         // search errored or was abandoned
+	EvExchange EventType = "chain_exchange"       // annealing portfolio barrier
+	EvStoreHit EventType = "request_store_hit"    // answered from the persistent store
 )
 
 // Event is one dashboard event. Seq increases by one per published

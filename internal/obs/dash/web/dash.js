@@ -162,8 +162,7 @@ es.onopen = () => { const c = $("conn"); c.textContent = "live"; c.className = "
 es.onerror = () => { const c = $("conn"); c.textContent = "reconnecting…"; c.className = "bad"; };
 for (const t of ["request_admitted", "request_dedup_joined", "request_cached",
                  "request_rejected", "solve_started", "solve_finished",
-                 "solve_failed", "chain_exchange", "request_store_hit",
-                 "solve_warm_started"]) {
+                 "solve_failed", "chain_exchange", "request_store_hit"]) {
   es.addEventListener(t, (e) => {
     addEvent(JSON.parse(e.data));
     if (t === "solve_finished" || t === "solve_failed") refreshSessions();

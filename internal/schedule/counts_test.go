@@ -5,7 +5,10 @@ import (
 	"flag"
 	"fmt"
 	"os"
+	"strings"
 	"testing"
+
+	"github.com/atomic-dataflow/atomicflow/internal/cost"
 )
 
 var updateCounts = flag.Bool("update", false, "rewrite testdata/schedule_counts.json from this tree")
@@ -17,12 +20,13 @@ const maxBuildAllocs = 150
 
 // scheduleCounts is the work of one DP Build: the option lists options()
 // computed, the option lists read back from the previous Round's
-// lookahead tree, and the apply calls of the lookahead and the committed
-// Rounds.
+// lookahead tree, the apply calls of the lookahead and the committed
+// Rounds, and the cost-oracle evaluations that priced the atoms.
 type scheduleCounts struct {
 	OptionLists int `json:"option_lists"`
 	OptionReads int `json:"option_reads"`
 	Applies     int `json:"applies"`
+	Evaluations int `json:"evaluations"`
 }
 
 // TestScheduleCounts pins Algorithm 2's work on resnet50 and inceptionv3
@@ -32,17 +36,31 @@ type scheduleCounts struct {
 // with
 //
 //	go test ./internal/schedule -run TestScheduleCounts -update
+//
+// Batch replicas repeat sample 0's Tasks, so a batch-8 Build prices as
+// many atoms as its batch-1 Build; the test fails if their evaluations
+// differ.
 func TestScheduleCounts(t *testing.T) {
 	got := map[string]scheduleCounts{}
 	for _, w := range []struct {
 		model string
 		batch int
 	}{{"resnet50", 1}, {"resnet50", 8}, {"inceptionv3", 1}, {"inceptionv3", 8}, {"deepchain1k", 1}} {
-		_, st, err := build(dagFor(t, w.model, w.batch), opts(64, DP))
+		opt := opts(64, DP)
+		orc := cost.NewInstrumented(cost.Direct{})
+		opt.Oracle = orc
+		_, st, err := build(dagFor(t, w.model, w.batch), opt)
 		if err != nil {
 			t.Fatal(err)
 		}
-		got[fmt.Sprintf("%s/b%d", w.model, w.batch)] = scheduleCounts{st.optLists, st.optReads, st.applies}
+		got[fmt.Sprintf("%s/b%d", w.model, w.batch)] = scheduleCounts{st.optLists, st.optReads, st.applies,
+			int(orc.Stats().Evaluations)}
+	}
+	for key, c := range got {
+		model, b8 := strings.CutSuffix(key, "/b8")
+		if b1 := got[model+"/b1"]; b8 && c.Evaluations != b1.Evaluations {
+			t.Errorf("%s: %d evaluations, batch 1 %d: replicas were priced again", key, c.Evaluations, b1.Evaluations)
+		}
 	}
 	if *updateCounts {
 		b, err := json.MarshalIndent(got, "", "  ")
@@ -72,7 +90,7 @@ func TestScheduleCounts(t *testing.T) {
 			name      string
 			got, want int
 		}{{"option_lists", c.OptionLists, p.OptionLists}, {"option_reads", c.OptionReads, p.OptionReads},
-			{"applies", c.Applies, p.Applies}} {
+			{"applies", c.Applies, p.Applies}, {"evaluations", c.Evaluations, p.Evaluations}} {
 			switch {
 			case f.got > f.want:
 				t.Errorf("%s: %s rose from %d to %d", key, f.name, f.want, f.got)

@@ -357,10 +357,16 @@ func (st *state) release(id int, u *undo) {
 // scheduling engine config and dataflow.
 func priceAtoms(d *atom.DAG, opt Options) (cycles, macs []int64) {
 	orc := cost.Or(opt.Oracle)
-	cycles, macs = make([]int64, d.NumAtoms()), make([]int64, d.NumAtoms())
-	for id := range d.Atoms {
+	n, b := d.NumAtoms(), d.BlockAtoms()
+	cycles, macs = make([]int64, n), make([]int64, n)
+	// Replicas repeat block 0's Tasks: price block 0 and copy its prices.
+	for id := 0; id < b; id++ {
 		c := orc.Evaluate(opt.EngineCfg, opt.Dataflow, d.Atoms[id].Task)
 		cycles[id], macs[id] = c.Cycles, c.MACs
+	}
+	for off := b; off < n; off += b {
+		copy(cycles[off:off+b], cycles[:b])
+		copy(macs[off:off+b], macs[:b])
 	}
 	return cycles, macs
 }

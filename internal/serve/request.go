@@ -43,15 +43,6 @@ type Request struct {
 	// the server maximum. Not part of the cache key.
 	TimeoutMS int64 `json:"timeout_ms,omitempty"`
 
-	// WarmStart opts into seeding the search from the persistent
-	// store's best related record (same graph solved under a different
-	// key — typically other hardware). Default off. Part of the cache
-	// key — a warm-started search explores a different trajectory, so
-	// warm and cold entries are legitimately different bytes. On a
-	// server without a store (or when no donor exists yet) a warm
-	// request simply solves cold.
-	WarmStart bool `json:"warm_start,omitempty"`
-
 	graph     *graph.Graph // decoded workload
 	graphHash string       // sha256 of the canonical modelio encoding
 	key       string       // full cache key, set by ParseRequest
@@ -85,8 +76,8 @@ const (
 // ParseRequest decodes, validates and normalizes a /solve body and
 // computes its canonical cache key. It never panics on arbitrary input
 // (fuzzed by FuzzSolveRequest), and parsing the same bytes twice yields
-// the same key. Unknown fields, such as "surrogate" or "verify_delta"
-// from older clients, are ignored.
+// the same key. Unknown fields, such as "surrogate", "verify_delta" or
+// "warm_start" from older clients, are ignored.
 func ParseRequest(data []byte) (*Request, error) {
 	var r Request
 	if err := json.Unmarshal(data, &r); err != nil {
@@ -217,11 +208,12 @@ func (r *Request) Key() string { return r.key }
 func (r *Request) computeKey() string {
 	h := sha256.New()
 	fmt.Fprintf(h, "graph %s\n", r.graphHash)
-	// "surrogate false" is a fixed token left from the removed learned
-	// cost oracle: keys written by earlier builds carry it, and -store
-	// directories they wrote must keep replaying under the same keys.
-	fmt.Fprintf(h, "batch %d seed %d iters %d chains %d tiles %d mode %s trace %t surrogate false warm %t\n",
-		r.Batch, r.Seed, r.SAIters, r.Chains, r.MaxTiles, r.Mode, r.Trace, r.WarmStart)
+	// "surrogate false" and "warm false" are fixed tokens left from the
+	// removed learned cost oracle and warm-start search: keys written by
+	// earlier builds carry them, and -store directories they wrote must
+	// keep replaying under the same keys.
+	fmt.Fprintf(h, "batch %d seed %d iters %d chains %d tiles %d mode %s trace %t surrogate false warm false\n",
+		r.Batch, r.Seed, r.SAIters, r.Chains, r.MaxTiles, r.Mode, r.Trace)
 	hw := r.Hardware
 	// A set buffer_bytes sizes the engine, so the search's atoms as well
 	// as the simulated buffer; earlier builds sized only the latter. The

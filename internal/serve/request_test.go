@@ -5,9 +5,11 @@ import "testing"
 // TestCacheKeyStable pins ParseRequest keys to fixed values. A changed
 // key silently orphans every record in an existing -store directory, so
 // any change here must be deliberate. A "surrogate" field, from builds
-// that still had the learned cost oracle, and a "verify_delta" field,
-// from builds that exposed the search cross-check on /solve, are
-// ignored like any unknown field: they map to the plain request's key.
+// that still had the learned cost oracle, a "verify_delta" field, from
+// builds that exposed the search cross-check on /solve, and a
+// "warm_start" field, from builds that could seed a search from a stored
+// solution, are ignored like any unknown field: they map to the plain
+// request's key.
 func TestCacheKeyStable(t *testing.T) {
 	const inline = `{"graph":{"name":"keypin","layers":[` +
 		`{"name":"in","op":"Input","shape":{"hi":8,"wi":8,"ci":3,"ho":8,"wo":8,"co":3}},` +
@@ -17,7 +19,7 @@ func TestCacheKeyStable(t *testing.T) {
 	}{
 		{`{"model":"resnet50"}`, "5b061e5647a33c1733983ed58ca267014e592ba4127367c48274d4727b0cac70"},
 		{inline, "786db12b77854dfab9f8b9d6df1b6ae10d1566ed1045243cf3e94203289c0aa5"},
-		{`{"model":"resnet50","warm_start":true}`, "78c68f7c151d5b46043b9707557df6a21363c1c84be1734ff4ccb465b9bb35d7"},
+		{`{"model":"resnet50","warm_start":true}`, "5b061e5647a33c1733983ed58ca267014e592ba4127367c48274d4727b0cac70"},
 		{`{"model":"resnet50","surrogate":true}`, "5b061e5647a33c1733983ed58ca267014e592ba4127367c48274d4727b0cac70"},
 		{`{"model":"resnet50","surrogate":false}`, "5b061e5647a33c1733983ed58ca267014e592ba4127367c48274d4727b0cac70"},
 		{`{"model":"resnet50","verify_delta":true}`, "5b061e5647a33c1733983ed58ca267014e592ba4127367c48274d4727b0cac70"},

@@ -55,9 +55,7 @@ type Config struct {
 	RequestTimeout time.Duration
 	// Store, when non-nil, persists every finished solve: repeat
 	// requests after a restart are served the stored bytes without
-	// re-solving, and warm-start requests seed their search from the
-	// best related record (same graph, different key). The caller owns
-	// the store's directory.
+	// re-solving. The caller owns the store's directory.
 	Store *store.Store
 	// Hardware is the base accelerator model requests override (default
 	// atomicflow.DefaultHardware).
@@ -121,7 +119,7 @@ type Server struct {
 	reg     *obs.Registry
 	base    atomicflow.HardwareConfig
 	oracle  atomicflow.CostOracle // shared across requests (counts evaluations)
-	store   *store.Store          // nil: no persistence, no warm starts
+	store   *store.Store          // nil: no persistence
 	dash    *dash.Store
 	cache   *lruCache
 	queue   chan *job
@@ -167,7 +165,6 @@ type serveMetrics struct {
 	// runs without a store).
 	storeHits    *obs.Counter
 	storeRecords *obs.Gauge
-	warmStarts   *obs.Counter
 }
 
 // New builds the server and starts its worker pool.
@@ -216,7 +213,6 @@ func New(cfg Config) *Server {
 
 		storeHits:    reg.Counter("serve_store_hits_total"),
 		storeRecords: reg.Gauge("serve_store_records"),
-		warmStarts:   reg.Counter("serve_warm_starts_total"),
 	}
 	s.m.queueCap.SetInt(int64(cfg.queueDepth()))
 	s.m.workers.SetInt(int64(cfg.workers()))
@@ -445,17 +441,6 @@ func (s *Server) runJob(jb *job) (*solveResult, error) {
 	if req.Trace {
 		opt.TraceWriter = &traceBuf
 	}
-	// Warm start: seed the search from the store's best related record —
-	// the same graph solved under a different key (typically different
-	// hardware). No donor yet means the request simply solves cold.
-	if req.WarmStart && s.store != nil {
-		if donor, ok := s.store.Related(req.graphHash, req.Key()); ok && len(donor.Parts) > 0 {
-			opt.WarmStart = donor.Parts
-			s.m.warmStarts.Inc()
-			s.dash.Publish(dash.EvWarmStart, id, model,
-				fmt.Sprintf("donor %.12s (%s)", donor.Key, donor.Model))
-		}
-	}
 	s.dash.SolveStarted(id, model, req.Chains)
 	start := time.Now()
 	sol, err := atomicflow.Orchestrate(req.graph, opt)
@@ -488,18 +473,14 @@ func (s *Server) runJob(jb *job) (*solveResult, error) {
 	res := &solveResult{body: body, digest: resp.Digest}
 	s.cache.add(req.Key(), res)
 	// Persist the finished solve: the exact bytes for replay after a
-	// restart, plus the solved partitions as warm-start seed material
-	// for related requests. Persistence failure is a log-free downgrade
-	// to cache-only operation, never a request failure.
+	// restart. Persistence failure is a log-free downgrade to cache-only
+	// operation, never a request failure.
 	if s.store != nil {
 		if perr := s.store.Put(store.Record{
-			Key:       req.Key(),
-			GraphHash: req.graphHash,
-			Model:     model,
-			Digest:    resp.Digest,
-			Body:      body,
-			Parts:     sol.Partitions(),
-			SavedUnix: time.Now().Unix(),
+			Key:    req.Key(),
+			Model:  model,
+			Digest: resp.Digest,
+			Body:   body,
 		}); perr == nil {
 			s.m.storeRecords.SetInt(int64(s.store.Len()))
 		}

@@ -289,9 +289,10 @@ func TestServedMatchesDirect(t *testing.T) {
 	}
 }
 
-// TestSolveValidation covers the request-surface error paths, and the
+// TestSolveValidation covers the request-surface error paths, the
 // clamp of a timeout_ms too large for a time.Duration to the server's
-// deadline.
+// deadline, and an older client's "warm_start" field, which is ignored
+// like any unknown field.
 func TestSolveValidation(t *testing.T) {
 	_, ts := newTestServer(t, Config{Workers: 1})
 	cases := []struct {
@@ -307,6 +308,7 @@ func TestSolveValidation(t *testing.T) {
 		{"bad mesh", `{"model":"tinyconv","hardware":{"mesh_w":99}}`, 400},
 		{"negative timeout", `{"model":"tinyconv","timeout_ms":-1}`, 400},
 		{"huge timeout", `{"model":"tinyconv","timeout_ms":10000000000000}`, 200},
+		{"legacy warm_start", `{"model":"tinyconv","sa_iters":80,"warm_start":true}`, 200},
 		{"bad graph", `{"graph":{"name":"x","layers":[{"name":"a","op":"Conv","inputs":["missing"]}]}}`, 400},
 	}
 	for _, tc := range cases {

@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"math"
 	"testing"
 
 	"github.com/atomic-dataflow/atomicflow/internal/dram"
@@ -42,14 +43,21 @@ func TestDefaultConfigPinned(t *testing.T) {
 }
 
 func TestValidateRejectsBadConfig(t *testing.T) {
-	c := DefaultConfig()
-	c.Engine.BufferBytes = -1
-	if err := c.Validate(); err == nil {
-		t.Error("negative Engine.BufferBytes validated")
-	}
-	c = DefaultConfig()
-	c.Mesh = nil
-	if err := c.Validate(); err == nil {
-		t.Error("nil mesh validated")
+	for _, tc := range []struct {
+		name   string
+		mutate func(*Config)
+	}{
+		{"negative Engine.BufferBytes", func(c *Config) { c.Engine.BufferBytes = -1 }},
+		{"nil mesh", func(c *Config) { c.Mesh = nil }},
+		{"NaN Engine.FreqMHz", func(c *Config) { c.Engine.FreqMHz = math.NaN() }},
+		{"+Inf Engine.FreqMHz", func(c *Config) { c.Engine.FreqMHz = math.Inf(1) }},
+		{"NaN DRAM.PeakGBps", func(c *Config) { c.DRAM.PeakGBps = math.NaN() }},
+		{"+Inf DRAM.PeakGBps", func(c *Config) { c.DRAM.PeakGBps = math.Inf(1) }},
+	} {
+		c := DefaultConfig()
+		tc.mutate(&c)
+		if err := c.Validate(); err == nil {
+			t.Errorf("%s validated", tc.name)
+		}
 	}
 }

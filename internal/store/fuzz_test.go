@@ -10,13 +10,13 @@ import (
 // and round-trip what it accepts.
 func FuzzStoreRecord(f *testing.F) {
 	good, err := EncodeRecord(Record{
-		Key: "ab12", GraphHash: "g1", Model: "tinyconv",
-		Digest: "d", Body: []byte(`{"x":1}`), SavedUnix: 7,
+		Key: "ab12", Model: "tinyconv", Digest: "d", Body: []byte(`{"x":1}`),
 	})
 	if err != nil {
 		f.Fatal(err)
 	}
 	f.Add(good)
+	f.Add([]byte(legacyEnvelope))       // record with since-dropped fields
 	f.Add(good[:len(good)-3])           // truncated record
 	f.Add(good[:len(magic)+10])         // truncated checksum line
 	f.Add([]byte("ADSTORE1\n"))         // magic only
@@ -38,7 +38,7 @@ func FuzzStoreRecord(f *testing.F) {
 		if err != nil {
 			t.Fatalf("round-tripping an accepted record: %v", err)
 		}
-		if rr.Key != r.Key || rr.GraphHash != r.GraphHash || !bytes.Equal(rr.Body, r.Body) {
+		if rr.Key != r.Key || rr.Digest != r.Digest || !bytes.Equal(rr.Body, r.Body) {
 			t.Fatalf("round trip mutated the record")
 		}
 	})

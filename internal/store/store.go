@@ -1,14 +1,8 @@
 // Package store is the serving layer's persistent solution store: a
-// directory of digest-keyed solve records that survives restarts. It
-// serves two purposes for internal/serve:
-//
-//   - Exact replay: a record keyed by the canonical cache key holds the
-//     solve's response bytes, so a restarted coordinator answers a
-//     repeated request with identical bytes without re-solving.
-//   - Warm starts: a record also carries the solved partition per
-//     layer, so a new request for the same graph under different
-//     hardware can seed its search from the prior solution
-//     (anneal.Options.WarmStart) instead of starting cold.
+// directory of digest-keyed solve records that survives restarts. A
+// record keyed by the canonical cache key holds the solve's response
+// bytes, so a restarted server answers a repeated request with
+// identical bytes without re-solving.
 //
 // Records are written atomically — encode to a temp file in the store
 // directory, fsync, rename — so a crash mid-write leaves either the old
@@ -24,15 +18,15 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
-	"sort"
 	"strings"
 	"sync"
-
-	"github.com/atomic-dataflow/atomicflow/internal/atom"
 )
 
 // magic heads every record file; the version digit guards the envelope
-// layout, while Record itself evolves by JSON field addition.
+// layout, while Record itself evolves by JSON field addition and
+// removal. Records written with since-dropped fields (graph_hash, parts,
+// saved_unix) still decode: JSON ignores them and the checksum covers
+// the stored bytes.
 var magic = []byte("ADSTORE1\n")
 
 // Record is one persisted solve.
@@ -40,21 +34,12 @@ type Record struct {
 	// Key is the serving layer's canonical cache key (hex SHA-256 of
 	// the normalized request) — the store's primary key.
 	Key string `json:"key"`
-	// GraphHash identifies the workload graph alone (canonical model
-	// bytes hashed), shared by requests that differ only in hardware or
-	// search knobs — the warm-start lookup key.
-	GraphHash string `json:"graph_hash"`
 	// Model is the human-readable workload name (diagnostics only).
 	Model string `json:"model"`
 	// Digest is the solution digest served in X-Adserve-Digest.
 	Digest string `json:"digest"`
 	// Body is the exact response body served for this key.
 	Body []byte `json:"body"`
-	// Parts is the solved partition per graph layer — what a related
-	// request warm-starts from.
-	Parts map[int]atom.Partition `json:"parts,omitempty"`
-	// SavedUnix orders records for Related (most recent wins).
-	SavedUnix int64 `json:"saved_unix"`
 }
 
 // EncodeRecord renders the on-disk envelope: magic, the body's SHA-256
@@ -112,20 +97,13 @@ func validKey(key string) bool {
 	return true
 }
 
-// indexEntry is the in-memory view of one on-disk record — enough for
-// Related without re-reading files.
-type indexEntry struct {
-	graphHash string
-	savedUnix int64
-}
-
-// Store is a directory of records with an in-memory index. Safe for
-// concurrent use.
+// Store is a directory of records with an in-memory index of their
+// keys. Safe for concurrent use.
 type Store struct {
 	dir string
 
 	mu    sync.Mutex
-	index map[string]indexEntry
+	index map[string]struct{}
 }
 
 // Open creates dir if needed and indexes every valid record in it.
@@ -135,7 +113,7 @@ func Open(dir string) (*Store, error) {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, fmt.Errorf("store: %w", err)
 	}
-	s := &Store{dir: dir, index: make(map[string]indexEntry)}
+	s := &Store{dir: dir, index: make(map[string]struct{})}
 	entries, err := os.ReadDir(dir)
 	if err != nil {
 		return nil, fmt.Errorf("store: %w", err)
@@ -153,7 +131,7 @@ func Open(dir string) (*Store, error) {
 		if err != nil || r.Key+".rec" != name {
 			continue
 		}
-		s.index[r.Key] = indexEntry{graphHash: r.GraphHash, savedUnix: r.SavedUnix}
+		s.index[r.Key] = struct{}{}
 	}
 	return s, nil
 }
@@ -194,7 +172,7 @@ func (s *Store) Put(r Record) error {
 		return fmt.Errorf("store: %w", err)
 	}
 	s.mu.Lock()
-	s.index[r.Key] = indexEntry{graphHash: r.GraphHash, savedUnix: r.SavedUnix}
+	s.index[r.Key] = struct{}{}
 	s.mu.Unlock()
 	return nil
 }
@@ -226,33 +204,4 @@ func (s *Store) drop(key string) {
 	s.mu.Lock()
 	delete(s.index, key)
 	s.mu.Unlock()
-}
-
-// Related returns the best warm-start donor for graphHash: the most
-// recently saved record for the same graph under a different key (ties
-// broken by smallest key, so the choice is deterministic for any scan
-// order). The second return is false when no donor exists.
-func (s *Store) Related(graphHash, excludeKey string) (Record, bool) {
-	s.mu.Lock()
-	best := ""
-	var bestAt int64
-	keys := make([]string, 0, len(s.index))
-	for k := range s.index {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	for _, k := range keys {
-		e := s.index[k]
-		if k == excludeKey || e.graphHash != graphHash {
-			continue
-		}
-		if best == "" || e.savedUnix > bestAt {
-			best, bestAt = k, e.savedUnix
-		}
-	}
-	s.mu.Unlock()
-	if best == "" {
-		return Record{}, false
-	}
-	return s.Get(best)
 }

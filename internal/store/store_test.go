@@ -5,28 +5,31 @@ import (
 	"os"
 	"path/filepath"
 	"testing"
-
-	"github.com/atomic-dataflow/atomicflow/internal/atom"
 )
 
-func rec(key, graph string, at int64) Record {
+func rec(key string) Record {
 	return Record{
-		Key:       key,
-		GraphHash: graph,
-		Model:     "tinyconv",
-		Digest:    "d-" + key,
-		Body:      []byte(`{"digest":"` + key + `"}`),
-		Parts:     map[int]atom.Partition{1: {Hp: 2, Wp: 3, Cop: 4}},
-		SavedUnix: at,
+		Key:    key,
+		Model:  "tinyconv",
+		Digest: "d-" + key,
+		Body:   []byte(`{"digest":"` + key + `"}`),
 	}
 }
+
+// legacyEnvelope is a record file as earlier builds wrote it, with the
+// since-dropped graph_hash, parts and saved_unix fields; its body is
+// `{"digest":"ab12"}`.
+const legacyEnvelope = "ADSTORE1\n" +
+	"2193a2350dade732907ebf2203f4d7c2f09b27fd239cc892ddfae8a1640bab17\n" +
+	`{"key":"ab12","graph_hash":"g1","model":"tinyconv","digest":"d-ab12",` +
+	`"body":"eyJkaWdlc3QiOiJhYjEyIn0=","parts":{"1":{"Hp":2,"Wp":3,"Cop":4}},"saved_unix":100}`
 
 func TestPutGetRoundTrip(t *testing.T) {
 	s, err := Open(t.TempDir())
 	if err != nil {
 		t.Fatal(err)
 	}
-	r := rec("ab12", "g1", 100)
+	r := rec("ab12")
 	if err := s.Put(r); err != nil {
 		t.Fatal(err)
 	}
@@ -34,11 +37,8 @@ func TestPutGetRoundTrip(t *testing.T) {
 	if !ok {
 		t.Fatal("record missing after Put")
 	}
-	if !bytes.Equal(got.Body, r.Body) || got.Digest != r.Digest || got.GraphHash != r.GraphHash {
+	if !bytes.Equal(got.Body, r.Body) || got.Digest != r.Digest || got.Model != r.Model {
 		t.Fatalf("round trip mutated the record: %+v", got)
-	}
-	if got.Parts[1] != r.Parts[1] {
-		t.Fatalf("parts mutated: %+v", got.Parts)
 	}
 	if _, ok := s.Get("cd34"); ok {
 		t.Fatal("hit on an absent key")
@@ -51,7 +51,7 @@ func TestReopenServesIdenticalBytes(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	r := rec("ab12", "g1", 100)
+	r := rec("ab12")
 	if err := s.Put(r); err != nil {
 		t.Fatal(err)
 	}
@@ -74,7 +74,7 @@ func TestCorruptRecordsSkipped(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := s.Put(rec("ab12", "g1", 100)); err != nil {
+	if err := s.Put(rec("ab12")); err != nil {
 		t.Fatal(err)
 	}
 	// Flip a byte in the stored body: checksum validation must reject it.
@@ -119,7 +119,7 @@ func TestRecordKeyMustMatchFilename(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := s.Put(rec("ab12", "g1", 100)); err != nil {
+	if err := s.Put(rec("ab12")); err != nil {
 		t.Fatal(err)
 	}
 	// A record copied under another name must not be served for that name.
@@ -140,43 +140,37 @@ func TestPutRejectsBadKeys(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, key := range []string{"", "../escape", "ABCD", "xyz!", "no/slash"} {
-		if err := s.Put(rec(key, "g1", 1)); err == nil {
+		if err := s.Put(rec(key)); err == nil {
 			t.Errorf("key %q accepted", key)
 		}
 	}
 }
 
-func TestRelated(t *testing.T) {
-	s, err := Open(t.TempDir())
+// TestLegacyRecordReplays: a record file written with the dropped
+// graph_hash, parts and saved_unix fields still indexes on Open and
+// serves its body byte for byte, so an existing store directory keeps
+// replaying.
+func TestLegacyRecordReplays(t *testing.T) {
+	dir := t.TempDir()
+	if err := os.WriteFile(filepath.Join(dir, "ab12.rec"), []byte(legacyEnvelope), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	s, err := Open(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
-	puts := []Record{
-		rec("aa01", "g1", 100),
-		rec("aa02", "g1", 300),
-		rec("aa03", "g1", 300), // same age as aa02: smaller key wins
-		rec("bb01", "g2", 900),
+	if s.Len() != 1 {
+		t.Fatalf("legacy record not indexed: %d records", s.Len())
 	}
-	for _, r := range puts {
-		if err := s.Put(r); err != nil {
-			t.Fatal(err)
-		}
+	got, ok := s.Get("ab12")
+	if !ok {
+		t.Fatal("legacy record not served")
 	}
-	got, ok := s.Related("g1", "zzzz")
-	if !ok || got.Key != "aa02" {
-		t.Fatalf("Related(g1) = %q, %v; want aa02", got.Key, ok)
+	if want := []byte(`{"digest":"ab12"}`); !bytes.Equal(got.Body, want) {
+		t.Fatalf("legacy body = %q, want %q", got.Body, want)
 	}
-	// The requesting key itself is excluded.
-	got, ok = s.Related("g1", "aa02")
-	if !ok || got.Key != "aa03" {
-		t.Fatalf("Related(g1, exclude aa02) = %q, %v; want aa03", got.Key, ok)
-	}
-	if _, ok := s.Related("g3", ""); ok {
-		t.Fatal("donor invented for an unknown graph")
-	}
-	// Sole record for its graph, excluded: no donor.
-	if _, ok := s.Related("g2", "bb01"); ok {
-		t.Fatal("excluded key returned as its own donor")
+	if got.Digest != "d-ab12" || got.Model != "tinyconv" {
+		t.Fatalf("legacy record mutated: %+v", got)
 	}
 }
 
@@ -186,10 +180,10 @@ func TestPutReplacesAtomically(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := s.Put(rec("ab12", "g1", 100)); err != nil {
+	if err := s.Put(rec("ab12")); err != nil {
 		t.Fatal(err)
 	}
-	r2 := rec("ab12", "g1", 200)
+	r2 := rec("ab12")
 	r2.Body = []byte(`{"digest":"v2"}`)
 	if err := s.Put(r2); err != nil {
 		t.Fatal(err)
