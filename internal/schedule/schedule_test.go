@@ -332,3 +332,28 @@ func TestGreedyProperty(t *testing.T) {
 		t.Error(err)
 	}
 }
+
+// TestPriceAtomsMatchesDirect checks priceAtoms, which prices one
+// replicated block and copies its prices to the other samples, against
+// pricing every atom on its own: each replica must carry its block
+// atom's layer and Task and so the same cycles and MACs.
+func TestPriceAtomsMatchesDirect(t *testing.T) {
+	for _, batch := range []int{1, 3} {
+		d := dagFor(t, "tinyresnet", batch)
+		if b := d.BlockAtoms(); b <= 0 || d.NumAtoms() != b*batch {
+			t.Fatalf("batch %d: %d atoms is not %d blocks of %d", batch, d.NumAtoms(), batch, b)
+		}
+		opt := opts(4, DP)
+		cycles, macs := priceAtoms(d, opt)
+		for id, a := range d.Atoms {
+			if blk := d.Atoms[id%d.BlockAtoms()]; a.Layer != blk.Layer || a.Task != blk.Task {
+				t.Fatalf("batch %d: atom %d is not a replica of block atom %d", batch, id, id%d.BlockAtoms())
+			}
+			c := engine.Evaluate(opt.EngineCfg, opt.Dataflow, a.Task)
+			if cycles[id] != c.Cycles || macs[id] != c.MACs {
+				t.Fatalf("batch %d: atom %d priced (%d, %d), direct (%d, %d)",
+					batch, id, cycles[id], macs[id], c.Cycles, c.MACs)
+			}
+		}
+	}
+}
