@@ -691,8 +691,8 @@ func BenchmarkSearchOverhead_InceptionV3(b *testing.B) {
 // BenchmarkSearchSetup measures Algorithm 1 as a cold compile runs it:
 // anneal.SA at default knobs on ResNet-50 and Inception-v3 (KC-P), each
 // iteration with a fresh oracle. Candidate generation with its exact
-// evaluations, the pick tables and the walkers' event list are set-up
-// work on every search, and they outweigh the annealing moves.
+// evaluations is set-up work on every search, and it outweighs the
+// annealing moves.
 func BenchmarkSearchSetup(b *testing.B) {
 	var gs []*Graph
 	for _, name := range []string{"resnet50", "inceptionv3"} {
@@ -741,11 +741,10 @@ func BenchmarkAnnealChains(b *testing.B) {
 }
 
 // BenchmarkAnnealDeep measures the SA search alone on the synthetic
-// 1000+-compute-layer workload — the stress case for O(Δ) incremental
-// move evaluation. iters/sec is the headline metric: with full
-// per-iteration recomputation it decays linearly with graph depth; with
-// delta evaluation a move costs only the layers whose candidate pick
-// actually changes.
+// 1000+-compute-layer workload — the stress case for move scoring.
+// iters/sec is the headline metric: re-picking every layer per move
+// decays linearly with graph depth; scoring picks once per distinct
+// candidate list (15 for the chain's 1,026 layers).
 func BenchmarkAnnealDeep(b *testing.B) {
 	g, err := LoadModel("deepchain1k")
 	if err != nil {

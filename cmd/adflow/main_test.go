@@ -3,6 +3,7 @@ package main
 import (
 	"flag"
 	"reflect"
+	"strings"
 	"testing"
 
 	af "github.com/atomic-dataflow/atomicflow"
@@ -49,8 +50,8 @@ func TestCheckFlags(t *testing.T) {
 		if err := fs.Parse([]string{"-freq", freq}); err != nil {
 			t.Fatal(err)
 		}
-		if _, err := f.options(); err == nil {
-			t.Errorf("-freq %s accepted", freq)
+		if _, err := f.options(); err == nil || !strings.Contains(err.Error(), "FreqMHz") {
+			t.Errorf("-freq %s: options() = %v, want an error naming FreqMHz", freq, err)
 		}
 	}
 }

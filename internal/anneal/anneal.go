@@ -61,11 +61,10 @@ type Options struct {
 	// search blocks while it executes.
 	Progress func([]Sample)
 
-	// verify, when non-nil, sees every incrementally-scored move's
-	// walker and target. Only this package's tests set it, to the
-	// from-scratch cross-check in delta_test.go; it must not change the
-	// trajectory.
-	verify func(s *search, w *walker, target float64)
+	// verify, when non-nil, sees every scored target with its score.
+	// Only this package's tests set it, to the from-scratch cross-check
+	// in delta_test.go; it must not change the trajectory.
+	verify func(s *search, target, mean, variance float64)
 }
 
 // Sample is one per-chain observation of search progress, delivered
@@ -152,9 +151,9 @@ type Result struct {
 // state is one assignment of candidate indices to compute layers, stored
 // densely in search.all order (participating layers first, stragglers
 // after), together with the exact integer sums its energy derives from.
-// Every constructor and mutator (randomState, argmin, walker.moveTo,
-// crossover, mutate) keeps acc in sync with choice, so scoring a state —
-// or re-scoring it after an O(Δ) move — never walks the layers again.
+// Every constructor and mutator (randomState, argmin, crossover, mutate)
+// keeps acc in sync with choice, so scoring a state never walks the
+// layers again.
 type state struct {
 	choice []int // search.all index -> candidate index
 	acc    accum // S1/S2 sums over the first nOrder choices
@@ -166,6 +165,7 @@ type state struct {
 // counters then sum over chains.
 type saMetrics struct {
 	iters     *obs.Counter
+	picks     *obs.Counter
 	accepts   *obs.Counter
 	rejects   *obs.Counter
 	tempHist  *obs.Histogram
@@ -179,6 +179,7 @@ func newSAMetrics(opt Options) saMetrics {
 	// temperature trajectory and the energy deltas of accepted moves.
 	return saMetrics{
 		iters:     opt.Metrics.Counter("anneal_iterations_total"),
+		picks:     opt.Metrics.Counter("anneal_picks_total"),
 		accepts:   opt.Metrics.Counter("anneal_accepts_total"),
 		rejects:   opt.Metrics.Counter("anneal_rejects_total"),
 		tempHist:  opt.Metrics.Histogram("anneal_temperature", obs.ExpBuckets(1e-4, 2, 12)),
@@ -195,16 +196,14 @@ func newSAMetrics(opt Options) saMetrics {
 // The accepted state is held as scalars only (E, S): Algorithm 1's
 // proposal is the argmin image of the shifted target, which depends on
 // the current state only through S, so the chain never needs the current
-// choice vector — just the walker's incrementally-maintained proposal
-// and a materialized snapshot of the best state seen.
+// choice vector. The best state is held as the target that produced it.
 type saChain struct {
 	idx int
 	rng *rand.Rand
 
-	w    *walker // incremental argmin image (the move proposal)
 	E, S float64 // energy / unified cycle of the accepted state
 
-	best         state
+	best         pinned
 	bestE, bestS float64
 
 	temp, lenAbs float64
@@ -227,13 +226,19 @@ func newChain(idx int, seed int64, sctx *search) *saChain {
 	cur := sctx.randomState(c.rng)
 	// Line 5-7: initial unified cycle S = mean, energy E = Var.
 	c.S, c.E = cur.acc.meanVariance()
-	c.best, c.bestE, c.bestS = cur, c.E, c.S
+	c.best, c.bestE, c.bestS = pinned{st: cur}, c.E, c.S
 	c.temp = temp
 	c.lenAbs = c.S * lenFrac
-	// The proposal walker pays its one full argmin build here; every move
-	// after is incremental.
-	c.w = sctx.newWalker(c.S)
 	return c
+}
+
+// pinned is a state held without materializing it: the argmin image of
+// target t, or st itself when st.choice is set (a chain's random initial
+// state, which no target produces). States are never mutated once
+// built, so chains may share one.
+type pinned struct {
+	st state
+	t  float64
 }
 
 // run executes up to n more Metropolis iterations, stopping early on
@@ -250,13 +255,12 @@ func (c *saChain) run(sctx *search, opt Options, n int, m saMetrics) {
 		if Smove < 1 {
 			Smove = 1
 		}
-		// Line 11-14: re-pick each layer's atom closest to S^move — an
-		// O(changed layers) slide of the walker, scored in O(1) from the
-		// exact accumulators.
-		c.w.moveTo(Smove)
-		moveS, Emove := c.w.st.acc.meanVariance()
+		// Line 11-14: re-pick each layer's atom closest to S^move, scored
+		// from the exact accumulators without building the state.
+		moveS, Emove := sctx.score(Smove)
+		m.picks.Add(int64(len(sctx.groups)))
 		if opt.verify != nil {
-			opt.verify(sctx, c.w, Smove)
+			opt.verify(sctx, Smove, moveS, Emove)
 		}
 		// Line 16-22: Metropolis acceptance with decaying temperature.
 		// Energies are normalized by the squared state (i.e. compared as
@@ -274,11 +278,10 @@ func (c *saChain) run(sctx *search, opt Options, n int, m saMetrics) {
 			c.E, c.S = Emove, moveS
 			c.lenAbs = c.S * lenFrac
 			// E only changes on acceptance (or barrier adoption, handled
-			// by the portfolio), so the best-state snapshot — the one
-			// O(layers) copy left on this path — happens exactly on
+			// by the portfolio), so the best state is re-pinned exactly on
 			// strict improvement.
 			if c.E < c.bestE {
-				c.best, c.bestE, c.bestS = cloneState(c.w.st), c.E, c.S
+				c.best, c.bestE, c.bestS = pinned{t: Smove}, c.E, c.S
 			}
 		} else {
 			c.rejects++
@@ -310,57 +313,27 @@ func (c *saChain) sample(adopted bool) Sample {
 
 // polish is the deterministic post-search sweep ("for better
 // convergence"): a grid of unified-cycle targets around the best state,
-// keeping the minimum. The grid is cut into contiguous ascending chunks,
-// one walker per chunk, so each worker pays one full argmin build and
-// then slides: a grid point costs only the pick boundaries between it
-// and its predecessor. Scores come from the exact integer accumulators,
-// so chunking is invisible to the result, and the index-ordered
-// strict-less-than reduction keeps the sweep bit-identical to the
-// sequential one for any GOMAXPROCS.
-func (s *search) polish(opt Options, best state, bestE, bestS float64) (state, float64, float64) {
+// keeping the minimum by strict less-than in grid order. It returns the
+// winner materialized: at most one argmin build per search.
+func (s *search) polish(opt Options, m saMetrics, best pinned, bestE, bestS float64) (state, float64, float64) {
 	const n = 97
 	lo, hi := bestS*0.2, bestS*2.5
-	targets := make([]float64, n)
-	for i := range targets {
-		targets[i] = lo + (hi-lo)*float64(i)/(n-1)
-	}
-	es := make([]float64, n)
-	ms := make([]float64, n)
-	const chunks = 8
-	per := (n + chunks - 1) / chunks
-	par.ForEach(chunks, func(ci int) {
-		start, end := ci*per, ci*per+per
-		if end > n {
-			end = n
+	for i := 0; i < n && !opt.cancelled(); i++ {
+		t := lo + (hi-lo)*float64(i)/(n-1)
+		mean, e := s.score(t)
+		m.picks.Add(int64(len(s.groups)))
+		if opt.verify != nil {
+			opt.verify(s, t, mean, e)
 		}
-		if start >= end {
-			return
-		}
-		w := s.newWalker(targets[start])
-		for i := start; i < end; i++ {
-			if opt.cancelled() {
-				es[i] = math.Inf(1)
-				continue
-			}
-			w.moveTo(targets[i])
-			if opt.verify != nil {
-				opt.verify(s, w, targets[i])
-			}
-			ms[i], es[i] = w.st.acc.meanVariance()
-		}
-	})
-	win := -1
-	for i := 0; i < n; i++ {
-		if es[i] < bestE {
-			bestE, bestS, win = es[i], ms[i], i
+		if e < bestE {
+			best, bestE, bestS = pinned{t: t}, e, mean
 		}
 	}
-	if win >= 0 {
-		// Rebuild the winning image once; argmin is a pure function of the
-		// target, so this is the state the walker scored.
-		best = s.argmin(targets[win])
+	if best.st.choice != nil {
+		return best.st, bestE, bestS
 	}
-	return best, bestE, bestS
+	m.picks.Add(int64(len(s.all)))
+	return s.argmin(best.t), bestE, bestS
 }
 
 // search carries the immutable per-layer candidate lists.
@@ -380,9 +353,9 @@ type search struct {
 	lcAt   []layerCands
 	nOrder int // first nOrder entries of all participate in the energy
 
-	// events is the t-sorted union of every layer's pick boundaries —
-	// the index the walkers slide over (see delta.go).
-	events []pickEvent
+	// groups are the distinct candidate lists of the energy layers, each
+	// with its multiplicity (see delta.go).
+	groups []pickGroup
 
 	// stragglers are layers whose minimum achievable atom cycle is far
 	// above the typical layer's (e.g. a weight-bound FC whose coarsest
@@ -473,7 +446,18 @@ func newSearch(g *graph.Graph, cfg engine.Config, df engine.Dataflow, opt Option
 	} else {
 		s.scale = 1
 	}
-	s.buildDeltaIndex()
+	// Shape-identical layers share one cands slice, so the backing array
+	// identifies a distinct list.
+	group := make(map[*candidate]int, s.nOrder)
+	for i := range s.lcAt[:s.nOrder] {
+		k := &s.lcAt[i].cands[0]
+		if j, ok := group[k]; ok {
+			s.groups[j].n++
+			continue
+		}
+		group[k] = len(s.groups)
+		s.groups = append(s.groups, pickGroup{lc: &s.lcAt[i], n: 1})
+	}
 	return s
 }
 

@@ -30,26 +30,35 @@ type candidate struct {
 type layerCands struct {
 	layer *graph.Layer
 	cands []candidate
-	// reps indexes the first candidate of each distinct (cycles, util,
+	// reps holds the first candidate of each distinct (cycles, util,
 	// chTiles), in ascending order: later exact duplicates never win a
 	// pick, so the window scan skips them.
-	reps []int32
+	reps []rep
+}
+
+// rep is the part of a candidate pick reads, stored contiguously so the
+// window search and scan touch one array.
+type rep struct {
+	cycles  int64
+	util    float64
+	chTiles int32
+	idx     int32 // index into cands
 }
 
 // newLayerCands wraps a cycles-sorted candidate list with its reps.
 func newLayerCands(l *graph.Layer, cands []candidate) layerCands {
-	reps := make([]int32, 0, len(cands))
+	reps := make([]rep, 0, len(cands))
 	run := 0 // first candidate with the current cycles value
-	for j := range cands {
-		if cands[j].cycles != cands[run].cycles {
+	for j, c := range cands {
+		if c.cycles != cands[run].cycles {
 			run = j
 		}
 		dup := false
 		for k := run; k < j && !dup; k++ {
-			dup = cands[k].util == cands[j].util && cands[k].chTiles == cands[j].chTiles
+			dup = cands[k].util == c.util && cands[k].chTiles == c.chTiles
 		}
 		if !dup {
-			reps = append(reps, int32(j))
+			reps = append(reps, rep{c.cycles, c.util, int32(c.chTiles), int32(j)})
 		}
 	}
 	return layerCands{layer: l, cands: cands, reps: reps}
@@ -67,55 +76,70 @@ type pendingCand struct {
 // output-channel tiles wins (every extra channel tile re-reads the whole
 // input tensor once, multiplying NoC/DRAM traffic); ties and the
 // no-candidate-in-window case fall back to nearest-cycles. The list is
-// sorted by cycles, so the window is one run of reps found by binary
-// search, and only it is scanned.
+// sorted by cycles, so the window is one run of reps: one search finds
+// its start, one forward pass its end and best utilization, and a scan
+// of the window applies the rules.
 func (lc *layerCands) pick(target int64) int {
-	c, r := lc.cands, lc.reps
-	// The first candidate of every cycles value is a rep, so the first rep
-	// reaching the target is the first candidate reaching it.
-	i := len(c)
-	if k := searchReps(c, r, target); k < len(r) {
-		i = int(r[k])
+	r := lc.reps
+	start := searchReps(r, target-target/4)
+	hi := target + target/4
+	maxUtil := 0.0
+	end := start
+	for ; end < len(r) && r[end].cycles <= hi; end++ {
+		if r[end].util > maxUtil {
+			maxUtil = r[end].util
+		}
 	}
-	nearest := i
-	if i == len(c) {
-		nearest = len(c) - 1
-	} else if i > 0 && target-c[i-1].cycles <= c[i].cycles-target {
-		nearest = i - 1
-	}
-	win := r[searchReps(c, r, target-target/4):searchReps(c, r, target+target/4+1)]
 	// Within the window: keep near-peak PE utilization (target 1), then
 	// minimize channel tiles (target 2: every extra channel tile
 	// re-reads the whole input once), then nearest cycles.
-	maxUtil := 0.0
-	for _, j := range win {
-		if c[j].util > maxUtil {
-			maxUtil = c[j].util
-		}
-	}
-	best := int32(-1)
-	for _, j := range win {
-		if c[j].util < 0.9*maxUtil {
+	minUtil := 0.9 * maxUtil
+	best := -1
+	for j := start; j < end; j++ {
+		if r[j].util < minUtil {
 			continue
 		}
-		if best < 0 || c[j].chTiles < c[best].chTiles ||
-			(c[j].chTiles == c[best].chTiles && absDiff(c[j].cycles, target) < absDiff(c[best].cycles, target)) {
+		if best < 0 || r[j].chTiles < r[best].chTiles ||
+			(r[j].chTiles == r[best].chTiles && absDiff(r[j].cycles, target) < absDiff(r[best].cycles, target)) {
 			best = j
 		}
 	}
 	if best >= 0 {
-		return int(best)
+		return int(r[best].idx)
 	}
-	return nearest
+	// Nearest cycles. The first candidate of every cycles value is a rep,
+	// so rep k is the first candidate reaching the target, and rep k-1
+	// carries the largest cycles value below it.
+	k := start
+	for k < end && r[k].cycles < target {
+		k++
+	}
+	switch {
+	case k == len(r): // every candidate is below the target
+		return len(lc.cands) - 1
+	case k > 0 && target-r[k-1].cycles <= r[k].cycles-target:
+		// The last candidate below the target: the one before rep k.
+		return int(r[k].idx) - 1
+	}
+	return int(r[k].idx)
 }
 
-// searchReps returns the first index into reps whose candidate's cycles
-// reach v (len(reps) if none does).
-func searchReps(c []candidate, reps []int32, v int64) int {
+// searchReps returns the first index into reps whose cycles reach v
+// (len(reps) if none does). Short lists, the common case under YX-P, are
+// scanned linearly: that beats the mispredicted branches of a binary
+// search below ~16 entries.
+func searchReps(reps []rep, v int64) int {
+	if len(reps) <= 16 {
+		i := 0
+		for i < len(reps) && reps[i].cycles < v {
+			i++
+		}
+		return i
+	}
 	lo, hi := 0, len(reps)
 	for lo < hi {
 		m := int(uint(lo+hi) >> 1)
-		if c[reps[m]].cycles < v {
+		if reps[m].cycles < v {
 			lo = m + 1
 		} else {
 			hi = m

@@ -20,7 +20,7 @@ func testSearch(t testing.TB, model string) *search {
 	return newSearch(g, engine.Default(), engine.KCPartition, Options{})
 }
 
-// TestAccumApplyRevert is the delta-machinery property test: a random
+// TestAccumApplyRevert is the accumulator property test: a random
 // sequence of set() calls — including reverts back to earlier choices —
 // must leave the state's accumulators integer-identical to a from-scratch
 // rebuild. Exactness, not approximation: accum is integer arithmetic, so
@@ -112,35 +112,6 @@ func TestAccumMeanVariance(t *testing.T) {
 	}
 }
 
-// TestWalkerMatchesArgmin drives a walker through random target jumps —
-// large and small, up and down, including sub-1 and enormous targets —
-// and demands exact agreement with the from-scratch argmin at every stop.
-func TestWalkerMatchesArgmin(t *testing.T) {
-	for _, model := range []string{"tinyconv", "tinyresnet", "tinybranch", "pnascell", "mobilenetv2"} {
-		t.Run(model, func(t *testing.T) {
-			s := testSearch(t, model)
-			rng := rand.New(rand.NewSource(23))
-			w := s.newWalker(100)
-			s.verifyDelta(w, 100)
-			for step := 0; step < 400; step++ {
-				var target float64
-				switch step % 4 {
-				case 0: // local jitter, the SA-typical move
-					target = float64(w.t) * (0.8 + 0.4*rng.Float64())
-				case 1: // wide jump
-					target = math.Exp(rng.Float64() * 20)
-				case 2: // tiny / degenerate
-					target = rng.Float64() * 2
-				default: // exact integer boundaries
-					target = float64(1 + rng.Int63n(1<<20))
-				}
-				w.moveTo(target)
-				s.verifyDelta(w, target)
-			}
-		})
-	}
-}
-
 // refPick is the full-scan picker, the executable specification of
 // layerCands.pick: it scans every candidate for the ±25% window and
 // derives channel tiles from the layer instead of the precomputed field.
@@ -177,14 +148,16 @@ func refPick(lc layerCands, target int64) int {
 	return nearest
 }
 
-// refBuildPickTable is the per-candidate boundary enumeration, the
-// reference for buildPickTable: six boundaries per candidate plus two per
-// equal-tile pair within 2x, each segment priced by refPick.
-func refBuildPickTable(lc layerCands) pickTable {
+// refBuildPickTable is the per-candidate boundary enumeration of
+// refPick's piecewise-constant form: it returns every target t ≥ 2 at
+// which refPick(t) differs from refPick(t−1). Candidates are six
+// boundaries per candidate plus two per equal-tile pair within 2x, each
+// segment priced by refPick and equal neighbours merged.
+func refBuildPickTable(lc layerCands) []int64 {
 	c := lc.cands
 	m := len(c)
 	if m <= 1 {
-		return pickTable{}
+		return nil
 	}
 	var bps []int64
 	addBP := func(t int64) {
@@ -222,103 +195,163 @@ func refBuildPickTable(lc layerCands) pickTable {
 	}
 	slices.Sort(bps)
 	bps = slices.Compact(bps)
-	ts := make([]int64, 0, len(bps))
-	choices := []int32{int32(refPick(lc, 1))}
+	var ts []int64
+	prev := refPick(lc, 1)
 	for _, t := range bps {
-		ch := int32(refPick(lc, t))
-		if ch != choices[len(choices)-1] {
+		if ch := refPick(lc, t); ch != prev {
 			ts = append(ts, t)
-			choices = append(choices, ch)
+			prev = ch
 		}
 	}
-	return pickTable{ts: ts, choices: choices}
+	return ts
 }
 
-// TestPickTableExhaustive sweeps every integer target in [1, 4·max
-// cycles] for a small model and checks the table-driven segments against
-// the full-scan reference picker — no sampling, every boundary placement
-// proven.
-func TestPickTableExhaustive(t *testing.T) {
-	s := testSearch(t, "tinyconv")
-	for i := range s.all {
-		lc := s.lcAt[i]
-		if len(lc.cands) <= 1 {
-			continue // constant pick, empty table by construction
-		}
-		tb := buildPickTable(lc)
-		maxCy := lc.cands[len(lc.cands)-1].cycles
-		for _, c := range lc.cands {
-			if c.cycles > maxCy {
-				maxCy = c.cycles
-			}
-		}
-		hi := 4 * maxCy
-		if hi > 1<<22 {
-			hi = 1 << 22
-		}
-		seg := 0
-		for target := int64(1); target <= hi; target++ {
-			for seg < len(tb.ts) && tb.ts[seg] <= target {
-				seg++
-			}
-			if got, want := int(tb.choices[seg]), refPick(lc, target); got != want {
-				t.Fatalf("layer %d target %d: table picks %d, reference %d", s.all[i], target, got, want)
-			}
+// minT returns the smallest t in [1, hi] satisfying the monotone
+// predicate, or hi+1 if none does.
+func minT(hi int64, pred func(int64) bool) int64 {
+	lo := int64(1)
+	for lo < hi {
+		mid := lo + (hi-lo)/2
+		if pred(mid) {
+			hi = mid
+		} else {
+			lo = mid + 1
 		}
 	}
+	if pred(lo) {
+		return lo
+	}
+	return hi + 1
 }
 
-// checkPickTable compares one production table (and the production
-// picker at every boundary) with the reference enumeration.
-func checkPickTable(t *testing.T, name string, lc layerCands) {
-	t.Helper()
-	got, want := buildPickTable(lc), refBuildPickTable(lc)
-	if !slices.Equal(got.ts, want.ts) || !slices.Equal(got.choices, want.choices) {
-		t.Fatalf("%s: table (%d boundaries) differs from the reference (%d boundaries)",
-			name, len(got.ts), len(want.ts))
+// boundaryTargets returns every refBuildPickTable boundary of lc and
+// its neighbours ±1, plus target 1: the targets where a mis-placed
+// window edge, nearest fallback or tie-break would show.
+func boundaryTargets(lc layerCands) []int64 {
+	ts := []int64{1}
+	for _, b := range refBuildPickTable(lc) {
+		ts = append(ts, b-1, b, b+1)
 	}
-	for _, tt := range append([]int64{1}, want.ts...) {
-		for _, target := range []int64{tt - 1, tt, tt + 1} {
-			if target >= 1 && lc.pick(target) != refPick(lc, target) {
-				t.Fatalf("%s target %d: pick %d, reference %d", name, target, lc.pick(target), refPick(lc, target))
-			}
-		}
-	}
+	return ts
 }
 
-// TestPickTableMatchesReference pins the distinct-boundary enumeration
-// and the windowed picker to the per-candidate reference: identical
-// boundaries and choices on every zoo model under every dataflow and
-// three engine shapes, and on synthetic lists built to stress the
-// deduplication — repeated cycle values, equal cycles with different
-// utilization or channel tiles, and cycles near 2^40.
-func TestPickTableMatchesReference(t *testing.T) {
+// engineShapes are the default engine and two reshaped ones (a wide
+// array with a big buffer, and a small 3-D array) the reference tests
+// run every zoo model on.
+func engineShapes() []struct {
+	name string
+	cfg  engine.Config
+} {
 	big := engine.Default()
 	big.PEx, big.PEy, big.BufferBytes = 32, 32, 256<<10
 	flex := engine.Default()
 	flex.PEx, flex.PEy, flex.PEz, flex.BufferBytes = 8, 8, 4, 64<<10
-	cfgs := []struct {
+	return []struct {
 		name string
 		cfg  engine.Config
 	}{{"default", engine.Default()}, {"32x32-256KB", big}, {"8x8x4-64KB", flex}}
+}
+
+// forEachZooSearch runs fn on the search of every zoo model under every
+// dataflow and engine shape, as a subtest.
+func forEachZooSearch(t *testing.T, fn func(t *testing.T, s *search)) {
 	for _, model := range models.Names() {
 		g := models.MustBuild(model)
-		for _, c := range cfgs {
+		for _, c := range engineShapes() {
 			for _, df := range []engine.Dataflow{engine.KCPartition, engine.YXPartition, engine.FlexPartition} {
 				t.Run(fmt.Sprintf("%s/%s/%v", model, c.name, df), func(t *testing.T) {
-					s := newSearch(g, c.cfg, df, Options{})
-					seen := map[*candidate]bool{}
-					for i, lc := range s.lcAt {
-						if seen[&lc.cands[0]] {
-							continue
-						}
-						seen[&lc.cands[0]] = true
-						checkPickTable(t, fmt.Sprintf("layer %d", s.all[i]), lc)
-					}
+					fn(t, newSearch(g, c.cfg, df, Options{}))
 				})
 			}
 		}
 	}
+}
+
+// checkScore compares score at target against the from-scratch argmin:
+// integer-identical accumulators and bit-identical floats.
+func checkScore(t testing.TB, s *search, target float64) {
+	t.Helper()
+	ref := s.argmin(target)
+	if got := s.accumAt(targetOf(target)); got != ref.acc {
+		t.Fatalf("target %g: score accum %+v, argmin %+v", target, got, ref.acc)
+	}
+	m, v := s.score(target)
+	rm, rv := ref.acc.meanVariance()
+	if math.Float64bits(m) != math.Float64bits(rm) || math.Float64bits(v) != math.Float64bits(rv) {
+		t.Fatalf("target %g: score (S=%v, E=%v), argmin (S=%v, E=%v)", target, m, v, rm, rv)
+	}
+}
+
+// TestScoreMatchesArgmin pins score to the from-scratch argmin on every
+// zoo model × {KC-P, YX-P, Flex-P} × three engine shapes: at every
+// reference pick boundary ±1 of every distinct candidate list, and at
+// random targets — local jitter, wide jumps, sub-1 and enormous ones.
+func TestScoreMatchesArgmin(t *testing.T) {
+	forEachZooSearch(t, func(t *testing.T, s *search) {
+		for _, g := range s.groups {
+			for _, tt := range boundaryTargets(*g.lc) {
+				if tt >= 1 {
+					checkScore(t, s, float64(tt))
+				}
+			}
+		}
+		rng := rand.New(rand.NewSource(23))
+		for step := 0; step < 100; step++ {
+			var target float64
+			switch step % 4 {
+			case 0: // local jitter around a typical cycle count
+				target = float64(s.groups[0].lc.cands[0].cycles) * (0.8 + 0.4*rng.Float64())
+			case 1: // wide jump
+				target = math.Exp(rng.Float64() * 20)
+			case 2: // tiny / degenerate
+				target = rng.Float64() * 2
+			default: // beyond any cycle count, up to the clamp
+				target = math.Exp(20 + rng.Float64()*30)
+			}
+			checkScore(t, s, target)
+		}
+	})
+}
+
+// checkPick compares the production picker with the reference at every
+// reference boundary ±1 of one candidate list.
+func checkPick(t *testing.T, name string, lc layerCands) {
+	t.Helper()
+	for _, target := range boundaryTargets(lc) {
+		if target >= 1 && lc.pick(target) != refPick(lc, target) {
+			t.Fatalf("%s target %d: pick %d, reference %d", name, target, lc.pick(target), refPick(lc, target))
+		}
+	}
+}
+
+// TestPickMatchesReference pins the windowed picker to the full-scan
+// reference: at every integer target up to 4× the largest cycle count of
+// every tinyconv list; at every reference boundary ±1 of every distinct
+// zoo list under every dataflow and engine shape; and on synthetic lists
+// built to stress the rep deduplication — repeated cycle values, equal
+// cycles with different utilization or channel tiles, and cycles near
+// 2^40.
+func TestPickMatchesReference(t *testing.T) {
+	t.Run("tinyconv-exhaustive", func(t *testing.T) {
+		s := testSearch(t, "tinyconv")
+		for i, lc := range s.lcAt {
+			hi := min64(4*lc.cands[len(lc.cands)-1].cycles, 1<<22)
+			for target := int64(1); target <= hi; target++ {
+				if got, want := lc.pick(target), refPick(lc, target); got != want {
+					t.Fatalf("layer %d target %d: pick %d, reference %d", s.all[i], target, got, want)
+				}
+			}
+		}
+	})
+	forEachZooSearch(t, func(t *testing.T, s *search) {
+		seen := map[*candidate]bool{}
+		for i, lc := range s.lcAt {
+			if !seen[&lc.cands[0]] {
+				seen[&lc.cands[0]] = true
+				checkPick(t, fmt.Sprintf("layer %d", s.all[i]), lc)
+			}
+		}
+	})
 	t.Run("synthetic", func(t *testing.T) {
 		rng := rand.New(rand.NewSource(5))
 		layer := &graph.Layer{Shape: graph.Shape{Co: 512}}
@@ -351,59 +384,93 @@ func TestPickTableMatchesReference(t *testing.T) {
 				}
 			}
 			sort.Slice(cands, func(i, j int) bool { return cands[i].cycles < cands[j].cycles })
-			checkPickTable(t, fmt.Sprintf("trial %d", trial), newLayerCands(layer, cands))
+			checkPick(t, fmt.Sprintf("trial %d", trial), newLayerCands(layer, cands))
 		}
 	})
 }
 
-// TestSAWithVerifyDelta runs full searches — one chain and several —
-// under the cross-checking harness: every move of every chain is
-// compared against a from-scratch recomputation.
-func TestSAWithVerifyDelta(t *testing.T) {
-	for _, model := range []string{"tinyconv", "tinyresnet", "tinybranch"} {
-		g := models.MustBuild(model)
-		SA(g, engine.Default(), engine.KCPartition,
-			Options{MaxIters: 150, Seed: 9, verify: (*search).verifyDelta})
-		SA(g, engine.Default(), engine.KCPartition,
-			Options{MaxIters: 150, Seed: 9, Chains: 3, verify: (*search).verifyDelta})
-		SA(g, engine.Default(), engine.KCPartition,
-			Options{MaxIters: 100, Seed: 9, Chains: 3, verify: (*search).verifyDelta})
+func min64(a, b int64) int64 {
+	if a < b {
+		return a
+	}
+	return b
+}
+
+// TestAccumAddN: addN(c, m) leaves the sums exactly where m calls of
+// add(c) do, from zero and from a nonzero start (so the low-limb carry
+// into s2hi is exercised), for cycles up to 2^40 and multiplicities up
+// to 2^12.
+func TestAccumAddN(t *testing.T) {
+	rng := rand.New(rand.NewSource(31))
+	for trial := 0; trial < 300; trial++ {
+		c := rng.Int63n(1 << (1 + rng.Intn(40)))
+		m := 1 + rng.Int63n(1<<(rng.Intn(13)))
+		var start accum
+		if trial%2 == 1 {
+			start.add(1<<40 - 1 - rng.Int63n(1<<20))
+			start.add(rng.Int63n(1 << 40))
+		}
+		got, want := start, start
+		got.addN(c, m)
+		for k := int64(0); k < m; k++ {
+			want.add(c)
+		}
+		if got != want {
+			t.Fatalf("addN(%d, %d) from %+v = %+v, %d adds give %+v", c, m, start, got, m, want)
+		}
 	}
 }
 
-// TestZooVerifyDelta runs the search of every zoo model at the full
+// TestSAWithVerifyScore runs full searches — one chain and several —
+// under the cross-checking harness: every scored target of every chain
+// and of the polish sweep is compared against a from-scratch argmin.
+func TestSAWithVerifyScore(t *testing.T) {
+	for _, model := range []string{"tinyconv", "tinyresnet", "tinybranch"} {
+		g := models.MustBuild(model)
+		for _, df := range []engine.Dataflow{engine.KCPartition, engine.YXPartition} {
+			SA(g, engine.Default(), df,
+				Options{MaxIters: 150, Seed: 9, verify: (*search).verifyScore})
+			SA(g, engine.Default(), df,
+				Options{MaxIters: 150, Seed: 9, Chains: 3, verify: (*search).verifyScore})
+			SA(g, engine.Default(), df,
+				Options{MaxIters: 100, Seed: 9, Chains: 3, verify: (*search).verifyScore})
+		}
+	}
+}
+
+// TestZooVerifyScore runs the search of every zoo model at the full
 // profile of the root determinism matrix (seed 1, 200 iterations, 128
 // tiles per layer, the default engine) with one chain and with three,
-// cross-checking every move.
-func TestZooVerifyDelta(t *testing.T) {
+// cross-checking every scored target.
+func TestZooVerifyScore(t *testing.T) {
 	for _, model := range models.Names() {
 		g := models.MustBuild(model)
 		for _, chains := range []int{1, 3} {
 			t.Run(fmt.Sprintf("%s/chains%d", model, chains), func(t *testing.T) {
 				SA(g, engine.Default(), engine.KCPartition, Options{MaxIters: 200, Seed: 1,
-					MaxTilesPerLay: 128, Chains: chains, verify: (*search).verifyDelta})
+					MaxTilesPerLay: 128, Chains: chains, verify: (*search).verifyScore})
 			})
 		}
 	}
 }
 
-// TestVerifyDeltaNeutral: the harness must never change the trajectory.
-func TestVerifyDeltaNeutral(t *testing.T) {
+// TestVerifyScoreNeutral: the harness must never change the trajectory.
+func TestVerifyScoreNeutral(t *testing.T) {
 	g := models.MustBuild("tinyresnet")
 	plain := SA(g, engine.Default(), engine.KCPartition, Options{MaxIters: 120, Seed: 4})
-	checked := SA(g, engine.Default(), engine.KCPartition, Options{MaxIters: 120, Seed: 4, verify: (*search).verifyDelta})
+	checked := SA(g, engine.Default(), engine.KCPartition, Options{MaxIters: 120, Seed: 4, verify: (*search).verifyScore})
 	if plain.FinalVar != checked.FinalVar || plain.MeanCycle != checked.MeanCycle || plain.Iters != checked.Iters {
-		t.Errorf("verifyDelta perturbed the search: %v/%v/%d vs %v/%v/%d",
+		t.Errorf("verifyScore perturbed the search: %v/%v/%d vs %v/%v/%d",
 			plain.FinalVar, plain.MeanCycle, plain.Iters,
 			checked.FinalVar, checked.MeanCycle, checked.Iters)
 	}
 }
 
-// FuzzMoveSequence feeds arbitrary byte strings as walker move sequences:
-// each pair of bytes encodes one target jump (direction, magnitude). The
-// walker must agree exactly with the from-scratch argmin after every jump
-// and the accumulators must match a full rebuild.
-func FuzzMoveSequence(f *testing.F) {
+// FuzzScore feeds arbitrary byte strings as target sequences: each pair
+// of bytes encodes one jump (a multiplicative step and an additive
+// jitter). score must agree exactly with the from-scratch argmin at
+// every target.
+func FuzzScore(f *testing.F) {
 	f.Add([]byte{0x00, 0x01, 0xff, 0x80, 0x10, 0x42})
 	f.Add([]byte{0xff, 0xff, 0x00, 0x00})
 	f.Add([]byte{0x7f, 0x20, 0x9c, 0x03, 0xee, 0x51, 0x08})
@@ -412,52 +479,29 @@ func FuzzMoveSequence(f *testing.F) {
 		return newSearch(g, engine.Default(), engine.KCPartition, Options{})
 	}()
 	f.Fuzz(func(t *testing.T, seq []byte) {
-		w := s.newWalker(64)
 		target := 64.0
 		for i := 0; i+1 < len(seq); i += 2 {
 			// Byte 0 scales a multiplicative step in [x1/8, x8); byte 1
 			// adds jitter so boundaries land on odd offsets too.
 			factor := math.Exp((float64(seq[i])/255*2 - 1) * math.Ln2 * 3)
 			target = target*factor + float64(seq[i+1]) - 128
-			w.moveTo(target)
-			s.verifyDelta(w, target)
-			if got := s.accumOf(w.st); got != w.st.acc {
-				t.Fatalf("move %d (target %g): accum %+v != rebuilt %+v", i/2, target, w.st.acc, got)
-			}
+			checkScore(t, s, target)
 		}
 	})
 }
 
-// verifyDelta cross-checks a walker against the from-scratch reference:
-// the argmin image rebuilt by direct pick evaluation must match the
-// incrementally-maintained choices exactly, the rebuilt accumulators
-// must be integer-identical, and the derived energies must agree to ulp
-// scale. Any divergence is a bug in the delta machinery (a missed pick
-// boundary, a drifted accumulator), never a legitimate outcome, so it
-// panics. Installed as the Options.verify hook by the tests below;
-// TestZooVerifyDelta runs it over the whole zoo.
-func (s *search) verifyDelta(w *walker, target float64) {
-	ref := s.argmin(target)
-	for i := range ref.choice {
-		if ref.choice[i] != w.st.choice[i] {
-			panic(fmt.Sprintf(
-				"anneal: delta divergence at target %g: layer %d (id %d) picked %d incrementally, %d from scratch",
-				target, i, s.all[i], w.st.choice[i], ref.choice[i]))
-		}
-	}
-	if ref.acc != w.st.acc {
+// verifyScore cross-checks one scored target against the from-scratch
+// reference: the argmin image rebuilt by direct pick evaluation must
+// score bit-identically. Any divergence is a bug in the grouped scoring
+// (a miscounted multiplicity, a drifted accumulator), never a legitimate
+// outcome, so it panics. Installed as the Options.verify hook by the
+// tests above; TestZooVerifyScore runs it over the whole zoo.
+func (s *search) verifyScore(target, mean, variance float64) {
+	rm, rv := s.argmin(target).acc.meanVariance()
+	if math.Float64bits(mean) != math.Float64bits(rm) || math.Float64bits(variance) != math.Float64bits(rv) {
 		panic(fmt.Sprintf(
-			"anneal: accumulator divergence at target %g: incremental %+v, rebuilt %+v",
-			target, w.st.acc, ref.acc))
-	}
-	// Identical accumulators imply identical derived floats; spell the
-	// ulp-scale check out anyway so a future divergence reports energies.
-	im, iv := w.st.acc.meanVariance()
-	rm, rv := ref.acc.meanVariance()
-	if !ulpClose(im, rm) || !ulpClose(iv, rv) {
-		panic(fmt.Sprintf(
-			"anneal: energy divergence at target %g: incremental (S=%v, E=%v), full (S=%v, E=%v)",
-			target, im, iv, rm, rv))
+			"anneal: score divergence at target %g: scored (S=%v, E=%v), argmin (S=%v, E=%v)",
+			target, mean, variance, rm, rv))
 	}
 }
 

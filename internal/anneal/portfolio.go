@@ -119,13 +119,13 @@ func SA(g *graph.Graph, cfg engine.Config, df engine.Dataflow, opt Options) Resu
 			if c.idx == chains[gb].idx || chains[gb].bestE >= c.E {
 				continue
 			}
-			// Adoption only moves the scalars: the chain's next proposal is
-			// the argmin image of a target drawn around the adopted S, which
-			// the walker reaches incrementally from wherever it stands.
+			// Adoption only moves the scalars and the pinned best: the
+			// chain's next proposal is the argmin image of a target drawn
+			// around the adopted S.
 			c.E, c.S = chains[gb].bestE, chains[gb].bestS
 			c.lenAbs = c.S * lenFrac
 			if c.E < c.bestE {
-				c.best, c.bestE, c.bestS = cloneState(chains[gb].best), c.E, c.S
+				c.best, c.bestE, c.bestS = chains[gb].best, c.E, c.S
 			}
 			c.adoptions++
 			adopted[i] = true
@@ -150,7 +150,7 @@ func SA(g *graph.Graph, cfg engine.Config, df engine.Dataflow, opt Options) Resu
 			win = c
 		}
 	}
-	best, bestE, bestS := sctx.polish(opt, win.best, win.bestE, win.bestS)
+	best, bestE, bestS := sctx.polish(opt, m, win.best, win.bestE, win.bestS)
 	trace := win.trace
 	if n := len(trace); n > 0 && bestE < trace[n-1] {
 		trace = append(trace, bestE)

@@ -48,8 +48,11 @@ func (c Config) BytesPerCycle(freqMHz float64) float64 {
 // Validate reports configuration errors.
 func (c Config) Validate() error {
 	// NaN fails every comparison, so the bandwidth is checked as !(b > 0).
-	if !(c.PeakGBps > 0) || math.IsInf(c.PeakGBps, 1) || c.Channels <= 0 {
-		return fmt.Errorf("dram: invalid config %+v", c)
+	if !(c.PeakGBps > 0) || math.IsInf(c.PeakGBps, 1) {
+		return fmt.Errorf("dram: PeakGBps must be positive and finite, got %v", c.PeakGBps)
+	}
+	if c.Channels <= 0 {
+		return fmt.Errorf("dram: Channels must be positive, got %d", c.Channels)
 	}
 	return nil
 }

@@ -1,6 +1,8 @@
 package dram
 
 import (
+	"math"
+	"strings"
 	"testing"
 	"testing/quick"
 )
@@ -74,10 +76,21 @@ func TestValidate(t *testing.T) {
 	if err := Default().Validate(); err != nil {
 		t.Errorf("default invalid: %v", err)
 	}
-	bad := Default()
-	bad.Channels = 0
-	if err := bad.Validate(); err == nil {
-		t.Error("0 channels accepted")
+	// Each bad field is named in the error, with its value.
+	for _, tc := range []struct {
+		mutate func(*Config)
+		want   string
+	}{
+		{func(c *Config) { c.Channels = 0 }, "Channels must be positive, got 0"},
+		{func(c *Config) { c.PeakGBps = math.NaN() }, "PeakGBps must be positive and finite, got NaN"},
+		{func(c *Config) { c.PeakGBps = math.Inf(1) }, "PeakGBps must be positive and finite, got +Inf"},
+		{func(c *Config) { c.PeakGBps = -1 }, "PeakGBps must be positive and finite, got -1"},
+	} {
+		bad := Default()
+		tc.mutate(&bad)
+		if err := bad.Validate(); err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("Validate() = %v, want %q", err, tc.want)
+		}
 	}
 }
 

@@ -76,9 +76,17 @@ func (c Config) Validate() error {
 	if c.BufferBytes <= 0 {
 		return fmt.Errorf("engine: non-positive buffer size %d", c.BufferBytes)
 	}
+	for _, f := range []struct {
+		name string
+		v    int
+	}{{"VectorLanes", c.VectorLanes}, {"PortBytes", c.PortBytes}, {"MACsPerPE", c.MACsPerPE}} {
+		if f.v <= 0 {
+			return fmt.Errorf("engine: %s must be positive, got %d", f.name, f.v)
+		}
+	}
 	// NaN fails every comparison, so the clock is checked as !(f > 0).
-	if c.VectorLanes <= 0 || c.PortBytes <= 0 || c.MACsPerPE <= 0 || !(c.FreqMHz > 0) || math.IsInf(c.FreqMHz, 1) {
-		return fmt.Errorf("engine: invalid config %+v", c)
+	if !(c.FreqMHz > 0) || math.IsInf(c.FreqMHz, 1) {
+		return fmt.Errorf("engine: FreqMHz must be positive and finite, got %v", c.FreqMHz)
 	}
 	return nil
 }

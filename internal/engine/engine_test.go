@@ -1,6 +1,8 @@
 package engine
 
 import (
+	"math"
+	"strings"
 	"testing"
 	"testing/quick"
 
@@ -134,6 +136,24 @@ func TestConfigValidate(t *testing.T) {
 	bad.BufferBytes = -1
 	if err := bad.Validate(); err == nil {
 		t.Error("negative buffer accepted")
+	}
+	// Each bad field is named in the error, with its value.
+	for _, tc := range []struct {
+		mutate func(*Config)
+		want   string
+	}{
+		{func(c *Config) { c.VectorLanes = 0 }, "VectorLanes must be positive, got 0"},
+		{func(c *Config) { c.PortBytes = -8 }, "PortBytes must be positive, got -8"},
+		{func(c *Config) { c.MACsPerPE = 0 }, "MACsPerPE must be positive, got 0"},
+		{func(c *Config) { c.FreqMHz = math.NaN() }, "FreqMHz must be positive and finite, got NaN"},
+		{func(c *Config) { c.FreqMHz = math.Inf(1) }, "FreqMHz must be positive and finite, got +Inf"},
+		{func(c *Config) { c.FreqMHz = 0 }, "FreqMHz must be positive and finite, got 0"},
+	} {
+		bad := Default()
+		tc.mutate(&bad)
+		if err := bad.Validate(); err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("Validate() = %v, want %q", err, tc.want)
+		}
 	}
 }
 

@@ -1,6 +1,6 @@
 // Package par is the repository's one bounded worker pool. The search's
-// candidate generation, pick tables, polish sweep and portfolio chains,
-// and the experiment sweeps all run their index loops through ForEach.
+// candidate generation and portfolio chains, and the experiment sweeps,
+// all run their index loops through ForEach.
 package par
 
 import (

@@ -2,6 +2,7 @@ package sim
 
 import (
 	"math"
+	"strings"
 	"testing"
 
 	"github.com/atomic-dataflow/atomicflow/internal/dram"
@@ -46,18 +47,23 @@ func TestValidateRejectsBadConfig(t *testing.T) {
 	for _, tc := range []struct {
 		name   string
 		mutate func(*Config)
+		want   string // the field the error must name
 	}{
-		{"negative Engine.BufferBytes", func(c *Config) { c.Engine.BufferBytes = -1 }},
-		{"nil mesh", func(c *Config) { c.Mesh = nil }},
-		{"NaN Engine.FreqMHz", func(c *Config) { c.Engine.FreqMHz = math.NaN() }},
-		{"+Inf Engine.FreqMHz", func(c *Config) { c.Engine.FreqMHz = math.Inf(1) }},
-		{"NaN DRAM.PeakGBps", func(c *Config) { c.DRAM.PeakGBps = math.NaN() }},
-		{"+Inf DRAM.PeakGBps", func(c *Config) { c.DRAM.PeakGBps = math.Inf(1) }},
+		{"negative Engine.BufferBytes", func(c *Config) { c.Engine.BufferBytes = -1 }, "buffer"},
+		{"nil mesh", func(c *Config) { c.Mesh = nil }, "mesh"},
+		{"NaN Engine.FreqMHz", func(c *Config) { c.Engine.FreqMHz = math.NaN() }, "FreqMHz"},
+		{"+Inf Engine.FreqMHz", func(c *Config) { c.Engine.FreqMHz = math.Inf(1) }, "FreqMHz"},
+		{"zero Engine.VectorLanes", func(c *Config) { c.Engine.VectorLanes = 0 }, "VectorLanes"},
+		{"zero Engine.PortBytes", func(c *Config) { c.Engine.PortBytes = 0 }, "PortBytes"},
+		{"zero Engine.MACsPerPE", func(c *Config) { c.Engine.MACsPerPE = 0 }, "MACsPerPE"},
+		{"NaN DRAM.PeakGBps", func(c *Config) { c.DRAM.PeakGBps = math.NaN() }, "PeakGBps"},
+		{"+Inf DRAM.PeakGBps", func(c *Config) { c.DRAM.PeakGBps = math.Inf(1) }, "PeakGBps"},
+		{"zero DRAM.Channels", func(c *Config) { c.DRAM.Channels = 0 }, "Channels"},
 	} {
 		c := DefaultConfig()
 		tc.mutate(&c)
-		if err := c.Validate(); err == nil {
-			t.Errorf("%s validated", tc.name)
+		if err := c.Validate(); err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("%s: Validate() = %v, want an error naming %s", tc.name, err, tc.want)
 		}
 	}
 }
