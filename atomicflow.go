@@ -34,6 +34,7 @@ import (
 	"github.com/atomic-dataflow/atomicflow/internal/anneal"
 	"github.com/atomic-dataflow/atomicflow/internal/atom"
 	"github.com/atomic-dataflow/atomicflow/internal/baseline"
+	"github.com/atomic-dataflow/atomicflow/internal/codegen"
 	"github.com/atomic-dataflow/atomicflow/internal/cost"
 	"github.com/atomic-dataflow/atomicflow/internal/dram"
 	"github.com/atomic-dataflow/atomicflow/internal/energy"
@@ -100,6 +101,9 @@ type (
 	// chain adopted the global best at this exchange barrier. CV()
 	// converts the energy to the paper's load-balance metric.
 	SearchSample = anneal.Sample
+	// Program is a Solution lowered to one instruction stream per engine
+	// (see Solution.Lower).
+	Program = codegen.Program
 )
 
 // Operator kinds.
@@ -291,6 +295,7 @@ type Solution struct {
 
 	dag   *atom.DAG
 	sched *schedule.Schedule
+	hw    HardwareConfig // the hardware simulated, without its hooks
 }
 
 // Digest returns a hex SHA-256 over the solution's deterministic content:
@@ -310,6 +315,24 @@ func (s *Solution) Digest() string {
 		}
 	}
 	return hex.EncodeToString(h.Sum(nil))
+}
+
+// Lower compiles the solution to verified per-engine instruction streams
+// on the hardware it was simulated on. Placement and buffering are the
+// simulator's own, so the program is the lowering of Report: one SEND per
+// NoC flow, and LOAD_IN and WRITEBK bytes equal to its DRAM bytes.
+func (s *Solution) Lower() (*Program, error) {
+	if s.sched == nil {
+		return nil, fmt.Errorf("atomicflow: solution has no schedule")
+	}
+	p, err := codegen.Generate(s.dag, s.sched, s.hw)
+	if err != nil {
+		return nil, err
+	}
+	if err := p.Verify(s.dag); err != nil {
+		return nil, fmt.Errorf("atomicflow: stream verification: %w", err)
+	}
+	return p, nil
 }
 
 // Orchestrate runs the full atomic-dataflow pipeline on the workload:
@@ -389,6 +412,7 @@ func Orchestrate(g *Graph, opt Options) (*Solution, error) {
 	if hw.Metrics != nil {
 		snap = hw.Metrics.Snapshot()
 	}
+	hw.Trace, hw.Metrics, hw.Ctx = nil, nil, nil
 	return &Solution{
 		Report:      rep,
 		Atoms:       atoms,
@@ -400,6 +424,7 @@ func Orchestrate(g *Graph, opt Options) (*Solution, error) {
 		Metrics:     snap,
 		dag:         d,
 		sched:       s,
+		hw:          hw,
 	}, nil
 }
 

@@ -242,3 +242,45 @@ func TestOrchestrateOracleStats(t *testing.T) {
 			second.Report.Cycles, first.Report.Cycles)
 	}
 }
+
+// TestLoweringMatchesReport checks that Solution.Lower is the lowering of
+// the simulated solve, not a second one: on default hardware and under
+// NaiveMapping, the program has the Report's Rounds, one SEND per NoC flow
+// the simulator timed, and LOAD_IN and WRITEBK bytes equal to the
+// Report's DRAM read and write bytes.
+func TestLoweringMatchesReport(t *testing.T) {
+	for _, naive := range []bool{false, true} {
+		for _, model := range []string{"tinyresnet", "resnet50"} {
+			for _, batch := range []int{1, 8} {
+				g, err := LoadModel(model)
+				if err != nil {
+					t.Fatal(err)
+				}
+				hw := DefaultHardware()
+				hw.NaiveMapping = naive
+				sol, err := Orchestrate(g, Options{Batch: batch, Hardware: &hw, Metrics: NewMetrics()})
+				if err != nil {
+					t.Fatal(err)
+				}
+				p, err := sol.Lower()
+				if err != nil {
+					t.Fatalf("%s b%d naive=%t: %v", model, batch, naive, err)
+				}
+				st, rep := p.Stats(), sol.Report
+				for _, c := range []struct {
+					what      string
+					got, want int64
+				}{
+					{"rounds", int64(p.Rounds), int64(sol.Rounds)},
+					{"SENDs vs noc_flows_total", int64(st.Sends), sol.Metrics.Counter("noc_flows_total")},
+					{"LOAD_IN bytes vs DRAMReadBytes", st.LoadBytes, rep.DRAMReadBytes},
+					{"WRITEBK bytes vs DRAMWriteBytes", st.WritebackBytes, rep.DRAMWriteBytes},
+				} {
+					if c.got != c.want {
+						t.Errorf("%s b%d naive=%t: %s: program %d, solve %d", model, batch, naive, c.what, c.got, c.want)
+					}
+				}
+			}
+		}
+	}
+}

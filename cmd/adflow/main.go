@@ -1,16 +1,21 @@
 // Command adflow orchestrates one DNN workload on a configurable scalable
 // accelerator using atomic dataflow, and optionally compares against the
-// baseline strategies.
+// baseline strategies, lowers the solution it reports to per-engine
+// instruction streams, or exports the workload itself.
 //
 // Usage:
 //
 //	adflow -model resnet50 -batch 1 -engines 8 -pes 16 -buffer 131072 \
 //	       -dataflow kc -mode dp -baselines
+//	adflow -model tinyresnet -emit -engine-id 0 | head -50
+//	adflow -model pnascell -dot          # Graphviz DOT on stdout
+//	adflow -model pnascell -export       # JSON exchange document on stdout
 package main
 
 import (
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"strings"
 
@@ -19,11 +24,11 @@ import (
 
 // flags are adflow's command-line options.
 type flags struct {
-	model, modelFile, dataflow, mode, traceFile, metJSON *string
-	batch, engines, pes, buffer, saIters, chains         *int
-	freq                                                 *float64
-	seed                                                 *int64
-	baselines                                            *bool
+	model, modelFile, dataflow, mode, traceFile, metJSON   *string
+	batch, engines, pes, buffer, saIters, chains, engineID *int
+	freq                                                   *float64
+	seed                                                   *int64
+	baselines, emit, dot, export                           *bool
 }
 
 // defineFlags registers adflow's flags on fs. The search defaults match
@@ -48,30 +53,80 @@ func defineFlags(fs *flag.FlagSet) *flags {
 		baselines: fs.Bool("baselines", false, "also run LS, CNN-P, IL-Pipe and Rammer"),
 		traceFile: fs.String("trace", "", "write a full-span trace (engine/NoC/DRAM lanes, Chrome trace-event JSON) of the AD execution to this file"),
 		metJSON:   fs.String("metrics-json", "", "write the run's metrics snapshot as JSON to this file"),
+		emit:      fs.Bool("emit", false, "lower the solution to per-engine instruction streams, verify them and print their statistics"),
+		engineID:  fs.Int("engine-id", -1, "with -emit: also list this engine's instruction stream"),
+		dot:       fs.Bool("dot", false, "print the workload as a Graphviz DOT graph instead of solving it"),
+		export:    fs.Bool("export", false, "print the workload's JSON exchange document instead of solving it"),
 	}
 }
 
-// options validates the flags and builds the orchestration options,
-// including the hardware model the flags describe, which must validate
-// too (a NaN or infinite -freq is rejected there).
+// options validates the flags and builds the orchestration options. It
+// rejects values the pipeline would panic on or only fail on after the
+// search (no engines, an engine to list outside the mesh) or replace with
+// a default (an unknown mode; a batch, chain count or iteration budget
+// below 1), flag combinations that leave a flag ignored, and hardware
+// that does not validate (a NaN or infinite -freq).
 func (f *flags) options() (af.Options, error) {
-	schedMode, df, err := checkFlags(*f.engines, *f.batch, *f.chains, *f.saIters, *f.mode, *f.dataflow)
-	if err != nil {
-		return af.Options{}, err
+	for _, v := range []struct {
+		name string
+		v    int
+	}{{"engines", *f.engines}, {"batch", *f.batch}, {"chains", *f.chains}, {"sa-iters", *f.saIters}} {
+		if v.v < 1 {
+			return af.Options{}, fmt.Errorf("-%s %d: want at least 1", v.name, v.v)
+		}
+	}
+	switch id := *f.engineID; {
+	case id < -1 || id >= *f.engines*(*f.engines):
+		return af.Options{}, fmt.Errorf("-engine-id %d: want an engine of the %dx%d mesh, or -1 for none", id, *f.engines, *f.engines)
+	case id >= 0 && !*f.emit:
+		return af.Options{}, fmt.Errorf("-engine-id %d needs -emit", id)
+	}
+	switch {
+	case *f.dot && *f.export:
+		return af.Options{}, fmt.Errorf("-dot and -export each print the workload: pick one")
+	case (*f.dot || *f.export) && (*f.emit || *f.baselines || *f.traceFile != "" || *f.metJSON != ""):
+		return af.Options{}, fmt.Errorf("-dot and -export print the workload without solving it: drop -emit, -baselines, -trace and -metrics-json")
 	}
 	hw := af.DefaultHardware()
 	hw.Mesh = af.NewMesh(*f.engines, *f.engines, hw.Mesh.LinkBytes)
 	hw.Engine.PEx, hw.Engine.PEy = *f.pes, *f.pes
 	hw.Engine.BufferBytes = *f.buffer
 	hw.Engine.FreqMHz = *f.freq
-	hw.Dataflow = df
+	opts := af.Options{Batch: *f.batch, Hardware: &hw, SAIters: *f.saIters, Seed: *f.seed, Chains: *f.chains}
+	switch *f.mode {
+	case "dp":
+		opts.Mode = af.ModeDP
+	case "greedy":
+		opts.Mode = af.ModeGreedy
+	default:
+		return af.Options{}, fmt.Errorf("-mode %q: want dp or greedy", *f.mode)
+	}
+	switch *f.dataflow {
+	case "kc":
+		hw.Dataflow = af.KCPartition
+	case "yx":
+		hw.Dataflow = af.YXPartition
+	default:
+		return af.Options{}, fmt.Errorf("-dataflow %q: want kc or yx", *f.dataflow)
+	}
 	if err := hw.Validate(); err != nil {
 		return af.Options{}, err
 	}
-	return af.Options{
-		Batch: *f.batch, Hardware: &hw, Mode: schedMode,
-		SAIters: *f.saIters, Seed: *f.seed, Chains: *f.chains,
-	}, nil
+	return opts, nil
+}
+
+// graph loads the workload: the -model-file document if set, else the
+// zoo model.
+func (f *flags) graph() (*af.Graph, error) {
+	if *f.modelFile == "" {
+		return af.LoadModel(*f.model)
+	}
+	mf, err := os.Open(*f.modelFile)
+	if err != nil {
+		return nil, err
+	}
+	defer mf.Close()
+	return af.ReadModel(mf)
 }
 
 func main() {
@@ -82,56 +137,79 @@ func main() {
 		fmt.Fprintln(os.Stderr, "adflow:", err)
 		os.Exit(2)
 	}
-	hw := *opts.Hardware
-
-	var g *af.Graph
-	if *f.modelFile != "" {
-		mf, ferr := os.Open(*f.modelFile)
-		if ferr != nil {
-			fatal(ferr)
-		}
-		g, err = af.ReadModel(mf)
-		mf.Close()
-	} else {
-		g, err = af.LoadModel(*f.model)
+	if err := run(f, opts, os.Stdout); err != nil {
+		fmt.Fprintln(os.Stderr, "adflow:", err)
+		os.Exit(1)
 	}
+}
+
+// run loads the workload and either prints it (-dot, -export) or solves
+// it on opts and prints the outcome to w.
+func run(f *flags, opts af.Options, w io.Writer) error {
+	g, err := f.graph()
 	if err != nil {
-		fatal(err)
+		return err
 	}
-
-	fmt.Printf("workload:  %s\n", g.Summary())
-	fmt.Printf("hardware:  %dx%d engines x %dx%d PEs, %d KB/engine, %s, %.0f MHz\n",
-		*f.engines, *f.engines, *f.pes, *f.pes, *f.buffer>>10, hw.Dataflow, *f.freq)
+	if *f.export {
+		return af.WriteModel(w, g)
+	}
+	if *f.dot {
+		_, err := io.WriteString(w, g.DOT())
+		return err
+	}
+	fmt.Fprintf(w, "workload:  %s\n", g.Summary())
+	fmt.Fprintf(w, "hardware:  %dx%d engines x %dx%d PEs, %d KB/engine, %s, %.0f MHz\n",
+		*f.engines, *f.engines, *f.pes, *f.pes, *f.buffer>>10, opts.Hardware.Dataflow, *f.freq)
 
 	if *f.traceFile != "" {
 		tf, err := os.Create(*f.traceFile)
 		if err != nil {
-			fatal(err)
+			return err
 		}
 		defer tf.Close()
 		opts.TraceWriter = tf
-		defer fmt.Printf("trace written to %s (open in ui.perfetto.dev)\n", *f.traceFile)
+		defer fmt.Fprintf(w, "trace written to %s (open in ui.perfetto.dev)\n", *f.traceFile)
 	}
 	if *f.metJSON != "" {
 		opts.Metrics = af.NewMetrics()
 	}
 	sol, err := af.Orchestrate(g, opts)
 	if err != nil {
-		fatal(err)
+		return err
 	}
-	printReport("atomic dataflow", sol.Report)
-	fmt.Printf("  atoms %d, rounds %d, atom-cycle CV %.3f, search %v\n",
+	printReport(w, "atomic dataflow", sol.Report)
+	fmt.Fprintf(w, "  atoms %d, rounds %d, atom-cycle CV %.3f, search %v\n",
 		sol.Atoms, sol.Rounds, sol.AtomCycleCV, sol.SearchTime.Round(1e6))
 	if *f.metJSON != "" {
 		mf, err := os.Create(*f.metJSON)
 		if err != nil {
-			fatal(err)
+			return err
 		}
-		if err := opts.Metrics.WriteJSON(mf); err != nil {
-			fatal(err)
+		err = opts.Metrics.WriteJSON(mf)
+		if cerr := mf.Close(); err == nil {
+			err = cerr
 		}
-		mf.Close()
-		fmt.Printf("metrics snapshot written to %s\n", *f.metJSON)
+		if err != nil {
+			return err
+		}
+		fmt.Fprintf(w, "metrics snapshot written to %s\n", *f.metJSON)
+	}
+
+	if *f.emit {
+		p, err := sol.Lower()
+		if err != nil {
+			return err
+		}
+		st := p.Stats()
+		fmt.Fprintf(w, "program:   %d instructions, %d computes, %d sends/%d recvs, "+
+			"%0.3f MB loaded, %0.3f MB written back, %d rounds\n",
+			st.Instructions, st.Computes, st.Sends, st.Recvs,
+			float64(st.LoadBytes)/1e6, float64(st.WritebackBytes)/1e6, p.Rounds)
+		if *f.engineID >= 0 {
+			if err := p.Dump(w, *f.engineID); err != nil {
+				return err
+			}
+		}
 	}
 
 	if *f.baselines {
@@ -142,61 +220,26 @@ func main() {
 			{"LS", af.RunLS}, {"CNN-P", af.RunCNNP},
 			{"IL-Pipe", af.RunILPipe}, {"Rammer", af.RunRammer},
 		} {
-			rep, err := b.run(g, *f.batch, hw)
+			rep, err := b.run(g, *f.batch, *opts.Hardware)
 			if err != nil {
-				fatal(fmt.Errorf("%s: %w", b.name, err))
+				return fmt.Errorf("%s: %w", b.name, err)
 			}
-			printReport(b.name, rep)
-			fmt.Printf("  AD speedup: %.2fx\n", rep.TimeMS/sol.Report.TimeMS)
+			printReport(w, b.name, rep)
+			fmt.Fprintf(w, "  AD speedup: %.2fx\n", rep.TimeMS/sol.Report.TimeMS)
 		}
 	}
+	return nil
 }
 
-// checkFlags rejects flag values the pipeline would panic on (a mesh
-// without engines) or silently replace with a default (an unknown mode,
-// a batch, chain count or iteration budget below 1), and resolves the
-// scheduler mode and dataflow.
-func checkFlags(engines, batch, chains, saIters int, mode, dataflow string) (af.ScheduleMode, af.Dataflow, error) {
-	for _, f := range []struct {
-		name string
-		v    int
-	}{{"engines", engines}, {"batch", batch}, {"chains", chains}, {"sa-iters", saIters}} {
-		if f.v < 1 {
-			return 0, 0, fmt.Errorf("-%s %d: want at least 1", f.name, f.v)
-		}
-	}
-	var m af.ScheduleMode
-	switch mode {
-	case "dp":
-		m = af.ModeDP
-	case "greedy":
-		m = af.ModeGreedy
-	default:
-		return 0, 0, fmt.Errorf("-mode %q: want dp or greedy", mode)
-	}
-	switch dataflow {
-	case "kc":
-		return m, af.KCPartition, nil
-	case "yx":
-		return m, af.YXPartition, nil
-	}
-	return 0, 0, fmt.Errorf("-dataflow %q: want kc or yx", dataflow)
-}
-
-func printReport(name string, r af.Report) {
-	fmt.Printf("%-16s %10.3f ms  util %5.1f%%  (compute-only %5.1f%%)\n",
+func printReport(w io.Writer, name string, r af.Report) {
+	fmt.Fprintf(w, "%-16s %10.3f ms  util %5.1f%%  (compute-only %5.1f%%)\n",
 		name+":", r.TimeMS, 100*r.PEUtilization, 100*r.ComputeUtil)
-	fmt.Printf("  cycles %d (compute %d, NoC-blocked %d, DRAM-blocked %d)\n",
+	fmt.Fprintf(w, "  cycles %d (compute %d, NoC-blocked %d, DRAM-blocked %d)\n",
 		r.Cycles, r.ComputeCycles, r.NoCBlockedCycles, r.DRAMBlockedCycles)
-	fmt.Printf("  DRAM %0.1f MB read / %0.1f MB written, NoC %0.1f MB-hops, reuse %.1f%%\n",
+	fmt.Fprintf(w, "  DRAM %0.1f MB read / %0.1f MB written, NoC %0.1f MB-hops, reuse %.1f%%\n",
 		float64(r.DRAMReadBytes)/1e6, float64(r.DRAMWriteBytes)/1e6,
 		float64(r.NoCByteHops)/1e6, 100*r.OnChipReuseRatio)
-	fmt.Printf("  energy %.2f mJ (MAC %.2f, SRAM %.2f, NoC %.2f, DRAM %.2f, static %.2f)\n",
+	fmt.Fprintf(w, "  energy %.2f mJ (MAC %.2f, SRAM %.2f, NoC %.2f, DRAM %.2f, static %.2f)\n",
 		r.Energy.TotalMJ(), r.Energy.MAC/1e9, r.Energy.SRAM/1e9, r.Energy.NoC/1e9,
 		r.Energy.DRAM/1e9, r.Energy.Static/1e9)
-}
-
-func fatal(err error) {
-	fmt.Fprintln(os.Stderr, "adflow:", err)
-	os.Exit(1)
 }

@@ -1,7 +1,12 @@
 package main
 
 import (
+	"bytes"
+	"crypto/md5"
 	"flag"
+	"fmt"
+	"os"
+	"path/filepath"
 	"reflect"
 	"strings"
 	"testing"
@@ -9,50 +14,137 @@ import (
 	af "github.com/atomic-dataflow/atomicflow"
 )
 
+// parseFlags parses args as adflow's command line.
+func parseFlags(t *testing.T, args ...string) *flags {
+	t.Helper()
+	fs := flag.NewFlagSet("adflow", flag.ContinueOnError)
+	f := defineFlags(fs)
+	if err := fs.Parse(args); err != nil {
+		t.Fatal(err)
+	}
+	return f
+}
+
 func TestCheckFlags(t *testing.T) {
 	for _, tc := range []struct {
-		engines, batch, chains, iters int
-		mode, df                      string
-		ok                            bool
-		wantMode                      af.ScheduleMode
-		wantDF                        af.Dataflow
+		args     string
+		ok       bool
+		wantMode af.ScheduleMode
+		wantDF   af.Dataflow
 	}{
-		{8, 1, 1, 400, "greedy", "kc", true, af.ModeGreedy, af.KCPartition},
-		{1, 16, 4, 1, "dp", "yx", true, af.ModeDP, af.YXPartition},
-		{0, 1, 1, 400, "greedy", "kc", false, 0, 0},
-		{-1, 1, 1, 400, "greedy", "kc", false, 0, 0},
-		{8, 0, 1, 400, "greedy", "kc", false, 0, 0},
-		{8, -3, 1, 400, "greedy", "kc", false, 0, 0},
-		{8, 1, 0, 400, "greedy", "kc", false, 0, 0},
-		{8, 1, -2, 400, "greedy", "kc", false, 0, 0},
-		{8, 1, 1, 0, "greedy", "kc", false, 0, 0},
-		{8, 1, 1, -5, "greedy", "kc", false, 0, 0},
-		{8, 1, 1, 400, "nosuch", "kc", false, 0, 0},
-		{8, 1, 1, 400, "", "kc", false, 0, 0},
-		{8, 1, 1, 400, "dp", "zz", false, 0, 0},
+		{"-engines 8 -sa-iters 400 -mode greedy", true, af.ModeGreedy, af.KCPartition},
+		{"-engines 1 -batch 16 -chains 4 -sa-iters 1 -dataflow yx", true, af.ModeDP, af.YXPartition},
+		{"-engines 0", false, 0, 0},
+		{"-engines -1", false, 0, 0},
+		{"-batch 0", false, 0, 0},
+		{"-batch -3", false, 0, 0},
+		{"-chains 0", false, 0, 0},
+		{"-chains -2", false, 0, 0},
+		{"-sa-iters 0", false, 0, 0},
+		{"-sa-iters -5", false, 0, 0},
+		{"-mode nosuch", false, 0, 0},
+		{"-mode=", false, 0, 0},
+		{"-dataflow zz", false, 0, 0},
+		// -engine-id names an engine of the mesh to list, and only
+		// -emit lists one.
+		{"-emit -engine-id 0", true, af.ModeDP, af.KCPartition},
+		{"-emit -engine-id -1", true, af.ModeDP, af.KCPartition},
+		{"-emit -engines 4 -engine-id 15", true, af.ModeDP, af.KCPartition},
+		{"-emit -engine-id -2", false, 0, 0},
+		{"-emit -engines 4 -engine-id 16", false, 0, 0},
+		{"-engine-id 0", false, 0, 0},
+		// -dot and -export print the workload instead of solving it, so
+		// each rejects the other and every flag of the solve's output.
+		{"-dot", true, af.ModeDP, af.KCPartition},
+		{"-export -model pnascell", true, af.ModeDP, af.KCPartition},
+		{"-dot -export", false, 0, 0},
+		{"-dot -emit", false, 0, 0},
+		{"-export -emit", false, 0, 0},
+		{"-dot -baselines", false, 0, 0},
+		{"-export -baselines", false, 0, 0},
+		{"-export -trace t.json", false, 0, 0},
+		{"-dot -metrics-json m.json", false, 0, 0},
 	} {
-		m, df, err := checkFlags(tc.engines, tc.batch, tc.chains, tc.iters, tc.mode, tc.df)
+		opts, err := parseFlags(t, strings.Fields(tc.args)...).options()
 		if (err == nil) != tc.ok {
-			t.Errorf("checkFlags(%d, %d, %d, %d, %q, %q) err = %v, want ok=%t",
-				tc.engines, tc.batch, tc.chains, tc.iters, tc.mode, tc.df, err, tc.ok)
+			t.Errorf("%s: err = %v, want ok=%t", tc.args, err, tc.ok)
 			continue
 		}
-		if tc.ok && (m != tc.wantMode || df != tc.wantDF) {
-			t.Errorf("checkFlags(%d, %d, %d, %d, %q, %q) = %v, %v, want %v, %v",
-				tc.engines, tc.batch, tc.chains, tc.iters, tc.mode, tc.df, m, df, tc.wantMode, tc.wantDF)
+		if tc.ok && (opts.Mode != tc.wantMode || opts.Hardware.Dataflow != tc.wantDF) {
+			t.Errorf("%s: mode %v, dataflow %v, want %v, %v", tc.args, opts.Mode, opts.Hardware.Dataflow, tc.wantMode, tc.wantDF)
 		}
 	}
 	// The clock is checked on the assembled hardware: a NaN -freq once
 	// printed "NaN ms" and +Inf "0.000 ms", both with exit status 0.
 	for _, freq := range []string{"NaN", "+Inf", "0", "-500"} {
-		fs := flag.NewFlagSet("adflow", flag.ContinueOnError)
-		f := defineFlags(fs)
-		if err := fs.Parse([]string{"-freq", freq}); err != nil {
-			t.Fatal(err)
-		}
-		if _, err := f.options(); err == nil || !strings.Contains(err.Error(), "FreqMHz") {
+		if _, err := parseFlags(t, "-freq", freq).options(); err == nil || !strings.Contains(err.Error(), "FreqMHz") {
 			t.Errorf("-freq %s: options() = %v, want an error naming FreqMHz", freq, err)
 		}
+	}
+}
+
+// TestEmitListing pins the -emit listing of a small solve: the engine-0
+// stream of tinyresnet on a 4x4 mesh after a 300-iteration Greedy solve,
+// and the program statistics line.
+func TestEmitListing(t *testing.T) {
+	f := parseFlags(t, "-model", "tinyresnet", "-engines", "4", "-sa-iters", "300", "-mode", "greedy", "-emit", "-engine-id", "0")
+	opts, err := f.options()
+	if err != nil {
+		t.Fatal(err)
+	}
+	var out strings.Builder
+	if err := run(f, opts, &out); err != nil {
+		t.Fatal(err)
+	}
+	const stats = "program:   12608 instructions, 911 computes, 4830 sends/4830 recvs, "
+	if !strings.Contains(out.String(), stats) {
+		t.Errorf("output lacks %q:\n%.600s", stats, out.String())
+	}
+	i := strings.Index(out.String(), "; engine 0")
+	if i < 0 {
+		t.Fatalf("no engine 0 listing in\n%.600s", out.String())
+	}
+	const want = "1637fbff687cb5557cd778021322543b"
+	if got := fmt.Sprintf("%x", md5.Sum([]byte(out.String()[i:]))); got != want {
+		t.Errorf("engine 0 listing md5 %s, want %s", got, want)
+	}
+}
+
+// TestExportRoundTrip checks that -export writes a document -model-file
+// reads back to the same workload: both solve to the same digest.
+func TestExportRoundTrip(t *testing.T) {
+	f := parseFlags(t, "-model", "pnascell", "-export")
+	opts, err := f.options()
+	if err != nil {
+		t.Fatal(err)
+	}
+	var doc bytes.Buffer
+	if err := run(f, opts, &doc); err != nil {
+		t.Fatal(err)
+	}
+	path := filepath.Join(t.TempDir(), "pnascell.json")
+	if err := os.WriteFile(path, doc.Bytes(), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	var digests []string
+	for _, args := range [][]string{{"-model", "pnascell"}, {"-model-file", path}} {
+		f := parseFlags(t, append(args, "-sa-iters", "100")...)
+		opts, err := f.options()
+		if err != nil {
+			t.Fatal(err)
+		}
+		g, err := f.graph()
+		if err != nil {
+			t.Fatal(err)
+		}
+		sol, err := af.Orchestrate(g, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		digests = append(digests, sol.Digest())
+	}
+	if digests[0] != digests[1] {
+		t.Errorf("-model-file of the -export document solves to %s, -model pnascell to %s", digests[1], digests[0])
 	}
 }
 
@@ -60,12 +152,7 @@ func TestCheckFlags(t *testing.T) {
 // the options built from an empty command line solve tinyconv to the same
 // digest as Orchestrate with zero Options on the default hardware.
 func TestDefaultFlagsMatchLibrary(t *testing.T) {
-	fs := flag.NewFlagSet("adflow", flag.ContinueOnError)
-	f := defineFlags(fs)
-	if err := fs.Parse(nil); err != nil {
-		t.Fatal(err)
-	}
-	opts, err := f.options()
+	opts, err := parseFlags(t).options()
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -367,21 +367,14 @@ func (m *Manager) HighWater() int64 { return m.highWater }
 // Capacity returns the per-engine buffer capacity in bytes.
 func (m *Manager) Capacity() int64 { return m.capacity }
 
-// ExecuteRound replays Round t with the given atom placement and returns
-// its IO. Rounds must be executed in order starting from 0.
-func (m *Manager) ExecuteRound(t int, placement Placement) (RoundIO, error) {
-	var io RoundIO
-	err := m.ExecuteRoundInto(t, placement, &io)
-	return io, err
-}
-
-// ExecuteRoundInto is ExecuteRound writing into a caller-owned RoundIO,
-// reusing its per-engine slices and group capacity — the pipelined
-// simulator cycles a small ring of RoundIOs through it so the replay
-// stops allocating after the first few Rounds.
+// ExecuteRoundInto replays Round t with the given atom placement into a
+// caller-owned RoundIO. Rounds must be executed in order starting from 0.
+// It reuses the RoundIO's per-engine slices and group capacity: the
+// pipelined simulator cycles a small ring of RoundIOs through it so the
+// replay stops allocating after the first few Rounds.
 func (m *Manager) ExecuteRoundInto(t int, placement Placement, io *RoundIO) error {
 	if t != m.round {
-		return fmt.Errorf("buffer: ExecuteRound(%d) out of order, want %d", t, m.round)
+		return fmt.Errorf("buffer: ExecuteRoundInto(%d) out of order, want %d", t, m.round)
 	}
 	m.round++
 	// Streamed (uncacheable) weight slices fetched from DRAM are still
@@ -529,7 +522,7 @@ func (m *Manager) fetchInputs(io *RoundIO, id, e int) (local, remote, fetched in
 
 // rowInputs returns the on-chip inputs of atom id's DAG row and the bytes
 // of its off-chip ones. They stay valid, and are reused, until the next
-// atom belongs to another row or an output leaves its engine; ExecuteRound
+// atom belongs to another row or an output leaves its engine; ExecuteRoundInto
 // drops them at each Round's start.
 func (m *Manager) rowInputs(id int) ([]rowInput, int64) {
 	if row := m.dag.Row(id); row != m.row || m.outMoves != m.rowMoves {

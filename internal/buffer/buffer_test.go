@@ -11,6 +11,13 @@ import (
 	"github.com/atomic-dataflow/atomicflow/internal/schedule"
 )
 
+// ExecuteRound replays Round t into a fresh RoundIO.
+func (m *Manager) ExecuteRound(t int, placement Placement) (RoundIO, error) {
+	var io RoundIO
+	err := m.ExecuteRoundInto(t, placement, &io)
+	return io, err
+}
+
 // pipeline builds DAG + schedule for a model and returns them.
 func pipeline(t *testing.T, model string, batch, engines int) (*atom.DAG, *schedule.Schedule) {
 	t.Helper()

@@ -3,16 +3,24 @@
 // streams — the compile-time "instructions (or configurations) loaded
 // before execution" of the paper's engine controller (Sec. II-A).
 //
-// The instruction set is deliberately small and matches what the
-// simulator models:
+// The placement and buffering decisions are the simulator's own:
+// Generate consumes sim.Replay, which prepares every Round exactly as
+// sim.Run does, and only turns each prepared Round into instructions. So
+// a program is the lowering of the Report simulated on the same hardware:
+// one SEND per NoC flow, and LOAD_IN and WRITEBK bytes equal to the
+// Report's DRAM read and write bytes.
 //
-//	LOAD_W   dst=self            fetch a weight slice from DRAM
-//	LOAD_IN  dst=self            fetch an input region from DRAM
+// The instruction set is deliberately small and matches what the
+// simulator models. There is no separate weight load: like
+// buffer.RoundIO.DRAMReadBytes, LOAD_IN lumps every DRAM byte an engine
+// reads in a Round, weights and inputs alike.
+//
+//	LOAD_IN  dst=self            fetch the Round's DRAM bytes
 //	RECV     src=engine          receive a tensor region over the NoC
 //	SEND     dst=engine          forward a resident tensor region
 //	COMPUTE  atom                run one atom on the PE array/vector unit
 //	STORE    —                   keep the produced tile in the local buffer
-//	WRITEBK  —                   write a tile back to DRAM (eviction/final)
+//	WRITEBK  —                   write tiles back to DRAM (eviction/final)
 //	SYNC     round               barrier at the end of each Round
 //
 // Streams are verified for global consistency (every RECV pairs with a
@@ -27,19 +35,16 @@ import (
 	"math/bits"
 
 	"github.com/atomic-dataflow/atomicflow/internal/atom"
-	"github.com/atomic-dataflow/atomicflow/internal/buffer"
 	"github.com/atomic-dataflow/atomicflow/internal/graph"
-	"github.com/atomic-dataflow/atomicflow/internal/mapping"
-	"github.com/atomic-dataflow/atomicflow/internal/noc"
 	"github.com/atomic-dataflow/atomicflow/internal/schedule"
+	"github.com/atomic-dataflow/atomicflow/internal/sim"
 )
 
 // Op is an engine-controller opcode.
 type Op int
 
 const (
-	OpLoadW Op = iota
-	OpLoadIn
+	OpLoadIn Op = iota
 	OpRecv
 	OpSend
 	OpCompute
@@ -48,7 +53,7 @@ const (
 	OpSync
 )
 
-var opNames = [...]string{"LOAD_W", "LOAD_IN", "RECV", "SEND", "COMPUTE", "STORE", "WRITEBK", "SYNC"}
+var opNames = [...]string{"LOAD_IN", "RECV", "SEND", "COMPUTE", "STORE", "WRITEBK", "SYNC"}
 
 // String returns the mnemonic.
 func (o Op) String() string {
@@ -87,29 +92,16 @@ func (i Instr) String() string {
 type Program struct {
 	Streams [][]Instr // engine -> instructions
 	Rounds  int
-	Atoms   int
 }
 
-// Generate replays the schedule through the mapper and buffer manager and
-// emits per-engine streams.
-func Generate(d *atom.DAG, s *schedule.Schedule, mesh *noc.Mesh, bufferBytes int64) (*Program, error) {
-	n := mesh.Engines()
-	man, err := buffer.New(d, s, n, bufferBytes)
-	if err != nil {
-		return nil, err
-	}
-	mapper := mapping.New(mesh, d)
+// Generate lowers the schedule on cfg's hardware: it replays the
+// simulator's Round prep (sim.Replay) and emits each prepared Round's
+// transfers, DRAM traffic and computes into per-engine streams.
+func Generate(d *atom.DAG, s *schedule.Schedule, cfg sim.Config) (*Program, error) {
+	n := cfg.Mesh.Engines()
 	p := &Program{Streams: make([][]Instr, n), Rounds: s.NumRounds()}
-
-	var placed mapping.Result
-	for t, round := range s.Rounds {
-		mapper.PlaceRound(&placed, round.Atoms, man.Locate, man.HasWeights)
-
-		// Emit receives/sends from the Round's IO.
-		io, err := man.ExecuteRound(t, &placed)
-		if err != nil {
-			return nil, err
-		}
+	err := sim.Replay(d, s, cfg, func(r sim.Prepared) {
+		t, io := r.Round, r.IO
 		// One SEND/RECV pair per multicast group and destination, at the
 		// group's bytes: the tensor the NoC tree carries.
 		for g, gr := range io.Groups {
@@ -125,84 +117,73 @@ func Generate(d *atom.DAG, s *schedule.Schedule, mesh *noc.Mesh, bufferBytes int
 		}
 		for e := 0; e < n; e++ {
 			if b := io.DRAMReadBytes[e]; b > 0 {
-				p.Streams[e] = append(p.Streams[e],
-					Instr{Op: OpLoadIn, Bytes: b, Round: t})
+				p.Streams[e] = append(p.Streams[e], Instr{Op: OpLoadIn, Bytes: b, Round: t})
 			}
 		}
-		for _, id := range round.Atoms {
-			e := placed.Engine(id)
+		for _, id := range s.Rounds[t].Atoms {
+			e := r.Placed.Engine(id)
 			p.Streams[e] = append(p.Streams[e],
 				Instr{Op: OpCompute, Atom: id, Round: t},
 				Instr{Op: OpStore, Atom: id, Bytes: d.Atoms[id].OutputBytes(), Round: t})
-			p.Atoms++
 		}
 		for e := 0; e < n; e++ {
 			if b := io.DRAMWriteBytes[e]; b > 0 {
-				p.Streams[e] = append(p.Streams[e],
-					Instr{Op: OpWriteback, Bytes: b, Round: t})
+				p.Streams[e] = append(p.Streams[e], Instr{Op: OpWriteback, Bytes: b, Round: t})
 			}
 			p.Streams[e] = append(p.Streams[e], Instr{Op: OpSync, Round: t})
 		}
+	})
+	if err != nil {
+		return nil, err
 	}
 	return p, nil
 }
 
-// Verify checks global stream consistency.
+// Verify checks global stream consistency in one pass: Rounds never
+// regress within a stream, every engine closes each Round with one SYNC,
+// every schedulable atom of d is computed exactly once, and each Round's
+// SENDs and RECVs pair up byte for byte.
 func (p *Program) Verify(d *atom.DAG) error {
 	computed := make(map[int]bool)
+	type key struct{ src, dst, round int }
+	balance := make(map[key]int64)
 	for e, stream := range p.Streams {
-		round := -1
+		round, syncs := -1, 0
 		for _, in := range stream {
 			if in.Round < round {
 				return fmt.Errorf("codegen: engine %d: round regressed %d -> %d", e, round, in.Round)
 			}
 			round = in.Round
-			if in.Op == OpCompute {
+			switch in.Op {
+			case OpCompute:
 				if computed[in.Atom] {
 					return fmt.Errorf("codegen: atom %d computed twice", in.Atom)
 				}
 				computed[in.Atom] = true
+			case OpSend:
+				balance[key{e, in.Peer, in.Round}] += in.Bytes
+			case OpRecv:
+				balance[key{in.Peer, e, in.Round}] -= in.Bytes
+			case OpSync:
+				syncs++
 			}
 		}
+		if syncs != p.Rounds {
+			return fmt.Errorf("codegen: engine %d has %d SYNCs, want %d", e, syncs, p.Rounds)
+		}
 	}
-	// Every scheduled atom computed exactly once.
 	want := 0
 	for _, a := range d.Atoms {
 		if a.Task.Kind != graph.OpInput {
 			want++
 		}
 	}
-	if len(computed) != want || p.Atoms != want {
+	if len(computed) != want {
 		return fmt.Errorf("codegen: %d COMPUTEs for %d schedulable atoms", len(computed), want)
-	}
-	// SEND/RECV pairing per Round.
-	type key struct{ src, dst, round int }
-	balance := make(map[key]int64)
-	for e, stream := range p.Streams {
-		for _, in := range stream {
-			switch in.Op {
-			case OpSend:
-				balance[key{e, in.Peer, in.Round}] += in.Bytes
-			case OpRecv:
-				balance[key{in.Peer, e, in.Round}] -= in.Bytes
-			}
-		}
 	}
 	for k, v := range balance {
 		if v != 0 {
 			return fmt.Errorf("codegen: unmatched transfer E%d->E%d round %d: %d bytes", k.src, k.dst, k.round, v)
-		}
-	}
-	// SYNC count equals Rounds on every engine.
-	for e, stream := range p.Streams {
-		syncs := 0
-		for _, in := range stream {
-			if in.Op == OpSync {
-				syncs++
-			}
-		}
-		if syncs != p.Rounds {
-			return fmt.Errorf("codegen: engine %d has %d SYNCs, want %d", e, syncs, p.Rounds)
 		}
 	}
 	return nil
@@ -226,14 +207,14 @@ func (p *Program) Dump(w io.Writer, engineID int) error {
 	return nil
 }
 
-// Stats summarizes a program.
+// Stats summarizes a program. Its bytes are DRAM traffic, not STORE tiles.
 type Stats struct {
-	Instructions int
-	Computes     int
-	Sends        int
-	Recvs        int
-	LoadBytes    int64
-	StoreBytes   int64
+	Instructions   int
+	Computes       int
+	Sends          int
+	Recvs          int
+	LoadBytes      int64 // LOAD_IN: DRAM bytes read
+	WritebackBytes int64 // WRITEBK: DRAM bytes written
 }
 
 // Stats aggregates instruction counts across all engines.
@@ -249,10 +230,10 @@ func (p *Program) Stats() Stats {
 				st.Sends++
 			case OpRecv:
 				st.Recvs++
-			case OpLoadIn, OpLoadW:
+			case OpLoadIn:
 				st.LoadBytes += in.Bytes
-			case OpStore, OpWriteback:
-				st.StoreBytes += in.Bytes
+			case OpWriteback:
+				st.WritebackBytes += in.Bytes
 			}
 		}
 	}

@@ -10,6 +10,7 @@ import (
 	"github.com/atomic-dataflow/atomicflow/internal/models"
 	"github.com/atomic-dataflow/atomicflow/internal/noc"
 	"github.com/atomic-dataflow/atomicflow/internal/schedule"
+	"github.com/atomic-dataflow/atomicflow/internal/sim"
 )
 
 func program(t *testing.T, model string, batch int, mesh *noc.Mesh) (*Program, *atom.DAG) {
@@ -28,7 +29,9 @@ func program(t *testing.T, model string, batch int, mesh *noc.Mesh) (*Program, *
 	if err != nil {
 		t.Fatal(err)
 	}
-	p, err := Generate(d, s, mesh, int64(cfg.BufferBytes))
+	hw := sim.DefaultConfig()
+	hw.Mesh = mesh
+	p, err := Generate(d, s, hw)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -114,23 +117,72 @@ func TestDumpListing(t *testing.T) {
 func TestStats(t *testing.T) {
 	mesh := noc.NewMesh(2, 2, 32)
 	p, d := program(t, "tinyresnet", 2, mesh)
-	st := p.Stats()
-	if st.Computes != p.Atoms {
-		t.Errorf("Computes = %d, want %d", st.Computes, p.Atoms)
+	st, scheduled := p.Stats(), 0
+	for _, a := range d.Atoms {
+		if a.Task.Kind.String() != "Input" {
+			scheduled++
+		}
+	}
+	if st.Computes != scheduled {
+		t.Errorf("Computes = %d, want %d", st.Computes, scheduled)
 	}
 	if st.Instructions <= st.Computes {
 		t.Error("instruction stream suspiciously small")
 	}
-	if st.LoadBytes <= 0 || st.StoreBytes <= 0 {
-		t.Error("no load/store traffic recorded")
+	if st.LoadBytes <= 0 || st.WritebackBytes <= 0 {
+		t.Error("no DRAM load/write-back traffic recorded")
 	}
-	_ = d
 }
 
 func TestOpString(t *testing.T) {
-	for op := OpLoadW; op <= OpSync; op++ {
+	for op := OpLoadIn; op <= OpSync; op++ {
 		if strings.HasPrefix(op.String(), "Op(") {
 			t.Errorf("missing mnemonic for op %d", int(op))
+		}
+	}
+}
+
+// TestVerifyRejects breaks a verified program one way at a time: each
+// break must fail Verify.
+func TestVerifyRejects(t *testing.T) {
+	mesh := noc.NewMesh(2, 2, 32)
+	find := func(p *Program, op Op) (e, i int) {
+		for e, stream := range p.Streams {
+			for i, in := range stream {
+				if in.Op == op {
+					return e, i
+				}
+			}
+		}
+		t.Fatalf("no %v in the program", op)
+		return 0, 0
+	}
+	drop := func(p *Program, op Op) {
+		e, i := find(p, op)
+		p.Streams[e] = append(p.Streams[e][:i:i], p.Streams[e][i+1:]...)
+	}
+	for name, breakIt := range map[string]func(*Program){
+		"RECV dropped":    func(p *Program) { drop(p, OpRecv) },
+		"SEND bytes":      func(p *Program) { e, i := find(p, OpSend); p.Streams[e][i].Bytes++ },
+		"COMPUTE dropped": func(p *Program) { drop(p, OpCompute) },
+		"SYNC dropped":    func(p *Program) { drop(p, OpSync) },
+		"COMPUTE twice": func(p *Program) {
+			e, i := find(p, OpCompute)
+			p.Streams[e] = append(p.Streams[e], p.Streams[e][i])
+			p.Streams[e][len(p.Streams[e])-1].Round = p.Rounds
+		},
+		"round regressed": func(p *Program) {
+			e, _ := find(p, OpSync)
+			p.Streams[e] = append(p.Streams[e], Instr{Op: OpSync, Round: 0})
+		},
+	} {
+		p, d := program(t, "tinyresnet", 1, mesh)
+		if err := p.Verify(d); err != nil {
+			t.Fatalf("%s: unbroken program fails: %v", name, err)
+		}
+		breakIt(p)
+		if err := p.Verify(d); err == nil {
+			t.Errorf("%s: Verify accepts the broken program", name)
 		}
 	}
 }

@@ -18,7 +18,7 @@ import (
 //	prep(t):  placement (mapper) + buffer replay (manager), which
 //	          emits the Round's multicast groups — depends only on
 //	          prep(t-1), because the buffer state a placement reads is
-//	          exactly the state ExecuteRound(t-1) committed.
+//	          exactly the state ExecuteRoundInto(t-1) committed.
 //	time(t):  DRAM queueing, the group order and NoC walk, the compute
 //	          barrier and all accounting — depends on prep(t) and
 //	          time(t-1) (the HBM channel clocks and `now`), never on

@@ -17,10 +17,12 @@ import (
 	"fmt"
 
 	"github.com/atomic-dataflow/atomicflow/internal/atom"
+	"github.com/atomic-dataflow/atomicflow/internal/buffer"
 	"github.com/atomic-dataflow/atomicflow/internal/cost"
 	"github.com/atomic-dataflow/atomicflow/internal/dram"
 	"github.com/atomic-dataflow/atomicflow/internal/energy"
 	"github.com/atomic-dataflow/atomicflow/internal/engine"
+	"github.com/atomic-dataflow/atomicflow/internal/mapping"
 	"github.com/atomic-dataflow/atomicflow/internal/noc"
 	"github.com/atomic-dataflow/atomicflow/internal/obs"
 	"github.com/atomic-dataflow/atomicflow/internal/schedule"
@@ -167,6 +169,37 @@ func Run(d *atom.DAG, s *schedule.Schedule, cfg Config) (Report, error) {
 		return Report{}, err
 	}
 	return r.report(), nil
+}
+
+// Prepared is one Round as Run's prep stage hands it to the timing
+// stage: the atoms' engine placement and the buffer replay's IO.
+type Prepared struct {
+	Round  int
+	Placed *mapping.Result
+	IO     *buffer.RoundIO
+}
+
+// Replay runs Run's prep stage serially on cfg's hardware, placement
+// (NaiveMapping included) and buffer replay exactly as Run prepares them,
+// and hands each prepared Round to fn instead of timing it. fn must not
+// keep the Prepared: the next Round is prepared into the same storage.
+func Replay(d *atom.DAG, s *schedule.Schedule, cfg Config, fn func(Prepared)) error {
+	r, release, err := newRunner(d, s, cfg)
+	if err != nil {
+		return err
+	}
+	defer release()
+	slot := &r.slots[0]
+	for t := range s.Rounds {
+		if err := r.pollCtx(); err != nil {
+			return err
+		}
+		if r.prep(t, slot); slot.err != nil {
+			return slot.err
+		}
+		fn(Prepared{Round: t, Placed: &slot.placed, IO: &slot.io})
+	}
+	return nil
 }
 
 // newRunner validates cfg and assembles a runner over pooled state; the
