@@ -221,7 +221,8 @@ type Options struct {
 	// simulated execution as Chrome trace-event JSON: engine compute
 	// lanes plus named NoC and DRAM lanes with blocked spans, the DRAM
 	// prefetch windows and a flow-bytes counter track (open in
-	// ui.perfetto.dev or chrome://tracing).
+	// ui.perfetto.dev or chrome://tracing). An error writing it fails
+	// the solve.
 	TraceWriter io.Writer
 	// Metrics, when non-nil, collects the run's counters and histograms
 	// across the SA search and the simulator (overrides
@@ -388,16 +389,19 @@ func Orchestrate(g *Graph, opt Options) (*Solution, error) {
 		return nil, err
 	}
 	searchTime := time.Since(start)
+	var col *trace.Collector
 	if opt.TraceWriter != nil {
-		col := &trace.Collector{}
+		col = &trace.Collector{}
 		hw.Trace = col.Hook
-		defer func() {
-			if err := col.WritePerfetto(opt.TraceWriter, g); err != nil {
-				fmt.Fprintf(opt.TraceWriter, `{"error": %q}`, err.Error())
-			}
-		}()
 	}
 	rep, err := sim.Run(d, s, hw)
+	if col != nil {
+		// A failed simulation still leaves the Rounds it timed; a failed
+		// write fails the solve.
+		if werr := col.WritePerfetto(opt.TraceWriter, g); werr != nil && err == nil {
+			err = fmt.Errorf("atomicflow: writing trace: %w", werr)
+		}
+	}
 	if err != nil {
 		return nil, err
 	}

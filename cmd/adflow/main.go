@@ -161,14 +161,13 @@ func run(f *flags, opts af.Options, w io.Writer) error {
 	fmt.Fprintf(w, "hardware:  %dx%d engines x %dx%d PEs, %d KB/engine, %s, %.0f MHz\n",
 		*f.engines, *f.engines, *f.pes, *f.pes, *f.buffer>>10, opts.Hardware.Dataflow, *f.freq)
 
+	var tf *os.File
 	if *f.traceFile != "" {
-		tf, err := os.Create(*f.traceFile)
-		if err != nil {
+		if tf, err = os.Create(*f.traceFile); err != nil {
 			return err
 		}
 		defer tf.Close()
 		opts.TraceWriter = tf
-		defer fmt.Fprintf(w, "trace written to %s (open in ui.perfetto.dev)\n", *f.traceFile)
 	}
 	if *f.metJSON != "" {
 		opts.Metrics = af.NewMetrics()
@@ -176,6 +175,12 @@ func run(f *flags, opts af.Options, w io.Writer) error {
 	sol, err := af.Orchestrate(g, opts)
 	if err != nil {
 		return err
+	}
+	if tf != nil {
+		if err := tf.Close(); err != nil {
+			return err
+		}
+		defer fmt.Fprintf(w, "trace written to %s (open in ui.perfetto.dev)\n", *f.traceFile)
 	}
 	printReport(w, "atomic dataflow", sol.Report)
 	fmt.Fprintf(w, "  atoms %d, rounds %d, atom-cycle CV %.3f, search %v\n",

@@ -191,3 +191,38 @@ func TestDefaultFlagsMatchLibrary(t *testing.T) {
 		t.Errorf("default-flag digest %s != library default %s", cli.Digest(), lib.Digest())
 	}
 }
+
+// TestRunTrace checks -trace: a written trace is announced and holds the
+// document, and a trace that cannot be written fails the run without
+// announcing it.
+func TestRunTrace(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "trace.json")
+	for _, tc := range []struct {
+		path string
+		ok   bool
+	}{{path, true}, {"/dev/full", false}} {
+		if tc.path == "/dev/full" {
+			if _, err := os.Stat(tc.path); err != nil {
+				t.Skip("no /dev/full on this system")
+			}
+		}
+		f := parseFlags(t, "-model", "tinyconv", "-engines", "2", "-trace", tc.path)
+		opts, err := f.options()
+		if err != nil {
+			t.Fatal(err)
+		}
+		var out strings.Builder
+		err = run(f, opts, &out)
+		announced := strings.Contains(out.String(), "trace written to "+tc.path)
+		if tc.ok {
+			if err != nil || !announced {
+				t.Fatalf("-trace %s: error %v, announced %v:\n%s", tc.path, err, announced, out.String())
+			}
+			if doc, err := os.ReadFile(tc.path); err != nil || !bytes.Contains(doc, []byte("traceEvents")) {
+				t.Errorf("-trace %s: no trace document written (%v)", tc.path, err)
+			}
+		} else if err == nil || announced {
+			t.Errorf("-trace %s: error %v, announced %v; want a failed run", tc.path, err, announced)
+		}
+	}
+}

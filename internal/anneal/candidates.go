@@ -9,6 +9,7 @@
 package anneal
 
 import (
+	"slices"
 	"sort"
 
 	"github.com/atomic-dataflow/atomicflow/internal/atom"
@@ -62,13 +63,6 @@ func newLayerCands(l *graph.Layer, cands []candidate) layerCands {
 		}
 	}
 	return layerCands{layer: l, cands: cands, reps: reps}
-}
-
-// pendingCand is one feasible partition awaiting pricing.
-type pendingCand struct {
-	part  atom.Partition
-	task  engine.Task
-	tiles int
 }
 
 // pick returns the index of the best candidate for a target cycle count:
@@ -168,7 +162,8 @@ func absDiff(a, b int64) int64 {
 // candidates whose working set cannot fit in the usable buffer fraction
 // are discarded, and tile counts are capped to keep the atomic DAG
 // tractable. Every feasible partition is priced with the exact oracle,
-// in enumeration order.
+// in enumeration order, straight into one list sized for every
+// partition the enumeration can yield.
 func genCandidates(l *graph.Layer, cfg engine.Config, df engine.Dataflow, opt Options, orc cost.Oracle) []candidate {
 	s := l.Shape
 	var hs, ws, cs []int
@@ -207,7 +202,16 @@ func genCandidates(l *graph.Layer, cfg engine.Config, df engine.Dataflow, opt Op
 	// slices are cached opportunistically by the buffer manager when room
 	// remains (Algorithm 3 treats them as evictable entries).
 	weightWindow := int64(4 * cfg.PEx * cfg.PEy * s.Kh * s.Kw)
-	var pend []pendingCand
+	// Prefer atoms whose weight slice can actually be cached in an
+	// engine's buffer (Algorithm 3 stores weights opportunistically, but
+	// a slice above ~3/4 of the buffer always streams from DRAM and is
+	// re-fetched by every atom that needs it). Uncacheable sizes are kept
+	// only while no cacheable candidate has appeared (e.g. very wide FC
+	// layers); the first cacheable one drops them. Every feasible
+	// partition is still priced.
+	cacheLimit := int64(cfg.BufferBytes) * 3 / 4
+	cacheable := false
+	cands := make([]candidate, 0, len(hs)*len(ws)*len(cs))
 	for _, hp := range hs {
 		for _, wp := range ws {
 			for _, cp := range cs {
@@ -217,39 +221,19 @@ func genCandidates(l *graph.Layer, cfg engine.Config, df engine.Dataflow, opt Op
 					continue
 				}
 				t := engine.TileTask(l, hp, wp, cp)
-				w := t.WeightBytes()
-				if w > weightWindow {
-					w = weightWindow
-				}
-				if inputWindow(t)+t.OutputBytes()+w > budget {
+				wb := t.WeightBytes()
+				if inputWindow(t)+t.OutputBytes()+min(wb, weightWindow) > budget {
 					continue
 				}
-				pend = append(pend, pendingCand{part: p, task: t, tiles: tiles})
+				c := orc.Evaluate(cfg, df, t)
+				if wb <= cacheLimit && !cacheable {
+					cacheable, cands = true, cands[:0]
+				}
+				if wb <= cacheLimit || !cacheable {
+					cands = append(cands, candidate{part: p, cycles: c.Cycles,
+						util: c.Utilization, tiles: tiles, chTiles: channelTiles(l, cp)})
+				}
 			}
-		}
-	}
-	var cands []candidate
-	for i := range pend {
-		c := orc.Evaluate(cfg, df, pend[i].task)
-		cands = append(cands, candidate{part: pend[i].part,
-			cycles: c.Cycles, util: c.Utilization, tiles: pend[i].tiles,
-			chTiles: channelTiles(l, pend[i].part.Cop)})
-	}
-	// Prefer atoms whose weight slice can actually be cached in an
-	// engine's buffer (Algorithm 3 stores weights opportunistically, but
-	// a slice above ~3/4 of the buffer always streams from DRAM and is
-	// re-fetched by every atom that needs it). Keep uncacheable sizes
-	// only when no cacheable candidate exists (e.g. very wide FC layers).
-	if len(cands) > 0 {
-		cacheable := cands[:0]
-		limit := int64(cfg.BufferBytes) * 3 / 4
-		for _, c := range cands {
-			if engine.TileTask(l, c.part.Hp, c.part.Wp, c.part.Cop).WeightBytes() <= limit {
-				cacheable = append(cacheable, c)
-			}
-		}
-		if len(cacheable) > 0 {
-			cands = cacheable
 		}
 	}
 	// Target (1) of Sec. IV-A — high PE utilization — precedes balance:
@@ -292,8 +276,11 @@ func splitSizes(n, q, maxSplits int) []int {
 	if q <= 0 {
 		q = 1
 	}
-	seen := make(map[int]bool)
-	var sizes []int
+	r := 0 // the largest k with k·k <= n
+	for (r+1)*(r+1) <= n {
+		r++
+	}
+	sizes := make([]int, 0, 2*r)
 	add := func(sz int) {
 		if sz < 1 {
 			sz = 1
@@ -302,25 +289,19 @@ func splitSizes(n, q, maxSplits int) []int {
 		if q > 1 {
 			sz = ((sz + q - 1) / q) * q
 		}
-		if sz > n {
-			sz = n
-		}
-		if !seen[sz] {
-			seen[sz] = true
-			sizes = append(sizes, sz)
-		}
+		sizes = append(sizes, min(sz, n))
 	}
 	// Distinct ceil(n/k) values: k and n/k enumerate them all.
-	for k := 1; k*k <= n; k++ {
+	for k := 1; k <= r; k++ {
 		add((n + k - 1) / k)
 		add(k)
 	}
-	sort.Sort(sort.Reverse(sort.IntSlice(sizes)))
+	slices.SortFunc(sizes, func(a, b int) int { return b - a })
+	sizes = slices.Compact(sizes)
 	if len(sizes) > maxSplits {
 		// Keep the coarsest maxSplits-2 plus the two finest.
-		kept := append([]int(nil), sizes[:maxSplits-2]...)
-		kept = append(kept, sizes[len(sizes)-2], sizes[len(sizes)-1])
-		sizes = kept
+		sizes[maxSplits-2], sizes[maxSplits-1] = sizes[len(sizes)-2], sizes[len(sizes)-1]
+		sizes = sizes[:maxSplits]
 	}
 	return sizes
 }
@@ -343,11 +324,4 @@ func inputWindow(t engine.Task) int64 {
 		}
 	}
 	return in
-}
-
-func min(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
 }

@@ -18,7 +18,7 @@ var updateCounts = flag.Bool("update", false, "rewrite testdata/search_counts.js
 const searchCountsPath = "../../testdata/search_counts.json"
 
 // maxSetupAllocs bounds TestSearchSetupAllocs.
-const maxSetupAllocs = 1350
+const maxSetupAllocs = 330
 
 // searchCounts is the work of one default-knob search: the cost-oracle
 // evaluations that priced the candidates, the distinct candidate lists

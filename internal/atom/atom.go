@@ -85,6 +85,17 @@ type grid struct {
 
 func (g grid) atoms() int { return g.nH * g.nW * g.nC }
 
+// tile returns the output region of tile (ih, iw, ic) of a layer of
+// shape s; edge tiles are clipped to the tensor.
+func (g grid) tile(s graph.Shape, ih, iw, ic int) region {
+	p := g.part
+	return region{
+		H0: ih * p.Hp, H1: min((ih+1)*p.Hp, s.Ho),
+		W0: iw * p.Wp, W1: min((iw+1)*p.Wp, s.Wo),
+		C0: ic * p.Cop, C1: min((ic+1)*p.Cop, s.Co),
+	}
+}
+
 // sharesRows reports whether every output-channel tile of one (ih, iw)
 // tile of a layer of kind k has the same dependency list: a dense conv
 // reads all input channels, and FC and GlobalPool read the whole input.
@@ -330,7 +341,9 @@ func (d *DAG) numberSlices() {
 	}
 }
 
-// buildSample0 tiles every layer of sample 0 and wires its rows.
+// buildSample0 tiles every layer of sample 0 and wires its rows. A count
+// pass over the same back-projected regions sizes the dep lists first, so
+// they are allocated once and never grow.
 func (d *DAG) buildSample0() {
 	n := d.n
 	d.rowOf = make([]int32, n)
@@ -338,28 +351,25 @@ func (d *DAG) buildSample0() {
 	d.depOff = make([]int32, 1, d.rows+1)
 	sc := scratchPool.Get().(*buildScratch)
 	sc.reset(n)
+	edges := d.countDeps(sc)
+	d.depIDs, d.depBytes = make([]int32, 0, edges), make([]int64, 0, edges)
 	for _, lid := range d.Graph.Topo() {
 		gr := d.grids[lid]
 		if gr.nC == 0 {
 			continue
 		}
 		l := d.Graph.Layer(lid)
-		s, part := l.Shape, gr.part
 		shared := sharesRows(l.Kind)
 		id := gr.base
 		for ih := 0; ih < gr.nH; ih++ {
 			for iw := 0; iw < gr.nW; iw++ {
 				for ic := 0; ic < gr.nC; ic++ {
-					r := region{
-						H0: ih * part.Hp, H1: min((ih+1)*part.Hp, s.Ho),
-						W0: iw * part.Wp, W1: min((iw+1)*part.Wp, s.Wo),
-						C0: ic * part.Cop, C1: min((ic+1)*part.Cop, s.Co),
-					}
+					r := gr.tile(l.Shape, ih, iw, ic)
 					d.Atoms[id] = Atom{Layer: lid, Task: engine.TileTask(l, r.H1-r.H0, r.W1-r.W0, r.C1-r.C0)}
 					if !shared || ic == 0 {
 						d.rowStart = append(d.rowStart, int32(id))
 						d.appendDeps(sc, l, r)
-						d.depOff = append(d.depOff, int32(len(sc.ids)))
+						d.depOff = append(d.depOff, int32(len(d.depIDs)))
 					}
 					d.rowOf[id] = int32(len(d.rowStart) - 1)
 					id++
@@ -368,20 +378,47 @@ func (d *DAG) buildSample0() {
 		}
 	}
 	d.rowStart = append(d.rowStart, int32(n))
-	d.depIDs, d.depBytes = slices.Clone(sc.ids), slices.Clone(sc.bytes)
 	scratchPool.Put(sc)
 }
 
-// buildScratch is Build's working memory, pooled so that the dep lists
-// grow in one buffer across builds and are copied out at their exact
-// size.
+// countDeps returns an upper bound on sample 0's dep-list entries: for
+// every row, the producer tiles addOverlaps visits, summed over the row's
+// back-projected regions. A producer tile that two regions of one row
+// both reach (an eltwise layer reading one tensor twice) is counted
+// twice but listed once.
+func (d *DAG) countDeps(sc *buildScratch) int {
+	edges := 0
+	for _, lid := range d.Graph.Topo() {
+		gr := d.grids[lid]
+		if gr.nC == 0 {
+			continue
+		}
+		l := d.Graph.Layer(lid)
+		nC := gr.nC
+		if sharesRows(l.Kind) {
+			nC = 1 // one row per (ih, iw) tile
+		}
+		for ih := 0; ih < gr.nH; ih++ {
+			for iw := 0; iw < gr.nW; iw++ {
+				for ic := 0; ic < nC; ic++ {
+					sc.refs = appendInputRegions(sc.refs[:0], d.Graph, l, gr.tile(l.Shape, ih, iw, ic))
+					for _, ref := range sc.refs {
+						h0, h1, w0, w1, c0, c1 := d.overlapTiles(ref)
+						edges += (h1 - h0) * (w1 - w0) * (c1 - c0)
+					}
+				}
+			}
+		}
+	}
+	return edges
+}
+
+// buildScratch is Build's working memory, pooled across builds.
 type buildScratch struct {
 	// stamp and pos map producer atom IDs to their index in the dep list
 	// being assembled. An entry is live only while stamp[id] equals the
 	// current row's number plus one, so no per-row reset is needed.
 	stamp, pos []int32
-	ids        []int32 // the rows' dep IDs so far
-	bytes      []int64 // and their edge bytes
 	refs       []regionRef
 }
 
@@ -394,24 +431,23 @@ func (sc *buildScratch) reset(n int) {
 	}
 	sc.stamp, sc.pos = sc.stamp[:n], sc.pos[:n]
 	clear(sc.stamp)
-	sc.ids, sc.bytes = sc.ids[:0], sc.bytes[:0]
 }
 
-// appendDeps appends the next row's dep list to sc: the sample-0
+// appendDeps appends the next row's dep list to the DAG's: the sample-0
 // producer atoms whose outputs overlap the input receptive field of
 // region r of layer l, together with the per-edge overlap volume in
 // bytes.
 func (d *DAG) appendDeps(sc *buildScratch, l *graph.Layer, r region) {
-	lo, epoch := len(sc.ids), int32(len(d.depOff))
+	lo, epoch := len(d.depIDs), int32(len(d.depOff))
 	sc.refs = appendInputRegions(sc.refs[:0], d.Graph, l, r)
 	for _, ref := range sc.refs {
 		d.addOverlaps(sc, ref, epoch)
 	}
 	// Multiple refs can overlap the same producer region (e.g. eltwise
 	// inputs resolving to one atom); cap at the producer's output size.
-	for i := lo; i < len(sc.ids); i++ {
-		if lim := d.Atoms[sc.ids[i]].OutputBytes(); sc.bytes[i] > lim {
-			sc.bytes[i] = lim
+	for i := lo; i < len(d.depIDs); i++ {
+		if lim := d.Atoms[d.depIDs[i]].OutputBytes(); d.depBytes[i] > lim {
+			d.depBytes[i] = lim
 		}
 	}
 }
@@ -489,24 +525,19 @@ func appendResolved(refs []regionRef, g *graph.Graph, lid int, r region) []regio
 	return refs
 }
 
-// addOverlaps adds to the row being assembled in sc the sample-0
-// producer atoms whose regions overlap ref, with the overlap volume in
-// bytes. Tile i of a producer axis of extent n cut every t spans
-// [i·t, min((i+1)·t, n)), so the volume factors into three spans.
+// addOverlaps adds to the row being assembled the sample-0 producer atoms
+// whose regions overlap ref, with the overlap volume in bytes. Tile i of
+// a producer axis of extent n cut every t spans [i·t, min((i+1)·t, n)),
+// so the volume factors into three spans.
 func (d *DAG) addOverlaps(sc *buildScratch, ref regionRef, epoch int32) {
 	gr := d.grids[ref.layer]
-	if gr.nC == 0 {
-		// Producer was itself elided (concat feeding concat). This cannot
-		// happen because appendResolved already flattened concat chains;
-		// reaching here means a bug in construction order.
-		panic(fmt.Sprintf("atom: no grid for layer %d", ref.layer))
-	}
 	r, p, s := ref.region, gr.part, d.Graph.Layer(ref.layer).Shape
-	for ih := r.H0 / p.Hp; ih <= (r.H1-1)/p.Hp && ih < gr.nH; ih++ {
+	h0, h1, w0, w1, c0, c1 := d.overlapTiles(ref)
+	for ih := h0; ih < h1; ih++ {
 		h := span(ih, p.Hp, s.Ho, r.H0, r.H1)
-		for iw := r.W0 / p.Wp; iw <= (r.W1-1)/p.Wp && iw < gr.nW; iw++ {
+		for iw := w0; iw < w1; iw++ {
 			w := span(iw, p.Wp, s.Wo, r.W0, r.W1)
-			for ic := r.C0 / p.Cop; ic <= (r.C1-1)/p.Cop && ic < gr.nC; ic++ {
+			for ic := c0; ic < c1; ic++ {
 				c := span(ic, p.Cop, s.Co, r.C0, r.C1)
 				var overlap int64
 				if h > 0 && w > 0 && c > 0 {
@@ -514,15 +545,31 @@ func (d *DAG) addOverlaps(sc *buildScratch, ref regionRef, epoch int32) {
 				}
 				id := gr.base + (ih*gr.nW+iw)*gr.nC + ic
 				if sc.stamp[id] == epoch {
-					sc.bytes[sc.pos[id]] += overlap
+					d.depBytes[sc.pos[id]] += overlap
 					continue
 				}
-				sc.stamp[id], sc.pos[id] = epoch, int32(len(sc.ids))
-				sc.ids = append(sc.ids, int32(id))
-				sc.bytes = append(sc.bytes, overlap)
+				sc.stamp[id], sc.pos[id] = epoch, int32(len(d.depIDs))
+				d.depIDs = append(d.depIDs, int32(id))
+				d.depBytes = append(d.depBytes, overlap)
 			}
 		}
 	}
+}
+
+// overlapTiles returns the producer tile ranges [h0, h1) x [w0, w1) x
+// [c0, c1) of ref's layer grid that its region touches.
+func (d *DAG) overlapTiles(ref regionRef) (h0, h1, w0, w1, c0, c1 int) {
+	gr := d.grids[ref.layer]
+	if gr.nC == 0 {
+		// Producer was itself elided (concat feeding concat). This cannot
+		// happen because appendResolved already flattened concat chains;
+		// reaching here means a bug in construction order.
+		panic(fmt.Sprintf("atom: no grid for layer %d", ref.layer))
+	}
+	r, p := ref.region, gr.part
+	return r.H0 / p.Hp, min((r.H1-1)/p.Hp+1, gr.nH),
+		r.W0 / p.Wp, min((r.W1-1)/p.Wp+1, gr.nW),
+		r.C0 / p.Cop, min((r.C1-1)/p.Cop+1, gr.nC)
 }
 
 // span returns the length of the overlap of tile [i·t, min((i+1)·t, n))

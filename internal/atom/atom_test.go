@@ -788,3 +788,41 @@ func TestBuildConcurrent(t *testing.T) {
 		t.Error(err)
 	}
 }
+
+// TestCountDepsBoundsEdges checks Build's count pass: it is at least the
+// dep entries Build appends and sizes their lists, and it equals them on
+// every zoo model under fixedSpec and whole-layer atoms. An eltwise layer
+// reading one tensor twice reaches each producer tile twice but lists it
+// once, so there the count is strictly above.
+func TestCountDepsBoundsEdges(t *testing.T) {
+	check := func(name string, g *graph.Graph, spec Spec) (count, n int) {
+		d := buildDAG(t, g, 1, spec)
+		count, n = CountDeps(d), len(d.depIDs)
+		if count < n || cap(d.depIDs) != count || cap(d.depBytes) != count {
+			t.Errorf("%s: count pass %d, %d dep entries in capacity %d/%d", name, count, n, cap(d.depIDs), cap(d.depBytes))
+		}
+		return count, n
+	}
+	for _, name := range models.Names() {
+		g := models.MustBuild(name)
+		for _, sp := range []struct {
+			name string
+			spec Spec
+		}{{"fixed", fixedSpec(g)}, {"whole", nil}} {
+			if count, n := check(name+"/"+sp.name, g, sp.spec); count != n {
+				t.Errorf("%s/%s: count pass %d, want the %d entries appended", name, sp.name, count, n)
+			}
+		}
+	}
+	g := graph.New("double")
+	in := g.AddLayer("input", graph.OpInput, graph.Shape{Ho: 4, Wo: 4, Co: 8})
+	a := g.AddLayer("a", graph.OpConv, graph.ConvShape(4, 4, 8, 8, 1, 1, 0), in)
+	sq := g.AddLayer("sq", graph.OpEltwise, graph.Shape{Hi: 4, Wi: 4, Ci: 8, Ho: 4, Wo: 4, Co: 8, Kh: 1, Kw: 1, Stride: 1}, a, a)
+	if err := g.Finalize(); err != nil {
+		t.Fatal(err)
+	}
+	spec := Spec{a: {Hp: 2, Wp: 2, Cop: 8}, sq: {Hp: 2, Wp: 4, Cop: 8}}
+	if count, n := check("double", g, spec); count <= n {
+		t.Errorf("double: count pass %d, want above the %d entries appended", count, n)
+	}
+}

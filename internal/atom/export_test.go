@@ -6,3 +6,13 @@ var (
 	BuildReference = buildReference
 	EqualDAG       = equalDAG
 )
+
+// CountDeps returns Build's count pass for d's graph and tiling.
+func CountDeps(d *DAG) int {
+	sc := new(buildScratch)
+	sc.reset(d.n)
+	return d.countDeps(sc)
+}
+
+// DepsLenCap returns the length and capacity of sample 0's dep lists.
+func DepsLenCap(d *DAG) (n, c int) { return len(d.depIDs), cap(d.depIDs) }

@@ -31,3 +31,24 @@ func TestSASpecMatchesReference(t *testing.T) {
 		}
 	}
 }
+
+// TestCountDepsExactOnSASpecs checks Build's count pass against the dep
+// entries it then appends, under the spec a default-knob search picks for
+// every zoo model under KC-P and YX-P: the two are equal, and the lists
+// are allocated once at that size.
+func TestCountDepsExactOnSASpecs(t *testing.T) {
+	for _, name := range models.Names() {
+		g := models.MustBuild(name)
+		for _, df := range []engine.Dataflow{engine.KCPartition, engine.YXPartition} {
+			spec := anneal.SA(g, engine.Default(), df, anneal.Options{Seed: 1}).Spec
+			d, err := atom.Build(g, 1, spec)
+			if err != nil {
+				t.Fatal(err)
+			}
+			n, c := atom.DepsLenCap(d)
+			if count := atom.CountDeps(d); count != n || c != n {
+				t.Errorf("%s %v: count pass %d, %d dep entries appended into capacity %d", name, df, count, n, c)
+			}
+		}
+	}
+}

@@ -67,36 +67,33 @@ func (m *Mesh) hopsDirect(i, j int) int {
 // engine To.
 type Link struct{ From, To int }
 
-// Path returns the route from i to j as a sequence of directed links
-// (empty when i == j): XY dimension-ordered on the mesh, shorter-way XY
-// on the torus, up-over-down through switches on the H-tree.
-func (m *Mesh) Path(i, j int) []Link {
+// AppendPath appends to dst the route from i to j as a sequence of
+// directed links (none when i == j): XY dimension-ordered on the mesh,
+// shorter-way XY on the torus, up-over-down through switches on the
+// H-tree. Walking many routes into one reused dst allocates nothing.
+func (m *Mesh) AppendPath(dst []Link, i, j int) []Link {
 	switch m.kind {
 	case KindTorus:
-		return m.pathTorus(i, j)
+		return m.appendTorus(dst, i, j)
 	case KindHTree:
-		return m.pathHTree(i, j)
-	}
-	if i == j {
-		return nil
+		return m.appendHTree(dst, i, j)
 	}
 	xi, yi := m.Coord(i)
 	xj, yj := m.Coord(j)
-	path := make([]Link, 0, abs(xi-xj)+abs(yi-yj))
 	cur := i
 	for x := xi; x != xj; {
 		next := x + sign(xj-x)
 		ne := m.EngineAt(next, yi)
-		path = append(path, Link{From: cur, To: ne})
+		dst = append(dst, Link{From: cur, To: ne})
 		cur, x = ne, next
 	}
 	for y := yi; y != yj; {
 		next := y + sign(yj-y)
 		ne := m.EngineAt(xj, next)
-		path = append(path, Link{From: cur, To: ne})
+		dst = append(dst, Link{From: cur, To: ne})
 		cur, y = ne, next
 	}
-	return path
+	return dst
 }
 
 func abs(a int) int {

@@ -36,7 +36,7 @@ func TestHopsManhattan(t *testing.T) {
 func TestPathIsXYOrdered(t *testing.T) {
 	m := NewMesh(4, 4, 8)
 	// From (0,0) to (2,3): X moves first.
-	path := m.Path(0, m.EngineAt(2, 3))
+	path := m.AppendPath(nil, 0, m.EngineAt(2, 3))
 	if len(path) != 5 {
 		t.Fatalf("path length = %d, want 5", len(path))
 	}
@@ -61,7 +61,7 @@ func TestPathContinuity(t *testing.T) {
 	f := func(iRaw, jRaw uint8) bool {
 		i := int(iRaw) % m.Engines()
 		j := int(jRaw) % m.Engines()
-		path := m.Path(i, j)
+		path := m.AppendPath(nil, i, j)
 		if len(path) != hops(m, i, j) {
 			return false
 		}
@@ -79,8 +79,8 @@ func TestPathContinuity(t *testing.T) {
 	}
 }
 
-// TestRouteTableMatchesPath pins the dense route table to the allocating
-// Path walk on all three topologies: same links, same order, same hop
+// TestRouteTableMatchesPath pins the dense route table to a fresh
+// AppendPath walk on all three topologies: same links, same order, same hop
 // counts, and hop counts equal to the arithmetic reference.
 func TestRouteTableMatchesPath(t *testing.T) {
 	for _, m := range []*Mesh{NewMesh(4, 3, 8), NewTorus(4, 4, 8), NewHTree(16, 8)} {
@@ -90,7 +90,7 @@ func TestRouteTableMatchesPath(t *testing.T) {
 		}
 		for i := 0; i < n; i++ {
 			for j := 0; j < n; j++ {
-				path := m.Path(i, j)
+				path := m.AppendPath(nil, i, j)
 				ids := routeIDs(m, i, j)
 				if len(path) != len(ids) {
 					t.Fatalf("%v: route %d->%d: %d ids, %d links", m.Kind(), i, j, len(ids), len(path))
@@ -115,7 +115,7 @@ func TestRouteTableMatchesPath(t *testing.T) {
 
 // TestRoutesPrefixClosed checks the route-tree invariant on every
 // topology and size the simulator runs: from each source, every link has
-// one predecessor across all routes, checked here against Path directly.
+// one predecessor across all routes, checked here against AppendPath directly.
 // It also feeds checkPrefixClosed hand-built tables that break the
 // invariant (a link reached from two predecessors, a route revisiting a
 // link), which must be rejected.
@@ -133,7 +133,7 @@ func TestRoutesPrefixClosed(t *testing.T) {
 			pred := map[Link]Link{}
 			for j := 0; j < n; j++ {
 				prev := Link{From: -1, To: -1}
-				for _, l := range m.Path(i, j) {
+				for _, l := range m.AppendPath(nil, i, j) {
 					if p, ok := pred[l]; ok && p != prev {
 						t.Fatalf("%v %dx%d: routes from %d reach %v from %v and %v", m.Kind(), m.W, m.H, i, l, p, prev)
 					}

@@ -31,6 +31,15 @@ func (m *Mesh) table() *routeTable {
 	return m.routes
 }
 
+// maxOutLinks bounds a node's outgoing links: four neighbours on the mesh
+// and the torus, four children and a parent at an H-tree switch.
+const maxOutLinks = 5
+
+// buildTable walks every route once, into one reused buffer, and numbers
+// each directed link on first traversal. The IDs found so far sit in
+// per-node rows of maxOutLinks slots, so a lookup scans one short row.
+// Every array is allocated at its final size: the hop counts, summed,
+// size the route list before the walk.
 func (m *Mesh) buildTable() {
 	start := time.Now()
 	defer func() { m.buildTime = time.Since(start) }()
@@ -40,23 +49,28 @@ func (m *Mesh) buildTable() {
 		hops: make([]int32, n*n),
 		off:  make([]int32, n*n+1),
 	}
-	idOf := make(map[Link]int32)
+	total, longest := 0, 0
 	for i := 0; i < n; i++ {
 		for j := 0; j < n; j++ {
-			path := m.Path(i, j)
-			if len(path) != m.hopsDirect(i, j) {
+			h := m.hopsDirect(i, j)
+			rt.hops[i*n+j] = int32(h)
+			total, longest = total+h, max(longest, h)
+		}
+	}
+	nodes := m.nodes()
+	rt.ids = make([]int32, 0, total)
+	rt.linkOf = make([]Link, 0, nodes*maxOutLinks)
+	out := make([]int32, nodes*maxOutLinks) // link ID + 1 per slot, 0 when free
+	path := make([]Link, 0, longest)
+	for i := 0; i < n; i++ {
+		for j := 0; j < n; j++ {
+			path = m.AppendPath(path[:0], i, j)
+			if h := int(rt.hops[i*n+j]); len(path) != h {
 				panic(fmt.Sprintf("noc: route %d->%d has %d links, want %d hops",
-					i, j, len(path), m.hopsDirect(i, j)))
+					i, j, len(path), h))
 			}
-			rt.hops[i*n+j] = int32(len(path))
 			for _, l := range path {
-				id, ok := idOf[l]
-				if !ok {
-					id = int32(len(rt.linkOf))
-					idOf[l] = id
-					rt.linkOf = append(rt.linkOf, l)
-				}
-				rt.ids = append(rt.ids, id)
+				rt.ids = append(rt.ids, rt.linkID(out, l))
 			}
 			rt.off[i*n+j+1] = int32(len(rt.ids))
 		}
@@ -66,6 +80,24 @@ func (m *Mesh) buildTable() {
 		panic(err)
 	}
 	m.routes = rt
+}
+
+// linkID returns l's ID, numbering it next if it is new; out holds each
+// node's row of known outgoing link IDs.
+func (rt *routeTable) linkID(out []int32, l Link) int32 {
+	row := out[l.From*maxOutLinks : (l.From+1)*maxOutLinks]
+	for k, v := range row {
+		if v == 0 {
+			id := int32(len(rt.linkOf))
+			rt.linkOf = append(rt.linkOf, l)
+			row[k] = id + 1
+			return id
+		}
+		if rt.linkOf[v-1].To == l.To {
+			return v - 1
+		}
+	}
+	panic(fmt.Sprintf("noc: node %d has more than %d outgoing links", l.From, maxOutLinks))
 }
 
 // checkPrefixClosed verifies that the routes out of each source form a
@@ -109,7 +141,7 @@ func (m *Mesh) RouteBuildTime() time.Duration {
 
 // RoutesFrom returns every route out of engine i as link IDs into
 // 0..NumLinks()-1: the route from i to j is ids[off[j]:off[j+1]], the
-// allocation-free counterpart of Path. Both slices alias the route
+// table-backed counterpart of AppendPath. Both slices alias the route
 // table: callers must not modify them.
 func (m *Mesh) RoutesFrom(i int) (off, ids []int32) {
 	rt := m.table()

@@ -77,21 +77,18 @@ func (m *Mesh) hopsTorus(i, j int) int {
 	return hx + hy
 }
 
-// pathTorus routes X-then-Y taking the shorter direction per dimension.
-func (m *Mesh) pathTorus(i, j int) []Link {
-	if i == j {
-		return nil
-	}
+// appendTorus appends the route from i to j, X-then-Y taking the shorter
+// direction per dimension.
+func (m *Mesh) appendTorus(dst []Link, i, j int) []Link {
 	xi, yi := m.Coord(i)
 	xj, yj := m.Coord(j)
-	var path []Link
 	cur := i
 	sx, hx := torusDelta(xi, xj, m.W)
 	x := xi
 	for s := 0; s < hx; s++ {
 		x = (x + sx + m.W) % m.W
 		ne := m.EngineAt(x, yi)
-		path = append(path, Link{From: cur, To: ne})
+		dst = append(dst, Link{From: cur, To: ne})
 		cur = ne
 	}
 	sy, hy := torusDelta(yi, yj, m.H)
@@ -99,20 +96,23 @@ func (m *Mesh) pathTorus(i, j int) []Link {
 	for s := 0; s < hy; s++ {
 		y = (y + sy + m.H) % m.H
 		ne := m.EngineAt(xj, y)
-		path = append(path, Link{From: cur, To: ne})
+		dst = append(dst, Link{From: cur, To: ne})
 		cur = ne
 	}
-	return path
+	return dst
 }
 
 // H-tree addressing: leaves are engines 0..n-1 (in zig-zag-compatible
 // row-major order); internal switch nodes are numbered from n upward,
 // level by level toward the root. Each switch has up to four children.
 
-// htreePathUp lists the switch nodes from a leaf to the root.
-func (m *Mesh) htreePathUp(leaf int) []int {
+// maxHTreeDepth bounds the switch levels above a leaf: each level
+// divides the width by four.
+const maxHTreeDepth = 32
+
+// htreeUp appends to up the switch nodes from a leaf to the root.
+func (m *Mesh) htreeUp(up []int, leaf int) []int {
 	n := m.Engines()
-	var up []int
 	idx := leaf
 	width := n
 	base := n
@@ -128,44 +128,58 @@ func (m *Mesh) htreePathUp(leaf int) []int {
 	return up
 }
 
+// nodes returns the number of node IDs routes use: the engines, plus the
+// switches on the H-tree, whose root has the largest ID.
+func (m *Mesh) nodes() int {
+	if m.kind != KindHTree {
+		return m.Engines()
+	}
+	var buf [maxHTreeDepth]int
+	up := m.htreeUp(buf[:0], 0)
+	if len(up) == 0 {
+		return m.Engines()
+	}
+	return up[len(up)-1] + 1
+}
+
+// htreeLCA returns the switch paths of leaves i and j up to the root and
+// the depth of their lowest common switch.
+func (m *Mesh) htreeLCA(bi, bj *[maxHTreeDepth]int, i, j int) (ui, uj []int, lca int) {
+	ui, uj = m.htreeUp(bi[:0], i), m.htreeUp(bj[:0], j)
+	for d := 0; d < len(ui); d++ {
+		if ui[d] == uj[d] {
+			return ui, uj, d
+		}
+	}
+	return ui, uj, len(ui) - 1
+}
+
 // hopsHTree is the tree distance between two leaves.
 func (m *Mesh) hopsHTree(i, j int) int {
 	if i == j {
 		return 0
 	}
-	ui, uj := m.htreePathUp(i), m.htreePathUp(j)
-	// Find the lowest common switch.
-	for d := 0; d < len(ui); d++ {
-		if ui[d] == uj[d] {
-			return 2 * (d + 1)
-		}
-	}
-	return 2 * len(ui)
+	var bi, bj [maxHTreeDepth]int
+	_, _, lca := m.htreeLCA(&bi, &bj, i, j)
+	return 2 * (lca + 1)
 }
 
-// pathHTree routes leaf i up to the lowest common switch and down to j.
-func (m *Mesh) pathHTree(i, j int) []Link {
+// appendHTree appends the route from leaf i up to the lowest common
+// switch and down to j.
+func (m *Mesh) appendHTree(dst []Link, i, j int) []Link {
 	if i == j {
-		return nil
+		return dst
 	}
-	ui, uj := m.htreePathUp(i), m.htreePathUp(j)
-	lca := len(ui) - 1
-	for d := 0; d < len(ui); d++ {
-		if ui[d] == uj[d] {
-			lca = d
-			break
-		}
-	}
-	var path []Link
+	var bi, bj [maxHTreeDepth]int
+	ui, uj, lca := m.htreeLCA(&bi, &bj, i, j)
 	cur := i
 	for d := 0; d <= lca; d++ {
-		path = append(path, Link{From: cur, To: ui[d]})
+		dst = append(dst, Link{From: cur, To: ui[d]})
 		cur = ui[d]
 	}
 	for d := lca - 1; d >= 0; d-- {
-		path = append(path, Link{From: cur, To: uj[d]})
+		dst = append(dst, Link{From: cur, To: uj[d]})
 		cur = uj[d]
 	}
-	path = append(path, Link{From: cur, To: j})
-	return path
+	return append(dst, Link{From: cur, To: j})
 }

@@ -31,7 +31,7 @@ func TestTorusPathContinuity(t *testing.T) {
 	f := func(iRaw, jRaw uint8) bool {
 		i := int(iRaw) % m.Engines()
 		j := int(jRaw) % m.Engines()
-		path := m.Path(i, j)
+		path := m.AppendPath(nil, i, j)
 		if len(path) != hops(m, i, j) {
 			return false
 		}
@@ -74,7 +74,7 @@ func TestHTreePathEndsAtDestination(t *testing.T) {
 	f := func(iRaw, jRaw uint8) bool {
 		i := int(iRaw) % 16
 		j := int(jRaw) % 16
-		path := m.Path(i, j)
+		path := m.AppendPath(nil, i, j)
 		if i == j {
 			return len(path) == 0
 		}
@@ -143,7 +143,7 @@ func TestKindString(t *testing.T) {
 }
 
 // Property: all three topologies produce metric-consistent Hops
-// (symmetric, zero iff equal) and Path lengths equal to Hops.
+// (symmetric, zero iff equal) and AppendPath lengths equal to Hops.
 func TestTopologyMetricProperty(t *testing.T) {
 	tops := []*Mesh{NewMesh(4, 4, 8), NewTorus(4, 4, 8), NewHTree(16, 8)}
 	f := func(iRaw, jRaw, kRaw uint8) bool {
@@ -156,7 +156,7 @@ func TestTopologyMetricProperty(t *testing.T) {
 			if (hops(m, i, j) == 0) != (i == j) {
 				return false
 			}
-			if len(m.Path(i, j)) != hops(m, i, j) {
+			if len(m.AppendPath(nil, i, j)) != hops(m, i, j) {
 				return false
 			}
 		}

@@ -152,7 +152,7 @@ func simulateFlowsReference(mesh *noc.Mesh, flows []Flow, start int64) (map[int]
 		for _, f := range fs {
 			head := start
 			var lastStart int64 = start
-			path := mesh.Path(f.Src, f.Dst)
+			path := mesh.AppendPath(nil, f.Src, f.Dst)
 			for _, l := range path {
 				s, claimed := linkStart[l]
 				if !claimed {

@@ -1,6 +1,7 @@
 package atomicflow
 
 import (
+	"errors"
 	"strings"
 	"testing"
 )
@@ -67,5 +68,26 @@ func TestMetricsOption(t *testing.T) {
 	if bare.Report != sol.Report {
 		t.Errorf("metrics perturbed the Report:\nbare:    %+v\nmetered: %+v",
 			bare.Report, sol.Report)
+	}
+}
+
+// failWriter fails every write.
+type failWriter struct{}
+
+var errWriteFailed = errors.New("write failed")
+
+func (failWriter) Write([]byte) (int, error) { return 0, errWriteFailed }
+
+// TestTraceWriterError checks that a trace that cannot be written fails
+// the solve with the writer's error instead of reporting success.
+func TestTraceWriterError(t *testing.T) {
+	g, _ := LoadModel("tinyconv")
+	hw := smallHW()
+	sol, err := Orchestrate(g, Options{Hardware: &hw, TraceWriter: failWriter{}})
+	if !errors.Is(err, errWriteFailed) {
+		t.Fatalf("Orchestrate with a failing trace writer returned error %v, want %v", err, errWriteFailed)
+	}
+	if sol != nil {
+		t.Error("a solve whose trace failed returned a Solution")
 	}
 }
