@@ -88,9 +88,9 @@ type (
 	// OracleStats counts cost-oracle evaluations.
 	OracleStats = cost.Stats
 	// MetricsRegistry collects counters, gauges and histograms from the
-	// search, scheduler and simulator when installed via Options.Metrics.
-	// Nil registries (and all their instruments) are safe no-ops, so the
-	// same code runs instrumented or not.
+	// search, scheduler and simulator when installed as
+	// HardwareConfig.Metrics. Nil registries (and all their instruments)
+	// are safe no-ops, so the same code runs instrumented or not.
 	MetricsRegistry = obs.Registry
 	// MetricsSnapshot is a point-in-time copy of a registry's instruments,
 	// exported by Solution.Metrics and (*MetricsRegistry).Snapshot.
@@ -179,9 +179,9 @@ func PaperWorkloads() []string { return append([]string(nil), models.PaperWorklo
 func DefaultHardware() HardwareConfig { return sim.DefaultConfig() }
 
 // NewMetrics returns an empty metrics registry. Install it as
-// Options.Metrics (or HardwareConfig.Metrics) to collect the run's
-// counters and histograms; export with WriteJSON, WritePrometheus or the
-// obs HTTP handler (cmd/adexp -metrics-addr serves both).
+// HardwareConfig.Metrics to collect the run's counters and histograms;
+// export with WriteJSON, WritePrometheus or the obs HTTP handler
+// (cmd/adexp -metrics-addr serves both).
 func NewMetrics() *MetricsRegistry { return obs.New() }
 
 // NewCostOracle returns the standard cost oracle: the engine model with
@@ -224,10 +224,6 @@ type Options struct {
 	// ui.perfetto.dev or chrome://tracing). An error writing it fails
 	// the solve.
 	TraceWriter io.Writer
-	// Metrics, when non-nil, collects the run's counters and histograms
-	// across the SA search and the simulator (overrides
-	// Hardware.Metrics); Solution.Metrics holds the final snapshot.
-	Metrics *MetricsRegistry
 	// Progress, when non-nil, streams per-chain search progress: one
 	// SearchSample batch at every annealing exchange barrier and a final
 	// batch after the polish sweep. The hook runs on the search's
@@ -236,13 +232,6 @@ type Options struct {
 	// solutions (and their digests) are bit-identical with or without it.
 	// This is what feeds the serving layer's live dashboard.
 	Progress func([]SearchSample)
-	// Context, when non-nil, bounds the orchestration: the SA search, the
-	// Round scheduler and the simulator poll it and Orchestrate returns
-	// an error wrapping the context's error (context.Canceled or
-	// context.DeadlineExceeded) as soon as it fires. When nil, the
-	// hardware's Ctx bounds all three stages instead. An uncancelled
-	// context never changes the solution produced.
-	Context context.Context
 }
 
 func (o Options) batch() int {
@@ -257,18 +246,6 @@ func (o Options) hardware() HardwareConfig {
 		return *o.Hardware
 	}
 	return DefaultHardware()
-}
-
-// context resolves the one context every stage runs under: Context,
-// else the hardware's Ctx, else Background.
-func (o Options) context(hw HardwareConfig) context.Context {
-	if o.Context != nil {
-		return o.Context
-	}
-	if hw.Ctx != nil {
-		return hw.Ctx
-	}
-	return context.Background()
 }
 
 // Solution is a complete atomic-dataflow orchestration of one workload.
@@ -339,6 +316,15 @@ func (s *Solution) Lower() (*Program, error) {
 // Orchestrate runs the full atomic-dataflow pipeline on the workload:
 // SA atom generation, atomic DAG construction, DAG scheduling, and
 // simulation with mapping + buffering.
+//
+// The run's hooks ride on the hardware model. Its Ctx bounds all four
+// stages (nil means context.Background()): the SA search, the Round
+// scheduler and the simulator poll it, and Orchestrate returns an error
+// wrapping the context's error (context.Canceled or
+// context.DeadlineExceeded) as soon as it fires; an uncancelled context
+// never changes the solution. Its Metrics registry, when non-nil,
+// collects the counters and histograms of the search and the simulator,
+// and Solution.Metrics holds its final snapshot.
 func Orchestrate(g *Graph, opt Options) (*Solution, error) {
 	if g == nil {
 		return nil, fmt.Errorf("atomicflow: nil graph")
@@ -352,11 +338,10 @@ func Orchestrate(g *Graph, opt Options) (*Solution, error) {
 	if hw.Oracle == nil {
 		hw.Oracle = cost.Default()
 	}
-	if opt.Metrics != nil {
-		hw.Metrics = opt.Metrics
+	if hw.Ctx == nil {
+		hw.Ctx = context.Background()
 	}
-	ctx := opt.context(hw)
-	hw.Ctx = ctx
+	ctx := hw.Ctx
 	start := time.Now()
 	res := anneal.SA(g, hw.Engine, hw.Dataflow, anneal.Options{
 		MaxIters:       opt.SAIters,

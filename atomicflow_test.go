@@ -258,7 +258,8 @@ func TestLoweringMatchesReport(t *testing.T) {
 				}
 				hw := DefaultHardware()
 				hw.NaiveMapping = naive
-				sol, err := Orchestrate(g, Options{Batch: batch, Hardware: &hw, Metrics: NewMetrics()})
+				hw.Metrics = NewMetrics()
+				sol, err := Orchestrate(g, Options{Batch: batch, Hardware: &hw})
 				if err != nil {
 					t.Fatal(err)
 				}

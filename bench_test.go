@@ -1,4 +1,4 @@
-package atomicflow
+package atomicflow_test
 
 // Benchmark harness: one testing.B benchmark per table and figure of the
 // paper's evaluation (Sec. V). Each benchmark regenerates its experiment
@@ -14,6 +14,7 @@ import (
 	"runtime"
 	"testing"
 
+	"github.com/atomic-dataflow/atomicflow"
 	"github.com/atomic-dataflow/atomicflow/internal/anneal"
 	"github.com/atomic-dataflow/atomicflow/internal/atom"
 	"github.com/atomic-dataflow/atomicflow/internal/buffer"
@@ -367,7 +368,7 @@ func BenchmarkDiscussionFlexArray(b *testing.B) {
 // the hot-path benchmarks, outside the timed region.
 func modelSchedule(b *testing.B, model string, cfg sim.Config) (*atom.DAG, *schedule.Schedule) {
 	b.Helper()
-	g, err := LoadModel(model)
+	g, err := atomicflow.LoadModel(model)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -407,9 +408,9 @@ func BenchmarkSimRun(b *testing.B) {
 // frontEndSpec returns a zoo model and the partition spec of a
 // fixed-seed SA search: the input of the two stages in front of the
 // simulator.
-func frontEndSpec(b *testing.B, cfg sim.Config, model string) (*Graph, atom.Spec) {
+func frontEndSpec(b *testing.B, cfg sim.Config, model string) (*atomicflow.Graph, atom.Spec) {
 	b.Helper()
-	g, err := LoadModel(model)
+	g, err := atomicflow.LoadModel(model)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -611,11 +612,11 @@ var benchSink engine.Cost
 // direct path is the faster one, which is why production stacks call the
 // engine model directly (DESIGN §3).
 func BenchmarkCostOracle(b *testing.B) {
-	g, err := LoadModel("resnet50")
+	g, err := atomicflow.LoadModel("resnet50")
 	if err != nil {
 		b.Fatal(err)
 	}
-	hw := DefaultHardware()
+	hw := atomicflow.DefaultHardware()
 	res := anneal.SA(g, hw.Engine, hw.Dataflow, anneal.Options{MaxIters: 300, Seed: 1})
 	d, err := atom.Build(g, 1, res.Spec)
 	if err != nil {
@@ -664,12 +665,12 @@ func BenchmarkCostOracle(b *testing.B) {
 // this implementation is orders of magnitude faster because the Cycle()
 // oracle is a closed-form model rather than an external tool).
 func BenchmarkSearchOverhead_ResNet50(b *testing.B) {
-	g, err := LoadModel("resnet50")
+	g, err := atomicflow.LoadModel("resnet50")
 	if err != nil {
 		b.Fatal(err)
 	}
 	for i := 0; i < b.N; i++ {
-		if _, err := Orchestrate(g, Options{Batch: 1}); err != nil {
+		if _, err := atomicflow.Orchestrate(g, atomicflow.Options{Batch: 1}); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -677,12 +678,12 @@ func BenchmarkSearchOverhead_ResNet50(b *testing.B) {
 
 // BenchmarkSearchOverhead_InceptionV3 is the paper's 406.9 s point.
 func BenchmarkSearchOverhead_InceptionV3(b *testing.B) {
-	g, err := LoadModel("inceptionv3")
+	g, err := atomicflow.LoadModel("inceptionv3")
 	if err != nil {
 		b.Fatal(err)
 	}
 	for i := 0; i < b.N; i++ {
-		if _, err := Orchestrate(g, Options{Batch: 1}); err != nil {
+		if _, err := atomicflow.Orchestrate(g, atomicflow.Options{Batch: 1}); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -696,9 +697,9 @@ func BenchmarkSearchOverhead_InceptionV3(b *testing.B) {
 // into one list sized for its whole enumeration, so allocs/op counts
 // lists, not appends: about 800 per op, 1.7 MB.
 func BenchmarkSearchSetup(b *testing.B) {
-	var gs []*Graph
+	var gs []*atomicflow.Graph
 	for _, name := range []string{"resnet50", "inceptionv3"} {
-		g, err := LoadModel(name)
+		g, err := atomicflow.LoadModel(name)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -722,7 +723,7 @@ func BenchmarkSearchSetup(b *testing.B) {
 // iteration prices atoms through a fresh memo so every width pays the
 // same cold-oracle cost.
 func BenchmarkAnnealChains(b *testing.B) {
-	g, err := LoadModel("inceptionv3")
+	g, err := atomicflow.LoadModel("inceptionv3")
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -748,7 +749,7 @@ func BenchmarkAnnealChains(b *testing.B) {
 // decays linearly with graph depth; scoring picks once per distinct
 // candidate list (15 for the chain's 1,026 layers).
 func BenchmarkAnnealDeep(b *testing.B) {
-	g, err := LoadModel("deepchain1k")
+	g, err := atomicflow.LoadModel("deepchain1k")
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -771,12 +772,12 @@ func BenchmarkAnnealDeep(b *testing.B) {
 // deepest workload (ResNet-1001) to demonstrate scalability of the
 // greedy scheduling path.
 func BenchmarkOrchestrateScaling(b *testing.B) {
-	g, err := LoadModel("resnet152")
+	g, err := atomicflow.LoadModel("resnet152")
 	if err != nil {
 		b.Fatal(err)
 	}
 	for i := 0; i < b.N; i++ {
-		if _, err := Orchestrate(g, Options{Batch: 1}); err != nil {
+		if _, err := atomicflow.Orchestrate(g, atomicflow.Options{Batch: 1}); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -170,7 +170,7 @@ func run(f *flags, opts af.Options, w io.Writer) error {
 		opts.TraceWriter = tf
 	}
 	if *f.metJSON != "" {
-		opts.Metrics = af.NewMetrics()
+		opts.Hardware.Metrics = af.NewMetrics()
 	}
 	sol, err := af.Orchestrate(g, opts)
 	if err != nil {
@@ -190,7 +190,7 @@ func run(f *flags, opts af.Options, w io.Writer) error {
 		if err != nil {
 			return err
 		}
-		err = opts.Metrics.WriteJSON(mf)
+		err = opts.Hardware.Metrics.WriteJSON(mf)
 		if cerr := mf.Close(); err == nil {
 			err = cerr
 		}

@@ -21,13 +21,15 @@ func TestOrchestrateCancelled(t *testing.T) {
 
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	if _, err := Orchestrate(g, Options{Hardware: &hw, Context: ctx}); !errors.Is(err, context.Canceled) {
+	hw.Ctx = ctx
+	if _, err := Orchestrate(g, Options{Hardware: &hw}); !errors.Is(err, context.Canceled) {
 		t.Errorf("cancelled context: err = %v, want context.Canceled", err)
 	}
 
 	dctx, dcancel := context.WithDeadline(context.Background(), time.Now().Add(-time.Second))
 	defer dcancel()
-	if _, err := Orchestrate(g, Options{Hardware: &hw, Context: dctx}); !errors.Is(err, context.DeadlineExceeded) {
+	hw.Ctx = dctx
+	if _, err := Orchestrate(g, Options{Hardware: &hw}); !errors.Is(err, context.DeadlineExceeded) {
 		t.Errorf("expired deadline: err = %v, want context.DeadlineExceeded", err)
 	}
 }
@@ -45,8 +47,10 @@ func TestOrchestratePromptCancel(t *testing.T) {
 		time.Sleep(20 * time.Millisecond)
 		cancel()
 	}()
+	hw := DefaultHardware()
+	hw.Ctx = ctx
 	start := time.Now()
-	_, err = Orchestrate(g, Options{Context: ctx})
+	_, err = Orchestrate(g, Options{Hardware: &hw})
 	elapsed := time.Since(start)
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("err = %v, want context.Canceled", err)
@@ -71,7 +75,8 @@ func TestOrchestrateContextNoEffect(t *testing.T) {
 		t.Fatal(err)
 	}
 	hw2 := smallHW()
-	withCtx, err := Orchestrate(g, Options{Hardware: &hw2, SAIters: 80, Context: context.Background()})
+	hw2.Ctx = context.Background()
+	withCtx, err := Orchestrate(g, Options{Hardware: &hw2, SAIters: 80})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -135,17 +135,13 @@ func (o Options) chains() int {
 
 // Result is the outcome of atomic tensor generation.
 type Result struct {
-	Spec        atom.Spec       // chosen partition per layer (compute + vector layers)
-	LayerCycles map[int]int64   // nominal per-atom cycles of each compute layer
-	LayerUtil   map[int]float64 // PE utilization of each compute layer's atoms
-	Trace       []float64       // energy (Var of cycles) after each iteration
-	Iters       int             // iterations executed
-	FinalVar    float64         // final energy
-	FinalCV     float64         // final coefficient of variation of atom cycles
-	MeanCycle   float64         // the unified execution cycle S
-	Dataflow    engine.Dataflow // echo of the input
-	Candidates  map[int]int     // candidate-list length per layer (diagnostics)
-	cands       map[int]layerCands
+	Spec        atom.Spec     // chosen partition per layer (compute + vector layers)
+	LayerCycles map[int]int64 // nominal per-atom cycles of each compute layer
+	Trace       []float64     // energy (Var of cycles) after each iteration
+	Iters       int           // iterations executed
+	FinalVar    float64       // final energy
+	FinalCV     float64       // final coefficient of variation of atom cycles
+	MeanCycle   float64       // the unified execution cycle S
 }
 
 // state is one assignment of candidate indices to compute layers, stored
@@ -338,17 +334,21 @@ func (s *search) polish(opt Options, m saMetrics, best pinned, bestE, bestS floa
 
 // search carries the immutable per-layer candidate lists.
 type search struct {
-	g     *graph.Graph
-	cfg   engine.Config
-	df    engine.Dataflow
-	opt   Options
-	orc   cost.Oracle
-	cands map[int]layerCands
-	order []int   // compute layer IDs participating in the energy
-	scale float64 // energy normalization for the acceptance test
+	g   *graph.Graph
+	cfg engine.Config
+	opt Options
+	orc cost.Oracle
 
-	// Dense mirrors of the candidate lists for the search inner loops:
-	// all is order followed by stragglers; lcAt[i] is all[i]'s candidates.
+	// all holds the compute layer IDs, the layers participating in the
+	// energy first and the stragglers after; lcAt[i] is all[i]'s
+	// candidates.
+	//
+	// Stragglers are layers whose minimum achievable atom cycle is far
+	// above the typical layer's (e.g. a weight-bound FC whose coarsest
+	// serialization already exceeds every CONV option). They can never
+	// meet a common unified cycle, so they are excluded from the variance
+	// (they would anchor S uselessly high, starving Round packing) and
+	// simply take their closest candidate at assembly time.
 	all    []int
 	lcAt   []layerCands
 	nOrder int // first nOrder entries of all participate in the energy
@@ -356,19 +356,10 @@ type search struct {
 	// groups are the distinct candidate lists of the energy layers, each
 	// with its multiplicity (see delta.go).
 	groups []pickGroup
-
-	// stragglers are layers whose minimum achievable atom cycle is far
-	// above the typical layer's (e.g. a weight-bound FC whose coarsest
-	// serialization already exceeds every CONV option). They can never
-	// meet a common unified cycle, so they are excluded from the variance
-	// (they would anchor S uselessly high, starving Round packing) and
-	// simply take their closest candidate at assembly time.
-	stragglers []int
 }
 
 func newSearch(g *graph.Graph, cfg engine.Config, df engine.Dataflow, opt Options) *search {
-	s := &search{g: g, cfg: cfg, df: df, opt: opt,
-		orc: cost.Or(opt.Oracle), cands: make(map[int]layerCands)}
+	s := &search{g: g, cfg: cfg, opt: opt, orc: cost.Or(opt.Oracle)}
 	// Candidate generation is embarrassingly parallel per layer, and a pure
 	// function of (kind, shape, cfg, df, opt) — so layers with identical
 	// shapes share one generated list (deep networks repeat the same block
@@ -403,48 +394,23 @@ func newSearch(g *graph.Graph, cfg engine.Config, df engine.Dataflow, opt Option
 			built[i].layer = g.Layer(lid)
 		}
 	}
-	var all []int
-	var mins []int64
-	for i, lid := range ids {
-		s.cands[lid] = built[i]
-		all = append(all, lid)
-		mins = append(mins, s.cands[lid].cands[0].cycles)
+	mins := make([]int64, len(ids))
+	for i := range built {
+		mins[i] = built[i].cands[0].cycles
 	}
 	medianMin := median(mins)
-	for i, lid := range all {
-		if medianMin > 0 && mins[i] > 4*medianMin {
-			s.stragglers = append(s.stragglers, lid)
-		} else {
-			s.order = append(s.order, lid)
+	s.all = make([]int, 0, len(ids))
+	s.lcAt = make([]layerCands, 0, len(ids))
+	for _, straggling := range []bool{false, true} {
+		for i, lid := range ids {
+			if (medianMin > 0 && mins[i] > 4*medianMin) == straggling {
+				s.all = append(s.all, lid)
+				s.lcAt = append(s.lcAt, built[i])
+			}
 		}
-	}
-	if len(s.order) == 0 { // degenerate graph: keep everything
-		s.order, s.stragglers = all, nil
-	}
-	s.nOrder = len(s.order)
-	s.all = append(append(make([]int, 0, len(all)), s.order...), s.stragglers...)
-	s.lcAt = make([]layerCands, len(s.all))
-	for i, lid := range s.all {
-		s.lcAt[i] = s.cands[lid]
-	}
-	// Normalize acceptance energies by the square of a typical cycle
-	// count so temperature is scale-free across workloads. Iterate layers
-	// in graph order, not map order: float addition is order-sensitive,
-	// and the scale feeds SA acceptance, so a map walk here would make
-	// whole annealing trajectories vary run to run.
-	var sum float64
-	var n int
-	for _, lid := range all {
-		for _, c := range s.cands[lid].cands {
-			sum += float64(c.cycles)
-			n++
+		if !straggling {
+			s.nOrder = len(s.all)
 		}
-	}
-	if n > 0 {
-		m := sum / float64(n)
-		s.scale = m*m + 1
-	} else {
-		s.scale = 1
 	}
 	// Shape-identical layers share one cands slice, so the backing array
 	// identifies a distinct list.
@@ -510,14 +476,10 @@ func (s *search) finish(st state, E, S float64, trace []float64, iters int) Resu
 	res := Result{
 		Spec:        make(atom.Spec),
 		LayerCycles: make(map[int]int64),
-		LayerUtil:   make(map[int]float64),
 		Trace:       trace,
 		Iters:       iters,
 		FinalVar:    E,
 		MeanCycle:   S,
-		Dataflow:    s.df,
-		Candidates:  make(map[int]int),
-		cands:       s.cands,
 	}
 	if S > 0 {
 		res.FinalCV = math.Sqrt(E) / S
@@ -526,8 +488,6 @@ func (s *search) finish(st state, E, S float64, trace []float64, iters int) Resu
 		c := s.lcAt[i].cands[st.choice[i]]
 		res.Spec[lid] = c.part
 		res.LayerCycles[lid] = c.cycles
-		res.LayerUtil[lid] = c.util
-		res.Candidates[lid] = len(s.lcAt[i].cands)
 	}
 	// Vector-unit layers (pool/eltwise/global-pool): tile along H (and C)
 	// so one atom's vector time is at most the unified cycle S.

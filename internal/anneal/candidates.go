@@ -161,9 +161,9 @@ func absDiff(a, b int64) int64 {
 // (paper Sec. IV-A: sizes are [c0, c1, c2*PEx, c3*PEy] under KC-P);
 // candidates whose working set cannot fit in the usable buffer fraction
 // are discarded, and tile counts are capped to keep the atomic DAG
-// tractable. Every feasible partition is priced with the exact oracle,
-// in enumeration order, straight into one list sized for every
-// partition the enumeration can yield.
+// tractable. The kept partitions are priced with the exact oracle, in
+// enumeration order, straight into one list sized for every partition
+// the enumeration can yield.
 func genCandidates(l *graph.Layer, cfg engine.Config, df engine.Dataflow, opt Options, orc cost.Oracle) []candidate {
 	s := l.Shape
 	var hs, ws, cs []int
@@ -206,33 +206,44 @@ func genCandidates(l *graph.Layer, cfg engine.Config, df engine.Dataflow, opt Op
 	// engine's buffer (Algorithm 3 stores weights opportunistically, but
 	// a slice above ~3/4 of the buffer always streams from DRAM and is
 	// re-fetched by every atom that needs it). Uncacheable sizes are kept
-	// only while no cacheable candidate has appeared (e.g. very wide FC
-	// layers); the first cacheable one drops them. Every feasible
-	// partition is still priced.
+	// only when no feasible size is cacheable (e.g. very wide FC layers).
+	// A first pass decides which case holds, so only the partitions that
+	// enter the list are priced.
 	cacheLimit := int64(cfg.BufferBytes) * 3 / 4
+	// feasible returns the tile task and tile count of a partition, and
+	// whether it fits the tile cap and the buffer budget.
+	feasible := func(p atom.Partition) (engine.Task, int, bool) {
+		tiles := p.Tiles(l)
+		if tiles > opt.maxTiles() {
+			return engine.Task{}, 0, false
+		}
+		t := engine.TileTask(l, p.Hp, p.Wp, p.Cop)
+		return t, tiles, inputWindow(t)+t.OutputBytes()+min(t.WeightBytes(), weightWindow) <= budget
+	}
 	cacheable := false
+scan:
+	for _, hp := range hs {
+		for _, wp := range ws {
+			for _, cp := range cs {
+				if t, _, ok := feasible(atom.Partition{Hp: hp, Wp: wp, Cop: cp}); ok && t.WeightBytes() <= cacheLimit {
+					cacheable = true
+					break scan
+				}
+			}
+		}
+	}
 	cands := make([]candidate, 0, len(hs)*len(ws)*len(cs))
 	for _, hp := range hs {
 		for _, wp := range ws {
 			for _, cp := range cs {
 				p := atom.Partition{Hp: hp, Wp: wp, Cop: cp}
-				tiles := p.Tiles(l)
-				if tiles > opt.maxTiles() {
-					continue
-				}
-				t := engine.TileTask(l, hp, wp, cp)
-				wb := t.WeightBytes()
-				if inputWindow(t)+t.OutputBytes()+min(wb, weightWindow) > budget {
+				t, tiles, ok := feasible(p)
+				if !ok || (cacheable && t.WeightBytes() > cacheLimit) {
 					continue
 				}
 				c := orc.Evaluate(cfg, df, t)
-				if wb <= cacheLimit && !cacheable {
-					cacheable, cands = true, cands[:0]
-				}
-				if wb <= cacheLimit || !cacheable {
-					cands = append(cands, candidate{part: p, cycles: c.Cycles,
-						util: c.Utilization, tiles: tiles, chTiles: channelTiles(l, cp)})
-				}
+				cands = append(cands, candidate{part: p, cycles: c.Cycles,
+					util: c.Utilization, tiles: tiles, chTiles: channelTiles(l, cp)})
 			}
 		}
 	}

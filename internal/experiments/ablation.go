@@ -1,6 +1,8 @@
 package experiments
 
 import (
+	"github.com/atomic-dataflow/atomicflow/internal/anneal"
+	"github.com/atomic-dataflow/atomicflow/internal/atom"
 	"github.com/atomic-dataflow/atomicflow/internal/engine"
 	"github.com/atomic-dataflow/atomicflow/internal/noc"
 	"github.com/atomic-dataflow/atomicflow/internal/schedule"
@@ -37,7 +39,7 @@ func Topologies(cfg Config) ([]TopologyRow, error) {
 		for _, m := range meshes {
 			hw := base
 			hw.Mesh = m
-			rep, err := runAD(g, cfg.batch(4), hw, cfg.Mode, cfg.search())
+			rep, err := cfg.runAD(g, cfg.batch(4), hw)
 			if err != nil {
 				return nil, err
 			}
@@ -76,7 +78,7 @@ func MappingAblation(cfg Config) ([]MappingRow, error) {
 		for _, optimized := range []bool{false, true} {
 			h := hw
 			h.NaiveMapping = !optimized
-			rep, err := runAD(g, cfg.batch(4), h, cfg.Mode, cfg.search())
+			rep, err := cfg.runAD(g, cfg.batch(4), h)
 			if err != nil {
 				return nil, err
 			}
@@ -124,7 +126,7 @@ func FlexDataflow(cfg Config) ([]FlexRow, error) {
 			hw := base
 			hw.Engine = variant.eng
 			hw.Dataflow = variant.df
-			rep, err := runAD(g, cfg.batch(1), hw, cfg.Mode, cfg.search())
+			rep, err := cfg.runAD(g, cfg.batch(1), hw)
 			if err != nil {
 				return nil, err
 			}
@@ -152,29 +154,27 @@ var paperSearchTimes = map[string]float64{
 }
 
 // SearchOverhead measures the full compile-time pipeline (SA + DAG +
-// scheduling) per workload, the quantity the paper reports as 66.5 s
-// (ResNet-50) to 1044.6 s (ResNet-1001) on a Xeon host. This
-// implementation's closed-form Cycle() oracle makes it orders of
-// magnitude faster.
+// scheduling, Solution.SearchTime) per workload, the quantity the paper
+// reports as 66.5 s (ResNet-50) to 1044.6 s (ResNet-1001) on a Xeon
+// host. This implementation's closed-form Cycle() oracle makes it orders
+// of magnitude faster.
 func SearchOverhead(cfg Config) ([]SearchRow, error) {
 	hw := cfg.hw()
 	var rows []SearchRow
 	cfg.printf("Search overhead — compile-time cost of the AD pipeline\n")
 	for _, name := range cfg.workloads([]string{"resnet50", "resnet152", "inceptionv3"}) {
-		g := mustModel(name)
-		start := timeNow()
-		p, err := buildAD(g, cfg.batch(1), hw, cfg.Mode, cfg.search(), 0)
+		sol, err := cfg.orchestrate(mustModel(name), cfg.batch(1), hw)
 		if err != nil {
 			return nil, err
 		}
-		secs := timeSince(start)
-		rows = append(rows, SearchRow{
-			Workload: name, Seconds: secs,
-			Atoms: p.dag.NumAtoms(), Rounds: p.sched.NumRounds(),
+		row := SearchRow{
+			Workload: name, Seconds: sol.SearchTime.Seconds(),
+			Atoms: sol.Atoms, Rounds: sol.Rounds,
 			PaperXeonS: paperSearchTimes[name],
-		})
+		}
+		rows = append(rows, row)
 		cfg.printf("  %-14s %8.2f s (paper: %6.1f s) — %d atoms, %d rounds\n",
-			name, secs, paperSearchTimes[name], p.dag.NumAtoms(), p.sched.NumRounds())
+			name, row.Seconds, row.PaperXeonS, row.Atoms, row.Rounds)
 	}
 	return rows, nil
 }
@@ -188,6 +188,8 @@ type LookaheadRow struct {
 
 // LookaheadAblation sweeps the DP recursion depth of Algorithm 2 on one
 // workload, showing the diminishing returns that justify the default of 3.
+// The atoms do not depend on the depth, so one search and one atomic DAG
+// are re-scheduled and re-simulated per depth.
 func LookaheadAblation(cfg Config) ([]LookaheadRow, error) {
 	hw := cfg.hw()
 	name := "pnascell"
@@ -195,22 +197,30 @@ func LookaheadAblation(cfg Config) ([]LookaheadRow, error) {
 		name = w[0]
 	}
 	g := mustModel(name)
+	sa := anneal.SA(g, hw.Engine, hw.Dataflow, cfg.annealOpts(hw))
+	d, err := atom.Build(g, cfg.batch(4), sa.Spec)
+	if err != nil {
+		return nil, err
+	}
 	var rows []LookaheadRow
 	cfg.printf("Ablation — DP lookahead depth on %s\n", name)
 	for _, depth := range []int{1, 2, 3, 5} {
-		p, err := buildAD(g, cfg.batch(4), hw, schedule.DP, cfg.search(), depth)
+		s, err := schedule.Build(d, schedule.Options{
+			Engines: hw.Mesh.Engines(), Mode: schedule.DP, Lookahead: depth,
+			EngineCfg: hw.Engine, Dataflow: hw.Dataflow, Oracle: hw.Oracle,
+		})
 		if err != nil {
 			return nil, err
 		}
-		rep, err := sim.Run(p.dag, p.sched, hw)
+		rep, err := sim.Run(d, s, hw)
 		if err != nil {
 			return nil, err
 		}
 		rows = append(rows, LookaheadRow{
-			Lookahead: depth, MakespanLB: p.sched.MakespanLB(), TimeMS: rep.TimeMS,
+			Lookahead: depth, MakespanLB: s.MakespanLB(), TimeMS: rep.TimeMS,
 		})
 		cfg.printf("  depth %d: makespan-LB %d cycles, %9.3f ms\n",
-			depth, p.sched.MakespanLB(), rep.TimeMS)
+			depth, s.MakespanLB(), rep.TimeMS)
 	}
 	return rows, nil
 }

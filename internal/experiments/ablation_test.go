@@ -1,6 +1,11 @@
 package experiments
 
-import "testing"
+import (
+	"testing"
+
+	"github.com/atomic-dataflow/atomicflow"
+	"github.com/atomic-dataflow/atomicflow/internal/schedule"
+)
 
 func TestTopologiesAblation(t *testing.T) {
 	cfg := fast("resnet50")
@@ -70,5 +75,47 @@ func TestLookaheadAblation(t *testing.T) {
 	if float64(rows[3].MakespanLB) > 1.05*float64(rows[0].MakespanLB) {
 		t.Errorf("depth-5 makespan %d much worse than depth-1 %d",
 			rows[3].MakespanLB, rows[0].MakespanLB)
+	}
+	// Depth 3 is the scheduler default: re-scheduling the one searched
+	// DAG must reproduce a default DP solve with the same knobs.
+	sol, err := atomicflow.Orchestrate(mustModel("pnascell"), atomicflow.Options{
+		Batch: 4, Mode: schedule.DP, SAIters: cfg.SAIters, Seed: 1,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rows[2].Lookahead != 3 || rows[2].TimeMS != sol.Report.TimeMS {
+		t.Errorf("depth-%d row %.6f ms, default DP Orchestrate %.6f ms",
+			rows[2].Lookahead, rows[2].TimeMS, sol.Report.TimeMS)
+	}
+}
+
+// TestSearchOverhead checks that each row reports the orchestration it
+// timed: the atom and Round counts of a direct Orchestrate with the same
+// knobs, and a positive search time.
+func TestSearchOverhead(t *testing.T) {
+	cfg := fast("tinyresnet")
+	cfg.SAIters = 100
+	rows, err := SearchOverhead(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(rows) != 1 {
+		t.Fatalf("rows = %d, want 1", len(rows))
+	}
+	sol, err := atomicflow.Orchestrate(mustModel("tinyresnet"), atomicflow.Options{
+		Mode: cfg.Mode, SAIters: cfg.SAIters, Seed: 1,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, r := range rows {
+		if r.Atoms != sol.Atoms || r.Rounds != sol.Rounds {
+			t.Errorf("%s: %d atoms, %d rounds; Orchestrate %d atoms, %d rounds",
+				r.Workload, r.Atoms, r.Rounds, sol.Atoms, sol.Rounds)
+		}
+		if r.Seconds <= 0 {
+			t.Errorf("%s: search time %v s, want > 0", r.Workload, r.Seconds)
+		}
 	}
 }

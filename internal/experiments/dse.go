@@ -58,7 +58,7 @@ func Fig12(cfg Config) ([]Fig12Point, error) {
 		hw.Mesh = noc.NewMesh(p.Grid, p.Grid, base.Mesh.LinkBytes)
 		hw.Engine.PEx, hw.Engine.PEy = p.PEsPer, p.PEsPer
 		hw.Engine.BufferBytes = bufBytes[i]
-		rep, err := runAD(g, p.Batch, hw, cfg.Mode, cfg.search())
+		rep, err := cfg.runAD(g, p.Batch, hw)
 		if err != nil {
 			errs[i] = err
 			return
@@ -107,7 +107,7 @@ func Fig13(cfg Config) ([]Fig13Point, error) {
 		g := mustModel(p.Workload)
 		hw := base
 		hw.Engine.BufferBytes = bufBytes[i]
-		rep, err := runAD(g, cfg.batch(1), hw, cfg.Mode, cfg.search())
+		rep, err := cfg.runAD(g, cfg.batch(1), hw)
 		if err != nil {
 			errs[i] = err
 			return

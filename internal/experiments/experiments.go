@@ -13,10 +13,9 @@ package experiments
 import (
 	"fmt"
 	"io"
-	"time"
 
+	"github.com/atomic-dataflow/atomicflow"
 	"github.com/atomic-dataflow/atomicflow/internal/anneal"
-	"github.com/atomic-dataflow/atomicflow/internal/atom"
 	"github.com/atomic-dataflow/atomicflow/internal/cost"
 	"github.com/atomic-dataflow/atomicflow/internal/engine"
 	"github.com/atomic-dataflow/atomicflow/internal/graph"
@@ -104,29 +103,14 @@ func (c Config) chains() int {
 	return 1
 }
 
-// searchOpts bundles the SA parameters threaded through every experiment
-// pipeline — one value to pass instead of a trail of positional ints.
-type searchOpts struct {
-	saIters int
-	seed    int64
-	chains  int
-}
-
-func (c Config) search() searchOpts {
-	return searchOpts{
-		saIters: c.saIters(),
-		seed:    c.seed(),
-		chains:  c.chains(),
-	}
-}
-
-// anneal expands the search parameters into the full SA option set on a
-// hardware model (oracle and metrics ride along from hw).
-func (so searchOpts) anneal(hw sim.Config) anneal.Options {
+// annealOpts is the run's SA search on a hardware model, for the
+// experiments that run Algorithm 1 outside the full pipeline (oracle and
+// metrics ride along from hw).
+func (c Config) annealOpts(hw sim.Config) anneal.Options {
 	return anneal.Options{
-		MaxIters: so.saIters,
-		Seed:     so.seed,
-		Chains:   so.chains,
+		MaxIters: c.saIters(),
+		Seed:     c.seed(),
+		Chains:   c.chains(),
 		Oracle:   hw.Oracle,
 		Metrics:  hw.Metrics,
 	}
@@ -143,42 +127,27 @@ func (c Config) printf(format string, args ...any) {
 	fmt.Fprintf(c.out(), format, args...)
 }
 
-// adPipeline holds the composed atomic-dataflow artifacts for one
-// (workload, batch, hardware) point.
-type adPipeline struct {
-	graph *graph.Graph
-	sa    anneal.Result
-	dag   *atom.DAG
-	sched *schedule.Schedule
-}
-
-// buildAD runs SA + DAG + scheduling for a workload; lookahead is the DP
-// recursion depth (0 = the scheduler default). The hardware model's
-// oracle is threaded through every stage, so one instrumented oracle
-// counts the evaluations of candidate generation and scheduling.
-func buildAD(g *graph.Graph, batch int, hw sim.Config, mode schedule.Mode, so searchOpts, lookahead int) (*adPipeline, error) {
-	sa := anneal.SA(g, hw.Engine, hw.Dataflow, so.anneal(hw))
-	d, err := atom.Build(g, batch, sa.Spec)
-	if err != nil {
-		return nil, err
-	}
-	s, err := schedule.Build(d, schedule.Options{
-		Engines: hw.Mesh.Engines(), Mode: mode, Lookahead: lookahead,
-		EngineCfg: hw.Engine, Dataflow: hw.Dataflow, Oracle: hw.Oracle,
+// orchestrate solves one atomic-dataflow point with the run's search
+// knobs through atomicflow.Orchestrate; hw carries the run's oracle and
+// metrics registry into every stage.
+func (c Config) orchestrate(g *graph.Graph, batch int, hw sim.Config) (*atomicflow.Solution, error) {
+	return atomicflow.Orchestrate(g, atomicflow.Options{
+		Batch:    batch,
+		Hardware: &hw,
+		Mode:     c.Mode,
+		SAIters:  c.saIters(),
+		Seed:     c.seed(),
+		Chains:   c.chains(),
 	})
-	if err != nil {
-		return nil, err
-	}
-	return &adPipeline{graph: g, sa: sa, dag: d, sched: s}, nil
 }
 
-// runAD is buildAD + simulation.
-func runAD(g *graph.Graph, batch int, hw sim.Config, mode schedule.Mode, so searchOpts) (sim.Report, error) {
-	p, err := buildAD(g, batch, hw, mode, so, 0)
+// runAD returns the simulated Report of one atomic-dataflow point.
+func (c Config) runAD(g *graph.Graph, batch int, hw sim.Config) (sim.Report, error) {
+	sol, err := c.orchestrate(g, batch, hw)
 	if err != nil {
 		return sim.Report{}, err
 	}
-	return sim.Run(p.dag, p.sched, hw)
+	return sol.Report, nil
 }
 
 // mustModel panics on unknown names (experiment model lists are static).
@@ -194,7 +163,3 @@ func speedup(base, opt float64) float64 {
 
 // dataflows enumerated by the latency/throughput figures.
 var dataflows = []engine.Dataflow{engine.KCPartition, engine.YXPartition}
-
-// timeNow/timeSince isolate wall-clock use for the search-overhead rows.
-func timeNow() time.Time            { return time.Now() }
-func timeSince(t time.Time) float64 { return time.Since(t).Seconds() }

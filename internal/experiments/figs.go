@@ -59,8 +59,7 @@ func Fig5a(cfg Config) ([]Fig5aRow, error) {
 	rows := make([]Fig5aRow, len(names))
 	par.ForEach(len(names), func(i int) {
 		g := mustModel(names[i])
-		res := anneal.SA(g, hw.Engine, hw.Dataflow,
-			cfg.search().anneal(hw))
+		res := anneal.SA(g, hw.Engine, hw.Dataflow, cfg.annealOpts(hw))
 		row := Fig5aRow{Workload: names[i], MeanCycle: res.MeanCycle, CV: res.FinalCV,
 			Histogram: make(map[int]int)}
 		for lid, cyc := range res.LayerCycles {
@@ -95,7 +94,7 @@ func Fig5b(cfg Config) (Fig5bResult, error) {
 		name = w[0]
 	}
 	g := mustModel(name)
-	opt := cfg.search().anneal(hw)
+	opt := cfg.annealOpts(hw)
 	sa := anneal.SA(g, hw.Engine, hw.Dataflow, opt)
 	ga := anneal.GA(g, hw.Engine, hw.Dataflow, opt)
 	res := Fig5bResult{
@@ -138,8 +137,8 @@ func Fig9(cfg Config) ([]StrategyResult, error) {
 }
 
 // Fig11 reproduces the energy comparison at batch 20 (paper: IL-Pipe and
-// AD are the most energy-efficient strategies). It reuses the Fig. 9 runs
-// and reports the energy side of the same reports.
+// AD are the most energy-efficient strategies). It re-runs the Fig. 9
+// batch-20 sweep and reports the energy side of its reports.
 func Fig11(cfg Config) ([]StrategyResult, error) {
 	rows, err := latencyThroughput(cfg, cfg.batch(20), throughputStrategies, "Fig 11 — energy (batch=20)")
 	if err != nil {
@@ -192,7 +191,7 @@ func latencyThroughput(cfg Config, batch int, strategies []string, title string)
 			case "IL-Pipe":
 				rep, err = baseline.ILPipe(g, batch, pointHW)
 			case "AD":
-				rep, err = runAD(g, batch, pointHW, cfg.Mode, cfg.search())
+				rep, err = cfg.runAD(g, batch, pointHW)
 			default:
 				err = fmt.Errorf("unknown strategy %q", strat)
 			}
@@ -267,8 +266,7 @@ func Fig10(cfg Config) ([]Fig10Row, error) {
 			return
 		}
 		// T1: SA atoms, still layer-ordered, no reuse.
-		sa := anneal.SA(g, hw.Engine, hw.Dataflow,
-			cfg.search().anneal(hw))
+		sa := anneal.SA(g, hw.Engine, hw.Dataflow, cfg.annealOpts(hw))
 		t1, err := runLayerOrdered(g, batch, noReuse, sa.Spec)
 		if err != nil {
 			errs[i] = err
@@ -283,7 +281,7 @@ func Fig10(cfg Config) ([]Fig10Row, error) {
 		// T3: + graph-level DAG scheduling (full atomic dataflow) —
 		// flexible ordering both packs Rounds better and tightens reuse
 		// windows (atoms are consumed sooner, evicted less).
-		t3, err := runAD(g, batch, hw, cfg.Mode, cfg.search())
+		t3, err := cfg.runAD(g, batch, hw)
 		if err != nil {
 			errs[i] = err
 			return

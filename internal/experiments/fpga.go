@@ -59,7 +59,7 @@ func FPGA(cfg Config) ([]FPGARow, error) {
 		if err != nil {
 			return nil, err
 		}
-		ad, err := runAD(g, batch, hw, cfg.Mode, cfg.search())
+		ad, err := cfg.runAD(g, batch, hw)
 		if err != nil {
 			return nil, err
 		}

@@ -94,7 +94,7 @@ func Table2(cfg Config) ([]Table2Row, error) {
 			}
 			row.ComputeUtil[strat] = rep.ComputeUtil
 		}
-		ad, err := runAD(g, batch, hw, cfg.Mode, cfg.search())
+		ad, err := cfg.runAD(g, batch, hw)
 		if err != nil {
 			return nil, err
 		}

@@ -423,7 +423,7 @@ func (s *Server) runJob(jb *job) (*solveResult, error) {
 	req := jb.req
 	id, model := solveID(req), modelName(req)
 	hw := req.hardware(s.base)
-	hw.Oracle = s.oracle
+	hw.Oracle, hw.Ctx = s.oracle, jb.ctx
 	opt := atomicflow.Options{
 		Batch:            req.Batch,
 		Hardware:         &hw,
@@ -432,7 +432,6 @@ func (s *Server) runJob(jb *job) (*solveResult, error) {
 		Chains:           req.Chains,
 		MaxTilesPerLayer: req.MaxTiles,
 		Progress:         s.dashProgress(id, model),
-		Context:          jb.ctx,
 	}
 	if req.Mode == "greedy" {
 		opt.Mode = schedule.Greedy

@@ -43,8 +43,8 @@ func TestPerfettoWriterOption(t *testing.T) {
 func TestMetricsOption(t *testing.T) {
 	g, _ := LoadModel("tinyresnet")
 	hw := smallHW()
-	reg := NewMetrics()
-	sol, err := Orchestrate(g, Options{Hardware: &hw, Metrics: reg})
+	hw.Metrics = NewMetrics()
+	sol, err := Orchestrate(g, Options{Hardware: &hw})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -52,12 +52,13 @@ func TestMetricsOption(t *testing.T) {
 		t.Errorf("snapshot sim_cycles_total = %d, want %d", got, sol.Report.Cycles)
 	}
 	if sol.Metrics.Counter("anneal_iterations_total") == 0 {
-		t.Error("SA metrics not collected through Options.Metrics")
+		t.Error("SA metrics not collected through HardwareConfig.Metrics")
 	}
 	if sol.Metrics.Counter("noc_link_bytes_total") == 0 {
 		t.Error("NoC link traffic not collected")
 	}
 	// No registry installed -> zero-value snapshot, no metrics overhead.
+	hw.Metrics = nil
 	bare, err := Orchestrate(g, Options{Hardware: &hw})
 	if err != nil {
 		t.Fatal(err)
