@@ -29,6 +29,7 @@ import (
 	"encoding/hex"
 	"fmt"
 	"io"
+	"maps"
 	"time"
 
 	"github.com/atomic-dataflow/atomicflow/internal/anneal"
@@ -104,6 +105,9 @@ type (
 	// Program is a Solution lowered to one instruction stream per engine
 	// (see Solution.Lower).
 	Program = codegen.Program
+	// AtomSpec maps layer IDs to the atom partitions Algorithm 1 chose
+	// (see Solution.Spec).
+	AtomSpec = atom.Spec
 )
 
 // Operator kinds.
@@ -271,10 +275,16 @@ type Solution struct {
 	// maps when no registry was installed).
 	Metrics MetricsSnapshot
 
+	spec  atom.Spec // Algorithm 1's partitions, which dag was built from
 	dag   *atom.DAG
 	sched *schedule.Schedule
 	hw    HardwareConfig // the hardware simulated, without its hooks
 }
+
+// Spec returns a copy of the per-layer atom partitions the search chose,
+// the spec the solution's atomic DAG was built from, so a caller can
+// build other schedules from the same atoms without searching again.
+func (s *Solution) Spec() AtomSpec { return maps.Clone(s.spec) }
 
 // Digest returns a hex SHA-256 over the solution's deterministic content:
 // the full simulation Report, the atom and Round counts, the final
@@ -411,6 +421,7 @@ func Orchestrate(g *Graph, opt Options) (*Solution, error) {
 		SearchTime:  searchTime,
 		OracleStats: ostats,
 		Metrics:     snap,
+		spec:        res.Spec,
 		dag:         d,
 		sched:       s,
 		hw:          hw,

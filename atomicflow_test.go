@@ -1,8 +1,11 @@
 package atomicflow
 
 import (
+	"maps"
 	"strings"
 	"testing"
+
+	"github.com/atomic-dataflow/atomicflow/internal/anneal"
 )
 
 // smallHW returns a 2x2-engine accelerator that keeps API tests fast.
@@ -283,5 +286,33 @@ func TestLoweringMatchesReport(t *testing.T) {
 				}
 			}
 		}
+	}
+}
+
+// TestSolutionSpec checks that Solution.Spec returns the partitions the
+// solution's atoms were built from: the seeded search run alone chooses
+// the same spec, and a caller's edits to the returned map never reach
+// the Solution.
+func TestSolutionSpec(t *testing.T) {
+	g, err := LoadModel("tinyresnet")
+	if err != nil {
+		t.Fatal(err)
+	}
+	hw := smallHW()
+	hw.Oracle = NewCostOracle()
+	sol, err := Orchestrate(g, Options{Hardware: &hw, SAIters: 100, Seed: 3})
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := anneal.SA(g, hw.Engine, hw.Dataflow, anneal.Options{MaxIters: 100, Seed: 3, Oracle: hw.Oracle}).Spec
+	spec := sol.Spec()
+	if !maps.Equal(spec, want) {
+		t.Fatalf("Spec() = %v, the search alone chose %v", spec, want)
+	}
+	for lid := range spec {
+		delete(spec, lid)
+	}
+	if !maps.Equal(sol.Spec(), want) {
+		t.Fatal("clearing the returned spec changed the Solution's")
 	}
 }

@@ -215,80 +215,3 @@ func TestResetMatchesNew(t *testing.T) {
 		}
 	}
 }
-
-// rowProbe wraps a placement. Phase 1 of a replay asks it for each of the
-// Round's atoms' engine in turn, just before the atom fetches its inputs,
-// so it can act between atoms: with drop set it drops the manager's
-// row-input cache each time, and it counts the atoms that follow an atom
-// of their own row after an output left its engine, the case in which a
-// kept cache would be stale. Later calls (phase 3) only place.
-type rowProbe struct {
-	m       *Manager
-	p       Placement
-	drop    bool
-	phase1  int // calls left in phase 1
-	prevRow int
-	moves   int64
-	stale   *int
-}
-
-func (r *rowProbe) Engine(id int) int {
-	if r.phase1 > 0 {
-		r.phase1--
-		if row := r.m.dag.Row(id); row == r.prevRow && r.m.outMoves != r.moves {
-			*r.stale++
-		} else {
-			r.prevRow = row
-		}
-		r.moves = r.m.outMoves
-		if r.drop {
-			r.m.row = -1
-		}
-	}
-	return r.p.Engine(id)
-}
-
-// TestRowInputsMatchUncached replays schedules with starved buffers twice
-// with the mapper's placement: once as the simulator does and once with
-// the row-input cache dropped before every atom, so each atom locates its
-// inputs afresh. Every Round's IO must be identical, and the starved
-// buffers must evict an output between two atoms of one row at least
-// once, which the cache has to notice.
-func TestRowInputsMatchUncached(t *testing.T) {
-	for _, c := range []struct {
-		model    string
-		batch    int
-		capacity int64
-	}{{"resnet50", 4, 48 << 10}, {"inceptionv3", 2, 32 << 10}} {
-		mesh := noc.NewMesh(4, 4, 16)
-		d, s := pipeline(t, c.model, c.batch, mesh.Engines())
-		stale := 0
-		replay := func(drop bool) []RoundIO {
-			m, err := New(d, s, mesh.Engines(), c.capacity)
-			if err != nil {
-				t.Fatal(err)
-			}
-			mp := mapping.New(mesh, d)
-			ios := make([]RoundIO, len(s.Rounds))
-			var pl mapping.Result
-			for rt, r := range s.Rounds {
-				mp.PlaceRound(&pl, r.Atoms, m.Locate, m.HasWeights)
-				probe := &rowProbe{m: m, p: &pl, drop: drop, phase1: len(r.Atoms), prevRow: -1, stale: &stale}
-				if err := m.ExecuteRoundInto(rt, probe, &ios[rt]); err != nil {
-					t.Fatal(err)
-				}
-			}
-			return ios
-		}
-		cached, fresh := replay(false), replay(true)
-		for rt := range cached {
-			if !reflect.DeepEqual(cached[rt], fresh[rt]) {
-				t.Fatalf("%s b%d, round %d: cached row inputs\n  %+v\nlocated afresh\n  %+v",
-					c.model, c.batch, rt, cached[rt], fresh[rt])
-			}
-		}
-		if stale == 0 {
-			t.Errorf("%s b%d: no output left its engine between two atoms of one row; the test exercises nothing", c.model, c.batch)
-		}
-	}
-}

@@ -259,6 +259,17 @@ func Fig10(cfg Config) ([]Fig10Row, error) {
 		noReuse.Engine.BufferBytes = 1
 		noReuse.NaiveMapping = true
 
+		// T3: + graph-level DAG scheduling (full atomic dataflow) —
+		// flexible ordering both packs Rounds better and tightens reuse
+		// windows (atoms are consumed sooner, evicted less). It runs
+		// first: T1 and T2 reuse its search's atoms, so Algorithm 1 runs
+		// once per workload.
+		sol, err := cfg.orchestrate(g, batch, hw)
+		if err != nil {
+			errs[i] = err
+			return
+		}
+		t3, spec := sol.Report, sol.Spec()
 		// T0: even-split atoms in strict layer order, no reuse.
 		t0, err := runLayerOrdered(g, batch, noReuse, baseline.EvenSpec(g, hw.Mesh.Engines()))
 		if err != nil {
@@ -266,22 +277,13 @@ func Fig10(cfg Config) ([]Fig10Row, error) {
 			return
 		}
 		// T1: SA atoms, still layer-ordered, no reuse.
-		sa := anneal.SA(g, hw.Engine, hw.Dataflow, cfg.annealOpts(hw))
-		t1, err := runLayerOrdered(g, batch, noReuse, sa.Spec)
+		t1, err := runLayerOrdered(g, batch, noReuse, spec)
 		if err != nil {
 			errs[i] = err
 			return
 		}
 		// T2: + mapping and buffering (on-chip reuse), still layer order.
-		t2, err := runLayerOrdered(g, batch, hw, sa.Spec)
-		if err != nil {
-			errs[i] = err
-			return
-		}
-		// T3: + graph-level DAG scheduling (full atomic dataflow) —
-		// flexible ordering both packs Rounds better and tightens reuse
-		// windows (atoms are consumed sooner, evicted less).
-		t3, err := cfg.runAD(g, batch, hw)
+		t2, err := runLayerOrdered(g, batch, hw, spec)
 		if err != nil {
 			errs[i] = err
 			return

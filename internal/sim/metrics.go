@@ -21,6 +21,7 @@ type simMetrics struct {
 	mapPerms       *obs.Counter
 	mapByteHops    *obs.Counter
 	pipelineStalls *obs.Counter // Rounds where timing waited on prep
+	pipelineFull   *obs.Counter // Rounds where prep waited for a free slot
 	poolReuse      *obs.Counter // Runs served from the runState pool
 	roundSpan      *obs.Histogram
 	barrierWait    *obs.Histogram
@@ -58,6 +59,7 @@ func newSimMetrics(reg *obs.Registry, mesh *noc.Mesh) *simMetrics {
 		mapPerms:       reg.Counter("mapping_permutations_total"),
 		mapByteHops:    reg.Counter("mapping_byte_hops_total"),
 		pipelineStalls: reg.Counter("sim_pipeline_stalls_total"),
+		pipelineFull:   reg.Counter("sim_pipeline_full_total"),
 		poolReuse:      reg.Counter("sim_pool_reuse_total"),
 		roundSpan:      reg.Histogram("sim_round_span_cycles", cycleBuckets()),
 		barrierWait:    reg.Histogram("sim_barrier_wait_cycles", cycleBuckets()),

@@ -2,6 +2,7 @@ package sim
 
 import (
 	"testing"
+	"time"
 
 	"github.com/atomic-dataflow/atomicflow/internal/anneal"
 	"github.com/atomic-dataflow/atomicflow/internal/atom"
@@ -116,5 +117,58 @@ func TestRunMetricsDoNotPerturb(t *testing.T) {
 	bare, metered, _ := runInstrumented(t)
 	if bare != metered {
 		t.Errorf("instrumented Report differs:\nbare:    %+v\nmetered: %+v", bare, metered)
+	}
+}
+
+// TestPipelineBubblesCounted holds the timing stage at Round 0, inside
+// its Trace hook, until prep has filled the ring and waited for a free
+// slot: sim_pipeline_full_total must count that wait. Both bubble
+// counters are exported, and neither can exceed the Round count.
+func TestPipelineBubblesCounted(t *testing.T) {
+	g := models.MustBuild("resnet50")
+	cfg := DefaultConfig()
+	cfg.Mesh = noc.NewMesh(2, 2, 32)
+	res := anneal.SA(g, cfg.Engine, cfg.Dataflow, anneal.Options{MaxIters: 60})
+	d, err := atom.Build(g, 1, res.Spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	s, err := schedule.Build(d, schedule.Options{
+		Engines: 4, Mode: schedule.Greedy, EngineCfg: cfg.Engine, Dataflow: cfg.Dataflow,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if s.NumRounds() <= pipelineDepth {
+		t.Fatalf("%d Rounds fit in the %d-slot ring", s.NumRounds(), pipelineDepth)
+	}
+	reg := obs.New()
+	cfg.Metrics = reg
+	full := reg.Counter("sim_pipeline_full_total")
+	sawFull := false
+	cfg.Trace = func(tr RoundTrace) {
+		if tr.Round != 0 {
+			return
+		}
+		for deadline := time.Now().Add(10 * time.Second); time.Now().Before(deadline); {
+			if full.Value() > 0 {
+				sawFull = true
+				return
+			}
+			time.Sleep(time.Millisecond)
+		}
+	}
+	if _, err := Run(d, s, cfg); err != nil {
+		t.Fatal(err)
+	}
+	if !sawFull {
+		t.Fatal("prep never waited for a free slot while timing held Round 0")
+	}
+	snap := reg.Snapshot()
+	for _, name := range []string{"sim_pipeline_full_total", "sim_pipeline_stalls_total"} {
+		v, ok := snap.Counters[name]
+		if !ok || v > int64(s.NumRounds()) {
+			t.Errorf("%s = %d (exported %v), want at most %d Rounds", name, v, ok, s.NumRounds())
+		}
 	}
 }

@@ -12,7 +12,9 @@ import (
 	"errors"
 	"fmt"
 	"runtime"
+	"slices"
 	"sort"
+	"strings"
 	"testing"
 	"time"
 
@@ -57,7 +59,10 @@ func parityWorkload(t *testing.T, model string, cfg sim.Config) (*atom.DAG, *sch
 // through the serial reference, and requires the full Report structs to
 // be identical at GOMAXPROCS 1 and 4. Two hardware configs: a 4x4 mesh
 // derived from DefaultConfig, and the FPGA prototype, which is built
-// without DefaultConfig.
+// without DefaultConfig. After each pipelined run, the shared
+// atom-to-engine table must hold exactly the placements sim.Replay
+// reports (replayedEngines); all but the toy models' schedules have more
+// Rounds than the prep ring has slots, so their slots are recycled.
 func TestSimPipelineParity(t *testing.T) {
 	mesh4 := sim.DefaultConfig()
 	mesh4.Mesh = noc.NewMesh(4, 4, mesh4.Mesh.LinkBytes)
@@ -75,25 +80,73 @@ func TestSimPipelineParity(t *testing.T) {
 		for _, hw := range hws {
 			t.Run(model+"/"+hw.name, func(t *testing.T) {
 				d, s := parityWorkload(t, model, hw.cfg)
+				if s.NumRounds() <= sim.PipelineDepth && !strings.HasPrefix(model, "tiny") {
+					t.Fatalf("%d Rounds fit in the %d-slot ring; no slot is recycled", s.NumRounds(), sim.PipelineDepth)
+				}
 				want, err := sim.RunSerial(d, s, hw.cfg)
 				if err != nil {
 					t.Fatal(err)
 				}
+				replayed := replayedEngines(t, d, s, hw.cfg)
 				for _, procs := range []int{1, 4} {
 					t.Run(fmt.Sprintf("procs%d", procs), func(t *testing.T) {
 						defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
-						got, err := sim.Run(d, s, hw.cfg)
+						got, tables, err := sim.RunTable(d, s, hw.cfg)
 						if err != nil {
 							t.Fatal(err)
 						}
 						if got != want {
 							t.Errorf("pipelined Report diverged from the serial reference:\n  got  %+v\n  want %+v", got, want)
 						}
+						for i, table := range tables {
+							if !slices.Equal(table, replayed) {
+								t.Fatalf("slot %d's table differs from the placements sim.Replay reports", i)
+							}
+						}
 					})
 				}
 			})
 		}
 	}
+}
+
+// replayedEngines collects the per-Round placements sim.Replay reports
+// into one atom-to-engine table (-1 for atoms no Round runs), checking
+// that every scheduled atom is placed in exactly one Round, on an engine
+// of the mesh, and that no two atoms of a Round share an engine.
+func replayedEngines(t *testing.T, d *atom.DAG, s *schedule.Schedule, cfg sim.Config) []int {
+	t.Helper()
+	engines := make([]int, d.NumAtoms())
+	for id := range engines {
+		engines[id] = -1
+	}
+	n := cfg.Mesh.Engines()
+	err := sim.Replay(d, s, cfg, func(p sim.Prepared) {
+		owner := make(map[int]int, len(s.Rounds[p.Round].Atoms))
+		for _, id := range s.Rounds[p.Round].Atoms {
+			e := p.Placed.Engine(id)
+			if e < 0 || e >= n {
+				t.Fatalf("round %d: atom %d on engine %d of %d", p.Round, id, e, n)
+			}
+			if other, ok := owner[e]; ok {
+				t.Fatalf("round %d: atoms %d and %d both on engine %d", p.Round, other, id, e)
+			}
+			owner[e] = id
+			if engines[id] >= 0 {
+				t.Fatalf("round %d: atom %d placed a second time", p.Round, id)
+			}
+			engines[id] = e
+		}
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for id, r := range s.AtomRound {
+		if (r >= 0) != (engines[id] >= 0) {
+			t.Fatalf("atom %d: scheduled in Round %d but placed on engine %d", id, r, engines[id])
+		}
+	}
+	return engines
 }
 
 // TestSimPipelineCancelNoLeak cancels a run from its own Trace hook (so
