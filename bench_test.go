@@ -578,21 +578,29 @@ func BenchmarkPlaceRound(b *testing.B) {
 	cfg := sim.DefaultConfig()
 	d, s := modelSchedule(b, "resnet50", cfg)
 	mapper := mapping.New(cfg.Mesh, d)
-	// Two Results alternate, as prep slots reuse theirs: one holds the
-	// Round being placed, the other its predecessor's placement. The
-	// locators are bound once; a method value per Round would allocate.
-	var res [2]mapping.Result
-	prev := [2]mapping.Locator{res[1].Engine, res[0].Engine}
-	placeAll := func() {
-		for r, round := range s.Rounds {
-			locate := prev[r%2]
-			if r == 0 {
-				locate = func(int) int { return -1 }
-			}
-			mapper.PlaceRound(&res[r%2], round.Atoms, locate, nil)
+	// A Round locates only the inputs its predecessor placed. The
+	// locator is bound once; a closure per Round would allocate.
+	roundOf := make([]int, d.NumAtoms())
+	for r, round := range s.Rounds {
+		for _, id := range round.Atoms {
+			roundOf[id] = r
 		}
 	}
-	placeAll() // size both Results' engine tables
+	var res mapping.Result
+	cur := 0
+	prev := func(id int) int {
+		if roundOf[id] != cur-1 {
+			return -1
+		}
+		return res.Engine(id)
+	}
+	placeAll := func() {
+		for r, round := range s.Rounds {
+			cur = r
+			mapper.PlaceRound(&res, round.Atoms, prev, nil)
+		}
+	}
+	placeAll() // size the Result's slices
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {

@@ -100,8 +100,19 @@ func TestWeightedByteHopsMatchDependencyWalk(t *testing.T) {
 	d, prev, cur := fig7DAG(t)
 	mesh := noc.NewMesh(3, 3, 8)
 	m := New(mesh, d)
+	// The Round below places prev's atoms again, which rewrites their
+	// entries of the Mapper's table, so locate reads a copy of Round 0's.
 	r0 := placeNew(m, prev, func(int) int { return -1 }, nil)
-	locate := r0.Engine
+	held := make(map[int]int, len(prev))
+	for _, id := range prev {
+		held[id] = r0.Engine(id)
+	}
+	locate := func(id int) int {
+		if e, ok := held[id]; ok {
+			return e
+		}
+		return -1
+	}
 	round := append(append([]int(nil), cur...), prev...)
 	for salt := 0; salt < 6; salt++ {
 		weights := func(e, w int) bool { return (e*7+w*5+salt)%3 == 0 }

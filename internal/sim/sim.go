@@ -172,7 +172,10 @@ func Run(d *atom.DAG, s *schedule.Schedule, cfg Config) (Report, error) {
 }
 
 // Prepared is one Round as Run's prep stage hands it to the timing
-// stage: the atoms' engine placement and the buffer replay's IO.
+// stage: the atoms' engine placement and the buffer replay's IO. Placed
+// reads the Round's own atoms' engines; an atom of an earlier Round
+// reads the engine its own Round placed it on, and a later Round's atom
+// reads -1.
 type Prepared struct {
 	Round  int
 	Placed *mapping.Result
