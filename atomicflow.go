@@ -41,6 +41,7 @@ import (
 	"github.com/atomic-dataflow/atomicflow/internal/energy"
 	"github.com/atomic-dataflow/atomicflow/internal/engine"
 	"github.com/atomic-dataflow/atomicflow/internal/graph"
+	"github.com/atomic-dataflow/atomicflow/internal/knob"
 	"github.com/atomic-dataflow/atomicflow/internal/modelio"
 	"github.com/atomic-dataflow/atomicflow/internal/models"
 	"github.com/atomic-dataflow/atomicflow/internal/noc"
@@ -238,13 +239,6 @@ type Options struct {
 	Progress func([]SearchSample)
 }
 
-func (o Options) batch() int {
-	if o.Batch < 1 {
-		return 1
-	}
-	return o.Batch
-}
-
 func (o Options) hardware() HardwareConfig {
 	if o.Hardware != nil {
 		return *o.Hardware
@@ -368,7 +362,7 @@ func Orchestrate(g *Graph, opt Options) (*Solution, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, fmt.Errorf("atomicflow: orchestration abandoned: %w", err)
 	}
-	d, err := atom.Build(g, opt.batch(), res.Spec)
+	d, err := atom.Build(g, knob.Batch.Or(opt.Batch), res.Spec)
 	if err != nil {
 		return nil, err
 	}
@@ -433,28 +427,21 @@ func Orchestrate(g *Graph, opt Options) (*Solution, error) {
 
 // RunLS simulates the Layer-Sequential baseline.
 func RunLS(g *Graph, batch int, hw HardwareConfig) (Report, error) {
-	return baseline.LS(g, batchOr1(batch), hw)
+	return baseline.LS(g, knob.Batch.Or(batch), hw)
 }
 
 // RunCNNP simulates the CNN-Partition baseline.
 func RunCNNP(g *Graph, batch int, hw HardwareConfig) (Report, error) {
-	return baseline.CNNP(g, batchOr1(batch), hw)
+	return baseline.CNNP(g, knob.Batch.Or(batch), hw)
 }
 
 // RunILPipe simulates the Inter-Layer Pipelining baseline (with ALLO
 // fine-grained pipelining).
 func RunILPipe(g *Graph, batch int, hw HardwareConfig) (Report, error) {
-	return baseline.ILPipe(g, batchOr1(batch), hw)
+	return baseline.ILPipe(g, knob.Batch.Or(batch), hw)
 }
 
 // RunRammer simulates a Rammer-style rTask co-location baseline.
 func RunRammer(g *Graph, batch int, hw HardwareConfig) (Report, error) {
-	return baseline.Rammer(g, batchOr1(batch), hw)
-}
-
-func batchOr1(b int) int {
-	if b < 1 {
-		return 1
-	}
-	return b
+	return baseline.Rammer(g, knob.Batch.Or(batch), hw)
 }

@@ -12,6 +12,7 @@
 package main
 
 import (
+	"cmp"
 	"flag"
 	"fmt"
 	"os"
@@ -24,6 +25,7 @@ import (
 
 	"github.com/atomic-dataflow/atomicflow/internal/cost"
 	"github.com/atomic-dataflow/atomicflow/internal/experiments"
+	"github.com/atomic-dataflow/atomicflow/internal/knob"
 	"github.com/atomic-dataflow/atomicflow/internal/models"
 	"github.com/atomic-dataflow/atomicflow/internal/obs"
 	"github.com/atomic-dataflow/atomicflow/internal/schedule"
@@ -38,11 +40,6 @@ func main() {
 	var (
 		exp       = flag.String("exp", "all", "experiment id (fig2..fig13, table1, table2, fpga, all)")
 		workloads = flag.String("workloads", "", "comma-separated workload override")
-		batch     = flag.Int("batch", 0, "batch-size override (0 = experiment default)")
-		saIters   = flag.Int("sa-iters", 400, "SA iterations")
-		seed      = flag.Int64("seed", 1, "search seed")
-		chains    = flag.Int("chains", 1, "parallel annealing chains per search (deterministic for a fixed seed)")
-		dp        = flag.Bool("dp", false, "use DP scheduling everywhere (slower; Fig 10 measures it explicitly)")
 		fast      = flag.Bool("fast", false, "reduced workload set for quick runs")
 		cpuProf   = flag.String("cpuprofile", "", "write a CPU profile to this file")
 		memProf   = flag.String("memprofile", "", "write a heap profile to this file on exit")
@@ -50,8 +47,16 @@ func main() {
 		metAddr   = flag.String("metrics-addr", "", "serve live /metrics, /metrics.json and /debug/pprof on this address (e.g. :8080)")
 		metJSON   = flag.String("metrics-json", "", "write the final metrics snapshot as JSON to this file")
 	)
+	// The experiments' defaults override the table's: their iteration budget,
+	// Greedy scheduling (Fig 10 measures the DP gain), each one's own batch.
+	cfg := experiments.Config{SAIters: experiments.DefaultSAIters, Mode: schedule.Greedy, Out: os.Stdout}
+	flag.IntVar(&cfg.Batch, knob.Batch.Flag, 0, "batch-size override (0 = experiment default)")
+	knob.SAIters.Var(flag.CommandLine, &cfg.SAIters)
+	knob.Seed.Var(flag.CommandLine, &cfg.Seed)
+	knob.Chains.Var(flag.CommandLine, &cfg.Chains)
+	knob.Mode.Var(flag.CommandLine, &cfg.Mode)
 	flag.Parse()
-	if err := checkFlags(*batch, *chains, *saIters); err != nil {
+	if err := checkFlags(cfg.Batch, cfg.Chains, cfg.SAIters); err != nil {
 		fmt.Fprintln(os.Stderr, "adexp:", err)
 		os.Exit(2)
 	}
@@ -132,19 +137,7 @@ func main() {
 	// One instrumented oracle for the whole invocation: each experiment
 	// reports its own evaluation count below.
 	orc := cost.Default()
-	cfg := experiments.Config{
-		Batch:   *batch,
-		SAIters: *saIters,
-		Seed:    *seed,
-		Chains:  *chains,
-		Mode:    schedule.Greedy,
-		Out:     os.Stdout,
-		Oracle:  orc,
-		Metrics: reg,
-	}
-	if *dp {
-		cfg.Mode = schedule.DP
-	}
+	cfg.Oracle, cfg.Metrics = orc, reg
 	if *workloads != "" {
 		ws, err := parseWorkloads(*workloads)
 		if err != nil {
@@ -202,20 +195,15 @@ func main() {
 	}
 }
 
-// checkFlags rejects numeric flags the experiments would otherwise
-// silently replace with a default: a negative batch (0 keeps each
-// experiment's own), and a chain count or iteration budget below 1.
+// checkFlags rejects numeric flags outside their table bounds, which the
+// experiments would otherwise replace with a default or spend minutes on;
+// a batch of 0 keeps each experiment's own.
 func checkFlags(batch, chains, saIters int) error {
-	if batch < 0 {
-		return fmt.Errorf("-batch %d: want 0 (experiment default) or more", batch)
+	var err error
+	if batch != 0 {
+		err = knob.Batch.Check(batch)
 	}
-	if chains < 1 {
-		return fmt.Errorf("-chains %d: want at least 1", chains)
-	}
-	if saIters < 1 {
-		return fmt.Errorf("-sa-iters %d: want at least 1", saIters)
-	}
-	return nil
+	return cmp.Or(err, knob.Chains.Check(chains), knob.SAIters.Check(saIters))
 }
 
 // parseWorkloads splits a comma-separated -workloads list and rejects any

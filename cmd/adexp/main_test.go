@@ -35,6 +35,11 @@ func TestCheckFlags(t *testing.T) {
 		{0, -2, 400, false},
 		{0, 1, 0, false},
 		{0, 1, -5, false},
+		// /solve's upper bounds, from the same table.
+		{64, 16, 20000, true},
+		{65, 1, 400, false},
+		{0, 17, 400, false},
+		{0, 1, 20001, false},
 	} {
 		if err := checkFlags(tc.batch, tc.chains, tc.iters); (err == nil) != tc.ok {
 			t.Errorf("checkFlags(%d, %d, %d) err = %v, want ok=%t", tc.batch, tc.chains, tc.iters, err, tc.ok)

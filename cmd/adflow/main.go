@@ -6,13 +6,14 @@
 // Usage:
 //
 //	adflow -model resnet50 -batch 1 -engines 8 -pes 16 -buffer 131072 \
-//	       -dataflow kc -mode dp -baselines
+//	       -dataflow kcp -mode dp -baselines
 //	adflow -model tinyresnet -emit -engine-id 0 | head -50
 //	adflow -model pnascell -dot          # Graphviz DOT on stdout
 //	adflow -model pnascell -export       # JSON exchange document on stdout
 package main
 
 import (
+	"cmp"
 	"flag"
 	"fmt"
 	"io"
@@ -20,108 +21,86 @@ import (
 	"strings"
 
 	af "github.com/atomic-dataflow/atomicflow"
+	"github.com/atomic-dataflow/atomicflow/internal/knob"
 )
 
-// flags are adflow's command-line options.
+// flags are adflow's command-line options. The solve's knobs land in
+// opts and hw, which options validates and assembles.
 type flags struct {
-	model, modelFile, dataflow, mode, traceFile, metJSON   *string
-	batch, engines, pes, buffer, saIters, chains, engineID *int
-	freq                                                   *float64
-	seed                                                   *int64
-	baselines, emit, dot, export                           *bool
+	opts                                 af.Options
+	hw                                   af.HardwareConfig
+	engines, engineID                    int
+	model, modelFile, traceFile, metJSON string
+	baselines, emit, dot, export         bool
 }
 
-// defineFlags registers adflow's flags on fs. The search defaults match
-// the library's zero Options and /solve: DP scheduling, 600 SA
-// iterations, seed 1, one chain. The hardware defaults are read from
-// DefaultHardware.
+// defineFlags registers adflow's flags on fs. The search and hardware
+// knobs, their defaults and their bounds come from internal/knob, the
+// table /solve reads too; the PE array and the clock default to
+// DefaultHardware's.
 func defineFlags(fs *flag.FlagSet) *flags {
-	hw := af.DefaultHardware()
-	return &flags{
-		model:     fs.String("model", "resnet50", "workload: one of "+strings.Join(af.ModelNames(), ", ")),
-		modelFile: fs.String("model-file", "", "load the workload from a JSON exchange document instead of the zoo"),
-		batch:     fs.Int("batch", 1, "inference batch size gathered into one atomic DAG"),
-		engines:   fs.Int("engines", hw.Mesh.W, "engine mesh side (engines x engines grid)"),
-		pes:       fs.Int("pes", hw.Engine.PEx, "PE array side per engine"),
-		buffer:    fs.Int("buffer", hw.Engine.BufferBytes, "per-engine buffer bytes"),
-		freq:      fs.Float64("freq", hw.Engine.FreqMHz, "engine clock in MHz"),
-		dataflow:  fs.String("dataflow", "kc", "engine dataflow: kc (NVDLA-style) or yx (ShiDianNao-style)"),
-		mode:      fs.String("mode", "dp", "scheduler: dp or greedy"),
-		saIters:   fs.Int("sa-iters", 600, "simulated-annealing iterations for atom generation"),
-		seed:      fs.Int64("seed", 1, "search seed"),
-		chains:    fs.Int("chains", 1, "parallel annealing chains (deterministic for a fixed seed)"),
-		baselines: fs.Bool("baselines", false, "also run LS, CNN-P, IL-Pipe and Rammer"),
-		traceFile: fs.String("trace", "", "write a full-span trace (engine/NoC/DRAM lanes, Chrome trace-event JSON) of the AD execution to this file"),
-		metJSON:   fs.String("metrics-json", "", "write the run's metrics snapshot as JSON to this file"),
-		emit:      fs.Bool("emit", false, "lower the solution to per-engine instruction streams, verify them and print their statistics"),
-		engineID:  fs.Int("engine-id", -1, "with -emit: also list this engine's instruction stream"),
-		dot:       fs.Bool("dot", false, "print the workload as a Graphviz DOT graph instead of solving it"),
-		export:    fs.Bool("export", false, "print the workload's JSON exchange document instead of solving it"),
-	}
+	f := &flags{hw: af.DefaultHardware()}
+	fs.StringVar(&f.model, "model", "resnet50", "workload: one of "+strings.Join(af.ModelNames(), ", "))
+	fs.StringVar(&f.modelFile, "model-file", "", "load the workload from a JSON exchange document instead of the zoo")
+	knob.Batch.Var(fs, &f.opts.Batch)
+	knob.MeshW.Var(fs, &f.engines)
+	fs.IntVar(&f.hw.Engine.PEx, "pes", f.hw.Engine.PEx, "PE array side per engine")
+	knob.BufferBytes.Var(fs, &f.hw.Engine.BufferBytes)
+	fs.Float64Var(&f.hw.Engine.FreqMHz, "freq", f.hw.Engine.FreqMHz, "engine clock in MHz")
+	knob.Dataflow.Var(fs, &f.hw.Dataflow)
+	knob.Mode.Var(fs, &f.opts.Mode)
+	knob.SAIters.Var(fs, &f.opts.SAIters)
+	knob.Seed.Var(fs, &f.opts.Seed)
+	knob.Chains.Var(fs, &f.opts.Chains)
+	fs.BoolVar(&f.baselines, "baselines", false, "also run LS, CNN-P, IL-Pipe and Rammer")
+	fs.StringVar(&f.traceFile, "trace", "", "write a full-span trace (engine/NoC/DRAM lanes, Chrome trace-event JSON) of the AD execution to this file")
+	fs.StringVar(&f.metJSON, "metrics-json", "", "write the run's metrics snapshot as JSON to this file")
+	fs.BoolVar(&f.emit, "emit", false, "lower the solution to per-engine instruction streams, verify them and print their statistics")
+	fs.IntVar(&f.engineID, "engine-id", -1, "with -emit: also list this engine's instruction stream")
+	fs.BoolVar(&f.dot, "dot", false, "print the workload as a Graphviz DOT graph instead of solving it")
+	fs.BoolVar(&f.export, "export", false, "print the workload's JSON exchange document instead of solving it")
+	return f
 }
 
 // options validates the flags and builds the orchestration options. It
-// rejects values the pipeline would panic on or only fail on after the
-// search (no engines, an engine to list outside the mesh) or replace with
-// a default (an unknown mode; a batch, chain count or iteration budget
-// below 1), flag combinations that leave a flag ignored, and hardware
-// that does not validate (a NaN or infinite -freq).
+// rejects a knob outside its table bounds (no engines would panic, a huge
+// mesh costs gigabytes, a batch below 1 would become 1), an engine to list
+// outside the mesh, flag combinations that leave a flag ignored, and
+// hardware that does not validate (a NaN or infinite -freq).
 func (f *flags) options() (af.Options, error) {
-	for _, v := range []struct {
-		name string
-		v    int
-	}{{"engines", *f.engines}, {"batch", *f.batch}, {"chains", *f.chains}, {"sa-iters", *f.saIters}} {
-		if v.v < 1 {
-			return af.Options{}, fmt.Errorf("-%s %d: want at least 1", v.name, v.v)
-		}
+	opts, hw := f.opts, f.hw
+	if err := cmp.Or(knob.MeshW.Check(f.engines), knob.Batch.Check(opts.Batch), knob.Chains.Check(opts.Chains),
+		knob.SAIters.Check(opts.SAIters), knob.BufferBytes.Check(hw.Engine.BufferBytes)); err != nil {
+		return af.Options{}, err
 	}
-	switch id := *f.engineID; {
-	case id < -1 || id >= *f.engines*(*f.engines):
-		return af.Options{}, fmt.Errorf("-engine-id %d: want an engine of the %dx%d mesh, or -1 for none", id, *f.engines, *f.engines)
-	case id >= 0 && !*f.emit:
+	switch id := f.engineID; {
+	case id < -1 || id >= f.engines*f.engines:
+		return af.Options{}, fmt.Errorf("-engine-id %d: want an engine of the %dx%d mesh, or -1 for none", id, f.engines, f.engines)
+	case id >= 0 && !f.emit:
 		return af.Options{}, fmt.Errorf("-engine-id %d needs -emit", id)
 	}
 	switch {
-	case *f.dot && *f.export:
+	case f.dot && f.export:
 		return af.Options{}, fmt.Errorf("-dot and -export each print the workload: pick one")
-	case (*f.dot || *f.export) && (*f.emit || *f.baselines || *f.traceFile != "" || *f.metJSON != ""):
+	case (f.dot || f.export) && (f.emit || f.baselines || f.traceFile != "" || f.metJSON != ""):
 		return af.Options{}, fmt.Errorf("-dot and -export print the workload without solving it: drop -emit, -baselines, -trace and -metrics-json")
 	}
-	hw := af.DefaultHardware()
-	hw.Mesh = af.NewMesh(*f.engines, *f.engines, hw.Mesh.LinkBytes)
-	hw.Engine.PEx, hw.Engine.PEy = *f.pes, *f.pes
-	hw.Engine.BufferBytes = *f.buffer
-	hw.Engine.FreqMHz = *f.freq
-	opts := af.Options{Batch: *f.batch, Hardware: &hw, SAIters: *f.saIters, Seed: *f.seed, Chains: *f.chains}
-	switch *f.mode {
-	case "dp":
-		opts.Mode = af.ModeDP
-	case "greedy":
-		opts.Mode = af.ModeGreedy
-	default:
-		return af.Options{}, fmt.Errorf("-mode %q: want dp or greedy", *f.mode)
-	}
-	switch *f.dataflow {
-	case "kc":
-		hw.Dataflow = af.KCPartition
-	case "yx":
-		hw.Dataflow = af.YXPartition
-	default:
-		return af.Options{}, fmt.Errorf("-dataflow %q: want kc or yx", *f.dataflow)
-	}
+	hw.Mesh = af.NewMesh(f.engines, f.engines, hw.Mesh.LinkBytes)
+	hw.Engine.PEy = hw.Engine.PEx
 	if err := hw.Validate(); err != nil {
 		return af.Options{}, err
 	}
+	opts.Hardware = &hw
 	return opts, nil
 }
 
 // graph loads the workload: the -model-file document if set, else the
 // zoo model.
 func (f *flags) graph() (*af.Graph, error) {
-	if *f.modelFile == "" {
-		return af.LoadModel(*f.model)
+	if f.modelFile == "" {
+		return af.LoadModel(f.model)
 	}
-	mf, err := os.Open(*f.modelFile)
+	mf, err := os.Open(f.modelFile)
 	if err != nil {
 		return nil, err
 	}
@@ -150,27 +129,28 @@ func run(f *flags, opts af.Options, w io.Writer) error {
 	if err != nil {
 		return err
 	}
-	if *f.export {
+	if f.export {
 		return af.WriteModel(w, g)
 	}
-	if *f.dot {
+	if f.dot {
 		_, err := io.WriteString(w, g.DOT())
 		return err
 	}
 	fmt.Fprintf(w, "workload:  %s\n", g.Summary())
+	hw := opts.Hardware
 	fmt.Fprintf(w, "hardware:  %dx%d engines x %dx%d PEs, %d KB/engine, %s, %.0f MHz\n",
-		*f.engines, *f.engines, *f.pes, *f.pes, *f.buffer>>10, opts.Hardware.Dataflow, *f.freq)
+		hw.Mesh.W, hw.Mesh.H, hw.Engine.PEx, hw.Engine.PEy, hw.Engine.BufferBytes>>10, hw.Dataflow, hw.Engine.FreqMHz)
 
 	var tf *os.File
-	if *f.traceFile != "" {
-		if tf, err = os.Create(*f.traceFile); err != nil {
+	if f.traceFile != "" {
+		if tf, err = os.Create(f.traceFile); err != nil {
 			return err
 		}
 		defer tf.Close()
 		opts.TraceWriter = tf
 	}
-	if *f.metJSON != "" {
-		opts.Hardware.Metrics = af.NewMetrics()
+	if f.metJSON != "" {
+		hw.Metrics = af.NewMetrics()
 	}
 	sol, err := af.Orchestrate(g, opts)
 	if err != nil {
@@ -180,27 +160,27 @@ func run(f *flags, opts af.Options, w io.Writer) error {
 		if err := tf.Close(); err != nil {
 			return err
 		}
-		defer fmt.Fprintf(w, "trace written to %s (open in ui.perfetto.dev)\n", *f.traceFile)
+		defer fmt.Fprintf(w, "trace written to %s (open in ui.perfetto.dev)\n", f.traceFile)
 	}
 	printReport(w, "atomic dataflow", sol.Report)
 	fmt.Fprintf(w, "  atoms %d, rounds %d, atom-cycle CV %.3f, search %v\n",
 		sol.Atoms, sol.Rounds, sol.AtomCycleCV, sol.SearchTime.Round(1e6))
-	if *f.metJSON != "" {
-		mf, err := os.Create(*f.metJSON)
+	if f.metJSON != "" {
+		mf, err := os.Create(f.metJSON)
 		if err != nil {
 			return err
 		}
-		err = opts.Hardware.Metrics.WriteJSON(mf)
+		err = hw.Metrics.WriteJSON(mf)
 		if cerr := mf.Close(); err == nil {
 			err = cerr
 		}
 		if err != nil {
 			return err
 		}
-		fmt.Fprintf(w, "metrics snapshot written to %s\n", *f.metJSON)
+		fmt.Fprintf(w, "metrics snapshot written to %s\n", f.metJSON)
 	}
 
-	if *f.emit {
+	if f.emit {
 		p, err := sol.Lower()
 		if err != nil {
 			return err
@@ -210,14 +190,14 @@ func run(f *flags, opts af.Options, w io.Writer) error {
 			"%0.3f MB loaded, %0.3f MB written back, %d rounds\n",
 			st.Instructions, st.Computes, st.Sends, st.Recvs,
 			float64(st.LoadBytes)/1e6, float64(st.WritebackBytes)/1e6, p.Rounds)
-		if *f.engineID >= 0 {
-			if err := p.Dump(w, *f.engineID); err != nil {
+		if f.engineID >= 0 {
+			if err := p.Dump(w, f.engineID); err != nil {
 				return err
 			}
 		}
 	}
 
-	if *f.baselines {
+	if f.baselines {
 		for _, b := range []struct {
 			name string
 			run  func(*af.Graph, int, af.HardwareConfig) (af.Report, error)
@@ -225,7 +205,7 @@ func run(f *flags, opts af.Options, w io.Writer) error {
 			{"LS", af.RunLS}, {"CNN-P", af.RunCNNP},
 			{"IL-Pipe", af.RunILPipe}, {"Rammer", af.RunRammer},
 		} {
-			rep, err := b.run(g, *f.batch, *opts.Hardware)
+			rep, err := b.run(g, opts.Batch, *hw)
 			if err != nil {
 				return fmt.Errorf("%s: %w", b.name, err)
 			}

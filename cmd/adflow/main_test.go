@@ -5,6 +5,7 @@ import (
 	"crypto/md5"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -12,6 +13,7 @@ import (
 	"testing"
 
 	af "github.com/atomic-dataflow/atomicflow"
+	"github.com/atomic-dataflow/atomicflow/internal/knob"
 )
 
 // parseFlags parses args as adflow's command line.
@@ -25,6 +27,19 @@ func parseFlags(t *testing.T, args ...string) *flags {
 	return f
 }
 
+// optionsOf parses args as adflow's command line and builds its options:
+// a flag that does not parse (an unknown -mode or -dataflow) fails like
+// one options rejects, and main exits 2 on either.
+func optionsOf(args []string) (af.Options, error) {
+	fs := flag.NewFlagSet("adflow", flag.ContinueOnError)
+	fs.SetOutput(io.Discard)
+	f := defineFlags(fs)
+	if err := fs.Parse(args); err != nil {
+		return af.Options{}, err
+	}
+	return f.options()
+}
+
 func TestCheckFlags(t *testing.T) {
 	for _, tc := range []struct {
 		args     string
@@ -33,7 +48,8 @@ func TestCheckFlags(t *testing.T) {
 		wantDF   af.Dataflow
 	}{
 		{"-engines 8 -sa-iters 400 -mode greedy", true, af.ModeGreedy, af.KCPartition},
-		{"-engines 1 -batch 16 -chains 4 -sa-iters 1 -dataflow yx", true, af.ModeDP, af.YXPartition},
+		{"-engines 1 -batch 16 -chains 4 -sa-iters 1 -dataflow yxp", true, af.ModeDP, af.YXPartition},
+		{"-engines 32 -batch 64 -chains 16 -sa-iters 20000 -dataflow kcp -mode dp", true, af.ModeDP, af.KCPartition},
 		{"-engines 0", false, 0, 0},
 		{"-engines -1", false, 0, 0},
 		{"-batch 0", false, 0, 0},
@@ -45,6 +61,10 @@ func TestCheckFlags(t *testing.T) {
 		{"-mode nosuch", false, 0, 0},
 		{"-mode=", false, 0, 0},
 		{"-dataflow zz", false, 0, 0},
+		// The spellings /solve reads are the only ones.
+		{"-dataflow kc", false, 0, 0},
+		{"-dataflow yx", false, 0, 0},
+		{"-dataflow KC-P", false, 0, 0},
 		// -engine-id names an engine of the mesh to list, and only
 		// -emit lists one.
 		{"-emit -engine-id 0", true, af.ModeDP, af.KCPartition},
@@ -65,13 +85,22 @@ func TestCheckFlags(t *testing.T) {
 		{"-export -trace t.json", false, 0, 0},
 		{"-dot -metrics-json m.json", false, 0, 0},
 	} {
-		opts, err := parseFlags(t, strings.Fields(tc.args)...).options()
+		opts, err := optionsOf(strings.Fields(tc.args))
 		if (err == nil) != tc.ok {
 			t.Errorf("%s: err = %v, want ok=%t", tc.args, err, tc.ok)
 			continue
 		}
 		if tc.ok && (opts.Mode != tc.wantMode || opts.Hardware.Dataflow != tc.wantDF) {
 			t.Errorf("%s: mode %v, dataflow %v, want %v, %v", tc.args, opts.Mode, opts.Hardware.Dataflow, tc.wantMode, tc.wantDF)
+		}
+	}
+	// /solve's upper bounds hold on the command line too: a 64x64 mesh's
+	// route table alone is ~2.9 GB. The error names the flag, and main
+	// exits 2 on it.
+	for _, args := range []string{"-engines 33", "-batch 65", "-chains 17", "-sa-iters 20001", "-buffer 0", "-buffer 1073741825"} {
+		_, err := optionsOf(strings.Fields(args))
+		if name := strings.Fields(args)[0]; err == nil || !strings.Contains(err.Error(), name+" ") {
+			t.Errorf("%s: options() = %v, want an error naming %s", args, err, name)
 		}
 	}
 	// The clock is checked on the assembled hardware: a NaN -freq once
@@ -225,4 +254,43 @@ func TestRunTrace(t *testing.T) {
 			t.Errorf("-trace %s: error %v, announced %v; want a failed run", tc.path, err, announced)
 		}
 	}
+}
+
+// FuzzFlags feeds random argument vectors through defineFlags and
+// options: no command line may panic, and one that is accepted must be
+// within the knob table's bounds and build hardware that validates.
+func FuzzFlags(f *testing.F) {
+	for _, args := range []string{
+		"",
+		"-model resnet50 -baselines",
+		"-engines 4 -batch 8 -chains 2 -sa-iters 100 -mode greedy -dataflow yxp",
+		"-emit -engines 2 -engine-id 3",
+		"-engines 33 -batch 65",
+		"-buffer -1 -pes 0 -freq NaN",
+		"-dot -export",
+		"-seed -9223372036854775808 -mode=",
+	} {
+		f.Add(args)
+	}
+	f.Fuzz(func(t *testing.T, line string) {
+		opts, err := optionsOf(strings.Fields(line))
+		if err != nil {
+			return
+		}
+		hw := opts.Hardware
+		for _, c := range []struct {
+			k knob.Int[int]
+			v int
+		}{
+			{knob.Batch, opts.Batch}, {knob.SAIters, opts.SAIters}, {knob.Chains, opts.Chains},
+			{knob.MeshW, hw.Mesh.W}, {knob.MeshH, hw.Mesh.H}, {knob.BufferBytes, hw.Engine.BufferBytes},
+		} {
+			if c.v < c.k.Min || c.v > c.k.Max {
+				t.Errorf("%q: accepted %s %d outside [%d,%d]", line, c.k.JSON, c.v, c.k.Min, c.k.Max)
+			}
+		}
+		if err := hw.Validate(); err != nil {
+			t.Errorf("%q: accepted hardware that does not validate: %v", line, err)
+		}
+	})
 }

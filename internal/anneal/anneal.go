@@ -11,6 +11,7 @@ import (
 	"github.com/atomic-dataflow/atomicflow/internal/cost"
 	"github.com/atomic-dataflow/atomicflow/internal/engine"
 	"github.com/atomic-dataflow/atomicflow/internal/graph"
+	"github.com/atomic-dataflow/atomicflow/internal/knob"
 	"github.com/atomic-dataflow/atomicflow/internal/obs"
 	"github.com/atomic-dataflow/atomicflow/internal/par"
 )
@@ -108,30 +109,10 @@ func (o Options) cancelled() bool {
 	return o.Ctx != nil && o.Ctx.Err() != nil
 }
 
-func (o Options) maxIters() int {
-	if o.MaxIters <= 0 {
-		return 600
-	}
-	return o.MaxIters
-}
-func (o Options) seed() int64 {
-	if o.Seed == 0 {
-		return 1
-	}
-	return o.Seed
-}
-func (o Options) maxTiles() int {
-	if o.MaxTilesPerLay <= 0 {
-		return 1024
-	}
-	return o.MaxTilesPerLay
-}
-func (o Options) chains() int {
-	if o.Chains <= 1 {
-		return 1
-	}
-	return o.Chains
-}
+func (o Options) maxIters() int { return knob.SAIters.Or(o.MaxIters) }
+func (o Options) seed() int64   { return knob.Seed.Or(o.Seed) }
+func (o Options) maxTiles() int { return knob.MaxTiles.Or(o.MaxTilesPerLay) }
+func (o Options) chains() int   { return knob.Chains.Or(o.Chains) }
 
 // Result is the outcome of atomic tensor generation.
 type Result struct {

@@ -22,6 +22,7 @@ import (
 	"math"
 
 	"github.com/atomic-dataflow/atomicflow/internal/graph"
+	"github.com/atomic-dataflow/atomicflow/internal/knob"
 )
 
 // Dataflow selects the spatial unrolling strategy of the PE array.
@@ -47,6 +48,14 @@ func (d Dataflow) String() string {
 	return fmt.Sprintf("Dataflow(%d)", int(d))
 }
 
+// MarshalText returns the dataflow's spelling in the knob table, kcp or
+// yxp. FlexPartition has none: it needs an array with PEz set.
+func (d Dataflow) MarshalText() ([]byte, error) { return knob.Dataflow.Text(int(d)) }
+
+// UnmarshalText parses a spelling of the knob table. encoding/json and
+// flag.TextVar both read a dataflow through it.
+func (d *Dataflow) UnmarshalText(b []byte) error { return knob.Dataflow.Parse(b, (*int)(d)) }
+
 // Config describes one tensor engine's microarchitecture.
 type Config struct {
 	PEx, PEy    int     // PE array rows, columns
@@ -61,7 +70,7 @@ type Config struct {
 // Default returns the paper's engine configuration (Sec. V-A): 16x16 PEs,
 // 128 KB SRAM with 64-bit port, 500 MHz.
 func Default() Config {
-	return Config{PEx: 16, PEy: 16, VectorLanes: 16, BufferBytes: 128 << 10,
+	return Config{PEx: 16, PEy: 16, VectorLanes: 16, BufferBytes: knob.BufferBytes.Def,
 		PortBytes: 8, FreqMHz: 500, MACsPerPE: 1}
 }
 

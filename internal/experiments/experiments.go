@@ -32,8 +32,7 @@ type Config struct {
 	Workloads []string
 	// Batch overrides the experiment's batch size where meaningful.
 	Batch int
-	// SAIters bounds atom generation (default 400 — enough to converge
-	// on every paper workload).
+	// SAIters bounds atom generation (default DefaultSAIters).
 	SAIters int
 	// Seed fixes the SA RNG.
 	Seed int64
@@ -42,8 +41,8 @@ type Config struct {
 	// Algorithm 1). Wider portfolios split the same SAIters budget, so
 	// they change the search rather than speed it up.
 	Chains int
-	// Mode selects the scheduling effort (default Greedy: the DP gain is
-	// measured explicitly by Fig10).
+	// Mode selects the scheduling effort (zero is DP; adexp passes
+	// Greedy, since Fig10 measures the DP gain explicitly).
 	Mode schedule.Mode
 	// Out receives the printed rows (nil = discard).
 	Out io.Writer
@@ -82,25 +81,15 @@ func (c Config) batch(def int) int {
 	return def
 }
 
+// DefaultSAIters is the experiments' iteration budget: enough to converge
+// on every paper workload, and below the library's to keep sweeps short.
+const DefaultSAIters = 400
+
 func (c Config) saIters() int {
 	if c.SAIters > 0 {
 		return c.SAIters
 	}
-	return 400
-}
-
-func (c Config) seed() int64 {
-	if c.Seed != 0 {
-		return c.Seed
-	}
-	return 1
-}
-
-func (c Config) chains() int {
-	if c.Chains > 1 {
-		return c.Chains
-	}
-	return 1
+	return DefaultSAIters
 }
 
 // annealOpts is the run's SA search on a hardware model, for the
@@ -109,8 +98,8 @@ func (c Config) chains() int {
 func (c Config) annealOpts(hw sim.Config) anneal.Options {
 	return anneal.Options{
 		MaxIters: c.saIters(),
-		Seed:     c.seed(),
-		Chains:   c.chains(),
+		Seed:     c.Seed,
+		Chains:   c.Chains,
 		Oracle:   hw.Oracle,
 		Metrics:  hw.Metrics,
 	}
@@ -136,8 +125,8 @@ func (c Config) orchestrate(g *graph.Graph, batch int, hw sim.Config) (*atomicfl
 		Hardware: &hw,
 		Mode:     c.Mode,
 		SAIters:  c.saIters(),
-		Seed:     c.seed(),
-		Chains:   c.chains(),
+		Seed:     c.Seed,
+		Chains:   c.Chains,
 	})
 }
 

@@ -145,7 +145,7 @@ func (st *state) longest(p, k int) []int {
 	return top
 }
 
-// dpPick evaluates up to MaxOptions priority-pruned combinations with
+// dpPick evaluates up to maxOptions() priority-pruned combinations with
 // bounded-lookahead recursion (the DP(G') of Algorithm 2) and returns the
 // combination with the minimum total estimated cost.
 //

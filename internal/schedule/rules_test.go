@@ -70,7 +70,7 @@ func TestDPUndoLogIntegrity(t *testing.T) {
 	// schedule (the lookahead's apply/rollback must be perfectly
 	// balanced).
 	d, _, _ := siblingsGraph(t)
-	opt := Options{Engines: 3, Mode: DP, Lookahead: 4, MaxOptions: 5,
+	opt := Options{Engines: 3, Mode: DP, Lookahead: 4, fanout: 5,
 		EngineCfg: engine.Default(), Dataflow: engine.KCPartition}
 	s1, err := Build(d, opt)
 	if err != nil {
@@ -260,7 +260,7 @@ func TestActiveDepthIncremental(t *testing.T) {
 	// a from-scratch rebuild at every Round boundary.
 	for _, model := range []string{"tinyresnet", "tinybranch", "pnascell"} {
 		d := dagFor(t, model, 2)
-		opt := Options{Engines: 3, Mode: DP, Lookahead: 3, MaxOptions: 5,
+		opt := Options{Engines: 3, Mode: DP, Lookahead: 3, fanout: 5,
 			EngineCfg: engine.Default(), Dataflow: engine.KCPartition}
 		st := newState(d, opt)
 		if err := st.checkFrontier(); err != nil {

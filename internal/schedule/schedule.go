@@ -10,7 +10,7 @@
 //
 // Two modes are exposed: Greedy applies the priority rules alone and scales
 // to DAGs with hundreds of thousands of atoms; DP (the default) explores
-// MaxOptions alternatives per Round with Lookahead rounds of recursion and
+// four alternatives per Round with Lookahead rounds of recursion and
 // subsumes the greedy choice, so it never schedules worse.
 package schedule
 
@@ -23,6 +23,7 @@ import (
 	"github.com/atomic-dataflow/atomicflow/internal/cost"
 	"github.com/atomic-dataflow/atomicflow/internal/engine"
 	"github.com/atomic-dataflow/atomicflow/internal/graph"
+	"github.com/atomic-dataflow/atomicflow/internal/knob"
 )
 
 // Mode selects the search effort.
@@ -36,14 +37,20 @@ const (
 	Greedy
 )
 
+// MarshalText returns the mode's spelling in the knob table, dp or greedy.
+func (m Mode) MarshalText() ([]byte, error) { return knob.Mode.Text(int(m)) }
+
+// UnmarshalText parses a spelling of the knob table. encoding/json and
+// flag.TextVar both read a mode through it.
+func (m *Mode) UnmarshalText(b []byte) error { return knob.Mode.Parse(b, (*int)(m)) }
+
 // Options configures the scheduler.
 type Options struct {
-	Engines    int             // N, number of tensor engines (required)
-	Mode       Mode            // search mode (default DP)
-	Lookahead  int             // DP recursion depth in Rounds (default 3)
-	MaxOptions int             // option fan-out per Round (default 4)
-	EngineCfg  engine.Config   // engine pricing the atoms (required)
-	Dataflow   engine.Dataflow // dataflow pricing the atoms
+	Engines   int             // N, number of tensor engines (required)
+	Mode      Mode            // search mode (default DP)
+	Lookahead int             // DP recursion depth in Rounds (default 3)
+	EngineCfg engine.Config   // engine pricing the atoms (required)
+	Dataflow  engine.Dataflow // dataflow pricing the atoms
 
 	// Oracle prices the atoms (default: the engine model directly). Pass
 	// the run's shared instrumented oracle to count scheduling's
@@ -54,6 +61,8 @@ type Options struct {
 	// between Rounds and returns the context's error once cancelled. An
 	// uncancelled context never changes the schedule produced.
 	Ctx context.Context
+
+	fanout int // DP option fan-out per Round (default 4); set only by tests
 }
 
 func (o Options) lookahead() int {
@@ -64,10 +73,10 @@ func (o Options) lookahead() int {
 }
 
 func (o Options) maxOptions() int {
-	if o.MaxOptions <= 0 {
+	if o.fanout <= 0 {
 		return 4
 	}
-	return o.MaxOptions
+	return o.fanout
 }
 
 // Round is one synchronized step: the chosen atoms run on distinct engines
@@ -200,7 +209,7 @@ type state struct {
 	// activeDepth counts, per sample·depths + depth, the traversed-but-
 	// unfinished pairs at that depth — the rule-2 reference set,
 	// maintained incrementally by apply/rollback so pickWithPolicy (called
-	// ~MaxOptions·Lookahead times per Round by the DP) reads it in O(1)
+	// ~fanout·Lookahead times per Round by the DP) reads it in O(1)
 	// instead of walking every traversed pair.
 	activeDepth []int
 	depths      int // max layer depth + 1

@@ -1,16 +1,20 @@
 package serve
 
 import (
+	"cmp"
 	"crypto/sha256"
+	"encoding"
 	"encoding/hex"
 	"encoding/json"
 	"fmt"
 
 	"github.com/atomic-dataflow/atomicflow/internal/engine"
 	"github.com/atomic-dataflow/atomicflow/internal/graph"
+	"github.com/atomic-dataflow/atomicflow/internal/knob"
 	"github.com/atomic-dataflow/atomicflow/internal/modelio"
 	"github.com/atomic-dataflow/atomicflow/internal/models"
 	"github.com/atomic-dataflow/atomicflow/internal/noc"
+	"github.com/atomic-dataflow/atomicflow/internal/schedule"
 	"github.com/atomic-dataflow/atomicflow/internal/sim"
 )
 
@@ -24,12 +28,12 @@ type Request struct {
 	Model string          `json:"model,omitempty"`
 	Graph json.RawMessage `json:"graph,omitempty"`
 
-	Batch    int    `json:"batch,omitempty"`
-	Seed     int64  `json:"seed,omitempty"`
-	SAIters  int    `json:"sa_iters,omitempty"`
-	Chains   int    `json:"chains,omitempty"` // annealing portfolio width (default 1)
-	MaxTiles int    `json:"max_tiles,omitempty"`
-	Mode     string `json:"mode,omitempty"` // "dp" (default) or "greedy"
+	Batch    int           `json:"batch,omitempty"`
+	Seed     int64         `json:"seed,omitempty"`
+	SAIters  int           `json:"sa_iters,omitempty"`
+	Chains   int           `json:"chains,omitempty"` // annealing portfolio width (default 1)
+	MaxTiles int           `json:"max_tiles,omitempty"`
+	Mode     schedule.Mode `json:"mode,omitempty"` // "dp" (default) or "greedy"
 
 	Hardware *HardwareSpec `json:"hardware,omitempty"`
 
@@ -51,27 +55,14 @@ type Request struct {
 // HardwareSpec overrides a subset of the default hardware model. Zero
 // fields keep the paper's Sec. V-A defaults.
 type HardwareSpec struct {
-	MeshW        int    `json:"mesh_w,omitempty"`
-	MeshH        int    `json:"mesh_h,omitempty"`
-	LinkBytes    int    `json:"link_bytes,omitempty"`
-	BufferBytes  int64  `json:"buffer_bytes,omitempty"`
-	Dataflow     string `json:"dataflow,omitempty"` // "kcp" (default) or "yxp"
-	NaiveMapping bool   `json:"naive_mapping,omitempty"`
-	DoubleBuffer *bool  `json:"double_buffer,omitempty"` // default true
+	MeshW        int             `json:"mesh_w,omitempty"`
+	MeshH        int             `json:"mesh_h,omitempty"`
+	LinkBytes    int             `json:"link_bytes,omitempty"`
+	BufferBytes  int             `json:"buffer_bytes,omitempty"`
+	Dataflow     engine.Dataflow `json:"dataflow,omitempty"` // "kcp" (default) or "yxp"
+	NaiveMapping bool            `json:"naive_mapping,omitempty"`
+	DoubleBuffer *bool           `json:"double_buffer,omitempty"` // default true
 }
-
-// Request validation bounds. They exist to keep one malformed or hostile
-// request from monopolizing a worker, not to be generous: a request at
-// every limit is still a few seconds of search.
-const (
-	MaxBatch       = 64
-	MaxSAIters     = 20000
-	MaxChains      = 16
-	MaxTilesLimit  = 4096
-	MaxMeshDim     = 32
-	MaxLinkBytes   = 1024
-	MaxBufferBytes = 1 << 30
-)
 
 // ParseRequest decodes, validates and normalizes a /solve body and
 // computes its canonical cache key. It never panics on arbitrary input
@@ -118,42 +109,15 @@ func (r *Request) normalize() error {
 	sum := sha256.Sum256(canon)
 	r.graphHash = hex.EncodeToString(sum[:])
 
-	if r.Batch == 0 {
-		r.Batch = 1
-	}
-	if r.Batch < 1 || r.Batch > MaxBatch {
-		return fmt.Errorf("serve: batch %d out of range [1,%d]", r.Batch, MaxBatch)
-	}
-	if r.Seed == 0 {
-		r.Seed = 1 // the search treats seed 0 as 1; normalize for the key
-	}
-	if r.SAIters == 0 {
-		r.SAIters = 600
-	}
-	if r.SAIters < 1 || r.SAIters > MaxSAIters {
-		return fmt.Errorf("serve: sa_iters %d out of range [1,%d]", r.SAIters, MaxSAIters)
-	}
-	if r.Chains == 0 {
-		r.Chains = 1
-	}
-	if r.Chains < 1 || r.Chains > MaxChains {
-		return fmt.Errorf("serve: chains %d out of range [1,%d]", r.Chains, MaxChains)
-	}
-	if r.MaxTiles == 0 {
-		r.MaxTiles = 1024
-	}
-	if r.MaxTiles < 1 || r.MaxTiles > MaxTilesLimit {
-		return fmt.Errorf("serve: max_tiles %d out of range [1,%d]", r.MaxTiles, MaxTilesLimit)
-	}
-	switch r.Mode {
-	case "":
-		r.Mode = "dp"
-	case "dp", "greedy":
-	default:
-		return fmt.Errorf("serve: unknown mode %q (want dp or greedy)", r.Mode)
-	}
-	if r.TimeoutMS < 0 {
-		return fmt.Errorf("serve: negative timeout_ms %d", r.TimeoutMS)
+	if err := cmp.Or(
+		knob.Batch.Normalize(&r.Batch),
+		knob.Seed.Normalize(&r.Seed),
+		knob.SAIters.Normalize(&r.SAIters),
+		knob.Chains.Normalize(&r.Chains),
+		knob.MaxTiles.Normalize(&r.MaxTiles),
+		knob.TimeoutMS.Normalize(&r.TimeoutMS),
+	); err != nil {
+		return fmt.Errorf("serve: %w", err)
 	}
 	if r.Hardware == nil {
 		r.Hardware = &HardwareSpec{}
@@ -166,35 +130,19 @@ func (r *Request) normalize() error {
 }
 
 func (h *HardwareSpec) normalize() error {
-	def := sim.DefaultConfig()
-	if h.MeshW == 0 {
-		h.MeshW = def.Mesh.W
-	}
-	if h.MeshH == 0 {
-		h.MeshH = def.Mesh.H
-	}
-	if h.MeshW < 1 || h.MeshW > MaxMeshDim || h.MeshH < 1 || h.MeshH > MaxMeshDim {
-		return fmt.Errorf("serve: mesh %dx%d out of range [1,%d]", h.MeshW, h.MeshH, MaxMeshDim)
-	}
-	if h.LinkBytes == 0 {
-		h.LinkBytes = def.Mesh.LinkBytes
-	}
-	if h.LinkBytes < 1 || h.LinkBytes > MaxLinkBytes {
-		return fmt.Errorf("serve: link_bytes %d out of range [1,%d]", h.LinkBytes, MaxLinkBytes)
-	}
-	if h.BufferBytes < 0 || h.BufferBytes > MaxBufferBytes {
-		return fmt.Errorf("serve: buffer_bytes %d out of range [0,%d]", h.BufferBytes, MaxBufferBytes)
-	}
-	switch h.Dataflow {
-	case "":
-		h.Dataflow = "kcp"
-	case "kcp", "yxp":
-	default:
-		return fmt.Errorf("serve: unknown dataflow %q (want kcp or yxp)", h.Dataflow)
+	// A zero buffer_bytes stays 0, the key's "buf 0": only a set one is checked.
+	buf := h.BufferBytes
+	if err := cmp.Or(
+		knob.MeshW.Normalize(&h.MeshW),
+		knob.MeshH.Normalize(&h.MeshH),
+		knob.LinkBytes.Normalize(&h.LinkBytes),
+		knob.BufferBytes.Normalize(&buf),
+	); err != nil {
+		return fmt.Errorf("serve: %w", err)
 	}
 	if h.DoubleBuffer == nil {
-		t := true
-		h.DoubleBuffer = &t
+		def := sim.DefaultConfig().DoubleBuffer
+		h.DoubleBuffer = &def
 	}
 	return nil
 }
@@ -213,7 +161,7 @@ func (r *Request) computeKey() string {
 	// earlier builds carry them, and -store directories they wrote must
 	// keep replaying under the same keys.
 	fmt.Fprintf(h, "batch %d seed %d iters %d chains %d tiles %d mode %s trace %t surrogate false warm false\n",
-		r.Batch, r.Seed, r.SAIters, r.Chains, r.MaxTiles, r.Mode, r.Trace)
+		r.Batch, r.Seed, r.SAIters, r.Chains, r.MaxTiles, text(r.Mode), r.Trace)
 	hw := r.Hardware
 	// A set buffer_bytes sizes the engine, so the search's atoms as well
 	// as the simulated buffer; earlier builds sized only the latter. The
@@ -224,25 +172,23 @@ func (r *Request) computeKey() string {
 		buf = "ebuf"
 	}
 	fmt.Fprintf(h, "hw %dx%d link %d %s %d df %s naive %t dbuf %t\n",
-		hw.MeshW, hw.MeshH, hw.LinkBytes, buf, hw.BufferBytes, hw.Dataflow,
+		hw.MeshW, hw.MeshH, hw.LinkBytes, buf, hw.BufferBytes, text(hw.Dataflow),
 		hw.NaiveMapping, *hw.DoubleBuffer)
 	return hex.EncodeToString(h.Sum(nil))
 }
 
-// hardware assembles the request's accelerator model on top of base.
-func (r *Request) hardware(base sim.Config) sim.Config {
-	hw := base
+// text is v's /solve spelling, which the key has always written.
+func text(v encoding.TextMarshaler) string {
+	b, _ := v.MarshalText()
+	return string(b)
+}
+
+// hardware assembles the request's accelerator model on the default one.
+func (r *Request) hardware() sim.Config {
+	hw := sim.DefaultConfig()
 	h := r.Hardware
 	hw.Mesh = noc.NewMesh(h.MeshW, h.MeshH, h.LinkBytes)
-	if h.BufferBytes > 0 {
-		hw.Engine.BufferBytes = int(h.BufferBytes)
-	}
-	if h.Dataflow == "yxp" {
-		hw.Dataflow = engine.YXPartition
-	} else {
-		hw.Dataflow = engine.KCPartition
-	}
-	hw.NaiveMapping = h.NaiveMapping
-	hw.DoubleBuffer = *h.DoubleBuffer
+	hw.Engine.BufferBytes = cmp.Or(h.BufferBytes, hw.Engine.BufferBytes)
+	hw.Dataflow, hw.NaiveMapping, hw.DoubleBuffer = h.Dataflow, h.NaiveMapping, *h.DoubleBuffer
 	return hw
 }

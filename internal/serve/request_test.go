@@ -1,6 +1,11 @@
 package serve
 
-import "testing"
+import (
+	"encoding/json"
+	"reflect"
+	"strings"
+	"testing"
+)
 
 // TestCacheKeyStable pins ParseRequest keys to fixed values. A changed
 // key silently orphans every record in an existing -store directory, so
@@ -35,4 +40,110 @@ func TestCacheKeyStable(t *testing.T) {
 			t.Errorf("%.40s: key %s, want %s", tc.body, r.Key(), tc.key)
 		}
 	}
+}
+
+// TestKeyCoversEveryField makes DESIGN §7's rule, "anything that changes
+// the result is in the key", a test. It enumerates every JSON field of
+// Request and HardwareSpec and flips each from its default to a valid
+// other value: the key must move, except for a field declared outside
+// the key, whose flip must leave a tinyconv solve's response unchanged.
+// A field added without a flip value here, that is without a key
+// decision, fails it.
+func TestKeyCoversEveryField(t *testing.T) {
+	const base = `{"model":"tinyconv"}`
+	flips := map[string]string{ // field -> a valid non-default value
+		"model":         `"tinyresnet"`,
+		"graph":         `{"name":"g","layers":[{"name":"in","op":"Input","shape":{"ho":8,"wo":8,"co":3}}]}`,
+		"batch":         `2`,
+		"seed":          `2`,
+		"sa_iters":      `599`,
+		"chains":        `2`,
+		"max_tiles":     `1023`,
+		"mode":          `"greedy"`,
+		"trace":         `true`,
+		"timeout_ms":    `60000`,
+		"mesh_w":        `4`,
+		"mesh_h":        `4`,
+		"link_bytes":    `16`,
+		"buffer_bytes":  `65536`,
+		"dataflow":      `"yxp"`,
+		"naive_mapping": `true`,
+		"double_buffer": `false`,
+	}
+	// A deadline decides whether a solve finishes, not what it returns.
+	outsideKey := map[string]bool{"timeout_ms": true}
+
+	key := func(body string) string {
+		t.Helper()
+		r, err := ParseRequest([]byte(body))
+		if err != nil {
+			t.Fatalf("%s: %v", body, err)
+		}
+		return r.Key()
+	}
+	baseKey := key(base)
+	seen := map[string]bool{}
+	var walk func(typ reflect.Type, body func(field, value string) string)
+	walk = func(typ reflect.Type, body func(field, value string) string) {
+		for i := 0; i < typ.NumField(); i++ {
+			sf := typ.Field(i)
+			name, _, _ := strings.Cut(sf.Tag.Get("json"), ",")
+			if !sf.IsExported() || name == "-" {
+				continue
+			}
+			if sf.Type == reflect.TypeOf(&HardwareSpec{}) {
+				walk(sf.Type.Elem(), func(field, value string) string {
+					return `{"model":"tinyconv","` + name + `":{"` + field + `":` + value + `}}`
+				})
+				continue
+			}
+			seen[name] = true
+			v, ok := flips[name]
+			if !ok {
+				t.Errorf("field %s has no key decision: give it a flip value here", name)
+				continue
+			}
+			b := body(name, v)
+			if got := key(b); (got == baseKey) != outsideKey[name] {
+				t.Errorf("%s: key moved %t, want %t", b, got != baseKey, !outsideKey[name])
+			}
+			if outsideKey[name] {
+				if a, b := solveBody(t, base), solveBody(t, b); a != b {
+					t.Errorf("flipping %s, which the key leaves out, changed the response:\n%s\n%s", name, a, b)
+				}
+			}
+		}
+	}
+	walk(reflect.TypeOf(Request{}), func(field, value string) string {
+		if field == "model" || field == "graph" {
+			return `{"` + field + `":` + value + `}`
+		}
+		return `{"model":"tinyconv","` + field + `":` + value + `}`
+	})
+	for name := range flips {
+		if !seen[name] {
+			t.Errorf("flip value for %s, which is no field of Request or HardwareSpec", name)
+		}
+	}
+}
+
+// solveBody solves body on a fresh server and returns its response with
+// the wall-clock search time zeroed.
+func solveBody(t *testing.T, body string) string {
+	t.Helper()
+	_, ts := newTestServer(t, Config{Workers: 1})
+	resp, data := postSolve(t, ts, body)
+	if resp.StatusCode != 200 {
+		t.Fatalf("%s: status %d: %s", body, resp.StatusCode, data)
+	}
+	var sr SolveResponse
+	if err := json.Unmarshal(data, &sr); err != nil {
+		t.Fatal(err)
+	}
+	sr.SearchMS = 0
+	out, err := json.Marshal(sr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return string(out)
 }

@@ -37,7 +37,6 @@ import (
 	"github.com/atomic-dataflow/atomicflow/internal/cost"
 	"github.com/atomic-dataflow/atomicflow/internal/obs"
 	"github.com/atomic-dataflow/atomicflow/internal/obs/dash"
-	"github.com/atomic-dataflow/atomicflow/internal/schedule"
 	"github.com/atomic-dataflow/atomicflow/internal/store"
 )
 
@@ -57,9 +56,6 @@ type Config struct {
 	// requests after a restart are served the stored bytes without
 	// re-solving. The caller owns the store's directory.
 	Store *store.Store
-	// Hardware is the base accelerator model requests override (default
-	// atomicflow.DefaultHardware).
-	Hardware *atomicflow.HardwareConfig
 	// Metrics receives the serving metrics and is exported at /metrics
 	// (default: a fresh registry).
 	Metrics *obs.Registry
@@ -117,7 +113,6 @@ type job struct {
 type Server struct {
 	cfg     Config
 	reg     *obs.Registry
-	base    atomicflow.HardwareConfig
 	oracle  atomicflow.CostOracle // shared across requests (counts evaluations)
 	store   *store.Store          // nil: no persistence
 	dash    *dash.Store
@@ -173,15 +168,10 @@ func New(cfg Config) *Server {
 	if reg == nil {
 		reg = obs.New()
 	}
-	base := atomicflow.DefaultHardware()
-	if cfg.Hardware != nil {
-		base = *cfg.Hardware
-	}
 	ctx, cancel := context.WithCancel(context.Background())
 	s := &Server{
 		cfg:     cfg,
 		reg:     reg,
-		base:    base,
 		oracle:  atomicflow.NewCostOracle(),
 		store:   cfg.Store,
 		cache:   newLRU(cfg.cacheEntries()),
@@ -422,19 +412,17 @@ func (s *Server) runJob(jb *job) (*solveResult, error) {
 
 	req := jb.req
 	id, model := solveID(req), modelName(req)
-	hw := req.hardware(s.base)
+	hw := req.hardware()
 	hw.Oracle, hw.Ctx = s.oracle, jb.ctx
 	opt := atomicflow.Options{
 		Batch:            req.Batch,
 		Hardware:         &hw,
+		Mode:             req.Mode,
 		Seed:             req.Seed,
 		SAIters:          req.SAIters,
 		Chains:           req.Chains,
 		MaxTilesPerLayer: req.MaxTiles,
 		Progress:         s.dashProgress(id, model),
-	}
-	if req.Mode == "greedy" {
-		opt.Mode = schedule.Greedy
 	}
 	var traceBuf bytes.Buffer
 	if req.Trace {

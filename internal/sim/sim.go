@@ -22,6 +22,7 @@ import (
 	"github.com/atomic-dataflow/atomicflow/internal/dram"
 	"github.com/atomic-dataflow/atomicflow/internal/energy"
 	"github.com/atomic-dataflow/atomicflow/internal/engine"
+	"github.com/atomic-dataflow/atomicflow/internal/knob"
 	"github.com/atomic-dataflow/atomicflow/internal/mapping"
 	"github.com/atomic-dataflow/atomicflow/internal/noc"
 	"github.com/atomic-dataflow/atomicflow/internal/obs"
@@ -94,12 +95,13 @@ type RoundTrace struct {
 	FlowBytes int64 // Σ bytes of the Round's on-chip flows
 }
 
-// DefaultConfig returns the paper's 8x8-engine system (Sec. V-A). Mesh
-// links carry 32 B/cycle (256-bit channels at 500 MHz = 16 GB/s per link),
-// the common width for tensor-engine meshes.
+// DefaultConfig returns the paper's 8x8-engine system (Sec. V-A), its
+// mesh shape read from the knob table. Mesh links carry 32 B/cycle
+// (256-bit channels at 500 MHz = 16 GB/s per link), the common width for
+// tensor-engine meshes.
 func DefaultConfig() Config {
 	return Config{
-		Mesh:         noc.NewMesh(8, 8, 32),
+		Mesh:         noc.NewMesh(knob.MeshW.Def, knob.MeshH.Def, knob.LinkBytes.Def),
 		Engine:       engine.Default(),
 		Dataflow:     engine.KCPartition,
 		DRAM:         dram.Default(),
