@@ -35,6 +35,7 @@ import (
 	"github.com/atomic-dataflow/atomicflow/internal/anneal"
 	"github.com/atomic-dataflow/atomicflow/internal/atom"
 	"github.com/atomic-dataflow/atomicflow/internal/baseline"
+	"github.com/atomic-dataflow/atomicflow/internal/check"
 	"github.com/atomic-dataflow/atomicflow/internal/codegen"
 	"github.com/atomic-dataflow/atomicflow/internal/cost"
 	"github.com/atomic-dataflow/atomicflow/internal/dram"
@@ -317,6 +318,46 @@ func (s *Solution) Lower() (*Program, error) {
 	return p, nil
 }
 
+// Check validates the solution against the paper's definitions with
+// internal/check, which shares no code with the pipeline that produced
+// it: the schedule is a legal execution of the atomic DAG, the Report's
+// cycle split is exact, its energy recomputes from its counts, and its
+// Cycles are at or above the critical path of Cycle(atom), the MAC-rate
+// bound and the DRAM-bandwidth bound. Buffer capacity and byte
+// conservation are not checked.
+func (s *Solution) Check() error {
+	if s.sched == nil {
+		return fmt.Errorf("atomicflow: solution has no schedule")
+	}
+	rounds := make([][]int, len(s.sched.Rounds))
+	for i, r := range s.sched.Rounds {
+		rounds[i] = r.Atoms
+	}
+	r := s.Report
+	return check.Report(s.dag, rounds, check.Totals{
+		Cycles:            r.Cycles,
+		ComputeCycles:     r.ComputeCycles,
+		NoCBlockedCycles:  r.NoCBlockedCycles,
+		DRAMBlockedCycles: r.DRAMBlockedCycles,
+		Rounds:            r.Rounds,
+		MACs:              r.MACs,
+		TimeMS:            r.TimeMS,
+		PEUtilization:     r.PEUtilization,
+		ComputeUtil:       r.ComputeUtil,
+		OnChipReuseRatio:  r.OnChipReuseRatio,
+		DRAMReadBytes:     r.DRAMReadBytes,
+		DRAMWriteBytes:    r.DRAMWriteBytes,
+		NoCByteHops:       r.NoCByteHops,
+		Energy:            r.Energy,
+
+		Engines:     s.hw.Mesh.Engines(),
+		Engine:      s.hw.Engine,
+		Dataflow:    s.hw.Dataflow,
+		EnergyModel: s.hw.Energy,
+		PeakGBps:    s.hw.DRAM.PeakGBps,
+	})
+}
+
 // Orchestrate runs the full atomic-dataflow pipeline on the workload:
 // SA atom generation, atomic DAG construction, DAG scheduling, and
 // simulation with mapping + buffering.
@@ -366,6 +407,17 @@ func Orchestrate(g *Graph, opt Options) (*Solution, error) {
 	if err != nil {
 		return nil, err
 	}
+	atoms := 0
+	for _, a := range d.Atoms {
+		if a.Task.Kind != graph.OpInput {
+			atoms++
+		}
+	}
+	if atoms == 0 {
+		// Only inputs and concats, which move no data of their own:
+		// there is no execution to schedule or simulate.
+		return nil, fmt.Errorf("atomicflow: graph %q has no layer to execute", g.Name)
+	}
 	s, err := schedule.Build(d, schedule.Options{
 		Engines:   hw.Mesh.Engines(),
 		Mode:      opt.Mode,
@@ -393,12 +445,6 @@ func Orchestrate(g *Graph, opt Options) (*Solution, error) {
 	}
 	if err != nil {
 		return nil, err
-	}
-	atoms := 0
-	for _, a := range d.Atoms {
-		if a.Task.Kind != graph.OpInput {
-			atoms++
-		}
 	}
 	ostats, _ := cost.StatsOf(hw.Oracle)
 	var snap MetricsSnapshot

@@ -44,6 +44,9 @@ func TestOrchestrateDefaults(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	if err := sol.Check(); err != nil {
+		t.Fatal(err)
+	}
 	if sol.Report.Cycles <= 0 || sol.Atoms <= 0 || sol.Rounds <= 0 {
 		t.Errorf("degenerate solution: %+v", sol)
 	}
@@ -61,6 +64,21 @@ func TestOrchestrateDefaults(t *testing.T) {
 func TestOrchestrateNilGraph(t *testing.T) {
 	if _, err := Orchestrate(nil, Options{}); err == nil {
 		t.Error("nil graph accepted")
+	}
+}
+
+// TestOrchestrateNoWork checks that a graph with nothing to execute, an
+// input read only by a concat, is an error rather than a zero-cycle
+// solution.
+func TestOrchestrateNoWork(t *testing.T) {
+	g := NewGraph("nowork")
+	in := g.AddLayer("input", OpInput, Shape{Hi: 4, Wi: 4, Ci: 2, Ho: 4, Wo: 4, Co: 2})
+	g.AddLayer("cat", OpConcat, Shape{Hi: 4, Wi: 4, Ci: 2, Ho: 4, Wo: 4, Co: 2, Kh: 1, Kw: 1, Stride: 1}, in)
+	if err := g.Finalize(); err != nil {
+		t.Fatal(err)
+	}
+	if sol, err := Orchestrate(g, Options{}); err == nil {
+		t.Errorf("accepted, with %d Rounds and %d cycles", sol.Rounds, sol.Report.Cycles)
 	}
 }
 
@@ -83,6 +101,11 @@ func TestOrchestrateBatchAndModes(t *testing.T) {
 	dp, err := Orchestrate(g, Options{Batch: 3, Hardware: &hw, Mode: ModeDP})
 	if err != nil {
 		t.Fatal(err)
+	}
+	for _, sol := range []*Solution{greedy, dp} {
+		if err := sol.Check(); err != nil {
+			t.Fatal(err)
+		}
 	}
 	if float64(dp.Report.Cycles) > 1.05*float64(greedy.Report.Cycles) {
 		t.Errorf("DP cycles %d much worse than greedy %d", dp.Report.Cycles, greedy.Report.Cycles)
@@ -153,6 +176,9 @@ func TestUnionGraphsOrchestration(t *testing.T) {
 	hw := smallHW()
 	sol, err := Orchestrate(u, Options{Hardware: &hw})
 	if err != nil {
+		t.Fatal(err)
+	}
+	if err := sol.Check(); err != nil {
 		t.Fatal(err)
 	}
 	if sol.Report.MACs != a.TotalMACs()+b.TotalMACs() {
@@ -265,6 +291,9 @@ func TestLoweringMatchesReport(t *testing.T) {
 				sol, err := Orchestrate(g, Options{Batch: batch, Hardware: &hw})
 				if err != nil {
 					t.Fatal(err)
+				}
+				if err := sol.Check(); err != nil {
+					t.Fatalf("%s b%d naive=%t: %v", model, batch, naive, err)
 				}
 				p, err := sol.Lower()
 				if err != nil {

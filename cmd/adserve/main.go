@@ -40,9 +40,9 @@ func main() {
 	var (
 		addr    = flag.String("addr", ":8080", "listen address")
 		workers = flag.Int("workers", 0, "solve worker pool size (0 = GOMAXPROCS)")
-		queue   = flag.Int("queue", 64, "admission queue depth; a full queue answers 429")
-		cache   = flag.Int("cache", 256, "solution cache entries (LRU)")
-		timeout = flag.Duration("timeout", 2*time.Minute, "per-request solve deadline")
+		queue   = flag.Int("queue", serve.DefaultQueueDepth, "admission queue depth; a full queue answers 429")
+		cache   = flag.Int("cache", serve.DefaultCacheEntries, "solution cache entries (LRU)")
+		timeout = flag.Duration("timeout", serve.DefaultRequestTimeout, "per-request solve deadline")
 		drain   = flag.Duration("drain", 30*time.Second, "graceful-shutdown drain budget on SIGINT/SIGTERM")
 
 		storeDir = flag.String("store", "", "directory for the persistent solution store (empty = no persistence)")

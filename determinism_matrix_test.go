@@ -56,6 +56,9 @@ func (p matrixProfile) run(t *testing.T, model string) *Solution {
 	if err != nil {
 		t.Fatalf("%s: %v", model, err)
 	}
+	if err := sol.Check(); err != nil {
+		t.Fatalf("%s: %v", model, err)
+	}
 	return sol
 }
 

@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"github.com/atomic-dataflow/atomicflow/internal/atom"
+	"github.com/atomic-dataflow/atomicflow/internal/check"
 	"github.com/atomic-dataflow/atomicflow/internal/engine"
 	"github.com/atomic-dataflow/atomicflow/internal/graph"
 )
@@ -92,49 +93,17 @@ func TestDPUndoLogIntegrity(t *testing.T) {
 	}
 }
 
+// TestFromRoundsValidation checks that FromRounds rejects an illegal
+// Round list with check.Rounds' own error; internal/check's table test
+// covers every kind of violation.
 func TestFromRoundsValidation(t *testing.T) {
 	d, a, _ := siblingsGraph(t)
-	opt := Options{Engines: 4, EngineCfg: engine.Default(), Dataflow: engine.KCPartition}
-	var atoms []int
-	for lo, hi := d.AtomRange(0, a); lo < hi; lo++ {
-		atoms = append(atoms, lo)
-	}
-
-	cases := map[string][][]int{
-		"empty round":       {{}},
-		"over budget":       {atoms[:5]},
-		"duplicate atom":    {{atoms[0]}, {atoms[0]}},
-		"unknown atom":      {{999999}},
-		"missing atoms":     {{atoms[0]}},
-		"dependency broken": nil, // built below
-	}
-	for label, rounds := range cases {
-		if label == "dependency broken" {
-			// Schedule the eltwise before its producers.
-			var addAtom int
-			for id, at := range d.Atoms {
-				if at.Task.Kind == graph.OpEltwise {
-					addAtom = id
-				}
-			}
-			rounds = [][]int{{addAtom}}
-			rest := []int{}
-			for id, at := range d.Atoms {
-				if id != addAtom && at.Task.Kind != graph.OpInput {
-					rest = append(rest, id)
-				}
-			}
-			for off := 0; off < len(rest); off += 4 {
-				end := off + 4
-				if end > len(rest) {
-					end = len(rest)
-				}
-				rounds = append(rounds, rest[off:end])
-			}
-		}
-		if _, err := FromRounds(d, rounds, opt); err == nil {
-			t.Errorf("%s: accepted", label)
-		}
+	lo, _ := d.AtomRange(0, a)
+	rounds := [][]int{{lo}, {lo}}
+	want := check.Rounds(d, rounds, 4)
+	_, err := FromRounds(d, rounds, Options{Engines: 4, EngineCfg: engine.Default(), Dataflow: engine.KCPartition})
+	if want == nil || err == nil || err.Error() != want.Error() {
+		t.Errorf("FromRounds error %v, check.Rounds says %v", err, want)
 	}
 }
 

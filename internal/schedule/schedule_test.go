@@ -6,6 +6,7 @@ import (
 
 	"github.com/atomic-dataflow/atomicflow/internal/anneal"
 	"github.com/atomic-dataflow/atomicflow/internal/atom"
+	"github.com/atomic-dataflow/atomicflow/internal/check"
 	"github.com/atomic-dataflow/atomicflow/internal/engine"
 	"github.com/atomic-dataflow/atomicflow/internal/graph"
 	"github.com/atomic-dataflow/atomicflow/internal/models"
@@ -26,47 +27,21 @@ func dagFor(t *testing.T, model string, batch int) *atom.DAG {
 	return d
 }
 
-// checkValid asserts the schedule is a legal execution of the DAG.
-func checkValid(t *testing.T, d *atom.DAG, s *Schedule, n int) {
+// checkRounds asserts the schedule is a legal execution of the DAG on n
+// engines (check.Rounds) and that AtomRound records each atom's Round.
+func checkRounds(t *testing.T, d *atom.DAG, s *Schedule, n int) {
 	t.Helper()
-	seenRound := make(map[int]int)
-	for tIdx, r := range s.Rounds {
-		if len(r.Atoms) == 0 {
-			t.Fatalf("round %d empty", tIdx)
-		}
-		if len(r.Atoms) > n {
-			t.Fatalf("round %d has %d atoms > %d engines", tIdx, len(r.Atoms), n)
-		}
-		for _, id := range r.Atoms {
-			if _, dup := seenRound[id]; dup {
-				t.Fatalf("atom %d scheduled twice", id)
-			}
-			seenRound[id] = tIdx
-		}
+	rounds := make([][]int, len(s.Rounds))
+	for i, r := range s.Rounds {
+		rounds[i] = r.Atoms
 	}
-	// Every non-input atom scheduled exactly once, after all its deps.
-	for id, a := range d.Atoms {
-		if a.Task.Kind == graph.OpInput {
-			if _, ok := seenRound[id]; ok {
-				t.Fatalf("virtual input atom %d scheduled", id)
-			}
-			continue
-		}
-		rt, ok := seenRound[id]
-		if !ok {
-			t.Fatalf("atom %d never scheduled", id)
-		}
-		if s.AtomRound[id] != rt {
-			t.Fatalf("AtomRound[%d] = %d, want %d", id, s.AtomRound[id], rt)
-		}
-		deps, _ := depsOf(d, id)
-		for _, dep := range deps {
-			if d.Atoms[dep].Task.Kind == graph.OpInput {
-				continue
-			}
-			if dt := seenRound[dep]; dt >= rt {
-				t.Fatalf("atom %d in round %d depends on atom %d in round %d",
-					id, rt, dep, dt)
+	if err := check.Rounds(d, rounds, n); err != nil {
+		t.Fatal(err)
+	}
+	for tIdx, r := range rounds {
+		for _, id := range r {
+			if s.AtomRound[id] != tIdx {
+				t.Fatalf("AtomRound[%d] = %d, want %d", id, s.AtomRound[id], tIdx)
 			}
 		}
 	}
@@ -79,7 +54,7 @@ func TestGreedyValidSchedules(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: %v", model, err)
 		}
-		checkValid(t, d, s, 4)
+		checkRounds(t, d, s, 4)
 	}
 }
 
@@ -90,7 +65,7 @@ func TestDPValidSchedules(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: %v", model, err)
 		}
-		checkValid(t, d, s, 4)
+		checkRounds(t, d, s, 4)
 	}
 }
 
@@ -103,7 +78,7 @@ func TestDPValidSchedulesAtScale(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: %v", model, err)
 		}
-		checkValid(t, d, s, 64)
+		checkRounds(t, d, s, 64)
 	}
 }
 
@@ -156,7 +131,7 @@ func TestChainPipelining(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	checkValid(t, d, s, 4)
+	checkRounds(t, d, s, 4)
 	// Strict layer-sequential would need exactly L rounds of 4; the
 	// halo dependencies force more rounds, but fused execution must not
 	// serialize fully (2 rounds per layer = 12).
@@ -173,7 +148,7 @@ func TestBatchRule4(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	checkValid(t, d, s, 8)
+	checkRounds(t, d, s, 8)
 	crossSample := false
 	for _, r := range s.Rounds {
 		samples := make(map[int]bool)
@@ -238,7 +213,7 @@ func TestPriorityRule1Reuse(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	checkValid(t, d, s, 2)
+	checkRounds(t, d, s, 2)
 	// Round 0 starts layer a (topo-first); rounds 1 and 2 must stay on a
 	// (rule 1) rather than interleaving b.
 	for tIdx := 0; tIdx < 3; tIdx++ {

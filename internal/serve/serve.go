@@ -40,17 +40,26 @@ import (
 	"github.com/atomic-dataflow/atomicflow/internal/store"
 )
 
+// The server defaults, which Config's zero values select and adserve's
+// flags default to.
+const (
+	DefaultQueueDepth     = 64
+	DefaultCacheEntries   = 256
+	DefaultRequestTimeout = 2 * time.Minute
+)
+
 // Config tunes the server. Zero values select the documented defaults.
 type Config struct {
 	// Workers is the solve worker-pool size (default GOMAXPROCS).
 	Workers int
 	// QueueDepth bounds the admission queue; a full queue answers 429
-	// (default 64).
+	// (default DefaultQueueDepth).
 	QueueDepth int
-	// CacheEntries bounds the LRU solution cache (default 256).
+	// CacheEntries bounds the LRU solution cache (default
+	// DefaultCacheEntries).
 	CacheEntries int
 	// RequestTimeout is the per-request deadline, also the cap for
-	// request-supplied timeout_ms (default 2m).
+	// request-supplied timeout_ms (default DefaultRequestTimeout).
 	RequestTimeout time.Duration
 	// Store, when non-nil, persists every finished solve: repeat
 	// requests after a restart are served the stored bytes without
@@ -72,21 +81,21 @@ func (c Config) queueDepth() int {
 	if c.QueueDepth > 0 {
 		return c.QueueDepth
 	}
-	return 64
+	return DefaultQueueDepth
 }
 
 func (c Config) cacheEntries() int {
 	if c.CacheEntries > 0 {
 		return c.CacheEntries
 	}
-	return 256
+	return DefaultCacheEntries
 }
 
 func (c Config) requestTimeout() time.Duration {
 	if c.RequestTimeout > 0 {
 		return c.RequestTimeout
 	}
-	return 2 * time.Minute
+	return DefaultRequestTimeout
 }
 
 // flight is one in-progress solve shared by every concurrent request

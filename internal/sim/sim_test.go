@@ -37,42 +37,6 @@ func pipeline(t *testing.T, model string, batch int, cfg Config, mode schedule.M
 	return d, s
 }
 
-func TestRunBasicInvariants(t *testing.T) {
-	cfg := smallConfig()
-	d, s := pipeline(t, "tinyconv", 1, cfg, schedule.Greedy)
-	rep, err := Run(d, s, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rep.Cycles <= 0 {
-		t.Fatalf("Cycles = %d", rep.Cycles)
-	}
-	if rep.Cycles < rep.ComputeCycles {
-		t.Errorf("total %d < compute-only %d", rep.Cycles, rep.ComputeCycles)
-	}
-	if rep.Cycles != rep.ComputeCycles+rep.NoCBlockedCycles+rep.DRAMBlockedCycles {
-		t.Errorf("cycle decomposition: %d != %d + %d + %d",
-			rep.Cycles, rep.ComputeCycles, rep.NoCBlockedCycles, rep.DRAMBlockedCycles)
-	}
-	if rep.PEUtilization <= 0 || rep.PEUtilization > 1 {
-		t.Errorf("PEUtilization = %v", rep.PEUtilization)
-	}
-	if rep.ComputeUtil < rep.PEUtilization {
-		t.Errorf("memory-free util %v < end-to-end util %v", rep.ComputeUtil, rep.PEUtilization)
-	}
-	if rep.OnChipReuseRatio < 0 || rep.OnChipReuseRatio > 1 {
-		t.Errorf("reuse ratio = %v", rep.OnChipReuseRatio)
-	}
-	if rep.Energy.TotalPJ() <= 0 {
-		t.Error("no energy accounted")
-	}
-	// MACs must equal the model's ground truth.
-	g := models.MustBuild("tinyconv")
-	if rep.MACs != g.TotalMACs() {
-		t.Errorf("MACs = %d, want %d", rep.MACs, g.TotalMACs())
-	}
-}
-
 func TestBatchIncreasesWorkNotLatencyLinearly(t *testing.T) {
 	cfg := smallConfig()
 	d1, s1 := pipeline(t, "tinyconv", 1, cfg, schedule.Greedy)
