@@ -27,6 +27,7 @@ import (
 	"context"
 	"crypto/sha256"
 	"encoding/hex"
+	"errors"
 	"fmt"
 	"io"
 	"maps"
@@ -157,6 +158,12 @@ var (
 	PoolShape    = graph.PoolShape
 	EltwiseShape = graph.EltwiseShape
 )
+
+// ErrNothingToExecute is the error Orchestrate wraps for a graph of
+// inputs and concats only: they move no data of their own, so there is no
+// execution to schedule or simulate. The workload is at fault, not the
+// solver.
+var ErrNothingToExecute = errors.New("atomicflow: graph has no layer to execute")
 
 // NewMesh builds a W x H engine mesh with the given per-cycle link
 // bandwidth in bytes.
@@ -300,10 +307,12 @@ func (s *Solution) Digest() string {
 	return hex.EncodeToString(h.Sum(nil))
 }
 
-// Lower compiles the solution to verified per-engine instruction streams
-// on the hardware it was simulated on. Placement and buffering are the
-// simulator's own, so the program is the lowering of Report: one SEND per
-// NoC flow, and LOAD_IN and WRITEBK bytes equal to its DRAM bytes.
+// Lower compiles the solution to per-engine instruction streams on the
+// hardware it was simulated on, and checks them with check.Program.
+// Placement and buffering are the simulator's own, so the program is the
+// lowering of Report: one SEND per NoC flow, every engine's buffer within
+// BufferBytes, LOAD_IN and WRITEBK bytes equal to its DRAM bytes, and on
+// a 2D mesh its NoC byte-hops.
 func (s *Solution) Lower() (*Program, error) {
 	if s.sched == nil {
 		return nil, fmt.Errorf("atomicflow: solution has no schedule")
@@ -312,8 +321,8 @@ func (s *Solution) Lower() (*Program, error) {
 	if err != nil {
 		return nil, err
 	}
-	if err := p.Verify(s.dag); err != nil {
-		return nil, fmt.Errorf("atomicflow: stream verification: %w", err)
+	if err := check.Program(s.dag, p.Streams, s.totals()); err != nil {
+		return nil, fmt.Errorf("atomicflow: program check: %w", err)
 	}
 	return p, nil
 }
@@ -324,7 +333,7 @@ func (s *Solution) Lower() (*Program, error) {
 // cycle split is exact, its energy recomputes from its counts, and its
 // Cycles are at or above the critical path of Cycle(atom), the MAC-rate
 // bound and the DRAM-bandwidth bound. Buffer capacity and byte
-// conservation are not checked.
+// conservation are checked on the lowered program (Lower).
 func (s *Solution) Check() error {
 	if s.sched == nil {
 		return fmt.Errorf("atomicflow: solution has no schedule")
@@ -333,8 +342,14 @@ func (s *Solution) Check() error {
 	for i, r := range s.sched.Rounds {
 		rounds[i] = r.Atoms
 	}
+	return check.Report(s.dag, rounds, s.totals())
+}
+
+// totals is what the validator reads of the solution: its Report's
+// totals and the hardware they were simulated on.
+func (s *Solution) totals() check.Totals {
 	r := s.Report
-	return check.Report(s.dag, rounds, check.Totals{
+	t := check.Totals{
 		Cycles:            r.Cycles,
 		ComputeCycles:     r.ComputeCycles,
 		NoCBlockedCycles:  r.NoCBlockedCycles,
@@ -355,7 +370,11 @@ func (s *Solution) Check() error {
 		Dataflow:    s.hw.Dataflow,
 		EnergyModel: s.hw.Energy,
 		PeakGBps:    s.hw.DRAM.PeakGBps,
-	})
+	}
+	if m := s.hw.Mesh; m.Kind() == noc.KindMesh {
+		t.MeshW, t.MeshH = m.W, m.H
+	}
+	return t
 }
 
 // Orchestrate runs the full atomic-dataflow pipeline on the workload:
@@ -416,7 +435,7 @@ func Orchestrate(g *Graph, opt Options) (*Solution, error) {
 	if atoms == 0 {
 		// Only inputs and concats, which move no data of their own:
 		// there is no execution to schedule or simulate.
-		return nil, fmt.Errorf("atomicflow: graph %q has no layer to execute", g.Name)
+		return nil, fmt.Errorf("%w: %q", ErrNothingToExecute, g.Name)
 	}
 	s, err := schedule.Build(d, schedule.Options{
 		Engines:   hw.Mesh.Engines(),

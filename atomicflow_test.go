@@ -1,6 +1,7 @@
 package atomicflow
 
 import (
+	"errors"
 	"maps"
 	"strings"
 	"testing"
@@ -68,8 +69,8 @@ func TestOrchestrateNilGraph(t *testing.T) {
 }
 
 // TestOrchestrateNoWork checks that a graph with nothing to execute, an
-// input read only by a concat, is an error rather than a zero-cycle
-// solution.
+// input read only by a concat, is ErrNothingToExecute rather than a
+// zero-cycle solution.
 func TestOrchestrateNoWork(t *testing.T) {
 	g := NewGraph("nowork")
 	in := g.AddLayer("input", OpInput, Shape{Hi: 4, Wi: 4, Ci: 2, Ho: 4, Wo: 4, Co: 2})
@@ -77,8 +78,12 @@ func TestOrchestrateNoWork(t *testing.T) {
 	if err := g.Finalize(); err != nil {
 		t.Fatal(err)
 	}
-	if sol, err := Orchestrate(g, Options{}); err == nil {
-		t.Errorf("accepted, with %d Rounds and %d cycles", sol.Rounds, sol.Report.Cycles)
+	sol, err := Orchestrate(g, Options{})
+	if err == nil {
+		t.Fatalf("accepted, with %d Rounds and %d cycles", sol.Rounds, sol.Report.Cycles)
+	}
+	if !errors.Is(err, ErrNothingToExecute) {
+		t.Errorf("error %v is not ErrNothingToExecute", err)
 	}
 }
 
@@ -274,9 +279,9 @@ func TestOrchestrateOracleStats(t *testing.T) {
 
 // TestLoweringMatchesReport checks that Solution.Lower is the lowering of
 // the simulated solve, not a second one: on default hardware and under
-// NaiveMapping, the program has the Report's Rounds, one SEND per NoC flow
-// the simulator timed, and LOAD_IN and WRITEBK bytes equal to the
-// Report's DRAM read and write bytes.
+// NaiveMapping, the program passes check.Program against the Report
+// (every buffer within capacity, the Report's Rounds, DRAM bytes and NoC
+// byte-hops), and it has one SEND per NoC flow the simulator timed.
 func TestLoweringMatchesReport(t *testing.T) {
 	for _, naive := range []bool{false, true} {
 		for _, model := range []string{"tinyresnet", "resnet50"} {
@@ -299,19 +304,8 @@ func TestLoweringMatchesReport(t *testing.T) {
 				if err != nil {
 					t.Fatalf("%s b%d naive=%t: %v", model, batch, naive, err)
 				}
-				st, rep := p.Stats(), sol.Report
-				for _, c := range []struct {
-					what      string
-					got, want int64
-				}{
-					{"rounds", int64(p.Rounds), int64(sol.Rounds)},
-					{"SENDs vs noc_flows_total", int64(st.Sends), sol.Metrics.Counter("noc_flows_total")},
-					{"LOAD_IN bytes vs DRAMReadBytes", st.LoadBytes, rep.DRAMReadBytes},
-					{"WRITEBK bytes vs DRAMWriteBytes", st.WritebackBytes, rep.DRAMWriteBytes},
-				} {
-					if c.got != c.want {
-						t.Errorf("%s b%d naive=%t: %s: program %d, solve %d", model, batch, naive, c.what, c.got, c.want)
-					}
+				if got, want := int64(p.Stats().Sends), sol.Metrics.Counter("noc_flows_total"); got != want {
+					t.Errorf("%s b%d naive=%t: %d SENDs, %d NoC flows", model, batch, naive, got, want)
 				}
 			}
 		}

@@ -186,9 +186,9 @@ func run(f *flags, opts af.Options, w io.Writer) error {
 			return err
 		}
 		st := p.Stats()
-		fmt.Fprintf(w, "program:   %d instructions, %d computes, %d sends/%d recvs, "+
+		fmt.Fprintf(w, "program:   %d instructions, %d computes, %d sends/%d recvs, %d evicts, "+
 			"%0.3f MB loaded, %0.3f MB written back, %d rounds\n",
-			st.Instructions, st.Computes, st.Sends, st.Recvs,
+			st.Instructions, st.Computes, st.Sends, st.Recvs, st.Evicts,
 			float64(st.LoadBytes)/1e6, float64(st.WritebackBytes)/1e6, p.Rounds)
 		if f.engineID >= 0 {
 			if err := p.Dump(w, f.engineID); err != nil {

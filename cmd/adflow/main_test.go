@@ -125,7 +125,7 @@ func TestEmitListing(t *testing.T) {
 	if err := run(f, opts, &out); err != nil {
 		t.Fatal(err)
 	}
-	const stats = "program:   12608 instructions, 911 computes, 4830 sends/4830 recvs, "
+	const stats = "program:   13599 instructions, 911 computes, 4830 sends/4830 recvs, 910 evicts, "
 	if !strings.Contains(out.String(), stats) {
 		t.Errorf("output lacks %q:\n%.600s", stats, out.String())
 	}
@@ -133,7 +133,7 @@ func TestEmitListing(t *testing.T) {
 	if i < 0 {
 		t.Fatalf("no engine 0 listing in\n%.600s", out.String())
 	}
-	const want = "1637fbff687cb5557cd778021322543b"
+	const want = "a08df96462e9a391c1eaa88324ec89ca"
 	if got := fmt.Sprintf("%x", md5.Sum([]byte(out.String()[i:]))); got != want {
 		t.Errorf("engine 0 listing md5 %s, want %s", got, want)
 	}

@@ -59,6 +59,9 @@ func (p matrixProfile) run(t *testing.T, model string) *Solution {
 	if err := sol.Check(); err != nil {
 		t.Fatalf("%s: %v", model, err)
 	}
+	if _, err := sol.Lower(); err != nil {
+		t.Fatalf("%s: %v", model, err)
+	}
 	return sol
 }
 

@@ -84,7 +84,8 @@ func fuzzGraph(prog []byte) *Graph {
 
 // FuzzOrchestrate solves small random workloads, round-tripped through
 // the exchange format, on a 4x4 mesh. No input may panic, and every
-// solve that succeeds must pass Check.
+// solve that succeeds must pass Check and lower to a program that passes
+// check.Program (Lower).
 func FuzzOrchestrate(f *testing.F) {
 	for _, seed := range []struct {
 		prog          []byte
@@ -125,6 +126,9 @@ func FuzzOrchestrate(f *testing.F) {
 			return
 		}
 		if err := sol.Check(); err != nil {
+			t.Fatalf("%s\n%v", data, err)
+		}
+		if _, err := sol.Lower(); err != nil {
 			t.Fatalf("%s\n%v", data, err)
 		}
 	})

@@ -57,6 +57,30 @@ type Group struct {
 	Bytes int64 // the largest member transfer
 }
 
+// EventKind is one kind of step in a witnessed Round (Manager.Record).
+type EventKind uint8
+
+const (
+	Load      EventKind = iota // the engine reads the tensor from DRAM
+	Send                       // the engine forwards the tensor to Peer over the NoC
+	Compute                    // the engine runs atom ID, its inputs fetched
+	Store                      // the engine's buffer keeps the tensor
+	Evict                      // the engine's buffer drops the tensor
+	WriteBack                  // the engine writes output ID to DRAM
+)
+
+// Event is one step of a witnessed Round on one engine. Its tensor is
+// atom ID's output, or weight slice ID when Weight is set; a Compute
+// names the atom it runs.
+type Event struct {
+	Kind   EventKind
+	Weight bool
+	Engine int32
+	Peer   int32 // Send: the destination engine
+	ID     int32
+	Bytes  int64
+}
+
 // Placement resolves each atom of the Round being replayed to the engine
 // that runs it; the replay asks for no other atom, and a negative or
 // out-of-range engine fails the Round. *mapping.Result satisfies it;
@@ -162,6 +186,11 @@ type Manager struct {
 	evictions int64
 	highWater int64 // largest bytes any engine's buffer ever held
 
+	// The witness: while record is set, events lists the current Round's
+	// steps in the order the replay takes them.
+	record bool
+	events []Event
+
 	// streamBy[w] is the engine that streamed slice w from DRAM in the
 	// current Round, valid when streamStamp[w] == stamp. The stamp grows
 	// every Round and is never reset, so stale slots read as absent.
@@ -235,6 +264,7 @@ func (m *Manager) Reset(d *atom.DAG, s *schedule.Schedule, engines int, capacity
 	m.runSet = fill(m.runSet, (engines+63)/64, 0)
 	m.rowIns, m.runLen = m.rowIns[:0], 0
 	m.evictions, m.highWater = 0, 0
+	m.Record(false)
 
 	nw := d.NumWeightSlices()
 	m.hw = (engines + 63) / 64
@@ -384,6 +414,53 @@ func (m *Manager) HighWater() int64 { return m.highWater }
 // Capacity returns the per-engine buffer capacity in bytes.
 func (m *Manager) Capacity() int64 { return m.capacity }
 
+// Record switches the witness on or off. While it is on,
+// ExecuteRoundInto lists every step of the Round it replays, in the order
+// Algorithm 3 takes them, for Witness to return: each engine's DRAM
+// loads, on-chip sends, the atom it runs, its stores, its evictions and
+// releases, and its write-backs. Reset switches it off, so only a caller
+// that asks pays for it.
+func (m *Manager) Record(on bool) {
+	m.record = on
+	m.events = m.events[:0]
+}
+
+// Witness returns the steps of the last Round replayed while recording.
+// The next ExecuteRoundInto reuses its storage.
+func (m *Manager) Witness() []Event { return m.events }
+
+// note appends a step to the witness while recording.
+func (m *Manager) note(kind EventKind, weight bool, e int, id int32, bytes int64) {
+	if m.record {
+		m.events = append(m.events, Event{Kind: kind, Weight: weight, Engine: int32(e), ID: id, Bytes: bytes})
+	}
+}
+
+// noteSend appends an on-chip send of a tensor from src to dst while
+// recording.
+func (m *Manager) noteSend(weight bool, src, dst int, id int32, bytes int64) {
+	if m.record {
+		m.events = append(m.events, Event{Kind: Send, Weight: weight, Engine: int32(src), Peer: int32(dst), ID: id, Bytes: bytes})
+	}
+}
+
+// noteInputs records atom id's input fetches on engine e: a send from
+// the engine holding each input elsewhere, a load of each input off-chip.
+// Outputs leave engines mid-Round only, and each departure restarts the
+// row run, so the holders now are the ones fetchInputs served from.
+func (m *Manager) noteInputs(id, e int) {
+	deps, bytes, off := m.dag.Deps(id)
+	for i, dep := range deps {
+		dep += off
+		switch src := int(m.resident[dep].engine); {
+		case src < 0:
+			m.note(Load, false, e, dep, bytes[i])
+		case src != e:
+			m.noteSend(false, src, e, dep, bytes[i])
+		}
+	}
+}
+
 // ExecuteRoundInto replays Round t with the given atom placement into a
 // caller-owned RoundIO. Rounds must be executed in order starting from 0.
 // It reuses the RoundIO's per-engine slices and group capacity: the
@@ -394,6 +471,7 @@ func (m *Manager) ExecuteRoundInto(t int, placement Placement, io *RoundIO) erro
 		return fmt.Errorf("buffer: ExecuteRoundInto(%d) out of order, want %d", t, m.round)
 	}
 	m.round++
+	m.events = m.events[:0]
 	// Streamed (uncacheable) weight slices fetched from DRAM are still
 	// broadcast on-chip within the Round: the first engine reads HBM and
 	// forwards to later engines needing the same slice.
@@ -421,36 +499,49 @@ func (m *Manager) ExecuteRoundInto(t int, placement Placement, io *RoundIO) erro
 		sramR[e] += local
 		sramW[e] += remote
 		dramR[e] += fetched
-		w := int32(m.dag.WeightSlice(id))
-		if w < 0 {
-			continue
+		if m.record {
+			m.noteInputs(id, e)
 		}
-		bytes := m.dag.Atoms[id].Task.WeightBytes()
-		h := m.holderSet(w)
-		switch src := nearestHolder(h, e); {
-		case src == e:
-			// Local copy.
-			sramR[e] += bytes
-		case src >= 0:
-			// Another engine caches the slice: forward over the NoC
-			// instead of re-reading HBM (7 pJ/bit vs 0.61 pJ/bit/hop).
-			io.join(m.weightGroup(io, w, src), e, bytes)
-			flows++
-			flowBytes += bytes
-			sramR[src] += bytes
-			sramW[e] += bytes
-			m.store(e, true, w, bytes, t, io)
-		case m.streamStamp[w] == m.stamp:
-			// Broadcast of a streamed slice within this Round.
-			src := int(m.streamBy[w])
-			io.join(m.weightGroup(io, w, src), e, bytes)
-			flows++
-			flowBytes += bytes
-			sramR[src] += bytes
-			sramW[e] += bytes
-		default:
-			dramR[e] += bytes
-			m.streamStamp[w], m.streamBy[w] = m.stamp, int32(e)
+		w := int32(m.dag.WeightSlice(id))
+		var bytes int64
+		keep := false // cache the slice fetched
+		if w >= 0 {
+			bytes = m.dag.Atoms[id].Task.WeightBytes()
+			h := m.holderSet(w)
+			switch src := nearestHolder(h, e); {
+			case src == e:
+				// Local copy.
+				sramR[e] += bytes
+			case src >= 0:
+				// Another engine caches the slice: forward over the NoC
+				// instead of re-reading HBM (7 pJ/bit vs 0.61 pJ/bit/hop).
+				io.join(m.weightGroup(io, w, src), e, bytes)
+				flows++
+				flowBytes += bytes
+				sramR[src] += bytes
+				sramW[e] += bytes
+				keep = true
+				m.noteSend(true, src, e, w, bytes)
+			case m.streamStamp[w] == m.stamp:
+				// Broadcast of a streamed slice within this Round.
+				src := int(m.streamBy[w])
+				io.join(m.weightGroup(io, w, src), e, bytes)
+				flows++
+				flowBytes += bytes
+				sramR[src] += bytes
+				sramW[e] += bytes
+				m.noteSend(true, src, e, w, bytes)
+			default:
+				dramR[e] += bytes
+				m.streamStamp[w], m.streamBy[w] = m.stamp, int32(e)
+				keep = true
+				m.note(Load, true, e, w, bytes)
+			}
+		}
+		// The atom runs once its inputs and weights are in; caching the
+		// slice for later Rounds comes after.
+		m.note(Compute, false, e, int32(id), 0)
+		if keep {
 			m.store(e, true, w, bytes, t, io)
 		}
 	}
@@ -478,6 +569,7 @@ func (m *Manager) ExecuteRoundInto(t int, placement Placement, io *RoundIO) erro
 			// can never fit spill directly.
 			io.DRAMWriteBytes[e] += out
 			m.written[id] = true
+			m.note(WriteBack, false, e, int32(id), out)
 			continue
 		}
 		m.store(e, false, int32(id), out, t, io)
@@ -665,6 +757,7 @@ func (m *Manager) store(e int, weight bool, id int32, bytes int64, t int, io *Ro
 	if m.used[e] > m.highWater {
 		m.highWater = m.used[e]
 	}
+	m.note(Store, weight, e, id, bytes)
 	if weight {
 		m.wts[e] = append(m.wts[e], entry{id: id, bytes: bytes})
 		m.holders[int(id)*m.hw+e>>6] |= 1 << (e & 63)
@@ -680,6 +773,7 @@ func (m *Manager) spill(e int, weight bool, id int32, bytes int64, io *RoundIO) 
 	if !weight {
 		io.DRAMWriteBytes[e] += bytes
 		m.written[id] = true
+		m.note(WriteBack, false, e, id, bytes)
 	}
 }
 
@@ -776,6 +870,7 @@ func (m *Manager) evictOne(e, t int, io *RoundIO) bool {
 		if !m.written[ent.id] {
 			io.DRAMWriteBytes[e] += ent.bytes
 			m.written[ent.id] = true
+			m.note(WriteBack, false, e, ent.id, ent.bytes)
 		}
 		m.removeOutput(e, victim)
 	}
@@ -804,6 +899,7 @@ func (m *Manager) removeOutput(e, p int) {
 	m.resident[ent.id].engine = -1
 	m.outMoves++
 	m.used[e] -= ent.bytes
+	m.note(Evict, false, e, ent.id, ent.bytes)
 }
 
 // removeWeight swap-removes entry p of engine e's weight list.
@@ -815,6 +911,7 @@ func (m *Manager) removeWeight(e, p int) {
 	m.wts[e] = buf[:last]
 	m.used[e] -= ent.bytes
 	m.holders[int(ent.id)*m.hw+e>>6] &^= 1 << (e & 63)
+	m.note(Evict, true, e, ent.id, ent.bytes)
 }
 
 // nextUse returns the earliest Round at or after t in list id of a CSR

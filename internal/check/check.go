@@ -8,13 +8,19 @@
 //     NoC-blocked and DRAM-blocked time, its energy follows from its
 //     counts and the energy model, and it is no faster than the critical
 //     path of Cycle(atom), the PE array's MAC rate or the HBM's peak read
-//     bandwidth allow.
+//     bandwidth allow;
+//   - a lowered program (Program) keeps every engine's buffer within its
+//     capacity, moves each dependency edge's bytes exactly once, writes
+//     an output to DRAM before any engine loads it back, and moves the
+//     Report's DRAM bytes and NoC byte-hops.
 //
 // Its only sources of truth are the atomic DAG (package atom), the layer
 // graph, engine.Evaluate (the paper's black-box Cycle(atom)) and the
 // energy model, so it imports none of the packages it checks. It takes
-// plain data, a Round list and a Report's totals, which lets the
-// scheduler call it without an import cycle.
+// plain data, a Round list, instruction streams and a Report's totals,
+// which lets the scheduler call it without an import cycle. The
+// engine-controller instruction set (Op, Instr) is declared here, beside
+// the rules Program checks it by.
 package check
 
 import (
@@ -112,6 +118,9 @@ type Totals struct {
 	Dataflow    engine.Dataflow
 	EnergyModel energy.Model
 	PeakGBps    float64 // HBM peak bandwidth
+	// The 2D mesh the engines sit on, row-major, when the NoC is one;
+	// zero otherwise, and Program then leaves NoCByteHops unchecked.
+	MeshW, MeshH int
 }
 
 // relTol bounds the relative error of a recomputed floating-point

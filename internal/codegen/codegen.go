@@ -5,188 +5,85 @@
 //
 // The placement and buffering decisions are the simulator's own:
 // Generate consumes sim.Replay, which prepares every Round exactly as
-// sim.Run does, and only turns each prepared Round into instructions. So
-// a program is the lowering of the Report simulated on the same hardware:
-// one SEND per NoC flow, and LOAD_IN and WRITEBK bytes equal to the
-// Report's DRAM read and write bytes.
+// sim.Run does, and lowers each Round's buffer witness — every engine's
+// loads, sends, computes, stores, evictions and write-backs in
+// Algorithm 3's order — one step to one instruction (a send to a SEND
+// and its RECV). So a program is the lowering of the Report simulated on
+// the same hardware: one SEND per NoC flow, and LOAD_IN and WRITEBK bytes
+// equal to the Report's DRAM read and write bytes.
 //
-// The instruction set is deliberately small and matches what the
-// simulator models. There is no separate weight load: like
-// buffer.RoundIO.DRAMReadBytes, LOAD_IN lumps every DRAM byte an engine
-// reads in a Round, weights and inputs alike.
+// The instruction set (check.Op, check.Instr) is declared in package
+// check, whose Program replays a program against every engine's buffer.
+// Every instruction but SYNC names a tensor: a<id>, atom id's output, or
+// w<id>, weight slice id.
 //
-//	LOAD_IN  dst=self            fetch the Round's DRAM bytes
-//	RECV     src=engine          receive a tensor region over the NoC
-//	SEND     dst=engine          forward a resident tensor region
-//	COMPUTE  atom                run one atom on the PE array/vector unit
-//	STORE    —                   keep the produced tile in the local buffer
-//	WRITEBK  —                   write tiles back to DRAM (eviction/final)
-//	SYNC     round               barrier at the end of each Round
+//	LOAD_IN  t bytes         read t's bytes for the Round's atom from DRAM
+//	RECV     t src=E bytes   receive t's bytes from engine E over the NoC
+//	SEND     t dst=E bytes   forward t's bytes to engine E
+//	COMPUTE  atom            run one atom on the PE array/vector unit
+//	STORE    t bytes         keep t in the local buffer
+//	EVICT    t bytes         drop t from the local buffer
+//	WRITEBK  t bytes         write output t to DRAM (eviction/final/spill)
+//	SYNC     round           barrier at the end of each Round
 //
-// Streams are verified for global consistency (every RECV pairs with a
-// SEND in the same Round, COMPUTE appears exactly once per atom, SYNC
-// indices agree across engines), which doubles as an end-to-end check of
-// the scheduler/mapper/buffer pipeline.
+// A tensor that is loaded or received streams through the engine and
+// takes buffer space only when a STORE keeps it; an eviction that must
+// keep its output is a WRITEBK followed by its EVICT.
 package codegen
 
 import (
 	"fmt"
 	"io"
-	"math/bits"
 
 	"github.com/atomic-dataflow/atomicflow/internal/atom"
-	"github.com/atomic-dataflow/atomicflow/internal/graph"
+	"github.com/atomic-dataflow/atomicflow/internal/buffer"
+	"github.com/atomic-dataflow/atomicflow/internal/check"
 	"github.com/atomic-dataflow/atomicflow/internal/schedule"
 	"github.com/atomic-dataflow/atomicflow/internal/sim"
 )
 
-// Op is an engine-controller opcode.
-type Op int
-
-const (
-	OpLoadIn Op = iota
-	OpRecv
-	OpSend
-	OpCompute
-	OpStore
-	OpWriteback
-	OpSync
-)
-
-var opNames = [...]string{"LOAD_IN", "RECV", "SEND", "COMPUTE", "STORE", "WRITEBK", "SYNC"}
-
-// String returns the mnemonic.
-func (o Op) String() string {
-	if int(o) < len(opNames) {
-		return opNames[o]
-	}
-	return fmt.Sprintf("Op(%d)", int(o))
-}
-
-// Instr is one engine-controller instruction.
-type Instr struct {
-	Op    Op
-	Atom  int   // COMPUTE/STORE/WRITEBK: atom whose tile is involved
-	Peer  int   // RECV: source engine; SEND: destination engine
-	Bytes int64 // tensor bytes moved (0 for COMPUTE/SYNC)
-	Round int   // owning Round (SYNC: the Round being closed)
-}
-
-// String renders the instruction in listing form.
-func (i Instr) String() string {
-	switch i.Op {
-	case OpCompute:
-		return fmt.Sprintf("%-8s atom=%d", i.Op, i.Atom)
-	case OpRecv:
-		return fmt.Sprintf("%-8s src=E%d bytes=%d", i.Op, i.Peer, i.Bytes)
-	case OpSend:
-		return fmt.Sprintf("%-8s dst=E%d bytes=%d", i.Op, i.Peer, i.Bytes)
-	case OpSync:
-		return fmt.Sprintf("%-8s round=%d", i.Op, i.Round)
-	default:
-		return fmt.Sprintf("%-8s atom=%d bytes=%d", i.Op, i.Atom, i.Bytes)
-	}
-}
-
 // Program is the lowered solution: one instruction stream per engine.
 type Program struct {
-	Streams [][]Instr // engine -> instructions
+	Streams [][]check.Instr // engine -> instructions
 	Rounds  int
 }
 
+// opOf maps a witness step to its instruction.
+var opOf = [...]check.Op{
+	buffer.Load:      check.OpLoadIn,
+	buffer.Send:      check.OpSend,
+	buffer.Compute:   check.OpCompute,
+	buffer.Store:     check.OpStore,
+	buffer.Evict:     check.OpEvict,
+	buffer.WriteBack: check.OpWriteback,
+}
+
 // Generate lowers the schedule on cfg's hardware: it replays the
-// simulator's Round prep (sim.Replay) and emits each prepared Round's
-// transfers, DRAM traffic and computes into per-engine streams.
+// simulator's Round prep (sim.Replay) and appends each step of every
+// Round's witness to its engine's stream, then closes the Round on every
+// engine with a SYNC.
 func Generate(d *atom.DAG, s *schedule.Schedule, cfg sim.Config) (*Program, error) {
 	n := cfg.Mesh.Engines()
-	p := &Program{Streams: make([][]Instr, n), Rounds: s.NumRounds()}
+	p := &Program{Streams: make([][]check.Instr, n), Rounds: s.NumRounds()}
 	err := sim.Replay(d, s, cfg, func(r sim.Prepared) {
-		t, io := r.Round, r.IO
-		// One SEND/RECV pair per multicast group and destination, at the
-		// group's bytes: the tensor the NoC tree carries.
-		for g, gr := range io.Groups {
-			for wi, word := range io.DestSet(g) {
-				for ; word != 0; word &= word - 1 {
-					dst := wi<<6 | bits.TrailingZeros64(word)
-					p.Streams[gr.Src] = append(p.Streams[gr.Src],
-						Instr{Op: OpSend, Peer: dst, Bytes: gr.Bytes, Round: t})
-					p.Streams[dst] = append(p.Streams[dst],
-						Instr{Op: OpRecv, Peer: gr.Src, Bytes: gr.Bytes, Round: t})
-				}
+		t := int32(r.Round)
+		for _, ev := range r.Witness {
+			in := check.Instr{Op: opOf[ev.Kind], Tensor: check.Tensor{ID: ev.ID, Weight: ev.Weight},
+				Peer: ev.Peer, Round: t, Bytes: ev.Bytes}
+			p.Streams[ev.Engine] = append(p.Streams[ev.Engine], in)
+			if ev.Kind == buffer.Send {
+				in.Op, in.Peer = check.OpRecv, ev.Engine
+				p.Streams[ev.Peer] = append(p.Streams[ev.Peer], in)
 			}
 		}
-		for e := 0; e < n; e++ {
-			if b := io.DRAMReadBytes[e]; b > 0 {
-				p.Streams[e] = append(p.Streams[e], Instr{Op: OpLoadIn, Bytes: b, Round: t})
-			}
-		}
-		for _, id := range s.Rounds[t].Atoms {
-			e := r.Placed.Engine(id)
-			p.Streams[e] = append(p.Streams[e],
-				Instr{Op: OpCompute, Atom: id, Round: t},
-				Instr{Op: OpStore, Atom: id, Bytes: d.Atoms[id].OutputBytes(), Round: t})
-		}
-		for e := 0; e < n; e++ {
-			if b := io.DRAMWriteBytes[e]; b > 0 {
-				p.Streams[e] = append(p.Streams[e], Instr{Op: OpWriteback, Bytes: b, Round: t})
-			}
-			p.Streams[e] = append(p.Streams[e], Instr{Op: OpSync, Round: t})
+		for e := range p.Streams {
+			p.Streams[e] = append(p.Streams[e], check.Instr{Op: check.OpSync, Round: t})
 		}
 	})
 	if err != nil {
 		return nil, err
 	}
 	return p, nil
-}
-
-// Verify checks global stream consistency in one pass: Rounds never
-// regress within a stream, every engine closes each Round with one SYNC,
-// every schedulable atom of d is computed exactly once, and each Round's
-// SENDs and RECVs pair up byte for byte.
-func (p *Program) Verify(d *atom.DAG) error {
-	computed := make(map[int]bool)
-	type key struct{ src, dst, round int }
-	balance := make(map[key]int64)
-	for e, stream := range p.Streams {
-		round, syncs := -1, 0
-		for _, in := range stream {
-			if in.Round < round {
-				return fmt.Errorf("codegen: engine %d: round regressed %d -> %d", e, round, in.Round)
-			}
-			round = in.Round
-			switch in.Op {
-			case OpCompute:
-				if computed[in.Atom] {
-					return fmt.Errorf("codegen: atom %d computed twice", in.Atom)
-				}
-				computed[in.Atom] = true
-			case OpSend:
-				balance[key{e, in.Peer, in.Round}] += in.Bytes
-			case OpRecv:
-				balance[key{in.Peer, e, in.Round}] -= in.Bytes
-			case OpSync:
-				syncs++
-			}
-		}
-		if syncs != p.Rounds {
-			return fmt.Errorf("codegen: engine %d has %d SYNCs, want %d", e, syncs, p.Rounds)
-		}
-	}
-	want := 0
-	for _, a := range d.Atoms {
-		if a.Task.Kind != graph.OpInput {
-			want++
-		}
-	}
-	if len(computed) != want {
-		return fmt.Errorf("codegen: %d COMPUTEs for %d schedulable atoms", len(computed), want)
-	}
-	for k, v := range balance {
-		if v != 0 {
-			return fmt.Errorf("codegen: unmatched transfer E%d->E%d round %d: %d bytes", k.src, k.dst, k.round, v)
-		}
-	}
-	return nil
 }
 
 // Dump writes a human-readable listing of one engine's stream.
@@ -196,7 +93,7 @@ func (p *Program) Dump(w io.Writer, engineID int) error {
 	}
 	fmt.Fprintf(w, "; engine %d — %d instructions, %d rounds\n",
 		engineID, len(p.Streams[engineID]), p.Rounds)
-	round := -1
+	round := int32(-1)
 	for _, in := range p.Streams[engineID] {
 		if in.Round != round {
 			round = in.Round
@@ -213,6 +110,7 @@ type Stats struct {
 	Computes       int
 	Sends          int
 	Recvs          int
+	Evicts         int
 	LoadBytes      int64 // LOAD_IN: DRAM bytes read
 	WritebackBytes int64 // WRITEBK: DRAM bytes written
 }
@@ -224,15 +122,17 @@ func (p *Program) Stats() Stats {
 		for _, in := range stream {
 			st.Instructions++
 			switch in.Op {
-			case OpCompute:
+			case check.OpCompute:
 				st.Computes++
-			case OpSend:
+			case check.OpSend:
 				st.Sends++
-			case OpRecv:
+			case check.OpRecv:
 				st.Recvs++
-			case OpLoadIn:
+			case check.OpEvict:
+				st.Evicts++
+			case check.OpLoadIn:
 				st.LoadBytes += in.Bytes
-			case OpWriteback:
+			case check.OpWriteback:
 				st.WritebackBytes += in.Bytes
 			}
 		}

@@ -8,6 +8,7 @@ import (
 	"net/http"
 	"time"
 
+	"github.com/atomic-dataflow/atomicflow"
 	"github.com/atomic-dataflow/atomicflow/internal/obs"
 	"github.com/atomic-dataflow/atomicflow/internal/obs/dash"
 )
@@ -120,11 +121,15 @@ func (s *Server) handleSolve(w http.ResponseWriter, r *http.Request) {
 
 // writeSolveError maps an orchestration failure onto an HTTP status: a
 // cancelled or expired search is the server's fault (504 during drain
-// timeout / abandoned flights), anything else is a plain 500.
+// timeout / abandoned flights), a well-formed graph with nothing to
+// execute is the client's (422), and anything else is a plain 500.
 func (s *Server) writeSolveError(w http.ResponseWriter, err error) {
 	code := http.StatusInternalServerError
-	if errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded) {
+	switch {
+	case errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded):
 		code = http.StatusGatewayTimeout
+	case errors.Is(err, atomicflow.ErrNothingToExecute):
+		code = http.StatusUnprocessableEntity
 	}
 	s.writeError(w, code, err.Error())
 }

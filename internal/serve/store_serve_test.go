@@ -72,3 +72,28 @@ func TestStoreReplayAcrossRestart(t *testing.T) {
 		t.Fatalf("store hits grew to %d on an LRU-served repeat", s2.m.storeHits.Value())
 	}
 }
+
+// TestUnsolvableGraph422 submits a well-formed inline graph with nothing
+// to execute, an input read only by a concat: the client is at fault, so
+// /solve answers 422, and neither the cache nor the store keeps anything
+// for it, so a repeat is refused the same way.
+func TestUnsolvableGraph422(t *testing.T) {
+	st, err := store.Open(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	s, ts := newTestServer(t, Config{Workers: 1, Store: st})
+	body := `{"graph":{"name":"nowork","layers":[` +
+		`{"name":"input","op":"Input","shape":{"hi":4,"wi":4,"ci":2,"ho":4,"wo":4,"co":2}},` +
+		`{"name":"cat","op":"Concat","inputs":["input"],` +
+		`"shape":{"hi":4,"wi":4,"ci":2,"ho":4,"wo":4,"co":2,"kh":1,"kw":1,"stride":1}}]}}`
+	for i := range 2 {
+		resp, b := postSolve(t, ts, body)
+		if resp.StatusCode != http.StatusUnprocessableEntity || !bytes.Contains(b, []byte("no layer to execute")) {
+			t.Fatalf("solve %d: %d %s, want 422 naming the empty execution", i, resp.StatusCode, b)
+		}
+	}
+	if n, m := s.cache.len(), st.Len(); n != 0 || m != 0 {
+		t.Errorf("cache holds %d entries and the store %d records for an unsolvable graph", n, m)
+	}
+}

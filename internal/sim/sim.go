@@ -174,26 +174,31 @@ func Run(d *atom.DAG, s *schedule.Schedule, cfg Config) (Report, error) {
 }
 
 // Prepared is one Round as Run's prep stage hands it to the timing
-// stage: the atoms' engine placement and the buffer replay's IO. Placed
-// reads the Round's own atoms' engines; an atom of an earlier Round
-// reads the engine its own Round placed it on, and a later Round's atom
-// reads -1.
+// stage: the atoms' engine placement and the buffer replay's IO, plus
+// the replay's witness, which only Replay records. Placed reads the
+// Round's own atoms' engines; an atom of an earlier Round reads the
+// engine its own Round placed it on, and a later Round's atom reads -1.
 type Prepared struct {
 	Round  int
 	Placed *mapping.Result
 	IO     *buffer.RoundIO
+	// Witness lists every engine's steps of the Round in the buffer
+	// replay's order (buffer.Manager.Record).
+	Witness []buffer.Event
 }
 
 // Replay runs Run's prep stage serially on cfg's hardware, placement
 // (NaiveMapping included) and buffer replay exactly as Run prepares them,
 // and hands each prepared Round to fn instead of timing it. fn must not
 // keep the Prepared: the next Round is prepared into the same storage.
+// Unlike Run, Replay records the buffer replay's witness.
 func Replay(d *atom.DAG, s *schedule.Schedule, cfg Config, fn func(Prepared)) error {
 	r, release, err := newRunner(d, s, cfg)
 	if err != nil {
 		return err
 	}
 	defer release()
+	r.man.Record(true) // the pool's next Reset switches it off
 	slot := &r.slots[0]
 	for t := range s.Rounds {
 		if err := r.pollCtx(); err != nil {
@@ -202,7 +207,7 @@ func Replay(d *atom.DAG, s *schedule.Schedule, cfg Config, fn func(Prepared)) er
 		if r.prep(t, slot); slot.err != nil {
 			return slot.err
 		}
-		fn(Prepared{Round: t, Placed: &slot.placed, IO: &slot.io})
+		fn(Prepared{Round: t, Placed: &slot.placed, IO: &slot.io, Witness: r.man.Witness()})
 	}
 	return nil
 }
